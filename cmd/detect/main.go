@@ -57,6 +57,9 @@ func run() error {
 
 	unit := ids.New(ids.Config{Model: model, Scaler: bundle.Scaler, Window: *window})
 	frames := 0
+	// Pooled decode: Feed copies the features it keeps out of the packet.
+	p := packet.Acquire()
+	defer p.Release()
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -66,11 +69,9 @@ func run() error {
 			return err
 		}
 		frames++
-		p, err := packet.Decode(rec.Time, rec.Data)
-		if err != nil {
-			continue
+		if packet.DecodeInto(p, rec.Time, rec.Data) == nil {
+			unit.Feed(p)
 		}
-		unit.Feed(p)
 	}
 	unit.Flush()
 

@@ -193,6 +193,25 @@ func (tr *TrainingResult) Models() []TrainedModel {
 	return []TrainedModel{tr.RF, tr.KMeans, tr.CNN}
 }
 
+// evaluate scores m on the held-out split through ml.PredictBatch, the
+// entry point the live IDS classifies with; a scaler standardizes copies of
+// the rows first (nil when the split already is in the model's input space).
+func evaluate(m ml.Classifier, scaler *dataset.StandardScaler, test *dataset.Dataset) metrics.Report {
+	xs, ys := test.XY()
+	if scaler != nil {
+		for i, x := range xs {
+			xs[i] = scaler.Transformed(x)
+		}
+	}
+	preds := make([]int, len(xs))
+	ml.PredictBatch(m, xs, preds)
+	var conf metrics.Confusion
+	for i, pred := range preds {
+		conf.Add(ys[i], pred)
+	}
+	return metrics.NewReport(conf)
+}
+
 // TrainModels fits RF, K-Means and CNN on the corpus with an 80/20
 // train/test split, mirroring §IV-D's offline training phase.
 func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
@@ -202,21 +221,6 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 	train, test := work.Split(0.8)
 
 	res := &TrainingResult{DataSummary: ds.Summarize()}
-
-	evaluate := func(m ml.Classifier, scaler *dataset.StandardScaler) metrics.Report {
-		var conf metrics.Confusion
-		buf := make([]float64, ds.NumFeatures())
-		for i := range test.Samples {
-			s := &test.Samples[i]
-			x := s.X
-			if scaler != nil {
-				copy(buf, s.X)
-				x = scaler.Transform(buf[:len(s.X)])
-			}
-			conf.Add(s.Y, m.Predict(x))
-		}
-		return metrics.NewReport(conf)
-	}
 
 	// Serial data preparation: everything consuming the shared rng stays in
 	// program order so results match the historical serial run exactly.
@@ -258,7 +262,7 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 				return fmt.Errorf("train rf: %w", err)
 			}
 			rf := ml.OffsetView{Inner: rfInner, Offset: off}
-			res.RF = TrainedModel{Model: rf, TrainReport: evaluate(rf, nil)}
+			res.RF = TrainedModel{Model: rf, TrainReport: evaluate(rf, nil, test)}
 			return nil
 		},
 		func() error {
@@ -268,7 +272,7 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 			if err != nil {
 				return fmt.Errorf("train kmeans: %w", err)
 			}
-			res.KMeans = TrainedModel{Model: km, Scaler: scaler, TrainReport: evaluate(km, scaler)}
+			res.KMeans = TrainedModel{Model: km, Scaler: scaler, TrainReport: evaluate(km, scaler, test)}
 			return nil
 		},
 		func() error {
@@ -279,7 +283,7 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 			if err != nil {
 				return fmt.Errorf("train cnn: %w", err)
 			}
-			res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler)}
+			res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler, test)}
 			return nil
 		},
 	}
@@ -468,14 +472,6 @@ func (sc Scenario) TrainExtendedModels(ds *dataset.Dataset) ([]TrainedModel, err
 	scaler.Apply(test)
 	xs, ys := train.XY()
 
-	evaluate := func(m ml.Classifier) metrics.Report {
-		var conf metrics.Confusion
-		for i := range test.Samples {
-			conf.Add(test.Samples[i].Y, m.Predict(test.Samples[i].X))
-		}
-		return metrics.NewReport(conf)
-	}
-
 	sv, err := svm.Train(svm.Config{Seed: sc.Seed + 21}, xs, ys)
 	if err != nil {
 		return nil, fmt.Errorf("train svm: %w", err)
@@ -498,7 +494,7 @@ func (sc Scenario) TrainExtendedModels(ds *dataset.Dataset) ([]TrainedModel, err
 		out = append(out, TrainedModel{
 			Model:       m,
 			Scaler:      scaler,
-			TrainReport: evaluate(m),
+			TrainReport: evaluate(m, nil, test),
 			SizeBytes:   size,
 		})
 	}

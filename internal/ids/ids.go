@@ -98,9 +98,13 @@ type Unit struct {
 	// cfg.OnWindow, in registration order.
 	hooks []func(r *WindowResult)
 
-	cpu      time.Duration
-	peakMem  int64
+	cpu     time.Duration
+	peakMem int64
+	// One chunk of packets in flight through the model: the vectors, their
+	// row headers and the verdicts. Nothing here scales with the window.
 	vecBuf   []float64
+	rows     [chunk][]float64
+	preds    [chunk]int
 	packets  uint64
 	alerts   uint64
 	detached bool
@@ -229,6 +233,13 @@ func (u *Unit) addCPU(d time.Duration) {
 	}
 }
 
+// chunk is how many packets of a closed window are vectorized and
+// classified per ml.PredictBatch call: large enough that a batch kernel's
+// per-call cost and the first row's full computation amortize, small enough
+// that the unit's buffers (chunk × vector length) stay in L1 and do not
+// grow with the window.
+const chunk = 64
+
 // onWindow runs preprocessing + detection for one closed window.
 func (u *Unit) onWindow(w *features.Window) {
 	start := time.Now()
@@ -239,61 +250,64 @@ func (u *Unit) onWindow(w *features.Window) {
 	}
 	var flagged map[packet.Addr]bool
 	var flaggedFlows map[trace.Flow]bool
-	for i := range w.Packets {
-		b := &w.Packets[i]
-		u.packets++
-		truth := -1
-		if u.cfg.Labeler != nil {
-			truth = u.cfg.Labeler(b)
-			if truth == dataset.Malicious {
-				res.TruthMalicious++
-			}
+	for lo := 0; lo < len(w.Packets); lo += chunk {
+		pkts := w.Packets[lo:min(lo+chunk, len(w.Packets))]
+		u.packets += uint64(len(pkts))
+		if u.cfg.Model != nil {
+			u.classify(pkts, &w.Stats)
 		}
-		if u.cfg.Model == nil {
-			continue
-		}
-		u.vecBuf = features.AppendVector(u.vecBuf[:0], b, &w.Stats)
-		if u.cfg.Scaler != nil {
-			u.cfg.Scaler.Transform(u.vecBuf)
-		}
-		pred := u.cfg.Model.Predict(u.vecBuf)
-		if pred == dataset.Malicious {
-			res.PredMalicious++
-			if flagged == nil {
-				flagged = make(map[packet.Addr]bool)
-			}
-			if !flagged[b.Src] {
-				flagged[b.Src] = true
-				res.FlaggedSrcs = append(res.FlaggedSrcs, b.Src)
-			}
-			if len(res.FlaggedFlows) < maxFlaggedFlows {
-				f := trace.Flow{
-					Src: b.Src.Uint32(), Dst: b.Dst.Uint32(),
-					SrcPort: b.SrcPort, DstPort: b.DstPort,
-					Proto: b.Proto,
-				}
-				if flaggedFlows == nil {
-					flaggedFlows = make(map[trace.Flow]bool)
-				}
-				if !flaggedFlows[f] {
-					flaggedFlows[f] = true
-					res.FlaggedFlows = append(res.FlaggedFlows, f)
+		for i := range pkts {
+			b := &pkts[i]
+			truth := -1
+			if u.cfg.Labeler != nil {
+				truth = u.cfg.Labeler(b)
+				if truth == dataset.Malicious {
+					res.TruthMalicious++
 				}
 			}
-		}
-		if truth >= 0 {
-			if pred == truth {
-				res.Correct++
+			if u.cfg.Model == nil {
+				continue
 			}
-			u.confusion.Add(truth, pred)
+			pred := u.preds[i]
+			if pred == dataset.Malicious {
+				res.PredMalicious++
+				if flagged == nil {
+					flagged = make(map[packet.Addr]bool)
+				}
+				if !flagged[b.Src] {
+					flagged[b.Src] = true
+					res.FlaggedSrcs = append(res.FlaggedSrcs, b.Src)
+				}
+				if len(res.FlaggedFlows) < maxFlaggedFlows {
+					f := trace.Flow{
+						Src: b.Src.Uint32(), Dst: b.Dst.Uint32(),
+						SrcPort: b.SrcPort, DstPort: b.DstPort,
+						Proto: b.Proto,
+					}
+					if flaggedFlows == nil {
+						flaggedFlows = make(map[trace.Flow]bool)
+					}
+					if !flaggedFlows[f] {
+						flaggedFlows[f] = true
+						res.FlaggedFlows = append(res.FlaggedFlows, f)
+					}
+				}
+			}
+			if truth >= 0 {
+				if pred == truth {
+					res.Correct++
+				}
+				u.confusion.Add(truth, pred)
+			}
 		}
 	}
 	if res.Packets > 0 {
 		res.Accuracy = float64(res.Correct) / float64(res.Packets)
 		res.Alert = res.PredMalicious*2 > res.Packets
 	}
+	// The Feed/Tap/Flush call that closed this window is timing it already;
+	// res.CPU is the per-window figure only.
 	res.CPU = time.Since(start)
-	u.addCPU(res.CPU)
 	u.winCPU.Observe(float64(res.CPU) / float64(time.Microsecond))
 	verdict := "clear"
 	if res.Alert {
@@ -322,8 +336,28 @@ func (u *Unit) onWindow(w *features.Window) {
 	}
 }
 
-// liveMem estimates current memory held by the unit: the model, the scaler
-// and the window buffer.
+// classify fills u.preds[:len(pkts)] with the model's verdicts for pkts
+// (at most chunk of them), vectorized against their window's statistics.
+func (u *Unit) classify(pkts []features.Basic, st *features.Stats) {
+	buf := u.vecBuf[:0]
+	for i := range pkts {
+		buf = features.AppendVector(buf, &pkts[i], st)
+	}
+	u.vecBuf = buf
+	// Rows are cut after the fill: growing buf on first use moves it.
+	nf := len(buf) / len(pkts)
+	rows := u.rows[:len(pkts)]
+	for i := range rows {
+		rows[i] = buf[i*nf : (i+1)*nf : (i+1)*nf]
+		if u.cfg.Scaler != nil {
+			u.cfg.Scaler.Transform(rows[i])
+		}
+	}
+	ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
+}
+
+// liveMem estimates current memory held by the unit: the model, the scaler,
+// the window buffer and the chunk buffers.
 func (u *Unit) liveMem(windowPackets int) int64 {
 	var mem int64
 	if mr, ok := u.cfg.Model.(interface{ MemoryBytes() int64 }); ok {
@@ -332,8 +366,8 @@ func (u *Unit) liveMem(windowPackets int) int64 {
 	if u.cfg.Scaler != nil {
 		mem += int64(len(u.cfg.Scaler.Mean)+len(u.cfg.Scaler.Std)) * 8
 	}
-	mem += int64(windowPackets) * 40 // features.Basic footprint
-	mem += int64(cap(u.vecBuf)) * 8
+	mem += int64(windowPackets) * 40             // features.Basic footprint
+	mem += int64(cap(u.vecBuf))*8 + chunk*(24+8) // vectors, row headers, verdicts
 	return mem
 }
 

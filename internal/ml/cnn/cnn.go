@@ -164,7 +164,8 @@ func (n *Network) MemoryBytes() int64 {
 	return params + acts*InferenceBatch + 256
 }
 
-// activations holds one forward pass (retained for backprop).
+// activations holds one forward pass (retained for backprop, and by the
+// batch path for reuse by the next row).
 type activations struct {
 	in    []float64
 	conv1 [][]float64 // [f1][len1] post-ReLU
@@ -177,6 +178,10 @@ type activations struct {
 	hid   []float64 // post-ReLU
 	out   []float64 // logits
 	prob  []float64 // softmax
+
+	// win is one conv column's receptive field gathered in weight order
+	// [channels*kernel]; pre is that column's pre-activations [filters].
+	win, pre []float64
 }
 
 func relu(v float64) float64 {
@@ -186,72 +191,96 @@ func relu(v float64) float64 {
 	return 0
 }
 
-func (n *Network) forward(x []float64, a *activations) {
+// affine computes out[r] = b[r] + Σ_j w[r][j]·x[j] for every row of w, four
+// rows per pass over x. A row count that is not a multiple of four repeats
+// the last row in the spare lanes.
+func affine(w [][]float64, b, x, out []float64) {
+	last := len(w) - 1
+	for r := 0; r <= last; r += 4 {
+		r1, r2, r3 := min(r+1, last), min(r+2, last), min(r+3, last)
+		out[r], out[r1], out[r2], out[r3] = dot4(w[r], w[r1], w[r2], w[r3], x, b[r], b[r1], b[r2], b[r3])
+	}
+}
+
+// dot4 returns s_k + Σ_j w_k[j]·x[j] for four weight rows at once. One
+// row's sum is a chain of dependent adds, each waiting out the previous
+// add's latency; four rows are four independent chains the CPU overlaps,
+// and each still adds its terms in index order, so every result has the
+// bits the row-at-a-time loop gives.
+func dot4(w0, w1, w2, w3, x []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	for j, v := range x {
+		s0 += w0[j] * v
+		s1 += w1[j] * v
+		s2 += w2[j] * v
+		s3 += w3[j] * v
+	}
+	return s0, s1, s2, s3
+}
+
+// conv writes out[f][i] = relu(b[f] + Σ_ch Σ_k w[f][ch·kernel+k]·in[ch][i+k])
+// for the first cols columns. A column's receptive field is gathered once,
+// in weight order, and every filter reads it through affine.
+func (a *activations) conv(w [][]float64, b []float64, kernel, cols int, out [][]float64, in ...[]float64) {
+	a.win = growv(a.win, len(in)*kernel)
+	a.pre = growv(a.pre, len(w))
+	for i := 0; i < cols; i++ {
+		wi := 0
+		for _, row := range in {
+			for _, v := range row[i : i+kernel] {
+				a.win[wi] = v
+				wi++
+			}
+		}
+		affine(w, b, a.win, a.pre)
+		for f, s := range a.pre {
+			out[f][i] = relu(s)
+		}
+	}
+}
+
+// forward runs the network on x into a. changed is how many leading input
+// columns differ from the row a last held for this network: conv and pool
+// columns whose receptive field lies wholly at or past it are kept from
+// that row, which is exact because they are functions of those inputs
+// alone. The dense layers mix every column and are always recomputed.
+// changed == Cfg.Inputs recomputes everything and makes no assumption
+// about a; changed == 0 leaves a as it is.
+func (n *Network) forward(x []float64, a *activations, changed int) {
+	if changed == 0 {
+		return
+	}
 	c := n.Cfg
 	a.in = x
-	// conv1: single input channel.
+	// Columns to recompute per stage: a conv column starts its receptive
+	// field at its own index, a pool column covers conv columns 2i, 2i+1.
+	cols1 := min(changed, n.len1)
+	pcols1 := min((cols1+1)/2, n.pool1)
+	cols2 := min(pcols1, n.len2)
+	pcols2 := min((cols2+1)/2, n.pool2)
+	// Both conv blocks, one output column (all filters) at a time.
 	a.conv1 = grow2(a.conv1, c.Conv1Filters, n.len1)
-	for f := 0; f < c.Conv1Filters; f++ {
-		w := n.W1[f]
-		for i := 0; i < n.len1; i++ {
-			s := n.B1[f]
-			for k := 0; k < c.Kernel; k++ {
-				s += w[k] * x[i+k]
-			}
-			a.conv1[f][i] = relu(s)
-		}
-	}
-	a.pool1, a.arg1 = maxpool(a.conv1, a.pool1, a.arg1, n.pool1)
-	// conv2: over f1 channels.
+	a.conv(n.W1, n.B1, c.Kernel, cols1, a.conv1, x)
+	a.pool1, a.arg1 = maxpool(a.conv1, a.pool1, a.arg1, n.pool1, pcols1)
 	a.conv2 = grow2(a.conv2, c.Conv2Filters, n.len2)
-	for f := 0; f < c.Conv2Filters; f++ {
-		w := n.W2[f]
-		for i := 0; i < n.len2; i++ {
-			s := n.B2[f]
-			wi := 0
-			for ch := 0; ch < c.Conv1Filters; ch++ {
-				row := a.pool1[ch]
-				for k := 0; k < c.Kernel; k++ {
-					s += w[wi] * row[i+k]
-					wi++
-				}
-			}
-			a.conv2[f][i] = relu(s)
-		}
-	}
-	a.pool2, a.arg2 = maxpool(a.conv2, a.pool2, a.arg2, n.pool2)
+	a.conv(n.W2, n.B2, c.Kernel, cols2, a.conv2, a.pool1...)
+	a.pool2, a.arg2 = maxpool(a.conv2, a.pool2, a.arg2, n.pool2, pcols2)
 	// flatten.
-	if cap(a.flat) < n.flat {
-		a.flat = make([]float64, n.flat)
-	}
-	a.flat = a.flat[:n.flat]
-	fi := 0
+	a.flat = growv(a.flat, n.flat)
 	for f := 0; f < c.Conv2Filters; f++ {
-		for i := 0; i < n.pool2; i++ {
-			a.flat[fi] = a.pool2[f][i]
-			fi++
-		}
+		copy(a.flat[f*n.pool2:], a.pool2[f][:pcols2])
 	}
 	// dense + ReLU.
 	a.hid = growv(a.hid, c.Hidden)
-	for h := 0; h < c.Hidden; h++ {
-		s := n.B3[h]
-		w := n.W3[h]
-		for j, v := range a.flat {
-			s += w[j] * v
-		}
+	affine(n.W3, n.B3, a.flat, a.hid)
+	for h, s := range a.hid {
 		a.hid[h] = relu(s)
 	}
 	// output + softmax.
 	a.out = growv(a.out, c.Classes)
+	affine(n.W4, n.B4, a.hid, a.out)
 	maxLogit := math.Inf(-1)
-	for o := 0; o < c.Classes; o++ {
-		s := n.B4[o]
-		w := n.W4[o]
-		for h, v := range a.hid {
-			s += w[h] * v
-		}
-		a.out[o] = s
+	for _, s := range a.out {
 		if s > maxLogit {
 			maxLogit = s
 		}
@@ -301,12 +330,13 @@ func growv(v []float64, n int) []float64 {
 	return v[:n]
 }
 
-// maxpool performs width-2 max pooling per channel, recording argmaxes.
-func maxpool(in, out [][]float64, arg [][]int, outLen int) ([][]float64, [][]int) {
+// maxpool performs width-2 max pooling per channel over the first cols
+// output columns, recording argmaxes.
+func maxpool(in, out [][]float64, arg [][]int, outLen, cols int) ([][]float64, [][]int) {
 	out = grow2(out, len(in), outLen)
 	arg = grow2i(arg, len(in), outLen)
 	for ch := range in {
-		for i := 0; i < outLen; i++ {
+		for i := 0; i < cols; i++ {
 			j := 2 * i
 			v, a := in[ch][j], j
 			if j+1 < len(in[ch]) && in[ch][j+1] > v {
@@ -324,25 +354,61 @@ func maxpool(in, out [][]float64, arg [][]int, outLen int) ([][]float64, [][]int
 // share across goroutines — the parallel experiment sweeps rely on that.
 var actPool = sync.Pool{New: func() any { return new(activations) }}
 
-// Predict returns the argmax class for x. It is safe for concurrent use.
-func (n *Network) Predict(x []float64) int {
-	a := actPool.Get().(*activations)
-	n.forward(x, a)
+// class is the argmax of the softmax output, the lowest index on ties.
+func (a *activations) class() int {
 	best, bestP := 0, -1.0
 	for o, p := range a.prob {
 		if p > bestP {
 			best, bestP = o, p
 		}
 	}
+	return best
+}
+
+// Predict returns the argmax class for x. It is safe for concurrent use.
+func (n *Network) Predict(x []float64) int {
+	a := actPool.Get().(*activations)
+	n.forward(x, a, n.Cfg.Inputs)
+	best := a.class()
 	a.in = nil // do not pin the caller's vector in the pool
 	actPool.Put(a)
 	return best
 }
 
+// PredictBatch implements ml.BatchClassifier: out[i] = Predict(xs[i]), with
+// each row recomputing only what its longest common suffix with the
+// previous row does not already determine — nothing at all for a repeated
+// row. Rows of one IDS window share their statistics block, the vector's
+// tail. It is safe for concurrent use.
+func (n *Network) PredictBatch(xs [][]float64, out []int) {
+	a := actPool.Get().(*activations)
+	in := n.Cfg.Inputs
+	for i, x := range xs {
+		changed := in
+		if i > 0 {
+			changed = changedPrefix(xs[i-1][:in], x[:in])
+		}
+		n.forward(x, a, changed)
+		out[i] = a.class()
+	}
+	a.in = nil
+	actPool.Put(a)
+}
+
+// changedPrefix is the length of the shortest prefix of x past which x and
+// prev (equally long) agree bit for bit.
+func changedPrefix(prev, x []float64) int {
+	i := len(x)
+	for i > 0 && math.Float64bits(x[i-1]) == math.Float64bits(prev[i-1]) {
+		i--
+	}
+	return i
+}
+
 // Prob returns the class probability vector for x.
 func (n *Network) Prob(x []float64) []float64 {
 	var a activations
-	n.forward(x, &a)
+	n.forward(x, &a, n.Cfg.Inputs)
 	out := make([]float64, len(a.prob))
 	copy(out, a.prob)
 	return out

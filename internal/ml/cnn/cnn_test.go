@@ -81,13 +81,13 @@ func TestGradientCheck(t *testing.T) {
 	y := 1
 	loss := func() float64 {
 		var a activations
-		n.forward(x, &a)
+		n.forward(x, &a, cfg.Inputs)
 		return -math.Log(a.prob[y] + 1e-12)
 	}
 	g := newGrads(n)
 	var a activations
 	var scratch bwScratch
-	n.forward(x, &a)
+	n.forward(x, &a, cfg.Inputs)
 	n.backward(&a, y, g, &scratch)
 
 	check := func(w [][]float64, gw [][]float64, name string) {

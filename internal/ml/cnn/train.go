@@ -230,7 +230,7 @@ func (n *Network) Fit(xs [][]float64, ys []int) (TrainResult, error) {
 			batch := order[start:end]
 			g.zero()
 			for _, idx := range batch {
-				n.forward(xs[idx], &a)
+				n.forward(xs[idx], &a, cfg.Inputs)
 				p := a.prob[ys[idx]]
 				lossSum += -math.Log(p + 1e-12)
 				seen++

@@ -110,7 +110,13 @@ func (f *Forest) Name() string { return "rf" }
 
 // Predict returns the majority vote over the ensemble.
 func (f *Forest) Predict(x []float64) int {
-	votes := make([]int, f.Cfg.Classes)
+	// The tally lives on the stack for any class count the IDS uses.
+	var few [8]int
+	votes := few[:]
+	if f.Cfg.Classes > len(few) {
+		votes = make([]int, f.Cfg.Classes)
+	}
+	votes = votes[:f.Cfg.Classes]
 	for _, t := range f.TreeList {
 		votes[t.Predict(x)]++
 	}

@@ -107,3 +107,23 @@ func TestMemoryBytesScalesWithNodes(t *testing.T) {
 		t.Fatal("Name()")
 	}
 }
+
+func TestPredictAllocFree(t *testing.T) {
+	xs, ys := mltest.Blobs(300, 6, 3, 7)
+	f, err := Train(Config{Trees: 10, Seed: 7}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.Predict(xs[0]) }); a != 0 {
+		t.Fatalf("Predict: %v allocs/op, want 0", a)
+	}
+	// More classes than the stack tally holds still vote correctly.
+	wide, wideY := mltest.Blobs(600, 6, 12, 8)
+	wf, err := Train(Config{Trees: 15, Classes: 12, Seed: 8}, wide, wideY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := mltest.Accuracy(wf.Predict, wide, wideY); acc < 0.9 {
+		t.Fatalf("12-class training accuracy = %.3f", acc)
+	}
+}

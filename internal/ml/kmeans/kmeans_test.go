@@ -106,3 +106,14 @@ func TestModelFootprintTiny(t *testing.T) {
 		t.Fatal("Name()")
 	}
 }
+
+func TestPredictAllocFree(t *testing.T) {
+	xs, ys := mltest.Blobs(300, 6, 2, 7)
+	m, err := Train(Config{Seed: 7}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { m.Predict(xs[0]) }); a != 0 {
+		t.Fatalf("Predict: %v allocs/op, want 0", a)
+	}
+}

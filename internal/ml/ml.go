@@ -6,6 +6,8 @@
 // are reimplemented in pure Go on the same feature vectors.
 package ml
 
+import "math"
+
 // Classifier is a trained model that labels one feature vector with a
 // class index (dataset.Benign or dataset.Malicious in the IDS).
 type Classifier interface {
@@ -15,13 +17,56 @@ type Classifier interface {
 	Name() string
 }
 
-// PredictBatch labels every row of xs using c.
-func PredictBatch(c Classifier, xs [][]float64) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = c.Predict(x)
+// BatchClassifier is optionally implemented by models that label a run of
+// rows cheaper than one Predict per row (the CNN reuses the activations a
+// row shares with its predecessor). out[i] must equal Predict(xs[i]).
+type BatchClassifier interface {
+	Classifier
+	// PredictBatch writes the class of xs[i] to out[i]; len(out) == len(xs).
+	PredictBatch(xs [][]float64, out []int)
+}
+
+// PredictBatch writes c's label for every row of xs into out[:len(xs)] —
+// the one batch entry point the live IDS and the offline evaluations share.
+// Models without a batch kernel are walked row by row, and a row
+// bit-identical to its predecessor takes the predecessor's label without a
+// Predict call; no model's result depends on which path ran.
+func PredictBatch(c Classifier, xs [][]float64, out []int) {
+	out = out[:len(xs)]
+	if bc, ok := c.(BatchClassifier); ok {
+		bc.PredictBatch(xs, out)
+		return
 	}
-	return out
+	predictRows(c, 0, xs, out)
+}
+
+// predictRows is the per-row fallback over the column suffix xs[i][off:].
+func predictRows(c Classifier, off int, xs [][]float64, out []int) {
+	var prev []float64
+	for i, x := range xs {
+		x = x[off:]
+		if i == 0 || !sameBits(x, prev) {
+			out[i] = c.Predict(x)
+		} else {
+			out[i] = out[i-1]
+		}
+		prev = x
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns, the
+// only equality under which skipping a recomputation is exact (== would
+// merge ±0 and split a NaN from itself).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // OffsetView adapts a classifier trained on a suffix of the feature vector
@@ -34,10 +79,17 @@ type OffsetView struct {
 	Offset int
 }
 
-var _ Classifier = OffsetView{}
+var _ BatchClassifier = OffsetView{}
 
 // Predict delegates on the column suffix.
 func (v OffsetView) Predict(x []float64) int { return v.Inner.Predict(x[v.Offset:]) }
+
+// PredictBatch delegates on the column suffix. Rows that differ only in
+// the dropped columns — every packet of one IDS window, whose statistics
+// block is shared — cost one inner Predict between them.
+func (v OffsetView) PredictBatch(xs [][]float64, out []int) {
+	predictRows(v.Inner, v.Offset, xs, out)
+}
 
 // Name reports the inner model's name.
 func (v OffsetView) Name() string { return v.Inner.Name() }

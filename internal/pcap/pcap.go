@@ -7,6 +7,7 @@
 package pcap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -106,11 +107,22 @@ type Reader struct {
 	r       io.Reader
 	snapLen uint32
 	order   binary.ByteOrder
+	// hdr is Next's record-header scratch: a local would escape through
+	// the io.Reader call and cost an allocation per record.
+	hdr [16]byte
 }
 
+// readBufSize is the read-ahead NewReader puts in front of a source: one
+// read(2) per 64 KiB of capture instead of two per record.
+const readBufSize = 64 << 10
+
 // NewReader validates the global header and returns a record reader. Both
-// byte orders are accepted.
+// byte orders are accepted. Unless r already is a *bufio.Reader it is read
+// through one, so the Reader may consume r past the records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
+	if _, ok := r.(*bufio.Reader); !ok {
+		r = bufio.NewReaderSize(r, readBufSize)
+	}
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: read header: %w", err)
@@ -132,8 +144,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Next returns the next record, or io.EOF at end of file.
 func (r *Reader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = io.EOF
 		}

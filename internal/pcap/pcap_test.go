@@ -3,8 +3,12 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
@@ -233,5 +237,92 @@ func TestWriterStickyError(t *testing.T) {
 	}
 	if w.Count() != 0 {
 		t.Fatal("failed writes counted")
+	}
+}
+
+// drain reads src to its end and renders everything a caller can observe:
+// the records and the error that ended the stream.
+func drain(src io.Reader) string {
+	r, err := NewReader(src)
+	if err != nil {
+		return "open: " + err.Error()
+	}
+	recs, err := r.ReadAll()
+	return fmt.Sprintf("%d records %v, then %v", len(recs), recs, err)
+}
+
+// TestReaderSameThroughEverySource pins that the read-ahead NewReader adds
+// changes no record and no error: a bare file (the source it is for), an
+// in-memory reader and a reader that hands out one byte per call all end a
+// capture the same way, whichever way the capture ends.
+func TestReaderSameThroughEverySource(t *testing.T) {
+	var good bytes.Buffer
+	w, err := NewWriter(&good, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough records that the file spans several read-ahead buffers.
+	for i := 0; i < 600; i++ {
+		if err := w.WriteFrame(sim.Time(i)*sim.Millisecond, sampleFrame(i%700)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if good.Len() < 3*readBufSize {
+		t.Fatalf("capture of %d bytes does not cross the %d-byte buffer", good.Len(), readBufSize)
+	}
+	huge := append([]byte(nil), good.Bytes()...)
+	var rec [16]byte
+	binary.LittleEndian.PutUint32(rec[8:12], 1<<30)
+	huge = append(huge, rec[:]...)
+
+	cases := map[string][]byte{
+		"clean EOF":          good.Bytes(),
+		"truncated header":   good.Bytes()[:good.Len()-len(sampleFrame(599%700))-9],
+		"truncated body":     good.Bytes()[:good.Len()-5],
+		"implausible length": huge,
+		"no global header":   good.Bytes()[:10],
+	}
+	for name, data := range cases {
+		path := filepath.Join(t.TempDir(), "c.pcap")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile := drain(f)
+		f.Close()
+		fromMemory := drain(bytes.NewReader(data))
+		byteByByte := drain(iotest.OneByteReader(bytes.NewReader(data)))
+		if fromFile != fromMemory || fromFile != byteByByte {
+			t.Errorf("%s: sources disagree\n file:   %.200s\n memory: %.200s\n 1-byte: %.200s",
+				name, fromFile, fromMemory, byteByByte)
+		}
+	}
+
+	// And the outcomes themselves, once: they are the Reader's contract.
+	want := map[string]string{
+		"clean EOF":          "<nil>",
+		"truncated header":   "<nil>",
+		"truncated body":     "pcap: truncated record: unexpected EOF",
+		"implausible length": "pcap: implausible record length 1073741824",
+	}
+	for name, tail := range want {
+		r, err := NewReader(bytes.NewReader(cases[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := r.ReadAll()
+		if got := fmt.Sprint(err); got != tail {
+			t.Errorf("%s: ended with %q, want %q", name, got, tail)
+		}
+		wantRecs := 600
+		if name == "truncated header" || name == "truncated body" {
+			wantRecs = 599
+		}
+		if len(recs) != wantRecs {
+			t.Errorf("%s: %d records, want %d", name, len(recs), wantRecs)
+		}
 	}
 }
