@@ -9,6 +9,7 @@ package ftpapp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -99,7 +100,12 @@ func (s *Server) accept(c *netstack.Conn) {
 	sess.reply("220 tserver FTP ready")
 }
 
-func (ss *session) reply(line string) { ss.ctrl.Send([]byte(line + "\r\n")) }
+// reply sends one control-channel line.
+func (ss *session) reply(line string) {
+	b := ss.ctrl.Reserve(len(line) + 2)
+	b = append(append(b, line...), "\r\n"...)
+	ss.ctrl.Commit(len(b))
+}
 
 func (ss *session) handleLine(line string) {
 	cmd, arg, _ := strings.Cut(line, " ")
@@ -164,8 +170,14 @@ func (ss *session) openPassive() {
 		return
 	}
 	addr := s.host.Addr()
-	ss.reply(fmt.Sprintf("227 entering passive mode (%d,%d,%d,%d,%d,%d)",
-		addr[0], addr[1], addr[2], addr[3], port>>8, port&0xff))
+	const passive = "227 entering passive mode ("
+	b := ss.ctrl.Reserve(len(passive) + 6*4 + 2)
+	b = append(b, passive...)
+	for _, v := range [6]byte{addr[0], addr[1], addr[2], addr[3], byte(port >> 8), byte(port)} {
+		b = append(strconv.AppendUint(b, uint64(v), 10), ',')
+	}
+	b = append(b[:len(b)-1], ")\r\n"...)
+	ss.ctrl.Commit(len(b))
 
 	// Rebind the control-channel line handler: the next RETR triggers the
 	// transfer over whichever data connection arrives.
@@ -176,10 +188,11 @@ func (ss *session) openPassive() {
 		if size > 4<<20 {
 			size = 4 << 20
 		}
-		body := make([]byte, size)
-		s.rng.Bytes(body)
-		ss.reply(fmt.Sprintf("150 opening data connection (%d bytes)", size))
-		dataConn.Send(body)
+		// The file is generated in the data connection's send buffer; the
+		// 150 goes out on the control channel before its first segment.
+		s.rng.Bytes(dataConn.Reserve(size)[:size])
+		workload.SendNumbered(ss.ctrl, "150 opening data connection (", size, " bytes)\r\n")
+		dataConn.Commit(size)
 		dataConn.Close()
 		s.transfers++
 		s.bytesOut += uint64(size)

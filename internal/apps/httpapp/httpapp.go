@@ -6,9 +6,9 @@
 package httpapp
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"ddoshield/internal/apps/workload"
@@ -78,32 +78,69 @@ func (s *Server) Stats() (requests, bytesOut uint64) { return s.requests, s.byte
 // under attack).
 func (s *Server) Listener() *netstack.Listener { return s.listener }
 
+var headerEnd = []byte("\r\n\r\n")
+
+// headBuffer holds the head of a request or response header that did not
+// arrive whole in one segment. One normally does, and is then parsed where
+// it lies in the segment; the buffer stays empty.
+type headBuffer []byte
+
+// with returns everything received of the header so far, d included.
+func (h *headBuffer) with(d []byte) []byte {
+	if len(*h) == 0 {
+		return d
+	}
+	*h = append(*h, d...)
+	return *h
+}
+
+// hold keeps what with last returned for the next segment to complete.
+func (h *headBuffer) hold(d []byte) {
+	if len(*h) == 0 {
+		*h = append(*h, d...)
+	}
+}
+
 func (s *Server) accept(c *netstack.Conn) {
-	var buf strings.Builder
+	var partial headBuffer
 	c.OnData = func(d []byte) {
-		buf.Write(d)
-		req := buf.String()
-		end := strings.Index(req, "\r\n\r\n")
-		if end < 0 {
-			if buf.Len() > 8192 {
+		req := partial.with(d)
+		if !bytes.Contains(req, headerEnd) {
+			if len(req) > 8192 {
 				c.Abort()
+			} else {
+				partial.hold(d)
 			}
 			return
 		}
-		buf.Reset()
-		line := req
-		if i := strings.Index(req, "\r\n"); i >= 0 {
-			line = req[:i]
-		}
+		partial = partial[:0]
+		line, _, _ := bytes.Cut(req, headerEnd[:2])
 		s.respond(c, line)
 	}
 	c.OnRemoteClose = func() { c.Close() }
 }
 
-func (s *Server) respond(c *netstack.Conn, requestLine string) {
-	fields := strings.Fields(requestLine)
-	if len(fields) < 2 || fields[0] != "GET" {
-		c.Send([]byte("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"))
+const (
+	badRequest     = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+	okHeaderPrefix = "HTTP/1.1 200 OK\r\nServer: tserver-apache\r\nContent-Length: "
+	// okHeaderMax bounds the 200 header: prefix, a size of up to seven
+	// digits (bodies stop at 1 MiB), blank line.
+	okHeaderMax = len(okHeaderPrefix) + 7 + len("\r\n\r\n")
+)
+
+// isGET reports whether the request line's first field is GET and a second
+// field follows it.
+func isGET(line []byte) bool {
+	if len(line) > 4 && string(line[:4]) == "GET " && line[4] > ' ' && line[4] < 0x80 {
+		return true // the well-formed case, decided without splitting
+	}
+	fields := bytes.Fields(line)
+	return len(fields) >= 2 && string(fields[0]) == "GET"
+}
+
+func (s *Server) respond(c *netstack.Conn, requestLine []byte) {
+	if !isGET(requestLine) {
+		c.Send([]byte(badRequest))
 		c.Close()
 		return
 	}
@@ -113,12 +150,16 @@ func (s *Server) respond(c *netstack.Conn, requestLine string) {
 	if size > 1<<20 {
 		size = 1 << 20
 	}
-	header := fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: tserver-apache\r\nContent-Length: %d\r\n\r\n", size)
-	body := make([]byte, size)
-	s.rng.Bytes(body)
+	// Header and body are generated side by side in the connection's send
+	// buffer, but queued one after the other: the header leaves as its own
+	// pushed segment before the body's first.
+	b := c.Reserve(okHeaderMax + size)
+	b = strconv.AppendInt(append(b, okHeaderPrefix...), int64(size), 10)
+	b = append(b, headerEnd...)
+	s.rng.Bytes(b[len(b) : len(b)+size])
 	s.bytesOut += uint64(size)
-	c.Send([]byte(header))
-	c.Send(body)
+	c.Commit(len(b))
+	c.Commit(size)
 	// HTTP/1.0-style: close after the response; clients open fresh
 	// connections per object, producing the short-lived-connection pattern
 	// the IDS features examine.
@@ -178,52 +219,67 @@ func (c *Client) Stats() (fetches, completed, failed, bytesIn uint64) {
 	return c.fetches, c.completed, c.failed, c.bytesIn
 }
 
+// fetch is one GET in flight: the connection's callbacks and the response
+// parser's state, in one allocation.
+type fetch struct {
+	client   *Client
+	conn     *netstack.Conn
+	object   int
+	partial  headBuffer
+	inBody   bool
+	expected int
+	got      int
+}
+
 func (c *Client) fetch() {
 	c.fetches++
-	conn := c.host.DialTCP(c.server, c.port)
-	path := fmt.Sprintf("/obj/%d", c.rng.Intn(1000))
-	var (
-		header   strings.Builder
-		inBody   bool
-		expected int
-		got      int
-	)
-	conn.OnConnect = func() {
-		conn.Send([]byte("GET " + path + " HTTP/1.1\r\nHost: tserver\r\n\r\n"))
+	f := &fetch{client: c, conn: c.host.DialTCP(c.server, c.port), object: c.rng.Intn(1000)}
+	f.conn.OnConnect = f.request
+	f.conn.OnData = f.onData
+	f.conn.OnRemoteClose = f.conn.Close
+	f.conn.OnClose = f.onClose
+}
+
+func (f *fetch) request() {
+	workload.SendNumbered(f.conn, "GET /obj/", f.object, " HTTP/1.1\r\nHost: tserver\r\n\r\n")
+}
+
+func (f *fetch) onData(d []byte) {
+	if !f.inBody {
+		head := f.partial.with(d)
+		end := bytes.Index(head, headerEnd)
+		if end < 0 {
+			f.partial.hold(d)
+			return
+		}
+		f.expected = parseContentLength(head[:end])
+		f.got = len(head) - end - len(headerEnd)
+		f.inBody = true
+		f.partial = nil
+	} else {
+		f.got += len(d)
 	}
-	conn.OnData = func(d []byte) {
-		if !inBody {
-			header.Write(d)
-			full := header.String()
-			end := strings.Index(full, "\r\n\r\n")
-			if end < 0 {
-				return
-			}
-			expected = parseContentLength(full[:end])
-			got = len(full) - end - 4
-			inBody = true
-		} else {
-			got += len(d)
-		}
-		c.bytesIn += uint64(len(d))
-		if inBody && got >= expected {
-			c.completed++
-			conn.Close()
-		}
-	}
-	conn.OnRemoteClose = func() { conn.Close() }
-	conn.OnClose = func(err error) {
-		if err != nil {
-			c.failed++
-		}
+	f.client.bytesIn += uint64(len(d))
+	if f.got >= f.expected {
+		f.client.completed++
+		f.conn.Close()
 	}
 }
 
-func parseContentLength(header string) int {
-	for _, line := range strings.Split(header, "\r\n") {
-		if v, ok := strings.CutPrefix(line, "Content-Length: "); ok {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err == nil {
+func (f *fetch) onClose(err error) {
+	if err != nil {
+		f.client.failed++
+	}
+}
+
+var contentLength = []byte("Content-Length: ")
+
+func parseContentLength(header []byte) int {
+	for len(header) > 0 {
+		var line []byte
+		line, header, _ = bytes.Cut(header, headerEnd[:2])
+		if v, ok := bytes.CutPrefix(line, contentLength); ok {
+			if n, err := strconv.Atoi(string(bytes.TrimSpace(v))); err == nil {
 				return n
 			}
 		}

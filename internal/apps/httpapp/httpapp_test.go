@@ -1,6 +1,8 @@
 package httpapp
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 	"time"
 
@@ -83,11 +85,11 @@ func TestServerRejectsNonGET(t *testing.T) {
 }
 
 func TestParseContentLength(t *testing.T) {
-	h := "HTTP/1.1 200 OK\r\nServer: x\r\nContent-Length: 1234"
+	h := []byte("HTTP/1.1 200 OK\r\nServer: x\r\nContent-Length: 1234")
 	if got := parseContentLength(h); got != 1234 {
 		t.Fatalf("parseContentLength = %d", got)
 	}
-	if got := parseContentLength("HTTP/1.1 200 OK"); got != 0 {
+	if got := parseContentLength([]byte("HTTP/1.1 200 OK")); got != 0 {
 		t.Fatalf("missing header -> %d", got)
 	}
 }
@@ -110,5 +112,33 @@ func TestResponseSizesHeavyTailed(t *testing.T) {
 	mean := float64(bytesIn) / float64(completed)
 	if mean < 1000 || mean > 100_000 {
 		t.Fatalf("mean object size = %.0f bytes, implausible", mean)
+	}
+}
+
+// TestRequestSplitAcrossSegments: a request is normally parsed where it lies
+// in its one segment; one that arrives in pieces is held until its blank
+// line and answered the same.
+func TestRequestSplitAcrossSegments(t *testing.T) {
+	s, ch, sh := pair(t)
+	srv := NewServer(ServerConfig{Seed: 1})
+	if err := srv.Attach(sh); err != nil {
+		t.Fatal(err)
+	}
+	conn := ch.DialTCP(sh.Addr(), DefaultPort)
+	var resp []byte
+	conn.OnConnect = func() {
+		conn.Send([]byte("GET /obj/1 HT"))
+		ch.Scheduler().After(50*time.Millisecond, func() { conn.Send([]byte("TP/1.1\r\nHost: tserver\r\n")) })
+		ch.Scheduler().After(100*time.Millisecond, func() { conn.Send([]byte("\r\n")) })
+	}
+	conn.OnData = func(d []byte) { resp = append(resp, d...) }
+	conn.OnRemoteClose = conn.Close
+	if err := s.Run(10 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if requests, bytesOut := srv.Stats(); requests != 1 || !bytes.HasPrefix(resp, []byte(okHeaderPrefix)) {
+		t.Fatalf("%d requests served, response %.40q", requests, resp)
+	} else if want := len(okHeaderPrefix) + len(strconv.Itoa(int(bytesOut))) + 4 + int(bytesOut); len(resp) != want {
+		t.Fatalf("response is %d bytes, want %d", len(resp), want)
 	}
 }

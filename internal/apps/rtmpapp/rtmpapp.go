@@ -113,7 +113,7 @@ func (s *Server) startStream(c *netstack.Conn) {
 	}
 	total := int(s.cfg.BitrateBps / 8 * int64(dur) / int64(time.Second))
 	interval := time.Duration(int64(s.cfg.ChunkBytes) * 8 * int64(time.Second) / s.cfg.BitrateBps)
-	c.Send([]byte(fmt.Sprintf("OK stream bytes=%d\r\n", total)))
+	workload.SendNumbered(c, "OK stream bytes=", total, "\r\n")
 	ck := workload.NewChunker(s.host.Scheduler(), c, total, s.cfg.ChunkBytes, interval)
 	sent := total
 	ck.OnDone = func() {
@@ -185,7 +185,7 @@ func (c *Client) play() {
 	c.plays++
 	conn := c.host.DialTCP(c.server, c.port)
 	conn.OnConnect = func() {
-		conn.Send([]byte(fmt.Sprintf("PLAY stream%d\r\n", c.rng.Intn(50))))
+		workload.SendNumbered(conn, "PLAY stream", c.rng.Intn(50), "\r\n")
 	}
 	conn.OnData = func(d []byte) { c.bytesIn += uint64(len(d)) }
 	conn.OnRemoteClose = func() {

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"bytes"
+	"strconv"
 	"time"
 
 	"ddoshield/internal/netstack"
@@ -121,12 +122,22 @@ func AttachLines(c *netstack.Conn, onLine func(string)) *LineReader {
 	return lr
 }
 
+// SendNumbered queues prefix, n in decimal and suffix as one Send would,
+// formatted in the connection's send buffer: the shape of every status and
+// request line the testbed's protocols generate.
+func SendNumbered(c *netstack.Conn, prefix string, n int, suffix string) {
+	b := c.Reserve(len(prefix) + 20 + len(suffix)) // 20 digits hold any int
+	b = strconv.AppendInt(append(b, prefix...), int64(n), 10)
+	b = append(b, suffix...)
+	c.Commit(len(b))
+}
+
 // Chunker delivers a byte stream in fixed-size chunks at a fixed interval,
 // modeling a media server pushing segments at a target bitrate.
 type Chunker struct {
 	sched     *sim.Scheduler
 	conn      *netstack.Conn
-	chunk     []byte
+	chunkSize int
 	interval  time.Duration
 	remaining int
 	ticker    *sim.Ticker
@@ -142,7 +153,7 @@ func NewChunker(sched *sim.Scheduler, conn *netstack.Conn, total, chunkSize int,
 	ck := &Chunker{
 		sched:     sched,
 		conn:      conn,
-		chunk:     make([]byte, chunkSize),
+		chunkSize: chunkSize,
 		interval:  interval,
 		remaining: total,
 	}
@@ -162,11 +173,10 @@ func (ck *Chunker) Start() {
 			}
 			return
 		}
-		n := len(ck.chunk)
-		if n > ck.remaining {
-			n = ck.remaining
-		}
-		ck.conn.Send(ck.chunk[:n])
+		// Media payload is zeros, written where the connection sends from.
+		n := min(ck.chunkSize, ck.remaining)
+		clear(ck.conn.Reserve(n)[:n])
+		ck.conn.Commit(n)
 		ck.remaining -= n
 	})
 }

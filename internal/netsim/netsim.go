@@ -642,10 +642,14 @@ type queuedFrame struct {
 }
 
 type direction struct {
-	link   *Link
-	from   int
-	name   string // "src->dst" port pair, precomputed for labels/events
+	link *Link
+	from int
+	name string // "src->dst" port pair, precomputed for labels/events
+	// queue[qhead:] are the frames waiting, oldest first. Popping advances
+	// qhead instead of re-slicing, so the array's front is not lost to the
+	// next append: see enqueue.
 	queue  []queuedFrame
+	qhead  int
 	queued int // bytes waiting (excluding the frame in transmission)
 	busy   bool
 	// doneFn is the serialization-complete handler, bound once at Connect;
@@ -917,8 +921,7 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 			span.Drop(now, trace.DropQueueFull)
 			return
 		}
-		d.queue = append(d.queue, queuedFrame{raw: raw, tc: span})
-		d.queued += len(raw)
+		d.enqueue(queuedFrame{raw: raw, tc: span})
 		return
 	}
 	d.transmit(raw, span)
@@ -980,15 +983,32 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 func (d *direction) txDone() {
 	d.txFrames.Inc()
 	d.txBytes.Add(uint64(d.curLen))
-	if len(d.queue) > 0 {
-		next := d.queue[0]
-		d.queue[0] = queuedFrame{}
-		d.queue = d.queue[1:]
+	if d.qhead < len(d.queue) {
+		next := d.queue[d.qhead]
+		d.queue[d.qhead] = queuedFrame{}
+		d.qhead++
+		if d.qhead == len(d.queue) {
+			d.queue, d.qhead = d.queue[:0], 0
+		}
 		d.queued -= len(next.raw)
 		d.transmit(next.raw, next.tc)
 	} else {
 		d.busy = false
 	}
+}
+
+// enqueue appends a frame to the transmit queue. A link that stays busy
+// never drains, so when the array is full the slots popped since the last
+// shift are reclaimed first; the array grows only once fewer than half of
+// them are free, which keeps the shifting at amortized O(1) per frame.
+func (d *direction) enqueue(f queuedFrame) {
+	if len(d.queue) == cap(d.queue) && d.qhead > len(d.queue)/2 {
+		n := copy(d.queue, d.queue[d.qhead:])
+		clear(d.queue[n:])
+		d.queue, d.qhead = d.queue[:n], 0
+	}
+	d.queue = append(d.queue, f)
+	d.queued += len(f.raw)
 }
 
 // scheduleArrival lands the frame at the receiving port at instant at. The

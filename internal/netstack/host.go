@@ -9,6 +9,7 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -24,11 +25,13 @@ import (
 type HostConfig struct {
 	// Addr is the host's IPv4 address.
 	Addr packet.Addr
+	// Gateway is the default next hop for off-subnet destinations; zero
+	// means off-subnet traffic is unroutable. (It sits next to Addr so the
+	// two four-byte addresses share a word: Host is one of these per
+	// simulated device.)
+	Gateway packet.Addr
 	// Subnet is the directly connected prefix.
 	Subnet packet.Prefix
-	// Gateway is the default next hop for off-subnet destinations; zero
-	// means off-subnet traffic is unroutable.
-	Gateway packet.Addr
 	// Seed drives the stack's RNG (ISNs, ephemeral ports, IP IDs).
 	Seed int64
 	// TTL is the initial TTL for generated packets (default 64).
@@ -52,11 +55,12 @@ type arpEntry struct {
 // Host is one endpoint's network stack bound to a NIC.
 //
 // The stack is lazy: the ARP/UDP/listener/connection tables, the RNG and
-// the cached name string are all nil until first use, so an idle device —
-// one that never sends or binds a socket — costs only the struct itself.
-// Reads tolerate nil maps (a nil map lookup is legal Go); every write goes
-// through an ensure-accessor that takes storage from a shared pool, and
-// ReleaseIdle returns empty tables to the pools on churn-down.
+// the cached name string and the send-buffer free list are all nil until
+// first use, so an idle device — one that never sends or binds a socket —
+// costs only the struct itself. Reads tolerate nil maps (a nil map lookup
+// is legal Go); every write goes through an ensure-accessor that takes
+// storage from a shared pool, and ReleaseIdle returns empty tables to the
+// pools on churn-down.
 type Host struct {
 	nic   *netsim.NIC
 	sched *sim.Scheduler
@@ -70,6 +74,9 @@ type Host struct {
 	conns     map[connKey]*Conn
 	ipID      uint16
 	ephemeral uint16
+
+	// bufs holds the send buffers connections have returned: see buffers.go.
+	bufs *bufferList
 
 	// forwarder, when non-nil, receives IPv4 packets addressed elsewhere
 	// (set by Router.AddInterface).
@@ -172,6 +179,8 @@ func (h *Host) ReleaseIdle() {
 		connMapPool.Put(h.conns)
 		h.conns = nil
 	}
+	// Free send buffers are a cache, never state: a halted device keeps none.
+	h.bufs = nil
 }
 
 // AddStaticARP installs a permanent neighbor entry, bypassing resolution.
@@ -307,6 +316,29 @@ func (h *Host) sendIPCtx(dst packet.Addr, tc trace.Context, build func(dstMAC pa
 		return
 	}
 	h.sendIPVia(hop, tc, build)
+}
+
+// sendTCP transmits one TCP segment. With the next hop's MAC in the ARP
+// cache — every segment but a flow's first — the frame is built and handed
+// to the NIC right here. Only a segment that has to wait for resolution pays
+// for a builder closure, and for a private copy of its payload: the bytes
+// may sit in a send buffer that is recycled before ARP answers.
+func (h *Host) sendTCP(ip packet.IPv4, tcp packet.TCP, payload []byte, tc trace.Context) {
+	hop, err := h.nextHop(ip.Dst)
+	if err != nil {
+		tc.Drop(h.sched.Now(), trace.DropNoRoute)
+		return
+	}
+	if e := h.arp[hop]; e != nil && e.mac != (packet.MAC{}) {
+		h.txIPv4++
+		h.nic.SendCtx(packet.BuildTCP(h.MAC(), e.mac, ip, tcp, payload), tc)
+		tc.Finish(h.sched.Now())
+		return
+	}
+	held := bytes.Clone(payload)
+	h.sendIPVia(hop, tc, func(dstMAC packet.MAC) []byte {
+		return packet.BuildTCP(h.MAC(), dstMAC, ip, tcp, held)
+	})
 }
 
 // sendIPVia transmits via an explicit next-hop address on this segment.

@@ -91,12 +91,16 @@ type Conn struct {
 	key   connKey
 	state ConnState
 
-	// Send side.
+	// Send side. sendBuf is a buffer of the host's (buffers.go) that the
+	// connection owns while it holds it; sendBuf[sendOff:] are the bytes
+	// [sndUna, ...) — unacked, then unsent. It goes back to the host when
+	// the last of them is acknowledged: see Reserve for the contract.
 	iss     uint32
 	sndUna  uint32
 	sndNxt  uint32
-	sendBuf []byte // bytes [sndUna, sndUna+len) — unacked + unsent
-	finQ    bool   // close requested: FIN follows the buffered data
+	sendBuf []byte
+	sendOff int
+	finQ    bool // close requested: FIN follows the buffered data
 	finSent bool
 	finSeq  uint32
 
@@ -105,8 +109,10 @@ type Conn struct {
 	gotSYN  bool
 	peerFIN bool
 
-	// Retransmission.
+	// Retransmission. rtxFn is onRetransmitTimeout bound to this connection,
+	// once: the timer is re-armed on every ACK that leaves data in flight.
 	rtx     sim.Event
+	rtxFn   sim.Handler
 	rto     time.Duration
 	retries int
 
@@ -225,21 +231,100 @@ func (h *Host) DialTCP(dst packet.Addr, dstPort uint16) *Conn {
 	return c
 }
 
-// Send queues payload bytes for transmission. Data queued after Close is
-// discarded.
+// Send queues a copy of data for transmission; the caller keeps data. Bytes
+// the application generates itself go through Reserve and Commit instead,
+// which skip the copy. Data queued after Close is discarded.
 func (c *Conn) Send(data []byte) {
-	if c.finQ || c.state == StateClosed || len(data) == 0 {
+	if len(data) == 0 || !c.canQueue() {
 		return
+	}
+	copy(c.Reserve(len(data))[:len(data)], data)
+	c.Commit(len(data))
+}
+
+// canQueue reports whether the connection still accepts bytes to send.
+func (c *Conn) canQueue() bool {
+	if c.finQ {
+		return false
 	}
 	switch c.state {
 	case StateSynSent, StateSynRcvd, StateEstablished, StateCloseWait:
-		c.sendBuf = append(c.sendBuf, data...)
+		return true
+	}
+	return false
+}
+
+// Reserve returns an empty slice with room for n bytes at the tail of the
+// connection's send buffer, for the application to generate its next bytes
+// in place; Commit then queues them:
+//
+//	b := c.Reserve(len(prefix) + 20 + size)
+//	b = strconv.AppendInt(append(b, prefix...), int64(size), 10)
+//	rng.Bytes(b[len(b) : len(b)+size])
+//	c.Commit(len(b)) // the header, pushed as its own segment
+//	c.Commit(size)   // the body behind it
+//
+// The reservation is the application's until the next call on the
+// connection other than Commit, and must not be kept past it: the buffer is
+// the connection's, which reads it for every (re)transmission, may move it
+// when it needs room, and returns it to the host — for the host's next
+// connection to write into — as soon as every queued byte is acknowledged
+// or the connection is torn down. Reserve works in any state, so generation
+// that draws from an RNG draws the same whether or not the connection can
+// still send; Commit discards what cannot be sent.
+func (c *Conn) Reserve(n int) []byte {
+	end := len(c.sendBuf)
+	if cap(c.sendBuf)-end < n {
+		c.growSendBuf(n)
+		end = len(c.sendBuf)
+	}
+	return c.sendBuf[end : end : end+n]
+}
+
+// growSendBuf makes room for n more bytes behind the queued ones. They move
+// to the front of the buffer when that fits and the acknowledged prefix they
+// move over is at least as long as they are; otherwise to a buffer with room
+// for twice their number. Either way a byte is moved O(1) times however long
+// the application keeps queueing ahead of the acknowledgements.
+func (c *Conn) growSendBuf(n int) {
+	q := c.queued()
+	if need := len(q) + n; need <= cap(c.sendBuf) && len(q) <= c.sendOff {
+		c.sendBuf = c.sendBuf[:copy(c.sendBuf[:need], q)]
+	} else {
+		b := append(c.host.getBuffer(max(need, 2*len(q))), q...)
+		c.releaseSendBuf()
+		c.sendBuf = b
+	}
+	c.sendOff = 0
+}
+
+// Commit queues the next n reserved bytes, exactly as Send queues a copy of
+// its argument: successive Commits split one reservation into pieces that
+// go out as successive Sends would (the piece's last segment is pushed).
+// Data queued after Close is discarded.
+func (c *Conn) Commit(n int) {
+	if n > 0 && c.canQueue() {
+		c.sendBuf = c.sendBuf[:len(c.sendBuf)+n]
 		c.pump()
+	}
+	if c.sendOff == len(c.sendBuf) {
+		c.releaseSendBuf() // nothing was queued, or nothing could be
+	}
+}
+
+// queued returns the bytes waiting for acknowledgement or for the window.
+func (c *Conn) queued() []byte { return c.sendBuf[c.sendOff:] }
+
+// releaseSendBuf hands the send buffer back to the host.
+func (c *Conn) releaseSendBuf() {
+	if c.sendBuf != nil {
+		c.host.putBuffer(c.sendBuf)
+		c.sendBuf, c.sendOff = nil, 0
 	}
 }
 
 // Buffered reports bytes queued but not yet acknowledged.
-func (c *Conn) Buffered() int { return len(c.sendBuf) }
+func (c *Conn) Buffered() int { return len(c.queued()) }
 
 // Close performs an orderly shutdown: buffered data is sent, then FIN.
 func (c *Conn) Close() {
@@ -278,10 +363,7 @@ func (c *Conn) sendSegmentTraced(origin string, seq, ack uint32, flags uint8, pa
 		Flags:   flags,
 		Window:  advertisedWindow,
 	}
-	oc := h.traceOrigin(origin, c.key.remote, c.key.localPort, c.key.remotePort, packet.ProtoTCP)
-	h.sendIPCtx(c.key.remote, oc, func(dstMAC packet.MAC) []byte {
-		return packet.BuildTCP(h.MAC(), dstMAC, ip, tcp, payload)
-	})
+	h.sendTCP(ip, tcp, payload, h.traceOrigin(origin, c.key.remote, c.key.localPort, c.key.remotePort, packet.ProtoTCP))
 }
 
 // outstanding reports unacknowledged bytes in flight.
@@ -295,8 +377,9 @@ func (c *Conn) pump() {
 		return // handshake not complete (data stays buffered) or closed
 	}
 	sentAny := false
+	q := c.queued()
 	for {
-		unsent := uint32(len(c.sendBuf)) - c.dataInFlight()
+		unsent := uint32(len(q)) - c.dataInFlight()
 		if unsent == 0 || c.outstanding() >= sendWindow {
 			break
 		}
@@ -308,9 +391,9 @@ func (c *Conn) pump() {
 			n = sendWindow - c.outstanding()
 		}
 		off := c.dataInFlight()
-		seg := c.sendBuf[off : off+n]
+		seg := q[off : off+n]
 		flags := packet.FlagACK
-		if off+n == uint32(len(c.sendBuf)) {
+		if off+n == uint32(len(q)) {
 			flags |= packet.FlagPSH
 		}
 		c.sendSegment(c.sndNxt, c.rcvNxt, flags, seg)
@@ -318,7 +401,7 @@ func (c *Conn) pump() {
 		c.bytesSent += uint64(n)
 		sentAny = true
 	}
-	if c.finQ && !c.finSent && c.dataInFlight() == uint32(len(c.sendBuf)) {
+	if c.finQ && !c.finSent && c.dataInFlight() == uint32(len(q)) {
 		c.finSeq = c.sndNxt
 		c.sendSegment(c.sndNxt, c.rcvNxt, packet.FlagFIN|packet.FlagACK, nil)
 		c.sndNxt++
@@ -337,7 +420,7 @@ func (c *Conn) pump() {
 }
 
 // dataInFlight reports how many buffered payload bytes have been sent
-// (acked bytes are trimmed from sendBuf, so flight = sndNxt-sndUna minus
+// (acked bytes leave the queue, so flight = sndNxt-sndUna minus
 // any SYN/FIN sequence numbers outstanding).
 func (c *Conn) dataInFlight() uint32 {
 	n := c.outstanding()
@@ -357,7 +440,10 @@ func (c *Conn) dataInFlight() uint32 {
 
 func (c *Conn) armRetransmit() {
 	c.disarmRetransmit()
-	c.rtx = c.host.sched.After(c.rto, c.onRetransmitTimeout)
+	if c.rtxFn == nil {
+		c.rtxFn = c.onRetransmitTimeout
+	}
+	c.rtx = c.host.sched.After(c.rto, c.rtxFn)
 }
 
 func (c *Conn) disarmRetransmit() {
@@ -389,12 +475,9 @@ func (c *Conn) onRetransmitTimeout() {
 		c.sendSegmentTraced("tcp-retransmit", c.iss, c.rcvNxt, packet.FlagSYN|packet.FlagACK, nil)
 	default:
 		// Resend the earliest unacknowledged chunk (go-back-one).
-		if n := uint32(len(c.sendBuf)); n > 0 {
-			seg := n
-			if seg > MSS {
-				seg = MSS
-			}
-			c.sendSegmentTraced("tcp-retransmit", c.sndUna, c.rcvNxt, packet.FlagACK|packet.FlagPSH, c.sendBuf[:seg])
+		if q := c.queued(); len(q) > 0 {
+			seg := min(len(q), MSS)
+			c.sendSegmentTraced("tcp-retransmit", c.sndUna, c.rcvNxt, packet.FlagACK|packet.FlagPSH, q[:seg])
 		} else if c.finSent && c.sndUna == c.finSeq {
 			c.sendSegmentTraced("tcp-retransmit", c.finSeq, c.rcvNxt, packet.FlagFIN|packet.FlagACK, nil)
 		}
@@ -408,6 +491,7 @@ func (c *Conn) teardown(err error) {
 		return
 	}
 	c.state = StateClosed
+	c.releaseSendBuf()
 	delete(c.host.conns, c.key)
 	if c.acceptedBy != nil {
 		delete(c.acceptedBy.halfDM, c.key)
@@ -474,10 +558,7 @@ func (h *Host) sendRST(dst packet.Addr, in packet.TCP) {
 		SrcPort: in.DstPort, DstPort: in.SrcPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: 0,
 	}
-	oc := h.traceOrigin("tcp-rst", dst, in.DstPort, in.SrcPort, packet.ProtoTCP)
-	h.sendIPCtx(dst, oc, func(dstMAC packet.MAC) []byte {
-		return packet.BuildTCP(h.MAC(), dstMAC, ip, tcp, nil)
-	})
+	h.sendTCP(ip, tcp, nil, h.traceOrigin("tcp-rst", dst, in.DstPort, in.SrcPort, packet.ProtoTCP))
 }
 
 func (l *Listener) handleSYN(key connKey, tcp packet.TCP, tc trace.Context) {
@@ -592,10 +673,12 @@ func (c *Conn) handleSegment(tcp packet.TCP, data []byte) {
 		if c.finSent && tcp.Ack == c.finSeq+1 {
 			dataAcked--
 		}
-		if int(dataAcked) <= len(c.sendBuf) {
-			c.sendBuf = c.sendBuf[dataAcked:]
-		} else {
-			c.sendBuf = nil
+		// A connection that has closed sits in TIME_WAIT for a second and
+		// in its application's closures for longer: the buffer must not
+		// wait with it.
+		c.sendOff = min(c.sendOff+int(dataAcked), len(c.sendBuf))
+		if c.sendOff == len(c.sendBuf) {
+			c.releaseSendBuf()
 		}
 		c.sndUna = tcp.Ack
 		c.retries = 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 )
@@ -12,6 +13,13 @@ import (
 // same discipline NS-3 enforces with its RngStream substreams.
 type RNG struct {
 	r *rand.Rand
+	// src is r's source, held so Bytes can draw from it without going
+	// through r. readVal/readPos are Bytes' carry between calls, the same
+	// pair math/rand.Rand keeps privately for Read: the undelivered bytes
+	// of the last Int63 and how many of them are left.
+	src     *xoshiroSource
+	readVal int64
+	readPos int8
 }
 
 // xoshiroSource is a xoshiro256++ generator behind the math/rand.Source64
@@ -62,7 +70,7 @@ func (x *xoshiroSource) Int63() int64 { return int64(x.Uint64() >> 1) }
 func NewRNG(seed int64) *RNG {
 	src := &xoshiroSource{}
 	src.Seed(seed)
-	return &RNG{r: rand.New(src)}
+	return &RNG{r: rand.New(src), src: src}
 }
 
 // Substream derives an independent child stream from a parent seed and a
@@ -176,7 +184,34 @@ func Pick[T any](g *RNG, choices []T) T {
 }
 
 // Bytes fills b with pseudo-random bytes (flood payloads, stream data).
+//
+// The stream is math/rand.(*Rand).Read's, bit for bit: every Int63 yields
+// seven bytes, least significant first, and the bytes a call leaves over
+// start the next call, whatever Int63/Float64 draws happen in between. Only
+// the stores differ: whole draws go out as one little-endian word instead of
+// seven byte stores through the Source interface.
 func (g *RNG) Bytes(b []byte) {
-	// math/rand.Read never returns an error.
-	_, _ = g.r.Read(b)
+	val, pos := g.readVal, g.readPos
+	i := 0
+	for ; pos > 0 && i < len(b); i++ {
+		b[i] = byte(val)
+		val >>= 8
+		pos--
+	}
+	// Each word store writes eight bytes; the eighth (the draw's top bits)
+	// is overwritten by the next draw, and there always is one, because the
+	// loop stops while at least one byte is still to fill.
+	for ; len(b)-i >= 8; i += 7 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(g.src.Int63()))
+	}
+	for ; i < len(b); i++ {
+		if pos == 0 {
+			val = g.src.Int63()
+			pos = 7
+		}
+		b[i] = byte(val)
+		val >>= 8
+		pos--
+	}
+	g.readVal, g.readPos = val, pos
 }
