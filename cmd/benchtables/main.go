@@ -5,6 +5,9 @@
 //	benchtables -table 2            Table II (CPU %, memory, model size)
 //	benchtables -table all          both tables + §IV-D dataset & training rows
 //	benchtables -table ext          the §V extension study (SVM, IF, VAE)
+//	benchtables -table mitigation   the closed-loop mitigation sweep (threshold
+//	                                × cache size × reaction delay); -scale quick
+//	                                runs one grid point, -scale paper the grid
 //	benchtables -series per-second  the per-window accuracy timeline with its
 //	                                boundary dips (§IV-D discussion)
 //	benchtables -series bots        the connected-bots timeline (DDoSim)
@@ -34,7 +37,7 @@ func main() {
 
 func run() error {
 	var (
-		table  = flag.String("table", "", "regenerate a table: 1, 2 or all")
+		table  = flag.String("table", "", "regenerate a table: 1, 2, all, ext or mitigation")
 		series = flag.String("series", "", "regenerate a series: per-second, bots, throughput")
 		scale  = flag.String("scale", "quick", "scenario scale: quick or paper")
 		seed   = flag.Int64("seed", 0, "override the scenario seed (0 = preset)")
@@ -70,13 +73,13 @@ func run() error {
 	}
 
 	switch *table {
-	case "1", "2", "all", "ext":
+	case "1", "2", "all":
+	case "ext":
+		return runExtensionStudy(sc)
+	case "mitigation":
+		return runMitigationSweep(sc.Seed, *scale == "quick")
 	default:
 		return fmt.Errorf("unknown table %q", *table)
-	}
-
-	if *table == "ext" {
-		return runExtensionStudy(sc)
 	}
 
 	fmt.Printf("== generating dataset (%v run, %d devices) ==\n", sc.TrainDuration, sc.Devices)
@@ -157,6 +160,27 @@ func runExtensionStudy(sc experiments.Scenario) error {
 	if len(rt.Detection) > 0 {
 		fmt.Println(experiments.FormatDetection(rt.Detection))
 	}
+	return nil
+}
+
+// runMitigationSweep runs the closed-loop defense sweep; every grid point
+// is cross-checked for byte-identical output across PDES domain counts
+// before its row is printed. quick shrinks the grid to one point (the CI
+// smoke).
+func runMitigationSweep(seed int64, quick bool) error {
+	cfg := experiments.MitigationSweepConfig{Seed: seed}
+	if quick {
+		cfg.Thresholds = []int{4}
+		cfg.CacheSizes = []int{256}
+		cfg.ReactionDelays = []time.Duration{0}
+		cfg.DomainSet = []int{1, 2}
+	}
+	points, err := experiments.RunMitigationSweep(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println("MITIGATION SWEEP — aggregation threshold × verdict-cache size × reaction delay")
+	fmt.Print(experiments.FormatMitigationSweep(points))
 	return nil
 }
 

@@ -40,7 +40,6 @@ func run() error {
 		duration  = flag.Duration("duration", 2*time.Minute, "simulated run length")
 		devices   = flag.Int("devices", 10, "IoT device count")
 		groups    = flag.Int("groups", 0, "split the fleet across this many edge switches (0/1 = flat single-switch topology); devices are packed by the load-aware partitioner")
-		shards    = flag.Int("core-shards", 0, "shard the core fabric across this many switches (0/1 = single core switch; requires -groups >= the shard count); contiguous group blocks trunk to each shard, the server/IDS/C2/attacker plane stays on the root switch")
 		seed      = flag.Int64("seed", 42, "simulation seed")
 		warmup    = flag.Duration("warmup", 30*time.Second, "benign-only lead before the first attack wave")
 		attackDur = flag.Duration("attack", 12*time.Second, "duration of each flood vector")
@@ -107,7 +106,6 @@ func run() error {
 			Seed:            *seed,
 			NumDevices:      *devices,
 			DeviceGroups:    *groups,
-			CoreShards:      *shards,
 			Churn:           testbed.ChurnConfig{Enabled: *churn},
 			TraceSampleRate: *traceSample,
 			Domains:         *domains,

@@ -303,3 +303,110 @@ func TestScheduleWave(t *testing.T) {
 		t.Fatalf("pkts = %d", pkts)
 	}
 }
+
+// TestCommandOnWireRoundsUp pins the one rounding rule: the wire carries
+// whole seconds, a duration rounds up to the next one (at least one), and
+// a whole-second command is untouched — so its wire line is the one it
+// always was.
+func TestCommandOnWireRoundsUp(t *testing.T) {
+	for _, tc := range []struct{ in, want time.Duration }{
+		{0, time.Second},
+		{625 * time.Millisecond, time.Second},
+		{time.Second, time.Second},
+		{time.Second + time.Nanosecond, 2 * time.Second},
+		{2500 * time.Millisecond, 3 * time.Second},
+		{60 * time.Second, 60 * time.Second},
+	} {
+		cmd := Command{Type: AttackUDP, Target: packet.MustParseAddr("10.0.1.1"), Port: 80, Duration: tc.in, PPS: 500}
+		if got := cmd.OnWire().Duration; got != tc.want {
+			t.Errorf("OnWire(%v).Duration = %v, want %v", tc.in, got, tc.want)
+		}
+		parsed, err := ParseCommand(cmd.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed != cmd.OnWire() {
+			t.Errorf("Duration %v: bots parse %+v, want %+v", tc.in, parsed, cmd.OnWire())
+		}
+	}
+	whole := Command{Type: AttackSYN, Target: packet.MustParseAddr("10.0.1.1"), Port: 80, Duration: 60 * time.Second, PPS: 500}
+	if got, want := whole.String(), "ATK syn 10.0.1.1 80 60 500"; got != want {
+		t.Fatalf("whole-second wire form moved: %q, want %q", got, want)
+	}
+}
+
+// TestSubSecondWaveFloodsLabelledInterval is the regression test for the
+// truncated wire duration: a 625 ms order used to reach the bots as "flood
+// for 0 s" while the C2 still labelled 625 ms of attack that never ran.
+// The bot must flood, and for exactly the interval the C2 recorded.
+func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
+	r := newRig()
+	c2Host := r.host(2)
+	c2 := NewC2(0)
+	if err := c2.Attach(c2Host); err != nil {
+		t.Fatal(err)
+	}
+	target := r.host(0x0100 + 1)
+	b := NewBot("bot1", c2Host.Addr(), 0, packet.MustParsePrefix("10.0.200.0/24"), 1)
+	b.Attach(r.host(20))
+
+	var first, last sim.Time
+	frames := 0
+	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+		if !p.HasUDP || p.IPv4.Dst != target.Addr() {
+			return
+		}
+		if frames == 0 {
+			first = p.Time
+		}
+		last = p.Time
+		frames++
+	}))
+
+	const pps = 200
+	cmds := []Command{
+		{Type: AttackUDP, Target: target.Addr(), Duration: 625 * time.Millisecond, PPS: pps},
+		{Type: AttackUDP, Target: target.Addr(), Duration: 625 * time.Millisecond, PPS: pps},
+	}
+	c2.ScheduleWave(10*sim.Second, 2*time.Second, cmds)
+	if err := r.sched.Run(12 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	ivs := c2.Intervals()
+	if len(ivs) != 1 {
+		t.Fatalf("intervals after the first order = %d, want 1", len(ivs))
+	}
+	iv := ivs[0]
+	if got := (iv.End - iv.Start).Duration(); got != time.Second {
+		t.Fatalf("labelled interval = %v, want the 1 s the bots were told", got)
+	}
+	if frames < pps*9/10 || frames > pps*11/10 {
+		t.Fatalf("bot sent %d flood frames in a 1 s order at %d pps", frames, pps)
+	}
+	// The flood starts once the order has crossed the LAN and stops when
+	// its second is up: every frame falls inside the labelled interval,
+	// shifted by that delivery lag.
+	lag := (first - iv.Start).Duration()
+	if lag < 0 || lag > 50*time.Millisecond {
+		t.Fatalf("flood started %v after the order was issued", lag)
+	}
+	if span := (last - first).Duration(); span > time.Second || span < 900*time.Millisecond {
+		t.Fatalf("flood ran %v, labelled 1 s", span)
+	}
+
+	// The next order is spaced by the duration on the wire, not the one
+	// requested: 10 s + 1 s + 2 s gap.
+	if err := r.sched.Run(20 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	ivs = c2.Intervals()
+	if len(ivs) != 2 {
+		t.Fatalf("intervals = %d, want 2", len(ivs))
+	}
+	if got := (ivs[1].Start - ivs[0].Start).Duration(); got != 3*time.Second {
+		t.Fatalf("second order issued %v after the first, want 3 s", got)
+	}
+	if attacks, _ := b.Stats(); attacks != 2 {
+		t.Fatalf("attacks run = %d, want 2", attacks)
+	}
+}

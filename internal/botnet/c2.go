@@ -141,8 +141,10 @@ func (c *C2) sessions() []*botSession {
 }
 
 // Broadcast sends an attack command to every connected bot, records the
-// attack interval for labeling, and returns how many bots received it.
+// attack interval for labeling — with the duration the bots were told, see
+// Command.OnWire — and returns how many bots received it.
 func (c *C2) Broadcast(cmd Command) int {
+	cmd = cmd.OnWire()
 	line := []byte(cmd.String() + "\r\n")
 	n := 0
 	for _, b := range c.sessions() {
@@ -175,6 +177,6 @@ func (c *C2) ScheduleWave(start sim.Time, gap time.Duration, cmds []Command) {
 	at := start
 	for _, cmd := range cmds {
 		c.ScheduleAttack(at, cmd)
-		at = at.Add(cmd.Duration + gap)
+		at = at.Add(cmd.OnWire().Duration + gap)
 	}
 }

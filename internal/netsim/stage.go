@@ -17,7 +17,7 @@ import (
 // stage-local and entity-local state); and folded back into the network
 // serially, again in canonical order, via Merge. A build that runs its
 // stages sequentially on one goroutine produces byte-identical topology —
-// that equivalence is what the SerialBuild regression pins.
+// that equivalence is what testbed.TestSerialBuildByteIdentity pins.
 type Stage struct {
 	net *Network
 

@@ -20,8 +20,8 @@
 // The Profiler implements sim.EngineProbe. All probe callbacks run on the
 // engine's coordinator goroutine against preallocated accumulators, so the
 // enabled hot path performs zero allocations (pinned by AllocsPerRun in
-// CI). Building with -tags prof_off compiles the profiler away entirely:
-// Enabled folds to false and every attach site dead-codes out.
+// CI). A nil *Profiler is the off state: every method is nil-receiver safe
+// and the engine is handed no probe.
 package prof
 
 import (

@@ -329,3 +329,62 @@ func TestMitigationShieldsTServer(t *testing.T) {
 		t.Fatal("no HTTP served")
 	}
 }
+
+// TestSubSecondAttackWaveLabelsWhatFlooded drives the wire-duration rule
+// through the testbed: a wave of 625 ms vectors reaches the bots as one
+// second each, the C2 labels exactly those seconds, the vectors are spaced
+// by them — and every flood frame on the wire falls inside a labelled
+// interval, so the ground truth names an attack that ran.
+func TestSubSecondAttackWaveLabelsWhatFlooded(t *testing.T) {
+	tb := smallTestbed(t, 26)
+	var floods []sim.Time
+	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+		spoofed := p.HasTCP && DefaultSpoofRange.Contains(p.IPv4.Src)
+		udp := p.HasUDP && p.IPv4.Dst == tb.TServerAddr()
+		if spoofed || udp {
+			floods = append(floods, p.Time)
+		}
+	}))
+	tb.Start()
+	const gap = 2 * time.Second
+	tb.ScheduleAttackWave(60*time.Second, gap, tb.DefaultAttackWave(625*time.Millisecond, 100))
+	if err := tb.Run(75 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ivs := tb.C2().Intervals()
+	if len(ivs) != 3 {
+		t.Fatalf("labelled intervals = %d, want one per vector", len(ivs))
+	}
+	for i, iv := range ivs {
+		if got := (iv.End - iv.Start).Duration(); got != time.Second {
+			t.Fatalf("vector %d labelled for %v, want the 1 s on the wire", i, got)
+		}
+		if want := sim.FromDuration(60*time.Second + time.Duration(i)*(time.Second+gap)); iv.Start != want {
+			t.Fatalf("vector %d issued at %v, want %v", i, iv.Start, want)
+		}
+	}
+	if len(floods) == 0 {
+		t.Fatal("a sub-second wave flooded nothing")
+	}
+	// An order takes a few milliseconds to cross the LAN, so a bot's
+	// second starts and ends that much after the label's.
+	const lag = 50 * time.Millisecond
+	perVector := make([]int, len(ivs))
+	for _, at := range floods {
+		inside := false
+		for i, iv := range ivs {
+			if at >= iv.Start && at <= iv.End.Add(lag) {
+				perVector[i]++
+				inside = true
+			}
+		}
+		if !inside {
+			t.Fatalf("flood frame at %v outside every labelled interval %+v", at, ivs)
+		}
+	}
+	for i, n := range perVector {
+		if n == 0 {
+			t.Fatalf("vector %d labelled but never flooded (frames per vector: %v)", i, perVector)
+		}
+	}
+}

@@ -1,49 +1,23 @@
 package testbed
 
 import (
-	"bytes"
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ddoshield/internal/ids"
-	"ddoshield/internal/netsim"
-	"ddoshield/internal/telemetry"
-	"ddoshield/internal/telemetry/trace"
 )
 
-// pdesMitigatedArtifacts is pdesFaultedArtifacts with the detection loop
-// closed: the full chaos stack (churn, five-kind fault plan, lossy access
-// and trunk links) plus an IDS unit driving the verdict-cache firewall at
-// the TServer ingress. The IDS unit itself registers no metrics —
-// ids_window_cpu_us is wall-clock — so every exported byte derives from
-// simulated time.
-func pdesMitigatedArtifacts(t *testing.T, domains, workers int) (summary, prom, spans string) {
+// mitigatedDrive runs the faulted campaign with the detection loop closed:
+// an IDS unit driving the verdict-cache firewall at the TServer ingress.
+// The IDS unit itself registers no metrics — ids_window_cpu_us is
+// wall-clock — so every exported byte derives from simulated time. The
+// wave starts later and floods harder than the plain faulted campaign:
+// infection needs ~12 s under churn, and the threshold rule only trips
+// when the flood actually dominates a window.
+func mitigatedDrive(t *testing.T, tb *Testbed) {
 	t.Helper()
-	tb, err := New(Config{
-		Seed:         42,
-		NumDevices:   12,
-		DeviceGroups: 4,
-		MeanThink:    700 * time.Millisecond,
-		Domains:      domains,
-		PDESWorkers:  workers,
-		ScanInterval: 100 * time.Millisecond,
-		Churn: ChurnConfig{
-			Enabled:  true,
-			MeanUp:   14 * time.Second,
-			MeanDown: time.Second,
-		},
-		Faults:            chaosPlan(),
-		Link:              netsim.LinkConfig{LossProb: 0.01},
-		TrunkLink:         netsim.LinkConfig{LossProb: 0.02},
-		TraceSampleRate:   0.5,
-		TraceSpanCapacity: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	unit := ids.New(ids.Config{
 		Model:   ids.NewThresholdRule(),
 		Window:  time.Second,
@@ -51,70 +25,33 @@ func pdesMitigatedArtifacts(t *testing.T, domains, workers int) (summary, prom, 
 	})
 	tb.AttachIDS(unit)
 	tb.AttachMitigation(unit, MitigationConfig{})
-	tb.Start()
-	// The wave starts later and floods harder than the plain faulted
-	// campaign: infection needs ~12 s under churn, and the threshold rule
-	// only trips when the flood actually dominates a window.
-	tb.ScheduleAttackWave(12*time.Second, 2*time.Second,
-		tb.DefaultAttackWave(4*time.Second, 1500))
-	if err := tb.Run(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waves(12*time.Second, 2*time.Second, 4*time.Second, 1500, 30*time.Second)(t, tb)
 	unit.Flush()
-	if tb.Tracer().Evicted() != 0 {
-		t.Fatalf("span ring evicted %d spans; grow TraceSpanCapacity", tb.Tracer().Evicted())
-	}
-	var pb, sb bytes.Buffer
-	if err := telemetry.WritePrometheus(&pb, tb.Registry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteSpans(&sb, trace.CanonicalSpans(tb.Tracer().Spans())); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Summary(), pb.String(), sb.String()
 }
 
 // TestPDESMitigatedCampaignDeterminism is the acceptance test for the
 // closed mitigation loop under the parallel engine: a faulted campaign
 // with inline mitigation active — verdict-cache aging, reaction installs
-// and rule expiry all in play — must produce byte-identical Summary
-// output, Prometheus snapshots and canonical trace spans across
-// Domains ∈ {1, 2, NumCPU}. Run under -race in CI.
+// and rule expiry all in play — must produce byte-identical artifacts
+// across Domains ∈ {1, 2, NumCPU}. Run under -race in CI.
 func TestPDESMitigatedCampaignDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mitigated determinism matrix is slow")
 	}
-	wantSummary, wantProm, wantSpans := pdesMitigatedArtifacts(t, 1, 1)
-	if !strings.Contains(wantSummary, "mitigation") {
-		t.Fatalf("mitigated baseline has no mitigation summary lines:\n%s", wantSummary)
+	cfg := faultedCampaign(14 * time.Second)
+	cfg.ScanInterval = 100 * time.Millisecond
+	cfg.TraceSampleRate = 0.5
+	runs := requireSameAcrossModes(t, modes(cfg,
+		[2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0}), mitigatedDrive)
+	want := runs[0]
+	if !strings.Contains(want.summary, "mitigation") {
+		t.Fatalf("mitigated baseline has no mitigation summary lines:\n%s", want.summary)
 	}
-	if !strings.Contains(wantProm, "mitigation_frames_dropped_total") {
+	if !strings.Contains(want.prom, "mitigation_frames_dropped_total") {
 		t.Fatal("mitigation counters missing from the Prometheus snapshot")
 	}
-	if !strings.Contains(wantSpans, `"mitigated"`) {
+	if !strings.Contains(want.spans, `"mitigated"`) {
 		t.Fatal("no sampled flow was terminated by the mitigation hop")
-	}
-	cpus := runtime.NumCPU()
-	if cpus < 4 {
-		cpus = 4
-	}
-	for _, tc := range []struct{ domains, workers int }{
-		{2, 0},
-		{cpus, 0},
-	} {
-		summary, prom, spans := pdesMitigatedArtifacts(t, tc.domains, tc.workers)
-		if summary != wantSummary {
-			t.Fatalf("domains=%d workers=%d: mitigated Summary diverged\n--- serial ---\n%s--- parallel ---\n%s",
-				tc.domains, tc.workers, wantSummary, summary)
-		}
-		if prom != wantProm {
-			t.Fatalf("domains=%d workers=%d: mitigated Prometheus snapshot diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantProm), len(prom))
-		}
-		if spans != wantSpans {
-			t.Fatalf("domains=%d workers=%d: mitigated canonical span output diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantSpans), len(spans))
-		}
 	}
 }
 

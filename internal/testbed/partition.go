@@ -27,16 +27,9 @@ type placement struct {
 	// deviceGroup[i] is device i's access-switch group (all 0 when the
 	// topology is flat).
 	deviceGroup []int
-	// groupShard[g] is group g's core-fabric shard (nil when the core is
-	// unsharded). Pure topology: contiguous blocks of groups
-	// (g*CoreShards/DeviceGroups), never a function of Domains.
-	groupShard []int
 	// groupDomain[g] is group g's PDES domain (nil when Domains <= 1 or
 	// the topology is flat).
 	groupDomain []int
-	// shardDomain[s] is core shard s's PDES domain (nil when serial or
-	// unsharded).
-	shardDomain []int
 	// deviceDomain[i] is device i's PDES domain (0 when serial).
 	deviceDomain []int
 }
@@ -61,39 +54,15 @@ func (c Config) layoutDomains(domains int) placement {
 		p := c.Profiles[i%len(c.Profiles)]
 		pl.weights[i] = p.EventWeight(c.MeanThink, c.deviceScannable(i))
 	}
-	shards := c.coreShardCount()
-	if shards > 1 {
-		// Shard assignment is fixed topology (group g trunks to shard
-		// g*CoreShards/DeviceGroups — contiguous blocks), computed before
-		// any domain decision so the wiring never varies with Domains.
-		// Blocks rather than round-robin because assignGroups below
-		// concentrates the scannable plane into the lowest groups when it
-		// fits one shard; block assignment keeps those groups behind a
-		// single fabric switch so a scan probe crosses one shard, not
-		// source shard -> lan0 -> target shard.
-		pl.groupShard = make([]int, c.DeviceGroups)
-		for g := range pl.groupShard {
-			pl.groupShard[g] = g * shards / c.DeviceGroups
-		}
-	}
 	if c.DeviceGroups > 1 {
-		pl.deviceGroup = c.assignGroups(pl.weights, shards)
+		pl.deviceGroup = partitionLPT(pl.weights, c.DeviceGroups)
 	}
 	if domains > 1 {
 		if c.DeviceGroups > 1 {
 			// Domain granularity is the group: a group's devices share an
 			// edge switch, and that whole subtree must execute in one
 			// domain. Pack groups onto the non-core domains by their
-			// summed device weight. Core-fabric shards then place by
-			// traffic plurality: each shard carries a virtual relay load
-			// (its groups' core pull scaled by shardRelayFraction) and runs
-			// in whichever domain already owns the largest share of that
-			// pull, so shard-to-edge deliveries for its hottest groups stay
-			// intra-domain heap pushes instead of epoch-mailbox crossings.
-			// Locality beats spreading here: the relay weight is a small
-			// fraction of a domain's load (the skew test bounds the
-			// combined packing), while every avoided crossing saves a
-			// mailbox round on each scan probe and flood packet.
+			// summed device weight.
 			groupWeight := make([]float64, c.DeviceGroups)
 			for i, g := range pl.deviceGroup {
 				groupWeight[g] += pl.weights[i]
@@ -102,30 +71,6 @@ func (c Config) layoutDomains(domains int) placement {
 			pl.groupDomain = make([]int, c.DeviceGroups)
 			for g := range pl.groupDomain {
 				pl.groupDomain[g] = 1 + bins[g]
-			}
-			if shards > 1 {
-				coreWeight := c.corePullWeights(pl)
-				pl.shardDomain = make([]int, shards)
-				for s := range pl.shardDomain {
-					pull := make([]float64, domains)
-					first := -1
-					for g, gs := range pl.groupShard {
-						if gs != s {
-							continue
-						}
-						if first < 0 {
-							first = g
-						}
-						pull[pl.groupDomain[g]] += coreWeight[g]
-					}
-					best := pl.groupDomain[first]
-					for d := 1; d < domains; d++ {
-						if pull[d] > pull[best] {
-							best = d
-						}
-					}
-					pl.shardDomain[s] = best
-				}
 			}
 			for i, g := range pl.deviceGroup {
 				pl.deviceDomain[i] = pl.groupDomain[g]
@@ -142,95 +87,14 @@ func (c Config) layoutDomains(domains int) placement {
 	return pl
 }
 
-// assignGroups packs devices onto edge groups. The base policy is plain
-// greedy LPT over device event weight. With a sharded core there is one
-// refinement: scan/conscription traffic between scannable devices is the
-// dominant device-to-device core crossing, and scattering the scannable
-// plane across shards turns every probe into source shard -> lan0 ->
-// target shard (three fabric switch events, four cross-domain messages)
-// where the unsharded core pays one. When the plane fits inside one
-// shard's share of the fleet, concentrate it: scannable devices LPT-pack
-// over shard 0's group block only — the address-contiguous vulnerable
-// subnet sits behind one aggregation shard — and the rest of the fleet
-// balances over all groups around them.
-func (c Config) assignGroups(weights []float64, shards int) []int {
-	restrict := 0 // 0 = no shard restriction for scannable devices
-	if shards > 1 {
-		scannable := c.scannableLimit()
-		if scannable > c.NumDevices {
-			scannable = c.NumDevices
-		}
-		if scannable*shards <= c.NumDevices {
-			// Shard 0's contiguous block under g*shards/DeviceGroups.
-			restrict = (c.DeviceGroups + shards - 1) / shards
-		}
-	}
-	if restrict == 0 {
-		return partitionLPT(weights, c.DeviceGroups)
-	}
-	assign := make([]int, len(weights))
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	load := make([]float64, c.DeviceGroups)
-	for _, idx := range order {
-		bins := c.DeviceGroups
-		if c.deviceScannable(idx) {
-			bins = restrict
-		}
-		best := 0
-		for b := 1; b < bins; b++ {
-			if load[b] < load[best] {
-				best = b
-			}
-		}
-		assign[idx] = best
-		load[best] += weights[idx]
-	}
-	return assign
-}
-
-// shardRelayFraction scales a crossing device's event weight down to the
-// forwarding work its packets impose on a core shard switch. Per crossing
-// packet the shard executes roughly one forwarding event while the
-// endpoints execute the device-side timer/netstack/app cascade of several
-// events, and only the cross-group slice of a scannable device's traffic
-// reaches the fabric at all; 0.15 matches the shard-switch engine-event
-// share observed in the 100k profile (BENCH_pdes.json bottleneck digest).
-const shardRelayFraction = 0.15
-
-// corePullWeights reports, per group, the event weight its devices pull
-// through the core fabric: every device when the benign target is the
-// central TServer, only scannable (bot-capable) devices when EdgeServers
-// keep benign traffic group-local.
-func (c Config) corePullWeights(pl placement) []float64 {
-	out := make([]float64, c.DeviceGroups)
-	for i, g := range pl.deviceGroup {
-		if !c.EdgeServers || c.deviceScannable(i) {
-			out[g] += pl.weights[i]
-		}
-	}
-	return out
-}
-
-// domainOfGroup reports group g's PDES domain (0 when serial).
+// domainOfGroup reports the PDES domain of group g's access switch: 0 when
+// serial, and 0 for the flat topology's one group, whose access switch is
+// lan0 itself.
 func (pl placement) domainOfGroup(g int) int {
 	if pl.groupDomain == nil {
 		return 0
 	}
 	return pl.groupDomain[g]
-}
-
-// domainOfShard reports core shard s's PDES domain (0 when serial).
-func (pl placement) domainOfShard(s int) int {
-	if pl.shardDomain == nil {
-		return 0
-	}
-	return pl.shardDomain[s]
 }
 
 // partitionLPT assigns each weighted item to one of bins bins, heaviest

@@ -145,109 +145,6 @@ func TestLayoutUniformFleetIsRoundRobin(t *testing.T) {
 	}
 }
 
-// TestLayoutShardTopologyFixed pins the core fabric's wiring contract:
-// group g trunks to shard g*CoreShards/DeviceGroups (contiguous blocks,
-// so the concentrated scannable plane sits behind shard 0), the mapping
-// never varies with Domains (it is topology, not execution mode), and
-// unsharded configs carry no shard columns at all.
-func TestLayoutShardTopologyFixed(t *testing.T) {
-	cfg := layoutConfig(1)
-	cfg.CoreShards = 4
-	base := cfg.layout()
-	if base.groupShard == nil || base.shardDomain != nil {
-		t.Fatalf("serial sharded layout: groupShard=%v shardDomain=%v", base.groupShard, base.shardDomain)
-	}
-	for g, s := range base.groupShard {
-		if want := g * 4 / cfg.DeviceGroups; s != want {
-			t.Fatalf("group %d on shard %d, want %d", g, s, want)
-		}
-	}
-	for _, domains := range []int{2, 5, 9} {
-		cfg := layoutConfig(domains)
-		cfg.CoreShards = 4
-		pl := cfg.layout()
-		for g := range pl.groupShard {
-			if pl.groupShard[g] != base.groupShard[g] {
-				t.Fatalf("Domains=%d moved group %d to shard %d", domains, g, pl.groupShard[g])
-			}
-		}
-		if len(pl.shardDomain) != 4 {
-			t.Fatalf("Domains=%d: %d shard domains, want 4", domains, len(pl.shardDomain))
-		}
-		for s, d := range pl.shardDomain {
-			if d < 1 || d > domains-1 {
-				t.Fatalf("Domains=%d: shard %d on domain %d, want 1..%d", domains, s, d, domains-1)
-			}
-		}
-	}
-	if pl := layoutConfig(5).layout(); pl.groupShard != nil || pl.shardDomain != nil {
-		t.Fatal("unsharded layout must not carry shard columns")
-	}
-}
-
-// TestLayoutShardJointPackingSkew is the imbalance-and-locality
-// regression for the core-plane weights. Each shard carries a virtual
-// relay load (its groups' core pull scaled by shardRelayFraction) and
-// must (a) run in the domain owning the plurality of that pull — so
-// shard-to-edge deliveries for its hottest groups stay intra-domain —
-// and (b) keep the combined per-domain load (device groups plus the
-// shard relays co-located there) within a modest multiple of the mean.
-// Dropping either half regresses the 100k bench: spreading shards for
-// pure balance doubles the cross-domain message count, while ignoring
-// the relay weight lets a hot shard silently overload a full group bin.
-func TestLayoutShardJointPackingSkew(t *testing.T) {
-	cfg := layoutConfig(5)
-	cfg.CoreShards = 4
-	pl := cfg.layout()
-
-	groupWeight := make([]float64, cfg.DeviceGroups)
-	for i, g := range pl.deviceGroup {
-		groupWeight[g] += pl.weights[i]
-	}
-	coreWeight := cfg.corePullWeights(pl)
-	for s, d := range pl.shardDomain {
-		pull := make([]float64, cfg.Domains)
-		for g, gs := range pl.groupShard {
-			if gs == s {
-				pull[pl.groupDomain[g]] += coreWeight[g]
-			}
-		}
-		for _, p := range pull {
-			if p > pull[d] {
-				t.Fatalf("shard %d on domain %d pulling %.1f, but another domain pulls more (%v)",
-					s, d, pull[d], pull)
-			}
-		}
-	}
-	shardWeight := make([]float64, cfg.CoreShards)
-	for g, s := range pl.groupShard {
-		shardWeight[s] += coreWeight[g] * shardRelayFraction
-	}
-	domainLoad := make([]float64, cfg.Domains-1)
-	for g, w := range groupWeight {
-		domainLoad[pl.groupDomain[g]-1] += w
-	}
-	for s, w := range shardWeight {
-		domainLoad[pl.shardDomain[s]-1] += w
-	}
-	var sum, max float64
-	for _, l := range domainLoad {
-		sum += l
-		max = math.Max(max, l)
-	}
-	mean := sum / float64(len(domainLoad))
-	if mean == 0 {
-		t.Fatal("zero mean combined domain load")
-	}
-	// Group packing alone honors the two-level LPT bound (4/3)^2 = 1.8;
-	// co-locating a shard's relay weight with its plurality domain adds at
-	// most shardRelayFraction of that domain's own pull on top.
-	bound := 1.8 * (1 + shardRelayFraction)
-	if ratio := max / mean; ratio > bound {
-		t.Fatalf("combined group+shard skew %.3f exceeds %.2f (loads %v)", ratio, bound, domainLoad)
-	}
-}
-
 // TestPartitionLPTProperties spot-checks the packer on a pathological
 // weight vector: a few huge items plus a long tail.
 func TestPartitionLPTProperties(t *testing.T) {
@@ -268,5 +165,32 @@ func TestPartitionLPTProperties(t *testing.T) {
 	}
 	if max/min > 4.0/3 {
 		t.Fatalf("pathological vector packed with skew %.3f: %v", max/min, loads)
+	}
+}
+
+// TestLayoutGroupsArePlainLPT pins the one group-assignment policy: devices
+// pack onto edge groups by greedy LPT over their event weight and nothing
+// else — in particular a scannable plane that is a small corner of the
+// fleet is spread like any other load, not herded into the low groups.
+func TestLayoutGroupsArePlainLPT(t *testing.T) {
+	cfg := layoutConfig(5)
+	cfg.ScannableDevices = 64
+	pl := cfg.layout()
+	want := partitionLPT(pl.weights, cfg.DeviceGroups)
+	for i, g := range pl.deviceGroup {
+		if g != want[i] {
+			t.Fatalf("device %d in group %d, plain LPT puts it in %d", i, g, want[i])
+		}
+	}
+	scannablePerGroup := make([]int, cfg.DeviceGroups)
+	for i, g := range pl.deviceGroup {
+		if cfg.deviceScannable(i) {
+			scannablePerGroup[g]++
+		}
+	}
+	for g, n := range scannablePerGroup {
+		if n == 0 {
+			t.Fatalf("group %d holds no scannable device: %v", g, scannablePerGroup)
+		}
 	}
 }

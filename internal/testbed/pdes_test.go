@@ -9,88 +9,51 @@ import (
 
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
+	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry"
-	"ddoshield/internal/telemetry/trace"
 )
 
-// pdesRunArtifacts executes one full campaign — scan/infect, an attack
-// wave against the TServer, benign traffic throughout — with the given
-// execution mode, and returns every byte-comparable artifact: Summary,
-// the Prometheus snapshot of the main registry, and the canonical trace
-// span JSONL.
-func pdesRunArtifacts(t *testing.T, domains, workers int) (summary, prom, spans string) {
-	t.Helper()
-	tb, err := New(Config{
-		Seed:         42,
-		NumDevices:   12,
-		DeviceGroups: 4,
-		MeanThink:    700 * time.Millisecond,
-		Domains:      domains,
-		PDESWorkers:  workers,
-		// Trace enough flows that spans cross domain boundaries, with a
-		// ring large enough that nothing is evicted (eviction order is a
-		// finish-order artifact).
+// tracedCampaign is the standard determinism scenario: scan/infect, an
+// attack wave against the TServer and benign traffic throughout on a
+// 12-device, 4-group fleet. It traces enough flows that spans cross domain
+// boundaries, with a ring large enough that nothing is evicted.
+func tracedCampaign() Config {
+	return Config{
+		Seed:              42,
+		NumDevices:        12,
+		DeviceGroups:      4,
+		MeanThink:         700 * time.Millisecond,
 		TraceSampleRate:   0.2,
 		TraceSpanCapacity: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	tb.Start()
-	tb.ScheduleAttackWave(8*time.Second, 2*time.Second,
-		tb.DefaultAttackWave(4*time.Second, 150))
-	if err := tb.Run(25 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Tracer().Evicted() != 0 {
-		t.Fatalf("span ring evicted %d spans; grow TraceSpanCapacity", tb.Tracer().Evicted())
-	}
-	var pb, sb bytes.Buffer
-	if err := telemetry.WritePrometheus(&pb, tb.Registry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteSpans(&sb, trace.CanonicalSpans(tb.Tracer().Spans())); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Summary(), pb.String(), sb.String()
 }
+
+// tracedWaves drives tracedCampaign (and its faulted variant).
+var tracedWaves = waves(8*time.Second, 2*time.Second, 4*time.Second, 150, 25*time.Second)
+
+// manyDomains is the widest member of the determinism matrices: one domain
+// per CPU, at least 4 so multi-worker merge paths execute even on small
+// builders.
+func manyDomains() int { return max(4, runtime.NumCPU()) }
 
 // TestPDESDeterminism is the tentpole regression test: the same seeded
 // scenario run serially, with Domains=2, and with Domains=NumCPU (at
-// least 4, so multi-worker merge paths execute even on small builders)
-// must produce byte-identical Summary output, Prometheus snapshots and
-// canonical span files. Run under -race in CI, it also proves the
-// parallel engine's synchronization is sound.
+// least 4) must produce byte-identical Summary output, Prometheus
+// snapshots, canonical span files and virtual-load attributions. Run under
+// -race in CI, it also proves the parallel engine's synchronization is
+// sound.
 func TestPDESDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-campaign determinism matrix is slow")
 	}
-	wantSummary, wantProm, wantSpans := pdesRunArtifacts(t, 1, 1)
-	if wantSpans == "" {
+	runs := requireSameAcrossModes(t, modes(tracedCampaign(),
+		[2]int{1, 1},
+		[2]int{2, 0}, // two domains, workers defaulted
+		[2]int{2, 1}, // parallel plumbing, serial window execution
+		[2]int{manyDomains(), 0},
+	), tracedWaves)
+	if runs[0].spans == "" {
 		t.Fatal("serial baseline produced no trace spans")
-	}
-	cpus := runtime.NumCPU()
-	if cpus < 4 {
-		cpus = 4
-	}
-	for _, tc := range []struct{ domains, workers int }{
-		{2, 0},    // two domains, workers defaulted to Domains
-		{2, 1},    // parallel plumbing, serial window execution
-		{cpus, 0}, // one domain per CPU (>= 4)
-	} {
-		summary, prom, spans := pdesRunArtifacts(t, tc.domains, tc.workers)
-		if summary != wantSummary {
-			t.Fatalf("domains=%d workers=%d: Summary diverged\n--- serial ---\n%s--- parallel ---\n%s",
-				tc.domains, tc.workers, wantSummary, summary)
-		}
-		if prom != wantProm {
-			t.Fatalf("domains=%d workers=%d: Prometheus snapshot diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantProm), len(prom))
-		}
-		if spans != wantSpans {
-			t.Fatalf("domains=%d workers=%d: canonical span output diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantSpans), len(spans))
-		}
 	}
 }
 
@@ -102,34 +65,100 @@ func TestPDESDeterminism(t *testing.T) {
 // normalizes. Without that normalization this scenario diverges (switch
 // MAC learning is arrival-order sensitive).
 func TestPDESEdgeServerDeterminism(t *testing.T) {
-	run := func(domains int) string {
-		tb, err := New(Config{
-			Seed:         7,
+	cfg := Config{
+		Seed:         7,
+		NumDevices:   16,
+		DeviceGroups: 4,
+		EdgeServers:  true,
+		MeanThink:    400 * time.Millisecond,
+	}
+	requireSameAcrossModes(t, modes(cfg, [2]int{1, 0}, [2]int{3, 0}, [2]int{5, 0}),
+		waves(6*time.Second, 2*time.Second, 4*time.Second, 200, 20*time.Second))
+}
+
+// TestSerialBuildByteIdentity pins the parallel-construction contract: a
+// campaign on a topology built with the per-group goroutine fan-out must
+// be byte-identical to one built group after group on one goroutine —
+// same MACs, same link indices, same registration order, hence the same
+// artifacts after identical traffic.
+func TestSerialBuildByteIdentity(t *testing.T) {
+	sequential := Config{
+		Seed:         11,
+		NumDevices:   16,
+		DeviceGroups: 4,
+		MeanThink:    500 * time.Millisecond,
+		Domains:      2,
+		serialBuild:  true,
+	}
+	staged := sequential
+	staged.serialBuild = false
+	requireSameAcrossModes(t, []Config{sequential, staged},
+		waves(4*time.Second, time.Second, 2*time.Second, 100, 12*time.Second))
+}
+
+// TestSharedLossRNGBuildsOnDirectPath covers the one grouped shape the
+// staged build cannot take: access links that draw loss from a single
+// caller-supplied RNG. One stream cannot be split across the group
+// goroutines, so the fleet is built group after group against the live
+// network — edge switches, trunks, edge servers and priming included — and
+// must still be a working, replayable testbed.
+func TestSharedLossRNGBuildsOnDirectPath(t *testing.T) {
+	run := func() runArtifacts {
+		return artifacts(t, Config{
+			Seed:         22,
 			NumDevices:   16,
 			DeviceGroups: 4,
 			EdgeServers:  true,
-			MeanThink:    400 * time.Millisecond,
-			Domains:      domains,
-		})
+			PrimeARP:     true,
+			MeanThink:    500 * time.Millisecond,
+			ScanInterval: 100 * time.Millisecond,
+			Link:         netsim.LinkConfig{LossProb: 0.02, RNG: sim.NewRNG(99)},
+		}, waves(20*time.Second, time.Second, 2*time.Second, 100, 30*time.Second))
+	}
+	a, b := run(), run()
+	if a.summary != b.summary || a.prom != b.prom || a.virtual != b.virtual {
+		t.Fatalf("same seed, same shared loss stream, different runs:\n%s---\n%s", a.summary, b.summary)
+	}
+	if a.tb.InfectedCount() == 0 {
+		t.Fatalf("no infections over the lossy access links:\n%s", a.summary)
+	}
+	served := uint64(0)
+	for _, srv := range a.tb.edgeSrvs {
+		reqs, _ := srv.Stats()
+		served += reqs
+	}
+	if served == 0 {
+		t.Fatalf("edge servers served nothing:\n%s", a.summary)
+	}
+	var ls netsim.LinkStats
+	for _, d := range a.tb.Devices() {
+		ls.Add(d.Container.Link().Counters())
+	}
+	if ls.LossFrames == 0 {
+		t.Fatalf("2%% loss on every access link lost no frame: %+v", ls)
+	}
+}
+
+// TestWorkersDefault pins the worker default: with PDESWorkers unset a
+// partitioned testbed runs one worker per domain up to the cores the
+// process may use, an explicit PDESWorkers wins, and serial runs report 1.
+func TestWorkersDefault(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ domains, workers, want int }{
+		{1, 0, 1},
+		{1, 8, 1},
+		{2, 0, min(2, cores)},
+		{4 * cores, 0, cores},
+		{4, 3, 3},
+		{2, 4 * cores, 4 * cores},
+	} {
+		tb, err := New(Config{Seed: 1, NumDevices: 4, Domains: tc.domains, PDESWorkers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.Start()
-		tb.ScheduleAttackWave(6*time.Second, 2*time.Second,
-			tb.DefaultAttackWave(4*time.Second, 200))
-		if err := tb.Run(20 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		var pb bytes.Buffer
-		if err := telemetry.WritePrometheus(&pb, tb.Registry()); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Summary() + pb.String()
-	}
-	want := run(1)
-	for _, k := range []int{3, 5} {
-		if got := run(k); got != want {
-			t.Fatalf("domains=%d diverged from serial", k)
+		if got := tb.Workers(); got != tc.want {
+			t.Errorf("Domains=%d PDESWorkers=%d on %d cores: Workers() = %d, want %d",
+				tc.domains, tc.workers, cores, got, tc.want)
 		}
 	}
 }
@@ -196,89 +225,35 @@ func chaosPlan() faults.Plan {
 	return p
 }
 
-// pdesFaultedArtifacts is pdesRunArtifacts with the full chaos stack
-// enabled: device churn, the five-kind fault plan, and random loss on both
-// the access links and the cross-domain trunks.
-func pdesFaultedArtifacts(t *testing.T, domains, workers int) (summary, prom, spans string) {
-	t.Helper()
-	tb, err := New(Config{
-		Seed:         42,
-		NumDevices:   12,
-		DeviceGroups: 4,
-		MeanThink:    700 * time.Millisecond,
-		Domains:      domains,
-		PDESWorkers:  workers,
-		Churn: ChurnConfig{
-			Enabled:  true,
-			MeanUp:   8 * time.Second,
-			MeanDown: time.Second,
-		},
-		Faults:            chaosPlan(),
-		Link:              netsim.LinkConfig{LossProb: 0.01},
-		TrunkLink:         netsim.LinkConfig{LossProb: 0.02},
-		TraceSampleRate:   0.2,
-		TraceSpanCapacity: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Start()
-	tb.ScheduleAttackWave(8*time.Second, 2*time.Second,
-		tb.DefaultAttackWave(4*time.Second, 150))
-	if err := tb.Run(25 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Tracer().Evicted() != 0 {
-		t.Fatalf("span ring evicted %d spans; grow TraceSpanCapacity", tb.Tracer().Evicted())
-	}
-	var pb, sb bytes.Buffer
-	if err := telemetry.WritePrometheus(&pb, tb.Registry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteSpans(&sb, trace.CanonicalSpans(tb.Tracer().Spans())); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Summary(), pb.String(), sb.String()
+// faultedCampaign is tracedCampaign with the full chaos stack enabled:
+// device churn (mean up-time meanUp), the five-kind fault plan, and random
+// loss on both the access links and the cross-domain trunks.
+func faultedCampaign(meanUp time.Duration) Config {
+	cfg := tracedCampaign()
+	cfg.Churn = ChurnConfig{Enabled: true, MeanUp: meanUp, MeanDown: time.Second}
+	cfg.Faults = chaosPlan()
+	cfg.Link = netsim.LinkConfig{LossProb: 0.01}
+	cfg.TrunkLink = netsim.LinkConfig{LossProb: 0.02}
+	return cfg
 }
 
 // TestPDESFaultedCampaignDeterminism is the acceptance regression test for
 // fault injection under the parallel engine: a campaign with a five-kind
 // fault plan, device churn, and lossy access + trunk links must produce
-// byte-identical Summary output, Prometheus snapshots and canonical trace
-// spans across Domains ∈ {1, 2, NumCPU}. Run under -race in CI, it also
-// proves every fault sub-event executes in its owning domain.
+// byte-identical artifacts across Domains ∈ {1, 2, NumCPU}. Run under
+// -race in CI, it also proves every fault sub-event executes in its owning
+// domain.
 func TestPDESFaultedCampaignDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faulted determinism matrix is slow")
 	}
-	wantSummary, wantProm, wantSpans := pdesFaultedArtifacts(t, 1, 1)
-	if !strings.Contains(wantSummary, "faults") {
-		t.Fatalf("faulted baseline injected nothing:\n%s", wantSummary)
+	runs := requireSameAcrossModes(t, modes(faultedCampaign(8*time.Second),
+		[2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0}), tracedWaves)
+	if !strings.Contains(runs[0].summary, "faults") {
+		t.Fatalf("faulted baseline injected nothing:\n%s", runs[0].summary)
 	}
-	if wantSpans == "" {
+	if runs[0].spans == "" {
 		t.Fatal("faulted baseline produced no trace spans")
-	}
-	cpus := runtime.NumCPU()
-	if cpus < 4 {
-		cpus = 4
-	}
-	for _, tc := range []struct{ domains, workers int }{
-		{2, 0},
-		{cpus, 0},
-	} {
-		summary, prom, spans := pdesFaultedArtifacts(t, tc.domains, tc.workers)
-		if summary != wantSummary {
-			t.Fatalf("domains=%d workers=%d: faulted Summary diverged\n--- serial ---\n%s--- parallel ---\n%s",
-				tc.domains, tc.workers, wantSummary, summary)
-		}
-		if prom != wantProm {
-			t.Fatalf("domains=%d workers=%d: faulted Prometheus snapshot diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantProm), len(prom))
-		}
-		if spans != wantSpans {
-			t.Fatalf("domains=%d workers=%d: faulted canonical span output diverged (%d vs %d bytes)",
-				tc.domains, tc.workers, len(wantSpans), len(spans))
-		}
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // linkEnd kinds.
 const (
 	endCore   = iota // core subtree: lan0, TServer, IDS, C2, attacker
-	endGroup         // a device group's subtree: edge switch, edge server
-	endDevice        // one device (its group/core attachment is the far end)
-	endShard         // one core-fabric shard switch (CoreShards > 1)
+	endGroup         // a device group's subtree: edge switch, edge server (the core itself when flat)
+	endDevice        // one device (its group's access switch is the far end)
 )
 
 // linkEnd is one structural link endpoint; idx is the group or device
@@ -38,8 +37,6 @@ func (e linkEnd) evalDomain(pl placement) int {
 		return pl.domainOfGroup(e.idx)
 	case endDevice:
 		return pl.deviceDomain[e.idx]
-	case endShard:
-		return pl.domainOfShard(e.idx)
 	}
 	return 0
 }
@@ -57,8 +54,8 @@ func (tb *Testbed) trackLink(l *netsim.Link, a, b linkEnd) {
 }
 
 // Profiler exposes the wall-clock profiler (nil unless Config.Profile is
-// set and the prof_off build tag is absent; the prof API is nil-receiver
-// safe, so callers may use the result directly).
+// set; the prof API is nil-receiver safe, so callers may use the result
+// directly).
 func (tb *Testbed) Profiler() *prof.Profiler { return tb.prof }
 
 // VirtualProfile builds the deterministic virtual-load attribution at the
@@ -91,11 +88,6 @@ func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 	entities = append(entities, prof.Entity{
 		Name: tb.sw.Name(), Kind: prof.KindSwitch, Domain: 0, Events: swEvents(tb.sw),
 	})
-	for s, ssw := range tb.shardSws {
-		entities = append(entities, prof.Entity{
-			Name: ssw.Name(), Kind: prof.KindSwitch, Domain: pl.domainOfShard(s), Events: swEvents(ssw),
-		})
-	}
 	for g, esw := range tb.edgeSws {
 		entities = append(entities, prof.Entity{
 			Name: esw.Name(), Kind: prof.KindSwitch, Domain: pl.domainOfGroup(g), Events: swEvents(esw),

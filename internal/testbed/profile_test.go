@@ -1,55 +1,11 @@
 package testbed
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
-	"ddoshield/internal/telemetry"
 	"ddoshield/internal/telemetry/prof"
-	"ddoshield/internal/telemetry/trace"
 )
-
-// profileArtifacts runs the standard determinism campaign (the
-// pdesRunArtifacts scenario) with the profiler toggled, returning every
-// byte-comparable artifact, the virtual-load attribution JSON, and the
-// testbed for section-level checks.
-func profileArtifacts(t *testing.T, domains, workers int, profile bool) (summary, prom, spans, virtual string, tb *Testbed) {
-	t.Helper()
-	tb, err := New(Config{
-		Seed:              42,
-		NumDevices:        12,
-		DeviceGroups:      4,
-		MeanThink:         700 * time.Millisecond,
-		Domains:           domains,
-		PDESWorkers:       workers,
-		Profile:           profile,
-		TraceSampleRate:   0.2,
-		TraceSpanCapacity: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Start()
-	tb.ScheduleAttackWave(8*time.Second, 2*time.Second,
-		tb.DefaultAttackWave(4*time.Second, 150))
-	if err := tb.Run(25 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	var pb, sb bytes.Buffer
-	if err := telemetry.WritePrometheus(&pb, tb.Registry()); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteSpans(&sb, trace.CanonicalSpans(tb.Tracer().Spans())); err != nil {
-		t.Fatal(err)
-	}
-	vj, err := (&prof.Profile{Virtual: tb.VirtualProfile(0)}).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb.Summary(), pb.String(), sb.String(), string(vj), tb
-}
 
 // TestProfileDeterminism is the observability tentpole's regression test:
 // attaching the profiler must not perturb any deterministic artifact —
@@ -62,41 +18,19 @@ func TestProfileDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiled determinism matrix is slow")
 	}
-	wantSummary, wantProm, wantSpans, wantVirtual, _ := profileArtifacts(t, 1, 1, false)
-	if wantSpans == "" {
+	profiled := tracedCampaign()
+	profiled.Profile = true
+	cfgs := append(modes(tracedCampaign(), [2]int{1, 1}),
+		modes(profiled, [2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0})...)
+	runs := requireSameAcrossModes(t, cfgs, tracedWaves)
+	if runs[0].spans == "" {
 		t.Fatal("baseline produced no trace spans")
 	}
-	cpus := runtime.NumCPU()
-	if cpus < 4 {
-		cpus = 4
+	if runs[0].tb.Profiler() != nil {
+		t.Fatal("Profiler() is non-nil without Config.Profile")
 	}
-	for _, tc := range []struct {
-		domains, workers int
-	}{
-		{1, 1},
-		{2, 0},
-		{cpus, 0},
-	} {
-		summary, prom, spans, virtual, tb := profileArtifacts(t, tc.domains, tc.workers, true)
-		if summary != wantSummary {
-			t.Fatalf("domains=%d profiled: Summary diverged\n--- baseline ---\n%s--- profiled ---\n%s",
-				tc.domains, wantSummary, summary)
-		}
-		if prom != wantProm {
-			t.Fatalf("domains=%d profiled: Prometheus snapshot diverged (%d vs %d bytes)",
-				tc.domains, len(wantProm), len(prom))
-		}
-		if spans != wantSpans {
-			t.Fatalf("domains=%d profiled: canonical span output diverged (%d vs %d bytes)",
-				tc.domains, len(wantSpans), len(spans))
-		}
-		if virtual != wantVirtual {
-			t.Fatalf("domains=%d: virtual profile diverged from baseline\n--- baseline ---\n%s--- got ---\n%s",
-				tc.domains, wantVirtual, virtual)
-		}
-		if !prof.Enabled {
-			continue
-		}
+	for i, run := range runs[1:] {
+		domains, tb := cfgs[i+1].Domains, run.tb
 		if tb.Profiler() == nil {
 			t.Fatal("Config.Profile set but Profiler() is nil")
 		}
@@ -104,12 +38,12 @@ func TestProfileDeterminism(t *testing.T) {
 		if p.Wall == nil || len(p.Wall.Phases) == 0 {
 			t.Fatal("profiled run missing wall phases")
 		}
-		if tc.domains > 1 {
+		if domains > 1 {
 			if p.Engine == nil || p.Engine.Window == nil {
-				t.Fatalf("domains=%d profiled: engine section incomplete: %+v", tc.domains, p.Engine)
+				t.Fatalf("domains=%d profiled: engine section incomplete: %+v", domains, p.Engine)
 			}
-			if len(p.Wall.PerDomain) != tc.domains {
-				t.Fatalf("domains=%d: wall per-domain rows = %d", tc.domains, len(p.Wall.PerDomain))
+			if len(p.Wall.PerDomain) != domains {
+				t.Fatalf("domains=%d: wall per-domain rows = %d", domains, len(p.Wall.PerDomain))
 			}
 		}
 		if rep := tb.BottleneckReport(0).String(); rep == "" {

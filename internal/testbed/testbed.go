@@ -8,6 +8,7 @@ package testbed
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -177,27 +178,6 @@ type Config struct {
 	// trunk delay is the dominant term of the engine lookahead, so larger
 	// values buy wider parallel windows.
 	TrunkLink netsim.LinkConfig
-	// CoreShards splits the core plane into this many switch shards
-	// (core00..coreNN), each uplinked to lan0 over TrunkLink and owning
-	// the trunks of the edge groups assigned to it (contiguous blocks:
-	// group g trunks to shard g*CoreShards/DeviceGroups, so the scannable
-	// plane's groups sit behind one shard). The TServer/IDS/C2/attacker
-	// plane stays on
-	// lan0, reachable from every shard through its uplink, so all
-	// classic paths still exist — sharding only spreads the core relay
-	// work across shards, which the partitioner places in distinct PDES
-	// domains by their pulled trunk load. 0 or 1 keeps today's single
-	// core switch. Requires DeviceGroups >= CoreShards. Like every other
-	// topology knob, the shard layout is a pure function of the Config:
-	// Domains never changes what is simulated.
-	CoreShards int
-	// SerialBuild forces topology construction onto one goroutine even
-	// for grouped fleets. The staged parallel build is defined to produce
-	// a byte-identical testbed (same MACs, link indices, metric
-	// registration order); this switch exists so tests can pin that
-	// equivalence and so anomalies can be bisected against the reference
-	// path.
-	SerialBuild bool
 	// EdgeServers gives each device group a local HTTP server
 	// (10.0.3.1+g) on its access switch, and points the group's devices
 	// at it instead of the central TServer. This keeps benign request
@@ -211,14 +191,16 @@ type Config struct {
 	// topology, devices) onto domains 1..Domains-1 by expected event rate
 	// so no single hot domain serializes the epoch barrier. Values
 	// <= 1 run the classic single-scheduler path. Results are
-	// byte-identical either way; Domains > 1 only buys parallelism.
+	// byte-identical either way; Domains > 1 only buys parallelism, on
+	// PDESWorkers cores (by default as many as the process may use).
 	// Churn, fault plans and random link loss all run partitioned: every
 	// random draw comes from a per-entity stream (per device, per link
 	// direction) and every fault mutates state only from its owning
 	// domain's scheduler, so degraded campaigns replay exactly.
 	Domains int
-	// PDESWorkers bounds how many domains execute concurrently
-	// (0 = Domains). Ignored when Domains <= 1.
+	// PDESWorkers bounds how many domains execute concurrently. 0 picks
+	// min(Domains, GOMAXPROCS): more workers than cores only adds barrier
+	// hand-offs. Ignored when Domains <= 1; never changes the results.
 	PDESWorkers int
 	// Profile attaches the simulation profiler: campaign phase timers
 	// (build/start/run/teardown) plus, under the PDES engine, per-domain
@@ -226,9 +208,8 @@ type Config struct {
 	// cross-domain message matrix. The profiler observes only — every
 	// deterministic artifact (Summary, metrics, canonical spans) is
 	// byte-identical with it on or off, a property the determinism tests
-	// pin. Compiled out entirely under the prof_off build tag. The
-	// virtual-load attribution (VirtualProfile) needs no profiler and is
-	// available regardless.
+	// pin. The virtual-load attribution (VirtualProfile) needs no profiler
+	// and is available regardless.
 	Profile bool
 	// PrimeARP installs static ARP entries for every pair that will
 	// exchange traffic (device and its benign target, attacker/C2/TServer
@@ -251,6 +232,13 @@ type Config struct {
 	// botnet.AttackerConfig.ExtraRanges), letting fleet-scale campaigns
 	// recruit bots beyond the first 246 devices.
 	ScannableDevices int
+
+	// serialBuild runs the staged group builds one after another on the
+	// calling goroutine instead of one goroutine per group. Test hook: the
+	// staged parallel build is defined to produce a byte-identical testbed
+	// (same MACs, link indices, metric registration order), and
+	// TestSerialBuildByteIdentity pins it against this sequential reference.
+	serialBuild bool
 }
 
 func (c Config) withDefaults() Config {
@@ -278,9 +266,6 @@ func (c Config) withDefaults() Config {
 	if c.DeviceGroups == 0 {
 		c.DeviceGroups = 1
 	}
-	if c.CoreShards == 0 {
-		c.CoreShards = 1
-	}
 	if c.Domains < 1 {
 		c.Domains = 1
 	}
@@ -303,28 +288,10 @@ func (c Config) validate() error {
 	if c.EdgeServers && c.DeviceGroups > 254 {
 		return fmt.Errorf("testbed: EdgeServers supports at most 254 groups (got %d)", c.DeviceGroups)
 	}
-	if c.CoreShards < 0 {
-		return fmt.Errorf("testbed: CoreShards must be >= 0 (got %d)", c.CoreShards)
-	}
-	if c.CoreShards > 1 && c.DeviceGroups < 2 {
-		return fmt.Errorf("testbed: CoreShards > 1 requires DeviceGroups >= 2 (got %d)", c.DeviceGroups)
-	}
-	if c.CoreShards > c.DeviceGroups && c.CoreShards > 1 {
-		return fmt.Errorf("testbed: CoreShards %d exceeds DeviceGroups %d", c.CoreShards, c.DeviceGroups)
-	}
 	if c.ScannableDevices < 0 {
 		return fmt.Errorf("testbed: ScannableDevices must be >= 0 (got %d)", c.ScannableDevices)
 	}
 	return nil
-}
-
-// coreShardCount reports the effective number of core switch shards
-// (1 = the classic single lan0 core). Requires withDefaults.
-func (c Config) coreShardCount() int {
-	if c.CoreShards > 1 && c.DeviceGroups > 1 {
-		return c.CoreShards
-	}
-	return 1
 }
 
 // DeviceHandle pairs a device with its container.
@@ -341,12 +308,7 @@ type Testbed struct {
 	network *netsim.Network
 	runtime *container.Runtime
 	sw      *netsim.Switch
-	// shardSws are the core fabric shards (empty when CoreShards <= 1);
-	// shard s uplinks to lan0 and owns the trunks of the groups whose
-	// groupShard entry is s (contiguous blocks, see placement.groupShard).
-	shardSws   []*netsim.Switch
-	groupShard []int
-	edgeSws    []*netsim.Switch
+	edgeSws []*netsim.Switch
 
 	tserver   *container.Container
 	idsC      *container.Container
@@ -404,13 +366,6 @@ type churnState struct {
 // churnStreamKey salts the per-device (seed, device index) churn streams.
 const churnStreamKey = 0x6465762d636875 // "dev-chu"
 
-// bindARP statically resolves both directions of a host pair (see
-// Config.PrimeARP).
-func bindARP(a, b *netstack.Host) {
-	a.AddStaticARP(b.Addr(), b.MAC())
-	b.AddStaticARP(a.Addr(), a.MAC())
-}
-
 // New assembles the full topology. Nothing runs until Start.
 func New(cfg Config) (*Testbed, error) {
 	cfg = cfg.withDefaults()
@@ -421,7 +376,7 @@ func New(cfg Config) (*Testbed, error) {
 		cfg:   cfg,
 		churn: make(map[*container.Container]*churnState),
 	}
-	if cfg.Profile && prof.Enabled {
+	if cfg.Profile {
 		tb.prof = prof.New(cfg.Domains)
 	}
 	tb.prof.SetDevices(cfg.NumDevices)
@@ -441,7 +396,6 @@ func New(cfg Config) (*Testbed, error) {
 	// (see partition.go). Computed up front because edge switches must be
 	// created in their groups' domains before any device exists.
 	pl := cfg.layout()
-	tb.groupShard = pl.groupShard
 	if cfg.Domains > 1 {
 		tb.engine = sim.NewEngine(cfg.Domains, 0)
 		tb.sched = tb.engine.Domain(0).Scheduler()
@@ -487,17 +441,14 @@ func New(cfg Config) (*Testbed, error) {
 	// Pre-size the network's entity collections for the whole topology so
 	// fleet-scale builds never re-grow them mid-construction.
 	{
-		srvs, groups, extraSw := 0, 0, 0
+		srvs, groups := 0, 0
 		if cfg.DeviceGroups > 1 {
 			groups = cfg.DeviceGroups
 			if cfg.EdgeServers {
 				srvs = cfg.DeviceGroups
 			}
 		}
-		if s := cfg.coreShardCount(); s > 1 {
-			extraSw = s
-		}
-		tb.network.Grow(4+srvs+cfg.NumDevices, 4+extraSw+groups+srvs+cfg.NumDevices, 1+extraSw+groups)
+		tb.network.Grow(4+srvs+cfg.NumDevices, 4+groups+srvs+cfg.NumDevices, 1+groups)
 	}
 	tb.sw = tb.network.NewSwitch("lan0")
 
@@ -596,48 +547,18 @@ func New(cfg Config) (*Testbed, error) {
 		tb.trackLink(c.Link(), linkEnd{kind: endCore}, linkEnd{kind: endCore})
 	}
 
-	// Core fabric shards: with CoreShards > 1 the core plane splits into
-	// shard switches, each uplinked to lan0 (where the TServer/IDS/C2/
-	// attacker plane stays) and owning the trunks of the edge groups
-	// assigned to it. shardLanPorts[s] is the lan0-side port of shard s's
-	// uplink — the port lan0 must learn to reach anything behind shard s.
-	shards := cfg.coreShardCount()
-	var shardLanPorts []netsim.Port
-	if shards > 1 {
-		for s := 0; s < shards; s++ {
-			ssw := tb.network.NewSwitchInDomain(fmt.Sprintf("core%02d", s), pl.domainOfShard(s))
-			lanPort, upPort := tb.sw.NewPort(), ssw.NewPort()
-			uplink := tb.network.Connect(lanPort, upPort, cfg.TrunkLink)
-			tb.trackLink(uplink, linkEnd{kind: endCore}, linkEnd{kind: endShard, idx: s})
-			tb.shardSws = append(tb.shardSws, ssw)
-			shardLanPorts = append(shardLanPorts, lanPort)
-			if cfg.PrimeARP {
-				// Core-plane hosts reached from behind this shard go via
-				// the uplink.
-				ssw.Learn(tb.tserver.Host().MAC(), upPort)
-				ssw.Learn(tb.attackerC.Host().MAC(), upPort)
-				ssw.Learn(tb.c2C.Host().MAC(), upPort)
-			}
-		}
-	}
-
 	// Access-layer infrastructure: every group's edge switch plus its
-	// trunk into the core fabric (its shard's switch, or lan0 directly
-	// when unsharded), placed in the group's PDES domain. Built serially:
+	// trunk into lan0, placed in the group's PDES domain. Built serially:
 	// switches and trunks are the shared wiring the staged group builds
-	// below attach to.
+	// below attach to. The flat topology is the one-group plan whose access
+	// switch is lan0 itself: no edge switch, no trunk.
 	var trunkCorePorts []netsim.Port
 	if cfg.DeviceGroups > 1 {
 		for g := 0; g < cfg.DeviceGroups; g++ {
 			esw := tb.network.NewSwitchInDomain(fmt.Sprintf("edge%02d", g), pl.domainOfGroup(g))
-			coreSw, coreEnd := tb.sw, linkEnd{kind: endCore}
-			if shards > 1 {
-				s := pl.groupShard[g]
-				coreSw, coreEnd = tb.shardSws[s], linkEnd{kind: endShard, idx: s}
-			}
-			corePort, edgePort := coreSw.NewPort(), esw.NewPort()
+			corePort, edgePort := tb.sw.NewPort(), esw.NewPort()
 			trunk := tb.network.Connect(corePort, edgePort, cfg.TrunkLink)
-			tb.trackLink(trunk, coreEnd, linkEnd{kind: endGroup, idx: g})
+			tb.trackLink(trunk, linkEnd{kind: endCore}, linkEnd{kind: endGroup, idx: g})
 			trunkCorePorts = append(trunkCorePorts, corePort)
 			tb.edgeSws = append(tb.edgeSws, esw)
 			if cfg.PrimeARP {
@@ -655,8 +576,8 @@ func New(cfg Config) (*Testbed, error) {
 	}
 
 	// Device fleet (and per-group edge servers): built group-major, in
-	// parallel for grouped topologies unless Config.SerialBuild.
-	if err := tb.buildAccessLayer(pl, trunkCorePorts, shardLanPorts, hostCfg); err != nil {
+	// parallel for grouped topologies.
+	if err := tb.buildAccessLayer(pl, trunkCorePorts, hostCfg); err != nil {
 		return nil, err
 	}
 
@@ -688,68 +609,20 @@ func New(cfg Config) (*Testbed, error) {
 }
 
 // buildAccessLayer constructs the device fleet and per-group edge servers —
-// the bulk of the topology at fleet scale. Flat topologies keep the classic
-// inline loop. Grouped topologies build group-major through netsim
+// the bulk of the topology at fleet scale — group-major: group g's devices
+// attach to its access switch (edge switch g, or lan0 for the flat
+// topology's single group). Grouped topologies build through netsim
 // construction stages: identity ranges (MACs, link indices) are reserved
 // per group in canonical order before any entity exists, entity creation
-// fans out one goroutine per group (unless Config.SerialBuild), and the
-// stages merge back serially in the same canonical order — so the parallel
-// build is byte-identical to the sequential one. Mutations of shared state
-// (core-fabric MAC priming, core-plane hosts' static ARP, churn streams,
-// link attribution) are deferred to a final serial pass in global device
-// order.
-func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts []netsim.Port, hostCfg func(packet.Addr) netstack.HostConfig) error {
+// fans out one goroutine per group, and the stages merge back serially in
+// the same canonical order — so the parallel build is byte-identical to the
+// sequential one (the direct path a flat topology, or a config whose links
+// share one loss RNG, takes). Mutations of shared state (lan0 MAC priming,
+// core-plane hosts' static ARP, churn streams, link attribution) are
+// deferred to a final serial pass in global device order.
+func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, hostCfg func(packet.Addr) netstack.HostConfig) error {
 	cfg := tb.cfg
 	tb.devs = make([]DeviceHandle, cfg.NumDevices)
-
-	if cfg.DeviceGroups <= 1 {
-		// Flat topology: every device on lan0, aimed at the central
-		// TServer. Class state is shared — one flyweight template per
-		// profile slot serves every instance.
-		templates := make(map[templateKey]*devices.Template)
-		for i := 0; i < cfg.NumDevices; i++ {
-			profile := cfg.Profiles[i%len(cfg.Profiles)]
-			name := fmt.Sprintf("dev%02d-%s", i, profile.Kind)
-			tk := templateKey{profile: i % len(cfg.Profiles), target: addrTServer}
-			tmpl := templates[tk]
-			if tmpl == nil {
-				tmpl = devices.NewTemplate(devices.TemplateConfig{
-					Profile:    profile,
-					TServer:    addrTServer,
-					SpoofRange: DefaultSpoofRange,
-					MeanThink:  cfg.MeanThink,
-				})
-				templates[tk] = tmpl
-			}
-			dev := tmpl.Instantiate(name, cfg.Seed+1000+int64(i)*13)
-			devC, err := tb.runtime.Create(container.Spec{
-				Name: name, Image: "iot:" + profile.Kind,
-				Host: hostCfg(deviceAddr(i)), App: dev, Domain: pl.deviceDomain[i],
-			}, tb.sw, cfg.Link)
-			if err != nil {
-				return fmt.Errorf("testbed: %w", err)
-			}
-			tb.devs[i] = DeviceHandle{Container: devC, Device: dev}
-			tb.trackLink(devC.Link(), linkEnd{kind: endDevice, idx: i}, linkEnd{kind: endCore})
-			if cfg.PrimeARP {
-				devH := devC.Host()
-				tb.sw.Learn(devH.MAC(), devC.SwitchPort())
-				bindARP(devH, tb.tserver.Host())
-				if cfg.deviceScannable(i) {
-					bindARP(devH, tb.attackerC.Host())
-					bindARP(devH, tb.c2C.Host())
-				}
-			}
-			// Per-device churn stream, fixed now so the map is read-only
-			// once the simulation runs (entries mutate only in the owning
-			// domain). Skipped entirely when churn is off — at fleet scale
-			// the unused RNG states would dominate per-device cost.
-			if cfg.Churn.Enabled {
-				tb.churn[devC] = &churnState{rng: sim.KeyedStream(cfg.Seed, churnStreamKey, uint64(i))}
-			}
-		}
-		return nil
-	}
 
 	// Canonical group-major order: group g's slice of the fleet is its
 	// edge server (when configured) followed by its devices in ascending
@@ -763,10 +636,12 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 		tb.edgeSrvs = make([]*httpapp.Server, cfg.DeviceGroups)
 		tb.edgeCs = make([]*container.Container, cfg.DeviceGroups)
 	}
-	// Stage.Connect cannot split one shared loss RNG across goroutines;
-	// such configs fall back to the sequential direct path (st == nil),
-	// which executes the same canonical order inline.
-	useStages := !(cfg.Link.LossProb > 0 && cfg.Link.RNG != nil)
+	// One group has nothing to fan out, and Stage.Connect cannot split one
+	// shared loss RNG across goroutines; such configs take the sequential
+	// direct path (st == nil), which executes the same canonical order
+	// inline.
+	grouped := len(tb.edgeSws) > 0
+	useStages := grouped && !(cfg.Link.LossProb > 0 && cfg.Link.RNG != nil)
 	stages := make([]*netsim.Stage, cfg.DeviceGroups)
 	if useStages {
 		for g := range stages {
@@ -781,7 +656,10 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 	stageCs := make([][]*container.Container, cfg.DeviceGroups)
 
 	buildGroup := func(g int, st *netsim.Stage) error {
-		esw := tb.edgeSws[g]
+		asw := tb.sw
+		if grouped {
+			asw = tb.edgeSws[g]
+		}
 		dom := pl.domainOfGroup(g)
 		cs := make([]*container.Container, 0, len(byGroup[g])+1)
 		target := addrTServer
@@ -795,16 +673,18 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 			srvC, err := tb.createIn(st, container.Spec{
 				Name: fmt.Sprintf("edge%02d-srv", g), Image: "edge:http",
 				Host: hostCfg(edgeServerAddr(g)), App: srvApp, Domain: dom,
-			}, esw)
+			}, asw)
 			if err != nil {
 				return err
 			}
 			tb.edgeSrvs[g], tb.edgeCs[g] = srv, srvC
 			cs = append(cs, srvC)
 			if cfg.PrimeARP {
-				esw.Learn(srvC.Host().MAC(), srvC.SwitchPort())
+				asw.Learn(srvC.Host().MAC(), srvC.SwitchPort())
 			}
 		}
+		// Class state is shared: one flyweight template per profile slot
+		// serves every instance in the group.
 		templates := make(map[templateKey]*devices.Template)
 		for _, i := range byGroup[g] {
 			profile := cfg.Profiles[i%len(cfg.Profiles)]
@@ -824,19 +704,19 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 			devC, err := tb.createIn(st, container.Spec{
 				Name: name, Image: "iot:" + profile.Kind,
 				Host: hostCfg(deviceAddr(i)), App: dev, Domain: pl.deviceDomain[i],
-			}, esw)
+			}, asw)
 			if err != nil {
 				return err
 			}
 			tb.devs[i] = DeviceHandle{Container: devC, Device: dev}
 			cs = append(cs, devC)
 			if cfg.PrimeARP {
-				// Group-local priming only: the edge switch's table and
+				// Group-local priming only: the access switch's table and
 				// the device's own ARP entries. The device's entries in
-				// core-plane hosts and core switches mutate shared state
-				// and are installed by the serial pass after Merge.
+				// core-plane hosts and on lan0 behind a trunk mutate shared
+				// state and are installed by the serial pass after Merge.
 				devH := devC.Host()
-				esw.Learn(devH.MAC(), devC.SwitchPort())
+				asw.Learn(devH.MAC(), devC.SwitchPort())
 				srvH := tb.tserver.Host()
 				if cfg.EdgeServers {
 					srvH = tb.edgeCs[g].Host()
@@ -861,7 +741,7 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 	}
 
 	errs := make([]error, cfg.DeviceGroups)
-	if useStages && !cfg.SerialBuild {
+	if useStages && !cfg.serialBuild {
 		var wg sync.WaitGroup
 		for g := range stages {
 			wg.Add(1)
@@ -892,12 +772,11 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 
 	// Serial epilogue in canonical order: link attribution for the staged
 	// containers, then the per-device shared-state priming the concurrent
-	// stages had to defer — core-fabric MAC learning, core-plane hosts'
-	// static ARP entries, churn streams.
+	// stages had to defer — lan0 MAC learning, core-plane hosts' static ARP
+	// entries, churn streams.
 	for g := range tb.edgeCs {
 		tb.trackLink(tb.edgeCs[g].Link(), linkEnd{kind: endGroup, idx: g}, linkEnd{kind: endGroup, idx: g})
 	}
-	shards := cfg.coreShardCount()
 	for i := range tb.devs {
 		devC := tb.devs[i].Container
 		g := pl.deviceGroup[i]
@@ -907,13 +786,11 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 				tb.tserver.Host().AddStaticARP(devH.Addr(), devH.MAC())
 			}
 			if cfg.deviceScannable(i) {
-				// The loader/C2/TServer reach this device through the core
-				// fabric: lan0 learns the path toward the device's shard,
-				// and the shard (or lan0 itself, unsharded) learns the
-				// trunk toward its group.
-				tb.coreSwitchOf(g).Learn(devH.MAC(), trunkCorePorts[g])
-				if shards > 1 {
-					tb.sw.Learn(devH.MAC(), shardLanPorts[pl.groupShard[g]])
+				// The loader/C2/TServer reach this device through lan0,
+				// which learns the trunk toward its group (a device on
+				// lan0 itself was learned with its own port above).
+				if grouped {
+					tb.sw.Learn(devH.MAC(), trunkCorePorts[g])
 				}
 				tb.attackerC.Host().AddStaticARP(devH.Addr(), devH.MAC())
 				tb.c2C.Host().AddStaticARP(devH.Addr(), devH.MAC())
@@ -923,6 +800,10 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 			}
 		}
 		tb.trackLink(devC.Link(), linkEnd{kind: endDevice, idx: i}, linkEnd{kind: endGroup, idx: g})
+		// Per-device churn stream, fixed now so the map is read-only once
+		// the simulation runs (entries mutate only in the owning domain).
+		// Skipped entirely when churn is off — at fleet scale the unused
+		// RNG states would dominate per-device cost.
 		if cfg.Churn.Enabled {
 			tb.churn[devC] = &churnState{rng: sim.KeyedStream(cfg.Seed, churnStreamKey, uint64(i))}
 		}
@@ -931,8 +812,8 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts, shardLanPorts 
 }
 
 // createIn creates a container through the staged path when st is non-nil,
-// else directly on the runtime — the sequential-fallback arm of the group
-// build, which allocates identities in the same canonical order the stage
+// else directly on the runtime — the sequential arm of the group build,
+// which allocates identities in the same canonical order the stage
 // reservations would have.
 func (tb *Testbed) createIn(st *netsim.Stage, spec container.Spec, sw *netsim.Switch) (*container.Container, error) {
 	if st != nil {
@@ -943,15 +824,6 @@ func (tb *Testbed) createIn(st *netsim.Stage, spec container.Spec, sw *netsim.Sw
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 	return c, nil
-}
-
-// coreSwitchOf reports the core-fabric switch owning group g's trunk:
-// its shard when the core is sharded, lan0 otherwise.
-func (tb *Testbed) coreSwitchOf(g int) *netsim.Switch {
-	if len(tb.shardSws) > 0 {
-		return tb.shardSws[tb.groupShard[g]]
-	}
-	return tb.sw
 }
 
 // registerEngineMetrics publishes the PDES engine's per-domain execution
@@ -1114,8 +986,8 @@ func (tb *Testbed) scheduleChurn(c *container.Container) {
 }
 
 // Run advances the simulation by d: on the single scheduler when serial,
-// or through the PDES engine's epoch loop (with PDESWorkers goroutines)
-// when Domains > 1. Both paths yield byte-identical state.
+// or through the PDES engine's epoch loop (with Workers goroutines) when
+// Domains > 1. Both paths yield byte-identical state.
 func (tb *Testbed) Run(d time.Duration) error {
 	tb.prof.StartPhase(prof.PhaseRun)
 	defer tb.prof.EndPhase(prof.PhaseRun)
@@ -1125,8 +997,9 @@ func (tb *Testbed) Run(d time.Duration) error {
 	return tb.sched.RunFor(d)
 }
 
-// Workers reports the effective parallel worker count (Domains when
-// Config.PDESWorkers is 0; always 1 in serial mode).
+// Workers reports the effective parallel worker count: Config.PDESWorkers
+// when set, else one per domain up to the cores the process may use
+// (GOMAXPROCS); always 1 in serial mode.
 func (tb *Testbed) Workers() int {
 	if tb.engine == nil {
 		return 1
@@ -1134,7 +1007,7 @@ func (tb *Testbed) Workers() int {
 	if tb.cfg.PDESWorkers > 0 {
 		return tb.cfg.PDESWorkers
 	}
-	return tb.cfg.Domains
+	return min(tb.cfg.Domains, runtime.GOMAXPROCS(0))
 }
 
 // Engine exposes the PDES engine (nil when Domains <= 1).
@@ -1153,14 +1026,6 @@ func (tb *Testbed) Network() *netsim.Network { return tb.network }
 
 // Switch exposes the LAN switch (for span-port taps).
 func (tb *Testbed) Switch() *netsim.Switch { return tb.sw }
-
-// CoreShardSwitches lists the core fabric's shard switches (empty when
-// CoreShards <= 1).
-func (tb *Testbed) CoreShardSwitches() []*netsim.Switch {
-	out := make([]*netsim.Switch, len(tb.shardSws))
-	copy(out, tb.shardSws)
-	return out
-}
 
 // TServer exposes the target-server container.
 func (tb *Testbed) TServer() *container.Container { return tb.tserver }
@@ -1220,15 +1085,6 @@ func (tb *Testbed) Summary() string {
 	fwd, fld := tb.sw.Stats()
 	fmt.Fprintf(&b, "switch       forwarded=%d flooded=%d partition-drops=%d\n",
 		fwd, fld, tb.sw.PartitionDrops())
-	if len(tb.shardSws) > 0 {
-		var sfwd, sfld, sdrop uint64
-		for _, ssw := range tb.shardSws {
-			f, l := ssw.Stats()
-			sfwd, sfld, sdrop = sfwd+f, sfld+l, sdrop+ssw.PartitionDrops()
-		}
-		fmt.Fprintf(&b, "corefab      shards=%d forwarded=%d flooded=%d partition-drops=%d\n",
-			len(tb.shardSws), sfwd, sfld, sdrop)
-	}
 	var ls netsim.LinkStats
 	for _, c := range tb.allContainers() {
 		ls.Add(c.Link().Counters())
@@ -1369,7 +1225,7 @@ func (tb *Testbed) ScheduleAttackWave(start time.Duration, gap time.Duration, cm
 	at := start
 	for _, cmd := range cmds {
 		tb.ScheduleAttack(at, cmd)
-		at += cmd.Duration + gap
+		at += cmd.OnWire().Duration + gap
 	}
 }
 
