@@ -8,6 +8,9 @@ package netsim
 import (
 	"testing"
 	"time"
+
+	"ddoshield/internal/packet"
+	"ddoshield/internal/sim"
 )
 
 // TestHopPathAllocFree pins the steady-state hop path — NIC tx, link
@@ -16,7 +19,7 @@ import (
 // pre-bound per direction and delivery events are pooled; a regression
 // here silently multiplies GC pressure by the fleet's packet rate.
 func TestHopPathAllocFree(t *testing.T) {
-	s, _, nics := buildStar(t)
+	s, sw, nics := buildStar(t)
 	delivered := 0
 	for _, nic := range nics {
 		nic.SetHandler(func([]byte) { delivered++ })
@@ -70,5 +73,79 @@ func TestHopPathAllocFree(t *testing.T) {
 	s.Drain()
 	if delivered < 2*busyFrames {
 		t.Fatalf("%d frames delivered through the busy link, want at least %d", delivered, 2*busyFrames)
+	}
+
+	// The switch's ARP branch: with a directory on the network a broadcast
+	// request is parsed and looked up on the hop path, whether it is then
+	// relayed out the owner's port or discarded for want of an owner.
+	sw.net.SetARPDirectory(map[packet.Addr]packet.MAC{starAddr(1): nics[1].MAC()})
+	owned := arpFrame(nics[0], starAddr(0), packet.ARPRequest, starAddr(1), packet.BroadcastMAC)
+	unowned := arpFrame(nics[0], starAddr(0), packet.ARPRequest, starAddr(9), packet.BroadcastMAC)
+	delivered = 0
+	allocs = testing.AllocsPerRun(200, func() {
+		nics[0].Send(owned)
+		nics[0].Send(unowned)
+		s.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("directed ARP allocates %.1f times per request pair, want 0", allocs)
+	}
+	if fwd, fld := sw.Stats(); delivered != 201 || sw.ARPSuppressed() != 201 || fld != 1 {
+		t.Fatalf("%d requests delivered, %d suppressed, %d frames flooded (%d forwarded); want 201 to host 1 only, 201 suppressed, the one warm-up flood",
+			delivered, sw.ARPSuppressed(), fld, fwd)
+	}
+}
+
+// TestHopPathEvents pins what a hop costs the scheduler: an arrival event
+// and the tail drain it arms, and nothing for the transmitter — completion
+// is a clock comparison, and an event marks it only while frames wait in the
+// queue behind it, or for a lost frame, which has no arrival.
+func TestHopPathEvents(t *testing.T) {
+	fired := func(s *sim.Scheduler, run func()) uint64 {
+		before := s.Fired()
+		run()
+		return s.Fired() - before
+	}
+
+	s, a, b := twoNodes(t, LinkConfig{})
+	delivered := 0
+	b.SetHandler(func([]byte) { delivered++ })
+	f := frame(a.MAC(), b.MAC(), 100)
+	if n := fired(s, func() { a.Send(f); s.Drain() }); n != 2 || delivered != 1 {
+		t.Fatalf("one frame over an idle link: %d events, %d delivered; want 2 (arrival, drain) and 1", n, delivered)
+	}
+
+	// Back to back, each frame still costs its two, and every frame but the
+	// first waited in the queue: at most one completion each.
+	const burst = 16
+	delivered = 0
+	n := fired(s, func() {
+		for i := 0; i < burst; i++ {
+			a.Send(f)
+		}
+		s.Drain()
+	})
+	if delivered != burst || n < 2*burst || n > 2*burst+burst-1 {
+		t.Fatalf("%d-frame burst: %d events, %d delivered; want between %d and %d events", burst, n, delivered, 2*burst, 3*burst-1)
+	}
+
+	// A lost frame schedules its completion and nothing else.
+	ls, la, _ := twoNodes(t, LinkConfig{LossProb: 1, RNG: sim.NewRNG(1)})
+	if n := fired(ls, func() { la.Send(f); ls.Drain() }); n != 1 {
+		t.Fatalf("one lost frame over an idle link: %d events, want 1 (completion)", n)
+	}
+
+	// A flood starts a transmission on every other port at one instant and
+	// queues behind none of them: the ingress hop's two events, one arrival
+	// per egress port, and the single drain those same-instant arrivals share.
+	star, _, nics := buildStar(t)
+	delivered = 0
+	for _, nic := range nics {
+		nic.SetHandler(func([]byte) { delivered++ })
+	}
+	bc := frame(nics[0].MAC(), packet.BroadcastMAC, 100)
+	ports := len(nics) - 1
+	if n := fired(star, func() { nics[0].Send(bc); star.Drain() }); n != uint64(2+ports+1) || delivered != ports {
+		t.Fatalf("%d-port flood: %d events, %d delivered; want %d events and no completions", ports, n, delivered, 2+ports+1)
 	}
 }

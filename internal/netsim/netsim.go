@@ -73,6 +73,12 @@ type Network struct {
 	// keeps every frame on the zero-Context fast path.
 	tracer *trace.Tracer
 
+	// arpDir maps every address on the network to the MAC that owns it; nil
+	// unless SetARPDirectory installed one. Written before the simulation
+	// runs and only read afterwards, so every domain's switches share it
+	// without a lock.
+	arpDir map[packet.Addr]packet.MAC
+
 	// seed roots the per-entity RNG streams (per-link, per-direction loss
 	// draws) derived at Connect time for configs that do not supply their
 	// own RNG. See SetSeed.
@@ -188,6 +194,32 @@ func (n *Network) SetTracer(tr *trace.Tracer) { n.tracer = tr }
 // trace API is nil-receiver safe, so callers use the result directly).
 func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
+// SetARPDirectory declares that owners lists every address in use on the
+// network with the MAC of the host that answers for it. With a directory,
+// no switch floods a question the directory can answer: a broadcast ARP
+// request for a listed address is relayed toward its owner's MAC exactly as
+// a unicast frame to that MAC would be (out the learned port, dropped at a
+// partition boundary, flooded while the MAC is unlearned), and a request for
+// an unlisted address — one no host can answer — is discarded at the first
+// switch, counted per switch (Switch.ARPSuppressed) and as drop cause
+// "arp-suppressed". ARP replies, gratuitous requests, every other broadcast
+// and unknown unicast flood as before, and hosts resolve, learn and time out
+// exactly as they do without one. Install it once, after telemetry, tracer
+// and topology are in place and before the simulation runs: the switches
+// that exist (and export metrics) gain their arp-suppressed series here, so
+// a network without a directory exports the lines it always did. The map is
+// adopted, not copied, and must not change afterwards.
+func (n *Network) SetARPDirectory(owners map[packet.Addr]packet.MAC) {
+	n.arpDir = owners
+	n.tracer.ExportDropCause(trace.DropARPSuppressed)
+	for _, s := range n.switches {
+		if s.exported {
+			n.reg.RegisterCounterRendered(&s.arpSuppressed, "netsim_switch_arp_suppressed_total",
+				telemetry.RenderLabels(telemetry.L("switch", s.name)))
+		}
+	}
+}
+
 // SetMetricEntityLimit caps per-entity metric registration: only the
 // first limit entities (NICs, links and switches combined, in creation
 // order) publish their counters into the registry; later ones still
@@ -263,8 +295,10 @@ func (n *Network) registerLink(l *Link) {
 	for i := range l.dirs {
 		d := &l.dirs[i]
 		ls := telemetry.RenderLabels(telemetry.L("dir", d.name))
-		n.reg.RegisterCounterRendered(&d.txFrames, "netsim_link_tx_frames_total", ls)
-		n.reg.RegisterCounterRendered(&d.txBytes, "netsim_link_tx_bytes_total", ls)
+		// The tx pair is exported through txCompleted, not by reference: a
+		// frame counts once its serialization is over, which no event marks.
+		n.reg.RegisterCounterFuncRendered(func() uint64 { f, _ := d.txCompleted(); return f }, "netsim_link_tx_frames_total", ls)
+		n.reg.RegisterCounterFuncRendered(func() uint64 { _, b := d.txCompleted(); return b }, "netsim_link_tx_bytes_total", ls)
 		n.reg.RegisterCounterRendered(&d.dropFrames, "netsim_link_queue_drops_total", ls)
 		n.reg.RegisterCounterRendered(&d.lossFrames, "netsim_link_loss_frames_total", ls)
 		n.reg.RegisterCounterRendered(&d.corruptFrames, "netsim_link_corrupt_frames_total", ls)
@@ -278,6 +312,7 @@ func (n *Network) registerSwitch(s *Switch) {
 	if !n.metricSlot() {
 		return
 	}
+	s.exported = true
 	ls := telemetry.RenderLabels(telemetry.L("switch", s.name))
 	n.reg.RegisterCounterRendered(&s.forwarded, "netsim_switch_forwarded_total", ls)
 	n.reg.RegisterCounterRendered(&s.flooded, "netsim_switch_flooded_total", ls)
@@ -651,14 +686,18 @@ type direction struct {
 	queue  []queuedFrame
 	qhead  int
 	queued int // bytes waiting (excluding the frame in transmission)
-	busy   bool
-	// doneFn is the serialization-complete handler, bound once at Connect;
-	// curLen is the length of the frame occupying the transmitter. One
-	// frame serializes at a time per direction (busy gates transmit), so a
-	// single slot suffices — and the hot path schedules a pre-bound
-	// handler instead of allocating a closure per frame.
-	doneFn sim.Handler
-	curLen int
+	// busyUntil is the instant the frame in the transmitter (curLen bytes)
+	// finishes serializing. Completion is a comparison against the sender's
+	// clock, not an event: the transmitter is free once now >= busyUntil and
+	// nothing is queued. doneFn — bound once at Connect, so arming it never
+	// allocates — is scheduled at busyUntil (armed says one is pending) only
+	// when something depends on that instant being reached: a queued frame
+	// that must start then, or a lost frame, whose arrival would otherwise
+	// have carried the clock past the end of its serialization.
+	busyUntil sim.Time
+	curLen    int
+	doneFn    sim.Handler
+	armed     bool
 
 	// sched is the sending port's scheduler: queueing, serialization and
 	// loss draws execute in the sender's domain. fromDom/toDom/toSched
@@ -688,7 +727,9 @@ type direction struct {
 	imp     Impairments
 
 	// Shared telemetry counters; Counters() aggregates the two
-	// directions' values into the legacy LinkStats view.
+	// directions' values into the legacy LinkStats view. txFrames/txBytes
+	// count frames that have entered the transmitter; what is exported is
+	// txCompleted, which holds the one still serializing back.
 	txFrames      telemetry.Counter
 	txBytes       telemetry.Counter
 	dropFrames    telemetry.Counter
@@ -860,20 +901,13 @@ func (l *Link) Stats() (txFrames, txBytes, drops uint64) {
 
 // Counters aggregates both directions' full counter set. The values come
 // from the same shared telemetry counters the registry exports, so the
-// legacy view and /metrics can never diverge.
+// legacy view and /metrics can never diverge. TxFrames/TxBytes compare the
+// sending side's clock with its transmitter (see txCompleted): in a
+// partitioned run they are exact from that side's domain, at an epoch
+// barrier and after the run, and approximate read mid-window from elsewhere.
 func (l *Link) Counters() LinkStats {
-	var s LinkStats
-	for i := range l.dirs {
-		d := &l.dirs[i]
-		s.TxFrames += d.txFrames.Value()
-		s.TxBytes += d.txBytes.Value()
-		s.QueueDrops += d.dropFrames.Value()
-		s.LossFrames += d.lossFrames.Value()
-		s.CorruptFrames += d.corruptFrames.Value()
-		s.DupFrames += d.dupFrames.Value()
-		s.ReorderFrames += d.reorderFrames.Value()
-		s.InFlightDrops += d.inflightDrops.Value()
-	}
+	s := l.CountersSide(0)
+	s.Add(l.CountersSide(1))
 	return s
 }
 
@@ -882,9 +916,10 @@ func (l *Link) Counters() LinkStats {
 // attributes cross-domain frames with (Counters sums both directions).
 func (l *Link) CountersSide(side int) LinkStats {
 	d := &l.dirs[side]
+	txFrames, txBytes := d.txCompleted()
 	return LinkStats{
-		TxFrames:      d.txFrames.Value(),
-		TxBytes:       d.txBytes.Value(),
+		TxFrames:      txFrames,
+		TxBytes:       txBytes,
 		QueueDrops:    d.dropFrames.Value(),
 		LossFrames:    d.lossFrames.Value(),
 		CorruptFrames: d.corruptFrames.Value(),
@@ -914,7 +949,7 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 		span.Drop(now, trace.DropLinkDown)
 		return
 	}
-	if d.busy {
+	if now < d.busyUntil || len(d.queue) > 0 {
 		if d.queued+len(raw) > l.cfg.QueueBytes {
 			d.dropFrames.Inc() // drop-tail: queue full
 			l.net.emit(now, telemetry.CatNet, "queue-drop", d.name, int64(len(raw)))
@@ -929,16 +964,21 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 
 func (d *direction) transmit(raw []byte, tc trace.Context) {
 	l := d.link
-	d.busy = true
-	d.curLen = len(raw)
 	ser := l.serializationTime(len(raw))
 	sched := d.sched
 	// Transmitter frees after serialization; frame lands after propagation.
-	sched.At(sched.Now()+ser, d.doneFn)
+	// The counters move before busyUntil does, so a reader racing this from
+	// another domain (see txCompleted) never holds back a frame that is not
+	// counted yet.
+	d.txFrames.Inc()
+	d.txBytes.Add(uint64(len(raw)))
+	d.curLen = len(raw)
+	d.busyUntil = sched.Now() + ser
 	if l.cfg.LossProb > 0 && d.lossRNG != nil && d.lossRNG.Bool(l.cfg.LossProb) {
 		d.lossFrames.Inc()
 		l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 		tc.Drop(sched.Now(), trace.DropLoss)
+		d.arm()
 		return
 	}
 	arrive := sched.Now() + ser + l.cfg.Delay
@@ -948,6 +988,7 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 			d.lossFrames.Inc()
 			l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 			tc.Drop(sched.Now(), trace.DropLoss)
+			d.arm()
 			return
 		}
 		if im.CorruptProb > 0 && im.RNG.Bool(im.CorruptProb) {
@@ -978,30 +1019,59 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 	}
 }
 
-// txDone frees the transmitter after serialization and starts the next
-// queued frame, if any.
-func (d *direction) txDone() {
-	d.txFrames.Inc()
-	d.txBytes.Add(uint64(d.curLen))
-	if d.qhead < len(d.queue) {
-		next := d.queue[d.qhead]
-		d.queue[d.qhead] = queuedFrame{}
-		d.qhead++
-		if d.qhead == len(d.queue) {
-			d.queue, d.qhead = d.queue[:0], 0
-		}
-		d.queued -= len(next.raw)
-		d.transmit(next.raw, next.tc)
-	} else {
-		d.busy = false
+// arm schedules txDone at busyUntil unless it already is.
+func (d *direction) arm() {
+	if !d.armed {
+		d.armed = true
+		d.sched.At(d.busyUntil, d.doneFn)
 	}
 }
 
-// enqueue appends a frame to the transmit queue. A link that stays busy
-// never drains, so when the array is full the slots popped since the last
-// shift are reclaimed first; the array grows only once fewer than half of
-// them are free, which keeps the shifting at amortized O(1) per frame.
+// txDone fires at busyUntil: it starts the oldest queued frame and, if more
+// wait behind it, arms itself for that frame's completion. Armed for a lost
+// frame with nothing queued, it has done its work by firing — a drained
+// scheduler's clock now stands at the end of that frame's serialization.
+func (d *direction) txDone() {
+	d.armed = false
+	if len(d.queue) == 0 {
+		return
+	}
+	next := d.queue[d.qhead]
+	d.queue[d.qhead] = queuedFrame{}
+	d.qhead++
+	if d.qhead == len(d.queue) {
+		d.queue, d.qhead = d.queue[:0], 0
+	}
+	d.queued -= len(next.raw)
+	d.transmit(next.raw, next.tc)
+	if len(d.queue) > 0 {
+		d.arm()
+	}
+}
+
+// txCompleted reports the frames and bytes whose serialization has finished
+// by the sender's clock: everything that entered the transmitter except a
+// frame still occupying it. The answer is exact in the sender's domain, at
+// an epoch barrier and after the run. Read from another domain while the
+// sender's window executes, it is the approximation every export-time metric
+// of a partitioned run is then; the bounds keep a stale busyUntil or curLen
+// from wrapping it below zero.
+func (d *direction) txCompleted() (frames, bytes uint64) {
+	frames, bytes = d.txFrames.Value(), d.txBytes.Value()
+	if d.sched.Now() < d.busyUntil && frames > 0 {
+		frames--
+		bytes -= min(bytes, uint64(d.curLen))
+	}
+	return frames, bytes
+}
+
+// enqueue appends a frame to the transmit queue, arming txDone when it is
+// the first to wait. A link that stays busy never drains, so when the array
+// is full the slots popped since the last shift are reclaimed first; the
+// array grows only once fewer than half of them are free, which keeps the
+// shifting at amortized O(1) per frame.
 func (d *direction) enqueue(f queuedFrame) {
+	d.arm()
 	if len(d.queue) == cap(d.queue) && d.qhead > len(d.queue)/2 {
 		n := copy(d.queue, d.queue[d.qhead:])
 		clear(d.queue[n:])

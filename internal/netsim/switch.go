@@ -11,7 +11,9 @@ import (
 
 // Switch is a learning Ethernet switch: the CSMA segment that joins the
 // testbed's containers in the paper's topology. It floods unknown and
-// broadcast destinations and learns source MACs per port.
+// broadcast destinations and learns source MACs per port. On a network with
+// an ARP directory (Network.SetARPDirectory) a broadcast ARP request is
+// relayed toward the address's owner, or discarded when it has none.
 type Switch struct {
 	net     *Network
 	name    string
@@ -22,10 +24,15 @@ type Switch struct {
 	dom     *sim.Domain // nil in serial networks
 	sched   *sim.Scheduler
 
-	// Shared telemetry counters; Stats()/PartitionDrops() are adapters.
+	// Shared telemetry counters; Stats()/PartitionDrops()/ARPSuppressed()
+	// are adapters.
 	forwarded      telemetry.Counter
 	flooded        telemetry.Counter
 	partitionDrops telemetry.Counter
+	arpSuppressed  telemetry.Counter
+	// exported is false when the network has no registry or its
+	// metric-entity cap left this switch out of it.
+	exported bool
 }
 
 // NewSwitch adds a named learning switch to the network (domain 0).
@@ -81,9 +88,10 @@ func (s *Switch) Forget() { s.table = make(map[packet.MAC]*switchPort) }
 // Learn pre-seeds the MAC table, binding mac to p exactly as if a frame
 // from mac had already arrived on that port. Fleet-scale topologies prime
 // their switches (alongside static ARP, see testbed.Config.PrimeARP) so
-// first-contact unicast forwards instead of flooding the whole segment.
-// Later dynamic learning overwrites the entry as usual. Returns false
-// when p is not a port of this switch.
+// first-contact unicast forwards instead of flooding the whole segment,
+// and so an ARP request for a primed host is relayed out one port (see
+// Network.SetARPDirectory). Later dynamic learning overwrites the entry as
+// usual. Returns false when p is not a port of this switch.
 func (s *Switch) Learn(mac packet.MAC, p Port) bool {
 	sp, ok := p.(*switchPort)
 	if !ok || sp.sw != s {
@@ -124,6 +132,10 @@ func (s *Switch) ClearGroups() {
 // PartitionDrops reports frames discarded at a partition boundary.
 func (s *Switch) PartitionDrops() uint64 { return s.partitionDrops.Value() }
 
+// ARPSuppressed reports broadcast ARP requests discarded here because the
+// network's ARP directory lists no owner for the address asked about.
+func (s *Switch) ARPSuppressed() uint64 { return s.arpSuppressed.Value() }
+
 type switchPort struct {
 	sw    *Switch
 	index int
@@ -149,7 +161,7 @@ func (p *switchPort) send(raw []byte, tc trace.Context) {
 func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	s := p.sw
 	now := s.sched.Now()
-	eth, _, err := packet.UnmarshalEthernet(raw)
+	eth, rest, err := packet.UnmarshalEthernet(raw)
 	if err != nil {
 		tc.Start(now, "switch", p.name).Drop(now, trace.DropMalformed)
 		return // runt frame: discard
@@ -164,8 +176,26 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	if !eth.Src.IsBroadcast() {
 		s.table[eth.Src] = p
 	}
-	if !eth.Dst.IsBroadcast() {
-		if out, ok := s.table[eth.Dst]; ok {
+	// dst is where the frame is relayed to: its Ethernet destination, except
+	// for a broadcast ARP request on a network whose directory knows who owns
+	// every address — that one goes toward the owner like a unicast frame
+	// would (one port when the owner's MAC is learned, a flood when not), or
+	// nowhere when nobody owns the address. The frame itself is untouched.
+	dst := eth.Dst
+	if dir := s.net.arpDir; dir != nil && eth.Type == packet.EtherTypeARP && dst.IsBroadcast() {
+		if target, ok := arpQuestion(rest); ok {
+			owner, owned := dir[target]
+			if !owned {
+				s.arpSuppressed.Inc()
+				s.net.emit(now, telemetry.CatNet, "arp-suppressed", p.name, int64(len(raw)))
+				span.Drop(now, trace.DropARPSuppressed)
+				return
+			}
+			dst = owner
+		}
+	}
+	if !dst.IsBroadcast() {
+		if out, ok := s.table[dst]; ok {
 			if out != p {
 				if out.group != p.group {
 					s.partitionDrops.Inc()
@@ -191,6 +221,17 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 			out.send(raw, span)
 		}
 	}
+}
+
+// arpQuestion reports the address a well-formed ARP request asks about.
+// Replies, and gratuitous requests (sender announcing its own address to
+// everyone), are not questions.
+func arpQuestion(b []byte) (target packet.Addr, ok bool) {
+	a, err := packet.UnmarshalARP(b)
+	if err != nil || a.Op != packet.ARPRequest || a.SenderIP == a.TargetIP {
+		return packet.Addr{}, false
+	}
+	return a.TargetIP, true
 }
 
 // TapAll attaches the tap to every frame relayed by the switch plus every

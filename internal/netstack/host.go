@@ -185,9 +185,10 @@ func (h *Host) ReleaseIdle() {
 
 // AddStaticARP installs a permanent neighbor entry, bypassing resolution.
 // Large fleets use it to pre-bind the pairs that will talk (device to its
-// edge server, scanner to its target plane): one ARP broadcast on a
-// 100k-host segment costs 100k deliveries, so at scale resolution traffic
-// — not payload traffic — dominates the event count unless primed away.
+// edge server, scanner to its target plane): on a fabric that floods it, one
+// ARP request costs a delivery per host, and a request the fabric can direct
+// (netsim.Network.SetARPDirectory) still costs the round trip and a 100 ms
+// retry timer that a pair known in advance need not pay.
 func (h *Host) AddStaticARP(ip packet.Addr, mac packet.MAC) {
 	e := h.arp[ip]
 	if e == nil {

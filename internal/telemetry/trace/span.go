@@ -74,14 +74,15 @@ const (
 	DropNoRoute                 // unroutable destination or ARP failure
 	DropNoSocket                // no listener/socket on the destination port
 	DropMitigated               // cut by the inline mitigation verdict cache
+	DropARPSuppressed           // ARP request for an address the network's directory says nobody owns
 
-	numDropCauses = 14
+	numDropCauses = 15
 )
 
 var dropNames = [numDropCauses]string{
 	"", "link-down", "queue-full", "loss", "inflight-cut", "partition",
 	"ingress-filter", "unattached", "malformed", "bad-dst", "syn-backlog",
-	"no-route", "no-socket", "mitigated",
+	"no-route", "no-socket", "mitigated", "arp-suppressed",
 }
 
 // String renders the cause label used in metrics and trace output (empty

@@ -79,8 +79,9 @@ type Tracer struct {
 }
 
 // New builds a Tracer and, when cfg.Registry is set, registers its metrics:
-// trace_spans_total, trace_traces_total{kind}, trace_drops_total{cause},
-// trace_end_to_end_us{kind} and (lazily, per hop name) trace_hop_latency_us.
+// trace_spans_total, trace_traces_total{kind}, trace_drops_total{cause}
+// (bar the causes left to ExportDropCause), trace_end_to_end_us{kind} and
+// (lazily, per hop name) trace_hop_latency_us.
 func New(cfg Config) *Tracer {
 	capacity := cfg.SpanCapacity
 	if capacity <= 0 {
@@ -109,12 +110,24 @@ func New(cfg Config) *Tracer {
 	}
 	if tr.reg != nil {
 		tr.reg.RegisterCounter(&tr.spans, "trace_spans_total")
-		for c := 1; c < numDropCauses; c++ {
-			tr.reg.RegisterCounter(&tr.drops[c], "trace_drops_total",
-				telemetry.L("cause", DropCause(c).String()))
+		for c := DropCause(1); c < numDropCauses; c++ {
+			if c != DropARPSuppressed {
+				tr.ExportDropCause(c)
+			}
 		}
 	}
 	return tr
+}
+
+// ExportDropCause registers the cause's trace_drops_total series. New does
+// it for every cause any network can hit. DropARPSuppressed needs an ARP
+// directory, and the network that installs one exports it then: recorded
+// snapshot hashes and benchmark digests of networks without one contain
+// exactly the lines they were recorded with. Safe on a nil Tracer.
+func (tr *Tracer) ExportDropCause(c DropCause) {
+	if tr != nil && tr.reg != nil {
+		tr.reg.RegisterCounter(&tr.drops[c], "trace_drops_total", telemetry.L("cause", c.String()))
+	}
 }
 
 // splitmix is the SplitMix64 finalizer: a fast, well-distributed 64-bit

@@ -211,17 +211,22 @@ type Config struct {
 	// pin. The virtual-load attribution (VirtualProfile) needs no profiler
 	// and is available regardless.
 	Profile bool
-	// PrimeARP installs static ARP entries for every pair that will
-	// exchange traffic (device and its benign target, attacker/C2/TServer
-	// and the scannable plane) instead of resolving on first use, and
-	// pre-seeds the switch MAC tables along the same paths. On a shared
-	// L2 segment every ARP request — and every unknown-unicast frame —
-	// floods all hosts, so at fleet scale resolution and first-contact
-	// traffic grows as active-senders x total-hosts and dwarfs the
-	// payload traffic being measured; priming removes it the same way
-	// large ns-3 topologies pre-populate their ARP caches. Static entries
-	// survive churn restarts (the host's ARP cache always has). Off by
-	// default: small paper-faithful topologies resolve dynamically.
+	// PrimeARP tells the fabric what the builder already knows. It installs
+	// static ARP entries for every pair that will exchange traffic (device
+	// and its benign target, attacker/C2/TServer and the scannable plane)
+	// instead of resolving on first use, pre-seeds the switch MAC tables
+	// along the same paths, and hands the network the (address, MAC) of every
+	// host as its ARP directory (netsim.Network.SetARPDirectory). On a shared
+	// L2 segment an ARP request or unknown-unicast frame is copied to every
+	// host, so un-primed resolution and first-contact traffic grow as
+	// active-senders x total-hosts; priming removes the resolution the same
+	// way large ns-3 topologies pre-populate their ARP caches, and the
+	// directory makes the requests that remain — for hosts outside the primed
+	// pairs, and for addresses nobody owns, such as a scanner's misses and a
+	// flood's forged sources — cost one path or nothing instead of the fleet.
+	// Static entries survive churn restarts (the host's ARP cache always
+	// has). Off by default: small paper-faithful topologies resolve and
+	// flood dynamically.
 	PrimeARP bool
 	// ScannableDevices widens (or narrows) the attacker's scannable plane:
 	// the first ScannableDevices devices are reachable by the scanner and
@@ -808,6 +813,16 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 			tb.churn[devC] = &churnState{rng: sim.KeyedStream(cfg.Seed, churnStreamKey, uint64(i))}
 		}
 	}
+	if cfg.PrimeARP {
+		// A primed testbed knows every host there will ever be, so its
+		// switches need not ask all of them who owns an address.
+		cs := tb.allContainers()
+		owners := make(map[packet.Addr]packet.MAC, len(cs))
+		for _, c := range cs {
+			owners[c.Host().Addr()] = c.Host().MAC()
+		}
+		tb.network.SetARPDirectory(owners)
+	}
 	return nil
 }
 
@@ -1085,6 +1100,13 @@ func (tb *Testbed) Summary() string {
 	fwd, fld := tb.sw.Stats()
 	fmt.Fprintf(&b, "switch       forwarded=%d flooded=%d partition-drops=%d\n",
 		fwd, fld, tb.sw.PartitionDrops())
+	if tb.cfg.PrimeARP {
+		suppressed := tb.sw.ARPSuppressed()
+		for _, esw := range tb.edgeSws {
+			suppressed += esw.ARPSuppressed()
+		}
+		fmt.Fprintf(&b, "arp          suppressed=%d\n", suppressed)
+	}
 	var ls netsim.LinkStats
 	for _, c := range tb.allContainers() {
 		ls.Add(c.Link().Counters())
