@@ -26,9 +26,6 @@ import (
 	"ddoshield/internal/ml/cnn"
 	"ddoshield/internal/ml/forest"
 	"ddoshield/internal/ml/kmeans"
-	"ddoshield/internal/netsim"
-	"ddoshield/internal/netstack"
-	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/testbed"
 )
@@ -361,133 +358,6 @@ func BenchmarkAblationModels(b *testing.B) {
 		}
 		b.ReportMetric(score(narrow), "cnn-narrow-acc%")
 		b.ReportMetric(score(wide), "cnn-wide-acc%")
-	}
-}
-
-// --- component micro-benchmarks ---
-
-// BenchmarkIDSPipeline measures the Fig. 2 pipeline's packet throughput.
-func BenchmarkIDSPipeline(b *testing.B) {
-	_, tr := cachedPipeline(b)
-	tm := tr.KMeans
-	unit := ids.New(ids.Config{Model: tm.Model, Scaler: tm.Scaler, Window: time.Second})
-	raw := packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2),
-		packet.IPv4{TTL: 64, Src: packet.MustParseAddr("10.0.2.10"), Dst: packet.MustParseAddr("10.0.1.1")},
-		packet.TCP{SrcPort: 40000, DstPort: 80, Flags: packet.FlagACK, Window: 512},
-		make([]byte, 512))
-	tap := unit.Tap()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tap(sim.Time(i)*sim.Millisecond, raw)
-	}
-}
-
-// BenchmarkFeatureExtraction measures windowed stats computation.
-func BenchmarkFeatureExtraction(b *testing.B) {
-	rng := sim.NewRNG(1)
-	pkts := make([]features.Basic, 1000)
-	for i := range pkts {
-		pkts[i] = features.Basic{
-			Time:    sim.Time(i) * sim.Millisecond,
-			Src:     packet.AddrFromUint32(rng.Uint32()),
-			Dst:     packet.MustParseAddr("10.0.1.1"),
-			Proto:   packet.ProtoTCP,
-			SrcPort: uint16(rng.Intn(65536)),
-			DstPort: 80,
-			Length:  60,
-			Flags:   packet.FlagSYN,
-			Seq:     rng.Uint32(),
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := features.ComputeStats(pkts)
-		if st.PacketCount != 1000 {
-			b.Fatal("bad stats")
-		}
-	}
-}
-
-// BenchmarkTCPTransfer measures the userspace TCP stack's bulk throughput
-// over the simulated network.
-func BenchmarkTCPTransfer(b *testing.B) {
-	const total = 1 << 20
-	for i := 0; i < b.N; i++ {
-		s := sim.NewScheduler()
-		net := netsim.New(s)
-		sw := net.NewSwitch("sw")
-		subnet := packet.MustParsePrefix("10.0.0.0/24")
-		mk := func(n uint32) *netstack.Host {
-			nic := net.NewNode("h").AddNIC()
-			net.Connect(nic, sw.NewPort(), netsim.LinkConfig{RateBps: 1_000_000_000})
-			return netstack.NewHost(nic, netstack.HostConfig{Addr: subnet.Host(n), Subnet: subnet, Seed: int64(n)})
-		}
-		client, server := mk(1), mk(2)
-		got := 0
-		if _, err := server.ListenTCP(80, 0, func(c *netstack.Conn) {
-			c.OnData = func(d []byte) { got += len(d) }
-		}); err != nil {
-			b.Fatal(err)
-		}
-		conn := client.DialTCP(server.Addr(), 80)
-		payload := make([]byte, total)
-		conn.OnConnect = func() { conn.Send(payload) }
-		s.Drain()
-		if got != total {
-			b.Fatalf("transferred %d of %d", got, total)
-		}
-	}
-	b.SetBytes(total)
-}
-
-// BenchmarkFloodEngine measures raw flood-frame generation.
-func BenchmarkFloodEngine(b *testing.B) {
-	s := sim.NewScheduler()
-	net := netsim.New(s)
-	sw := net.NewSwitch("sw")
-	subnet := packet.MustParsePrefix("10.0.0.0/16")
-	mk := func(n uint32) *netstack.Host {
-		nic := net.NewNode("h").AddNIC()
-		net.Connect(nic, sw.NewPort(), netsim.LinkConfig{RateBps: 10_000_000_000})
-		return netstack.NewHost(nic, netstack.HostConfig{Addr: subnet.Host(n), Subnet: subnet, Seed: int64(n)})
-	}
-	bot, target := mk(10), mk(0x0100+1)
-	target.NIC() // ensure reachable
-	sink := 0
-	sw.AddTap(func(t sim.Time, raw []byte) { sink += len(raw) })
-	// One simulated second of lead covers ARP resolution regardless of b.N.
-	dur := time.Second + time.Duration(b.N)*time.Millisecond
-	f := botnet.NewFlood(bot, sim.NewRNG(1), botnet.Command{
-		Type: botnet.AttackSYN, Target: target.Addr(), Port: 80,
-		Duration: dur, PPS: 1000,
-	}, packet.MustParsePrefix("10.0.200.0/24"))
-	f.Start()
-	b.ResetTimer()
-	if err := s.RunFor(dur + time.Second); err != nil {
-		b.Fatal(err)
-	}
-	if f.Sent() == 0 {
-		b.Fatal("flood emitted nothing")
-	}
-}
-
-// BenchmarkScheduler measures raw event throughput of the simulation core.
-func BenchmarkScheduler(b *testing.B) {
-	s := sim.NewScheduler()
-	n := 0
-	var fn func()
-	fn = func() {
-		n++
-		if n < b.N {
-			s.After(time.Microsecond, fn)
-		}
-	}
-	s.After(time.Microsecond, fn)
-	b.ResetTimer()
-	s.Drain()
-	if n != b.N {
-		b.Fatalf("fired %d of %d", n, b.N)
 	}
 }
 

@@ -163,17 +163,14 @@ func runExtensionStudy(sc experiments.Scenario) error {
 	return nil
 }
 
-// runMitigationSweep runs the closed-loop defense sweep; every grid point
-// is cross-checked for byte-identical output across PDES domain counts
-// before its row is printed. quick shrinks the grid to one point (the CI
-// smoke).
+// runMitigationSweep runs the closed-loop defense sweep. quick shrinks the
+// grid to one point (the CI smoke).
 func runMitigationSweep(seed int64, quick bool) error {
 	cfg := experiments.MitigationSweepConfig{Seed: seed}
 	if quick {
 		cfg.Thresholds = []int{4}
 		cfg.CacheSizes = []int{256}
 		cfg.ReactionDelays = []time.Duration{0}
-		cfg.DomainSet = []int{1, 2}
 	}
 	points, err := experiments.RunMitigationSweep(cfg)
 	if err != nil {

@@ -375,28 +375,26 @@ func (sc Scenario) RunRealTime(tr *TrainingResult) (*RealTimeResult, error) {
 	return sc.RunRealTimeModels(tr.Models())
 }
 
-// RunRealTimeModels executes the real-time detection run for an arbitrary
-// detector list (e.g. the §V extension models).
-func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, error) {
+// liveDetection is the run every real-time experiment shares: a fresh
+// testbed at Seed+1, the botnet established over InfectionLead, one live IDS
+// unit per model on the TServer tap (named after its model, in models
+// order), attack waves from DetectWarmup to the end of dur, every unit
+// flushed. arm runs once the units are attached and before the measured run
+// is scheduled, for what only its caller needs — monitors, a fault plan.
+func (sc Scenario) liveDetection(models []TrainedModel, dur time.Duration, arm func(*testbed.Testbed, []*ids.Unit)) (*testbed.Testbed, []*ids.Unit, error) {
 	tb, err := sc.buildTestbed(sc.Seed+1, sc.ChurnInDetect)
 	if err != nil {
-		return nil, err
-	}
-	type liveUnit struct {
-		name string
-		unit *ids.Unit
-		mon  *sysmon.Monitor
-		size int64
+		return nil, nil, err
 	}
 	// Establish the botnet before measurement begins.
 	tb.Start()
 	if err := tb.Run(sc.InfectionLead); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	lead := time.Duration(tb.Scheduler().Now())
-	units := make([]liveUnit, 0, len(models))
-	for _, tm := range models {
-		u := ids.New(ids.Config{
+	units := make([]*ids.Unit, len(models))
+	for i, tm := range models {
+		units[i] = ids.New(ids.Config{
 			Model:    tm.Model,
 			Scaler:   tm.Scaler,
 			Window:   sc.Window,
@@ -406,36 +404,52 @@ func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, er
 			Registry: tb.Registry(),
 			Recorder: tb.Recorder(),
 		})
-		tb.AttachIDS(u)
-		mon := sysmon.NewMonitor(u, sc.Window)
-		mon.Start(tb.Scheduler())
-		mon.Publish(tb.Registry(), tm.Model.Name(), sc.SpeedFactor)
-		units = append(units, liveUnit{name: tm.Model.Name(), unit: u, mon: mon, size: tm.SizeBytes})
+		tb.AttachIDS(units[i])
 	}
-	sc.scheduleAttacks(tb, lead+sc.DetectWarmup, lead+sc.DetectDuration, sc.DetectPPS)
-	if err := tb.Run(sc.DetectDuration); err != nil {
+	arm(tb, units)
+	sc.scheduleAttacks(tb, lead+sc.DetectWarmup, lead+dur, sc.DetectPPS)
+	if err := tb.Run(dur); err != nil {
+		return nil, nil, err
+	}
+	for _, u := range units {
+		u.Flush()
+	}
+	return tb, units, nil
+}
+
+// RunRealTimeModels executes the real-time detection run for an arbitrary
+// detector list (e.g. the §V extension models).
+func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, error) {
+	mons := make([]*sysmon.Monitor, len(models))
+	tb, units, err := sc.liveDetection(models, sc.DetectDuration, func(tb *testbed.Testbed, units []*ids.Unit) {
+		for i, u := range units {
+			mons[i] = sysmon.NewMonitor(u, sc.Window)
+			mons[i].Start(tb.Scheduler())
+			mons[i].Publish(tb.Registry(), u.Name(), sc.SpeedFactor)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	res := &RealTimeResult{}
-	for _, lu := range units {
-		lu.unit.Flush()
-		lu.mon.Stop()
+	for i, u := range units {
+		mons[i].Stop()
 		res.Table1 = append(res.Table1, Table1Row{
-			Model:       lu.name,
-			AvgAccuracy: lu.unit.AverageAccuracy(),
-			MinAccuracy: lu.unit.MinAccuracy(),
-			Series:      lu.unit.Results(),
+			Model:       u.Name(),
+			AvgAccuracy: u.AverageAccuracy(),
+			MinAccuracy: u.MinAccuracy(),
+			Series:      u.Results(),
 		})
-		rep := lu.mon.Report(sc.SpeedFactor)
+		rep := mons[i].Report(sc.SpeedFactor)
 		res.Table2 = append(res.Table2, Table2Row{
-			Model:       lu.name,
+			Model:       u.Name(),
 			CPUPercent:  rep.CPUPercent,
 			MemoryKb:    rep.PeakMemKb,
-			ModelSizeKb: float64(lu.size) / 1024,
+			ModelSizeKb: float64(models[i].SizeBytes) / 1024,
 		})
-		d, ok := tb.DetectionLatency(lu.unit)
-		res.Detection = append(res.Detection, DetectionRow{Model: lu.name, Latency: d, Detected: ok})
-		res.Packets = lu.unit.PacketsSeen()
+		d, ok := tb.DetectionLatency(u)
+		res.Detection = append(res.Detection, DetectionRow{Model: u.Name(), Latency: d, Detected: ok})
+		res.Packets = u.PacketsSeen()
 	}
 	return res, nil
 }

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"ddoshield/internal/ids"
 	"ddoshield/internal/mitigation"
 	"ddoshield/internal/report"
-	"ddoshield/internal/telemetry"
 	"ddoshield/internal/testbed"
 )
 
@@ -17,10 +14,9 @@ import (
 // grid over responder aggregation threshold × verdict-cache size ×
 // reaction delay, each point measuring the three numbers that grade a
 // mitigation deployment — time-to-mitigate, collateral damage and
-// residual attack throughput. Every point runs under each Domains value
-// in DomainSet and must produce byte-identical Summary and Prometheus
-// output, so the reported numbers are only ever published for runs the
-// determinism machinery has vouched for.
+// residual attack throughput. Points run at Domains=1; that any other
+// Domains value yields the same bytes is the tests' business
+// (TestMitigationSweepSmoke, testbed.TestPDESMitigatedCampaignDeterminism).
 type MitigationSweepConfig struct {
 	Seed int64
 	// Thresholds sweeps the responder's /24 aggregation threshold
@@ -42,9 +38,6 @@ type MitigationSweepConfig struct {
 	PPS int
 	// Window is the IDS aggregation window (default 1 s).
 	Window time.Duration
-	// DomainSet is the Domains values every point is cross-checked under
-	// (default {1, 2, min(NumCPU, 4)}).
-	DomainSet []int
 }
 
 func (c MitigationSweepConfig) withDefaults() MitigationSweepConfig {
@@ -72,16 +65,6 @@ func (c MitigationSweepConfig) withDefaults() MitigationSweepConfig {
 	if c.Window <= 0 {
 		c.Window = time.Second
 	}
-	if len(c.DomainSet) == 0 {
-		cpu := runtime.NumCPU()
-		if cpu > 4 {
-			cpu = 4
-		}
-		if cpu < 2 {
-			cpu = 2
-		}
-		c.DomainSet = []int{1, 2, cpu}
-	}
 	return c
 }
 
@@ -108,9 +91,14 @@ type MitigationPoint struct {
 	CacheEvictions    uint64  `json:"cache_evictions"`
 }
 
-// runMitigationPoint runs one grid point under one Domains setting and
-// returns the point plus the byte-identity artifacts.
-func (c MitigationSweepConfig) runMitigationPoint(threshold, cacheSize int, delay time.Duration, domains int) (MitigationPoint, string, string, error) {
+// testbedConfig is the topology every grid point runs on.
+func (c MitigationSweepConfig) testbedConfig() testbed.Config {
+	return testbed.Config{Seed: c.Seed, NumDevices: c.Devices, DeviceGroups: 4}
+}
+
+// runPoint drives one grid point's campaign on tb, a fresh testbed built
+// from testbedConfig, and measures it.
+func (c MitigationSweepConfig) runPoint(tb *testbed.Testbed, threshold, cacheSize int, delay time.Duration) (MitigationPoint, error) {
 	pt := MitigationPoint{
 		Threshold:         threshold,
 		CacheSize:         cacheSize,
@@ -118,19 +106,8 @@ func (c MitigationSweepConfig) runMitigationPoint(threshold, cacheSize int, dela
 		DetectionLatencyS: -1,
 		TimeToMitigateS:   -1,
 	}
-	// The topology (4 device groups) is identical for every DomainSet
-	// member — Domains only changes how the same simulation executes.
-	tb, err := testbed.New(testbed.Config{
-		Seed:         c.Seed,
-		NumDevices:   c.Devices,
-		DeviceGroups: 4,
-		Domains:      domains,
-	})
-	if err != nil {
-		return pt, "", "", err
-	}
 	// The unit registers no metrics of its own: ids_window_cpu_us is a
-	// wall-clock histogram, and this sweep byte-diffs Prometheus output
+	// wall-clock histogram, and the smoke test byte-diffs Prometheus output
 	// across Domains. Everything mitigation exports is simulated-time.
 	unit := ids.New(ids.Config{
 		Model:   ids.NewThresholdRule(),
@@ -148,7 +125,7 @@ func (c MitigationSweepConfig) runMitigationPoint(threshold, cacheSize int, dela
 	tb.Start()
 	tb.ScheduleAttackWave(c.Warmup, 0, tb.DefaultAttackWave(c.Flood/3, c.PPS))
 	if err := tb.Run(c.Warmup + c.Flood + 5*time.Second); err != nil {
-		return pt, "", "", err
+		return pt, err
 	}
 	unit.Flush()
 	if d, ok := tb.DetectionLatency(unit); ok {
@@ -164,46 +141,25 @@ func (c MitigationSweepConfig) runMitigationPoint(threshold, cacheSize int, dela
 	pt.Evaluated, pt.Dropped = fw.Stats()
 	cs := fw.CacheStats()
 	pt.CacheInserts, pt.CacheEvictions = cs.Inserts, cs.Evictions
-	var b strings.Builder
-	if err := telemetry.WritePrometheus(&b, tb.Registry()); err != nil {
-		return pt, "", "", err
-	}
-	return pt, tb.Summary(), b.String(), nil
+	return pt, nil
 }
 
-// RunMitigationSweep runs the full grid. Each point executes under every
-// Domains in DomainSet; a Summary or Prometheus divergence aborts the
-// sweep, so published numbers always come from verified-deterministic
-// runs.
+// RunMitigationSweep runs the full grid, one campaign per point.
 func RunMitigationSweep(cfg MitigationSweepConfig) ([]MitigationPoint, error) {
 	cfg = cfg.withDefaults()
 	var out []MitigationPoint
 	for _, threshold := range cfg.Thresholds {
 		for _, cacheSize := range cfg.CacheSizes {
 			for _, delay := range cfg.ReactionDelays {
-				var (
-					point                MitigationPoint
-					wantSummary, wantPro string
-				)
-				for i, domains := range cfg.DomainSet {
-					pt, summary, prom, err := cfg.runMitigationPoint(threshold, cacheSize, delay, domains)
-					if err != nil {
-						return nil, err
-					}
-					if i == 0 {
-						point, wantSummary, wantPro = pt, summary, prom
-						continue
-					}
-					if summary != wantSummary {
-						return nil, fmt.Errorf("experiments: mitigation point (t=%d cache=%d delay=%s): Domains=%d Summary diverged\n--- want ---\n%s--- got ---\n%s",
-							threshold, cacheSize, delay, domains, wantSummary, summary)
-					}
-					if prom != wantPro {
-						return nil, fmt.Errorf("experiments: mitigation point (t=%d cache=%d delay=%s): Domains=%d Prometheus snapshot diverged",
-							threshold, cacheSize, delay, domains)
-					}
+				tb, err := testbed.New(cfg.testbedConfig())
+				if err != nil {
+					return nil, err
 				}
-				out = append(out, point)
+				pt, err := cfg.runPoint(tb, threshold, cacheSize, delay)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, pt)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"ddoshield/internal/parallel"
 	"ddoshield/internal/report"
 	"ddoshield/internal/sysmon"
+	"ddoshield/internal/testbed"
 )
 
 // ResilienceConfig parameterizes the fault-intensity sweep.
@@ -126,69 +127,36 @@ func (sc Scenario) runResiliencePoint(models []TrainedModel, intensity float64, 
 	if cfg.Domains > 0 {
 		sc.Domains = cfg.Domains
 	}
-	tb, err := sc.buildTestbed(sc.Seed+1, sc.ChurnInDetect)
+	var mons []*sysmon.Monitor
+	tb, units, err := sc.liveDetection(models, cfg.Duration, func(tb *testbed.Testbed, _ []*ids.Unit) {
+		// The fault plan targets the device fleet by name; Schedule arms it
+		// relative to now, so Start/Window are offsets into the measured run.
+		targets := make([]string, 0, len(tb.Devices()))
+		for _, dh := range tb.Devices() {
+			m := sysmon.NewMonitor(dh.Container, sc.Window)
+			m.Start(tb.Scheduler())
+			mons = append(mons, m)
+			targets = append(targets, dh.Container.Name())
+		}
+		tb.Injector().Schedule(faults.Random(faults.RandomConfig{
+			Seed:      cfg.FaultSeed,
+			Start:     sc.DetectWarmup,
+			Window:    cfg.Duration - sc.DetectWarmup,
+			Intensity: intensity,
+			Targets:   targets,
+			Kinds:     cfg.Kinds,
+		}))
+	})
 	if err != nil {
-		return nil, err
-	}
-	// Establish the botnet before measurement begins, as RunRealTimeModels
-	// does.
-	tb.Start()
-	if err := tb.Run(sc.InfectionLead); err != nil {
-		return nil, err
-	}
-	lead := time.Duration(tb.Scheduler().Now())
-
-	type liveUnit struct {
-		name string
-		unit *ids.Unit
-	}
-	units := make([]liveUnit, 0, len(models))
-	for _, tm := range models {
-		u := ids.New(ids.Config{
-			Model:   tm.Model,
-			Scaler:  tm.Scaler,
-			Window:  sc.Window,
-			Labeler: tb.Labeler(),
-			Meter:   tb.IDSContainer(),
-			Name:    tm.Model.Name(),
-		})
-		tb.AttachIDS(u)
-		units = append(units, liveUnit{name: tm.Model.Name(), unit: u})
-	}
-	mons := make([]*sysmon.Monitor, 0, len(tb.Devices()))
-	for _, dh := range tb.Devices() {
-		m := sysmon.NewMonitor(dh.Container, sc.Window)
-		m.Start(tb.Scheduler())
-		mons = append(mons, m)
-	}
-
-	// The fault plan targets the device fleet by name; Schedule arms it
-	// relative to now, so Start/Window are offsets into the measured run.
-	targets := make([]string, 0, len(tb.Devices()))
-	for _, dh := range tb.Devices() {
-		targets = append(targets, dh.Container.Name())
-	}
-	tb.Injector().Schedule(faults.Random(faults.RandomConfig{
-		Seed:      cfg.FaultSeed,
-		Start:     sc.DetectWarmup,
-		Window:    cfg.Duration - sc.DetectWarmup,
-		Intensity: intensity,
-		Targets:   targets,
-		Kinds:     cfg.Kinds,
-	}))
-
-	sc.scheduleAttacks(tb, lead+sc.DetectWarmup, lead+cfg.Duration, sc.DetectPPS)
-	if err := tb.Run(cfg.Duration); err != nil {
 		return nil, err
 	}
 
 	pt := &ResiliencePoint{Intensity: intensity, Faults: tb.FaultCounters()}
-	for _, lu := range units {
-		lu.unit.Flush()
+	for _, u := range units {
 		pt.Rows = append(pt.Rows, ResilienceRow{
-			Model:   lu.name,
-			Report:  metrics.NewReport(lu.unit.Confusion()),
-			Packets: lu.unit.PacketsSeen(),
+			Model:   u.Name(),
+			Report:  metrics.NewReport(u.Confusion()),
+			Packets: u.PacketsSeen(),
 		})
 	}
 	for _, s := range tb.DeviceSupervisors() {

@@ -96,9 +96,9 @@ func TestHopPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestHopPathEvents pins what a hop costs the scheduler: an arrival event
-// and the tail drain it arms, and nothing for the transmitter — completion
-// is a clock comparison, and an event marks it only while frames wait in the
+// TestHopPathEvents pins what a hop costs the scheduler: the arrival event
+// that delivers the frame, and nothing for the transmitter — completion is a
+// clock comparison, and an event marks it only while frames wait in the
 // queue behind it, or for a lost frame, which has no arrival.
 func TestHopPathEvents(t *testing.T) {
 	fired := func(s *sim.Scheduler, run func()) uint64 {
@@ -111,11 +111,11 @@ func TestHopPathEvents(t *testing.T) {
 	delivered := 0
 	b.SetHandler(func([]byte) { delivered++ })
 	f := frame(a.MAC(), b.MAC(), 100)
-	if n := fired(s, func() { a.Send(f); s.Drain() }); n != 2 || delivered != 1 {
-		t.Fatalf("one frame over an idle link: %d events, %d delivered; want 2 (arrival, drain) and 1", n, delivered)
+	if n := fired(s, func() { a.Send(f); s.Drain() }); n != 1 || delivered != 1 {
+		t.Fatalf("one frame over an idle link: %d events, %d delivered; want 1 (arrival) and 1", n, delivered)
 	}
 
-	// Back to back, each frame still costs its two, and every frame but the
+	// Back to back, each frame still costs its one, and every frame but the
 	// first waited in the queue: at most one completion each.
 	const burst = 16
 	delivered = 0
@@ -125,8 +125,8 @@ func TestHopPathEvents(t *testing.T) {
 		}
 		s.Drain()
 	})
-	if delivered != burst || n < 2*burst || n > 2*burst+burst-1 {
-		t.Fatalf("%d-frame burst: %d events, %d delivered; want between %d and %d events", burst, n, delivered, 2*burst, 3*burst-1)
+	if delivered != burst || n < burst || n > 2*burst-1 {
+		t.Fatalf("%d-frame burst: %d events, %d delivered; want between %d and %d events", burst, n, delivered, burst, 2*burst-1)
 	}
 
 	// A lost frame schedules its completion and nothing else.
@@ -136,8 +136,8 @@ func TestHopPathEvents(t *testing.T) {
 	}
 
 	// A flood starts a transmission on every other port at one instant and
-	// queues behind none of them: the ingress hop's two events, one arrival
-	// per egress port, and the single drain those same-instant arrivals share.
+	// queues behind none of them: the ingress hop's arrival and one arrival
+	// per egress port.
 	star, _, nics := buildStar(t)
 	delivered = 0
 	for _, nic := range nics {
@@ -145,7 +145,7 @@ func TestHopPathEvents(t *testing.T) {
 	}
 	bc := frame(nics[0].MAC(), packet.BroadcastMAC, 100)
 	ports := len(nics) - 1
-	if n := fired(star, func() { nics[0].Send(bc); star.Drain() }); n != uint64(2+ports+1) || delivered != ports {
-		t.Fatalf("%d-port flood: %d events, %d delivered; want %d events and no completions", ports, n, delivered, 2+ports+1)
+	if n := fired(star, func() { nics[0].Send(bc); star.Drain() }); n != uint64(1+ports) || delivered != ports {
+		t.Fatalf("%d-port flood: %d events, %d delivered; want %d events and no completions", ports, n, delivered, 1+ports)
 	}
 }

@@ -11,7 +11,6 @@
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -60,10 +59,6 @@ type Network struct {
 	// always agree.
 	linkSeq int
 	nameSet map[string]bool
-	// arrQs holds one delivery-normalization queue per scheduler frames
-	// can land on (one total for serial networks, one per domain when
-	// partitioned). See arrivalQueue.
-	arrQs map[*sim.Scheduler]*arrivalQueue
 
 	// reg/rec are the attached telemetry plane (both may be nil: every
 	// instrument works standalone and Recorder.Emit is nil-safe).
@@ -701,18 +696,18 @@ type direction struct {
 
 	// sched is the sending port's scheduler: queueing, serialization and
 	// loss draws execute in the sender's domain. fromDom/toDom/toSched
-	// route the arrival — same domain via toSched.At, cross-domain via
-	// fromDom.Post (the conservative lookahead message path). fromDom is
-	// nil on serial networks.
+	// route the arrival — same domain via toSched.AtKeyed, cross-domain via
+	// fromDom.PostKeyed (the conservative lookahead message path). fromDom
+	// is nil on serial networks.
 	sched   *sim.Scheduler
 	fromDom *sim.Domain
 	toDom   *sim.Domain
 	toSched *sim.Scheduler
-	// arrQ buffers this direction's deliveries at the receiver; arrSeq
-	// numbers them in send order (incremented in the sender's domain, so
-	// it is deterministic). Together with the link index they form the
-	// structural ordering key for same-instant deliveries.
-	arrQ   *arrivalQueue
+	// arrKey is (link index, direction) in the high bits of a delivery's
+	// scheduler key; arrSeq numbers the direction's deliveries in send order
+	// (incremented in the sender's domain, so it is deterministic) and fills
+	// the low arrSeqBits. See scheduleArrival.
+	arrKey uint64
 	arrSeq uint64
 
 	// lossRNG drives this direction's random-loss draws, and imp its
@@ -759,6 +754,9 @@ func (n *Network) Connect(a, b Port, cfg LinkConfig) *Link {
 // touches no Network-owned collections, so stages can call it concurrently
 // over disjoint index ranges; Connect and Stage.Connect both delegate here.
 func wireLink(n *Network, a, b Port, cfg LinkConfig, idx int) *Link {
+	if idx >= maxLinks {
+		panic("netsim: link index does not fit the delivery key")
+	}
 	l := &Link{net: n, cfg: cfg.withDefaults(), ends: [2]Port{a, b}, up: [2]bool{true, true}, idx: idx}
 	l.dirs[0] = direction{
 		link: l, from: 0, name: a.String() + "->" + b.String(),
@@ -768,10 +766,11 @@ func wireLink(n *Network, a, b Port, cfg LinkConfig, idx int) *Link {
 		link: l, from: 1, name: b.String() + "->" + a.String(),
 		sched: b.scheduler(), fromDom: b.domain(), toDom: a.domain(), toSched: a.scheduler(),
 	}
-	l.dirs[0].arrQ = n.arrivalQueueFor(l.dirs[0].toSched)
-	l.dirs[1].arrQ = n.arrivalQueueFor(l.dirs[1].toSched)
-	l.dirs[0].doneFn = l.dirs[0].txDone
-	l.dirs[1].doneFn = l.dirs[1].txDone
+	for i := range l.dirs {
+		d := &l.dirs[i]
+		d.arrKey = uint64(2*idx+i) << arrSeqBits
+		d.doneFn = d.txDone
+	}
 	if l.cfg.LossProb > 0 {
 		// Per-direction loss streams, fixed at construction: two seed draws
 		// per link when the caller shares an RNG (single-threaded builds
@@ -1081,50 +1080,60 @@ func (d *direction) enqueue(f queuedFrame) {
 	d.queued += len(f.raw)
 }
 
+// A delivery's scheduler key is link index ‖ direction ‖ send sequence in
+// 25 + 1 + 36 bits (sim.Scheduler.AtKeyed takes 62). The sequence wraps
+// after 2^36 frames in one direction, which can misorder only two deliveries
+// of that direction landing in the same nanosecond across the wrap.
+const (
+	arrSeqBits = 36
+	maxLinks   = 1 << 25
+)
+
 // scheduleArrival lands the frame at the receiving port at instant at. The
 // delivery event executes in the RECEIVER's domain: for a same-domain link
 // that is a plain scheduler insert; for a cross-domain link it rides the
 // engine's lookahead message path (arrive >= now + link delay >= the end
 // of the sender's current window, so Post's contract always holds).
 //
-// The event does not process the frame directly — it enqueues it on the
-// receiving scheduler's arrival queue, which drains in the tail phase of
-// the instant sorted by (link index, direction, send sequence). Without
-// this normalization, two frames arriving at the same instant from
-// different domains would be processed in engine merge order, while the
-// serial scheduler processes them in global scheduling order — and
-// order-sensitive receivers (switch MAC learning/eviction) would diverge
-// between the two execution modes.
+// The event is keyed, so among the events of its instant it fires after
+// every normal one and in (link index, direction, send sequence) order — a
+// function of the topology, never of scheduling order. Without that, two
+// frames arriving at the same instant from different domains would be
+// processed in engine merge order, while the serial scheduler processes
+// them in global scheduling order — and order-sensitive receivers (switch
+// MAC learning/eviction) would diverge between the two execution modes.
+// Per-domain heaps hold the same order as the serial one because a delivery
+// only touches receiver-local state.
 func (d *direction) scheduleArrival(at sim.Time, raw []byte, tc trace.Context) {
 	d.arrSeq++
+	key := d.arrKey | d.arrSeq&(1<<arrSeqBits-1)
 	e := arrivalEventPool.Get().(*arrivalEvent)
-	e.q = d.arrQ
-	e.a = arrival{dir: d, seq: d.arrSeq, raw: raw, tc: tc}
+	e.dir, e.raw, e.tc = d, raw, tc
 	if d.fromDom != nil && d.fromDom != d.toDom {
-		d.fromDom.Post(d.toDom, at, e.fn)
+		d.fromDom.PostKeyed(d.toDom, at, key, e.fn)
 	} else {
-		d.toSched.At(at, e.fn)
+		d.toSched.AtKeyed(at, key, e.fn)
 	}
 }
 
 // arrivalEvent carries one pending delivery from the sender's schedule
-// point to the receiver's arrival queue. Events are pooled with their
-// handler closure bound once at pool construction, so the steady-state
-// hop path schedules deliveries without allocating. The pool is shared
-// across domains (sync.Pool is concurrency-safe), and reuse order cannot
-// affect results: firing only moves the payload into the receiver's
-// arrival queue, which imposes its own structural order.
+// point to the receiving port. Events are pooled with their handler closure
+// bound once at pool construction, so the steady-state hop path schedules
+// deliveries without allocating. The pool is shared across domains
+// (sync.Pool is concurrency-safe), and reuse order cannot affect results:
+// an event is only a carrier for the frame it was last handed.
 type arrivalEvent struct {
-	q  *arrivalQueue
-	a  arrival
-	fn sim.Handler // bound once to fire
+	dir *direction
+	raw []byte
+	tc  trace.Context
+	fn  sim.Handler // bound once to fire
 }
 
 func (e *arrivalEvent) fire() {
-	q, a := e.q, e.a
-	e.q, e.a = nil, arrival{}
+	d, raw, tc := e.dir, e.raw, e.tc
+	e.dir, e.raw, e.tc = nil, nil, trace.Context{}
 	arrivalEventPool.Put(e)
-	q.add(a)
+	d.deliver(raw, tc)
 }
 
 var arrivalEventPool sync.Pool
@@ -1137,8 +1146,7 @@ func init() {
 	}
 }
 
-// deliver processes one frame at the receiving port, at the instant the
-// arrival queue drains.
+// deliver processes one frame at the receiving port, at its arrival instant.
 func (d *direction) deliver(raw []byte, tc trace.Context) {
 	l := d.link
 	now := d.toSched.Now()
@@ -1156,86 +1164,6 @@ func (d *direction) deliver(raw []byte, tc trace.Context) {
 		tap(now, raw, tc)
 	}
 	l.ends[1-d.from].receive(raw, tc)
-}
-
-// arrival is one pending frame delivery awaiting the tail-phase drain.
-type arrival struct {
-	dir *direction
-	seq uint64
-	raw []byte
-	tc  trace.Context
-}
-
-// arrivalQueue buffers all frame deliveries landing on one scheduler at
-// the current instant and processes them in structural order — a function
-// of the topology (link creation index, direction, per-direction send
-// sequence), never of event scheduling order. Serial and partitioned
-// executions therefore process same-instant deliveries identically: the
-// serial network has a single queue spanning every link, a partitioned
-// network one queue per domain, and sorting the union equals sorting each
-// domain's subset because deliveries only touch receiver-local state.
-// The pending slice and its backing array are reused across instants, so
-// steady-state delivery stays allocation-free.
-type arrivalQueue struct {
-	sched   *sim.Scheduler
-	pending []arrival
-	armed   bool
-	drainFn sim.Handler // bound once so arming the drain never allocates
-}
-
-func newArrivalQueue(sched *sim.Scheduler) *arrivalQueue {
-	q := &arrivalQueue{sched: sched}
-	q.drainFn = q.drain
-	return q
-}
-
-// arrivalQueueFor returns the (lazily created) queue for the scheduler a
-// link direction delivers into. Called only during topology construction,
-// which is single-threaded.
-func (n *Network) arrivalQueueFor(sched *sim.Scheduler) *arrivalQueue {
-	if n.arrQs == nil {
-		n.arrQs = make(map[*sim.Scheduler]*arrivalQueue)
-	}
-	q := n.arrQs[sched]
-	if q == nil {
-		q = newArrivalQueue(sched)
-		n.arrQs[sched] = q
-	}
-	return q
-}
-
-func (q *arrivalQueue) add(a arrival) {
-	q.pending = append(q.pending, a)
-	if !q.armed {
-		q.armed = true
-		q.sched.AtTail(q.sched.Now(), q.drainFn)
-	}
-}
-
-func (q *arrivalQueue) drain() {
-	// The common case — one frame arriving at this scheduler this instant —
-	// needs no ordering at all; skip the sort machinery entirely.
-	if len(q.pending) > 1 {
-		slices.SortFunc(q.pending, func(a, b arrival) int {
-			if c := cmp.Compare(a.dir.link.idx, b.dir.link.idx); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.dir.from, b.dir.from); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-	}
-	// Deliveries may enqueue new arrivals only at strictly later instants
-	// (serialization and propagation delays are always positive), so the
-	// slice is stable while we walk it.
-	for i := range q.pending {
-		a := &q.pending[i]
-		a.dir.deliver(a.raw, a.tc)
-		q.pending[i] = arrival{}
-	}
-	q.pending = q.pending[:0]
-	q.armed = false
 }
 
 // corruptedCopy returns raw with one pseudo-randomly chosen bit flipped,

@@ -45,14 +45,6 @@ type stagedReg struct {
 // mismatch would silently shift every later entity's identity away from the
 // equivalent sequential build.
 func (n *Network) NewStage(nics, links int) *Stage {
-	// Pre-create every arrival queue a staged Connect could bind, so the
-	// lazily-built queue map is strictly read-only while stages run.
-	n.arrivalQueueFor(n.sched)
-	if n.engine != nil {
-		for i := 0; i < n.engine.NumDomains(); i++ {
-			n.arrivalQueueFor(n.engine.Domain(i).Scheduler())
-		}
-	}
 	st := &Stage{
 		net:      n,
 		macNext:  n.macSeq + 1,

@@ -8,21 +8,21 @@
 // causally independent of events outside its own domain, so all domains may
 // execute that window in parallel. Cross-domain effects travel as
 // timestamped messages that are buffered in per-domain outboxes during a
-// window and merged at the barrier in a deterministic order — (time, sender
-// domain index, per-domain sequence number) — so the interleaving of
-// messages from different domains never depends on goroutine scheduling.
+// window and inserted into the receiver's event heap at the barrier, sender
+// by sender in domain-index order, each sender's in send order — so the
+// interleaving of messages from different domains never depends on
+// goroutine scheduling.
 //
 // Determinism: for a fixed domain count K the engine produces bit-identical
 // results for any worker count, including the inline serial path, because
-// each domain's events execute sequentially in (time, seq) order and the
-// merge order is a pure function of message data. The worker count only
-// decides which OS thread runs a window, never what the window computes.
+// each domain's events execute sequentially in (time, ord) order and the
+// merge order is a pure function of what each domain sent. The worker count
+// only decides which OS thread runs a window, never what the window computes.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,14 +32,12 @@ import (
 // can never overflow Time.
 const maxLookahead = Time(1) << 61
 
-// message is one pooled cross-domain event notice. The (at, from, seq)
-// triple is the deterministic merge key; fn runs on the receiving domain's
-// scheduler at instant at.
+// message is one pooled cross-domain event notice: fn runs on the receiving
+// domain's scheduler at instant at.
 type message struct {
-	at   Time
-	from int32  // sender domain index (merge tiebreak after time)
-	seq  uint64 // sender-local sequence (merge tiebreak after sender)
-	fn   Handler
+	at  Time
+	ord uint64 // keyedClass|key from PostKeyed, 0 from Post
+	fn  Handler
 }
 
 // DomainStats is one domain's execution accounting, for telemetry.
@@ -92,9 +90,8 @@ type Domain struct {
 	idx   int
 	sched *Scheduler
 
-	out    [][]*message // out[t]: messages for domain t, appended this window
-	free   []*message   // message pool (owner-only)
-	msgSeq uint64
+	out  [][]*message // out[t]: messages for domain t, in send order
+	free []*message   // message pool (owner-only)
 
 	// windowEnd is the exclusive end of the window the domain is currently
 	// (or was last) allowed to execute; Post validates against it.
@@ -153,6 +150,23 @@ func (d *Domain) Post(to *Domain, at Time, fn Handler) {
 		d.sched.At(at, fn)
 		return
 	}
+	d.post(to, at, 0, fn)
+}
+
+// PostKeyed is Post for a keyed event: fn is inserted on domain to as
+// Scheduler.AtKeyed(at, key, fn) would insert it, so where it fires among
+// the events of its instant does not depend on which domain sent it or on
+// the epoch it was merged in.
+func (d *Domain) PostKeyed(to *Domain, at Time, key uint64, fn Handler) {
+	if to == d {
+		d.sched.AtKeyed(at, key, fn)
+		return
+	}
+	d.post(to, at, keyedClass|key&ordMask, fn)
+}
+
+// post queues fn for another domain; ord is 0 for a normal event.
+func (d *Domain) post(to *Domain, at Time, ord uint64, fn Handler) {
 	if at < d.windowEnd {
 		panic(fmt.Sprintf(
 			"sim: cross-domain post from domain %d to %d at %v violates lookahead window end %v",
@@ -160,10 +174,8 @@ func (d *Domain) Post(to *Domain, at Time, fn Handler) {
 	}
 	m := d.allocMsg()
 	m.at = at
-	m.from = int32(d.idx)
-	m.seq = d.msgSeq
+	m.ord = ord
 	m.fn = fn
-	d.msgSeq++
 	d.out[to.idx] = append(d.out[to.idx], m)
 	d.msgsOut++
 }
@@ -202,8 +214,6 @@ type Engine struct {
 	epochs    uint64
 	stopped   atomic.Bool
 	probe     EngineProbe // nil unless a profiler is attached
-
-	inbox []*message // merge scratch, reused across epochs
 }
 
 // NewEngine builds an engine with k domains (k >= 1) and the given
@@ -260,49 +270,37 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 // calls every domain clock agrees (all are advanced to the horizon).
 func (e *Engine) Now() Time { return e.domains[0].sched.Now() }
 
-// mergeOutboxes drains every domain's outboxes into the receivers' queues.
-// For each receiving domain the pending messages are ordered by (time,
-// sender domain index, sender sequence) before insertion, so the receiver's
-// scheduler sees one deterministic arrival order regardless of which worker
-// ran which window when. Messages recycle to their sender's pool — safe
-// here because merging happens only between epochs, when no domain runs.
+// mergeOutboxes drains every domain's outboxes into the receivers' queues:
+// for each receiving domain, sender by sender in domain-index order, each
+// outbox in send order. The receiver's heap orders by time first, so its
+// same-instant normal events fire in (sender domain index, send order)
+// regardless of which worker ran which window when; a keyed message
+// (PostKeyed) carries its own place in its instant and takes it whatever
+// the insertion order. Messages recycle to their sender's pool — safe here
+// because merging happens only between epochs, when no domain runs.
 func (e *Engine) mergeOutboxes() {
 	for ti, target := range e.domains {
-		pending := e.inbox[:0]
 		for _, d := range e.domains {
-			if box := d.out[ti]; len(box) > 0 {
-				if e.probe != nil {
-					e.probe.OnCrossMessages(d.idx, ti, len(box))
+			box := d.out[ti]
+			if len(box) == 0 {
+				continue
+			}
+			if e.probe != nil {
+				e.probe.OnCrossMessages(d.idx, ti, len(box))
+			}
+			for i, m := range box {
+				if m.ord != 0 {
+					target.sched.insert(m.at, m.ord, m.fn)
+				} else {
+					target.sched.At(m.at, m.fn)
 				}
-				pending = append(pending, box...)
-				d.out[ti] = box[:0]
+				m.fn = nil
+				d.free = append(d.free, m)
+				box[i] = nil
 			}
+			target.msgsIn += uint64(len(box))
+			d.out[ti] = box[:0]
 		}
-		if len(pending) == 0 {
-			continue
-		}
-		slices.SortFunc(pending, func(a, b *message) int {
-			switch {
-			case a.at < b.at:
-				return -1
-			case a.at > b.at:
-				return 1
-			case a.from != b.from:
-				return int(a.from) - int(b.from)
-			case a.seq < b.seq:
-				return -1
-			default:
-				return 1
-			}
-		})
-		for i, m := range pending {
-			target.sched.At(m.at, m.fn)
-			m.fn = nil
-			e.domains[m.from].free = append(e.domains[m.from].free, m)
-			pending[i] = nil
-		}
-		target.msgsIn += uint64(len(pending))
-		e.inbox = pending[:0]
 	}
 }
 
@@ -367,9 +365,7 @@ func (e *Engine) Run(horizon Time, workers int) error {
 		}
 	}
 	for _, d := range e.domains {
-		if d.sched.now < horizon {
-			d.sched.now = horizon
-		}
+		d.sched.advance(horizon)
 	}
 	return nil
 }

@@ -183,6 +183,51 @@ func TestEngineMultiRun(t *testing.T) {
 	}
 }
 
+// TestEnginePostKeyedMergesInKeyOrder: keyed deliveries posted from two
+// domains for one instant fire on the receiver in key order — not in the
+// merge's (sender, send order) — after the instant's normal events, which
+// do fire in (sender, send order) behind the receiver's own, whatever
+// instants the senders posted for in between.
+func TestEnginePostKeyedMergesInKeyOrder(t *testing.T) {
+	const at = 100
+	for _, workers := range []int{1, 3} {
+		e := NewEngine(3, 25)
+		var order []string
+		note := func(name string) Handler { return func() { order = append(order, name) } }
+		rx := e.Domain(2)
+		// Domain 0 sends the high keys first, domain 1 the low ones, and the
+		// receiver holds a keyed event of its own in between.
+		e.Domain(0).Scheduler().At(0, func() {
+			e.Domain(0).Post(rx, at+1, note("d0-later"))
+			e.Domain(0).PostKeyed(rx, at, 6, note("d0-key-6"))
+			e.Domain(0).Post(rx, at, note("d0-norm-a"))
+			e.Domain(0).PostKeyed(rx, at, 2, note("d0-key-2"))
+			e.Domain(0).Post(rx, at, note("d0-norm-b"))
+		})
+		e.Domain(1).Scheduler().At(0, func() {
+			e.Domain(1).Post(rx, at+1, note("d1-later"))
+			e.Domain(1).PostKeyed(rx, at, 5, note("d1-key-5"))
+			e.Domain(1).Post(rx, at, note("d1-norm"))
+			e.Domain(1).PostKeyed(rx, at, 1, note("d1-key-1"))
+		})
+		rx.Scheduler().At(0, func() {
+			rx.PostKeyed(rx, at, 3, func() {
+				order = append(order, "rx-key-3")
+				rx.Scheduler().At(at, note("rx-late"))
+			})
+		})
+		rx.Scheduler().At(at, note("rx-norm"))
+		if err := e.Run(1000, workers); err != nil {
+			t.Fatal(err)
+		}
+		wantOrder(t, order, []string{
+			"rx-norm", "d0-norm-a", "d0-norm-b", "d1-norm",
+			"d1-key-1", "d0-key-2", "rx-key-3", "d1-key-5", "d0-key-6", "rx-late",
+			"d0-later", "d1-later",
+		})
+	}
+}
+
 // TestEngineCrossDomainMessageAllocFree guards the acceptance criterion:
 // the steady-state cross-domain fast path — Post (pooled message, reused
 // outbox), barrier merge (reused scratch, pooled scheduler nodes), delivery

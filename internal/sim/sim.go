@@ -51,14 +51,23 @@ type Handler func()
 // is bumped on every recycle so stale Event handles can detect that the node
 // they point at no longer belongs to them.
 type node struct {
-	s    *Scheduler
-	at   Time
-	seq  uint64 // FIFO tiebreak for same-instant events
-	id   uint64 // generation; incremented when the node is released
-	idx  int    // heap index; -1 while on the free list
-	tail bool   // tail-phase event: fires after every normal event at `at`
-	fn   Handler
+	s   *Scheduler
+	at  Time
+	ord uint64 // same-instant order: class in the top two bits, see keyedClass
+	id  uint64 // generation; incremented when the node is released
+	idx int    // heap index; -1 while on the free list
+	fn  Handler
 }
+
+// Events of one instant fire in ord order. The top two bits of ord are the
+// event's class, the other 62 its place within the class: the scheduling
+// sequence number for normal and late events, the caller's key for keyed
+// ones.
+const (
+	keyedClass uint64 = 1 << 62 // AtKeyed: after every normal event, by key
+	lateClass  uint64 = 2 << 62 // At(now) once now's keyed events have begun
+	ordMask           = keyedClass - 1
+)
 
 // Event is a by-value handle to a scheduled callback. The zero Event is
 // inert: Cancel and the accessors are no-ops on it. Handles stay safe after
@@ -67,7 +76,8 @@ type node struct {
 // that recycled the same node.
 //
 // Events are ordered by firing time; events scheduled for the same instant
-// fire in scheduling order (FIFO), which keeps the simulation deterministic.
+// fire in scheduling order (FIFO), keyed events (AtKeyed) after them in key
+// order, which keeps the simulation deterministic.
 type Event struct {
 	n         *node
 	id        uint64
@@ -112,9 +122,10 @@ var ErrStopped = errors.New("simulation stopped")
 // on a single logical thread, exactly as an NS-3 simulation does.
 type Scheduler struct {
 	now     Time
-	queue   []*node // binary min-heap ordered by (at, seq)
+	queue   []*node // binary min-heap ordered by (at, ord)
 	free    []*node // recycled nodes
 	seq     uint64
+	tail    bool // the event running (or last fired) at now is keyed or late
 	running bool
 	stopped bool
 	fired   uint64
@@ -151,45 +162,49 @@ func (s *Scheduler) release(nd *node) {
 	nd.id++
 	nd.fn = nil
 	nd.idx = -1
-	nd.tail = false
 	s.free = append(s.free, nd)
 }
 
 // At schedules fn to run at the absolute simulated instant t. Scheduling in
 // the past is an error that would break causality, so it is clamped to the
-// current instant instead.
+// current instant instead. Scheduled for the current instant from a keyed
+// handler, fn fires after every keyed event of the instant, in scheduling
+// order among such late events: what a frame delivery starts "now" runs once
+// all of this instant's deliveries are in, however many there are.
 func (s *Scheduler) At(t Time, fn Handler) Event {
-	if t < s.now {
-		t = s.now
-	}
-	nd := s.alloc()
-	nd.at = t
-	nd.seq = s.seq
-	nd.fn = fn
+	ord := s.seq
 	s.seq++
-	s.push(nd)
-	return Event{n: nd, id: nd.id, at: t}
+	if t <= s.now {
+		t = s.now
+		if s.tail {
+			ord |= lateClass
+		}
+	}
+	return s.insert(t, ord, fn)
 }
 
-// AtTail schedules fn to run at instant t in the *tail phase*: after every
-// normal event scheduled for t, regardless of scheduling order. Tail events
-// at the same instant fire in scheduling order among themselves. This is the
-// hook order-normalizing stages hang off — netsim drains its buffered frame
-// deliveries from a tail event, so same-instant deliveries execute in a
-// canonical structural order rather than in (execution-mode-dependent)
-// scheduling order. A normal event scheduled for t *while the tail phase of
-// t is already running* fires after the currently-running tail handler, in
-// scheduling order relative to other such late arrivals.
-func (s *Scheduler) AtTail(t Time, fn Handler) Event {
+// AtKeyed schedules fn to run at instant t after every normal event
+// scheduled for t, whenever those are scheduled, and among the keyed events
+// of t in ascending key order, whatever order they were inserted in. Keys
+// are 62 bits and must be unique within an instant (equal keys fire in an
+// unspecified order). This is how same-instant order is made a property of
+// the model rather than of the execution: netsim keys a frame delivery by
+// (link index, direction, send sequence), so a serial run and a partitioned
+// one — which inserts cross-domain deliveries at the epoch barrier, not at
+// send time — process them identically.
+func (s *Scheduler) AtKeyed(t Time, key uint64, fn Handler) Event {
 	if t < s.now {
 		t = s.now
 	}
+	return s.insert(t, keyedClass|key&ordMask, fn)
+}
+
+// insert pushes fn at (t, ord); t must not lie in the past.
+func (s *Scheduler) insert(t Time, ord uint64, fn Handler) Event {
 	nd := s.alloc()
 	nd.at = t
-	nd.seq = s.seq
-	nd.tail = true
+	nd.ord = ord
 	nd.fn = fn
-	s.seq++
 	s.push(nd)
 	return Event{n: nd, id: nd.id, at: t}
 }
@@ -225,6 +240,7 @@ func (s *Scheduler) Step() bool {
 	}
 	nd := s.popMin()
 	s.now = nd.at
+	s.tail = nd.ord >= keyedClass
 	fn := nd.fn
 	s.release(nd) // recycle before firing so fn can reuse the node
 	s.fired++
@@ -253,10 +269,17 @@ func (s *Scheduler) Run(horizon Time) error {
 	}
 	// The horizon was reached (or the queue drained): advance the clock so
 	// Now() reflects the full span that was simulated.
-	if s.now < horizon {
-		s.now = horizon
-	}
+	s.advance(horizon)
 	return nil
+}
+
+// advance moves an idle clock forward to t; no event of the new instant has
+// fired, so it starts in its normal phase.
+func (s *Scheduler) advance(t Time) {
+	if s.now < t {
+		s.now = t
+		s.tail = false
+	}
 }
 
 // RunFor executes events for d of simulated time from the current instant.
@@ -270,16 +293,13 @@ func (s *Scheduler) Drain() {
 	}
 }
 
-// --- intrusive binary min-heap over (at, seq) ---
+// --- intrusive binary min-heap over (at, ord) ---
 
 func nodeLess(a, b *node) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.tail != b.tail {
-		return !a.tail
-	}
-	return a.seq < b.seq
+	return a.ord < b.ord
 }
 
 func (s *Scheduler) push(nd *node) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,59 +39,100 @@ func TestSchedulerSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestSchedulerAtTailFiresAfterNormalEvents(t *testing.T) {
-	s := NewScheduler()
-	var order []string
-	// Interleave tail and normal scheduling at the same instant: the tail
-	// events must fire last regardless of when they were scheduled, and in
-	// FIFO order among themselves.
-	s.AtTail(Second, func() { order = append(order, "tail-0") })
-	s.At(Second, func() { order = append(order, "norm-0") })
-	s.AtTail(Second, func() { order = append(order, "tail-1") })
-	s.At(Second, func() {
-		order = append(order, "norm-1")
-		// A tail event scheduled from inside a normal event at the same
-		// instant still lands in the tail phase of that instant.
-		s.AtTail(Second, func() { order = append(order, "tail-2") })
-	})
-	// A later instant must fire after every phase of the earlier one.
-	s.At(2*Second, func() { order = append(order, "next") })
-	s.Drain()
-	want := []string{"norm-0", "norm-1", "tail-0", "tail-1", "tail-2", "next"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+func wantOrder(t *testing.T, got, want []string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
-func TestSchedulerAtTailPastClampsAndCancels(t *testing.T) {
+func TestSchedulerKeyedFiresAfterNormalEvents(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	note := func(name string) Handler { return func() { order = append(order, name) } }
+	// Interleave keyed and normal scheduling at the same instant: the keyed
+	// events must fire last regardless of when they were scheduled, and in
+	// key order — not insertion order — among themselves.
+	s.AtKeyed(Second, 7, note("key-7"))
+	s.At(Second, note("norm-0"))
+	s.AtKeyed(Second, 2, note("key-2"))
+	s.At(Second, func() {
+		order = append(order, "norm-1")
+		// Scheduled from inside a normal event of the instant, a keyed event
+		// still takes its key's place, and a normal one still precedes them.
+		s.AtKeyed(Second, 5, note("key-5"))
+		s.At(Second, note("norm-2"))
+	})
+	s.AtKeyed(Second, 1<<61, note("key-big"))
+	// A later instant must fire after every phase of the earlier one.
+	s.At(2*Second, note("next"))
+	s.AtKeyed(2*Second, 0, note("next-key-0"))
+	s.Drain()
+	wantOrder(t, order, []string{"norm-0", "norm-1", "norm-2", "key-2", "key-5", "key-7", "key-big", "next", "next-key-0"})
+}
+
+// TestSchedulerLateEventsFollowKeyed pins the rule frame deliveries rely on:
+// what a keyed handler schedules for its own instant runs after the LAST
+// keyed event of the instant, in scheduling order, and the next instant
+// starts in its normal phase again.
+func TestSchedulerLateEventsFollowKeyed(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	note := func(name string) Handler { return func() { order = append(order, name) } }
+	s.AtKeyed(Second, 3, note("key-3"))
+	s.AtKeyed(Second, 1, func() {
+		order = append(order, "key-1")
+		s.At(Second, func() {
+			order = append(order, "late-0")
+			s.At(Second, note("late-2")) // late events beget late events
+		})
+		s.After(0, note("late-1"))
+		s.At(0, note("late-past")) // clamped to now, so late as well
+		s.At(2*Second, note("next-norm"))
+		s.AtKeyed(2*Second, 9, note("next-key"))
+	})
+	s.AtKeyed(Second, 2, note("key-2"))
+	if err := s.Run(Second); err != nil {
+		t.Fatal(err)
+	}
+	wantOrder(t, order, []string{"key-1", "key-2", "key-3", "late-0", "late-1", "late-past", "late-2"})
+	// The clock stands at 1 s with its keyed phase over; the run resumes and
+	// the next instant orders normal before keyed again.
+	order = nil
+	if err := s.Run(3 * Second); err != nil {
+		t.Fatal(err)
+	}
+	wantOrder(t, order, []string{"next-norm", "next-key"})
+	// An idle clock advanced by Run is in no instant's keyed phase.
+	order = nil
+	s.AtKeyed(3*Second, 0, note("key"))
+	s.At(3*Second, note("norm"))
+	s.Drain()
+	wantOrder(t, order, []string{"norm", "key"})
+}
+
+func TestSchedulerKeyedPastClampsAndCancels(t *testing.T) {
 	s := NewScheduler()
 	fired := false
 	s.At(2*Second, func() {
-		ev := s.AtTail(Second, func() {})
+		ev := s.AtKeyed(Second, 0, func() {})
 		if ev.At() != 2*Second {
-			t.Errorf("past tail event scheduled at %v, want clamp to now (2s)", ev.At())
+			t.Errorf("past keyed event scheduled at %v, want clamp to now (2s)", ev.At())
 		}
 	})
-	ev := s.AtTail(3*Second, func() { fired = true })
+	ev := s.AtKeyed(3*Second, 0, func() { fired = true })
 	ev.Cancel()
 	s.Drain()
 	if fired {
-		t.Fatal("cancelled tail event fired")
+		t.Fatal("cancelled keyed event fired")
 	}
-	// Pooled node reuse must clear the tail flag: the next normal event
-	// allocated from the free list must not inherit tail-phase ordering.
+	// Pooled node reuse must not carry the class over: the next normal event
+	// allocated from the free list must not inherit keyed ordering.
 	var order []string
-	s.AtTail(5*Second, func() { order = append(order, "tail") })
+	s.AtKeyed(5*Second, 0, func() { order = append(order, "keyed") })
 	s.At(5*Second, func() { order = append(order, "norm") })
 	s.Drain()
-	if len(order) != 2 || order[0] != "norm" || order[1] != "tail" {
-		t.Fatalf("after node reuse, order = %v, want [norm tail]", order)
-	}
+	wantOrder(t, order, []string{"norm", "keyed"})
 }
 
 func TestSchedulerClockAdvancesToEventTime(t *testing.T) {

@@ -3,7 +3,6 @@ package testbed
 import (
 	"time"
 
-	"ddoshield/internal/botnet"
 	"ddoshield/internal/dataset"
 	"ddoshield/internal/features"
 	"ddoshield/internal/netsim"
@@ -135,49 +134,4 @@ func (ts *ThroughputSampler) MeanRxBps(from, to sim.Time) float64 {
 		return 0
 	}
 	return float64(bytes) * 8 / (float64(n) * ts.interval.Seconds())
-}
-
-// LabelerWithIntervals extends the exact header-based oracle with
-// interval+source rules for application-level attacks: a TCP packet
-// between a recorded bot and the attack target during a recorded
-// HTTP-flood interval is malicious even though its headers are
-// protocol-indistinguishable from benign browsing. (A small grace period
-// covers requests still in flight when the interval closes.) The paper
-// excludes application-level floods precisely because of this labeling
-// ambiguity; this labeler makes the extended vector usable.
-func (tb *Testbed) LabelerWithIntervals() func(b *features.Basic) int {
-	base := tb.Labeler()
-	const grace = 2 * sim.Second
-	return func(b *features.Basic) int {
-		if y := base(b); y == dataset.Malicious {
-			return y
-		}
-		if b.Proto != packet.ProtoTCP {
-			return dataset.Benign
-		}
-		for _, iv := range tb.c2.Intervals() {
-			if iv.Cmd.Type != botnet.AttackHTTP {
-				continue
-			}
-			if b.Time < iv.Start || b.Time > iv.End+grace {
-				continue
-			}
-			if b.Dst == addrTServer && b.DstPort == iv.Cmd.Port && containsAddr(iv.Bots, b.Src) {
-				return dataset.Malicious
-			}
-			if b.Src == addrTServer && b.SrcPort == iv.Cmd.Port && containsAddr(iv.Bots, b.Dst) {
-				return dataset.Malicious
-			}
-		}
-		return dataset.Benign
-	}
-}
-
-func containsAddr(addrs []packet.Addr, a packet.Addr) bool {
-	for _, x := range addrs {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }

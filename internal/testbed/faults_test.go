@@ -48,12 +48,12 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 				MeanUp:   40 * time.Second,
 				MeanDown: 2 * time.Second,
 			},
-			Faults: fourKindPlan(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tb.Start()
+		tb.Injector().Schedule(fourKindPlan())
 		tb.ScheduleAttackWave(40*time.Second, 3*time.Second,
 			tb.DefaultAttackWave(10*time.Second, 200))
 		if err := tb.Run(2 * time.Minute); err != nil {
@@ -135,11 +135,12 @@ func TestChurnDoesNotResurrectStoppedDevice(t *testing.T) {
 func TestFaultCrashedDeviceIsRevivedBySupervisor(t *testing.T) {
 	var p faults.Plan
 	p.Add(faults.Event{Kind: faults.Crash, At: 5 * time.Second, Targets: []string{"dev00*"}})
-	tb, err := New(Config{Seed: 3, NumDevices: 2, Faults: p})
+	tb, err := New(Config{Seed: 3, NumDevices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb.Start()
+	tb.Injector().Schedule(p)
 	if err := tb.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}

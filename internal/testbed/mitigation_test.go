@@ -25,7 +25,7 @@ func mitigatedDrive(t *testing.T, tb *Testbed) {
 	})
 	tb.AttachIDS(unit)
 	tb.AttachMitigation(unit, MitigationConfig{})
-	waves(12*time.Second, 2*time.Second, 4*time.Second, 1500, 30*time.Second)(t, tb)
+	withChaos(waves(12*time.Second, 2*time.Second, 4*time.Second, 1500, 30*time.Second))(t, tb)
 	unit.Flush()
 }
 

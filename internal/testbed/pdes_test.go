@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/sim"
-	"ddoshield/internal/telemetry"
 )
 
 // tracedCampaign is the standard determinism scenario: scan/infect, an
@@ -61,9 +59,9 @@ func TestPDESDeterminism(t *testing.T) {
 // switches + group-local HTTP servers) to the same byte-identity bar.
 // The attack wave matters: flood packets from bots in different domains
 // converge on the core switch at identical instants, which is exactly
-// the same-time cross-domain collision the tail-phase arrival queue
-// normalizes. Without that normalization this scenario diverges (switch
-// MAC learning is arrival-order sensitive).
+// the same-time cross-domain collision keyed delivery events put in one
+// order. Without that order this scenario diverges (switch MAC learning is
+// arrival-order sensitive).
 func TestPDESEdgeServerDeterminism(t *testing.T) {
 	cfg := Config{
 		Seed:         7,
@@ -168,13 +166,16 @@ func TestWorkersDefault(t *testing.T) {
 // with Domains=2 must construct AND run (they were hard errors before),
 // while genuinely inconsistent configs still fail.
 func TestPDESConfigValidation(t *testing.T) {
-	mustRun := func(label string, cfg Config) {
+	mustRun := func(label string, cfg Config, plans ...faults.Plan) {
 		t.Helper()
 		tb, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s with Domains=2 rejected: %v", label, err)
 		}
 		tb.Start()
+		for _, p := range plans {
+			tb.Injector().Schedule(p)
+		}
 		if err := tb.Run(3 * time.Second); err != nil {
 			t.Fatalf("%s with Domains=2 failed to run: %v", label, err)
 		}
@@ -185,7 +186,7 @@ func TestPDESConfigValidation(t *testing.T) {
 		Seed: 1, NumDevices: 4, Domains: 2,
 		Churn: ChurnConfig{Enabled: true, MeanUp: time.Second, MeanDown: 500 * time.Millisecond},
 	})
-	mustRun("fault plan", Config{Seed: 2, NumDevices: 4, Domains: 2, Faults: plan})
+	mustRun("fault plan", Config{Seed: 2, NumDevices: 4, Domains: 2}, plan)
 	mustRun("lossy links", Config{
 		Seed: 3, NumDevices: 4, Domains: 2,
 		Link:      netsim.LinkConfig{LossProb: 0.05},
@@ -225,13 +226,24 @@ func chaosPlan() faults.Plan {
 	return p
 }
 
-// faultedCampaign is tracedCampaign with the full chaos stack enabled:
-// device churn (mean up-time meanUp), the five-kind fault plan, and random
-// loss on both the access links and the cross-domain trunks.
+// withChaos arms the five-kind fault plan right after Start and hands the
+// testbed on to drive (whose own Start is then a no-op).
+func withChaos(drive func(*testing.T, *Testbed)) func(*testing.T, *Testbed) {
+	return func(t *testing.T, tb *Testbed) {
+		t.Helper()
+		tb.Start()
+		tb.Injector().Schedule(chaosPlan())
+		drive(t, tb)
+	}
+}
+
+// faultedCampaign is tracedCampaign with the chaos stack's configuration
+// enabled — device churn (mean up-time meanUp) and random loss on both the
+// access links and the cross-domain trunks; its drive adds the fault plan
+// (withChaos).
 func faultedCampaign(meanUp time.Duration) Config {
 	cfg := tracedCampaign()
 	cfg.Churn = ChurnConfig{Enabled: true, MeanUp: meanUp, MeanDown: time.Second}
-	cfg.Faults = chaosPlan()
 	cfg.Link = netsim.LinkConfig{LossProb: 0.01}
 	cfg.TrunkLink = netsim.LinkConfig{LossProb: 0.02}
 	return cfg
@@ -248,7 +260,7 @@ func TestPDESFaultedCampaignDeterminism(t *testing.T) {
 		t.Skip("faulted determinism matrix is slow")
 	}
 	runs := requireSameAcrossModes(t, modes(faultedCampaign(8*time.Second),
-		[2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0}), tracedWaves)
+		[2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0}), withChaos(tracedWaves))
 	if !strings.Contains(runs[0].summary, "faults") {
 		t.Fatalf("faulted baseline injected nothing:\n%s", runs[0].summary)
 	}
@@ -257,39 +269,38 @@ func TestPDESFaultedCampaignDeterminism(t *testing.T) {
 	}
 }
 
-// TestPDESEngineTelemetry checks the per-domain gauges land in the
-// dedicated engine registry and reflect real execution.
+// TestPDESEngineTelemetry checks the engine's and every domain's execution
+// counters reflect a real partitioned run.
 func TestPDESEngineTelemetry(t *testing.T) {
 	tb, err := New(Config{Seed: 9, NumDevices: 6, DeviceGroups: 3, Domains: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.EngineMetrics() == nil || tb.Engine() == nil {
-		t.Fatal("partitioned testbed must expose engine + engine metrics")
+	e := tb.Engine()
+	if e == nil || e.NumDomains() != 3 || e.Lookahead() <= 0 {
+		t.Fatalf("partitioned testbed must expose a 3-domain engine with a lookahead: %+v", e)
 	}
 	tb.Start()
 	if err := tb.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Engine().Epochs() == 0 {
+	if e.Epochs() == 0 {
 		t.Fatal("engine executed no epochs")
 	}
-	for i := 0; i < tb.Engine().NumDomains(); i++ {
-		st := tb.Engine().Domain(i).Stats()
-		if st.Events == 0 {
-			t.Fatalf("domain %d fired no events", i)
+	var out, in uint64
+	for i := 0; i < e.NumDomains(); i++ {
+		st := e.Domain(i).Stats()
+		if st.Events == 0 || st.BarrierWaits != e.Epochs() {
+			t.Fatalf("domain %d: %d events, %d barrier waits over %d epochs", i, st.Events, st.BarrierWaits, e.Epochs())
 		}
 		if i > 0 && (st.MsgsIn == 0 || st.MsgsOut == 0) {
 			t.Fatalf("domain %d exchanged no cross-domain messages: %+v", i, st)
 		}
+		out, in = out+st.MsgsOut, in+st.MsgsIn
 	}
-	var b bytes.Buffer
-	if err := telemetry.WritePrometheus(&b, tb.EngineMetrics()); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sim_engine_epochs_total", "sim_domain_events_total", "sim_domain_msgs_out_total"} {
-		if !bytes.Contains(b.Bytes(), []byte(want)) {
-			t.Fatalf("engine metrics missing %s:\n%s", want, b.String())
-		}
+	// Run merges only at the head of an epoch, so what the last window sent
+	// is still in its outbox.
+	if in == 0 || in > out {
+		t.Fatalf("%d messages received, %d sent", in, out)
 	}
 }

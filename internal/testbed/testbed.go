@@ -139,24 +139,10 @@ type Config struct {
 	Link netsim.LinkConfig
 	// Churn configures device reboots.
 	Churn ChurnConfig
-	// TapSwitch captures at the switch (all segment traffic) instead of
-	// the TServer uplink only.
-	TapSwitch bool
 	// ReinfectCooldown is how long the loader leaves a freshly infected
 	// device alone before re-probing (default 45 s, so churned devices
 	// rejoin the botnet quickly at testbed timescales).
 	ReinfectCooldown time.Duration
-	// Faults is the fault-injection timeline, scheduled (relative to
-	// Start) on every registered container. See the faults package.
-	Faults faults.Plan
-	// Supervision tunes the per-device supervisors (restart policy,
-	// backoff, health probes). The zero value restarts crashed devices
-	// with default backoff; churn, when enabled, overrides the restart
-	// delay with its exponential outage draw.
-	Supervision container.SupervisorConfig
-	// TraceCapacity sizes the flight recorder's ring buffer (default
-	// telemetry.DefaultRecorderCapacity; negative disables recording).
-	TraceCapacity int
 	// TraceSampleRate enables causal packet tracing: the fraction of flows
 	// (selected by a deterministic hash of the 5-tuple, seeded by Seed)
 	// whose packets carry per-hop spans. 0 disables tracing entirely;
@@ -338,13 +324,9 @@ type Testbed struct {
 	// device's domain, which is what lets churn run under the PDES engine.
 	churn map[*container.Container]*churnState
 
-	reg *telemetry.Registry
-	// engineReg holds the per-domain PDES gauges. They live in their own
-	// registry so the main Registry snapshot stays byte-identical across
-	// execution modes (serial runs have no domains to report).
-	engineReg *telemetry.Registry
-	rec       *telemetry.Recorder
-	tracer    *trace.Tracer
+	reg    *telemetry.Registry
+	rec    *telemetry.Recorder
+	tracer *trace.Tracer
 
 	idsUnits []*ids.Unit
 	// mitigations are the closed defense loops wired by AttachMitigation;
@@ -421,17 +403,9 @@ func New(cfg Config) (*Testbed, error) {
 	// Telemetry hub first, so every NIC, link and switch created below
 	// registers its counters at construction time.
 	tb.reg = telemetry.NewRegistry()
-	traceCap := cfg.TraceCapacity
-	if traceCap == 0 {
-		traceCap = telemetry.DefaultRecorderCapacity
-	}
-	if traceCap > 0 {
-		tb.rec = telemetry.NewRecorder(traceCap)
-	}
+	tb.rec = telemetry.NewRecorder(telemetry.DefaultRecorderCapacity)
 	tb.network.SetTelemetry(tb.reg, tb.rec)
-	if tb.rec != nil {
-		tb.reg.RegisterCounter(tb.rec.Dropped(), "telemetry_recorder_dropped_total")
-	}
+	tb.reg.RegisterCounter(tb.rec.Dropped(), "telemetry_recorder_dropped_total")
 	if cfg.TraceSampleRate > 0 {
 		tb.tracer = trace.New(trace.Config{
 			Seed:         cfg.Seed,
@@ -604,7 +578,6 @@ func New(cfg Config) (*Testbed, error) {
 			la = sim.Millisecond
 		}
 		tb.engine.SetLookahead(la)
-		tb.registerEngineMetrics()
 		if tb.prof != nil {
 			tb.engine.SetProbe(tb.prof)
 		}
@@ -841,24 +814,6 @@ func (tb *Testbed) createIn(st *netsim.Stage, spec container.Spec, sw *netsim.Sw
 	return c, nil
 }
 
-// registerEngineMetrics publishes the PDES engine's per-domain execution
-// gauges into a dedicated registry (see Testbed.EngineMetrics).
-func (tb *Testbed) registerEngineMetrics() {
-	tb.engineReg = telemetry.NewRegistry()
-	reg, e := tb.engineReg, tb.engine
-	reg.RegisterCounterFunc(func() uint64 { return e.Epochs() }, "sim_engine_epochs_total")
-	reg.RegisterGaugeFunc(func() float64 { return float64(e.Lookahead()) }, "sim_engine_lookahead_ns")
-	for i := 0; i < e.NumDomains(); i++ {
-		d := e.Domain(i)
-		l := telemetry.L("domain", fmt.Sprintf("%d", i))
-		reg.RegisterCounterFunc(func() uint64 { return d.Stats().Events }, "sim_domain_events_total", l)
-		reg.RegisterCounterFunc(func() uint64 { return d.Stats().BarrierWaits }, "sim_domain_barrier_waits_total", l)
-		reg.RegisterCounterFunc(func() uint64 { return d.Stats().MsgsOut }, "sim_domain_msgs_out_total", l)
-		reg.RegisterCounterFunc(func() uint64 { return d.Stats().MsgsIn }, "sim_domain_msgs_in_total", l)
-		reg.RegisterGaugeFunc(func() float64 { return float64(d.Stats().HorizonLag) }, "sim_domain_horizon_lag_ns", l)
-	}
-}
-
 // registerCampaignMetrics exposes botnet campaign and fleet-health state as
 // export-time metrics: the infection curve, C2 population, attacker
 // progress and container crash/restart totals.
@@ -899,7 +854,7 @@ func (tb *Testbed) registerCampaignMetrics() {
 // Registry exposes the testbed's metrics registry.
 func (tb *Testbed) Registry() *telemetry.Registry { return tb.reg }
 
-// Recorder exposes the flight recorder (nil when TraceCapacity < 0).
+// Recorder exposes the flight recorder.
 func (tb *Testbed) Recorder() *telemetry.Recorder { return tb.rec }
 
 // Tracer exposes the causal packet tracer (nil unless Config.TraceSampleRate
@@ -918,8 +873,9 @@ func (tb *Testbed) allContainers() []*container.Container {
 }
 
 // Start brings every container up (TServer first, then C2, attacker and
-// devices), attaches a supervisor to each device, schedules churn reboots
-// when enabled, and arms the configured fault plan.
+// devices), attaches a supervisor to each device and schedules churn reboots
+// when enabled. A fault plan is armed with Injector().Schedule, whose
+// offsets count from the instant of the call.
 func (tb *Testbed) Start() {
 	if tb.started {
 		return
@@ -942,40 +898,27 @@ func (tb *Testbed) Start() {
 			tb.scheduleChurn(c)
 		}
 	}
-	if !tb.cfg.Faults.Empty() {
-		tb.injector.Schedule(tb.cfg.Faults)
-	}
 }
 
-// deviceSupervision builds the supervisor config for one device container:
-// Config.Supervision with testbed policy on top. Crashed devices restart by
-// default; with churn enabled the restart delay is the device's own churn
-// stream's exponential outage draw and every supervised restart re-arms the
-// next churn cycle. Both draws come from the same per-device RNG, so a
-// device's up/down sequence depends only on its own reboot history — never
-// on how other devices' events interleave, in either execution mode.
+// deviceSupervision builds the supervisor config for one device container.
+// Crashed devices restart with the default backoff; with churn enabled the
+// restart delay is the device's own churn stream's exponential outage draw
+// and every supervised restart re-arms the next churn cycle. Both draws come
+// from the same per-device RNG, so a device's up/down sequence depends only
+// on its own reboot history — never on how other devices' events interleave,
+// in either execution mode.
 func (tb *Testbed) deviceSupervision(c *container.Container) container.SupervisorConfig {
-	cfg := tb.cfg.Supervision
-	if cfg.Policy == container.RestartNever {
-		cfg.Policy = container.RestartOnFailure
+	if !tb.cfg.Churn.Enabled {
+		return container.SupervisorConfig{Policy: container.RestartOnFailure}
 	}
-	if tb.cfg.Churn.Enabled {
-		cfg.Policy = container.RestartAlways
-		if cfg.Delay == nil {
-			st := tb.churn[c]
-			cfg.Delay = func(int) time.Duration {
-				return time.Duration(st.rng.Exp(float64(tb.cfg.Churn.MeanDown)))
-			}
-		}
-		prev := cfg.OnRestart
-		cfg.OnRestart = func(c *container.Container) {
-			tb.scheduleChurn(c)
-			if prev != nil {
-				prev(c)
-			}
-		}
+	st := tb.churn[c]
+	return container.SupervisorConfig{
+		Policy: container.RestartAlways,
+		Delay: func(int) time.Duration {
+			return time.Duration(st.rng.Exp(float64(tb.cfg.Churn.MeanDown)))
+		},
+		OnRestart: tb.scheduleChurn,
 	}
-	return cfg
 }
 
 // scheduleChurn arms the next reboot for one device container, on the
@@ -1027,11 +970,6 @@ func (tb *Testbed) Workers() int {
 
 // Engine exposes the PDES engine (nil when Domains <= 1).
 func (tb *Testbed) Engine() *sim.Engine { return tb.engine }
-
-// EngineMetrics exposes the per-domain PDES gauges' registry (nil when
-// serial). Kept separate from Registry so the primary metrics snapshot is
-// byte-identical across execution modes.
-func (tb *Testbed) EngineMetrics() *telemetry.Registry { return tb.engineReg }
 
 // Scheduler exposes the simulation scheduler (domain 0's when partitioned).
 func (tb *Testbed) Scheduler() *sim.Scheduler { return tb.sched }
@@ -1166,27 +1104,15 @@ func (tb *Testbed) HTTPServer() *httpapp.Server  { return tb.httpSrv }
 func (tb *Testbed) VideoServer() *rtmpapp.Server { return tb.rtmpSrv }
 func (tb *Testbed) FTPServer() *ftpapp.Server    { return tb.ftpSrv }
 
-// AddTap installs a capture tap at the configured observation point: the
-// TServer uplink by default (where benign and attack traffic converge, as
-// the paper's IDS observes), or the whole switch with Config.TapSwitch.
-func (tb *Testbed) AddTap(tap netsim.Tap) {
-	if tb.cfg.TapSwitch {
-		tb.sw.AddTap(tap)
-		return
-	}
-	tb.tserver.Link().AddTap(tap)
-}
+// AddTap installs a capture tap at the observation point: the TServer
+// uplink, where benign and attack traffic converge, as the paper's IDS
+// observes. (Switch().AddTap is the span-port alternative.)
+func (tb *Testbed) AddTap(tap netsim.Tap) { tb.tserver.Link().AddTap(tap) }
 
 // AddTapCtx installs a trace-context-aware capture tap at the same
 // observation point AddTap uses, so sampled packets' causal chains extend
 // into the consumer (the IDS joins its window spans here).
-func (tb *Testbed) AddTapCtx(tap netsim.TapCtx) {
-	if tb.cfg.TapSwitch {
-		tb.sw.AddTapCtx(tap)
-		return
-	}
-	tb.tserver.Link().AddTapCtx(tap)
-}
+func (tb *Testbed) AddTapCtx(tap netsim.TapCtx) { tb.tserver.Link().AddTapCtx(tap) }
 
 // AttachIDS wires a detection unit into the testbed's observation point via
 // its trace-aware tap and registers ids_detection_latency_seconds{unit=...}:
@@ -1261,38 +1187,14 @@ func (tb *Testbed) DefaultAttackWave(dur time.Duration, pps int) []botnet.Comman
 	}
 }
 
-// Labeler returns the exact ground-truth oracle for this testbed:
-//   - any packet to or from the attacker (telnet scanning, loading)
-//   - any packet to or from the C2 (registration, keepalive, commands)
-//   - any packet whose source or destination lies in the spoof range
-//     (forged floods and their backscatter)
-//   - any UDP packet to or from the TServer (no benign service uses UDP,
-//     so UDP at the TServer is flood traffic by construction)
-//
-// is malicious; everything else is benign.
-func (tb *Testbed) Labeler() func(b *features.Basic) int {
-	return func(b *features.Basic) int {
-		switch {
-		case b.Src == addrAttacker || b.Dst == addrAttacker:
-			return dataset.Malicious
-		case b.Src == addrC2 || b.Dst == addrC2:
-			return dataset.Malicious
-		case DefaultSpoofRange.Contains(b.Src) || DefaultSpoofRange.Contains(b.Dst):
-			return dataset.Malicious
-		case b.Proto == packet.ProtoUDP && (b.Src == addrTServer || b.Dst == addrTServer):
-			return dataset.Malicious
-		}
-		return dataset.Benign
-	}
-}
-
-// classifyFlow is the tracer's flow-kind oracle, mirroring Labeler on the
-// trace.Flow 5-tuple: C2 traffic is KindC2, attacker/spoofed/UDP-at-TServer
-// traffic is KindAttack, everything else KindBenign. Flood engines tag
-// their origins KindAttack directly, so this mainly classifies netstack
-// origins (benign app flows, C2 sessions, scanner probes).
-func classifyFlow(f trace.Flow) trace.Kind {
-	src, dst := packet.AddrFromUint32(f.Src), packet.AddrFromUint32(f.Dst)
+// groundTruth is the testbed's exact traffic oracle, the one statement of
+// the policy behind Labeler and the tracer's flow kinds. Anything to or from
+// the C2 (registration, keepalive, commands) is botnet control traffic.
+// Attack traffic is anything to or from the attacker (telnet scanning,
+// loading), anything with an end in the spoof range (forged floods and their
+// backscatter), and UDP at the TServer (no benign service uses UDP, so it is
+// flood traffic by construction). Everything else is benign.
+func groundTruth(src, dst packet.Addr, proto uint8) trace.Kind {
 	switch {
 	case src == addrC2 || dst == addrC2:
 		return trace.KindC2
@@ -1300,8 +1202,27 @@ func classifyFlow(f trace.Flow) trace.Kind {
 		return trace.KindAttack
 	case DefaultSpoofRange.Contains(src) || DefaultSpoofRange.Contains(dst):
 		return trace.KindAttack
-	case f.Proto == packet.ProtoUDP && (src == addrTServer || dst == addrTServer):
+	case proto == packet.ProtoUDP && (src == addrTServer || dst == addrTServer):
 		return trace.KindAttack
 	}
 	return trace.KindBenign
+}
+
+// Labeler returns the dataset labeler for this testbed: malicious for C2 and
+// attack traffic (see groundTruth), benign for everything else.
+func (tb *Testbed) Labeler() func(b *features.Basic) int {
+	return func(b *features.Basic) int {
+		if groundTruth(b.Src, b.Dst, b.Proto) != trace.KindBenign {
+			return dataset.Malicious
+		}
+		return dataset.Benign
+	}
+}
+
+// classifyFlow is the tracer's flow-kind oracle: groundTruth on the
+// trace.Flow 5-tuple. Flood engines tag their origins KindAttack directly,
+// so this mainly classifies netstack origins (benign app flows, C2 sessions,
+// scanner probes).
+func classifyFlow(f trace.Flow) trace.Kind {
+	return groundTruth(packet.AddrFromUint32(f.Src), packet.AddrFromUint32(f.Dst), f.Proto)
 }
