@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,20 +23,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "detect:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("detect", flag.ContinueOnError)
 	var (
-		modelPath = flag.String("model", "", "trained model file (required)")
-		pcapPath  = flag.String("pcap", "", "capture to replay (required)")
-		window    = flag.Duration("window", time.Second, "aggregation window")
-		verbose   = flag.Bool("v", false, "print every window, not only alerts")
+		modelPath = fs.String("model", "", "trained model file (required)")
+		pcapPath  = fs.String("pcap", "", "capture to replay (required)")
+		window    = fs.Duration("window", time.Second, "aggregation window")
+		verbose   = fs.Bool("v", false, "print every window, not only alerts")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *modelPath == "" || *pcapPath == "" {
 		return fmt.Errorf("-model and -pcap are required")
 	}
@@ -62,7 +66,7 @@ func run() error {
 	defer p.Release()
 	for {
 		rec, err := r.Next()
-		if err == io.EOF {
+		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
@@ -75,22 +79,27 @@ func run() error {
 	}
 	unit.Flush()
 
+	results := unit.Results()
 	alerts := 0
-	for _, w := range unit.Results() {
+	for _, w := range results {
 		if w.Alert {
 			alerts++
 		}
 		if w.Alert || *verbose {
-			verdict := "benign"
-			if w.Alert {
-				verdict = "ATTACK"
-			}
-			fmt.Printf("%8s  %-6s  %6d pkts  %6d flagged\n",
-				w.Start, verdict, w.Packets, w.PredMalicious)
+			printWindow(stdout, w)
 		}
 	}
-	fmt.Printf("model %s over %d frames: %d windows, %d alerts, %.1f ms compute\n",
-		model.Name(), frames, len(unit.Results()), alerts,
+	fmt.Fprintf(stdout, "model %s over %d frames: %d windows, %d alerts, %.1f ms compute\n",
+		model.Name(), frames, len(results), alerts,
 		float64(unit.CPUTime().Microseconds())/1000)
 	return nil
+}
+
+// printWindow renders one window's verdict line.
+func printWindow(w io.Writer, r ids.WindowResult) {
+	verdict := "benign"
+	if r.Alert {
+		verdict = "ATTACK"
+	}
+	fmt.Fprintf(w, "%8s  %-6s  %6d pkts  %6d flagged\n", r.Start, verdict, r.Packets, r.PredMalicious)
 }

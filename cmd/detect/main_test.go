@@ -1,0 +1,134 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"ddoshield/internal/dataset"
+	"ddoshield/internal/features"
+	"ddoshield/internal/ids"
+	"ddoshield/internal/ml/kmeans"
+	"ddoshield/internal/ml/modelio"
+	"ddoshield/internal/packet"
+	"ddoshield/internal/pcap"
+	"ddoshield/internal/sim"
+)
+
+// capture is a short recording at microsecond instants (pcap's resolution):
+// a quiet second, a second of spoofed SYNs, a quiet second.
+func capture() *pcap.Buffer {
+	buf := pcap.NewBuffer(0)
+	tap := buf.Tap()
+	server := packet.AddrFrom4(10, 0, 1, 1)
+	for w := 0; w < 3; w++ {
+		for i := 0; i < 120; i++ {
+			at := sim.Time(w)*sim.Second + sim.Time(i)*7*sim.Millisecond
+			ip := packet.IPv4{TTL: 64, Src: packet.AddrFrom4(10, 0, 0, byte(5+i%3)), Dst: server}
+			tcp := packet.TCP{SrcPort: uint16(40000 + i%3), DstPort: 80, Seq: uint32(1000 + i), Flags: packet.FlagACK | packet.FlagPSH, Window: 512}
+			payload := []byte("data")
+			if w == 1 && i%6 != 0 {
+				ip.Src = packet.AddrFrom4(10, 0, 200, byte(i))
+				tcp = packet.TCP{SrcPort: uint16(1024 + i*37), DstPort: 80, Seq: uint32(i) * 2654435761, Flags: packet.FlagSYN, Window: 512}
+				payload = nil
+			}
+			tap(at, packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2), ip, tcp, payload))
+		}
+	}
+	return buf
+}
+
+// TestReplayMatchesLiveUnit drives the command over a capture and a saved
+// model, and a live unit over the same frames through its tap: the offline
+// half of the detection path prints the windows the online half scores.
+func TestReplayMatchesLiveUnit(t *testing.T) {
+	buf := capture()
+	dir := t.TempDir()
+	pcapPath, modelPath := filepath.Join(dir, "run.pcap"), filepath.Join(dir, "kmeans.model")
+	f, err := os.Create(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buf.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A tiny K-Means bundle trained on the capture's own vectors.
+	ds := dataset.New(features.Names())
+	e := features.NewExtractor(time.Second, func(w *features.Window) {
+		for i, x := range w.Vectors() {
+			label := dataset.Benign
+			if w.Packets[i].Src[2] == 200 {
+				label = dataset.Malicious
+			}
+			ds.Add(x, label)
+		}
+	})
+	p := packet.Acquire()
+	defer p.Release()
+	for _, rec := range buf.Records() {
+		if err := packet.DecodeInto(p, rec.Time, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+		e.AddPacket(p)
+	}
+	e.Flush()
+	scaler := dataset.FitStandard(ds)
+	scaler.Apply(ds)
+	xs, ys := ds.XY()
+	km, err := kmeans.Train(kmeans.Config{InitClusters: 4, Seed: 1}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := modelio.SaveBundleFile(modelPath, modelio.Bundle{Model: km, Scaler: scaler}); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"-model", modelPath, "-pcap", pcapPath, "-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+
+	live := ids.New(ids.Config{Model: km, Scaler: scaler, Window: time.Second})
+	tap := live.Tap()
+	for _, rec := range buf.Records() {
+		tap(rec.Time, rec.Data)
+	}
+	live.Flush()
+	var want bytes.Buffer
+	alerts := 0
+	for _, r := range live.Results() {
+		printWindow(&want, r)
+		if r.Alert {
+			alerts++
+		}
+	}
+	if alerts != 1 || len(live.Results()) != 3 {
+		t.Fatalf("the live unit saw %d windows and %d alerts; the capture has 3 and 1:\n%s", len(live.Results()), alerts, want.String())
+	}
+	windows, summary, _ := strings.Cut(out.String(), "model ")
+	if windows != want.String() {
+		t.Fatalf("replayed windows:\n%s\nlive windows:\n%s", windows, want.String())
+	}
+	if !strings.HasPrefix(summary, "kmeans over 360 frames: 3 windows, 1 alerts, ") {
+		t.Fatalf("summary line: %q", summary)
+	}
+
+	// Without -v only the alert is printed.
+	out.Reset()
+	if err := run([]string{"-model", modelPath, "-pcap", pcapPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "\n"); got != 2 || !strings.Contains(out.String(), "ATTACK") {
+		t.Fatalf("quiet output:\n%s", out.String())
+	}
+	if err := run([]string{"-pcap", pcapPath}, &out); err == nil {
+		t.Fatal("a run without -model succeeded")
+	}
+}

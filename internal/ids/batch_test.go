@@ -169,37 +169,51 @@ func TestWindowResultsMatchPerPacketPredict(t *testing.T) {
 	}
 }
 
-// TestCPUCountedOnce feeds windows costly enough that their classification
-// dominates the loop: every nanosecond the unit reports is one the caller
-// spent inside Feed or Flush, so the total cannot exceed the wall clock
-// around them, and the meter sees exactly what CPUTime reports.
+// TestCPUCountedOnce feeds windows whose classification dominates the loop
+// (the model sleeps before every batch) to a unit that works on two
+// goroutines. The unit's CPU is compute, counted once: the windows' goroutines
+// report what they spent classifying, the caller what it spent in Feed, Flush
+// and the folds, and the time the caller sat waiting for verdicts is nobody's.
+// Counting that wait (it is as long as the classification it waits for) would
+// double the figure, so the caller's share — CPUTime less what the model
+// itself measured inside PredictBatch — must stay far below the model's. The
+// per-window figures sum to no more than the unit's, and the meter sees
+// exactly what CPUTime reports.
 func TestCPUCountedOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cfg := trainedDetectors(t, windowsOf(rng, []int{300, 300}))["cnn"]
-	m := &fakeMeter{}
-	cfg.Meter = m
-	u := New(cfg)
+	slow := &slowModel{inner: cfg.Model, delay: 2 * time.Millisecond}
+	cfg.Model = slow
 	frames := windowsOf(rng, []int{1500, 1500, 1500, 1500})
-	start := time.Now()
-	for _, p := range frames {
-		u.Feed(p)
-	}
-	u.Flush()
-	wall := time.Since(start)
-	if u.CPUTime() != m.total {
-		t.Fatalf("CPUTime %v, meter %v", u.CPUTime(), m.total)
-	}
-	if u.CPUTime() > wall {
-		t.Fatalf("CPUTime %v exceeds the %v wall clock around the feed loop", u.CPUTime(), wall)
-	}
-	var windows time.Duration
-	for _, r := range u.Results() {
-		if r.CPU <= 0 {
-			t.Fatalf("window at %v reports no CPU", r.Start)
+	for _, hooked := range []bool{false, true} {
+		slow.inside.Store(0)
+		m := &fakeMeter{}
+		cfg.Meter = m
+		u := New(cfg)
+		if hooked {
+			u.AddWindowHook(func(*WindowResult) {})
 		}
-		windows += r.CPU
-	}
-	if windows > u.CPUTime() {
-		t.Fatalf("windows sum to %v, more than the unit's %v", windows, u.CPUTime())
+		for _, p := range frames {
+			u.Feed(p)
+		}
+		u.Flush()
+		if u.CPUTime() != m.total {
+			t.Fatalf("hooked=%v: CPUTime %v, meter %v", hooked, u.CPUTime(), m.total)
+		}
+		model := time.Duration(slow.inside.Load())
+		if caller := u.CPUTime() - model; caller < 0 || caller > model/2 {
+			t.Fatalf("hooked=%v: CPUTime %v with %v inside the model leaves the caller %v: the wait for verdicts was counted",
+				hooked, u.CPUTime(), model, caller)
+		}
+		var windows time.Duration
+		for _, r := range u.Results() {
+			if r.CPU <= 0 {
+				t.Fatalf("window at %v reports no CPU", r.Start)
+			}
+			windows += r.CPU
+		}
+		if windows > u.CPUTime() || windows < model {
+			t.Fatalf("hooked=%v: windows sum to %v; the unit reports %v, the model measured %v", hooked, windows, u.CPUTime(), model)
+		}
 	}
 }

@@ -6,9 +6,21 @@
 // is recorded against the testbed's ground-truth oracle, exactly as §IV-D
 // evaluates the three models — and only accuracy, since single-class
 // windows make precision/recall undefined in real time.
+//
+// A closed window goes through three stages. The goroutine that feeds the
+// unit (its owner: the scheduler's in a live run, the reader's in a replay)
+// takes a snapshot of the window out of the extractor's reused storage; a
+// goroutine started for that window classifies the snapshot, which is all
+// the arithmetic and touches nothing else; and the owner folds the verdicts
+// back — scoring, alerting, tracing, hooks: every effect — at a point the
+// input alone fixes (see Unit.Join). The paper runs its IDS in a container
+// of its own beside NS-3; this is that container's independent execution.
 package ids
 
 import (
+	"fmt"
+	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"ddoshield/internal/dataset"
@@ -83,11 +95,16 @@ type WindowResult struct {
 	// classified malicious, capped at maxFlaggedFlows — the per-flow
 	// verdicts an inline mitigation stage installs.
 	FlaggedFlows []trace.Flow
-	// CPU is the compute time spent processing this window.
+	// CPU is the compute time spent on this window — snapshot,
+	// classification and scoring, on whichever goroutine each ran — and
+	// none of the time one goroutine waited for the other.
 	CPU time.Duration
 }
 
-// Unit is the real-time detection pipeline.
+// Unit is the real-time detection pipeline. It belongs to one goroutine at
+// a time, its owner: every method is the owner's to call, except
+// FirstCorrectAlertFolded and whatever a Config.Registry snapshot reads,
+// which are safe from anywhere.
 type Unit struct {
 	cfg       Config
 	extractor *features.Extractor
@@ -98,25 +115,59 @@ type Unit struct {
 	// cfg.OnWindow, in registration order.
 	hooks []func(r *WindowResult)
 
-	cpu     time.Duration
-	peakMem int64
+	// inflight is the window being classified, nil once folded. There is at
+	// most one: the next window is not snapshotted before this one is folded.
+	inflight *job
+
+	cpu time.Duration
+	// joinWall is the wall time Join took inside the Tap, Feed or Flush call
+	// now being timed. Join accounts for the compute in it (classification
+	// and fold) itself; the rest is waiting, which is nobody's CPU.
+	joinWall time.Duration
+	peakMem  int64
 	// One chunk of packets in flight through the model: the vectors, their
-	// row headers and the verdicts. Nothing here scales with the window.
+	// row headers and the verdicts. Nothing here scales with the window. The
+	// window's goroutine uses them while it runs, the owner never.
 	vecBuf   []float64
 	rows     [chunk][]float64
 	preds    [chunk]int
-	packets  uint64
-	alerts   uint64
 	detached bool
-	winCPU   *telemetry.Histogram
+
+	// Advanced at the fold and atomic, so a registry snapshot reads them
+	// from any goroutine without folding, blocking or racing.
+	packets, windows, alerts telemetry.Counter
+	winCPU                   *telemetry.Histogram
+	// firstCorrectAlert is when the unit first alerted on a window that
+	// truly contained malicious packets — the detection-latency end anchor
+	// (0: not yet; a window's end is never 0).
+	firstCorrectAlert atomic.Int64
 
 	// pending holds the "ids-window" spans of sampled packets in the
 	// currently open window; they finish with the window's verdict tag.
 	pending []trace.Context
-	// firstCorrectAlert is when the unit first alerted on a window that
-	// truly contained malicious packets — the detection-latency end anchor.
-	firstCorrectAlert     sim.Time
-	haveFirstCorrectAlert bool
+}
+
+// job is one closed window on its way through the pipeline. The owner
+// fills the snapshot and starts classify; until done is closed the verdicts
+// and the unit's chunk buffers are that goroutine's, everything else the
+// owner's; after it, all of it is the owner's again.
+type job struct {
+	// The snapshot: the window's packets and statistics, copied out of the
+	// extractor's storage (which the next window reuses), and the spans
+	// that wait for this window's verdict. Allocated per window and dropped
+	// at the fold: a recycled spare would be live heap for the whole run.
+	start sim.Time
+	pkts  []features.Basic
+	stats features.Stats
+	spans []trace.Context
+	// snapCPU is what taking the snapshot cost the owner.
+	snapCPU time.Duration
+
+	// Written by classify, read after done.
+	verdicts []uint8 // the model's class per packet; nil without a model
+	cpu      time.Duration
+	panicked error
+	done     chan struct{}
 }
 
 // maxPendingSpans caps verdict-pending spans per window so a fully sampled
@@ -140,9 +191,9 @@ func New(cfg Config) *Unit {
 	u := &Unit{cfg: cfg}
 	u.extractor = features.NewExtractor(cfg.Window, u.onWindow)
 	unit := telemetry.L("unit", cfg.Name)
-	cfg.Registry.RegisterCounterFunc(func() uint64 { return u.packets }, "ids_packets_total", unit)
-	cfg.Registry.RegisterCounterFunc(func() uint64 { return uint64(len(u.results)) }, "ids_windows_total", unit)
-	cfg.Registry.RegisterCounterFunc(func() uint64 { return u.alerts }, "ids_alerts_total", unit)
+	cfg.Registry.RegisterCounter(&u.packets, "ids_packets_total", unit)
+	cfg.Registry.RegisterCounter(&u.windows, "ids_windows_total", unit)
+	cfg.Registry.RegisterCounter(&u.alerts, "ids_alerts_total", unit)
 	u.winCPU = cfg.Registry.NewHistogram("ids_window_cpu_us", windowCPUBounds, unit)
 	return u
 }
@@ -153,8 +204,12 @@ func (u *Unit) Name() string { return u.cfg.Name }
 // AddWindowHook registers an additional per-window consumer on an already
 // constructed unit (Config.OnWindow still runs first). Response stages
 // attach here so one unit can feed detection metrics and mitigation at
-// the same time.
+// the same time. A unit with a consumer folds each window before the call
+// that closed it returns: what a hook does (the responder's rule installs)
+// belongs to the closing instant.
 func (u *Unit) AddWindowHook(fn func(r *WindowResult)) {
+	// A window closed before fn existed is not fn's to see.
+	u.Join()
 	u.hooks = append(u.hooks, fn)
 }
 
@@ -165,7 +220,7 @@ func (u *Unit) Tap() netsim.Tap {
 		if u.detached {
 			return
 		}
-		start := time.Now()
+		start := u.startTimer()
 		// Pooled decode: AddPacket copies the Basic features out by value,
 		// so the Packet never outlives the tap callback.
 		p := packet.Acquire()
@@ -173,7 +228,7 @@ func (u *Unit) Tap() netsim.Tap {
 			u.extractor.AddPacket(p)
 		}
 		p.Release()
-		u.addCPU(time.Since(start))
+		u.stopTimer(start)
 	}
 }
 
@@ -186,19 +241,19 @@ func (u *Unit) TapCtx() netsim.TapCtx {
 		if u.detached {
 			return
 		}
-		start := time.Now()
+		start := u.startTimer()
 		p := packet.Acquire()
 		if err := packet.DecodeInto(p, t, raw); err == nil {
 			p.Trace = tc
 			// AddPacket first: if this packet rotates the window, the old
-			// window's pending spans are flushed before this one enrolls.
+			// window's pending spans leave with it before this one enrolls.
 			u.extractor.AddPacket(p)
 			if tc.Sampled() && len(u.pending) < maxPendingSpans {
 				u.pending = append(u.pending, tc.Start(t, "ids-window", u.cfg.Name))
 			}
 		}
 		p.Release()
-		u.addCPU(time.Since(start))
+		u.stopTimer(start)
 	}
 }
 
@@ -206,24 +261,35 @@ func (u *Unit) TapCtx() netsim.TapCtx {
 // window that truly contained attack traffic (the per-scenario detection
 // latency's end anchor), and whether that has happened.
 func (u *Unit) FirstCorrectAlert() (sim.Time, bool) {
-	return u.firstCorrectAlert, u.haveFirstCorrectAlert
+	u.Join()
+	return u.FirstCorrectAlertFolded()
+}
+
+// FirstCorrectAlertFolded is FirstCorrectAlert over the windows folded so
+// far: it neither joins nor blocks and is safe from any goroutine, which
+// is what a gauge evaluated by a registry snapshot needs.
+func (u *Unit) FirstCorrectAlertFolded() (sim.Time, bool) {
+	t := u.firstCorrectAlert.Load()
+	return sim.Time(t), t != 0
 }
 
 // Feed classifies an already-dissected packet (offline replay path).
 func (u *Unit) Feed(p *packet.Packet) {
-	start := time.Now()
+	start := u.startTimer()
 	u.extractor.AddPacket(p)
-	u.addCPU(time.Since(start))
+	u.stopTimer(start)
 }
 
-// Flush closes the trailing window. Call at end of run.
+// Flush closes the trailing window and folds it. Call at end of run.
 func (u *Unit) Flush() {
-	start := time.Now()
+	start := u.startTimer()
 	u.extractor.Flush()
-	u.addCPU(time.Since(start))
+	u.Join()
+	u.stopTimer(start)
 }
 
-// Detach stops consuming tapped traffic.
+// Detach stops consuming tapped traffic. A window in flight is still folded
+// at the next fold point.
 func (u *Unit) Detach() { u.detached = true }
 
 func (u *Unit) addCPU(d time.Duration) {
@@ -233,6 +299,17 @@ func (u *Unit) addCPU(d time.Duration) {
 	}
 }
 
+// startTimer and stopTimer bracket one Tap, Feed or Flush call and charge
+// the unit the caller's compute in it: the wall clock less the joins inside.
+func (u *Unit) startTimer() time.Time {
+	u.joinWall = 0
+	return time.Now()
+}
+
+func (u *Unit) stopTimer(start time.Time) {
+	u.addCPU(time.Since(start) - u.joinWall)
+}
+
 // chunk is how many packets of a closed window are vectorized and
 // classified per ml.PredictBatch call: large enough that a batch kernel's
 // per-call cost and the first row's full computation amortize, small enough
@@ -240,93 +317,179 @@ func (u *Unit) addCPU(d time.Duration) {
 // grow with the window.
 const chunk = 64
 
-// onWindow runs preprocessing + detection for one closed window.
+// onWindow takes one closed window from the extractor: it folds the window
+// before it, snapshots this one and starts its classification. Only a unit
+// with a consumer waits for the verdicts here.
 func (u *Unit) onWindow(w *features.Window) {
+	u.Join()
 	start := time.Now()
-	res := WindowResult{Start: w.Start, Packets: len(w.Packets)}
-	// Track the window buffer high-water mark for the memory report.
+	j := &job{
+		start: w.Start,
+		pkts:  append([]features.Basic(nil), w.Packets...),
+		stats: w.Stats,
+		spans: u.pending,
+		done:  make(chan struct{}),
+	}
+	u.pending = nil
+	// Track the high-water mark for the memory report.
 	if mem := u.liveMem(len(w.Packets)); mem > u.peakMem {
 		u.peakMem = mem
 	}
+	u.inflight = j
+	j.snapCPU = time.Since(start)
+	go u.classify(j)
+	if u.cfg.OnWindow != nil || len(u.hooks) > 0 {
+		u.Join()
+	}
+}
+
+// classify is the window's own goroutine: vectors, scaling and prediction,
+// chunk by chunk, into one verdict per packet. It reads the snapshot and
+// the (immutable) model and scaler, writes j's result fields and the
+// unit's chunk buffers, and touches nothing else of the unit. A panicking
+// model is caught here, where nothing could recover it, and re-raised by
+// Join on the owner's goroutine.
+func (u *Unit) classify(j *job) {
+	defer close(j.done)
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicked = fmt.Errorf("ids: unit %s: classifying the window at %v: panic: %v\n%s",
+				u.cfg.Name, j.start, r, debug.Stack())
+		}
+	}()
+	if u.cfg.Model == nil {
+		return
+	}
+	start := time.Now()
+	j.verdicts = make([]uint8, len(j.pkts))
+	for lo := 0; lo < len(j.pkts); lo += chunk {
+		pkts := j.pkts[lo:min(lo+chunk, len(j.pkts))]
+		buf := u.vecBuf[:0]
+		for i := range pkts {
+			buf = features.AppendVector(buf, &pkts[i], &j.stats)
+		}
+		u.vecBuf = buf
+		// Rows are cut after the fill: growing buf on first use moves it.
+		nf := len(buf) / len(pkts)
+		rows := u.rows[:len(pkts)]
+		for i := range rows {
+			rows[i] = buf[i*nf : (i+1)*nf : (i+1)*nf]
+			if u.cfg.Scaler != nil {
+				u.cfg.Scaler.Transform(rows[i])
+			}
+		}
+		ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
+		for i := range pkts {
+			j.verdicts[lo+i] = uint8(u.preds[i])
+		}
+	}
+	j.cpu = time.Since(start)
+}
+
+// Join folds the window in flight, if there is one: it waits for the
+// window's goroutine and applies the verdicts. Every fold happens here, on
+// the owner's goroutine, and Join is called at points the input alone
+// fixes, so a run's results do not depend on how the two goroutines were
+// scheduled: before the next window is snapshotted; in Flush; in every
+// accessor below; as soon as the window is dispatched when the unit has a
+// Config.OnWindow or AddWindowHook consumer; and by testbed.Testbed.Run
+// when it returns. Callers need not call it: there is nothing to close and
+// no goroutine outlives its window.
+func (u *Unit) Join() {
+	j := u.inflight
+	if j == nil {
+		return
+	}
+	start := time.Now()
+	<-j.done
+	waited := time.Since(start)
+	u.inflight = nil
+	if j.panicked != nil {
+		panic(j.panicked)
+	}
+	u.fold(j)
+	wall := time.Since(start)
+	u.joinWall += wall
+	u.addCPU(j.cpu + wall - waited)
+}
+
+// fold applies one classified window: every effect of detection, in the
+// order a unit that classified inline would have had them.
+func (u *Unit) fold(j *job) {
+	start := time.Now()
+	res := WindowResult{Start: j.start, Packets: len(j.pkts)}
+	u.packets.Add(uint64(len(j.pkts)))
 	var flagged map[packet.Addr]bool
 	var flaggedFlows map[trace.Flow]bool
-	for lo := 0; lo < len(w.Packets); lo += chunk {
-		pkts := w.Packets[lo:min(lo+chunk, len(w.Packets))]
-		u.packets += uint64(len(pkts))
-		if u.cfg.Model != nil {
-			u.classify(pkts, &w.Stats)
+	for i := range j.pkts {
+		b := &j.pkts[i]
+		truth := -1
+		if u.cfg.Labeler != nil {
+			truth = u.cfg.Labeler(b)
+			if truth == dataset.Malicious {
+				res.TruthMalicious++
+			}
 		}
-		for i := range pkts {
-			b := &pkts[i]
-			truth := -1
-			if u.cfg.Labeler != nil {
-				truth = u.cfg.Labeler(b)
-				if truth == dataset.Malicious {
-					res.TruthMalicious++
+		if j.verdicts == nil {
+			continue
+		}
+		pred := int(j.verdicts[i])
+		if pred == dataset.Malicious {
+			res.PredMalicious++
+			if flagged == nil {
+				flagged = make(map[packet.Addr]bool)
+			}
+			if !flagged[b.Src] {
+				flagged[b.Src] = true
+				res.FlaggedSrcs = append(res.FlaggedSrcs, b.Src)
+			}
+			if len(res.FlaggedFlows) < maxFlaggedFlows {
+				f := trace.Flow{
+					Src: b.Src.Uint32(), Dst: b.Dst.Uint32(),
+					SrcPort: b.SrcPort, DstPort: b.DstPort,
+					Proto: b.Proto,
+				}
+				if flaggedFlows == nil {
+					flaggedFlows = make(map[trace.Flow]bool)
+				}
+				if !flaggedFlows[f] {
+					flaggedFlows[f] = true
+					res.FlaggedFlows = append(res.FlaggedFlows, f)
 				}
 			}
-			if u.cfg.Model == nil {
-				continue
+		}
+		if truth >= 0 {
+			if pred == truth {
+				res.Correct++
 			}
-			pred := u.preds[i]
-			if pred == dataset.Malicious {
-				res.PredMalicious++
-				if flagged == nil {
-					flagged = make(map[packet.Addr]bool)
-				}
-				if !flagged[b.Src] {
-					flagged[b.Src] = true
-					res.FlaggedSrcs = append(res.FlaggedSrcs, b.Src)
-				}
-				if len(res.FlaggedFlows) < maxFlaggedFlows {
-					f := trace.Flow{
-						Src: b.Src.Uint32(), Dst: b.Dst.Uint32(),
-						SrcPort: b.SrcPort, DstPort: b.DstPort,
-						Proto: b.Proto,
-					}
-					if flaggedFlows == nil {
-						flaggedFlows = make(map[trace.Flow]bool)
-					}
-					if !flaggedFlows[f] {
-						flaggedFlows[f] = true
-						res.FlaggedFlows = append(res.FlaggedFlows, f)
-					}
-				}
-			}
-			if truth >= 0 {
-				if pred == truth {
-					res.Correct++
-				}
-				u.confusion.Add(truth, pred)
-			}
+			u.confusion.Add(truth, pred)
 		}
 	}
 	if res.Packets > 0 {
 		res.Accuracy = float64(res.Correct) / float64(res.Packets)
 		res.Alert = res.PredMalicious*2 > res.Packets
 	}
-	// The Feed/Tap/Flush call that closed this window is timing it already;
-	// res.CPU is the per-window figure only.
-	res.CPU = time.Since(start)
+	// The window's compute on both goroutines; Join charges the unit the
+	// same three terms, so the per-window figures sum to no more than it.
+	res.CPU = j.snapCPU + j.cpu + time.Since(start)
 	u.winCPU.Observe(float64(res.CPU) / float64(time.Microsecond))
 	verdict := "clear"
 	if res.Alert {
-		u.alerts++
+		u.alerts.Inc()
 		verdict = "alert"
 	}
 	// Close the window's sampled-packet spans with the verdict at the
 	// window boundary — the instant the verdict actually exists.
-	windowEnd := w.Start.Add(u.extractor.WindowSize())
-	for _, tc := range u.pending {
+	windowEnd := j.start.Add(u.extractor.WindowSize())
+	for _, tc := range j.spans {
 		tc.FinishTag(windowEnd, verdict)
 	}
-	u.pending = u.pending[:0]
-	if res.Alert && res.TruthMalicious > 0 && !u.haveFirstCorrectAlert {
-		u.haveFirstCorrectAlert = true
-		u.firstCorrectAlert = windowEnd
+	if res.Alert && res.TruthMalicious > 0 {
+		u.firstCorrectAlert.CompareAndSwap(0, int64(windowEnd))
 	}
-	u.cfg.Recorder.Emit(w.Start, telemetry.CatIDS, verdict, u.cfg.Name, int64(res.PredMalicious))
+	u.cfg.Recorder.Emit(j.start, telemetry.CatIDS, verdict, u.cfg.Name, int64(res.PredMalicious))
 	u.results = append(u.results, res)
+	u.windows.Inc()
 	last := &u.results[len(u.results)-1]
 	if u.cfg.OnWindow != nil {
 		u.cfg.OnWindow(last)
@@ -336,28 +499,10 @@ func (u *Unit) onWindow(w *features.Window) {
 	}
 }
 
-// classify fills u.preds[:len(pkts)] with the model's verdicts for pkts
-// (at most chunk of them), vectorized against their window's statistics.
-func (u *Unit) classify(pkts []features.Basic, st *features.Stats) {
-	buf := u.vecBuf[:0]
-	for i := range pkts {
-		buf = features.AppendVector(buf, &pkts[i], st)
-	}
-	u.vecBuf = buf
-	// Rows are cut after the fill: growing buf on first use moves it.
-	nf := len(buf) / len(pkts)
-	rows := u.rows[:len(pkts)]
-	for i := range rows {
-		rows[i] = buf[i*nf : (i+1)*nf : (i+1)*nf]
-		if u.cfg.Scaler != nil {
-			u.cfg.Scaler.Transform(rows[i])
-		}
-	}
-	ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
-}
-
-// liveMem estimates current memory held by the unit: the model, the scaler,
-// the window buffer and the chunk buffers.
+// liveMem estimates the memory the unit holds as a window of windowPackets
+// is dispatched: the model, the scaler, the extractor's window buffer, the
+// window's snapshot beside it until the fold (its packets and one verdict
+// byte each) and the chunk buffers.
 func (u *Unit) liveMem(windowPackets int) int64 {
 	var mem int64
 	if mr, ok := u.cfg.Model.(interface{ MemoryBytes() int64 }); ok {
@@ -367,12 +512,14 @@ func (u *Unit) liveMem(windowPackets int) int64 {
 		mem += int64(len(u.cfg.Scaler.Mean)+len(u.cfg.Scaler.Std)) * 8
 	}
 	mem += int64(windowPackets) * 40             // features.Basic footprint
+	mem += int64(windowPackets) * (40 + 1)       // snapshot and verdicts
 	mem += int64(cap(u.vecBuf))*8 + chunk*(24+8) // vectors, row headers, verdicts
 	return mem
 }
 
 // Results returns the per-window detection timeline.
 func (u *Unit) Results() []WindowResult {
+	u.Join()
 	out := make([]WindowResult, len(u.results))
 	copy(out, u.results)
 	return out
@@ -381,6 +528,7 @@ func (u *Unit) Results() []WindowResult {
 // AverageAccuracy is the mean per-window accuracy — the quantity Table I
 // reports for each model.
 func (u *Unit) AverageAccuracy() float64 {
+	u.Join()
 	if len(u.results) == 0 {
 		return 0
 	}
@@ -394,6 +542,7 @@ func (u *Unit) AverageAccuracy() float64 {
 // MinAccuracy is the worst single-window accuracy — the per-second dip the
 // paper reports at attack boundaries (35% minimum for K-Means).
 func (u *Unit) MinAccuracy() float64 {
+	u.Join()
 	if len(u.results) == 0 {
 		return 0
 	}
@@ -407,16 +556,29 @@ func (u *Unit) MinAccuracy() float64 {
 }
 
 // Confusion returns the packet-level confusion matrix across all windows.
-func (u *Unit) Confusion() metrics.Confusion { return u.confusion }
+func (u *Unit) Confusion() metrics.Confusion {
+	u.Join()
+	return u.confusion
+}
 
 // PacketsSeen reports total classified packets.
-func (u *Unit) PacketsSeen() uint64 { return u.packets }
+func (u *Unit) PacketsSeen() uint64 {
+	u.Join()
+	return u.packets.Value()
+}
 
-// CPUTime implements sysmon.Metered: cumulative processing time.
-func (u *Unit) CPUTime() time.Duration { return u.cpu }
+// CPUTime implements sysmon.Metered: cumulative processing time — what the
+// owner spent in Tap, Feed, Flush and the folds plus what the windows'
+// goroutines spent classifying, and none of the time one waited for the
+// other.
+func (u *Unit) CPUTime() time.Duration {
+	u.Join()
+	return u.cpu
+}
 
 // MemBytes implements sysmon.Metered: the peak live footprint observed.
 func (u *Unit) MemBytes() int64 {
+	u.Join()
 	if u.peakMem == 0 {
 		return u.liveMem(0)
 	}

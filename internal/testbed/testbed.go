@@ -949,10 +949,20 @@ func (tb *Testbed) scheduleChurn(c *container.Container) {
 func (tb *Testbed) Run(d time.Duration) error {
 	tb.prof.StartPhase(prof.PhaseRun)
 	defer tb.prof.EndPhase(prof.PhaseRun)
+	var err error
 	if tb.engine != nil {
-		return tb.engine.RunFor(sim.FromDuration(d), tb.Workers())
+		err = tb.engine.RunFor(sim.FromDuration(d), tb.Workers())
+	} else {
+		err = tb.sched.RunFor(d)
 	}
-	return tb.sched.RunFor(d)
+	// A window a unit closed late in the run may still be with its
+	// classifier: fold it, so that whoever reads the testbed between Runs
+	// (a summary, a registry snapshot, a heap measurement) finds every
+	// closed window scored.
+	for _, u := range tb.idsUnits {
+		u.Join()
+	}
+	return err
 }
 
 // Workers reports the effective parallel worker count: Config.PDESWorkers
@@ -1118,12 +1128,14 @@ func (tb *Testbed) AddTapCtx(tap netsim.TapCtx) { tb.tserver.Link().AddTapCtx(ta
 // its trace-aware tap and registers ids_detection_latency_seconds{unit=...}:
 // the gap between the first attack packet's origin and the unit's first
 // correct alert (-1 until both anchors exist). The unit also gains a
-// detection line in Summary.
+// detection line in Summary, and Run folds its window in flight before it
+// returns (ids.Unit.Join).
 func (tb *Testbed) AttachIDS(u *ids.Unit) {
 	tb.idsUnits = append(tb.idsUnits, u)
 	tb.AddTapCtx(u.TapCtx())
+	// A registry snapshot may not fold: it reads the windows folded so far.
 	tb.reg.RegisterGaugeFunc(func() float64 {
-		d, ok := tb.DetectionLatency(u)
+		d, ok := tb.detectionLatency(u.FirstCorrectAlertFolded())
 		if !ok {
 			return -1
 		}
@@ -1149,12 +1161,13 @@ func (tb *Testbed) FirstAttackAt() (sim.Time, bool) {
 // attached unit: first attack packet origin → the unit's first alert on a
 // window that truly contained attack traffic. False until both exist.
 func (tb *Testbed) DetectionLatency(u *ids.Unit) (time.Duration, bool) {
+	return tb.detectionLatency(u.FirstCorrectAlert())
+}
+
+// detectionLatency is DetectionLatency given the unit's end anchor.
+func (tb *Testbed) detectionLatency(alert sim.Time, alerted bool) (time.Duration, bool) {
 	start, ok := tb.FirstAttackAt()
-	if !ok {
-		return 0, false
-	}
-	alert, ok := u.FirstCorrectAlert()
-	if !ok || alert < start {
+	if !ok || !alerted || alert < start {
 		return 0, false
 	}
 	return (alert - start).Duration(), true
