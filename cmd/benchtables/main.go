@@ -4,7 +4,6 @@
 //	benchtables -table 1            Table I  (real-time detection accuracy)
 //	benchtables -table 2            Table II (CPU %, memory, model size)
 //	benchtables -table all          both tables + §IV-D dataset & training rows
-//	benchtables -table ext          the §V extension study (SVM, IF, VAE)
 //	benchtables -table mitigation   the closed-loop mitigation sweep (threshold
 //	                                × cache size × reaction delay); -scale quick
 //	                                runs one grid point, -scale paper the grid
@@ -37,7 +36,7 @@ func main() {
 
 func run() error {
 	var (
-		table  = flag.String("table", "", "regenerate a table: 1, 2, all, ext or mitigation")
+		table  = flag.String("table", "", "regenerate a table: 1, 2, all or mitigation")
 		series = flag.String("series", "", "regenerate a series: per-second, bots, throughput")
 		scale  = flag.String("scale", "quick", "scenario scale: quick or paper")
 		seed   = flag.Int64("seed", 0, "override the scenario seed (0 = preset)")
@@ -74,8 +73,6 @@ func run() error {
 
 	switch *table {
 	case "1", "2", "all":
-	case "ext":
-		return runExtensionStudy(sc)
 	case "mitigation":
 		return runMitigationSweep(sc.Seed, *scale == "quick")
 	default:
@@ -127,37 +124,6 @@ func run() error {
 	if len(rt.Detection) > 0 {
 		fmt.Println()
 		fmt.Println("DETECTION LATENCY — first attack packet origin → first correct alert")
-		fmt.Println(experiments.FormatDetection(rt.Detection))
-	}
-	return nil
-}
-
-// runExtensionStudy trains and evaluates the §V extension detectors (SVM,
-// Isolation Forest, VAE) in the same real-time environment as Table I.
-func runExtensionStudy(sc experiments.Scenario) error {
-	fmt.Printf("== generating dataset (%v run) ==\n", sc.TrainDuration)
-	ds, err := sc.GenerateDataset()
-	if err != nil {
-		return err
-	}
-	fmt.Println("== training SVM / Isolation Forest / VAE ==")
-	ext, err := sc.TrainExtendedModels(ds)
-	if err != nil {
-		return err
-	}
-	for _, tm := range ext {
-		fmt.Printf("  %-8s %v (model %.2f Kb)\n",
-			tm.Model.Name(), tm.TrainReport, float64(tm.SizeBytes)/1024)
-	}
-	fmt.Println("== real-time detection ==")
-	rt, err := sc.RunRealTimeModels(ext)
-	if err != nil {
-		return err
-	}
-	fmt.Println("EXTENSION STUDY — §V additional models, real-time")
-	fmt.Println(experiments.FormatTable1(rt.Table1))
-	fmt.Println(experiments.FormatTable2(rt.Table2))
-	if len(rt.Detection) > 0 {
 		fmt.Println(experiments.FormatDetection(rt.Detection))
 	}
 	return nil

@@ -11,34 +11,15 @@ import (
 	"time"
 
 	"ddoshield/internal/botnet"
-	"ddoshield/internal/dataset"
-	"ddoshield/internal/features"
 	"ddoshield/internal/ids"
 	"ddoshield/internal/mitigation"
 	"ddoshield/internal/testbed"
 )
 
-// rule is a hand-written detector (same shape as examples/customids); a
-// trained model from cmd/trainids plugs in identically.
-type rule struct{ synIdx, udpIdx int }
-
-func (r rule) Predict(x []float64) int {
-	if x[r.synIdx] > 20 || x[r.udpIdx] > 0.4 {
-		return dataset.Malicious
-	}
-	return dataset.Benign
-}
-func (r rule) Name() string { return "threshold-rule" }
-
 func main() {
 	tb, err := testbed.New(testbed.Config{Seed: 31, NumDevices: 10})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	idx := map[string]int{}
-	for i, n := range features.Names() {
-		idx[n] = i
 	}
 
 	// The shield: firewall at the TServer ingress + IDS-driven responder.
@@ -47,8 +28,11 @@ func main() {
 		BlockTTL:           45 * time.Second,
 		AggregateThreshold: 8,
 	})
+	// The detector is the hand-written SYN-ratio / UDP-fraction rule; any
+	// ml.Classifier — a trained model from cmd/trainids, or a type of your
+	// own with Predict and Name — plugs in identically.
 	unit := ids.New(ids.Config{
-		Model:    rule{synIdx: idx["win_syn_noack_ratio"], udpIdx: idx["win_udp_fraction"]},
+		Model:    ids.NewThresholdRule(),
 		Window:   time.Second,
 		Labeler:  tb.Labeler(),
 		OnWindow: resp.HandleWindow,

@@ -1,10 +1,9 @@
 // Package experiments encodes the paper's evaluation (§IV) as runnable
 // procedures: the dataset-generation run, offline model training, the
 // real-time detection run behind Table I, the sustainability measurements
-// behind Table II, the per-second accuracy series, and the DDoSim-inherited
-// substrate experiments (throughput under attack, bots-connected timeline,
-// churn and attack-duration sweeps). cmd/benchtables and the repository's
-// benchmarks are thin wrappers around this package.
+// behind Table II, the per-second accuracy series, the DDoSim-inherited
+// bots-connected timeline, and the mitigation and resilience sweeps.
+// cmd/benchtables is a thin wrapper around this package.
 package experiments
 
 import (
@@ -18,12 +17,9 @@ import (
 	"ddoshield/internal/ml"
 	"ddoshield/internal/ml/cnn"
 	"ddoshield/internal/ml/forest"
-	"ddoshield/internal/ml/iforest"
 	"ddoshield/internal/ml/kmeans"
 	"ddoshield/internal/ml/metrics"
 	"ddoshield/internal/ml/modelio"
-	"ddoshield/internal/ml/svm"
-	"ddoshield/internal/ml/vae"
 	"ddoshield/internal/parallel"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/sysmon"
@@ -418,7 +414,7 @@ func (sc Scenario) liveDetection(models []TrainedModel, dur time.Duration, arm f
 }
 
 // RunRealTimeModels executes the real-time detection run for an arbitrary
-// detector list (e.g. the §V extension models).
+// detector list.
 func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, error) {
 	mons := make([]*sysmon.Monitor, len(models))
 	tb, units, err := sc.liveDetection(models, sc.DetectDuration, func(tb *testbed.Testbed, units []*ids.Unit) {
@@ -471,50 +467,6 @@ func (sc Scenario) RunAll() (*dataset.Dataset, *TrainingResult, *RealTimeResult,
 	return ds, tr, rt, nil
 }
 
-// TrainExtendedModels fits the three additional detectors the paper's §V
-// plans to study — linear SVM, Isolation Forest and a VAE anomaly detector
-// — on the same standardized features as K-Means and the CNN. The VAE
-// trains on benign rows only (semi-supervised); the Isolation Forest's
-// threshold is calibrated to the training contamination.
-func (sc Scenario) TrainExtendedModels(ds *dataset.Dataset) ([]TrainedModel, error) {
-	rng := sim.Substream(sc.Seed, "experiments/train-ext")
-	work := ds.Subsample(sc.MaxTrainSamples, rng)
-	work.Shuffle(rng)
-	train, test := work.Split(0.8)
-	scaler := dataset.FitStandard(train)
-	scaler.Apply(train)
-	scaler.Apply(test)
-	xs, ys := train.XY()
-
-	sv, err := svm.Train(svm.Config{Seed: sc.Seed + 21}, xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("train svm: %w", err)
-	}
-	ifo, err := iforest.Train(iforest.Config{Seed: sc.Seed + 22}, xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("train iforest: %w", err)
-	}
-	va, err := vae.Train(vae.Config{Seed: sc.Seed + 23}, xs, ys)
-	if err != nil {
-		return nil, fmt.Errorf("train vae: %w", err)
-	}
-
-	out := make([]TrainedModel, 0, 3)
-	for _, m := range []ml.Classifier{sv, ifo, va} {
-		size, err := modelio.SizeBytes(m)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TrainedModel{
-			Model:       m,
-			Scaler:      scaler,
-			TrainReport: evaluate(m, nil, test),
-			SizeBytes:   size,
-		})
-	}
-	return out, nil
-}
-
 // FormatTable1 renders rows in the paper's Table I layout.
 func FormatTable1(rows []Table1Row) string {
 	out := "Model    | Accuracy (%)\n---------+-------------\n"
@@ -555,12 +507,6 @@ func displayName(name string) string {
 		return "K-Means"
 	case "cnn":
 		return "CNN"
-	case "svm":
-		return "SVM"
-	case "iforest":
-		return "IF"
-	case "vae":
-		return "VAE"
 	}
 	return name
 }

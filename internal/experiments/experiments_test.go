@@ -170,51 +170,6 @@ func (stub) Name() string { return "stub" }
 // Silence unused-import guard for ids (referenced in doc examples).
 var _ = ids.Config{}
 
-func TestTrainExtendedModels(t *testing.T) {
-	sc := tiny()
-	ds, err := sc.GenerateDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := sc.TrainExtendedModels(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ext) != 3 {
-		t.Fatalf("extension models = %d", len(ext))
-	}
-	names := map[string]bool{}
-	for _, tm := range ext {
-		names[tm.Model.Name()] = true
-		if tm.Scaler == nil {
-			t.Fatalf("%s missing scaler", tm.Model.Name())
-		}
-		if tm.SizeBytes <= 0 {
-			t.Fatalf("%s has no size", tm.Model.Name())
-		}
-		if tm.TrainReport.Accuracy <= 0.4 {
-			t.Fatalf("%s train accuracy = %v", tm.Model.Name(), tm.TrainReport.Accuracy)
-		}
-	}
-	for _, want := range []string{"svm", "iforest", "vae"} {
-		if !names[want] {
-			t.Fatalf("missing %s in %v", want, names)
-		}
-	}
-
-	// The extended set runs through the same real-time harness.
-	rt, err := sc.RunRealTimeModels(ext[:1]) // SVM only, for speed
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.Table1) != 1 || rt.Table1[0].Model != "svm" {
-		t.Fatalf("table1 = %+v", rt.Table1)
-	}
-	if rt.Table1[0].AvgAccuracy < 0.5 {
-		t.Fatalf("svm real-time accuracy = %v", rt.Table1[0].AvgAccuracy)
-	}
-}
-
 func TestPaperPresetShape(t *testing.T) {
 	p := Paper()
 	if p.TrainDuration != 10*time.Minute || p.DetectDuration != 5*time.Minute {

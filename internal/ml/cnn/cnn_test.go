@@ -146,43 +146,3 @@ func TestDeterministicTraining(t *testing.T) {
 		t.Fatal("same-seed training diverged")
 	}
 }
-
-func TestCloneAndWeightOps(t *testing.T) {
-	xs, ys := mltest.Blobs(200, 16, 2, 9)
-	n, _, err := Train(Config{Epochs: 1, Seed: 9}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := n.Clone()
-	// Clone predicts identically but is independent storage.
-	for i := 0; i < 20; i++ {
-		if clone.Predict(xs[i]) != n.Predict(xs[i]) {
-			t.Fatal("clone predictions differ")
-		}
-	}
-	clone.W1[0][0] += 100
-	if n.W1[0][0] == clone.W1[0][0] {
-		t.Fatal("clone shares weight storage")
-	}
-
-	// ScaleAccumulate of two halves reproduces the original.
-	acc := n.Clone()
-	acc.ZeroWeights()
-	acc.ScaleAccumulate(n, 0.5)
-	acc.ScaleAccumulate(n, 0.5)
-	if diff := acc.W3[1][1] - n.W3[1][1]; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("averaged weights diverge: %v", diff)
-	}
-
-	// SetWeightsFrom copies values, not references.
-	dst := n.Clone()
-	dst.ZeroWeights()
-	dst.SetWeightsFrom(n)
-	if dst.W4[0][0] != n.W4[0][0] {
-		t.Fatal("SetWeightsFrom did not copy")
-	}
-	dst.W4[0][0] += 1
-	if dst.W4[0][0] == n.W4[0][0] {
-		t.Fatal("SetWeightsFrom aliased storage")
-	}
-}

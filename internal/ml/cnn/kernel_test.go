@@ -254,7 +254,7 @@ func TestTrainMatchesOracleForward(t *testing.T) {
 	}
 }
 
-// oracleFit is Fit's schedule with oracleForward as the forward pass.
+// oracleFit is fit's schedule with oracleForward as the forward pass.
 func oracleFit(n *Network, xs [][]float64, ys []int) {
 	cfg := n.Cfg
 	rng := sim.Substream(cfg.Seed, "cnn/train")

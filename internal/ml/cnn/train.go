@@ -200,12 +200,12 @@ func Train(cfg Config, xs [][]float64, ys []int) (*Network, TrainResult, error) 
 	if err != nil {
 		return nil, TrainResult{}, err
 	}
-	res, err := n.Fit(xs, ys)
+	res, err := n.fit(xs, ys)
 	return n, res, err
 }
 
-// Fit runs the configured SGD schedule on an existing network.
-func (n *Network) Fit(xs [][]float64, ys []int) (TrainResult, error) {
+// fit runs the configured SGD schedule on a freshly initialised network.
+func (n *Network) fit(xs [][]float64, ys []int) (TrainResult, error) {
 	cfg := n.Cfg
 	rng := sim.Substream(cfg.Seed, "cnn/train")
 	g := newGrads(n)

@@ -164,9 +164,8 @@ type ROCPoint struct {
 }
 
 // ROC computes the receiver-operating-characteristic curve and its AUC for
-// a score-based detector (higher score = more malicious). Score-producing
-// models (SVM margins, Isolation Forest anomaly scores, VAE reconstruction
-// errors) are threshold-tunable; ROC quantifies the whole trade-off rather
+// a score-based detector (higher score = more malicious). A score-producing
+// model is threshold-tunable; ROC quantifies the whole trade-off rather
 // than one operating point.
 func ROC(scores []float64, truth []int) (auc float64, curve []ROCPoint) {
 	n := len(scores)

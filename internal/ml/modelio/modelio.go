@@ -14,10 +14,7 @@ import (
 	"ddoshield/internal/ml"
 	"ddoshield/internal/ml/cnn"
 	"ddoshield/internal/ml/forest"
-	"ddoshield/internal/ml/iforest"
 	"ddoshield/internal/ml/kmeans"
-	"ddoshield/internal/ml/svm"
-	"ddoshield/internal/ml/vae"
 )
 
 // envelope tags the concrete model type on the wire.
@@ -51,12 +48,6 @@ func save(enc *gob.Encoder, c ml.Classifier) error {
 	case *kmeans.Model:
 		err = enc.Encode(m)
 	case *cnn.Network:
-		err = enc.Encode(m)
-	case *svm.Model:
-		err = enc.Encode(m)
-	case *iforest.Model:
-		err = enc.Encode(m)
-	case *vae.Model:
 		err = enc.Encode(m)
 	default:
 		return fmt.Errorf("modelio: unsupported model %q", c.Name())
@@ -106,24 +97,6 @@ func load(dec *gob.Decoder) (ml.Classifier, error) {
 			return nil, fmt.Errorf("modelio: decode cnn: %w", err)
 		}
 		m.Rebind()
-		return &m, nil
-	case "svm":
-		var m svm.Model
-		if err := dec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("modelio: decode svm: %w", err)
-		}
-		return &m, nil
-	case "iforest":
-		var m iforest.Model
-		if err := dec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("modelio: decode iforest: %w", err)
-		}
-		return &m, nil
-	case "vae":
-		var m vae.Model
-		if err := dec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("modelio: decode vae: %w", err)
-		}
 		return &m, nil
 	}
 	return nil, fmt.Errorf("modelio: unknown model kind %q", env.Kind)

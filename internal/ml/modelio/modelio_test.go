@@ -9,11 +9,8 @@ import (
 	"ddoshield/internal/ml"
 	"ddoshield/internal/ml/cnn"
 	"ddoshield/internal/ml/forest"
-	"ddoshield/internal/ml/iforest"
 	"ddoshield/internal/ml/kmeans"
 	"ddoshield/internal/ml/mltest"
-	"ddoshield/internal/ml/svm"
-	"ddoshield/internal/ml/vae"
 )
 
 func TestRoundTripAllModels(t *testing.T) {
@@ -175,42 +172,6 @@ func TestOffsetViewRoundTrip(t *testing.T) {
 	probe := make([]float64, 16)
 	if gv.Predict(probe) != v.Predict(probe) {
 		t.Fatal("prediction changed")
-	}
-}
-
-func TestRoundTripExtensionModels(t *testing.T) {
-	xs, ys := mltest.Blobs(300, 12, 3, 11)
-	probe := xs[:20]
-
-	sv, err := svm.Train(svm.Config{Seed: 11}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ifo, err := iforest.Train(iforest.Config{Trees: 20, Seed: 11}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := vae.Train(vae.Config{Seed: 11, Epochs: 2}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []ml.Classifier{sv, ifo, va} {
-		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
-			t.Fatalf("save %s: %v", m.Name(), err)
-		}
-		got, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("load %s: %v", m.Name(), err)
-		}
-		if got.Name() != m.Name() {
-			t.Fatalf("kind changed: %s -> %s", m.Name(), got.Name())
-		}
-		for _, x := range probe {
-			if got.Predict(x) != m.Predict(x) {
-				t.Fatalf("%s: prediction changed after round trip", m.Name())
-			}
-		}
 	}
 }
 
