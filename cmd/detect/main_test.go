@@ -18,8 +18,8 @@ import (
 	"ddoshield/internal/sim"
 )
 
-// capture is a short recording at microsecond instants (pcap's resolution):
-// a quiet second, a second of spoofed SYNs, a quiet second.
+// capture is a short recording: a quiet second, a second of spoofed SYNs,
+// a quiet second.
 func capture() *pcap.Buffer {
 	buf := pcap.NewBuffer(0)
 	tap := buf.Tap()

@@ -300,6 +300,26 @@ func boolF(b bool) float64 {
 	return 0
 }
 
+// rowFlags are the TCP flag bits AppendVector reads: FIN, SYN, RST, PSH and
+// ACK, the five low bits of the flag byte.
+const rowFlags = packet.FlagFIN | packet.FlagSYN | packet.FlagRST | packet.FlagPSH | packet.FlagACK
+
+// rowLenBits is the room RowKey leaves the length once the protocol (8
+// bits), both ports (32) and the five flag bits are packed.
+const rowLenBits = 64 - 8 - 32 - 5
+
+// RowKey packs exactly the fields of b that AppendVector reads — protocol,
+// ports, length and the five flag bits — into one integer, so that under one
+// Stats two packets with equal keys get bit-identical vectors. ok is false
+// when the length does not fit; such a packet is a row of its own.
+func RowKey(b *Basic) (key uint64, ok bool) {
+	if b.Length < 0 || b.Length >= 1<<rowLenBits {
+		return 0, false
+	}
+	return uint64(b.Proto)<<56 | uint64(b.SrcPort)<<40 | uint64(b.DstPort)<<24 |
+		uint64(b.Flags&rowFlags)<<rowLenBits | uint64(b.Length), true
+}
+
 // Window is one closed aggregation window: its packets and their shared
 // statistics.
 type Window struct {

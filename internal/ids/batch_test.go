@@ -127,15 +127,56 @@ func trainedDetectors(t *testing.T, frames []*packet.Packet) map[string]Config {
 	}
 }
 
-// TestWindowResultsMatchPerPacketPredict pins the chunked batch path to the
-// per-packet one for windows below, at and above the chunk size.
+// rowWindows are three windows from second `from` on that stress the
+// distinct-row path: 900 packets that are copies of five rows; 400 packets
+// that are 307 rows, seven of them told apart by length alone; and a window
+// whose frames are too long for a row key (each its own row), some of them
+// identical, among keyed ones.
+func rowWindows(from sim.Time) []*packet.Packet {
+	var out []*packet.Packet
+	at := func(w, i int) sim.Time { return from + sim.Time(w)*sim.Second + sim.Time(i)*sim.Millisecond }
+	for i := 0; i < 900; i++ {
+		switch i % 5 {
+		case 0, 1:
+			out = append(out, synFrame(at(0, i), byte(i), 4242))
+		case 2:
+			out = append(out, synFrame(at(0, i), byte(i), 17))
+		case 3:
+			out = append(out, benignFrame(at(0, i), uint32(i)))
+		default:
+			out = append(out, synFrame(at(0, i), 7, 99))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		if i%3 == 0 {
+			// Rows that differ in their length alone.
+			p := benignFrame(at(1, i), uint32(i))
+			p.Raw = append(p.Raw, make([]byte, i%7)...)
+			out = append(out, p)
+		}
+		out = append(out, synFrame(at(1, i), byte(i), uint32(i)))
+	}
+	for i := 0; i < 40; i++ {
+		p := synFrame(at(2, i), byte(i), uint32(i%4))
+		if i%2 == 0 {
+			p.Raw = append(p.Raw, make([]byte, 1<<19)...)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestWindowResultsMatchPerPacketPredict pins the distinct-row, chunked
+// batch path to the per-packet one for windows below, at and above the
+// chunk size, duplication-heavy and all-distinct windows, and rows too long
+// to key.
 func TestWindowResultsMatchPerPacketPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{1, chunk - 1, chunk, chunk + 1, 1000, 0, 3*chunk + 7}
 	// Trained on every size at both SYN shares (seven sizes: the second
 	// copy lands on the other parity).
 	detectors := trainedDetectors(t, windowsOf(rng, append(sizes, sizes...)))
-	frames := windowsOf(rng, sizes)
+	frames := append(windowsOf(rng, sizes), rowWindows(sim.Time(len(sizes))*sim.Second)...)
 	for name, cfg := range detectors {
 		want := perPacket(cfg.Model, cfg.Scaler, frames)
 		cfg.Labeler = spoofLabeler
@@ -145,8 +186,8 @@ func TestWindowResultsMatchPerPacketPredict(t *testing.T) {
 		}
 		u.Flush()
 		got := u.Results()
-		if len(got) != len(want) || len(want) != 6 {
-			t.Fatalf("%s: %d windows, per-packet path %d, want 6", name, len(got), len(want))
+		if len(got) != len(want) || len(want) != 9 {
+			t.Fatalf("%s: %d windows, per-packet path %d, want 9", name, len(got), len(want))
 		}
 		flagged := 0
 		for i := range want {

@@ -19,6 +19,7 @@ package ids
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -125,9 +126,11 @@ type Unit struct {
 	// and fold) itself; the rest is waiting, which is nobody's CPU.
 	joinWall time.Duration
 	peakMem  int64
-	// One chunk of packets in flight through the model: the vectors, their
-	// row headers and the verdicts. Nothing here scales with the window. The
-	// window's goroutine uses them while it runs, the owner never.
+	// One chunk of distinct rows in flight through the model: the packet
+	// each row came from, the vectors, their row headers and the verdicts.
+	// Nothing here scales with the window. The window's goroutine uses them
+	// while it runs, the owner never.
+	idx      [chunk]int32
 	vecBuf   []float64
 	rows     [chunk][]float64
 	preds    [chunk]int
@@ -310,7 +313,7 @@ func (u *Unit) stopTimer(start time.Time) {
 	u.addCPU(time.Since(start) - u.joinWall)
 }
 
-// chunk is how many packets of a closed window are vectorized and
+// chunk is how many distinct rows of a closed window are vectorized and
 // classified per ml.PredictBatch call: large enough that a batch kernel's
 // per-call cost and the first row's full computation amortize, small enough
 // that the unit's buffers (chunk × vector length) stay in L1 and do not
@@ -343,8 +346,10 @@ func (u *Unit) onWindow(w *features.Window) {
 	}
 }
 
-// classify is the window's own goroutine: vectors, scaling and prediction,
-// chunk by chunk, into one verdict per packet. It reads the snapshot and
+// classify is the window's own goroutine: it sorts the window's packets
+// into distinct rows, runs vectors, scaling and prediction over those rows
+// only, chunk by chunk in first-occurrence order, and copies each row's
+// verdict to every packet that has it. It reads the snapshot and
 // the (immutable) model and scaler, writes j's result fields and the
 // unit's chunk buffers, and touches nothing else of the unit. A panicking
 // model is caught here, where nothing could recover it, and re-raised by
@@ -362,28 +367,85 @@ func (u *Unit) classify(j *job) {
 	}
 	start := time.Now()
 	j.verdicts = make([]uint8, len(j.pkts))
-	for lo := 0; lo < len(j.pkts); lo += chunk {
-		pkts := j.pkts[lo:min(lo+chunk, len(j.pkts))]
-		buf := u.vecBuf[:0]
-		for i := range pkts {
-			buf = features.AppendVector(buf, &pkts[i], &j.stats)
+	first := distinctRows(j.pkts)
+	idx := u.idx[:0]
+	for i, f := range first {
+		if int(f) != i {
+			continue
 		}
-		u.vecBuf = buf
-		// Rows are cut after the fill: growing buf on first use moves it.
-		nf := len(buf) / len(pkts)
-		rows := u.rows[:len(pkts)]
-		for i := range rows {
-			rows[i] = buf[i*nf : (i+1)*nf : (i+1)*nf]
-			if u.cfg.Scaler != nil {
-				u.cfg.Scaler.Transform(rows[i])
-			}
-		}
-		ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
-		for i := range pkts {
-			j.verdicts[lo+i] = uint8(u.preds[i])
+		if idx = append(idx, int32(i)); len(idx) == chunk {
+			u.predict(j, idx)
+			idx = idx[:0]
 		}
 	}
+	if len(idx) > 0 {
+		u.predict(j, idx)
+	}
+	for i, f := range first {
+		j.verdicts[i] = j.verdicts[f]
+	}
 	j.cpu = time.Since(start)
+}
+
+// predict vectorizes, scales and classifies one chunk of a window's distinct
+// rows — the packets at idx — and writes each one's verdict.
+func (u *Unit) predict(j *job, idx []int32) {
+	buf := u.vecBuf[:0]
+	for _, i := range idx {
+		buf = features.AppendVector(buf, &j.pkts[i], &j.stats)
+	}
+	u.vecBuf = buf
+	// Rows are cut after the fill: growing buf on first use moves it.
+	nf := len(buf) / len(idx)
+	rows := u.rows[:len(idx)]
+	for k := range rows {
+		rows[k] = buf[k*nf : (k+1)*nf : (k+1)*nf]
+		if u.cfg.Scaler != nil {
+			u.cfg.Scaler.Transform(rows[k])
+		}
+	}
+	ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
+	for k, i := range idx {
+		j.verdicts[i] = uint8(u.preds[k])
+	}
+}
+
+// tableBits sizes distinctRows' table for n packets: the smallest power of
+// two at least 2n, as a bit count.
+func tableBits(n int) int { return bits.Len(uint(max(n, 1)-1)) + 1 }
+
+// distinctRows maps every packet of a window to the first packet with the
+// same row: first[i] ≤ i, and first[i] == i marks a distinct row. Packets
+// share the window's statistics, so equal features.RowKeys mean equal
+// vectors and, every model and the scaler being a function of the row alone,
+// equal verdicts; a packet without a key is a row of its own. The table is
+// open addressing with linear probing over first-packet indexes, sized by
+// tableBits so that it stays at most half full, and dies with the call.
+func distinctRows(pkts []features.Basic) []int32 {
+	first := make([]int32, len(pkts))
+	b := tableBits(len(pkts))
+	table := make([]int32, 1<<b) // first packet's index + 1; 0 is empty
+	mask := len(table) - 1
+	for i := range pkts {
+		first[i] = int32(i)
+		key, ok := features.RowKey(&pkts[i])
+		if !ok {
+			continue
+		}
+		// Fibonacci hashing: the top b bits of the product mix every key bit.
+		for h := int(key * 0x9e3779b97f4a7c15 >> (64 - b)); ; h = (h + 1) & mask {
+			e := table[h]
+			if e == 0 {
+				table[h] = int32(i + 1)
+				break
+			}
+			if k, _ := features.RowKey(&pkts[e-1]); k == key {
+				first[i] = e - 1
+				break
+			}
+		}
+	}
+	return first
 }
 
 // Join folds the window in flight, if there is one: it waits for the
@@ -502,7 +564,8 @@ func (u *Unit) fold(j *job) {
 // liveMem estimates the memory the unit holds as a window of windowPackets
 // is dispatched: the model, the scaler, the extractor's window buffer, the
 // window's snapshot beside it until the fold (its packets and one verdict
-// byte each) and the chunk buffers.
+// byte each), the window's distinct-row buffers (distinctRows' table and
+// per-packet index) and the chunk buffers.
 func (u *Unit) liveMem(windowPackets int) int64 {
 	var mem int64
 	if mr, ok := u.cfg.Model.(interface{ MemoryBytes() int64 }); ok {
@@ -511,9 +574,10 @@ func (u *Unit) liveMem(windowPackets int) int64 {
 	if u.cfg.Scaler != nil {
 		mem += int64(len(u.cfg.Scaler.Mean)+len(u.cfg.Scaler.Std)) * 8
 	}
-	mem += int64(windowPackets) * 40             // features.Basic footprint
-	mem += int64(windowPackets) * (40 + 1)       // snapshot and verdicts
-	mem += int64(cap(u.vecBuf))*8 + chunk*(24+8) // vectors, row headers, verdicts
+	mem += int64(windowPackets) * 40                            // features.Basic footprint
+	mem += int64(windowPackets) * (40 + 1)                      // snapshot and verdicts
+	mem += int64(windowPackets)*4 + 4<<tableBits(windowPackets) // distinct rows
+	mem += int64(cap(u.vecBuf))*8 + chunk*(4+24+8)              // indexes, vectors, row headers, verdicts
 	return mem
 }
 

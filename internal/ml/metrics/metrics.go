@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Confusion is a binary confusion matrix with the malicious class as
@@ -154,63 +153,4 @@ func Min(vals []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ROCPoint is one operating point of a score-based detector.
-type ROCPoint struct {
-	Threshold float64
-	TPR       float64 // true-positive rate (recall)
-	FPR       float64 // false-positive rate
-}
-
-// ROC computes the receiver-operating-characteristic curve and its AUC for
-// a score-based detector (higher score = more malicious). A score-producing
-// model is threshold-tunable; ROC quantifies the whole trade-off rather
-// than one operating point.
-func ROC(scores []float64, truth []int) (auc float64, curve []ROCPoint) {
-	n := len(scores)
-	if n == 0 || n != len(truth) {
-		return 0, nil
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	var pos, neg int
-	for _, y := range truth {
-		if y == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0, nil
-	}
-	curve = append(curve, ROCPoint{Threshold: math.Inf(1)})
-	tp, fp := 0, 0
-	var prevScore = math.Inf(1)
-	for _, i := range idx {
-		if scores[i] != prevScore {
-			curve = append(curve, ROCPoint{
-				Threshold: scores[i],
-				TPR:       float64(tp) / float64(pos),
-				FPR:       float64(fp) / float64(neg),
-			})
-			prevScore = scores[i]
-		}
-		if truth[i] == 1 {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	curve = append(curve, ROCPoint{Threshold: math.Inf(-1), TPR: 1, FPR: 1})
-	// Trapezoidal AUC over the curve.
-	for i := 1; i < len(curve); i++ {
-		dx := curve[i].FPR - curve[i-1].FPR
-		auc += dx * (curve[i].TPR + curve[i-1].TPR) / 2
-	}
-	return auc, curve
 }

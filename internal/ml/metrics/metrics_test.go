@@ -99,56 +99,3 @@ func TestMeanMin(t *testing.T) {
 		t.Fatal("Min")
 	}
 }
-
-func TestROCPerfectSeparation(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	truth := []int{1, 1, 0, 0}
-	auc, curve := ROC(scores, truth)
-	if math.Abs(auc-1) > 1e-12 {
-		t.Fatalf("AUC = %v, want 1", auc)
-	}
-	if len(curve) < 3 {
-		t.Fatalf("curve too short: %d points", len(curve))
-	}
-}
-
-func TestROCRandomScores(t *testing.T) {
-	// Anti-correlated scores: AUC 0.
-	scores := []float64{0.1, 0.2, 0.8, 0.9}
-	truth := []int{1, 1, 0, 0}
-	auc, _ := ROC(scores, truth)
-	if auc > 1e-12 {
-		t.Fatalf("inverted AUC = %v, want 0", auc)
-	}
-	// Uninformative constant scores: AUC 0.5.
-	auc, _ = ROC([]float64{1, 1, 1, 1}, truth)
-	if math.Abs(auc-0.5) > 1e-12 {
-		t.Fatalf("constant-score AUC = %v, want 0.5", auc)
-	}
-}
-
-func TestROCDegenerate(t *testing.T) {
-	if auc, curve := ROC(nil, nil); auc != 0 || curve != nil {
-		t.Fatal("empty input")
-	}
-	if auc, _ := ROC([]float64{1, 2}, []int{1, 1}); auc != 0 {
-		t.Fatal("single-class input")
-	}
-	if auc, _ := ROC([]float64{1}, []int{1, 0}); auc != 0 {
-		t.Fatal("length mismatch")
-	}
-}
-
-func TestROCMonotoneCurve(t *testing.T) {
-	scores := []float64{0.9, 0.1, 0.7, 0.3, 0.5, 0.6, 0.2}
-	truth := []int{1, 0, 1, 0, 1, 0, 0}
-	auc, curve := ROC(scores, truth)
-	if auc < 0 || auc > 1 {
-		t.Fatalf("AUC out of range: %v", auc)
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].TPR < curve[i-1].TPR || curve[i].FPR < curve[i-1].FPR {
-			t.Fatalf("curve not monotone at %d: %+v", i, curve)
-		}
-	}
-}

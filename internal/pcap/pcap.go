@@ -3,35 +3,49 @@
 // training datasets for the IDS models and for offline inspection with
 // standard tools (the paper mentions Wireshark); files written here use the
 // standard magic, version and Ethernet link type, so they are readable by
-// any pcap consumer.
+// any pcap consumer. Files are written with nanosecond timestamps, so a
+// capture keeps the simulator's clock exactly; the classic microsecond
+// format is read as well.
 package pcap
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/sim"
 )
 
 const (
-	// MagicMicroseconds is the classic little-endian pcap magic.
+	// MagicMicroseconds is the classic pcap magic: record timestamps are
+	// seconds and microseconds.
 	MagicMicroseconds uint32 = 0xa1b2c3d4
-	versionMajor      uint16 = 2
-	versionMinor      uint16 = 4
+	// MagicNanoseconds is the nanosecond-resolution pcap magic: record
+	// timestamps are seconds and nanoseconds. The Writer uses it.
+	MagicNanoseconds uint32 = 0xa1b23c4d
+	versionMajor     uint16 = 2
+	versionMinor     uint16 = 4
 	// LinkTypeEthernet is DLT_EN10MB.
 	LinkTypeEthernet uint32 = 1
 	// DefaultSnapLen is the default capture length.
 	DefaultSnapLen uint32 = 65535
+	// maxRecordLen bounds a record body whatever the header's snaplen
+	// claims (libpcap's own ceiling), so a hostile header cannot make the
+	// Reader allocate gigabytes.
+	maxRecordLen = 262144
 )
 
 // Record is one captured frame.
 type Record struct {
 	// Time is the simulated capture instant.
 	Time sim.Time
-	// Data is the captured frame (possibly truncated to snaplen).
+	// Data is the captured frame (possibly truncated to snaplen). A Record
+	// returned by Reader.Next shares Data with the Reader: it is valid until
+	// the next call to Next, as with bufio.Scanner.Bytes.
 	Data []byte
 	// OrigLen is the frame's original on-wire length.
 	OrigLen int
@@ -52,7 +66,7 @@ func NewWriter(w io.Writer, snapLen uint32) (*Writer, error) {
 		snapLen = DefaultSnapLen
 	}
 	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], MagicMicroseconds)
+	binary.LittleEndian.PutUint32(hdr[0:4], MagicNanoseconds)
 	binary.LittleEndian.PutUint16(hdr[4:6], versionMajor)
 	binary.LittleEndian.PutUint16(hdr[6:8], versionMinor)
 	// thiszone=0, sigfigs=0 already zero.
@@ -73,10 +87,10 @@ func (w *Writer) WriteFrame(t sim.Time, frame []byte) error {
 	if uint32(capLen) > w.snapLen {
 		capLen = int(w.snapLen)
 	}
-	usec := int64(t) / 1000
+	ns := int64(t)
 	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(usec/1_000_000))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(usec%1_000_000))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ns/int64(sim.Second)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(ns%int64(sim.Second)))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(capLen))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(frame)))
 	if _, err := w.w.Write(hdr[:]); err != nil {
@@ -104,12 +118,16 @@ func (w *Writer) Tap() netsim.Tap {
 
 // Reader iterates over the records of a pcap file.
 type Reader struct {
-	r       io.Reader
-	snapLen uint32
-	order   binary.ByteOrder
+	r      io.Reader
+	maxLen uint32
+	order  binary.ByteOrder
+	// tick is the unit of a record's sub-second timestamp field.
+	tick sim.Time
 	// hdr is Next's record-header scratch: a local would escape through
 	// the io.Reader call and cost an allocation per record.
 	hdr [16]byte
+	// buf holds the body of the record Next returned last.
+	buf []byte
 }
 
 // readBufSize is the read-ahead NewReader puts in front of a source: one
@@ -117,8 +135,9 @@ type Reader struct {
 const readBufSize = 64 << 10
 
 // NewReader validates the global header and returns a record reader. Both
-// byte orders are accepted. Unless r already is a *bufio.Reader it is read
-// through one, so the Reader may consume r past the records it has returned.
+// timestamp resolutions (microseconds and nanoseconds) are accepted, each in
+// either byte order. Unless r already is a *bufio.Reader it is read through
+// one, so the Reader may consume r past the records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
 	if _, ok := r.(*bufio.Reader); !ok {
 		r = bufio.NewReaderSize(r, readBufSize)
@@ -127,22 +146,29 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: read header: %w", err)
 	}
-	var order binary.ByteOrder
-	switch magic := binary.LittleEndian.Uint32(hdr[0:4]); magic {
-	case MagicMicroseconds:
-		order = binary.LittleEndian
-	case 0xd4c3b2a1:
-		order = binary.BigEndian
-	default:
-		return nil, fmt.Errorf("pcap: bad magic %#08x", magic)
+	rd := &Reader{r: r, order: binary.LittleEndian}
+	magic := binary.LittleEndian.Uint32(hdr[0:4])
+	if magic != MagicMicroseconds && magic != MagicNanoseconds {
+		rd.order, magic = binary.BigEndian, bits.ReverseBytes32(magic)
 	}
-	if lt := order.Uint32(hdr[20:24]); lt != LinkTypeEthernet {
+	switch magic {
+	case MagicMicroseconds:
+		rd.tick = sim.Microsecond
+	case MagicNanoseconds:
+		rd.tick = sim.Nanosecond
+	default:
+		return nil, fmt.Errorf("pcap: bad magic %#08x", binary.LittleEndian.Uint32(hdr[0:4]))
+	}
+	if lt := rd.order.Uint32(hdr[20:24]); lt != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: unsupported link type %d", lt)
 	}
-	return &Reader{r: r, snapLen: order.Uint32(hdr[16:20]), order: order}, nil
+	rd.maxLen = uint32(min(uint64(rd.order.Uint32(hdr[16:20]))+65536, maxRecordLen))
+	return rd, nil
 }
 
-// Next returns the next record, or io.EOF at end of file.
+// Next returns the next record, or io.EOF at end of file. The record's Data
+// is read into a buffer the Reader reuses: it is valid until the next call
+// to Next. Callers that keep records use ReadAll, or copy Data.
 func (r *Reader) Next() (Record, error) {
 	hdr := r.hdr[:]
 	if _, err := io.ReadFull(r.r, hdr); err != nil {
@@ -152,21 +178,24 @@ func (r *Reader) Next() (Record, error) {
 		return Record{}, err
 	}
 	sec := r.order.Uint32(hdr[0:4])
-	usec := r.order.Uint32(hdr[4:8])
+	frac := r.order.Uint32(hdr[4:8])
 	capLen := r.order.Uint32(hdr[8:12])
 	origLen := r.order.Uint32(hdr[12:16])
-	if capLen > r.snapLen+65536 {
+	if capLen > r.maxLen {
 		return Record{}, fmt.Errorf("pcap: implausible record length %d", capLen)
 	}
-	data := make([]byte, capLen)
+	if cap(r.buf) < int(capLen) {
+		r.buf = make([]byte, capLen)
+	}
+	data := r.buf[:capLen]
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Record{}, fmt.Errorf("pcap: truncated record: %w", err)
 	}
-	t := sim.Time(int64(sec)*int64(sim.Second) + int64(usec)*int64(sim.Microsecond))
+	t := sim.Time(sec)*sim.Second + sim.Time(frac)*r.tick
 	return Record{Time: t, Data: data, OrigLen: int(origLen)}, nil
 }
 
-// ReadAll drains the reader into a slice.
+// ReadAll drains the reader into a slice of records that own their Data.
 func (r *Reader) ReadAll() ([]Record, error) {
 	var out []Record
 	for {
@@ -177,6 +206,7 @@ func (r *Reader) ReadAll() ([]Record, error) {
 		if err != nil {
 			return out, err
 		}
+		rec.Data = bytes.Clone(rec.Data)
 		out = append(out, rec)
 	}
 }

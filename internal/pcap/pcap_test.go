@@ -31,7 +31,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := [][]byte{sampleFrame(10), sampleFrame(100), sampleFrame(1000)}
-	times := []sim.Time{0, 1500 * sim.Millisecond, 65 * sim.Second}
+	times := []sim.Time{0, 1500 * sim.Millisecond, 1234567891 * sim.Nanosecond}
 	for i, f := range frames {
 		if err := w.WriteFrame(times[i], f); err != nil {
 			t.Fatal(err)
@@ -59,8 +59,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if rec.OrigLen != len(frames[i]) {
 			t.Fatalf("record %d OrigLen = %d", i, rec.OrigLen)
 		}
-		// Timestamps survive at microsecond resolution.
-		if got, want := rec.Time/sim.Microsecond, times[i]/sim.Microsecond; got != want {
+		// Timestamps survive at the simulator's nanosecond resolution.
+		if got, want := rec.Time, times[i]; got != want {
 			t.Fatalf("record %d time = %v, want %v", i, rec.Time, times[i])
 		}
 	}
@@ -75,7 +75,7 @@ func TestGlobalHeaderFormat(t *testing.T) {
 	if len(hdr) != 24 {
 		t.Fatalf("header length = %d", len(hdr))
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != MagicMicroseconds {
+	if binary.LittleEndian.Uint32(hdr[0:4]) != MagicNanoseconds {
 		t.Fatal("bad magic")
 	}
 	if binary.LittleEndian.Uint16(hdr[4:6]) != 2 || binary.LittleEndian.Uint16(hdr[6:8]) != 4 {

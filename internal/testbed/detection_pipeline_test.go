@@ -198,7 +198,9 @@ func TestModelPanicSurfacesFromRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit := ids.New(ids.Config{Model: &explodingModel{n: 500}, Window: time.Second})
+			// A window hands the model its distinct rows only, a few dozen a
+			// second on this fleet: the 40th falls a few windows into the run.
+			unit := ids.New(ids.Config{Model: &explodingModel{n: 40}, Window: time.Second})
 			if hooked {
 				unit.AddWindowHook(func(*ids.WindowResult) {})
 			}
