@@ -65,7 +65,7 @@ func run() error {
 		traceSample = flag.Float64("trace-sample", 0, "causal-tracing flow sample rate in [0,1] (0 disables; 1 traces every flow)")
 		spanOut     = flag.String("span-out", "", "write finished causal-trace spans here as JSONL (analyze with tracetool)")
 		summaryOut  = flag.String("summary-out", "", "write the end-of-run testbed summary here (byte-stable for a given seed, for determinism diffing)")
-		profileOut  = flag.String("profile-out", "", "write the simulation profile (virtual-load attribution, engine stats, wall-clock phases) here as JSON and print the bottleneck report; enables the wall-clock profiler")
+		profileOut  = flag.String("profile-out", "", "write the simulation profile (virtual-load attribution, engine stats, wall-clock phases) here as JSON and print the bottleneck report; every run keeps the profile, the flag only writes it out")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -listen address (requires -listen)")
 	)
 	flag.Parse()
@@ -109,7 +109,6 @@ func run() error {
 			Churn:           testbed.ChurnConfig{Enabled: *churn},
 			TraceSampleRate: *traceSample,
 			Domains:         *domains,
-			Profile:         *profileOut != "",
 		})
 		if err != nil {
 			return err

@@ -16,6 +16,7 @@ import (
 	"ddoshield/internal/packet"
 	"ddoshield/internal/pcap"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // capture is a short recording: a quiet second, a second of spoofed SYNs,
@@ -35,7 +36,7 @@ func capture() *pcap.Buffer {
 				tcp = packet.TCP{SrcPort: uint16(1024 + i*37), DstPort: 80, Seq: uint32(i) * 2654435761, Flags: packet.FlagSYN, Window: 512}
 				payload = nil
 			}
-			tap(at, packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2), ip, tcp, payload))
+			tap(at, packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2), ip, tcp, payload), trace.Context{})
 		}
 	}
 	return buf
@@ -98,7 +99,7 @@ func TestReplayMatchesLiveUnit(t *testing.T) {
 	live := ids.New(ids.Config{Model: km, Scaler: scaler, Window: time.Second})
 	tap := live.Tap()
 	for _, rec := range buf.Records() {
-		tap(rec.Time, rec.Data)
+		tap(rec.Time, rec.Data, trace.Context{})
 	}
 	live.Flush()
 	var want bytes.Buffer

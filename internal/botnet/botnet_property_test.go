@@ -7,6 +7,7 @@ import (
 
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // Property: every representable command survives the C2 wire round trip.
@@ -39,7 +40,7 @@ func TestFloodFramesWellFormedProperty(t *testing.T) {
 	spoof := packet.MustParsePrefix("10.0.200.0/24")
 	bad := 0
 	checked := 0
-	r.sw.AddTap(func(at sim.Time, raw []byte) {
+	r.sw.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
 		p, err := packet.Decode(at, raw)
 		if err != nil {
 			bad++

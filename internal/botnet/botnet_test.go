@@ -8,6 +8,7 @@ import (
 	"ddoshield/internal/netstack"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 type rig struct {
@@ -79,7 +80,7 @@ func TestSYNFloodEmitsSpoofedSYNs(t *testing.T) {
 	var syns, others int
 	srcs := map[packet.Addr]bool{}
 	ports := map[uint16]bool{}
-	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
 		if p.HasTCP && p.IPv4.Dst == target.Addr() && p.TCP.DstPort == 80 {
 			if p.TCP.Flags == packet.FlagSYN {
 				syns++
@@ -127,7 +128,7 @@ func TestUDPFloodUsesOwnAddressAndPayload(t *testing.T) {
 	var udps int
 	var payloadLen int
 	dstPorts := map[uint16]bool{}
-	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
 		if p.HasUDP && p.IPv4.Dst == target.Addr() {
 			udps++
 			payloadLen = len(p.Payload)
@@ -159,7 +160,7 @@ func TestACKFloodFlags(t *testing.T) {
 	bot := r.host(12)
 	target := r.host(0x0100 + 1)
 	acks := 0
-	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
 		if p.HasTCP && p.IPv4.Dst == target.Addr() && p.TCP.DstPort == 80 && p.TCP.Flags == packet.FlagACK {
 			acks++
 		}
@@ -352,7 +353,7 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 
 	var first, last sim.Time
 	frames := 0
-	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
 		if !p.HasUDP || p.IPv4.Dst != target.Addr() {
 			return
 		}
@@ -408,5 +409,15 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 	}
 	if attacks, _ := b.Stats(); attacks != 2 {
 		t.Fatalf("attacks run = %d, want 2", attacks)
+	}
+}
+
+// decodeTap adapts a packet-level observer to a netsim.Tap, skipping frames
+// that fail to decode.
+func decodeTap(fn func(p *packet.Packet)) netsim.Tap {
+	return func(at sim.Time, raw []byte, _ trace.Context) {
+		if p, err := packet.Decode(at, raw); err == nil {
+			fn(p)
+		}
 	}
 }

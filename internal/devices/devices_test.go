@@ -10,6 +10,7 @@ import (
 	"ddoshield/internal/netstack"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 var subnet = packet.MustParsePrefix("10.0.0.0/16")
@@ -225,12 +226,13 @@ func TestEndToEndInfectionChain(t *testing.T) {
 
 	// Count flood SYNs at the target.
 	syns := 0
-	r.sw.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
-		if p.HasTCP && p.IPv4.Dst == targetHost.Addr() && p.TCP.DstPort == 80 &&
+	r.sw.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
+		p, err := packet.Decode(at, raw)
+		if err == nil && p.HasTCP && p.IPv4.Dst == targetHost.Addr() && p.TCP.DstPort == 80 &&
 			p.TCP.Flags == packet.FlagSYN && p.IPv4.Src != devHost.Addr() {
 			syns++
 		}
-	}))
+	})
 
 	// Let the scan-and-infect phase run.
 	if err := r.sched.Run(120 * sim.Second); err != nil {

@@ -63,11 +63,11 @@ type Scenario struct {
 	// SpeedFactor converts measured compute to IoT-class CPU%
 	// (see sysmon package doc).
 	SpeedFactor float64
-	// Workers bounds experiment-level parallelism: independent model fits
-	// and sweep points run on at most this many goroutines. 0 means one
-	// worker per CPU; 1 forces serial execution. Results are byte-identical
-	// regardless of the setting — every parallel site writes into
-	// index-addressed slices and shares no mutable state.
+	// Workers bounds experiment-level parallelism: the independent model
+	// fits run on at most this many goroutines. 0 means one worker per CPU;
+	// 1 forces serial execution. Results are byte-identical regardless of
+	// the setting — the fits write into index-addressed slices and share no
+	// mutable state.
 	Workers int
 	// TraceSampleRate enables causal packet tracing in every testbed the
 	// scenario builds (fraction of flows traced; 0 disables). Tracing
@@ -371,24 +371,24 @@ func (sc Scenario) RunRealTime(tr *TrainingResult) (*RealTimeResult, error) {
 	return sc.RunRealTimeModels(tr.Models())
 }
 
-// liveDetection is the run every real-time experiment shares: a fresh
-// testbed at Seed+1, the botnet established over InfectionLead, one live IDS
-// unit per model on the TServer tap (named after its model, in models
-// order), attack waves from DetectWarmup to the end of dur, every unit
-// flushed. arm runs once the units are attached and before the measured run
-// is scheduled, for what only its caller needs — monitors, a fault plan.
-func (sc Scenario) liveDetection(models []TrainedModel, dur time.Duration, arm func(*testbed.Testbed, []*ids.Unit)) (*testbed.Testbed, []*ids.Unit, error) {
+// RunRealTimeModels executes the real-time detection run for an arbitrary
+// detector list: a fresh testbed at Seed+1, the botnet established over
+// InfectionLead, one live IDS unit per model on the TServer tap (named
+// after its model, in models order), attack waves from DetectWarmup to the
+// end of DetectDuration, every unit flushed.
+func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, error) {
 	tb, err := sc.buildTestbed(sc.Seed+1, sc.ChurnInDetect)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Establish the botnet before measurement begins.
 	tb.Start()
 	if err := tb.Run(sc.InfectionLead); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lead := time.Duration(tb.Scheduler().Now())
 	units := make([]*ids.Unit, len(models))
+	mons := make([]*sysmon.Monitor, len(models))
 	for i, tm := range models {
 		units[i] = ids.New(ids.Config{
 			Model:    tm.Model,
@@ -402,30 +402,17 @@ func (sc Scenario) liveDetection(models []TrainedModel, dur time.Duration, arm f
 		})
 		tb.AttachIDS(units[i])
 	}
-	arm(tb, units)
-	sc.scheduleAttacks(tb, lead+sc.DetectWarmup, lead+dur, sc.DetectPPS)
-	if err := tb.Run(dur); err != nil {
-		return nil, nil, err
+	for i, u := range units {
+		mons[i] = sysmon.NewMonitor(u, sc.Window)
+		mons[i].Start(tb.Scheduler())
+		mons[i].Publish(tb.Registry(), u.Name(), sc.SpeedFactor)
+	}
+	sc.scheduleAttacks(tb, lead+sc.DetectWarmup, lead+sc.DetectDuration, sc.DetectPPS)
+	if err := tb.Run(sc.DetectDuration); err != nil {
+		return nil, err
 	}
 	for _, u := range units {
 		u.Flush()
-	}
-	return tb, units, nil
-}
-
-// RunRealTimeModels executes the real-time detection run for an arbitrary
-// detector list.
-func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, error) {
-	mons := make([]*sysmon.Monitor, len(models))
-	tb, units, err := sc.liveDetection(models, sc.DetectDuration, func(tb *testbed.Testbed, units []*ids.Unit) {
-		for i, u := range units {
-			mons[i] = sysmon.NewMonitor(u, sc.Window)
-			mons[i].Start(tb.Scheduler())
-			mons[i].Publish(tb.Registry(), u.Name(), sc.SpeedFactor)
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	res := &RealTimeResult{}
 	for i, u := range units {
@@ -448,23 +435,6 @@ func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, er
 		res.Packets = u.PacketsSeen()
 	}
 	return res, nil
-}
-
-// RunAll executes the full pipeline: generate, train, detect.
-func (sc Scenario) RunAll() (*dataset.Dataset, *TrainingResult, *RealTimeResult, error) {
-	ds, err := sc.GenerateDataset()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("generate: %w", err)
-	}
-	tr, err := sc.TrainModels(ds)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("train: %w", err)
-	}
-	rt, err := sc.RunRealTime(tr)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("detect: %w", err)
-	}
-	return ds, tr, rt, nil
 }
 
 // FormatTable1 renders rows in the paper's Table I layout.

@@ -44,12 +44,20 @@ func TestFullPipelineShape(t *testing.T) {
 		t.Skip("full pipeline is seconds-long")
 	}
 	sc := tiny()
-	ds, tr, rt, err := sc.RunAll()
+	ds, err := sc.GenerateDataset()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.Len() == 0 {
 		t.Fatal("empty dataset")
+	}
+	tr, err := sc.TrainModels(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := sc.RunRealTime(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Offline metrics: the distance/gradient models must be strong.

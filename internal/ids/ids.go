@@ -217,34 +217,18 @@ func (u *Unit) AddWindowHook(fn func(r *WindowResult)) {
 }
 
 // Tap returns a netsim.Tap that feeds the unit — attach it to the switch
-// (span port) or to the TServer's link, as Fig. 1 places the IDS.
+// (span port) or to the TServer's link, as Fig. 1 places the IDS. A
+// sampled packet's chain gains an "ids-window" span that stays open until
+// the packet's window closes and finishes tagged with the verdict
+// ("alert"/"clear"). testbed.AttachIDS attaches it.
 func (u *Unit) Tap() netsim.Tap {
-	return func(t sim.Time, raw []byte) {
+	return func(t sim.Time, raw []byte, tc trace.Context) {
 		if u.detached {
 			return
 		}
 		start := u.startTimer()
 		// Pooled decode: AddPacket copies the Basic features out by value,
 		// so the Packet never outlives the tap callback.
-		p := packet.Acquire()
-		if err := packet.DecodeInto(p, t, raw); err == nil {
-			u.extractor.AddPacket(p)
-		}
-		p.Release()
-		u.stopTimer(start)
-	}
-}
-
-// TapCtx is Tap joined to the causal-tracing plane: a sampled packet's
-// chain gains an "ids-window" span that stays open until the packet's
-// window closes and finishes tagged with the verdict ("alert"/"clear").
-// Attach via testbed.AttachIDS or netsim's AddTapCtx.
-func (u *Unit) TapCtx() netsim.TapCtx {
-	return func(t sim.Time, raw []byte, tc trace.Context) {
-		if u.detached {
-			return
-		}
-		start := u.startTimer()
 		p := packet.Acquire()
 		if err := packet.DecodeInto(p, t, raw); err == nil {
 			p.Trace = tc

@@ -15,6 +15,7 @@ import (
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // slowModel gives the processor away and sleeps before every batch, so the
@@ -308,7 +309,7 @@ func TestHookRunsBeforeClosingCallReturns(t *testing.T) {
 	u.AddWindowHook(func(r *WindowResult) { hooked = append(hooked, r.Start) })
 	tap := u.Tap()
 	for _, p := range windowsOf(rand.New(rand.NewSource(4)), []int{100, 100, 100, 100}) {
-		tap(p.Time, p.Raw)
+		tap(p.Time, p.Raw, trace.Context{})
 		if closed, _ := u.extractor.Counts(); len(hooked) != int(closed) {
 			t.Fatalf("frame at %v closed window %d; the hook has run %d times", p.Time, closed, len(hooked))
 		}
@@ -327,12 +328,12 @@ func TestDetachedUnitStillFolds(t *testing.T) {
 	tap := u.Tap()
 	frames := windowsOf(rand.New(rand.NewSource(6)), []int{80, 80})
 	for _, p := range frames[:81] {
-		tap(p.Time, p.Raw)
+		tap(p.Time, p.Raw, trace.Context{})
 	}
 	<-gate.entered
 	u.Detach()
 	for _, p := range frames[81:] {
-		tap(p.Time, p.Raw)
+		tap(p.Time, p.Raw, trace.Context{})
 	}
 	close(gate.release)
 	if res := u.Results(); len(res) != 1 || res[0].Packets != 80 {

@@ -11,6 +11,7 @@ import (
 	"ddoshield/internal/netstack"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 func pair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
@@ -150,7 +151,7 @@ func TestResponderBlocksSpoofedFloodByPrefix(t *testing.T) {
 			packet.IPv4{TTL: 64, Src: src, Dst: server.Addr()},
 			packet.TCP{SrcPort: uint16(1024 + i), DstPort: 80, Seq: rng.Uint32(), Flags: packet.FlagSYN, Window: 512},
 			nil)
-		tap(sim.Time(i)*5*sim.Millisecond, raw)
+		tap(sim.Time(i)*5*sim.Millisecond, raw, trace.Context{})
 	}
 	unit.Flush()
 	alerts, addrRules, prefixRules := resp.Stats()

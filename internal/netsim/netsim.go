@@ -36,14 +36,13 @@ type Port interface {
 	String() string
 }
 
-// Tap observes frames on a link. Taps run at frame-delivery time with the
-// simulated timestamp, exactly like a passive capture interface. The pcap
-// writer and the IDS monitor are both taps.
-type Tap func(t sim.Time, raw []byte)
-
-// TapCtx is a Tap that also sees the frame's trace context, so observers
-// (the IDS) can extend a sampled packet's causal chain.
-type TapCtx func(t sim.Time, raw []byte, tc trace.Context)
+// Tap observes frames on a link or a switch. Taps run at frame-delivery
+// time with the simulated timestamp, exactly like a passive capture
+// interface, in the order they were added. tc is the frame's trace context
+// (zero when the frame is unsampled), so an observer can extend a sampled
+// packet's causal chain. The pcap writer and the IDS monitor are both taps;
+// a tap must not modify the frame.
+type Tap func(t sim.Time, raw []byte, tc trace.Context)
 
 // Network owns the simulated topology: the scheduler, every node, link and
 // switch, and the MAC address allocator.
@@ -407,25 +406,21 @@ func (nd *Node) NICs() []*NIC {
 
 // NIC is a network interface with a MAC address, bound to one end of a link.
 type NIC struct {
-	node    *Node
-	mac     packet.MAC
-	index   int
-	name    string // "node/ethN", precomputed for alloc-free diagnostics
-	link    *Link
-	side    int // 0 or 1: which end of the link this NIC terminates
-	handler func(raw []byte)
-	// ctxHandler, when set, wins over handler and also receives the
-	// frame's trace context (the netstack installs this one).
-	ctxHandler func(raw []byte, tc trace.Context)
+	node  *Node
+	mac   packet.MAC
+	index int
+	name  string // "node/ethN", precomputed for alloc-free diagnostics
+	link  *Link
+	side  int // 0 or 1: which end of the link this NIC terminates
+	// handler receives every frame the NIC accepts, with its trace context
+	// (the host network stack).
+	handler func(raw []byte, tc trace.Context)
 	// ingress, when set, vets every arriving frame before the handler;
-	// returning false drops it (the firewall hook).
-	ingress func(raw []byte) bool
-	// ingressCtx, when set, wins over ingress and also receives the frame's
-	// trace context: a filter that terminates sampled chains itself (the
-	// inline mitigation stage records its own "mitigation" hop and drop
-	// cause) attaches here. On a false return the NIC still counts and
-	// emits the drop but records no span of its own.
-	ingressCtx func(raw []byte, tc trace.Context) bool
+	// returning false drops it (the firewall hook). The filter terminates
+	// sampled chains itself (the inline mitigation stage records its own
+	// "mitigation" hop and drop cause): on a false return the NIC counts
+	// and emits the drop but records no span of its own.
+	ingress func(raw []byte, tc trace.Context) bool
 
 	// Shared telemetry counters: the registry exports these same
 	// instances, and Stats()/IngressDropped() are thin value adapters, so
@@ -451,12 +446,15 @@ func (c *NIC) Node() *Node { return c.node }
 // Attached reports whether the NIC is wired to a link.
 func (c *NIC) Attached() bool { return c.link != nil }
 
-// SetHandler installs the receive callback (the host network stack).
-func (c *NIC) SetHandler(fn func(raw []byte)) { c.handler = fn }
+// SetHandlerCtx installs the receive callback (the host network stack),
+// which also receives each frame's trace context.
+func (c *NIC) SetHandlerCtx(fn func(raw []byte, tc trace.Context)) { c.handler = fn }
 
-// SetHandlerCtx installs a trace-context-aware receive callback; it takes
-// precedence over SetHandler.
-func (c *NIC) SetHandlerCtx(fn func(raw []byte, tc trace.Context)) { c.ctxHandler = fn }
+// SetHandler installs a receive callback that does not look at trace
+// contexts.
+func (c *NIC) SetHandler(fn func(raw []byte)) {
+	c.handler = func(raw []byte, _ trace.Context) { fn(raw) }
+}
 
 // Send transmits a raw frame out of the NIC. Frames sent on an unattached
 // NIC are silently dropped, like a cable that was unplugged (device churn).
@@ -487,19 +485,9 @@ func (c *NIC) Stats() (rxFrames, rxBytes, txFrames, txBytes uint64) {
 }
 
 func (c *NIC) receive(raw []byte, tc trace.Context) {
-	if c.ingressCtx != nil {
-		if !c.ingressCtx(raw, tc) {
-			c.ingressDropped.Inc()
-			c.node.net.emit(c.node.sched.Now(), telemetry.CatNet, "ingress-drop", c.name, int64(len(raw)))
-			return
-		}
-	} else if c.ingress != nil && !c.ingress(raw) {
+	if c.ingress != nil && !c.ingress(raw, tc) {
 		c.ingressDropped.Inc()
-		now := c.node.sched.Now()
-		c.node.net.emit(now, telemetry.CatNet, "ingress-drop", c.name, int64(len(raw)))
-		if tc.Sampled() {
-			tc.Start(now, "nic-rx", c.name).Drop(now, trace.DropIngressFilter)
-		}
+		c.node.net.emit(c.node.sched.Now(), telemetry.CatNet, "ingress-drop", c.name, int64(len(raw)))
 		return
 	}
 	c.rxFrames.Inc()
@@ -510,25 +498,19 @@ func (c *NIC) receive(raw []byte, tc trace.Context) {
 		hop.Finish(now)
 		tc = hop
 	}
-	if c.ctxHandler != nil {
-		c.ctxHandler(raw, tc)
-	} else if c.handler != nil {
-		c.handler(raw)
+	if c.handler != nil {
+		c.handler(raw, tc)
 	} else {
 		tc.Drop(c.node.sched.Now(), trace.DropNoSocket)
 	}
 }
 
-// SetIngressFilter installs (or clears, with nil) a frame filter that runs
-// before the receive handler; returning false drops the frame. A firewall
-// in front of the host attaches here.
-func (c *NIC) SetIngressFilter(fn func(raw []byte) bool) { c.ingress = fn }
-
-// SetIngressFilterCtx installs (or clears, with nil) a trace-context-aware
-// ingress filter; it takes precedence over SetIngressFilter. The filter
-// owns the causal-tracing side of a drop: it must terminate sampled chains
-// itself (with its own hop span and drop cause) when it returns false.
-func (c *NIC) SetIngressFilterCtx(fn func(raw []byte, tc trace.Context) bool) { c.ingressCtx = fn }
+// SetIngressFilterCtx installs (or clears, with nil) a frame filter that
+// runs before the receive handler; returning false drops the frame. A
+// firewall in front of the host attaches here. The filter owns the
+// causal-tracing side of a drop: it must terminate sampled chains itself
+// (with its own hop span and drop cause) when it returns false.
+func (c *NIC) SetIngressFilterCtx(fn func(raw []byte, tc trace.Context) bool) { c.ingress = fn }
 
 // IngressDropped reports frames discarded by the ingress filter.
 func (c *NIC) IngressDropped() uint64 { return c.ingressDropped.Value() }
@@ -656,12 +638,11 @@ type Link struct {
 	// embedded by value: at fleet scale the two extra allocations per link
 	// (and the pointer chase per delivery) were measurable in both build
 	// time and steady-state heap.
-	dirs    [2]direction
-	ends    [2]Port
-	taps    []Tap
-	ctxTaps []TapCtx
-	up      [2]bool // per-side cable state; owned by ends[i]'s domain
-	idx     int     // creation index; the structural delivery tie-break key
+	dirs [2]direction
+	ends [2]Port
+	taps []Tap
+	up   [2]bool // per-side cable state; owned by ends[i]'s domain
+	idx  int     // creation index; the structural delivery tie-break key
 }
 
 // queuedFrame is one drop-tail queue entry: the frame plus its trace
@@ -814,10 +795,6 @@ func bindPort(p Port, l *Link, side int) {
 // AddTap registers a passive observer invoked for every frame the link
 // delivers (in either direction).
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
-
-// AddTapCtx registers a trace-context-aware observer invoked for every
-// frame the link delivers.
-func (l *Link) AddTapCtx(t TapCtx) { l.ctxTaps = append(l.ctxTaps, t) }
 
 // SetUp raises or cuts both sides of the link. A side being down drops
 // frames sent from it at the queue, and drops frames arriving into it at
@@ -1158,9 +1135,6 @@ func (d *direction) deliver(raw []byte, tc trace.Context) {
 	}
 	tc.Finish(now)
 	for _, tap := range l.taps {
-		tap(now, raw)
-	}
-	for _, tap := range l.ctxTaps {
 		tap(now, raw, tc)
 	}
 	l.ends[1-d.from].receive(raw, tc)

@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // frame builds a minimal Ethernet frame with an n-byte payload.
@@ -157,7 +159,7 @@ func TestTapSeesDeliveredFrames(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
 	b.SetHandler(func(raw []byte) {})
 	var tapped []sim.Time
-	a.link.AddTap(func(at sim.Time, raw []byte) { tapped = append(tapped, at) })
+	a.link.AddTap(func(at sim.Time, raw []byte, _ trace.Context) { tapped = append(tapped, at) })
 	a.Send(frame(a.MAC(), b.MAC(), 64))
 	s.Drain()
 	if len(tapped) != 1 {
@@ -230,7 +232,7 @@ func TestSwitchTapSeesEachIngressOnce(t *testing.T) {
 		nic.SetHandler(func(raw []byte) {})
 	}
 	tapped := 0
-	sw.AddTap(func(at sim.Time, raw []byte) { tapped++ })
+	sw.AddTap(func(at sim.Time, raw []byte, _ trace.Context) { tapped++ })
 	// Broadcast fans out to 3 ports but the tap must fire once.
 	nics[0].Send(frame(nics[0].MAC(), packet.BroadcastMAC, 64))
 	s.Drain()
@@ -257,18 +259,37 @@ func TestSwitchForget(t *testing.T) {
 	}
 }
 
-func TestDecodeTap(t *testing.T) {
-	s, a, b := twoNodes(t, LinkConfig{})
-	b.SetHandler(func(raw []byte) {})
-	var pkts []*packet.Packet
-	a.link.AddTap(DecodeTap(func(p *packet.Packet) { pkts = append(pkts, p) }))
-	raw := packet.BuildUDP(a.MAC(), b.MAC(),
+// TestTapsFireInRegistrationOrder: a link's and a switch's taps see every
+// frame in the order they were added, each with the frame's trace context
+// (zero here: nothing is sampled).
+func TestTapsFireInRegistrationOrder(t *testing.T) {
+	s := sim.NewScheduler()
+	net := New(s)
+	sw := net.NewSwitch("sw")
+	a, b := net.NewNode("a").AddNIC(), net.NewNode("b").AddNIC()
+	link := net.Connect(a, sw.NewPort(), LinkConfig{})
+	net.Connect(b, sw.NewPort(), LinkConfig{})
+	b.SetHandler(func([]byte) {})
+	var order []string
+	tap := func(name string) Tap {
+		return func(_ sim.Time, _ []byte, tc trace.Context) {
+			if tc.Sampled() {
+				t.Errorf("%s: unsampled frame carries a sampled context", name)
+			}
+			order = append(order, name)
+		}
+	}
+	sw.AddTap(tap("switch-1"))
+	link.AddTap(tap("link-1"))
+	sw.AddTap(tap("switch-2"))
+	link.AddTap(tap("link-2"))
+	a.Send(packet.BuildUDP(a.MAC(), b.MAC(),
 		packet.IPv4{TTL: 64, Src: packet.MustParseAddr("10.0.0.1"), Dst: packet.MustParseAddr("10.0.0.2")},
-		packet.UDP{SrcPort: 1, DstPort: 2}, []byte("x"))
-	a.Send(raw)
+		packet.UDP{SrcPort: 1, DstPort: 2}, []byte("x")))
 	s.Drain()
-	if len(pkts) != 1 || !pkts[0].HasUDP {
-		t.Fatalf("decode tap failed: %v", pkts)
+	want := []string{"link-1", "link-2", "switch-1", "switch-2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("taps fired %v, want %v", order, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // TestSameInstantDeliveryOrder pins the order of frames that land in one
@@ -58,7 +59,7 @@ func sameInstantDeliveryOrder(t *testing.T, domains int) {
 		leaves[i].SetHandler(func(raw []byte) { got[i] = append(got[i], raw[len(raw)-1]) })
 	}
 	var heard []byte // marks in the order the switch processed them
-	sw.AddTap(func(_ sim.Time, raw []byte) { heard = append(heard, raw[len(raw)-1]) })
+	sw.AddTap(func(_ sim.Time, raw []byte, _ trace.Context) { heard = append(heard, raw[len(raw)-1]) })
 
 	// Link 4: two hosts of one domain wired back to back; both directions
 	// deliver into the same scheduler.

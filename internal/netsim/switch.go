@@ -15,14 +15,13 @@ import (
 // an ARP directory (Network.SetARPDirectory) a broadcast ARP request is
 // relayed toward the address's owner, or discarded when it has none.
 type Switch struct {
-	net     *Network
-	name    string
-	ports   []*switchPort
-	table   map[packet.MAC]*switchPort
-	taps    []Tap
-	ctxTaps []TapCtx
-	dom     *sim.Domain // nil in serial networks
-	sched   *sim.Scheduler
+	net   *Network
+	name  string
+	ports []*switchPort
+	table map[packet.MAC]*switchPort
+	taps  []Tap
+	dom   *sim.Domain // nil in serial networks
+	sched *sim.Scheduler
 
 	// Shared telemetry counters; Stats()/PartitionDrops()/ARPSuppressed()
 	// are adapters.
@@ -72,10 +71,6 @@ func (s *Switch) NewPort() Port {
 // relays (once per ingress frame, regardless of fan-out). Tapping the switch
 // is the testbed's span-port analog: the IDS sees all segment traffic.
 func (s *Switch) AddTap(t Tap) { s.taps = append(s.taps, t) }
-
-// AddTapCtx registers a trace-context-aware span-port observer (the IDS
-// attaches here to join sampled packets' causal chains).
-func (s *Switch) AddTapCtx(t TapCtx) { s.ctxTaps = append(s.ctxTaps, t) }
 
 // Stats reports frames forwarded to a learned port and frames flooded.
 func (s *Switch) Stats() (forwarded, flooded uint64) {
@@ -168,9 +163,6 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	}
 	span := tc.Start(now, "switch", p.name)
 	for _, tap := range s.taps {
-		tap(now, raw)
-	}
-	for _, tap := range s.ctxTaps {
 		tap(now, raw, span)
 	}
 	if !eth.Src.IsBroadcast() {
@@ -232,27 +224,4 @@ func arpQuestion(b []byte) (target packet.Addr, ok bool) {
 		return packet.Addr{}, false
 	}
 	return a.TargetIP, true
-}
-
-// TapAll attaches the tap to every frame relayed by the switch plus every
-// frame delivered on the given extra links. Convenience for experiments.
-func TapAll(tap Tap, s *Switch, links ...*Link) {
-	if s != nil {
-		s.AddTap(tap)
-	}
-	for _, l := range links {
-		l.AddTap(tap)
-	}
-}
-
-// DecodeTap wraps a packet-level observer as a raw Tap, dropping frames
-// that fail Ethernet dissection.
-func DecodeTap(fn func(p *packet.Packet)) Tap {
-	return func(t sim.Time, raw []byte) {
-		p, err := packet.Decode(t, raw)
-		if err != nil {
-			return
-		}
-		fn(p)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // runTrafficScenario drives a deterministic two-host+switch topology with
@@ -32,7 +33,7 @@ func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Re
 	})
 	// b drops every third frame at ingress.
 	n := 0
-	b.SetIngressFilter(func([]byte) bool { n++; return n%3 != 0 })
+	b.SetIngressFilterCtx(func([]byte, trace.Context) bool { n++; return n%3 != 0 })
 	b.SetHandler(func([]byte) {})
 	a.SetHandler(func([]byte) {})
 

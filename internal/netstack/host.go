@@ -78,10 +78,6 @@ type Host struct {
 	// bufs holds the send buffers connections have returned: see buffers.go.
 	bufs *bufferList
 
-	// forwarder, when non-nil, receives IPv4 packets addressed elsewhere
-	// (set by Router.AddInterface).
-	forwarder *routerIface
-
 	// Counters for diagnostics and tests.
 	rxIPv4    uint64
 	rxARP     uint64
@@ -415,13 +411,10 @@ func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
 	})
 }
 
-// SendRaw transmits a pre-built frame verbatim. Nil and runt frames are
-// ignored. This is the raw-socket analog the Mirai attack engines use.
-func (h *Host) SendRaw(frame []byte) { h.SendRawCtx(frame, trace.Context{}) }
-
-// SendRawCtx is SendRaw carrying a trace context opened by the caller (the
-// flood engines originate spans themselves, since their spoofed flows never
-// pass through sendIP).
+// SendRawCtx transmits a pre-built frame verbatim, carrying a trace context
+// opened by the caller: the raw-socket analog the Mirai attack engines use
+// (they originate spans themselves, since their spoofed flows never pass
+// through sendIP). Nil and runt frames are dropped.
 func (h *Host) SendRawCtx(frame []byte, tc trace.Context) {
 	if len(frame) < packet.EthernetHeaderLen {
 		tc.Drop(h.sched.Now(), trace.DropMalformed)
@@ -513,11 +506,6 @@ func (h *Host) handleIPv4(b []byte, tc trace.Context) {
 		return
 	}
 	if ip.Dst != h.cfg.Addr && ip.Dst != (packet.Addr{255, 255, 255, 255}) {
-		if h.forwarder != nil {
-			tc.FinishTag(now, "forward")
-			h.forwarder.forward(ip, payload)
-			return
-		}
 		h.rxBadDst++
 		tc.Drop(now, trace.DropBadDst)
 		return

@@ -7,6 +7,7 @@ import (
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // lan builds n hosts joined by a switch on 10.0.0.0/24 (.1, .2, ...).
@@ -300,7 +301,7 @@ func TestListenerBacklogDropsSYNFlood(t *testing.T) {
 			packet.IPv4{TTL: 64, ID: uint16(i), Src: src, Dst: server.Addr()},
 			packet.TCP{SrcPort: uint16(40000 + i), DstPort: 80, Seq: uint32(i), Flags: packet.FlagSYN, Window: 1024},
 			nil)
-		flooder.SendRaw(raw)
+		flooder.SendRawCtx(raw, trace.Context{})
 	}
 	s.RunFor(sim.Second.Duration())
 	if got := l.HalfOpen(); got != 8 {
@@ -338,9 +339,9 @@ func TestBacklogPressureBlocksLegitimateClients(t *testing.T) {
 	s.RunFor(sim.Second.Duration())
 	for i := 0; i < 4; i++ {
 		src := packet.AddrFrom4(10, 0, 0, byte(200+i))
-		flooder.SendRaw(packet.BuildTCP(flooder.MAC(), serverMAC,
+		flooder.SendRawCtx(packet.BuildTCP(flooder.MAC(), serverMAC,
 			packet.IPv4{TTL: 64, Src: src, Dst: server.Addr()},
-			packet.TCP{SrcPort: 1000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1024}, nil))
+			packet.TCP{SrcPort: 1000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1024}, nil), trace.Context{})
 	}
 	s.RunFor((100 * sim.Millisecond).Duration())
 	if l.HalfOpen() != 4 {

@@ -32,8 +32,8 @@ type Packet struct {
 	// other protocols.
 	Payload []byte
 
-	// Trace is the frame's causal-trace context, set by context-aware taps
-	// (netsim.TapCtx consumers) after decoding; the zero value means the
+	// Trace is the frame's causal-trace context, set by taps that pass on
+	// the context netsim hands them after decoding; the zero value means the
 	// frame's flow was not sampled. DecodeInto and Release both reset it so
 	// a pooled Packet can never leak a stale TraceID into the next frame.
 	Trace trace.Context

@@ -18,6 +18,7 @@ import (
 
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 const (
@@ -111,7 +112,7 @@ func (w *Writer) Count() uint64 { return w.wrote }
 // Tap returns a netsim.Tap that captures every observed frame into the
 // writer. Write errors are sticky and silently stop the capture.
 func (w *Writer) Tap() netsim.Tap {
-	return func(t sim.Time, raw []byte) {
+	return func(t sim.Time, raw []byte, _ trace.Context) {
 		_ = w.WriteFrame(t, raw)
 	}
 }
@@ -225,7 +226,7 @@ func NewBuffer(limit int) *Buffer { return &Buffer{limit: limit} }
 
 // Tap returns a netsim.Tap that appends frames to the buffer.
 func (b *Buffer) Tap() netsim.Tap {
-	return func(t sim.Time, raw []byte) {
+	return func(t sim.Time, raw []byte, _ trace.Context) {
 		if b.limit > 0 && len(b.records) >= b.limit {
 			return
 		}

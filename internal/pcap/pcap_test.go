@@ -13,6 +13,7 @@ import (
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 func sampleFrame(n int) []byte {
@@ -184,7 +185,7 @@ func TestBufferLimit(t *testing.T) {
 	cap := NewBuffer(2)
 	tap := cap.Tap()
 	for i := 0; i < 5; i++ {
-		tap(sim.Time(i), sampleFrame(10))
+		tap(sim.Time(i), sampleFrame(10), trace.Context{})
 	}
 	if cap.Len() != 2 {
 		t.Fatalf("limited buffer holds %d", cap.Len())
@@ -194,8 +195,8 @@ func TestBufferLimit(t *testing.T) {
 func TestBufferWriteTo(t *testing.T) {
 	cap := NewBuffer(0)
 	tap := cap.Tap()
-	tap(sim.Second, sampleFrame(30))
-	tap(2*sim.Second, sampleFrame(40))
+	tap(sim.Second, sampleFrame(30), trace.Context{})
+	tap(2*sim.Second, sampleFrame(40), trace.Context{})
 	var buf bytes.Buffer
 	if _, err := cap.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 const sample = `{
@@ -86,11 +86,12 @@ func TestApplyRunsScenario(t *testing.T) {
 	}
 	// Count spoofed SYNs at the TServer to prove the scheduled attack ran.
 	syns := 0
-	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
-		if p.HasTCP && p.TCP.Flags == packet.FlagSYN && p.IPv4.Src[2] >= 200 {
+	tb.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
+		p, err := packet.Decode(at, raw)
+		if err == nil && p.HasTCP && p.TCP.Flags == packet.FlagSYN && p.IPv4.Src[2] >= 200 {
 			syns++
 		}
-	}))
+	})
 	tb.Start()
 	if err := tb.Run(d.Duration()); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,15 @@
 // goroutine scheduling.
 //
 // Determinism: for a fixed domain count K the engine produces bit-identical
-// results for any worker count, including the inline serial path, because
-// each domain's events execute sequentially in (time, ord) order and the
-// merge order is a pure function of what each domain sent. The worker count
-// only decides which OS thread runs a window, never what the window computes.
+// results for any worker count, because each domain's events execute
+// sequentially in (time, ord) order and the merge order is a pure function
+// of what each domain sent. The worker count only decides how many windows
+// run at once, never what a window computes.
+//
+// The engine keeps its own accounting on every run, in two planes kept
+// apart by their accessors: deterministic counters (Domain.Stats,
+// Engine.Epochs, Engine.Windows, Engine.Messages) and wall-clock timing
+// (Domain.Wall, Engine.MergeNs), which depends on the host.
 package sim
 
 import (
@@ -40,10 +45,15 @@ type message struct {
 	fn  Handler
 }
 
-// DomainStats is one domain's execution accounting, for telemetry.
+// DomainStats is one domain's execution accounting, for telemetry. Every
+// field is a function of the simulation alone — the same for any worker
+// count — so deterministic artifacts may read it. Wall-clock figures live
+// apart, in DomainWall.
 type DomainStats struct {
 	// Events is the total events the domain's scheduler has fired.
 	Events uint64
+	// MaxWindowEvents is the most events the domain fired in one window.
+	MaxWindowEvents uint64
 	// BarrierWaits counts epoch barriers the domain participated in.
 	BarrierWaits uint64
 	// MsgsOut and MsgsIn count cross-domain messages sent and received.
@@ -57,28 +67,13 @@ type DomainStats struct {
 	HorizonLag Time
 }
 
-// EngineProbe observes engine execution for the simulation profiler. All
-// callbacks are invoked from the engine's coordinator goroutine (never from
-// a domain worker), so implementations need no locking. The virtual-time
-// arguments (window bounds, event counts, message counts) are deterministic
-// for a fixed (topology, seed, Domains) configuration; the wall-clock
-// nanosecond arguments are not and must never leak into deterministic
-// artifacts.
-type EngineProbe interface {
-	// OnEpoch fires once per epoch, after the previous epoch's cross-domain
-	// merge and before the epoch's windows run. start/end are the epoch
-	// window bounds (end exclusive); mergeNs is the wall clock the merge
-	// just consumed.
-	OnEpoch(start, end Time, mergeNs int64)
-	// OnCrossMessages fires during merge, once per non-empty (sender,
-	// receiver) outbox: n messages from domain `from` are being delivered
-	// into domain `to` this epoch.
-	OnCrossMessages(from, to, n int)
-	// OnDomainWindow fires once per domain per epoch, after the barrier:
-	// the domain fired events events this window, spent execNs wall clock
-	// executing them, and then waited waitNs at the barrier for the epoch's
-	// slowest domain (0 on the serial path, which has no barrier).
-	OnDomainWindow(domain int, events uint64, execNs, waitNs int64)
+// DomainWall is one domain's wall-clock accounting: the time it spent
+// executing its windows and the time it then waited at the barrier for the
+// epoch's slowest domain. It depends on the host and the worker count, so
+// it has an accessor of its own (Domain.Wall) and never enters DomainStats.
+type DomainWall struct {
+	ExecNs int64
+	WaitNs int64
 }
 
 // Domain is one partition of the simulated world: a private scheduler plus
@@ -97,17 +92,18 @@ type Domain struct {
 	// (or was last) allowed to execute; Post validates against it.
 	windowEnd Time
 
-	msgsOut uint64
-	msgsIn  uint64
-	waits   uint64
-	maxLag  Time
+	msgsOut      uint64
+	msgsIn       uint64
+	waits        uint64
+	maxLag       Time
+	maxWinEvents uint64
 
-	// Probe scratch, written by runWindow (or the timing wrapper around it)
-	// and read by the coordinator after the barrier; the WaitGroup provides
-	// the happens-before edge on the parallel path.
-	lastEvents uint64
-	lastExecNs int64
-	doneAtNs   int64
+	// Wall clock, written by the domain's goroutine as a window ends and
+	// read by the coordinator after the barrier (the WaitGroup orders the
+	// two): doneAt is when the last window finished.
+	execNs int64
+	waitNs int64
+	doneAt time.Time
 
 	err error // window panic captured by the worker goroutine
 }
@@ -121,13 +117,17 @@ func (d *Domain) Scheduler() *Scheduler { return d.sched }
 // Stats returns a snapshot of the domain's execution counters.
 func (d *Domain) Stats() DomainStats {
 	return DomainStats{
-		Events:       d.sched.Fired(),
-		BarrierWaits: d.waits,
-		MsgsOut:      d.msgsOut,
-		MsgsIn:       d.msgsIn,
-		HorizonLag:   d.maxLag,
+		Events:          d.sched.Fired(),
+		MaxWindowEvents: d.maxWinEvents,
+		BarrierWaits:    d.waits,
+		MsgsOut:         d.msgsOut,
+		MsgsIn:          d.msgsIn,
+		HorizonLag:      d.maxLag,
 	}
 }
+
+// Wall returns the domain's wall-clock accounting so far.
+func (d *Domain) Wall() DomainWall { return DomainWall{ExecNs: d.execNs, WaitNs: d.waitNs} }
 
 func (d *Domain) allocMsg() *message {
 	if n := len(d.free); n > 0 {
@@ -195,16 +195,46 @@ func (d *Domain) runWindow(end Time) {
 	d.waits++
 }
 
-// runWindowTimed is runWindow plus the probe's wall-clock accounting:
-// events fired, execute nanoseconds, and the instant the domain finished
-// (the barrier-wait baseline). Only called when a probe is attached.
-func (d *Domain) runWindowTimed(end Time) {
+// runTimed is runWindow as the domain's goroutine runs it: it counts the
+// window's events, reads the clock before and after, and captures a panic
+// (a model bug such as a lookahead violation) as the domain's error.
+func (d *Domain) runTimed(end Time) {
 	fired := d.sched.Fired()
 	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			d.err = fmt.Errorf("sim: domain %d window panic: %v", d.idx, r)
+		}
+		d.doneAt = time.Now()
+		d.execNs += d.doneAt.Sub(start).Nanoseconds()
+		if n := d.sched.Fired() - fired; n > d.maxWinEvents {
+			d.maxWinEvents = n
+		}
+	}()
 	d.runWindow(end)
-	d.lastExecNs = time.Since(start).Nanoseconds()
-	d.lastEvents = d.sched.Fired() - fired
-	d.doneAtNs = time.Now().UnixNano()
+}
+
+// serve runs the windows the coordinator sends on win, one at a time, each
+// holding one of the engine's execution slots, until done closes.
+func (d *Domain) serve(win <-chan Time, done <-chan struct{}, slots chan struct{}, wg *sync.WaitGroup) {
+	for {
+		select {
+		case <-done:
+			return
+		case w := <-win:
+			slots <- struct{}{}
+			d.runTimed(w)
+			<-slots
+			wg.Done()
+		}
+	}
+}
+
+// WindowStats summarizes the widths of the epoch windows run so far, in
+// simulated time.
+type WindowStats struct {
+	Min, Max Time
+	Mean     float64
 }
 
 // Engine drives K domains through conservative epochs.
@@ -213,7 +243,13 @@ type Engine struct {
 	lookahead Time
 	epochs    uint64
 	stopped   atomic.Bool
-	probe     EngineProbe // nil unless a profiler is attached
+
+	// Deterministic window and message accounting.
+	widthMin, widthMax Time
+	widthSum           uint64
+	msgs               []uint64 // msgs[from*K+to]: messages merged from domain from into to
+
+	mergeNs int64 // wall clock spent between barriers (merge + next window)
 }
 
 // NewEngine builds an engine with k domains (k >= 1) and the given
@@ -223,7 +259,7 @@ func NewEngine(k int, lookahead Time) *Engine {
 	if k < 1 {
 		k = 1
 	}
-	e := &Engine{}
+	e := &Engine{msgs: make([]uint64, k*k)}
 	e.SetLookahead(lookahead)
 	e.domains = make([]*Domain, k)
 	for i := range e.domains {
@@ -254,13 +290,23 @@ func (e *Engine) SetLookahead(t Time) {
 // Epochs reports how many barrier epochs Run has executed so far.
 func (e *Engine) Epochs() uint64 { return e.epochs }
 
-// SetProbe attaches (or, with nil, detaches) an execution probe. Call
-// before Run; a nil probe keeps every hot path exactly as it was (no
-// timestamping, no callbacks).
-func (e *Engine) SetProbe(p EngineProbe) { e.probe = p }
+// Windows reports the width statistics of the epoch windows run so far
+// (zero before the first).
+func (e *Engine) Windows() WindowStats {
+	if e.epochs == 0 {
+		return WindowStats{}
+	}
+	return WindowStats{Min: e.widthMin, Max: e.widthMax, Mean: float64(e.widthSum) / float64(e.epochs)}
+}
 
-// Probe reports the attached probe (nil when none).
-func (e *Engine) Probe() EngineProbe { return e.probe }
+// Messages reports how many cross-domain messages from domain from have
+// been merged into domain to.
+func (e *Engine) Messages(from, to int) uint64 { return e.msgs[from*len(e.domains)+to] }
+
+// MergeNs reports the wall clock the coordinator has spent between
+// barriers: merging outboxes and deriving the next window. Like
+// Domain.Wall it is host-dependent.
+func (e *Engine) MergeNs() int64 { return e.mergeNs }
 
 // Stop halts a running engine at the next barrier. Safe to call from any
 // goroutine (e.g. a domain event deciding to end the run).
@@ -285,9 +331,7 @@ func (e *Engine) mergeOutboxes() {
 			if len(box) == 0 {
 				continue
 			}
-			if e.probe != nil {
-				e.probe.OnCrossMessages(d.idx, ti, len(box))
-			}
+			e.msgs[d.idx*len(e.domains)+ti] += uint64(len(box))
 			for i, m := range box {
 				if m.ord != 0 {
 					target.sched.insert(m.at, m.ord, m.fn)
@@ -322,47 +366,18 @@ func (e *Engine) minNextEvent() (Time, bool) {
 
 // Run executes events until every domain's clock passes horizon (events at
 // exactly the horizon still fire), the queues drain, or Stop is called.
-// workers bounds concurrent window execution: <= 1 runs every window inline
-// on the caller's goroutine (the engine-overhead baseline), larger values
-// use one goroutine per domain gated by a worker semaphore. The results are
-// identical for every workers value; only wall-clock time differs.
+// Every domain runs its windows on a goroutine of its own; workers, clamped
+// to [1, K], bounds how many execute at once. The results are identical for
+// every workers value; only wall-clock time differs. A panic inside a
+// window ends the run with an error naming the domain, whatever workers is.
 func (e *Engine) Run(horizon Time, workers int) error {
 	if e.lookahead <= 0 {
 		return errors.New("sim: engine lookahead must be positive (derive it from cross-domain link delays)")
 	}
-	if workers > len(e.domains) {
-		workers = len(e.domains)
-	}
+	workers = min(max(workers, 1), len(e.domains))
 	e.stopped.Store(false)
-	if workers > 1 {
-		// The goroutine plumbing lives in its own frame so the serial path
-		// (and the steady-state fast path it guards) stays allocation-free.
-		if err := e.runParallel(horizon, workers); err != nil {
-			return err
-		}
-	} else {
-		for {
-			if e.stopped.Load() {
-				return ErrStopped
-			}
-			w, ok := e.stepEpochHeader(horizon)
-			if !ok {
-				break
-			}
-			if e.probe != nil {
-				for _, d := range e.domains {
-					d.runWindowTimed(w)
-				}
-				for _, d := range e.domains {
-					e.probe.OnDomainWindow(d.idx, d.lastEvents, d.lastExecNs, 0)
-				}
-			} else {
-				for _, d := range e.domains {
-					d.runWindow(w)
-				}
-			}
-			e.epochs++
-		}
+	if err := e.runEpochs(horizon, workers); err != nil {
+		return err
 	}
 	for _, d := range e.domains {
 		d.sched.advance(horizon)
@@ -370,10 +385,10 @@ func (e *Engine) Run(horizon Time, workers int) error {
 	return nil
 }
 
-// nextWindow merges nothing; it derives the epoch window from the earliest
-// pending event and the lookahead: start is that event's time, end
-// (exclusive) is capped at horizon+1 so events at exactly the horizon still
-// fire. ok is false when no event at or before the horizon remains.
+// nextWindow derives the epoch window from the earliest pending event and
+// the lookahead: start is that event's time, end (exclusive) is capped at
+// horizon+1 so events at exactly the horizon still fire. ok is false when
+// no event at or before the horizon remains.
 func (e *Engine) nextWindow(horizon Time) (start, end Time, ok bool) {
 	t, ok := e.minNextEvent()
 	if !ok || t > horizon {
@@ -386,101 +401,62 @@ func (e *Engine) nextWindow(horizon Time) (start, end Time, ok bool) {
 	return t, w, true
 }
 
-// stepEpochHeader runs the between-windows part of one epoch: merge the
-// previous epoch's outboxes and derive the next window. With a probe
-// attached the merge is timed and the probe's OnEpoch fires with the
-// window bounds. Shared by the serial and parallel epoch loops.
-func (e *Engine) stepEpochHeader(horizon Time) (Time, bool) {
-	var mergeNs int64
-	if e.probe != nil {
-		start := time.Now()
-		e.mergeOutboxes()
-		mergeNs = time.Since(start).Nanoseconds()
-	} else {
-		e.mergeOutboxes()
-	}
-	t, w, ok := e.nextWindow(horizon)
-	if !ok {
-		return 0, false
-	}
-	if e.probe != nil {
-		e.probe.OnEpoch(t, w, mergeNs)
-	}
-	return w, true
-}
-
-// runParallel is the epoch loop with one persistent goroutine per domain,
-// gated by a semaphore of `workers` execution slots. Worker panics (model
-// bugs like cross-domain scheduling) are captured and surfaced as errors
-// after the barrier.
-func (e *Engine) runParallel(horizon Time, workers int) error {
+// runEpochs is the epoch loop: merge the previous epoch's outboxes, derive
+// the next window, hand it to every domain's goroutine, wait at the
+// barrier. The clock is read twice per domain window (in runTimed) and
+// twice per epoch here: at the barrier, which ends every domain's wait and
+// starts the merge, and once the next window is known.
+func (e *Engine) runEpochs(horizon Time, workers int) error {
 	k := len(e.domains)
-	var wg sync.WaitGroup
+	var wg, running sync.WaitGroup
 	windowCh := make([]chan Time, k)
 	done := make(chan struct{})
-	defer close(done)
-	sem := make(chan struct{}, workers)
-	probed := e.probe != nil
-	for i := range e.domains {
+	slots := make(chan struct{}, workers)
+	running.Add(k)
+	for i, d := range e.domains {
 		windowCh[i] = make(chan Time, 1)
-		go func(d *Domain, win <-chan Time) {
-			for {
-				select {
-				case <-done:
-					return
-				case w := <-win:
-					sem <- struct{}{}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								d.err = fmt.Errorf("sim: domain %d window panic: %v", d.idx, r)
-							}
-						}()
-						if probed {
-							d.runWindowTimed(w)
-						} else {
-							d.runWindow(w)
-						}
-					}()
-					<-sem
-					wg.Done()
-				}
-			}
-		}(e.domains[i], windowCh[i])
+		go func() {
+			defer running.Done()
+			d.serve(windowCh[i], done, slots, &wg)
+		}()
 	}
+	// Run returns only once every domain goroutine has exited.
+	defer running.Wait()
+	defer close(done)
+	barrier := time.Now()
 	for {
 		if e.stopped.Load() {
 			return ErrStopped
 		}
-		w, ok := e.stepEpochHeader(horizon)
+		e.mergeOutboxes()
+		t, w, ok := e.nextWindow(horizon)
+		e.mergeNs += time.Since(barrier).Nanoseconds()
 		if !ok {
 			return nil
 		}
 		wg.Add(k)
-		for i := range windowCh {
-			windowCh[i] <- w
+		for _, ch := range windowCh {
+			ch <- w
 		}
 		wg.Wait()
-		if probed {
-			// Barrier accounting: each domain's wait is the gap between
-			// finishing its window and the barrier releasing (now). The
-			// slowest domain — the straggler — waits ~0.
-			barrier := time.Now().UnixNano()
-			for _, d := range e.domains {
-				waitNs := barrier - d.doneAtNs
-				if waitNs < 0 {
-					waitNs = 0
-				}
-				e.probe.OnDomainWindow(d.idx, d.lastEvents, d.lastExecNs, waitNs)
-			}
-		}
+		barrier = time.Now()
+		var err error
 		for _, d := range e.domains {
-			if d.err != nil {
-				err := d.err
-				d.err = nil
-				return err
+			d.waitNs += barrier.Sub(d.doneAt).Nanoseconds()
+			if err == nil {
+				err = d.err
 			}
+			d.err = nil
 		}
+		if err != nil {
+			return err
+		}
+		width := w - t
+		if e.epochs == 0 || width < e.widthMin {
+			e.widthMin = width
+		}
+		e.widthMax = max(e.widthMax, width)
+		e.widthSum += uint64(width)
 		e.epochs++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -107,26 +108,42 @@ func TestEngineMergeOrder(t *testing.T) {
 	}
 }
 
-func TestEnginePostViolationPanics(t *testing.T) {
-	e := NewEngine(2, 100)
-	e.Domain(0).Scheduler().At(0, func() {
-		e.Domain(0).Post(e.Domain(1), 10, func() {}) // < window end: must panic
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lookahead violation did not panic")
+// checkWindowFault arms a fault on a fresh two-domain engine and requires
+// that it ends the run the same way on any worker count — Run returns an
+// error naming the domain the fault happened in — and leaves no error
+// behind for the next Run.
+func checkWindowFault(t *testing.T, domain int, arm func(e *Engine)) {
+	t.Helper()
+	for _, workers := range []int{1, 2} {
+		e := NewEngine(2, 100)
+		arm(e)
+		err := e.Run(1000, workers)
+		want := fmt.Sprintf("domain %d window panic", domain)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: Run returned %v, want an error containing %q", workers, err, want)
 		}
-	}()
-	_ = e.Run(1000, 1)
+		if err := e.Run(2000, workers); err != nil {
+			t.Fatalf("workers=%d: the next Run returned %v", workers, err)
+		}
+	}
 }
 
+// TestEnginePostViolationPanics: a Post closer than the lookahead panics,
+// and Run reports that panic as an error of the posting domain.
+func TestEnginePostViolationPanics(t *testing.T) {
+	checkWindowFault(t, 0, func(e *Engine) {
+		e.Domain(0).Scheduler().At(0, func() {
+			e.Domain(0).Post(e.Domain(1), 10, func() {}) // < window end
+		})
+	})
+}
+
+// TestEngineParallelWindowPanicReported: a panicking model event is
+// reported as an error of its domain.
 func TestEngineParallelWindowPanicReported(t *testing.T) {
-	e := NewEngine(2, 100)
-	e.Domain(1).Scheduler().At(5, func() { panic("boom") })
-	err := e.Run(1000, 2)
-	if err == nil {
-		t.Fatal("want error from panicking window")
-	}
+	checkWindowFault(t, 1, func(e *Engine) {
+		e.Domain(1).Scheduler().At(5, func() { panic("boom") })
+	})
 }
 
 func TestEngineStop(t *testing.T) {
@@ -228,10 +245,12 @@ func TestEnginePostKeyedMergesInKeyOrder(t *testing.T) {
 	}
 }
 
-// TestEngineCrossDomainMessageAllocFree guards the acceptance criterion:
-// the steady-state cross-domain fast path — Post (pooled message, reused
-// outbox), barrier merge (reused scratch, pooled scheduler nodes), delivery
-// — performs zero allocations per message.
+// TestEngineCrossDomainMessageAllocFree guards the steady-state
+// cross-domain fast path — Post (pooled message, reused outbox), barrier
+// merge (pooled scheduler nodes), delivery — and the engine's own timing
+// and counters: a Run allocates only its goroutines and channels, so a
+// RunFor carrying 100x the ping-pong traffic makes the same number of
+// allocations. The counters must have seen every epoch, message and event.
 func TestEngineCrossDomainMessageAllocFree(t *testing.T) {
 	e := NewEngine(2, 25)
 	var ping, pong Handler
@@ -242,21 +261,47 @@ func TestEngineCrossDomainMessageAllocFree(t *testing.T) {
 		e.Domain(1).Post(e.Domain(0), e.Domain(1).Scheduler().Now()+25, ping)
 	}
 	e.Domain(0).Scheduler().At(0, ping)
-	// Warm pools: message structs, outbox slices, scheduler nodes, scratch.
+	// Warm pools: message structs, outbox slices, scheduler nodes.
 	if err := e.RunFor(10_000, 1); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := e.RunFor(1_000, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cross-domain message path allocated %.1f/op, want 0", allocs)
+	runFor := func(d Time) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := e.RunFor(d, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := runFor(1_000), runFor(100_000)
+	if short != long {
+		t.Fatalf("RunFor allocates %.1f for 1000 ns of ping-pong, %.1f for 100000 ns: the message path allocates", short, long)
 	}
 	st0, st1 := e.Domain(0).Stats(), e.Domain(1).Stats()
 	if st0.MsgsOut == 0 || st0.MsgsOut != st1.MsgsIn || st1.MsgsOut != st0.MsgsIn {
 		t.Fatalf("message accounting inconsistent: %+v %+v", st0, st1)
+	}
+	if e.Messages(0, 1) != st0.MsgsOut || e.Messages(1, 0) != st1.MsgsOut || e.Messages(0, 0) != 0 {
+		t.Fatalf("message matrix [0->1 %d, 1->0 %d, 0->0 %d] disagrees with %+v %+v",
+			e.Messages(0, 1), e.Messages(1, 0), e.Messages(0, 0), st0, st1)
+	}
+	// Every epoch runs one window per domain, and a window of ping-pong
+	// fires at most one event on each side.
+	epochs := e.Epochs()
+	if st0.BarrierWaits != epochs || st1.BarrierWaits != epochs || st0.MaxWindowEvents != 1 || st1.MaxWindowEvents != 1 {
+		t.Fatalf("%d epochs, stats %+v %+v", epochs, st0, st1)
+	}
+	// Windows are the 25 ns lookahead wide, except where a RunFor's
+	// horizon cuts one short.
+	if w := e.Windows(); w.Min < 1 || w.Max != 25 || w.Mean <= float64(w.Min) || w.Mean > 25 {
+		t.Fatalf("window widths %+v, want at most the 25 ns lookahead", w)
+	}
+	for i := 0; i < 2; i++ {
+		if w := e.Domain(i).Wall(); w.ExecNs <= 0 || w.WaitNs < 0 {
+			t.Fatalf("domain %d wall clock %+v", i, w)
+		}
+	}
+	if e.MergeNs() <= 0 {
+		t.Fatalf("merge wall clock %d ns", e.MergeNs())
 	}
 }
 

@@ -9,30 +9,12 @@ import (
 	"ddoshield/internal/sim"
 )
 
-// TestProfilerHotPathAllocFree pins the enabled profiler's probe callbacks
-// at zero allocations: every accumulator is preallocated at New, so epoch
-// loops never pay for observation. CI runs this by name.
-func TestProfilerHotPathAllocFree(t *testing.T) {
-	p := New(8)
-	allocs := testing.AllocsPerRun(1000, func() {
-		p.OnEpoch(1000, 6000, 250)
-		p.OnCrossMessages(1, 0, 3)
-		p.OnCrossMessages(0, 7, 2)
-		p.OnDomainWindow(0, 40, 1200, 300)
-		p.OnDomainWindow(7, 2, 80, 900)
-	})
-	if allocs != 0 {
-		t.Fatalf("probe hot path allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestEngineProbeAllocFree pins the engine's probe-attached epoch loop at
-// zero allocations per cross-domain round trip, matching the probe-less
-// guarantee.
-func TestEngineProbeAllocFree(t *testing.T) {
+// TestProfileReadsEngine checks the engine and wall sections come from the
+// engine alone: a two-domain ping-pong shows up as window stats, a message
+// matrix that agrees with the domains' counters, and one wall row per
+// domain.
+func TestProfileReadsEngine(t *testing.T) {
 	e := sim.NewEngine(2, 25)
-	p := New(2)
-	e.SetProbe(p)
 	var ping, pong sim.Handler
 	ping = func() {
 		e.Domain(0).Post(e.Domain(1), e.Domain(0).Scheduler().Now()+25, pong)
@@ -41,68 +23,52 @@ func TestEngineProbeAllocFree(t *testing.T) {
 		e.Domain(1).Post(e.Domain(0), e.Domain(1).Scheduler().Now()+25, ping)
 	}
 	e.Domain(0).Scheduler().At(0, ping)
-	// Warm pools: message structs, outbox slices, scheduler nodes, scratch.
-	if err := e.RunFor(10_000, 1); err != nil {
+	if err := e.RunFor(10_000, 2); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := e.RunFor(1_000, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("probed engine epoch loop allocates %.1f/op, want 0", allocs)
+	ep := BuildEngine(e)
+	if ep.Epochs == 0 || ep.Window == nil || ep.Window.MaxNs != 25 {
+		t.Fatalf("engine section %+v", ep)
 	}
-	if p.epochs == 0 || p.crossTotal == 0 || p.events[0] == 0 || p.events[1] == 0 {
-		t.Fatalf("probe saw no traffic: epochs=%d cross=%d events=%v", p.epochs, p.crossTotal, p.events)
+	if len(ep.Cross) != 2 || ep.Cross[0].Count != ep.PerDomain[0].MsgsOut || ep.Cross[1].Count != ep.PerDomain[1].MsgsOut {
+		t.Fatalf("message matrix %+v disagrees with %+v", ep.Cross, ep.PerDomain)
 	}
-	if p.execNs[0] < 0 || p.mergeNs < 0 {
-		t.Fatal("negative wall accounting")
+	if ep.PerDomain[0].MaxWindowEvents != 1 {
+		t.Fatalf("max window events %+v, want 1", ep.PerDomain[0])
+	}
+	wp := New(e, 0).WallProfile()
+	if len(wp.PerDomain) != 2 || wp.PerDomain[0].ExecMS <= 0 {
+		t.Fatalf("wall section %+v", wp)
+	}
+	if serial := New(nil, 0).WallProfile(); len(serial.PerDomain) != 0 || len(serial.Phases) != int(numPhases) {
+		t.Fatalf("serial wall section %+v", serial)
 	}
 }
 
 // TestPhaseAccumulation checks phase timers accumulate across open/close
 // cycles and ignore unmatched EndPhase calls.
 func TestPhaseAccumulation(t *testing.T) {
-	p := New(1)
+	p := New(nil, 0)
+	runMS := func() float64 {
+		for _, ph := range p.WallProfile().Phases {
+			if ph.Phase == "run" {
+				return ph.MS
+			}
+		}
+		t.Fatal("WallProfile has no run phase")
+		return 0
+	}
 	p.EndPhase(PhaseRun) // not open: no-op
-	if got := p.PhaseNs(PhaseRun); got != 0 {
-		t.Fatalf("unmatched EndPhase recorded %d ns", got)
+	if got := runMS(); got != 0 {
+		t.Fatalf("unmatched EndPhase recorded %.3f ms", got)
 	}
 	for i := 0; i < 2; i++ {
 		p.StartPhase(PhaseRun)
 		time.Sleep(time.Millisecond)
 		p.EndPhase(PhaseRun)
 	}
-	if got := p.PhaseNs(PhaseRun); got < int64(time.Millisecond) {
-		t.Fatalf("accumulated run phase %d ns, want >= 1ms", got)
-	}
-	wp := p.WallProfile()
-	found := false
-	for _, ph := range wp.Phases {
-		if ph.Phase == "run" && ph.MS > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("WallProfile missing run phase: %+v", wp.Phases)
-	}
-}
-
-// TestNilProfilerSafe checks every method tolerates a nil receiver, so
-// call sites stay branch-free.
-func TestNilProfilerSafe(t *testing.T) {
-	var p *Profiler
-	p.OnEpoch(0, 10, 1)
-	p.OnCrossMessages(0, 1, 2)
-	p.OnDomainWindow(0, 1, 2, 3)
-	p.StartPhase(PhaseBuild)
-	p.EndPhase(PhaseBuild)
-	if p.WallProfile() != nil {
-		t.Fatal("nil profiler WallProfile should be nil")
-	}
-	if p.Domains() != 0 || p.PhaseNs(PhaseRun) != 0 {
-		t.Fatal("nil profiler accessors should be zero")
+	if got := runMS(); got < 2 {
+		t.Fatalf("accumulated run phase %.3f ms, want >= 2 ms", got)
 	}
 }
 

@@ -188,8 +188,7 @@ type WindowStats struct {
 type DomainEngine struct {
 	Domain int    `json:"domain"`
 	Events uint64 `json:"events"`
-	// MaxWindowEvents is the largest single-window event count (profiler
-	// runs only).
+	// MaxWindowEvents is the largest single-window event count.
 	MaxWindowEvents uint64 `json:"max_window_events,omitempty"`
 	MsgsOut         uint64 `json:"msgs_out"`
 	MsgsIn          uint64 `json:"msgs_in"`
@@ -207,39 +206,34 @@ type EngineProfile struct {
 	Cross       []CrossLoad    `json:"cross_domain_msgs,omitempty"`
 }
 
-// BuildEngine assembles the engine section from the engine's DomainStats
-// plus, when a profiler rode the run, its window-width stats, per-window
-// maxima and cross-message matrix (p may be nil: stats-only section).
-func BuildEngine(lookahead sim.Time, epochs uint64, stats []sim.DomainStats, p *Profiler) *EngineProfile {
+// BuildEngine assembles the engine section from the engine's own
+// deterministic counters.
+func BuildEngine(e *sim.Engine) *EngineProfile {
+	k := e.NumDomains()
 	ep := &EngineProfile{
-		Domains:     len(stats),
-		LookaheadNs: int64(lookahead),
-		Epochs:      epochs,
+		Domains:     k,
+		LookaheadNs: int64(e.Lookahead()),
+		Epochs:      e.Epochs(),
 	}
-	for i, st := range stats {
-		de := DomainEngine{
+	for i := 0; i < k; i++ {
+		st := e.Domain(i).Stats()
+		ep.PerDomain = append(ep.PerDomain, DomainEngine{
 			Domain:          i,
 			Events:          st.Events,
+			MaxWindowEvents: st.MaxWindowEvents,
 			MsgsOut:         st.MsgsOut,
 			MsgsIn:          st.MsgsIn,
 			MaxHorizonLagNs: int64(st.HorizonLag),
-		}
-		if p != nil && i < p.domains {
-			de.MaxWindowEvents = p.maxWinEv[i]
-		}
-		ep.PerDomain = append(ep.PerDomain, de)
+		})
 	}
-	if p != nil && p.epochs > 0 {
-		ep.Window = &WindowStats{
-			MinNs:  int64(p.widthMin),
-			MaxNs:  int64(p.widthMax),
-			MeanNs: float64(p.widthSum) / float64(p.epochs),
-		}
-		for from := 0; from < p.domains; from++ {
-			for to := 0; to < p.domains; to++ {
-				if n := p.cross[from*p.domains+to]; n > 0 {
-					ep.Cross = append(ep.Cross, CrossLoad{From: from, To: to, Count: n})
-				}
+	if ep.Epochs > 0 {
+		w := e.Windows()
+		ep.Window = &WindowStats{MinNs: int64(w.Min), MaxNs: int64(w.Max), MeanNs: w.Mean}
+	}
+	for from := 0; from < k; from++ {
+		for to := 0; to < k; to++ {
+			if n := e.Messages(from, to); n > 0 {
+				ep.Cross = append(ep.Cross, CrossLoad{From: from, To: to, Count: n})
 			}
 		}
 	}
@@ -275,27 +269,23 @@ type WallProfile struct {
 	PerDomain             []DomainWall `json:"per_domain,omitempty"`
 }
 
-// WallProfile snapshots the wall-clock plane (nil receiver yields nil).
+// WallProfile snapshots the wall-clock plane: the phase timers and, under
+// the PDES engine, one row per domain.
 func (p *Profiler) WallProfile() *WallProfile {
-	if p == nil {
-		return nil
-	}
-	wp := &WallProfile{MergeMS: float64(p.mergeNs) / 1e6}
+	wp := &WallProfile{}
 	if buildNs := p.phaseNs[PhaseBuild] + p.phaseNs[PhaseStart]; buildNs > 0 && p.devices > 0 {
 		wp.BuildDevicesPerSecond = float64(p.devices) / (float64(buildNs) / 1e9)
 	}
 	for ph := Phase(0); ph < numPhases; ph++ {
 		wp.Phases = append(wp.Phases, PhaseWall{Phase: ph.String(), MS: float64(p.phaseNs[ph]) / 1e6})
 	}
-	if p.epochs > 0 {
-		for d := 0; d < p.domains; d++ {
-			dw := DomainWall{
-				Domain: d,
-				ExecMS: float64(p.execNs[d]) / 1e6,
-				WaitMS: float64(p.waitNs[d]) / 1e6,
-			}
-			if total := p.execNs[d] + p.waitNs[d]; total > 0 {
-				dw.WaitShare = float64(p.waitNs[d]) / float64(total)
+	if e := p.engine; e != nil {
+		wp.MergeMS = float64(e.MergeNs()) / 1e6
+		for d := 0; d < e.NumDomains(); d++ {
+			w := e.Domain(d).Wall()
+			dw := DomainWall{Domain: d, ExecMS: float64(w.ExecNs) / 1e6, WaitMS: float64(w.WaitNs) / 1e6}
+			if total := w.ExecNs + w.WaitNs; total > 0 {
+				dw.WaitShare = float64(w.WaitNs) / float64(total)
 			}
 			wp.PerDomain = append(wp.PerDomain, dw)
 		}
@@ -305,7 +295,7 @@ func (p *Profiler) WallProfile() *WallProfile {
 
 // Profile is the combined document: the deterministic virtual plane, the
 // engine plane, and the wall-clock plane. Sections are independent — a
-// serial run has no Engine section, an unprofiled run no Wall section.
+// serial run has no Engine section and no per-domain wall rows.
 type Profile struct {
 	Virtual *VirtualProfile `json:"virtual,omitempty"`
 	Engine  *EngineProfile  `json:"engine,omitempty"`

@@ -20,8 +20,7 @@ type Report struct {
 }
 
 // BuildReport digests a profile. Sections that are absent (serial runs
-// have no engine plane, unprofiled runs no wall plane) simply contribute
-// no rows or findings.
+// have no engine plane) simply contribute no rows or findings.
 func BuildReport(p *Profile) *Report {
 	r := &Report{profile: p}
 	if p == nil {

@@ -8,6 +8,7 @@ import (
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // DatasetCollector turns tapped traffic into a labeled dataset, the
@@ -41,7 +42,7 @@ func (dc *DatasetCollector) onWindow(w *features.Window) {
 
 // Tap returns the capture tap to install with Testbed.AddTap.
 func (dc *DatasetCollector) Tap() netsim.Tap {
-	return func(t sim.Time, raw []byte) {
+	return func(t sim.Time, raw []byte, _ trace.Context) {
 		if dc.detached {
 			return
 		}

@@ -189,12 +189,14 @@ func (m *explodingModel) Predict([]float64) int {
 // TestModelPanicSurfacesFromRun: a model panics on a goroutine of its own,
 // where nothing can recover it; the run must fail the way it did when the
 // model ran on the scheduler's — a panic out of a serial Run, an error out
-// of a partitioned one (the engine turns a domain's panic into one) —
-// whether the unit folds at once (a hook) or a window later.
+// of a partitioned one on any worker count (the engine turns a domain's
+// panic into one) — whether the unit folds at once (a hook) or a window
+// later.
 func TestModelPanicSurfacesFromRun(t *testing.T) {
-	for _, domains := range []int{1, 3} {
+	for _, mode := range [][2]int{{1, 0}, {3, 1}, {3, 0}} {
+		domains, workers := mode[0], mode[1]
 		for _, hooked := range []bool{false, true} {
-			tb, err := New(Config{Seed: 3, NumDevices: 5, Domains: domains})
+			tb, err := New(Config{Seed: 3, NumDevices: 5, Domains: domains, PDESWorkers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,19 +208,24 @@ func TestModelPanicSurfacesFromRun(t *testing.T) {
 			}
 			tb.AttachIDS(unit)
 			tb.Start()
-			var failure string
+			var panicked, failed string
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						failure = fmt.Sprint(r)
+						panicked = fmt.Sprint(r)
 					}
 				}()
 				if err := tb.Run(10 * time.Second); err != nil {
-					failure = err.Error()
+					failed = err.Error()
 				}
 			}()
+			failure := failed
+			if domains == 1 {
+				failure = panicked
+			}
 			if !strings.Contains(failure, "model blew up") {
-				t.Errorf("domains=%d hooked=%v: the run did not fail with the model's panic: %q", domains, hooked, failure)
+				t.Errorf("domains=%d workers=%d hooked=%v: the run did not fail with the model's panic: error %q, panic %q",
+					domains, workers, hooked, failed, panicked)
 			}
 		}
 	}

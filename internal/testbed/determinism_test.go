@@ -53,7 +53,7 @@ func artifacts(t *testing.T, cfg Config, drive func(*testing.T, *Testbed)) runAr
 
 // requireSameAcrossModes runs the same campaign under every configuration
 // in cfgs — one simulation in different execution modes: Domains, workers,
-// profiler on or off, staged or sequential build — and fails unless each
+// staged or sequential build — and fails unless each
 // run's artifacts are byte-identical to those of cfgs[0], the reference.
 // It returns every run's artifacts, reference first.
 func requireSameAcrossModes(t *testing.T, cfgs []Config, drive func(*testing.T, *Testbed)) []runArtifacts {
@@ -65,7 +65,7 @@ func requireSameAcrossModes(t *testing.T, cfgs []Config, drive func(*testing.T, 
 			continue
 		}
 		want, got := out[0], out[i]
-		mode := fmt.Sprintf("domains=%d workers=%d profile=%v", cfg.Domains, cfg.PDESWorkers, cfg.Profile)
+		mode := fmt.Sprintf("domains=%d workers=%d", cfg.Domains, cfg.PDESWorkers)
 		if got.summary != want.summary {
 			t.Fatalf("%s: Summary diverged\n--- reference ---\n%s--- got ---\n%s", mode, want.summary, got.summary)
 		}

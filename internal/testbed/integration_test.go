@@ -162,7 +162,7 @@ func TestAttackWaveOrdering(t *testing.T) {
 	var starts []sim.Time
 	// Observe attack onsets via the first flood packet of each type.
 	seen := map[botnet.AttackType]bool{}
-	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	tb.AddTap(decodeTap(func(p *packet.Packet) {
 		var at botnet.AttackType
 		switch {
 		case p.HasTCP && p.TCP.Flags == packet.FlagSYN && DefaultSpoofRange.Contains(p.IPv4.Src):
@@ -212,7 +212,7 @@ func TestHTTPFloodIntervalLabeling(t *testing.T) {
 	baseLabel := tb.Labeler()
 	var floodReqs, baseMal int
 	var flood []features.Basic
-	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	tb.AddTap(decodeTap(func(p *packet.Packet) {
 		b, ok := featuresFromPacket(p)
 		if !ok {
 			return
@@ -346,7 +346,7 @@ func TestMitigationShieldsTServer(t *testing.T) {
 func TestSubSecondAttackWaveLabelsWhatFlooded(t *testing.T) {
 	tb := smallTestbed(t, 26)
 	var floods []sim.Time
-	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	tb.AddTap(decodeTap(func(p *packet.Packet) {
 		spoofed := p.HasTCP && DefaultSpoofRange.Contains(p.IPv4.Src)
 		udp := p.HasUDP && p.IPv4.Dst == tb.TServerAddr()
 		if spoofed || udp {

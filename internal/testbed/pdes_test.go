@@ -9,6 +9,7 @@ import (
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/prof"
 )
 
 // tracedCampaign is the standard determinism scenario: scan/infect, an
@@ -37,21 +38,53 @@ func manyDomains() int { return max(4, runtime.NumCPU()) }
 // TestPDESDeterminism is the tentpole regression test: the same seeded
 // scenario run serially, with Domains=2, and with Domains=NumCPU (at
 // least 4) must produce byte-identical Summary output, Prometheus
-// snapshots, canonical span files and virtual-load attributions. Run under
+// snapshots, canonical span files and virtual-load attributions. Every
+// run keeps its profile: each partitioned run has one wall-clock row per
+// domain, and the engine section — window widths and the cross-domain
+// message matrix included — does not depend on the worker count. Run under
 // -race in CI, it also proves the parallel engine's synchronization is
 // sound.
 func TestPDESDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-campaign determinism matrix is slow")
 	}
-	runs := requireSameAcrossModes(t, modes(tracedCampaign(),
+	cfgs := modes(tracedCampaign(),
 		[2]int{1, 1},
 		[2]int{2, 0}, // two domains, workers defaulted
 		[2]int{2, 1}, // parallel plumbing, serial window execution
 		[2]int{manyDomains(), 0},
-	), tracedWaves)
+	)
+	runs := requireSameAcrossModes(t, cfgs, tracedWaves)
 	if runs[0].spans == "" {
 		t.Fatal("serial baseline produced no trace spans")
+	}
+	engines := make([]string, len(runs))
+	for i, run := range runs {
+		p := run.tb.Profile(0)
+		domains := cfgs[i].Domains
+		if len(p.Wall.Phases) == 0 {
+			t.Fatalf("domains=%d: profile has no wall-clock phases", domains)
+		}
+		if domains == 1 {
+			if p.Engine != nil || len(p.Wall.PerDomain) != 0 {
+				t.Fatalf("serial run has an engine section: %+v, %+v", p.Engine, p.Wall.PerDomain)
+			}
+			continue
+		}
+		if len(p.Wall.PerDomain) != domains {
+			t.Fatalf("domains=%d: %d wall-clock rows", domains, len(p.Wall.PerDomain))
+		}
+		if p.Engine == nil || p.Engine.Window == nil || len(p.Engine.Cross) == 0 {
+			t.Fatalf("domains=%d: engine section incomplete: %+v", domains, p.Engine)
+		}
+		j, err := (&prof.Profile{Engine: p.Engine}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = string(j)
+	}
+	if engines[1] != engines[2] {
+		t.Fatalf("engine section depends on the worker count:\n--- workers=0 ---\n%s--- workers=1 ---\n%s", engines[1], engines[2])
 	}
 }
 

@@ -3,7 +3,6 @@ package testbed
 import (
 	"ddoshield/internal/container"
 	"ddoshield/internal/netsim"
-	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry/prof"
 )
 
@@ -53,16 +52,14 @@ func (tb *Testbed) trackLink(l *netsim.Link, a, b linkEnd) {
 	tb.profLinks = append(tb.profLinks, profLink{link: l, a: a, b: b})
 }
 
-// Profiler exposes the wall-clock profiler (nil unless Config.Profile is
-// set; the prof API is nil-receiver safe, so callers may use the result
-// directly).
+// Profiler exposes the campaign's wall-clock profiler: its phase timers
+// and, through it, the engine's own timing. Never nil.
 func (tb *Testbed) Profiler() *prof.Profiler { return tb.prof }
 
 // VirtualProfile builds the deterministic virtual-load attribution at the
 // given reference domain count (<= 0 picks DeviceGroups+1, the maximal
-// one-domain-per-group partitioning). Available on every testbed — serial
-// or partitioned, profiled or not — because it reads only simulation
-// counters that exist regardless.
+// one-domain-per-group partitioning). It reads only simulation counters,
+// so it is the same on a serial and a partitioned testbed.
 func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 	if evalDomains <= 0 {
 		evalDomains = tb.cfg.DeviceGroups + 1
@@ -142,19 +139,13 @@ func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 }
 
 // Profile assembles the combined three-section document: the deterministic
-// virtual plane (always), the engine plane (partitioned runs), and the
-// wall-clock plane (profiled runs). See the prof package for the contract
-// separating the planes.
+// virtual plane, the engine plane (partitioned runs) and the wall-clock
+// plane. See the prof package for the contract separating the planes.
 func (tb *Testbed) Profile(evalDomains int) *prof.Profile {
-	p := &prof.Profile{Virtual: tb.VirtualProfile(evalDomains)}
+	p := &prof.Profile{Virtual: tb.VirtualProfile(evalDomains), Wall: tb.prof.WallProfile()}
 	if tb.engine != nil {
-		stats := make([]sim.DomainStats, tb.engine.NumDomains())
-		for i := range stats {
-			stats[i] = tb.engine.Domain(i).Stats()
-		}
-		p.Engine = prof.BuildEngine(tb.engine.Lookahead(), tb.engine.Epochs(), stats, tb.prof)
+		p.Engine = prof.BuildEngine(tb.engine)
 	}
-	p.Wall = tb.prof.WallProfile()
 	return p
 }
 

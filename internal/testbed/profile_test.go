@@ -7,51 +7,6 @@ import (
 	"ddoshield/internal/telemetry/prof"
 )
 
-// TestProfileDeterminism is the observability tentpole's regression test:
-// attaching the profiler must not perturb any deterministic artifact —
-// Summary, Prometheus snapshot and canonical spans stay byte-identical to
-// the unprofiled serial baseline across Domains ∈ {1, 2, NumCPU} — and the
-// virtual-load attribution itself is byte-identical across every run,
-// because it is evaluated through the reference layout rather than the
-// execution partitioning. CI runs this by name in the profiler job.
-func TestProfileDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiled determinism matrix is slow")
-	}
-	profiled := tracedCampaign()
-	profiled.Profile = true
-	cfgs := append(modes(tracedCampaign(), [2]int{1, 1}),
-		modes(profiled, [2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0})...)
-	runs := requireSameAcrossModes(t, cfgs, tracedWaves)
-	if runs[0].spans == "" {
-		t.Fatal("baseline produced no trace spans")
-	}
-	if runs[0].tb.Profiler() != nil {
-		t.Fatal("Profiler() is non-nil without Config.Profile")
-	}
-	for i, run := range runs[1:] {
-		domains, tb := cfgs[i+1].Domains, run.tb
-		if tb.Profiler() == nil {
-			t.Fatal("Config.Profile set but Profiler() is nil")
-		}
-		p := tb.Profile(0)
-		if p.Wall == nil || len(p.Wall.Phases) == 0 {
-			t.Fatal("profiled run missing wall phases")
-		}
-		if domains > 1 {
-			if p.Engine == nil || p.Engine.Window == nil {
-				t.Fatalf("domains=%d profiled: engine section incomplete: %+v", domains, p.Engine)
-			}
-			if len(p.Wall.PerDomain) != domains {
-				t.Fatalf("domains=%d: wall per-domain rows = %d", domains, len(p.Wall.PerDomain))
-			}
-		}
-		if rep := tb.BottleneckReport(0).String(); rep == "" {
-			t.Fatal("bottleneck report rendered empty")
-		}
-	}
-}
-
 // TestVirtualProfileShape pins the attribution's structure on a short
 // grouped campaign: the default reference layout is one domain per group
 // plus the core, every entity kind is represented, the trunk traffic shows

@@ -188,14 +188,10 @@ type Config struct {
 	// min(Domains, GOMAXPROCS): more workers than cores only adds barrier
 	// hand-offs. Ignored when Domains <= 1; never changes the results.
 	PDESWorkers int
-	// Profile attaches the simulation profiler: campaign phase timers
-	// (build/start/run/teardown) plus, under the PDES engine, per-domain
-	// execute/barrier-wait wall clocks, epoch window widths and the merged
-	// cross-domain message matrix. The profiler observes only — every
-	// deterministic artifact (Summary, metrics, canonical spans) is
-	// byte-identical with it on or off, a property the determinism tests
-	// pin. The virtual-load attribution (VirtualProfile) needs no profiler
-	// and is available regardless.
+	// Profile has no effect: every testbed keeps its profile (see
+	// Testbed.Profile and Testbed.Profiler).
+	//
+	// Deprecated: the profile is always kept; set nothing.
 	Profile bool
 	// PrimeARP tells the fabric what the builder already knows. It installs
 	// static ARP entries for every pair that will exchange traffic (device
@@ -333,9 +329,9 @@ type Testbed struct {
 	// each contributes mitigation lines to Summary and a scoreboard panel.
 	mitigations []mitigationHandle
 
-	// prof is the wall-clock profiler (nil unless Config.Profile and the
-	// prof build is enabled); profLinks records every link's structural
-	// endpoints for the virtual-load attribution (always populated).
+	// prof times the campaign phases and reads the engine's wall clock;
+	// profLinks records every link's structural endpoints for the
+	// virtual-load attribution.
 	prof      *prof.Profiler
 	profLinks []profLink
 
@@ -363,10 +359,10 @@ func New(cfg Config) (*Testbed, error) {
 		cfg:   cfg,
 		churn: make(map[*container.Container]*churnState),
 	}
-	if cfg.Profile {
-		tb.prof = prof.New(cfg.Domains)
+	if cfg.Domains > 1 {
+		tb.engine = sim.NewEngine(cfg.Domains, 0)
 	}
-	tb.prof.SetDevices(cfg.NumDevices)
+	tb.prof = prof.New(tb.engine, cfg.NumDevices)
 	tb.prof.StartPhase(prof.PhaseBuild)
 	// Fleet-scale builds allocate tens of millions of small objects, none
 	// of which are garbage until the fleet is live — construction is one
@@ -383,8 +379,7 @@ func New(cfg Config) (*Testbed, error) {
 	// (see partition.go). Computed up front because edge switches must be
 	// created in their groups' domains before any device exists.
 	pl := cfg.layout()
-	if cfg.Domains > 1 {
-		tb.engine = sim.NewEngine(cfg.Domains, 0)
+	if tb.engine != nil {
 		tb.sched = tb.engine.Domain(0).Scheduler()
 		tb.network = netsim.NewPartitioned(tb.engine)
 	} else {
@@ -578,9 +573,6 @@ func New(cfg Config) (*Testbed, error) {
 			la = sim.Millisecond
 		}
 		tb.engine.SetLookahead(la)
-		if tb.prof != nil {
-			tb.engine.SetProbe(tb.prof)
-		}
 	}
 	tb.prof.EndPhase(prof.PhaseBuild)
 	return tb, nil
@@ -1119,20 +1111,15 @@ func (tb *Testbed) FTPServer() *ftpapp.Server    { return tb.ftpSrv }
 // observes. (Switch().AddTap is the span-port alternative.)
 func (tb *Testbed) AddTap(tap netsim.Tap) { tb.tserver.Link().AddTap(tap) }
 
-// AddTapCtx installs a trace-context-aware capture tap at the same
-// observation point AddTap uses, so sampled packets' causal chains extend
-// into the consumer (the IDS joins its window spans here).
-func (tb *Testbed) AddTapCtx(tap netsim.TapCtx) { tb.tserver.Link().AddTapCtx(tap) }
-
 // AttachIDS wires a detection unit into the testbed's observation point via
-// its trace-aware tap and registers ids_detection_latency_seconds{unit=...}:
+// its tap and registers ids_detection_latency_seconds{unit=...}:
 // the gap between the first attack packet's origin and the unit's first
 // correct alert (-1 until both anchors exist). The unit also gains a
 // detection line in Summary, and Run folds its window in flight before it
 // returns (ids.Unit.Join).
 func (tb *Testbed) AttachIDS(u *ids.Unit) {
 	tb.idsUnits = append(tb.idsUnits, u)
-	tb.AddTapCtx(u.TapCtx())
+	tb.AddTap(u.Tap())
 	// A registry snapshot may not fold: it reads the windows folded so far.
 	tb.reg.RegisterGaugeFunc(func() float64 {
 		d, ok := tb.detectionLatency(u.FirstCorrectAlertFolded())

@@ -11,6 +11,7 @@ import (
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // smallTestbed assembles a fast-converging instance for tests: few
@@ -37,7 +38,7 @@ func TestTestbedEndToEnd(t *testing.T) {
 
 	// Count flood SYNs arriving on the TServer uplink.
 	floodSYNs := 0
-	tb.AddTap(netsim.DecodeTap(func(p *packet.Packet) {
+	tb.AddTap(decodeTap(func(p *packet.Packet) {
 		if p.HasTCP && p.IPv4.Dst == tb.TServerAddr() &&
 			p.TCP.Flags == packet.FlagSYN && DefaultSpoofRange.Contains(p.IPv4.Src) {
 			floodSYNs++
@@ -267,5 +268,15 @@ func TestConfigValidation(t *testing.T) {
 	// Beyond MaxDevices is an error, not a silent clamp.
 	if _, err := New(Config{Seed: 9, NumDevices: MaxDevices + 1}); err == nil {
 		t.Fatal("NumDevices > MaxDevices not rejected")
+	}
+}
+
+// decodeTap adapts a packet-level observer to a netsim.Tap, skipping frames
+// that fail to decode.
+func decodeTap(fn func(p *packet.Packet)) netsim.Tap {
+	return func(at sim.Time, raw []byte, _ trace.Context) {
+		if p, err := packet.Decode(at, raw); err == nil {
+			fn(p)
+		}
 	}
 }
