@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,5 +50,26 @@ func TestGroupedPartitionedRunMatchesSerial(t *testing.T) {
 	serial, partitioned := run("serial.txt", "1"), run("pdes.txt", "3")
 	if serial == "" || serial != partitioned {
 		t.Fatalf("summaries differ:\n--- -domains 1 ---\n%s--- -domains 3 ---\n%s", serial, partitioned)
+	}
+}
+
+// TestBadFleetShapeIsAnError pins what a fleet shape too large to build
+// does: the command exits 1 with one line naming the testbed's objection,
+// instead of dying out of memory on the engine's K×K tables or the group
+// index.
+func TestBadFleetShapeIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-domains", "100000", "-devices", "4"},
+		{"-groups", "1000000000"},
+	} {
+		stderr, err := ddoshield(t, args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("ddoshield %v: %v, want exit status 1\n%s", args, err, stderr)
+		}
+		lines := strings.Split(strings.TrimRight(stderr, "\n"), "\n")
+		if len(lines) != 1 || !strings.HasPrefix(lines[0], "ddoshield: testbed: ") {
+			t.Fatalf("ddoshield %v: stderr %q, want one \"ddoshield: testbed: ...\" line", args, stderr)
+		}
 	}
 }

@@ -38,16 +38,6 @@ func NewPoisson(sched *sim.Scheduler, rng *sim.RNG, mean time.Duration, action f
 	}
 }
 
-// NewUniform returns a process with uniform inter-arrivals in [lo, hi).
-func NewUniform(sched *sim.Scheduler, rng *sim.RNG, lo, hi time.Duration, action func()) *Process {
-	return &Process{
-		sched:  sched,
-		rng:    rng,
-		next:   func() time.Duration { return time.Duration(rng.Uniform(float64(lo), float64(hi))) },
-		action: action,
-	}
-}
-
 // Start schedules the first arrival. Starting a started process is a no-op.
 func (p *Process) Start() {
 	if !p.pending.IsZero() || p.stopped {

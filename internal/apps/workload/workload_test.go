@@ -32,7 +32,7 @@ func TestProcessStop(t *testing.T) {
 	rng := sim.NewRNG(2)
 	n := 0
 	var p *Process
-	p = NewUniform(s, rng, time.Second, 2*time.Second, func() {
+	p = NewPoisson(s, rng, 1500*time.Millisecond, func() {
 		n++
 		if n == 5 {
 			p.Stop()
@@ -45,29 +45,6 @@ func TestProcessStop(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("arrivals after Stop = %d, want 5", n)
-	}
-}
-
-func TestUniformProcessBounds(t *testing.T) {
-	s := sim.NewScheduler()
-	rng := sim.NewRNG(3)
-	var gaps []sim.Time
-	last := sim.Time(0)
-	p := NewUniform(s, rng, time.Second, 3*time.Second, func() {
-		gaps = append(gaps, s.Now()-last)
-		last = s.Now()
-	})
-	p.Start()
-	if err := s.Run(100 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range gaps {
-		if g < sim.Second || g >= 3*sim.Second {
-			t.Fatalf("gap %v outside [1s,3s)", g)
-		}
-	}
-	if len(gaps) < 30 {
-		t.Fatalf("too few arrivals: %d", len(gaps))
 	}
 }
 

@@ -278,33 +278,6 @@ func TestBotReconnectsAfterC2Restart(t *testing.T) {
 	}
 }
 
-func TestScheduleWave(t *testing.T) {
-	r := newRig()
-	c2Host := r.host(2)
-	c2 := NewC2(0)
-	if err := c2.Attach(c2Host); err != nil {
-		t.Fatal(err)
-	}
-	target := r.host(0x0100 + 1)
-	b := NewBot("bot1", c2Host.Addr(), 0, packet.MustParsePrefix("10.0.200.0/24"), 1)
-	b.Attach(r.host(20))
-	cmds := []Command{
-		{Type: AttackSYN, Target: target.Addr(), Port: 80, Duration: 2 * time.Second, PPS: 100},
-		{Type: AttackUDP, Target: target.Addr(), Duration: 2 * time.Second, PPS: 100},
-	}
-	c2.ScheduleWave(10*sim.Second, 3*time.Second, cmds)
-	if err := r.sched.Run(30 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	attacks, pkts := b.Stats()
-	if attacks != 2 {
-		t.Fatalf("attacks = %d, want 2", attacks)
-	}
-	if pkts < 300 {
-		t.Fatalf("pkts = %d", pkts)
-	}
-}
-
 // TestCommandOnWireRoundsUp pins the one rounding rule: the wire carries
 // whole seconds, a duration rounds up to the next one (at least one), and
 // a whole-second command is untouched — so its wire line is the one it
@@ -369,7 +342,10 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 		{Type: AttackUDP, Target: target.Addr(), Duration: 625 * time.Millisecond, PPS: pps},
 		{Type: AttackUDP, Target: target.Addr(), Duration: 625 * time.Millisecond, PPS: pps},
 	}
-	c2.ScheduleWave(10*sim.Second, 2*time.Second, cmds)
+	// The second order follows the first's duration on the wire, not the
+	// one requested: 10 s + 1 s + 2 s gap.
+	c2.ScheduleAttack(10*sim.Second, cmds[0])
+	c2.ScheduleAttack((10 * sim.Second).Add(cmds[0].OnWire().Duration+2*time.Second), cmds[1])
 	if err := r.sched.Run(12 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +371,7 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 		t.Fatalf("flood ran %v, labelled 1 s", span)
 	}
 
-	// The next order is spaced by the duration on the wire, not the one
-	// requested: 10 s + 1 s + 2 s gap.
+	// The next order lands 3 s after the first.
 	if err := r.sched.Run(20 * sim.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ddoshield/internal/apps/workload"
 	"ddoshield/internal/netstack"
@@ -169,14 +168,4 @@ func (c *C2) Broadcast(cmd Command) int {
 // population at fire time).
 func (c *C2) ScheduleAttack(at sim.Time, cmd Command) {
 	c.host.Scheduler().At(at, func() { c.Broadcast(cmd) })
-}
-
-// ScheduleWave schedules a sequence of attacks starting at start, each gap
-// apart, cycling through vectors in order.
-func (c *C2) ScheduleWave(start sim.Time, gap time.Duration, cmds []Command) {
-	at := start
-	for _, cmd := range cmds {
-		c.ScheduleAttack(at, cmd)
-		at = at.Add(cmd.OnWire().Duration + gap)
-	}
 }

@@ -276,64 +276,3 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	return d, br.Err()
 }
-
-// MinMaxScaler rescales each feature to [0,1] over the training range —
-// the bounded alternative to standardization, useful for models that
-// assume inputs in a fixed interval.
-type MinMaxScaler struct {
-	Min []float64
-	Max []float64
-}
-
-// FitMinMax learns per-feature minima and maxima.
-func FitMinMax(d *Dataset) *MinMaxScaler {
-	nf := d.NumFeatures()
-	sc := &MinMaxScaler{Min: make([]float64, nf), Max: make([]float64, nf)}
-	for j := range sc.Min {
-		sc.Min[j] = math.Inf(1)
-		sc.Max[j] = math.Inf(-1)
-	}
-	for i := range d.Samples {
-		for j, v := range d.Samples[i].X {
-			if v < sc.Min[j] {
-				sc.Min[j] = v
-			}
-			if v > sc.Max[j] {
-				sc.Max[j] = v
-			}
-		}
-	}
-	if len(d.Samples) == 0 {
-		for j := range sc.Min {
-			sc.Min[j], sc.Max[j] = 0, 1
-		}
-	}
-	return sc
-}
-
-// Transform rescales x in place and returns it. Values outside the
-// training range are clamped to [0,1]; constant features map to 0.
-func (sc *MinMaxScaler) Transform(x []float64) []float64 {
-	for j := range x {
-		span := sc.Max[j] - sc.Min[j]
-		if span <= 0 {
-			x[j] = 0
-			continue
-		}
-		v := (x[j] - sc.Min[j]) / span
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		x[j] = v
-	}
-	return x
-}
-
-// Apply rescales every sample of d in place.
-func (sc *MinMaxScaler) Apply(d *Dataset) {
-	for i := range d.Samples {
-		sc.Transform(d.Samples[i].X)
-	}
-}

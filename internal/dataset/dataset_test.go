@@ -225,42 +225,3 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMinMaxScaler(t *testing.T) {
-	d := New([]string{"a", "b", "const"})
-	for i := 0; i <= 10; i++ {
-		d.Add([]float64{float64(i), float64(i) * -3, 7}, Benign)
-	}
-	sc := FitMinMax(d)
-	sc.Apply(d)
-	for i := range d.Samples {
-		for j := 0; j < 2; j++ {
-			v := d.Samples[i].X[j]
-			if v < 0 || v > 1 {
-				t.Fatalf("value %v outside [0,1]", v)
-			}
-		}
-		if d.Samples[i].X[2] != 0 {
-			t.Fatalf("constant feature = %v, want 0", d.Samples[i].X[2])
-		}
-	}
-	// Extremes map to the interval ends.
-	if d.Samples[0].X[0] != 0 || d.Samples[10].X[0] != 1 {
-		t.Fatalf("extremes = %v / %v", d.Samples[0].X[0], d.Samples[10].X[0])
-	}
-	// Out-of-range values clamp: below-min a (range [0,10]) and above-max
-	// b (range [-30,0]).
-	out := sc.Transform([]float64{-5, 100, 7})
-	if out[0] != 0 || out[1] != 1 {
-		t.Fatalf("clamping failed: %v", out)
-	}
-}
-
-func TestMinMaxEmptyDataset(t *testing.T) {
-	d := New([]string{"a"})
-	sc := FitMinMax(d)
-	got := sc.Transform([]float64{0.5})
-	if got[0] != 0.5 {
-		t.Fatalf("empty-fit transform = %v", got)
-	}
-}

@@ -305,23 +305,6 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 	return res, nil
 }
 
-// TrainFullVectorRF fits a Random Forest on the full basic∥stats vector —
-// the feature-aggregation ablation. With per-packet basic features
-// available, the forest separates the classes inside mixed windows and
-// real-time accuracy recovers, demonstrating §III-B's claim that the
-// aggregation "prevents the misclassification of packets belonging to
-// different classes within the same time window".
-func (sc Scenario) TrainFullVectorRF(ds *dataset.Dataset) (*forest.Forest, error) {
-	rng := sim.Substream(sc.Seed, "experiments/train-fullrf")
-	work := ds.Subsample(sc.MaxTrainSamples, rng)
-	work.Shuffle(rng)
-	train, _ := work.Split(0.8)
-	xs, ys := train.XY()
-	return forest.Train(forest.Config{
-		Trees: 60, MaxDepth: 18, MinSamplesLeaf: 1, Seed: sc.Seed + 11,
-	}, xs, ys)
-}
-
 // Table1Row is one row of Table I plus the per-second detail behind the
 // §IV-D boundary-dip discussion.
 type Table1Row struct {

@@ -8,7 +8,6 @@ import (
 	"ddoshield/internal/features"
 	"ddoshield/internal/ids"
 	"ddoshield/internal/ml"
-	"ddoshield/internal/sim"
 )
 
 // tiny returns a scenario small enough for unit tests but large enough to
@@ -185,30 +184,5 @@ func TestPaperPresetShape(t *testing.T) {
 	}
 	if p.Devices <= Quick().Devices {
 		t.Fatal("paper preset should scale the fleet up")
-	}
-}
-
-func TestTrainFullVectorRF(t *testing.T) {
-	sc := tiny()
-	ds, err := sc.GenerateDataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := sc.TrainFullVectorRF(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The full-vector forest must be strong offline (the ablation's whole
-	// point): score it on a held-out subsample.
-	rng := sim.NewRNG(99)
-	test := ds.Subsample(4000, rng)
-	ok := 0
-	for i := range test.Samples {
-		if rf.Predict(test.Samples[i].X) == test.Samples[i].Y {
-			ok++
-		}
-	}
-	if acc := float64(ok) / float64(test.Len()); acc < 0.95 {
-		t.Fatalf("full-vector RF offline accuracy = %v", acc)
 	}
 }

@@ -136,38 +136,3 @@ func Table(headers []string, rows [][]string) string {
 	}
 	return b.String()
 }
-
-// Counters renders "name=value" pairs on one line, in the given order —
-// the compact form summaries use for per-fault counters.
-func Counters(names []string, values []uint64) string {
-	parts := make([]string, len(names))
-	for i, n := range names {
-		var v uint64
-		if i < len(values) {
-			v = values[i]
-		}
-		parts[i] = fmt.Sprintf("%s=%d", n, v)
-	}
-	return strings.Join(parts, " ")
-}
-
-// BarChart renders one bar per (label, value) pair, scaled to the largest
-// value.
-func BarChart(labels []string, values []float64, width int) string {
-	var max float64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	for i := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		b.WriteString(Bar(label, values[i], max, width))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

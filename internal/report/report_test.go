@@ -114,17 +114,6 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	got := BarChart([]string{"a", "b"}, []float64{1, 2}, 8)
-	lines := strings.Split(strings.TrimSpace(got), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("chart = %q", got)
-	}
-	if !strings.Contains(lines[1], "████████") {
-		t.Fatalf("max bar not full: %q", lines[1])
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	got := Table([]string{"a", "long"}, [][]string{{"xx", "y"}, {"z", "wwwww"}})
 	want := "a  | long \n" +
@@ -140,14 +129,5 @@ func TestTableRaggedRows(t *testing.T) {
 	got := Table([]string{"k", "v"}, [][]string{{"only-key"}})
 	if !strings.Contains(got, "only-key | ") {
 		t.Fatalf("ragged row mis-rendered: %q", got)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	if got := Counters([]string{"crash", "flap"}, []uint64{2, 1}); got != "crash=2 flap=1" {
-		t.Fatalf("Counters = %q", got)
-	}
-	if got := Counters(nil, nil); got != "" {
-		t.Fatalf("empty Counters = %q", got)
 	}
 }

@@ -77,20 +77,51 @@ func Load(r io.Reader) (*Definition, error) {
 	return &d, nil
 }
 
-// Validate rejects structurally invalid definitions.
+// Bounds on a definition's numbers. Every accepted value converts to a
+// time.Duration, a sim.Time or an int without overflow, and none asks for an
+// event storm that would hang the run: a think time or churn cycle of
+// nanoseconds, or a flood of 2^53 packets a second per bot.
+const (
+	maxSeconds  = 1e6  // any duration, ~11.6 days
+	minSeconds  = 1e-3 // think time and churn up/down times, when set
+	maxRateMbps = 1e5  // 100 Gb/s
+	maxQueueKB  = 1 << 20
+	maxPPS      = 1_000_000
+)
+
+// Validate rejects structurally invalid definitions and numbers outside the
+// bounds above. A zero in an optional field keeps the testbed default.
 func (d *Definition) Validate() error {
-	if d.DurationSec <= 0 {
-		return fmt.Errorf("scenario %q: durationSec must be positive", d.Name)
+	if d.DurationSec <= 0 || d.DurationSec > maxSeconds {
+		return fmt.Errorf("scenario %q: durationSec must be in (0, %g]", d.Name, maxSeconds)
 	}
 	if d.Devices < 0 || d.Devices > testbed.MaxDevices {
 		return fmt.Errorf("scenario %q: devices out of range", d.Name)
+	}
+	for _, f := range []struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"meanThinkSec", d.MeanThinkSec, minSeconds, maxSeconds},
+		{"scanIntervalMillis", float64(d.ScanIntervalMillis), 1, maxSeconds * 1e3},
+		{"churn.meanUpSec", d.Churn.MeanUpSec, minSeconds, maxSeconds},
+		{"churn.meanDownSec", d.Churn.MeanDownSec, minSeconds, maxSeconds},
+		{"link.rateMbps", d.Link.RateMbps, 1e-3, maxRateMbps},
+		{"link.delayMs", d.Link.DelayMs, 1e-6, maxSeconds * 1e3},
+		{"link.queueKB", float64(d.Link.QueueKB), 1, maxQueueKB},
+		{"link.lossProb", d.Link.LossProb, 0, 1},
+		{"windowMillis", float64(d.WindowMillis), 1, maxSeconds * 1e3},
+	} {
+		if f.v != 0 && (f.v < f.lo || f.v > f.hi) {
+			return fmt.Errorf("scenario %q: %s must be 0 or in [%g, %g]", d.Name, f.name, f.lo, f.hi)
+		}
 	}
 	for i, a := range d.Attacks {
 		if _, err := botnet.ParseAttackType(a.Type); err != nil {
 			return fmt.Errorf("scenario %q: attack %d: %w", d.Name, i, err)
 		}
-		if a.DurationSec <= 0 || a.PPS <= 0 {
-			return fmt.Errorf("scenario %q: attack %d: duration and pps must be positive", d.Name, i)
+		if a.DurationSec <= 0 || a.DurationSec > maxSeconds || a.PPS <= 0 || a.PPS > maxPPS {
+			return fmt.Errorf("scenario %q: attack %d: durationSec must be in (0, %g] and pps in [1, %d]", d.Name, i, maxSeconds, maxPPS)
 		}
 		if a.AtSec < 0 || a.AtSec >= d.DurationSec {
 			return fmt.Errorf("scenario %q: attack %d: atSec outside the run", d.Name, i)
@@ -140,7 +171,6 @@ func (d *Definition) TestbedConfig() testbed.Config {
 	}
 	if d.Link.LossProb > 0 {
 		cfg.Link.LossProb = d.Link.LossProb
-		cfg.Link.RNG = sim.Substream(d.Seed, "scenario/loss")
 	}
 	return cfg
 }

@@ -53,8 +53,18 @@ func TestLoadValid(t *testing.T) {
 	if !cfg.Churn.Enabled || cfg.Churn.MeanUp != time.Minute {
 		t.Fatalf("churn: %+v", cfg.Churn)
 	}
-	if cfg.Link.RNG == nil {
-		t.Fatal("loss without RNG")
+	// Loss draws from the per-link streams keyed by the scenario seed: the
+	// lossy definition builds and runs.
+	if cfg.Link.LossProb != 0.01 {
+		t.Fatalf("loss: %+v", cfg.Link)
+	}
+	tb, err := d.Apply()
+	if err != nil {
+		t.Fatalf("lossy scenario rejected: %v", err)
+	}
+	tb.Start()
+	if err := tb.Run(time.Second); err != nil {
+		t.Fatalf("lossy scenario failed to run: %v", err)
 	}
 }
 
@@ -66,6 +76,13 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		"attack too late":  `{"durationSec": 10, "attacks":[{"atSec":20,"type":"syn","durationSec":1,"pps":1}]}`,
 		"zero pps":         `{"durationSec": 10, "attacks":[{"atSec":1,"type":"syn","durationSec":1,"pps":0}]}`,
 		"too many devices": `{"durationSec": 10, "devices": 300000}`,
+		"endless run":      `{"durationSec": 1e300}`,
+		"nanosecond think": `{"durationSec": 10, "meanThinkSec": 1e-9}`,
+		"nanosecond churn": `{"durationSec": 10, "churn": {"enabled": true, "meanUpSec": 1e-9}}`,
+		"negative queue":   `{"durationSec": 10, "link": {"queueKB": -1}}`,
+		"loss above one":   `{"durationSec": 10, "link": {"lossProb": 5}}`,
+		"delay overflow":   `{"durationSec": 10, "link": {"delayMs": 1e300}}`,
+		"flood overflow":   `{"durationSec": 10, "attacks":[{"atSec":1,"type":"udp","durationSec":1,"pps":9007199254740991}]}`,
 		"not json":         `nope`,
 	}
 	for name, body := range cases {

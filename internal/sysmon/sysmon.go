@@ -166,18 +166,3 @@ func (m *Monitor) Report(speedFactor float64) Report {
 	r.AvailabilityPct = float64(up) / float64(len(m.samples)) * 100
 	return r
 }
-
-// EnergyJoules estimates the energy the sampled component consumed, given
-// the reference device's active power draw — the Green-AI accounting the
-// paper's conclusion calls for. The estimate charges active power for the
-// CPU-busy fraction of each interval.
-func (m *Monitor) EnergyJoules(activeWatts float64) float64 {
-	if activeWatts <= 0 {
-		return 0
-	}
-	var busy time.Duration
-	for _, s := range m.samples {
-		busy += s.CPU
-	}
-	return busy.Seconds() * activeWatts
-}

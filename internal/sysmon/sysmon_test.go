@@ -149,25 +149,6 @@ func TestReportAvailability(t *testing.T) {
 	}
 }
 
-func TestEnergyJoules(t *testing.T) {
-	s := sim.NewScheduler()
-	target := &fakeTarget{}
-	m := NewMonitor(target, time.Second)
-	tk := s.Every(time.Second, func() { target.cpu += 100 * time.Millisecond })
-	defer tk.Stop()
-	m.Start(s)
-	if err := s.Run(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	// 1 s of busy time at 3 W = 3 J.
-	if got := m.EnergyJoules(3); got < 2.99 || got > 3.01 {
-		t.Fatalf("EnergyJoules = %v, want 3", got)
-	}
-	if m.EnergyJoules(0) != 0 {
-		t.Fatal("zero watts should cost nothing")
-	}
-}
-
 // upDownTarget is a fakeTarget with an up/down state.
 type upDownTarget struct {
 	fakeTarget

@@ -60,10 +60,7 @@ func TestLossyLinksEndToEnd(t *testing.T) {
 		NumDevices:   5,
 		MeanThink:    2 * time.Second,
 		ScanInterval: 100 * time.Millisecond,
-		Link: netsim.LinkConfig{
-			LossProb: 0.02,
-			RNG:      sim.NewRNG(99),
-		},
+		Link:         netsim.LinkConfig{LossProb: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
-	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry/prof"
 )
 
@@ -111,62 +110,22 @@ func TestPDESEdgeServerDeterminism(t *testing.T) {
 // campaign on a topology built with the per-group goroutine fan-out must
 // be byte-identical to one built group after group on one goroutine —
 // same MACs, same link indices, same registration order, hence the same
-// artifacts after identical traffic.
+// artifacts after identical traffic. The flat fleet is the one-group plan:
+// its single stage is filled inline either way, through the same path.
 func TestSerialBuildByteIdentity(t *testing.T) {
-	sequential := Config{
-		Seed:         11,
-		NumDevices:   16,
-		DeviceGroups: 4,
-		MeanThink:    500 * time.Millisecond,
-		Domains:      2,
-		serialBuild:  true,
-	}
-	staged := sequential
-	staged.serialBuild = false
-	requireSameAcrossModes(t, []Config{sequential, staged},
-		waves(4*time.Second, time.Second, 2*time.Second, 100, 12*time.Second))
-}
-
-// TestSharedLossRNGBuildsOnDirectPath covers the one grouped shape the
-// staged build cannot take: access links that draw loss from a single
-// caller-supplied RNG. One stream cannot be split across the group
-// goroutines, so the fleet is built group after group against the live
-// network — edge switches, trunks, edge servers and priming included — and
-// must still be a working, replayable testbed.
-func TestSharedLossRNGBuildsOnDirectPath(t *testing.T) {
-	run := func() runArtifacts {
-		return artifacts(t, Config{
-			Seed:         22,
+	for _, groups := range []int{1, 4} {
+		sequential := Config{
+			Seed:         11,
 			NumDevices:   16,
-			DeviceGroups: 4,
-			EdgeServers:  true,
-			PrimeARP:     true,
+			DeviceGroups: groups,
 			MeanThink:    500 * time.Millisecond,
-			ScanInterval: 100 * time.Millisecond,
-			Link:         netsim.LinkConfig{LossProb: 0.02, RNG: sim.NewRNG(99)},
-		}, waves(20*time.Second, time.Second, 2*time.Second, 100, 30*time.Second))
-	}
-	a, b := run(), run()
-	if a.summary != b.summary || a.prom != b.prom || a.virtual != b.virtual {
-		t.Fatalf("same seed, same shared loss stream, different runs:\n%s---\n%s", a.summary, b.summary)
-	}
-	if a.tb.InfectedCount() == 0 {
-		t.Fatalf("no infections over the lossy access links:\n%s", a.summary)
-	}
-	served := uint64(0)
-	for _, srv := range a.tb.edgeSrvs {
-		reqs, _ := srv.Stats()
-		served += reqs
-	}
-	if served == 0 {
-		t.Fatalf("edge servers served nothing:\n%s", a.summary)
-	}
-	var ls netsim.LinkStats
-	for _, d := range a.tb.Devices() {
-		ls.Add(d.Container.Link().Counters())
-	}
-	if ls.LossFrames == 0 {
-		t.Fatalf("2%% loss on every access link lost no frame: %+v", ls)
+			Domains:      2,
+			serialBuild:  true,
+		}
+		staged := sequential
+		staged.serialBuild = false
+		requireSameAcrossModes(t, []Config{sequential, staged},
+			waves(4*time.Second, time.Second, 2*time.Second, 100, 12*time.Second))
 	}
 }
 
@@ -227,6 +186,13 @@ func TestPDESConfigValidation(t *testing.T) {
 	})
 	if _, err := New(Config{EdgeServers: true}); err == nil {
 		t.Fatal("EdgeServers without DeviceGroups should be rejected")
+	}
+	// The engine's K×K tables would not fit: an error, not an OOM kill.
+	if _, err := New(Config{NumDevices: 4, Domains: MaxDomains + 1}); err == nil {
+		t.Fatal("Domains > MaxDomains not rejected")
+	}
+	if _, err := New(Config{NumDevices: 4, Domains: 100_000}); err == nil {
+		t.Fatal("Domains = 100000 not rejected")
 	}
 }
 

@@ -6,51 +6,13 @@ import (
 	"ddoshield/internal/telemetry/prof"
 )
 
-// Virtual-load attribution. The testbed records, at build time, the
-// structural identity of every link's two endpoints (core subtree, device
-// group subtree, or individual device). VirtualProfile replays those
-// identities through the deterministic partitioner at a caller-chosen
-// reference domain count, so the attribution describes the topology's
-// intrinsic load shape — it is a pure function of (config, simulated
-// traffic) and byte-identical no matter how many Domains the run actually
-// executed with.
-
-// linkEnd kinds.
-const (
-	endCore   = iota // core subtree: lan0, TServer, IDS, C2, attacker
-	endGroup         // a device group's subtree: edge switch, edge server (the core itself when flat)
-	endDevice        // one device (its group's access switch is the far end)
-)
-
-// linkEnd is one structural link endpoint; idx is the group or device
-// index (unused for endCore).
-type linkEnd struct {
-	kind int
-	idx  int
-}
-
-// evalDomain maps the endpoint into a reference placement.
-func (e linkEnd) evalDomain(pl placement) int {
-	switch e.kind {
-	case endGroup:
-		return pl.domainOfGroup(e.idx)
-	case endDevice:
-		return pl.deviceDomain[e.idx]
-	}
-	return 0
-}
-
-// profLink pairs a link with its two structural endpoints in netsim end
-// order (a = ends[0], b = ends[1]).
-type profLink struct {
-	link *netsim.Link
-	a, b linkEnd
-}
-
-// trackLink records one link's endpoint identities for attribution.
-func (tb *Testbed) trackLink(l *netsim.Link, a, b linkEnd) {
-	tb.profLinks = append(tb.profLinks, profLink{link: l, a: a, b: b})
-}
+// Virtual-load attribution. VirtualProfile re-evaluates the deterministic
+// partitioner at a caller-chosen reference domain count and reads every
+// link's two endpoints off that placement (core subtree, device group
+// subtree, or individual device), so the attribution describes the
+// topology's intrinsic load shape — it is a pure function of (config,
+// simulated traffic) and byte-identical no matter how many Domains the run
+// actually executed with.
 
 // Profiler exposes the campaign's wall-clock profiler: its phase timers
 // and, through it, the engine's own timing. Never nil.
@@ -96,11 +58,31 @@ func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 			Name: c.Name(), Kind: prof.KindDevice, Domain: pl.deviceDomain[i], Events: nicEvents(c),
 		})
 	}
-	for _, p := range tb.profLinks {
+	// Links in creation order — the core containers', the trunks, the edge
+	// servers', the devices' — each with its ends' reference domains in
+	// netsim end order. A link whose ends land in different domains adds
+	// each direction's frame count to the cross-domain matrix.
+	matrix := make([]uint64, evalDomains*evalDomains)
+	addLink := func(l *netsim.Link, a, b int) {
 		entities = append(entities, prof.Entity{
-			Name: p.link.String(), Kind: prof.KindLink, Domain: -1,
-			Events: p.link.Counters().TxFrames,
+			Name: l.String(), Kind: prof.KindLink, Domain: -1, Events: l.Counters().TxFrames,
 		})
+		if a != b {
+			matrix[a*evalDomains+b] += l.CountersSide(0).TxFrames
+			matrix[b*evalDomains+a] += l.CountersSide(1).TxFrames
+		}
+	}
+	for _, c := range []*container.Container{tb.tserver, tb.idsC, tb.c2C, tb.attackerC} {
+		addLink(c.Link(), 0, 0)
+	}
+	for g, l := range tb.trunks {
+		addLink(l, 0, pl.domainOfGroup(g))
+	}
+	for g, c := range tb.edgeCs {
+		addLink(c.Link(), pl.domainOfGroup(g), pl.domainOfGroup(g))
+	}
+	for i := range tb.devs {
+		addLink(tb.devs[i].Container.Link(), pl.deviceDomain[i], pl.domainOfGroup(pl.deviceGroup[i]))
 	}
 	for _, u := range tb.idsUnits {
 		entities = append(entities, prof.Entity{
@@ -115,18 +97,6 @@ func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 		Name: "faults", Kind: prof.KindFaults, Domain: -1, Events: injected,
 	})
 
-	// Cross-domain frame matrix: a link whose structural endpoints land in
-	// different reference domains contributes each direction's frame count
-	// to its (src,dst) pair.
-	matrix := make([]uint64, evalDomains*evalDomains)
-	for _, p := range tb.profLinks {
-		da, db := p.a.evalDomain(pl), p.b.evalDomain(pl)
-		if da == db {
-			continue
-		}
-		matrix[da*evalDomains+db] += p.link.CountersSide(0).TxFrames
-		matrix[db*evalDomains+da] += p.link.CountersSide(1).TxFrames
-	}
 	var cross []prof.CrossLoad
 	for from := 0; from < evalDomains; from++ {
 		for to := 0; to < evalDomains; to++ {

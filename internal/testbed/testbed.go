@@ -58,6 +58,10 @@ var (
 // and it is the scale the 100k-device campaigns target with headroom.
 const MaxDevices = 200_000
 
+// MaxDomains bounds the PDES domain count a Config may request: the engine
+// keeps K×K cross-domain tables, which at this bound stay in the tens of MB.
+const MaxDomains = 1024
+
 // classicPlaneDevices is how many devices fit the original 10.0.2.x plane
 // (10.0.2.10 .. 10.0.2.255). Only this plane lies inside the attacker's
 // 10.0.2.0/24 scan range, so only these devices can ever be conscripted —
@@ -136,6 +140,8 @@ type Config struct {
 	// ScanInterval paces the attacker's telnet scanner (default 200 ms).
 	ScanInterval time.Duration
 	// Link is the access-link configuration (defaults: 100 Mb/s, 1 ms).
+	// Its RNG must be nil: random loss draws from per-link streams keyed by
+	// Seed.
 	Link netsim.LinkConfig
 	// Churn configures device reboots.
 	Churn ChurnConfig
@@ -162,7 +168,7 @@ type Config struct {
 	// TrunkLink configures the edge-to-core trunk links (defaults: the
 	// netsim link defaults, i.e. 100 Mb/s and 1 ms). With Domains > 1 the
 	// trunk delay is the dominant term of the engine lookahead, so larger
-	// values buy wider parallel windows.
+	// values buy wider parallel windows. Its RNG must be nil, as Link's.
 	TrunkLink netsim.LinkConfig
 	// EdgeServers gives each device group a local HTTP server
 	// (10.0.3.1+g) on its access switch, and points the group's devices
@@ -220,11 +226,11 @@ type Config struct {
 	// recruit bots beyond the first 246 devices.
 	ScannableDevices int
 
-	// serialBuild runs the staged group builds one after another on the
-	// calling goroutine instead of one goroutine per group. Test hook: the
-	// staged parallel build is defined to produce a byte-identical testbed
-	// (same MACs, link indices, metric registration order), and
-	// TestSerialBuildByteIdentity pins it against this sequential reference.
+	// serialBuild fills the group stages one after another on the calling
+	// goroutine instead of one goroutine per group. Test hook: the parallel
+	// build is defined to produce a byte-identical testbed (same MACs, link
+	// indices, metric registration order), and TestSerialBuildByteIdentity
+	// pins it against this sequential reference.
 	serialBuild bool
 }
 
@@ -269,6 +275,12 @@ func (c Config) validate() error {
 	if c.DeviceGroups < 0 {
 		return fmt.Errorf("testbed: DeviceGroups must be >= 0 (got %d)", c.DeviceGroups)
 	}
+	if c.DeviceGroups > c.NumDevices {
+		return fmt.Errorf("testbed: DeviceGroups %d exceeds NumDevices %d", c.DeviceGroups, c.NumDevices)
+	}
+	if c.Domains > MaxDomains {
+		return fmt.Errorf("testbed: Domains %d exceeds MaxDomains %d", c.Domains, MaxDomains)
+	}
 	if c.EdgeServers && c.DeviceGroups < 2 {
 		return fmt.Errorf("testbed: EdgeServers requires DeviceGroups >= 2 (got %d)", c.DeviceGroups)
 	}
@@ -277,6 +289,9 @@ func (c Config) validate() error {
 	}
 	if c.ScannableDevices < 0 {
 		return fmt.Errorf("testbed: ScannableDevices must be >= 0 (got %d)", c.ScannableDevices)
+	}
+	if c.Link.RNG != nil || c.TrunkLink.RNG != nil {
+		return fmt.Errorf("testbed: Link.RNG and TrunkLink.RNG must be nil; loss draws from per-link streams keyed by Seed")
 	}
 	return nil
 }
@@ -329,11 +344,11 @@ type Testbed struct {
 	// each contributes mitigation lines to Summary and a scoreboard panel.
 	mitigations []mitigationHandle
 
-	// prof times the campaign phases and reads the engine's wall clock;
-	// profLinks records every link's structural endpoints for the
-	// virtual-load attribution.
-	prof      *prof.Profiler
-	profLinks []profLink
+	// trunks are the edge-to-core links, in group order (nil when flat).
+	trunks []*netsim.Link
+
+	// prof times the campaign phases and reads the engine's wall clock.
+	prof *prof.Profiler
 
 	started bool
 }
@@ -392,8 +407,8 @@ func New(cfg Config) (*Testbed, error) {
 	// entries in every Prometheus snapshot. Small topologies never reach
 	// the cap, so their snapshots are unchanged.
 	tb.network.SetMetricEntityLimit(maxMetricEntities)
-	// Root the network's derived per-link RNG streams (random loss on
-	// access or trunk links configured without an explicit RNG).
+	// Root the network's per-link loss streams: every random loss draw on an
+	// access or trunk link comes from a stream keyed by (Seed, link).
 	tb.network.SetSeed(cfg.Seed)
 	// Telemetry hub first, so every NIC, link and switch created below
 	// registers its counters at construction time.
@@ -517,9 +532,6 @@ func New(cfg Config) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	for _, c := range []*container.Container{tb.tserver, tb.idsC, tb.c2C, tb.attackerC} {
-		tb.trackLink(c.Link(), linkEnd{kind: endCore}, linkEnd{kind: endCore})
-	}
 
 	// Access-layer infrastructure: every group's edge switch plus its
 	// trunk into lan0, placed in the group's PDES domain. Built serially:
@@ -531,8 +543,7 @@ func New(cfg Config) (*Testbed, error) {
 		for g := 0; g < cfg.DeviceGroups; g++ {
 			esw := tb.network.NewSwitchInDomain(fmt.Sprintf("edge%02d", g), pl.domainOfGroup(g))
 			corePort, edgePort := tb.sw.NewPort(), esw.NewPort()
-			trunk := tb.network.Connect(corePort, edgePort, cfg.TrunkLink)
-			tb.trackLink(trunk, linkEnd{kind: endCore}, linkEnd{kind: endGroup, idx: g})
+			tb.trunks = append(tb.trunks, tb.network.Connect(corePort, edgePort, cfg.TrunkLink))
 			trunkCorePorts = append(trunkCorePorts, corePort)
 			tb.edgeSws = append(tb.edgeSws, esw)
 			if cfg.PrimeARP {
@@ -549,8 +560,8 @@ func New(cfg Config) (*Testbed, error) {
 		}
 	}
 
-	// Device fleet (and per-group edge servers): built group-major, in
-	// parallel for grouped topologies.
+	// Device fleet (and per-group edge servers): built group-major, one
+	// construction stage per group.
 	if err := tb.buildAccessLayer(pl, trunkCorePorts, hostCfg); err != nil {
 		return nil, err
 	}
@@ -581,15 +592,14 @@ func New(cfg Config) (*Testbed, error) {
 // buildAccessLayer constructs the device fleet and per-group edge servers —
 // the bulk of the topology at fleet scale — group-major: group g's devices
 // attach to its access switch (edge switch g, or lan0 for the flat
-// topology's single group). Grouped topologies build through netsim
-// construction stages: identity ranges (MACs, link indices) are reserved
-// per group in canonical order before any entity exists, entity creation
-// fans out one goroutine per group, and the stages merge back serially in
-// the same canonical order — so the parallel build is byte-identical to the
-// sequential one (the direct path a flat topology, or a config whose links
-// share one loss RNG, takes). Mutations of shared state (lan0 MAC priming,
-// core-plane hosts' static ARP, churn streams, link attribution) are
-// deferred to a final serial pass in global device order.
+// topology's single group). Every group builds through a netsim construction
+// stage: identity ranges (MACs, link indices) are reserved per group in
+// canonical order before any entity exists, the stages are filled (one
+// goroutine per group when there is more than one), and they merge back
+// serially in the same canonical order — so the parallel build is
+// byte-identical to the sequential one. Mutations of shared state (lan0 MAC
+// priming, core-plane hosts' static ARP, churn streams) are deferred to a
+// final serial pass in global device order.
 func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, hostCfg func(packet.Addr) netstack.HostConfig) error {
 	cfg := tb.cfg
 	tb.devs = make([]DeviceHandle, cfg.NumDevices)
@@ -606,26 +616,20 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 		tb.edgeSrvs = make([]*httpapp.Server, cfg.DeviceGroups)
 		tb.edgeCs = make([]*container.Container, cfg.DeviceGroups)
 	}
-	// One group has nothing to fan out, and Stage.Connect cannot split one
-	// shared loss RNG across goroutines; such configs take the sequential
-	// direct path (st == nil), which executes the same canonical order
-	// inline.
 	grouped := len(tb.edgeSws) > 0
-	useStages := grouped && !(cfg.Link.LossProb > 0 && cfg.Link.RNG != nil)
 	stages := make([]*netsim.Stage, cfg.DeviceGroups)
-	if useStages {
-		for g := range stages {
-			n := len(byGroup[g])
-			if cfg.EdgeServers {
-				n++
-			}
-			stages[g] = tb.network.NewStage(n, n)
+	for g := range stages {
+		n := len(byGroup[g])
+		if cfg.EdgeServers {
+			n++
 		}
+		stages[g] = tb.network.NewStage(n, n)
 	}
 	tb.runtime.Grow(len(tb.devs) + len(tb.edgeCs))
 	stageCs := make([][]*container.Container, cfg.DeviceGroups)
 
-	buildGroup := func(g int, st *netsim.Stage) error {
+	buildGroup := func(g int) {
+		st := stages[g]
 		asw := tb.sw
 		if grouped {
 			asw = tb.edgeSws[g]
@@ -640,13 +644,10 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 				OnStart: func(c *container.Container) { _ = srv.Attach(c.Host()) },
 				OnStop:  srv.Detach,
 			}
-			srvC, err := tb.createIn(st, container.Spec{
+			srvC := tb.runtime.CreateStaged(st, container.Spec{
 				Name: fmt.Sprintf("edge%02d-srv", g), Image: "edge:http",
 				Host: hostCfg(edgeServerAddr(g)), App: srvApp, Domain: dom,
-			}, asw)
-			if err != nil {
-				return err
-			}
+			}, asw, cfg.Link)
 			tb.edgeSrvs[g], tb.edgeCs[g] = srv, srvC
 			cs = append(cs, srvC)
 			if cfg.PrimeARP {
@@ -671,13 +672,10 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 				templates[tk] = tmpl
 			}
 			dev := tmpl.Instantiate(name, cfg.Seed+1000+int64(i)*13)
-			devC, err := tb.createIn(st, container.Spec{
+			devC := tb.runtime.CreateStaged(st, container.Spec{
 				Name: name, Image: "iot:" + profile.Kind,
 				Host: hostCfg(deviceAddr(i)), App: dev, Domain: pl.deviceDomain[i],
-			}, asw)
-			if err != nil {
-				return err
-			}
+			}, asw, cfg.Link)
 			tb.devs[i] = DeviceHandle{Container: devC, Device: dev}
 			cs = append(cs, devC)
 			if cfg.PrimeARP {
@@ -707,49 +705,35 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 			}
 		}
 		stageCs[g] = cs
-		return nil
 	}
 
-	errs := make([]error, cfg.DeviceGroups)
-	if useStages && !cfg.serialBuild {
+	if len(stages) > 1 && !cfg.serialBuild {
 		var wg sync.WaitGroup
 		for g := range stages {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				errs[g] = buildGroup(g, stages[g])
+				buildGroup(g)
 			}(g)
 		}
 		wg.Wait()
 	} else {
 		for g := range stages {
-			errs[g] = buildGroup(g, stages[g])
+			buildGroup(g)
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if useStages {
-		tb.network.Merge(stages...)
-		for g := range stageCs {
-			if err := tb.runtime.Adopt(stageCs[g]...); err != nil {
-				return fmt.Errorf("testbed: %w", err)
-			}
+	tb.network.Merge(stages...)
+	for g := range stageCs {
+		if err := tb.runtime.Adopt(stageCs[g]...); err != nil {
+			return fmt.Errorf("testbed: %w", err)
 		}
 	}
 
-	// Serial epilogue in canonical order: link attribution for the staged
-	// containers, then the per-device shared-state priming the concurrent
-	// stages had to defer — lan0 MAC learning, core-plane hosts' static ARP
-	// entries, churn streams.
-	for g := range tb.edgeCs {
-		tb.trackLink(tb.edgeCs[g].Link(), linkEnd{kind: endGroup, idx: g}, linkEnd{kind: endGroup, idx: g})
-	}
+	// Serial epilogue in canonical order: the per-device shared-state
+	// priming the concurrent stages had to defer — lan0 MAC learning,
+	// core-plane hosts' static ARP entries — and the churn streams.
 	for i := range tb.devs {
 		devC := tb.devs[i].Container
-		g := pl.deviceGroup[i]
 		if cfg.PrimeARP {
 			devH := devC.Host()
 			if !cfg.EdgeServers {
@@ -760,7 +744,7 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 				// which learns the trunk toward its group (a device on
 				// lan0 itself was learned with its own port above).
 				if grouped {
-					tb.sw.Learn(devH.MAC(), trunkCorePorts[g])
+					tb.sw.Learn(devH.MAC(), trunkCorePorts[pl.deviceGroup[i]])
 				}
 				tb.attackerC.Host().AddStaticARP(devH.Addr(), devH.MAC())
 				tb.c2C.Host().AddStaticARP(devH.Addr(), devH.MAC())
@@ -769,7 +753,6 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 				}
 			}
 		}
-		tb.trackLink(devC.Link(), linkEnd{kind: endDevice, idx: i}, linkEnd{kind: endGroup, idx: g})
 		// Per-device churn stream, fixed now so the map is read-only once
 		// the simulation runs (entries mutate only in the owning domain).
 		// Skipped entirely when churn is off — at fleet scale the unused
@@ -789,21 +772,6 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 		tb.network.SetARPDirectory(owners)
 	}
 	return nil
-}
-
-// createIn creates a container through the staged path when st is non-nil,
-// else directly on the runtime — the sequential arm of the group build,
-// which allocates identities in the same canonical order the stage
-// reservations would have.
-func (tb *Testbed) createIn(st *netsim.Stage, spec container.Spec, sw *netsim.Switch) (*container.Container, error) {
-	if st != nil {
-		return tb.runtime.CreateStaged(st, spec, sw, tb.cfg.Link), nil
-	}
-	c, err := tb.runtime.Create(spec, sw, tb.cfg.Link)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	return c, nil
 }
 
 // registerCampaignMetrics exposes botnet campaign and fleet-health state as

@@ -269,6 +269,22 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Seed: 9, NumDevices: MaxDevices + 1}); err == nil {
 		t.Fatal("NumDevices > MaxDevices not rejected")
 	}
+	// More groups than devices would leave groups empty; a huge count
+	// would size the group index past memory.
+	for _, groups := range []int{5, 1_000_000_000} {
+		if _, err := New(Config{Seed: 9, NumDevices: 4, DeviceGroups: groups}); err == nil {
+			t.Fatalf("DeviceGroups %d > NumDevices 4 not rejected", groups)
+		}
+	}
+	// Loss draws come only from the per-link streams keyed by Seed.
+	for name, cfg := range map[string]Config{
+		"Link.RNG":      {Seed: 9, NumDevices: 4, Link: netsim.LinkConfig{LossProb: 0.1, RNG: sim.NewRNG(1)}},
+		"TrunkLink.RNG": {Seed: 9, NumDevices: 4, DeviceGroups: 2, TrunkLink: netsim.LinkConfig{RNG: sim.NewRNG(1)}},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s set: not rejected", name)
+		}
+	}
 }
 
 // decodeTap adapts a packet-level observer to a netsim.Tap, skipping frames
