@@ -1,11 +1,14 @@
 // Command detect replays a pcap capture through the Real-Time IDS Unit
-// (Fig. 2) with a previously trained model, printing the per-window
-// verdicts — the real-time detection phase of §IV-D driven from recorded
-// traffic instead of a live testbed.
+// (Fig. 2) with one or more previously trained models, printing the
+// per-window verdicts — the real-time detection phase of §IV-D driven from
+// recorded traffic instead of a live testbed. Several models share one
+// capture front end: the capture is read and decoded once, and each model
+// prints what it would have printed alone, in the order given.
 //
 // Usage:
 //
 //	detect -model models/kmeans.model -pcap run.pcap -window 1s
+//	detect -model models/rf.model,models/kmeans.model,models/cnn.model -pcap run.pcap
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ddoshield/internal/ids"
@@ -32,7 +36,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("detect", flag.ContinueOnError)
 	var (
-		modelPath = fs.String("model", "", "trained model file (required)")
+		modelPath = fs.String("model", "", "trained model file, or a comma-separated list of them (required)")
 		pcapPath  = fs.String("pcap", "", "capture to replay (required)")
 		window    = fs.Duration("window", time.Second, "aggregation window")
 		verbose   = fs.Bool("v", false, "print every window, not only alerts")
@@ -44,11 +48,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-model and -pcap are required")
 	}
 
-	bundle, err := modelio.LoadBundleFile(*modelPath)
-	if err != nil {
-		return err
+	var units []*ids.Unit
+	for _, path := range strings.Split(*modelPath, ",") {
+		bundle, err := modelio.LoadBundleFile(path)
+		if err != nil {
+			return err
+		}
+		u := ids.New(ids.Config{Model: bundle.Model, Scaler: bundle.Scaler, Window: *window, Name: bundle.Model.Name()})
+		if len(units) > 0 {
+			// Fresh units of one window size: Subscribe cannot refuse.
+			units[0].Front().Subscribe(u)
+		}
+		units = append(units, u)
 	}
-	model := bundle.Model
 	f, err := os.Open(*pcapPath)
 	if err != nil {
 		return err
@@ -59,7 +71,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	unit := ids.New(ids.Config{Model: model, Scaler: bundle.Scaler, Window: *window})
 	frames := 0
 	// Pooled decode: Feed copies the features it keeps out of the packet.
 	p := packet.Acquire()
@@ -73,25 +84,29 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		frames++
+		// Any unit feeds the front they share.
 		if packet.DecodeInto(p, rec.Time, rec.Data) == nil {
-			unit.Feed(p)
+			units[0].Feed(p)
 		}
 	}
-	unit.Flush()
+	units[0].Flush()
 
-	results := unit.Results()
-	alerts := 0
-	for _, w := range results {
-		if w.Alert {
-			alerts++
+	for _, u := range units {
+		results := u.Results()
+		alerts := 0
+		for _, w := range results {
+			if w.Alert {
+				alerts++
+			}
+			if w.Alert || *verbose {
+				printWindow(stdout, w)
+			}
 		}
-		if w.Alert || *verbose {
-			printWindow(stdout, w)
-		}
+		// A model's compute includes the shared front's, as it would alone.
+		fmt.Fprintf(stdout, "model %s over %d frames: %d windows, %d alerts, %.1f ms compute\n",
+			u.Name(), frames, len(results), alerts,
+			float64(u.CPUTime().Microseconds())/1000)
 	}
-	fmt.Fprintf(stdout, "model %s over %d frames: %d windows, %d alerts, %.1f ms compute\n",
-		model.Name(), frames, len(results), alerts,
-		float64(unit.CPUTime().Microseconds())/1000)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"ddoshield/internal/dataset"
 	"ddoshield/internal/features"
 	"ddoshield/internal/ids"
+	"ddoshield/internal/ml/forest"
 	"ddoshield/internal/ml/kmeans"
 	"ddoshield/internal/ml/modelio"
 	"ddoshield/internal/packet"
@@ -42,13 +44,13 @@ func capture() *pcap.Buffer {
 	return buf
 }
 
-// TestReplayMatchesLiveUnit drives the command over a capture and a saved
-// model, and a live unit over the same frames through its tap: the offline
-// half of the detection path prints the windows the online half scores.
-func TestReplayMatchesLiveUnit(t *testing.T) {
-	buf := capture()
-	dir := t.TempDir()
-	pcapPath, modelPath := filepath.Join(dir, "run.pcap"), filepath.Join(dir, "kmeans.model")
+// savedCapture writes capture() to a pcap file in dir, and next to it a
+// tiny K-Means bundle and a tiny random forest trained on the capture's own
+// vectors. It returns the capture, the paths and the K-Means bundle.
+func savedCapture(t *testing.T, dir string) (buf *pcap.Buffer, pcapPath, kmPath, rfPath string, km modelio.Bundle) {
+	t.Helper()
+	buf = capture()
+	pcapPath, kmPath, rfPath = filepath.Join(dir, "run.pcap"), filepath.Join(dir, "kmeans.model"), filepath.Join(dir, "rf.model")
 	f, err := os.Create(pcapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -80,23 +82,39 @@ func TestReplayMatchesLiveUnit(t *testing.T) {
 		e.AddPacket(p)
 	}
 	e.Flush()
-	scaler := dataset.FitStandard(ds)
-	scaler.Apply(ds)
-	xs, ys := ds.XY()
-	km, err := kmeans.Train(kmeans.Config{InitClusters: 4, Seed: 1}, xs, ys)
+	raw, ys := ds.XY()
+	rf, err := forest.Train(forest.Config{Trees: 4, MaxDepth: 4, Seed: 1}, raw, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := modelio.SaveBundleFile(modelPath, modelio.Bundle{Model: km, Scaler: scaler}); err != nil {
+	if err := modelio.SaveBundleFile(rfPath, modelio.Bundle{Model: rf}); err != nil {
 		t.Fatal(err)
 	}
+	scaler := dataset.FitStandard(ds)
+	scaler.Apply(ds)
+	xs, _ := ds.XY()
+	model, err := kmeans.Train(kmeans.Config{InitClusters: 4, Seed: 1}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	km = modelio.Bundle{Model: model, Scaler: scaler}
+	if err := modelio.SaveBundleFile(kmPath, km); err != nil {
+		t.Fatal(err)
+	}
+	return buf, pcapPath, kmPath, rfPath, km
+}
 
+// TestReplayMatchesLiveUnit drives the command over a capture and a saved
+// model, and a live unit over the same frames through its tap: the offline
+// half of the detection path prints the windows the online half scores.
+func TestReplayMatchesLiveUnit(t *testing.T) {
+	buf, pcapPath, modelPath, _, km := savedCapture(t, t.TempDir())
 	var out bytes.Buffer
 	if err := run([]string{"-model", modelPath, "-pcap", pcapPath, "-v"}, &out); err != nil {
 		t.Fatal(err)
 	}
 
-	live := ids.New(ids.Config{Model: km, Scaler: scaler, Window: time.Second})
+	live := ids.New(ids.Config{Model: km.Model, Scaler: km.Scaler, Window: time.Second})
 	tap := live.Tap()
 	for _, rec := range buf.Records() {
 		tap(rec.Time, rec.Data, trace.Context{})
@@ -131,5 +149,41 @@ func TestReplayMatchesLiveUnit(t *testing.T) {
 	}
 	if err := run([]string{"-pcap", pcapPath}, &out); err == nil {
 		t.Fatal("a run without -model succeeded")
+	}
+}
+
+// compute is the one wall-clock figure of the output.
+var compute = regexp.MustCompile(`[0-9.]+ ms compute`)
+
+// TestModelListMatchesSingleRuns: with a comma-separated -model list the
+// capture is replayed once, through one front, and each model prints
+// exactly the lines it prints alone, in list order — its compute figure
+// aside, which is a wall clock.
+func TestModelListMatchesSingleRuns(t *testing.T) {
+	_, pcapPath, kmPath, rfPath, _ := savedCapture(t, t.TempDir())
+	output := func(models string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run([]string{"-model", models, "-pcap", pcapPath, "-v"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return compute.ReplaceAllString(out.String(), "# ms compute")
+	}
+	km, rf := output(kmPath), output(rfPath)
+	if !strings.Contains(km, "model kmeans over 360 frames: 3 windows, 1 alerts") || !strings.Contains(rf, "model rf over 360 frames: 3 windows") {
+		t.Fatalf("single runs:\n%s%s", km, rf)
+	}
+	for _, list := range [][]string{{kmPath, rfPath}, {rfPath, kmPath, rfPath}} {
+		want := ""
+		for _, path := range list {
+			want += map[string]string{kmPath: km, rfPath: rf}[path]
+		}
+		if got := output(strings.Join(list, ",")); got != want {
+			t.Errorf("-model %s:\n%s\nwant the single runs in order:\n%s", strings.Join(list, ","), got, want)
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-model", kmPath + ",missing.model", "-pcap", pcapPath}, &out); err == nil {
+		t.Fatal("a list with a missing model file succeeded")
 	}
 }

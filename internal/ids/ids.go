@@ -7,14 +7,18 @@
 // evaluates the three models — and only accuracy, since single-class
 // windows make precision/recall undefined in real time.
 //
-// A closed window goes through three stages. The goroutine that feeds the
-// unit (its owner: the scheduler's in a live run, the reader's in a replay)
-// takes a snapshot of the window out of the extractor's reused storage; a
-// goroutine started for that window classifies the snapshot, which is all
-// the arithmetic and touches nothing else; and the owner folds the verdicts
-// back — scoring, alerting, tracing, hooks: every effect — at a point the
-// input alone fixes (see Unit.Join). The paper runs its IDS in a container
-// of its own beside NS-3; this is that container's independent execution.
+// Units sit behind a Front, the capture front end: one decode per frame,
+// one extractor and one snapshot per closed window, however many units it
+// serves (a unit from New has a front of its own). A closed window goes
+// through three stages. The goroutine that feeds the front (its owner: the
+// scheduler's in a live run, the reader's in a replay) takes a snapshot of
+// the window out of the extractor's reused storage; a goroutine started for
+// that window classifies the snapshot for every unit, which is all the
+// arithmetic and touches nothing else; and the owner folds each unit's
+// verdicts back — scoring, alerting, tracing, hooks: every effect — at a
+// point the input alone fixes (see Unit.Join). The paper runs its IDS in a
+// container of its own beside NS-3; this is that container's independent
+// execution.
 package ids
 
 import (
@@ -96,19 +100,20 @@ type WindowResult struct {
 	// classified malicious, capped at maxFlaggedFlows — the per-flow
 	// verdicts an inline mitigation stage installs.
 	FlaggedFlows []trace.Flow
-	// CPU is the compute time spent on this window — snapshot,
-	// classification and scoring, on whichever goroutine each ran — and
-	// none of the time one goroutine waited for the other.
+	// CPU is the compute time spent on this window — snapshot, distinct
+	// rows, classification and scoring, on whichever goroutine each ran —
+	// and none of the time one goroutine waited for the other. The
+	// snapshot and distinct rows are the front's, counted for every unit.
 	CPU time.Duration
 }
 
-// Unit is the real-time detection pipeline. It belongs to one goroutine at
-// a time, its owner: every method is the owner's to call, except
-// FirstCorrectAlertFolded and whatever a Config.Registry snapshot reads,
-// which are safe from anywhere.
+// Unit is the real-time detection pipeline: one model behind a Front. It
+// belongs to one goroutine at a time, its front's owner: every method is the
+// owner's to call, except FirstCorrectAlertFolded and whatever a
+// Config.Registry snapshot reads, which are safe from anywhere.
 type Unit struct {
 	cfg       Config
-	extractor *features.Extractor
+	front     *Front
 	results   []WindowResult
 	confusion metrics.Confusion
 	// hooks are additional OnWindow consumers registered after New (the
@@ -116,25 +121,19 @@ type Unit struct {
 	// cfg.OnWindow, in registration order.
 	hooks []func(r *WindowResult)
 
-	// inflight is the window being classified, nil once folded. There is at
-	// most one: the next window is not snapshotted before this one is folded.
-	inflight *job
-
+	// cpu is the unit's own compute: classification and folds. CPUTime adds
+	// the front's.
 	cpu time.Duration
-	// joinWall is the wall time Join took inside the Tap, Feed or Flush call
-	// now being timed. Join accounts for the compute in it (classification
-	// and fold) itself; the rest is waiting, which is nobody's CPU.
-	joinWall time.Duration
-	peakMem  int64
+	// peakMem is the largest front share plus own footprint at a dispatch.
+	peakMem int64
 	// One chunk of distinct rows in flight through the model: the packet
 	// each row came from, the vectors, their row headers and the verdicts.
 	// Nothing here scales with the window. The window's goroutine uses them
 	// while it runs, the owner never.
-	idx      [chunk]int32
-	vecBuf   []float64
-	rows     [chunk][]float64
-	preds    [chunk]int
-	detached bool
+	idx    [chunk]int32
+	vecBuf []float64
+	rows   [chunk][]float64
+	preds  [chunk]int
 
 	// Advanced at the fold and atomic, so a registry snapshot reads them
 	// from any goroutine without folding, blocking or racing.
@@ -150,29 +149,6 @@ type Unit struct {
 	pending []trace.Context
 }
 
-// job is one closed window on its way through the pipeline. The owner
-// fills the snapshot and starts classify; until done is closed the verdicts
-// and the unit's chunk buffers are that goroutine's, everything else the
-// owner's; after it, all of it is the owner's again.
-type job struct {
-	// The snapshot: the window's packets and statistics, copied out of the
-	// extractor's storage (which the next window reuses), and the spans
-	// that wait for this window's verdict. Allocated per window and dropped
-	// at the fold: a recycled spare would be live heap for the whole run.
-	start sim.Time
-	pkts  []features.Basic
-	stats features.Stats
-	spans []trace.Context
-	// snapCPU is what taking the snapshot cost the owner.
-	snapCPU time.Duration
-
-	// Written by classify, read after done.
-	verdicts []uint8 // the model's class per packet; nil without a model
-	cpu      time.Duration
-	panicked error
-	done     chan struct{}
-}
-
 // maxPendingSpans caps verdict-pending spans per window so a fully sampled
 // flood cannot grow the slice without bound; excess packets simply end
 // their traces at delivery.
@@ -186,13 +162,14 @@ const maxFlaggedFlows = 512
 // windowCPUBounds buckets per-window processing cost in microseconds.
 var windowCPUBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// New assembles a unit.
+// New assembles a unit on a front of its own; Front.Subscribe moves it onto
+// another unit's.
 func New(cfg Config) *Unit {
 	if cfg.Name == "" {
 		cfg.Name = "ids"
 	}
 	u := &Unit{cfg: cfg}
-	u.extractor = features.NewExtractor(cfg.Window, u.onWindow)
+	newFront(cfg.Window).add(u)
 	unit := telemetry.L("unit", cfg.Name)
 	cfg.Registry.RegisterCounter(&u.packets, "ids_packets_total", unit)
 	cfg.Registry.RegisterCounter(&u.windows, "ids_windows_total", unit)
@@ -204,45 +181,29 @@ func New(cfg Config) *Unit {
 // Name reports the unit's telemetry label.
 func (u *Unit) Name() string { return u.cfg.Name }
 
+// Front reports the capture front end the unit is on.
+func (u *Unit) Front() *Front { return u.front }
+
 // AddWindowHook registers an additional per-window consumer on an already
 // constructed unit (Config.OnWindow still runs first). Response stages
 // attach here so one unit can feed detection metrics and mitigation at
-// the same time. A unit with a consumer folds each window before the call
-// that closed it returns: what a hook does (the responder's rule installs)
-// belongs to the closing instant.
+// the same time. A unit with a consumer folds each window, and so does
+// every other unit on its front, before the call that closed it returns:
+// what a hook does (the responder's rule installs) belongs to the closing
+// instant.
 func (u *Unit) AddWindowHook(fn func(r *WindowResult)) {
 	// A window closed before fn existed is not fn's to see.
 	u.Join()
 	u.hooks = append(u.hooks, fn)
 }
 
-// Tap returns a netsim.Tap that feeds the unit — attach it to the switch
-// (span port) or to the TServer's link, as Fig. 1 places the IDS. A
-// sampled packet's chain gains an "ids-window" span that stays open until
-// the packet's window closes and finishes tagged with the verdict
-// ("alert"/"clear"). testbed.AttachIDS attaches it.
-func (u *Unit) Tap() netsim.Tap {
-	return func(t sim.Time, raw []byte, tc trace.Context) {
-		if u.detached {
-			return
-		}
-		start := u.startTimer()
-		// Pooled decode: AddPacket copies the Basic features out by value,
-		// so the Packet never outlives the tap callback.
-		p := packet.Acquire()
-		if err := packet.DecodeInto(p, t, raw); err == nil {
-			p.Trace = tc
-			// AddPacket first: if this packet rotates the window, the old
-			// window's pending spans leave with it before this one enrolls.
-			u.extractor.AddPacket(p)
-			if tc.Sampled() && len(u.pending) < maxPendingSpans {
-				u.pending = append(u.pending, tc.Start(t, "ids-window", u.cfg.Name))
-			}
-		}
-		p.Release()
-		u.stopTimer(start)
-	}
-}
+// Tap returns the netsim.Tap of the unit's front, which feeds every unit on
+// it — attach it to the switch (span port) or to the TServer's link, as
+// Fig. 1 places the IDS. A sampled packet's chain gains one "ids-window"
+// span per unit that stays open until the packet's window closes and
+// finishes tagged with that unit's verdict ("alert"/"clear").
+// testbed.AttachIDS attaches it.
+func (u *Unit) Tap() netsim.Tap { return u.front.tap }
 
 // FirstCorrectAlert reports when the unit first raised an alert on a
 // window that truly contained attack traffic (the per-scenario detection
@@ -260,41 +221,18 @@ func (u *Unit) FirstCorrectAlertFolded() (sim.Time, bool) {
 	return sim.Time(t), t != 0
 }
 
-// Feed classifies an already-dissected packet (offline replay path).
-func (u *Unit) Feed(p *packet.Packet) {
-	start := u.startTimer()
-	u.extractor.AddPacket(p)
-	u.stopTimer(start)
-}
+// Feed hands an already-dissected packet to the unit's front, for every
+// unit on it to classify (offline replay path).
+func (u *Unit) Feed(p *packet.Packet) { u.front.feed(p) }
 
-// Flush closes the trailing window and folds it. Call at end of run.
-func (u *Unit) Flush() {
-	start := u.startTimer()
-	u.extractor.Flush()
-	u.Join()
-	u.stopTimer(start)
-}
-
-// Detach stops consuming tapped traffic. A window in flight is still folded
-// at the next fold point.
-func (u *Unit) Detach() { u.detached = true }
+// Flush closes the front's trailing window and folds it. Call at end of run.
+func (u *Unit) Flush() { u.front.flush() }
 
 func (u *Unit) addCPU(d time.Duration) {
 	u.cpu += d
 	if u.cfg.Meter != nil {
 		u.cfg.Meter.AddCPU(d)
 	}
-}
-
-// startTimer and stopTimer bracket one Tap, Feed or Flush call and charge
-// the unit the caller's compute in it: the wall clock less the joins inside.
-func (u *Unit) startTimer() time.Time {
-	u.joinWall = 0
-	return time.Now()
-}
-
-func (u *Unit) stopTimer(start time.Time) {
-	u.addCPU(time.Since(start) - u.joinWall)
 }
 
 // chunk is how many distinct rows of a closed window are vectorized and
@@ -304,66 +242,35 @@ func (u *Unit) stopTimer(start time.Time) {
 // grow with the window.
 const chunk = 64
 
-// onWindow takes one closed window from the extractor: it folds the window
-// before it, snapshots this one and starts its classification. Only a unit
-// with a consumer waits for the verdicts here.
-func (u *Unit) onWindow(w *features.Window) {
-	u.Join()
-	start := time.Now()
-	j := &job{
-		start: w.Start,
-		pkts:  append([]features.Basic(nil), w.Packets...),
-		stats: w.Stats,
-		spans: u.pending,
-		done:  make(chan struct{}),
-	}
-	u.pending = nil
-	// Track the high-water mark for the memory report.
-	if mem := u.liveMem(len(w.Packets)); mem > u.peakMem {
-		u.peakMem = mem
-	}
-	u.inflight = j
-	j.snapCPU = time.Since(start)
-	go u.classify(j)
-	if u.cfg.OnWindow != nil || len(u.hooks) > 0 {
-		u.Join()
-	}
-}
-
-// classify is the window's own goroutine: it sorts the window's packets
-// into distinct rows, runs vectors, scaling and prediction over those rows
-// only, chunk by chunk in first-occurrence order, and copies each row's
-// verdict to every packet that has it. It reads the snapshot and
-// the (immutable) model and scaler, writes j's result fields and the
-// unit's chunk buffers, and touches nothing else of the unit. A panicking
-// model is caught here, where nothing could recover it, and re-raised by
-// Join on the owner's goroutine.
-func (u *Unit) classify(j *job) {
-	defer close(j.done)
+// classify runs on the window's goroutine: it runs vectors, scaling and
+// prediction over the window's distinct rows only, chunk by chunk in
+// first-occurrence order, and copies each row's verdict to every packet
+// that has it. It reads the snapshot and the (immutable) model and scaler,
+// writes j's result fields and the unit's chunk buffers, and touches
+// nothing else of the unit. A panicking model is caught here, where nothing
+// could recover it, and re-raised by Join on the owner's goroutine.
+func (u *Unit) classify(w *window, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicked = fmt.Errorf("ids: unit %s: classifying the window at %v: panic: %v\n%s",
-				u.cfg.Name, j.start, r, debug.Stack())
+				u.cfg.Name, w.start, r, debug.Stack())
 		}
 	}()
-	if u.cfg.Model == nil {
-		return
-	}
 	start := time.Now()
-	j.verdicts = make([]uint8, len(j.pkts))
-	first := distinctRows(j.pkts)
+	j.verdicts = make([]uint8, len(w.pkts))
+	first := w.first
 	idx := u.idx[:0]
 	for i, f := range first {
 		if int(f) != i {
 			continue
 		}
 		if idx = append(idx, int32(i)); len(idx) == chunk {
-			u.predict(j, idx)
+			u.predict(w, j, idx)
 			idx = idx[:0]
 		}
 	}
 	if len(idx) > 0 {
-		u.predict(j, idx)
+		u.predict(w, j, idx)
 	}
 	for i, f := range first {
 		j.verdicts[i] = j.verdicts[f]
@@ -373,10 +280,10 @@ func (u *Unit) classify(j *job) {
 
 // predict vectorizes, scales and classifies one chunk of a window's distinct
 // rows — the packets at idx — and writes each one's verdict.
-func (u *Unit) predict(j *job, idx []int32) {
+func (u *Unit) predict(w *window, j *job, idx []int32) {
 	buf := u.vecBuf[:0]
 	for _, i := range idx {
-		buf = features.AppendVector(buf, &j.pkts[i], &j.stats)
+		buf = features.AppendVector(buf, &w.pkts[i], &w.stats)
 	}
 	u.vecBuf = buf
 	// Rows are cut after the fill: growing buf on first use moves it.
@@ -432,43 +339,29 @@ func distinctRows(pkts []features.Basic) []int32 {
 	return first
 }
 
-// Join folds the window in flight, if there is one: it waits for the
-// window's goroutine and applies the verdicts. Every fold happens here, on
-// the owner's goroutine, and Join is called at points the input alone
-// fixes, so a run's results do not depend on how the two goroutines were
+// Join folds the window in flight on the unit's front, if there is one: it
+// waits for the window's goroutine and applies the verdicts of every unit
+// on the front, in subscription order (Front.Join). Every fold happens
+// here, on the owner's goroutine, and Join is called at points the input
+// alone fixes, so a run's results do not depend on how the goroutines were
 // scheduled: before the next window is snapshotted; in Flush; in every
-// accessor below; as soon as the window is dispatched when the unit has a
-// Config.OnWindow or AddWindowHook consumer; and by testbed.Testbed.Run
-// when it returns. Callers need not call it: there is nothing to close and
-// no goroutine outlives its window.
-func (u *Unit) Join() {
-	j := u.inflight
-	if j == nil {
-		return
-	}
-	start := time.Now()
-	<-j.done
-	waited := time.Since(start)
-	u.inflight = nil
-	if j.panicked != nil {
-		panic(j.panicked)
-	}
-	u.fold(j)
-	wall := time.Since(start)
-	u.joinWall += wall
-	u.addCPU(j.cpu + wall - waited)
-}
+// accessor below; as soon as the window is dispatched when a unit on the
+// front has a Config.OnWindow or AddWindowHook consumer; and by
+// testbed.Testbed.Run when it returns. Callers need not call it: there is
+// nothing to close and no goroutine outlives its window.
+func (u *Unit) Join() { u.front.Join() }
 
-// fold applies one classified window: every effect of detection, in the
-// order a unit that classified inline would have had them.
-func (u *Unit) fold(j *job) {
+// fold applies the unit's share of one classified window: every effect of
+// detection, in the order a unit that classified inline would have had
+// them.
+func (u *Unit) fold(w *window, j *job) {
 	start := time.Now()
-	res := WindowResult{Start: j.start, Packets: len(j.pkts)}
-	u.packets.Add(uint64(len(j.pkts)))
+	res := WindowResult{Start: w.start, Packets: len(w.pkts)}
+	u.packets.Add(uint64(len(w.pkts)))
 	var flagged map[packet.Addr]bool
 	var flaggedFlows map[trace.Flow]bool
-	for i := range j.pkts {
-		b := &j.pkts[i]
+	for i := range w.pkts {
+		b := &w.pkts[i]
 		truth := -1
 		if u.cfg.Labeler != nil {
 			truth = u.cfg.Labeler(b)
@@ -515,9 +408,10 @@ func (u *Unit) fold(j *job) {
 		res.Accuracy = float64(res.Correct) / float64(res.Packets)
 		res.Alert = res.PredMalicious*2 > res.Packets
 	}
-	// The window's compute on both goroutines; Join charges the unit the
-	// same three terms, so the per-window figures sum to no more than it.
-	res.CPU = j.snapCPU + j.cpu + time.Since(start)
+	// The window's compute on both goroutines; the front's Join and timers
+	// charge the unit the same terms, so the per-window figures sum to no
+	// more than its CPUTime.
+	res.CPU = w.snapCPU + w.rowsCPU + j.cpu + time.Since(start)
 	u.winCPU.Observe(float64(res.CPU) / float64(time.Microsecond))
 	verdict := "clear"
 	if res.Alert {
@@ -526,14 +420,14 @@ func (u *Unit) fold(j *job) {
 	}
 	// Close the window's sampled-packet spans with the verdict at the
 	// window boundary — the instant the verdict actually exists.
-	windowEnd := j.start.Add(u.extractor.WindowSize())
+	windowEnd := w.start.Add(u.WindowSize())
 	for _, tc := range j.spans {
 		tc.FinishTag(windowEnd, verdict)
 	}
 	if res.Alert && res.TruthMalicious > 0 {
 		u.firstCorrectAlert.CompareAndSwap(0, int64(windowEnd))
 	}
-	u.cfg.Recorder.Emit(j.start, telemetry.CatIDS, verdict, u.cfg.Name, int64(res.PredMalicious))
+	u.cfg.Recorder.Emit(w.start, telemetry.CatIDS, verdict, u.cfg.Name, int64(res.PredMalicious))
 	u.results = append(u.results, res)
 	u.windows.Inc()
 	last := &u.results[len(u.results)-1]
@@ -545,12 +439,10 @@ func (u *Unit) fold(j *job) {
 	}
 }
 
-// liveMem estimates the memory the unit holds as a window of windowPackets
-// is dispatched: the model, the scaler, the extractor's window buffer, the
-// window's snapshot beside it until the fold (its packets and one verdict
-// byte each), the window's distinct-row buffers (distinctRows' table and
-// per-packet index) and the chunk buffers.
-func (u *Unit) liveMem(windowPackets int) int64 {
+// ownMem estimates the memory the unit holds beside its front's as a window
+// of n packets is dispatched: the model, the scaler, one verdict byte per
+// packet and the chunk buffers.
+func (u *Unit) ownMem(n int) int64 {
 	var mem int64
 	if mr, ok := u.cfg.Model.(interface{ MemoryBytes() int64 }); ok {
 		mem += mr.MemoryBytes()
@@ -558,10 +450,8 @@ func (u *Unit) liveMem(windowPackets int) int64 {
 	if u.cfg.Scaler != nil {
 		mem += int64(len(u.cfg.Scaler.Mean)+len(u.cfg.Scaler.Std)) * 8
 	}
-	mem += int64(windowPackets) * 40                            // features.Basic footprint
-	mem += int64(windowPackets) * (40 + 1)                      // snapshot and verdicts
-	mem += int64(windowPackets)*4 + 4<<tableBits(windowPackets) // distinct rows
-	mem += int64(cap(u.vecBuf))*8 + chunk*(4+24+8)              // indexes, vectors, row headers, verdicts
+	mem += int64(n)                                // verdicts
+	mem += int64(cap(u.vecBuf))*8 + chunk*(4+24+8) // indexes, vectors, row headers, verdicts
 	return mem
 }
 
@@ -618,20 +508,22 @@ func (u *Unit) PacketsSeen() uint64 {
 // CPUTime implements sysmon.Metered: cumulative processing time — what the
 // owner spent in Tap, Feed, Flush and the folds plus what the windows'
 // goroutines spent classifying, and none of the time one waited for the
-// other.
+// other. It includes all of the front's (Front.CPUTime), which a unit on
+// its own would have paid.
 func (u *Unit) CPUTime() time.Duration {
 	u.Join()
-	return u.cpu
+	return u.cpu + u.front.cpu
 }
 
-// MemBytes implements sysmon.Metered: the peak live footprint observed.
+// MemBytes implements sysmon.Metered: the peak live footprint observed,
+// the front's share included.
 func (u *Unit) MemBytes() int64 {
 	u.Join()
 	if u.peakMem == 0 {
-		return u.liveMem(0)
+		return u.front.liveMem(0) + u.ownMem(0)
 	}
 	return u.peakMem
 }
 
-// WindowSize reports the configured aggregation window.
-func (u *Unit) WindowSize() time.Duration { return u.extractor.WindowSize() }
+// WindowSize reports the front's aggregation window.
+func (u *Unit) WindowSize() time.Duration { return u.front.extractor.WindowSize() }

@@ -8,7 +8,6 @@ import (
 	"ddoshield/internal/features"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
-	"ddoshield/internal/telemetry/trace"
 )
 
 // thresholdModel flags packets as malicious when the window's
@@ -213,20 +212,6 @@ func TestScalerApplied(t *testing.T) {
 	u.Flush()
 	if u.Results()[0].Alert {
 		t.Fatal("scaler not applied before prediction")
-	}
-}
-
-func TestDetachStopsTap(t *testing.T) {
-	u := New(Config{Window: time.Second, Labeler: spoofLabeler})
-	tap := u.Tap()
-	p := benignFrame(0, 1)
-	tap(p.Time, p.Raw, trace.Context{})
-	u.Detach()
-	p2 := benignFrame(100*sim.Millisecond, 2)
-	tap(p2.Time, p2.Raw, trace.Context{})
-	u.Flush()
-	if u.PacketsSeen() != 1 {
-		t.Fatalf("PacketsSeen = %d after detach", u.PacketsSeen())
 	}
 }
 

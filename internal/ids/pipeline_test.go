@@ -279,8 +279,8 @@ func TestSnapshotOutlivesExtractorBuffer(t *testing.T) {
 		c.Model = &slowModel{inner: cfg.Model, delay: time.Millisecond}
 		u := New(c)
 		if scribble {
-			unit := u.extractor.OnWindow
-			u.extractor.OnWindow = func(w *features.Window) {
+			unit := u.front.extractor.OnWindow
+			u.front.extractor.OnWindow = func(w *features.Window) {
 				unit(w)
 				for i := range w.Packets {
 					w.Packets[i] = features.Basic{Src: packet.AddrFrom4(10, 0, 200, 9), Proto: packet.ProtoUDP, Length: 1}
@@ -310,38 +310,13 @@ func TestHookRunsBeforeClosingCallReturns(t *testing.T) {
 	tap := u.Tap()
 	for _, p := range windowsOf(rand.New(rand.NewSource(4)), []int{100, 100, 100, 100}) {
 		tap(p.Time, p.Raw, trace.Context{})
-		if closed, _ := u.extractor.Counts(); len(hooked) != int(closed) {
+		if closed, _ := u.front.extractor.Counts(); len(hooked) != int(closed) {
 			t.Fatalf("frame at %v closed window %d; the hook has run %d times", p.Time, closed, len(hooked))
 		}
 	}
 	u.Flush()
 	if want := []sim.Time{0, sim.Second, 2 * sim.Second, 3 * sim.Second}; !reflect.DeepEqual(hooked, want) {
 		t.Fatalf("hook saw windows %v, want %v", hooked, want)
-	}
-}
-
-// TestDetachedUnitStillFolds: Detach stops the tap, not the window that was
-// already handed to the model.
-func TestDetachedUnitStillFolds(t *testing.T) {
-	gate := newGatedModel(NewThresholdRule())
-	u := New(Config{Model: gate})
-	tap := u.Tap()
-	frames := windowsOf(rand.New(rand.NewSource(6)), []int{80, 80})
-	for _, p := range frames[:81] {
-		tap(p.Time, p.Raw, trace.Context{})
-	}
-	<-gate.entered
-	u.Detach()
-	for _, p := range frames[81:] {
-		tap(p.Time, p.Raw, trace.Context{})
-	}
-	close(gate.release)
-	if res := u.Results(); len(res) != 1 || res[0].Packets != 80 {
-		t.Fatalf("accessor after Detach: %+v, want the 80-packet window that was in flight", res)
-	}
-	u.Flush()
-	if res := u.Results(); len(res) != 2 || res[1].Packets != 1 || u.PacketsSeen() != 81 {
-		t.Fatalf("Flush after Detach: %+v, %d packets", res, u.PacketsSeen())
 	}
 }
 

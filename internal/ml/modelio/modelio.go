@@ -74,9 +74,15 @@ func load(dec *gob.Decoder) (ml.Classifier, error) {
 		if err := dec.Decode(&off); err != nil {
 			return nil, fmt.Errorf("modelio: decode offset: %w", err)
 		}
+		if off < 0 || off > maxWidth {
+			return nil, fmt.Errorf("modelio: offset %d outside [0, %d]", off, maxWidth)
+		}
 		inner, err := load(dec)
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := inner.(ml.OffsetView); ok {
+			return nil, fmt.Errorf("modelio: nested offset")
 		}
 		return ml.OffsetView{Inner: inner, Offset: off}, nil
 	case "rf":
@@ -84,11 +90,17 @@ func load(dec *gob.Decoder) (ml.Classifier, error) {
 		if err := dec.Decode(&m); err != nil {
 			return nil, fmt.Errorf("modelio: decode rf: %w", err)
 		}
+		if err := checkForest(&m); err != nil {
+			return nil, err
+		}
 		return &m, nil
 	case "kmeans":
 		var m kmeans.Model
 		if err := dec.Decode(&m); err != nil {
 			return nil, fmt.Errorf("modelio: decode kmeans: %w", err)
+		}
+		if err := checkKMeans(&m); err != nil {
+			return nil, err
 		}
 		return &m, nil
 	case "cnn":
@@ -97,9 +109,137 @@ func load(dec *gob.Decoder) (ml.Classifier, error) {
 			return nil, fmt.Errorf("modelio: decode cnn: %w", err)
 		}
 		m.Rebind()
+		if err := checkCNN(&m); err != nil {
+			return nil, err
+		}
 		return &m, nil
 	}
 	return nil, fmt.Errorf("modelio: unknown model kind %q", env.Kind)
+}
+
+// A model file is user input (cmd/detect opens whatever it is given), so
+// load checks every decoded model before anything runs it: each index it
+// follows lands inside what it indexes, each class fits the verdict byte
+// the IDS keeps per packet, and the cost of one prediction is bounded.
+const (
+	// maxWidth bounds a model's input vector (the IDS's is NumFeatures).
+	maxWidth = 1 << 16
+	// maxClasses bounds the class count: ids keeps a class in a byte.
+	maxClasses = 256
+	// maxCNNActivations and maxCNNMACs bound one CNN forward pass (the
+	// paper's network needs a few thousand of each).
+	maxCNNActivations = 1 << 22
+	maxCNNMACs        = 1 << 26
+)
+
+func checkForest(m *forest.Forest) error {
+	if m.Features < 1 || m.Features > maxWidth {
+		return fmt.Errorf("modelio: rf: %d features outside [1, %d]", m.Features, maxWidth)
+	}
+	if m.Cfg.Classes < 1 || m.Cfg.Classes > maxClasses {
+		return fmt.Errorf("modelio: rf: %d classes outside [1, %d]", m.Cfg.Classes, maxClasses)
+	}
+	if len(m.TreeList) == 0 {
+		return fmt.Errorf("modelio: rf: no trees")
+	}
+	for ti, t := range m.TreeList {
+		if t == nil || len(t.Nodes) == 0 {
+			return fmt.Errorf("modelio: rf: tree %d is empty", ti)
+		}
+		// Trees are stored in pre-order: a child comes after its parent,
+		// which also rules out a cycle.
+		for i, n := range t.Nodes {
+			switch {
+			case n.Feature < 0 && (n.Class < 0 || int(n.Class) >= m.Cfg.Classes),
+				n.Feature >= 0 && (int(n.Feature) >= m.Features ||
+					n.Left <= int32(i) || int(n.Left) >= len(t.Nodes) ||
+					n.Right <= int32(i) || int(n.Right) >= len(t.Nodes)):
+				return fmt.Errorf("modelio: rf: tree %d node %d is malformed", ti, i)
+			}
+		}
+	}
+	return nil
+}
+
+func checkKMeans(m *kmeans.Model) error {
+	if len(m.Centroids) == 0 || len(m.Labels) != len(m.Centroids) {
+		return fmt.Errorf("modelio: kmeans: %d centroids, %d labels", len(m.Centroids), len(m.Labels))
+	}
+	d := len(m.Centroids[0])
+	if d < 1 || d > maxWidth {
+		return fmt.Errorf("modelio: kmeans: width %d outside [1, %d]", d, maxWidth)
+	}
+	for k, c := range m.Centroids {
+		if len(c) != d {
+			return fmt.Errorf("modelio: kmeans: centroid %d has width %d, want %d", k, len(c), d)
+		}
+		if l := m.Labels[k]; l < 0 || l >= maxClasses {
+			return fmt.Errorf("modelio: kmeans: centroid %d has label %d", k, l)
+		}
+	}
+	return nil
+}
+
+func checkCNN(m *cnn.Network) error {
+	c := m.Cfg
+	for _, v := range []int{c.Inputs, c.Kernel, c.Conv1Filters, c.Conv2Filters, c.Hidden} {
+		if v < 1 || v > maxWidth {
+			return fmt.Errorf("modelio: cnn: dimension %d outside [1, %d]", v, maxWidth)
+		}
+	}
+	if c.Classes < 1 || c.Classes > maxClasses {
+		return fmt.Errorf("modelio: cnn: %d classes outside [1, %d]", c.Classes, maxClasses)
+	}
+	// The layer lengths New derives: Rebind has recomputed them.
+	len1 := c.Inputs - c.Kernel + 1
+	len2 := len1/2 - c.Kernel + 1
+	pool2 := len2 / 2
+	if pool2 < 1 {
+		return fmt.Errorf("modelio: cnn: input length %d too short for kernel %d", c.Inputs, c.Kernel)
+	}
+	flat := pool2 * c.Conv2Filters
+	shape := func(w [][]float64, b []float64, rows, cols int) bool {
+		if len(w) != rows || len(b) != rows {
+			return false
+		}
+		for _, r := range w {
+			if len(r) != cols {
+				return false
+			}
+		}
+		return true
+	}
+	if !shape(m.W1, m.B1, c.Conv1Filters, c.Kernel) ||
+		!shape(m.W2, m.B2, c.Conv2Filters, c.Conv1Filters*c.Kernel) ||
+		!shape(m.W3, m.B3, c.Hidden, flat) ||
+		!shape(m.W4, m.B4, c.Classes, c.Hidden) {
+		return fmt.Errorf("modelio: cnn: weights do not match the layer sizes")
+	}
+	acts := c.Conv1Filters*(len1+len1/2) + c.Conv2Filters*(len2+pool2) + flat + c.Hidden + c.Classes
+	macs := c.Conv1Filters*c.Kernel*len1 + c.Conv2Filters*c.Conv1Filters*c.Kernel*len2 + c.Hidden*flat + c.Classes*c.Hidden
+	if acts > maxCNNActivations || macs > maxCNNMACs {
+		return fmt.Errorf("modelio: cnn: %d activations and %d multiply-adds per prediction, past the bounds", acts, macs)
+	}
+	return nil
+}
+
+// width is the length of the feature vector c reads, as its file declares
+// it.
+func width(c ml.Classifier) int {
+	switch m := c.(type) {
+	case ml.OffsetView:
+		return m.Offset + width(m.Inner)
+	case *forest.Forest:
+		return m.Features
+	case *kmeans.Model:
+		if len(m.Centroids) == 0 {
+			return 0
+		}
+		return len(m.Centroids[0])
+	case *cnn.Network:
+		return m.Cfg.Inputs
+	}
+	return 0
 }
 
 // Bundle pairs a classifier with the feature scaler it was trained behind
@@ -152,6 +292,10 @@ func LoadBundle(r io.Reader) (Bundle, error) {
 	m, err := load(dec)
 	if err != nil {
 		return Bundle{}, err
+	}
+	if b.Scaler != nil && (len(b.Scaler.Mean) != width(m) || len(b.Scaler.Std) != width(m)) {
+		return Bundle{}, fmt.Errorf("modelio: scaler of width %d/%d before a model of width %d",
+			len(b.Scaler.Mean), len(b.Scaler.Std), width(m))
 	}
 	b.Model = m
 	return b, nil

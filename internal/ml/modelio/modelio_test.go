@@ -226,3 +226,107 @@ func TestSaveRejectsUnknownModel(t *testing.T) {
 		t.Fatal("SizeBytes accepted unknown model")
 	}
 }
+
+// TestLoadBundleRejectsMalformed: a bundle whose model would index past
+// what it holds, loop, name a class the IDS cannot keep, cost unbounded
+// work per prediction, or sit behind a scaler of another width is an error
+// at load, not a panic or a hang at the first window.
+func TestLoadBundleRejectsMalformed(t *testing.T) {
+	xs, ys := mltest.Blobs(60, 4, 3, 14)
+	good := func() *forest.Forest {
+		rf, err := forest.Train(forest.Config{Trees: 2, MaxDepth: 3, Seed: 14}, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rf
+	}
+	km, err := kmeans.Train(kmeans.Config{InitClusters: 3, Seed: 14}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, wideYs := mltest.Blobs(60, 12, 3, 14) // the CNN's kernels need 10 columns
+	net, _, err := cnn.Train(cnn.Config{Conv1Filters: 2, Conv2Filters: 2, Hidden: 3, Epochs: 1, Seed: 14}, wide, wideYs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix := func(rows, cols int) [][]float64 {
+		m := make([][]float64, rows)
+		for i := range m {
+			m[i] = make([]float64, cols)
+		}
+		return m
+	}
+	cases := map[string]func() Bundle{
+		"rf split past the vector": func() Bundle {
+			rf := good()
+			rf.TreeList[0].Nodes[0].Feature = 4
+			return Bundle{Model: rf}
+		},
+		"rf child before its parent": func() Bundle {
+			rf := good()
+			rf.TreeList[0].Nodes = append(rf.TreeList[0].Nodes, forest.Node{Feature: 0, Left: 0, Right: 0})
+			rf.TreeList[0].Nodes[0].Right = int32(len(rf.TreeList[0].Nodes) - 1)
+			return Bundle{Model: rf}
+		},
+		"rf leaf class past Classes": func() Bundle {
+			rf := good()
+			rf.TreeList[1].Nodes = []forest.Node{{Feature: -1, Class: 2}}
+			return Bundle{Model: rf}
+		},
+		"rf without trees": func() Bundle { rf := good(); rf.TreeList = nil; return Bundle{Model: rf} },
+		"kmeans label per centroid missing": func() Bundle {
+			m := *km
+			m.Labels = m.Labels[:len(m.Labels)-1]
+			return Bundle{Model: &m}
+		},
+		"kmeans ragged centroids": func() Bundle {
+			m := *km
+			m.Centroids = append([][]float64{{1}}, m.Centroids[1:]...)
+			return Bundle{Model: &m}
+		},
+		"kmeans label past a byte": func() Bundle {
+			m := *km
+			m.Labels = append([]int32{300}, m.Labels[1:]...)
+			return Bundle{Model: &m}
+		},
+		"cnn weights of another shape": func() Bundle {
+			n := *net
+			n.W3 = n.W3[1:]
+			return Bundle{Model: &n}
+		},
+		"cnn past the per-prediction bounds": func() Bundle {
+			n := cnn.Network{Cfg: cnn.Config{Inputs: 1 << 16, Kernel: 1, Conv1Filters: 2048, Conv2Filters: 1, Hidden: 1, Classes: 2}}
+			n.W1, n.B1 = matrix(2048, 1), make([]float64, 2048)
+			n.W2, n.B2 = matrix(1, 2048), make([]float64, 1)
+			n.W3, n.B3 = matrix(1, 1<<14), make([]float64, 1)
+			n.W4, n.B4 = matrix(2, 1), make([]float64, 2)
+			return Bundle{Model: &n}
+		},
+		"scaler of another width": func() Bundle {
+			return Bundle{Model: km, Scaler: &dataset.StandardScaler{Mean: make([]float64, 5), Std: make([]float64, 5)}}
+		},
+		"negative offset":  func() Bundle { return Bundle{Model: ml.OffsetView{Inner: good(), Offset: -1}} },
+		"offset in offset": func() Bundle { return Bundle{Model: ml.OffsetView{Inner: ml.OffsetView{Inner: good()}}} },
+	}
+	for name, bundle := range cases {
+		var buf bytes.Buffer
+		if err := SaveBundle(&buf, bundle()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err := LoadBundle(&buf)
+		if err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+		t.Logf("%s: %v", name, err)
+	}
+	// The well-formed originals load.
+	for _, b := range []Bundle{{Model: good()}, {Model: km}, {Model: net}, {Model: ml.OffsetView{Inner: good(), Offset: 3}}} {
+		var buf bytes.Buffer
+		if err := SaveBundle(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBundle(&buf); err != nil {
+			t.Errorf("%s: %v", b.Model.Name(), err)
+		}
+	}
+}

@@ -1,11 +1,10 @@
 // Package report renders experiment series as terminal graphics: unicode
-// sparklines and labeled ASCII bar charts, so cmd/benchtables can show the
+// sparklines and aligned ASCII tables, so cmd/benchtables can show the
 // paper's figures (per-second accuracy dips, throughput under attack,
 // connected-bots population) directly in the terminal next to their CSV.
 package report
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -70,26 +69,6 @@ func Downsample(vals []float64, width int) []float64 {
 		out[i] = s / float64(hi-lo)
 	}
 	return out
-}
-
-// Bar renders one labeled horizontal bar scaled to max (value max fills
-// width runes).
-func Bar(label string, value, max float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-	}
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return fmt.Sprintf("%-10s %s%s %.2f", label,
-		strings.Repeat("█", n), strings.Repeat("·", width-n), value)
 }
 
 // Table renders an aligned ASCII table: a header row, a rule, then the data

@@ -100,20 +100,6 @@ func TestDownsampleBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	got := Bar("rf", 50, 100, 10)
-	if !strings.Contains(got, "█████·····") {
-		t.Fatalf("bar = %q", got)
-	}
-	if !strings.Contains(got, "50.00") {
-		t.Fatalf("bar value missing: %q", got)
-	}
-	// Zero max: no fill, no panic.
-	if got := Bar("x", 5, 0, 10); !strings.Contains(got, "··········") {
-		t.Fatalf("zero-max bar = %q", got)
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	got := Table([]string{"a", "long"}, [][]string{{"xx", "y"}, {"z", "wwwww"}})
 	want := "a  | long \n" +

@@ -230,3 +230,64 @@ func TestModelPanicSurfacesFromRun(t *testing.T) {
 		}
 	}
 }
+
+// TestLateUnitGetsItsOwnFront: units of one window size attached before any
+// traffic share one capture front end and one tap; a unit of another
+// window size starts a front of its own, and so does a unit attached after
+// frames have crossed the link, which then sees only later frames — the
+// same later windows the early units score — and takes the next late unit
+// of its window size as a subscriber.
+func TestLateUnitGetsItsOwnFront(t *testing.T) {
+	tb, err := New(Config{Seed: 5, NumDevices: 4, MeanThink: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := func(name string, window time.Duration) *ids.Unit {
+		u := ids.New(ids.Config{Name: name, Window: window})
+		tb.AttachIDS(u)
+		return u
+	}
+	a, b := unit("a", time.Second), unit("b", time.Second)
+	slow := unit("slow", 2*time.Second)
+	if a.Front() != b.Front() || slow.Front() == a.Front() || len(tb.fronts) != 2 {
+		t.Fatalf("early units on %d fronts: a and b shared %v, slow shared %v",
+			len(tb.fronts), a.Front() == b.Front(), slow.Front() == a.Front())
+	}
+	tb.Start()
+	if err := tb.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	late, later := unit("late", time.Second), unit("later", time.Second)
+	if late.Front() == a.Front() || later.Front() != late.Front() || len(tb.fronts) != 3 {
+		t.Fatalf("late units: shared the early front %v, shared each other's %v, %d fronts",
+			late.Front() == a.Front(), later.Front() == late.Front(), len(tb.fronts))
+	}
+	if err := tb.Run(4 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var early, after []ids.WindowResult
+	for _, u := range []*ids.Unit{a, b, slow, late, later} {
+		u.Flush()
+	}
+	for _, r := range a.Results() {
+		if r.Start >= 4*sim.Second {
+			r.CPU = 0
+			early = append(early, r)
+		}
+	}
+	lateResults := late.Results()
+	for _, r := range lateResults {
+		if r.Start >= 4*sim.Second {
+			r.CPU = 0
+			after = append(after, r)
+		}
+	}
+	switch {
+	case len(lateResults) == 0 || lateResults[0].Start < 3*sim.Second || len(early) == len(a.Results()):
+		t.Fatalf("the late unit's windows %+v; the early unit scored %d windows before 4 s", lateResults, len(a.Results())-len(early))
+	case len(early) == 0 || fmt.Sprint(early) != fmt.Sprint(after):
+		t.Fatalf("windows from 4 s on differ:\nearly %+v\nlate  %+v", early, after)
+	case late.PacketsSeen() >= a.PacketsSeen() || late.PacketsSeen() != later.PacketsSeen() || a.PacketsSeen() != b.PacketsSeen():
+		t.Fatalf("packets seen: a %d, b %d, late %d, later %d", a.PacketsSeen(), b.PacketsSeen(), late.PacketsSeen(), later.PacketsSeen())
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -340,6 +341,9 @@ type Testbed struct {
 	tracer *trace.Tracer
 
 	idsUnits []*ids.Unit
+	// fronts are the capture front ends of idsUnits, one tap each, in
+	// creation order; AttachIDS subscribes a unit to the first that takes it.
+	fronts []*ids.Front
 	// mitigations are the closed defense loops wired by AttachMitigation;
 	// each contributes mitigation lines to Summary and a scoreboard panel.
 	mitigations []mitigationHandle
@@ -915,12 +919,12 @@ func (tb *Testbed) Run(d time.Duration) error {
 	} else {
 		err = tb.sched.RunFor(d)
 	}
-	// A window a unit closed late in the run may still be with its
-	// classifier: fold it, so that whoever reads the testbed between Runs
+	// A window a front closed late in the run may still be with its
+	// classifiers: fold it, so that whoever reads the testbed between Runs
 	// (a summary, a registry snapshot, a heap measurement) finds every
 	// closed window scored.
-	for _, u := range tb.idsUnits {
-		u.Join()
+	for _, f := range tb.fronts {
+		f.Join()
 	}
 	return err
 }
@@ -1079,15 +1083,23 @@ func (tb *Testbed) FTPServer() *ftpapp.Server    { return tb.ftpSrv }
 // observes. (Switch().AddTap is the span-port alternative.)
 func (tb *Testbed) AddTap(tap netsim.Tap) { tb.tserver.Link().AddTap(tap) }
 
-// AttachIDS wires a detection unit into the testbed's observation point via
-// its tap and registers ids_detection_latency_seconds{unit=...}:
-// the gap between the first attack packet's origin and the unit's first
-// correct alert (-1 until both anchors exist). The unit also gains a
-// detection line in Summary, and Run folds its window in flight before it
-// returns (ids.Unit.Join).
+// AttachIDS wires a detection unit into the testbed's observation point and
+// registers ids_detection_latency_seconds{unit=...}: the gap between the
+// first attack packet's origin and the unit's first correct alert (-1 until
+// both anchors exist). Units share one capture front end, and with it one
+// tap, one decode per frame and one snapshot per window (ids.Front); a unit
+// whose window size differs, or that arrives after the front has seen a
+// frame, starts a front and a tap of its own. The unit also gains a
+// detection line in Summary, and Run folds its front's window in flight
+// before it returns (ids.Front.Join).
 func (tb *Testbed) AttachIDS(u *ids.Unit) {
 	tb.idsUnits = append(tb.idsUnits, u)
-	tb.AddTap(u.Tap())
+	// The first front that takes u subscribes it; if none does, u's own
+	// front joins the list with a tap of its own.
+	if !slices.ContainsFunc(tb.fronts, func(f *ids.Front) bool { return f.Subscribe(u) }) {
+		tb.fronts = append(tb.fronts, u.Front())
+		tb.AddTap(u.Tap())
+	}
 	// A registry snapshot may not fold: it reads the windows folded so far.
 	tb.reg.RegisterGaugeFunc(func() float64 {
 		d, ok := tb.detectionLatency(u.FirstCorrectAlertFolded())
