@@ -94,28 +94,58 @@ func (h *headBuffer) with(d []byte) []byte {
 	return *h
 }
 
-// hold keeps what with last returned for the next segment to complete.
+// hold keeps what with last returned for the next segment to complete. It
+// copies: a segment is valid only during the OnData call that delivers it.
 func (h *headBuffer) hold(d []byte) {
 	if len(*h) == 0 {
 		*h = append(*h, d...)
 	}
 }
 
+// maxRequestHead bounds a request head still waiting for its blank line.
+const maxRequestHead = 8192
+
+// request takes the next segment of a request. Once the head is whole it
+// returns the request line (ok), which may lie in d itself and is valid only
+// until the next call; tooLong reports a head that ran past maxRequestHead
+// without completing.
+func (h *headBuffer) request(d []byte) (line []byte, ok, tooLong bool) {
+	req := h.with(d)
+	if !bytes.Contains(req, headerEnd) {
+		if len(req) > maxRequestHead {
+			return nil, false, true
+		}
+		h.hold(d)
+		return nil, false, false
+	}
+	*h = (*h)[:0]
+	line, _, _ = bytes.Cut(req, headerEnd[:2])
+	return line, true, false
+}
+
+// response takes the next segment of a response. Once the head is whole it
+// returns the Content-Length the head declares and how many body bytes
+// came with it (ok).
+func (h *headBuffer) response(d []byte) (contentLength, body int, ok bool) {
+	head := h.with(d)
+	end := bytes.Index(head, headerEnd)
+	if end < 0 {
+		h.hold(d)
+		return 0, 0, false
+	}
+	return parseContentLength(head[:end]), len(head) - end - len(headerEnd), true
+}
+
 func (s *Server) accept(c *netstack.Conn) {
 	var partial headBuffer
 	c.OnData = func(d []byte) {
-		req := partial.with(d)
-		if !bytes.Contains(req, headerEnd) {
-			if len(req) > 8192 {
-				c.Abort()
-			} else {
-				partial.hold(d)
-			}
-			return
+		line, ok, tooLong := partial.request(d)
+		switch {
+		case tooLong:
+			c.Abort()
+		case ok:
+			s.respond(c, line)
 		}
-		partial = partial[:0]
-		line, _, _ := bytes.Cut(req, headerEnd[:2])
-		s.respond(c, line)
 	}
 	c.OnRemoteClose = func() { c.Close() }
 }
@@ -246,14 +276,11 @@ func (f *fetch) request() {
 
 func (f *fetch) onData(d []byte) {
 	if !f.inBody {
-		head := f.partial.with(d)
-		end := bytes.Index(head, headerEnd)
-		if end < 0 {
-			f.partial.hold(d)
+		expected, got, ok := f.partial.response(d)
+		if !ok {
 			return
 		}
-		f.expected = parseContentLength(head[:end])
-		f.got = len(head) - end - len(headerEnd)
+		f.expected, f.got = expected, got
 		f.inBody = true
 		f.partial = nil
 	} else {

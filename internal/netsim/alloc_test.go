@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector makes sync.Pool (the delivery events) drop what is put
-// back, so allocation counts mean nothing under it.
+// The race detector makes sync.Pool (the delivery events, the frame buffers)
+// drop what is put back, so allocation counts mean nothing under it.
 
 package netsim
 
@@ -15,9 +15,11 @@ import (
 
 // TestHopPathAllocFree pins the steady-state hop path — NIC tx, link
 // serialization/propagation, switch forwarding, second link, NIC rx — at
-// zero allocations per delivered frame. The transmit-done handler is
-// pre-bound per direction and delivery events are pooled; a regression
-// here silently multiplies GC pressure by the fleet's packet rate.
+// zero allocations per delivered frame, flooded frames included. The
+// transmit-done handler is pre-bound per direction, delivery events are
+// pooled, and a flood's copies come from the frame pool and go back to it
+// at the receiving NICs; a regression here silently multiplies GC pressure
+// by the fleet's packet rate.
 func TestHopPathAllocFree(t *testing.T) {
 	s, sw, nics := buildStar(t)
 	delivered := 0
@@ -93,6 +95,23 @@ func TestHopPathAllocFree(t *testing.T) {
 	if fwd, fld := sw.Stats(); delivered != 201 || sw.ARPSuppressed() != 201 || fld != 1 {
 		t.Fatalf("%d requests delivered, %d suppressed, %d frames flooded (%d forwarded); want 201 to host 1 only, 201 suppressed, the one warm-up flood",
 			delivered, sw.ARPSuppressed(), fld, fwd)
+	}
+
+	// A flood: every egress port but the last gets a copy of the frame, in
+	// a buffer of the frame's size class.
+	for _, size := range []int{28, 100} {
+		bc := frame(nics[0].MAC(), packet.BroadcastMAC, size)
+		delivered = 0
+		allocs = testing.AllocsPerRun(200, func() {
+			nics[0].Send(packet.CloneFrame(bc))
+			s.Drain()
+		})
+		if allocs != 0 {
+			t.Fatalf("a flood of %d-byte frames allocates %.1f times per frame, want 0", len(bc), allocs)
+		}
+		if want := 201 * (len(nics) - 1); delivered != want {
+			t.Fatalf("%d flooded frames delivered, want %d", delivered, want)
+		}
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 func starAddr(i int) packet.Addr { return packet.AddrFrom4(10, 0, 0, byte(1+i)) }
 
 // arpFrame builds an ARP frame from src's point of view: op asking about
-// (or, for a reply, answering) target, Ethernet destination dst.
+// (or, for a reply, answering) target, Ethernet destination dst. The frame
+// is in a buffer of the test's own, never recycled, so a test may send it
+// more than once.
 func arpFrame(src *NIC, srcIP packet.Addr, op uint16, target packet.Addr, dst packet.MAC) []byte {
-	return packet.BuildARP(src.MAC(), dst, packet.ARP{
+	return packet.AppendARP(nil, src.MAC(), dst, packet.ARP{
 		Op: op, SenderMAC: src.MAC(), SenderIP: srcIP, TargetIP: target,
 	})
 }

@@ -58,7 +58,7 @@ func TestImpairmentCorruption(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
 	a.link.SetImpairments(Impairments{CorruptProb: 1, RNG: sim.NewRNG(7)})
 	var got []byte
-	b.SetHandler(func(raw []byte) { got = raw })
+	b.SetHandler(func(raw []byte) { got = bytes.Clone(raw) }) // raw is valid only during the call
 	sent := frame(a.MAC(), b.MAC(), 64)
 	orig := append([]byte(nil), sent...)
 	a.Send(sent)

@@ -41,7 +41,10 @@ type Port interface {
 // interface, in the order they were added. tc is the frame's trace context
 // (zero when the frame is unsampled), so an observer can extend a sampled
 // packet's causal chain. The pcap writer and the IDS monitor are both taps;
-// a tap must not modify the frame.
+// a tap must not modify the frame, and must not keep raw (or any slice of
+// it) past its return: the buffer is recycled once the frame's last receiver
+// is done with it (see NIC.SendCtx). A tap that needs the bytes later copies
+// them.
 type Tap func(t sim.Time, raw []byte, tc trace.Context)
 
 // Network owns the simulated topology: the scheduler, every node, link and
@@ -83,11 +86,15 @@ type Network struct {
 	// ones that did. See SetMetricEntityLimit.
 	metricLimit    int
 	metricEntities int
+
+	// ledgers is the frame account, one share per PDES domain (one for a
+	// serial network): see Ledger.
+	ledgers []frameLedger
 }
 
 // New creates an empty network driven by sched.
 func New(sched *sim.Scheduler) *Network {
-	return &Network{sched: sched, nameSet: make(map[string]bool)}
+	return &Network{sched: sched, nameSet: make(map[string]bool), ledgers: make([]frameLedger, 1)}
 }
 
 // NewPartitioned creates an empty network driven by a conservative PDES
@@ -95,7 +102,8 @@ func New(sched *sim.Scheduler) *Network {
 // NewSwitchInDomain; everything defaults to domain 0. After wiring the
 // topology, derive the engine lookahead from MinCrossDomainDelay.
 func NewPartitioned(e *sim.Engine) *Network {
-	return &Network{sched: e.Domain(0).Scheduler(), engine: e, nameSet: make(map[string]bool)}
+	return &Network{sched: e.Domain(0).Scheduler(), engine: e, nameSet: make(map[string]bool),
+		ledgers: make([]frameLedger, e.NumDomains())}
 }
 
 // Engine exposes the PDES engine driving a partitioned network (nil for
@@ -447,25 +455,40 @@ func (c *NIC) Node() *Node { return c.node }
 func (c *NIC) Attached() bool { return c.link != nil }
 
 // SetHandlerCtx installs the receive callback (the host network stack),
-// which also receives each frame's trace context.
+// which also receives each frame's trace context. raw is valid only until
+// the handler returns: the NIC then releases the frame's buffer for reuse,
+// so a handler that keeps any of the bytes copies them.
 func (c *NIC) SetHandlerCtx(fn func(raw []byte, tc trace.Context)) { c.handler = fn }
 
 // SetHandler installs a receive callback that does not look at trace
-// contexts.
+// contexts. raw is valid only until it returns, as for SetHandlerCtx.
 func (c *NIC) SetHandler(fn func(raw []byte)) {
 	c.handler = func(raw []byte, _ trace.Context) { fn(raw) }
 }
 
 // Send transmits a raw frame out of the NIC. Frames sent on an unattached
 // NIC are silently dropped, like a cable that was unplugged (device churn).
+// Ownership passes as for SendCtx.
 func (c *NIC) Send(raw []byte) { c.SendCtx(raw, trace.Context{}) }
 
 // SendCtx is Send carrying a trace context: it records an instant "nic-tx"
 // hop span and hands the chain to the link. An unattached NIC terminates
 // the trace with DropUnattached.
+//
+// The frame belongs to the network from here on: the caller must not touch
+// raw again. The network keeps exactly one owner per frame — a switch that
+// floods it, and a link that duplicates or corrupts it, hand each extra
+// receiver a copy of its own — and releases the buffer (packet.ReleaseFrame)
+// where the frame's life ends: when its last receiver's handler returns, or
+// where it is dropped, whatever the cause. Only buffers from the packet
+// builders are recycled; a sender may pass a buffer of its own and reuse it
+// once the frame has been delivered.
 func (c *NIC) SendCtx(raw []byte, tc trace.Context) {
+	lg := c.ledger()
+	lg.sent++
 	if c.link == nil {
 		tc.Drop(c.node.sched.Now(), trace.DropUnattached)
+		lg.release(raw)
 		return
 	}
 	c.txFrames.Inc()
@@ -484,10 +507,16 @@ func (c *NIC) Stats() (rxFrames, rxBytes, txFrames, txBytes uint64) {
 	return c.rxFrames.Value(), c.rxBytes.Value(), c.txFrames.Value(), c.txBytes.Value()
 }
 
+// ledger is the frame account of the NIC's domain.
+func (c *NIC) ledger() *frameLedger { return c.node.net.ledger(c.node.dom) }
+
+// receive is the frame's terminal point: it is released here, dropped at
+// ingress or once the handler is done with it.
 func (c *NIC) receive(raw []byte, tc trace.Context) {
 	if c.ingress != nil && !c.ingress(raw, tc) {
 		c.ingressDropped.Inc()
 		c.node.net.emit(c.node.sched.Now(), telemetry.CatNet, "ingress-drop", c.name, int64(len(raw)))
+		c.ledger().release(raw)
 		return
 	}
 	c.rxFrames.Inc()
@@ -503,13 +532,15 @@ func (c *NIC) receive(raw []byte, tc trace.Context) {
 	} else {
 		tc.Drop(c.node.sched.Now(), trace.DropNoSocket)
 	}
+	c.ledger().release(raw)
 }
 
 // SetIngressFilterCtx installs (or clears, with nil) a frame filter that
 // runs before the receive handler; returning false drops the frame. A
 // firewall in front of the host attaches here. The filter owns the
 // causal-tracing side of a drop: it must terminate sampled chains itself
-// (with its own hop span and drop cause) when it returns false.
+// (with its own hop span and drop cause) when it returns false. Like a
+// handler, it must not keep raw past its return.
 func (c *NIC) SetIngressFilterCtx(fn func(raw []byte, tc trace.Context) bool) { c.ingress = fn }
 
 // IngressDropped reports frames discarded by the ingress filter.
@@ -714,6 +745,12 @@ type direction struct {
 	dupFrames     telemetry.Counter
 	reorderFrames telemetry.Counter
 	inflightDrops telemetry.Counter
+
+	// The direction's share of the frame account (see LedgerSide): frames
+	// handed to it, counted in the sender's domain, and frames it handed to
+	// the receiving port, counted in the receiver's.
+	offered   uint64
+	delivered uint64
 }
 
 // Connect wires two ports with a duplex link. In a partitioned network a
@@ -916,6 +953,7 @@ func (l *Link) serializationTime(n int) sim.Time {
 func (l *Link) send(from int, raw []byte, tc trace.Context) {
 	d := &l.dirs[from]
 	now := d.sched.Now()
+	d.offered++
 	// The "link" span opens at enqueue, so it covers queueing delay plus
 	// serialization plus propagation — the full hop latency.
 	span := tc.Start(now, "link", d.name)
@@ -923,6 +961,7 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 		d.dropFrames.Inc()
 		l.net.emit(now, telemetry.CatNet, "queue-drop", d.name, int64(len(raw)))
 		span.Drop(now, trace.DropLinkDown)
+		d.txLedger().release(raw)
 		return
 	}
 	if now < d.busyUntil || len(d.queue) > 0 {
@@ -930,6 +969,7 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 			d.dropFrames.Inc() // drop-tail: queue full
 			l.net.emit(now, telemetry.CatNet, "queue-drop", d.name, int64(len(raw)))
 			span.Drop(now, trace.DropQueueFull)
+			d.txLedger().release(raw)
 			return
 		}
 		d.enqueue(queuedFrame{raw: raw, tc: span})
@@ -950,10 +990,12 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 	d.txBytes.Add(uint64(len(raw)))
 	d.curLen = len(raw)
 	d.busyUntil = sched.Now() + ser
+	lg := d.txLedger()
 	if l.cfg.LossProb > 0 && d.lossRNG != nil && d.lossRNG.Bool(l.cfg.LossProb) {
 		d.lossFrames.Inc()
 		l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 		tc.Drop(sched.Now(), trace.DropLoss)
+		lg.release(raw)
 		d.arm()
 		return
 	}
@@ -964,11 +1006,15 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 			d.lossFrames.Inc()
 			l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 			tc.Drop(sched.Now(), trace.DropLoss)
+			lg.release(raw)
 			d.arm()
 			return
 		}
 		if im.CorruptProb > 0 && im.RNG.Bool(im.CorruptProb) {
-			raw = corruptedCopy(raw, im.RNG)
+			bad := corruptedCopy(raw, im.RNG)
+			lg.copies++
+			lg.release(raw)
+			raw = bad
 			d.corruptFrames.Inc()
 			l.net.emit(sched.Now(), telemetry.CatNet, "corrupt", d.name, int64(len(raw)))
 		}
@@ -987,12 +1033,18 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 			l.net.emit(sched.Now(), telemetry.CatNet, "reorder", d.name, int64(len(raw)))
 		}
 	}
-	d.scheduleArrival(arrive, raw, tc)
 	if dup {
-		// The duplicate shares the primary's span: the second Finish is a
-		// no-op, and its downstream hops chain off the same parent.
-		d.scheduleArrival(arrive+ser, raw, tc)
+		// The duplicate is a copy of its own, made before the primary's
+		// arrival is scheduled (from then on the primary is the receiver's),
+		// and shares the primary's span: the second Finish is a no-op, and
+		// its downstream hops chain off the same parent.
+		second := packet.CloneFrame(raw)
+		lg.copies++
+		d.scheduleArrival(arrive, raw, tc)
+		d.scheduleArrival(arrive+ser, second, tc)
+		return
 	}
+	d.scheduleArrival(arrive, raw, tc)
 }
 
 // arm schedules txDone at busyUntil unless it already is.
@@ -1124,6 +1176,7 @@ func init() {
 }
 
 // deliver processes one frame at the receiving port, at its arrival instant.
+// The port owns the frame from here on; taps only look.
 func (d *direction) deliver(raw []byte, tc trace.Context) {
 	l := d.link
 	now := d.toSched.Now()
@@ -1131,8 +1184,10 @@ func (d *direction) deliver(raw []byte, tc trace.Context) {
 		d.inflightDrops.Inc()
 		l.net.emit(now, telemetry.CatNet, "inflight-drop", d.name, int64(len(raw)))
 		tc.Drop(now, trace.DropInFlightCut)
+		l.net.ledger(d.toDom).release(raw)
 		return
 	}
+	d.delivered++
 	tc.Finish(now)
 	for _, tap := range l.taps {
 		tap(now, raw, tc)
@@ -1140,15 +1195,14 @@ func (d *direction) deliver(raw []byte, tc trace.Context) {
 	l.ends[1-d.from].receive(raw, tc)
 }
 
-// corruptedCopy returns raw with one pseudo-randomly chosen bit flipped,
-// leaving the original (which other arrival events may share) untouched.
+// corruptedCopy returns a copy of raw in a frame buffer of its own, with one
+// pseudo-randomly chosen bit flipped. The original is left untouched: it may
+// be a sender's own buffer, which the network must not write.
 func corruptedCopy(raw []byte, rng *sim.RNG) []byte {
-	if len(raw) == 0 {
-		return raw
+	b := packet.CloneFrame(raw)
+	if len(b) > 0 {
+		bit := rng.Intn(len(b) * 8)
+		b[bit/8] ^= 1 << uint(bit%8)
 	}
-	b := make([]byte, len(raw))
-	copy(b, raw)
-	bit := rng.Intn(len(b) * 8)
-	b[bit/8] ^= 1 << uint(bit%8)
 	return b
 }

@@ -150,15 +150,24 @@ func (p *switchPort) domain() *sim.Domain       { return p.sw.dom }
 func (p *switchPort) send(raw []byte, tc trace.Context) {
 	if p.link != nil {
 		p.link.send(p.side, raw, tc)
+		return
 	}
+	p.sw.ledger().release(raw)
 }
 
+// ledger is the frame account of the switch's domain.
+func (s *Switch) ledger() *frameLedger { return s.net.ledger(s.dom) }
+
+// receive relays the frame, or ends its life here: every branch either
+// hands it on to exactly one port or releases it. A flood gives each egress
+// port but the last a copy of its own.
 func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	s := p.sw
 	now := s.sched.Now()
 	eth, rest, err := packet.UnmarshalEthernet(raw)
 	if err != nil {
 		tc.Start(now, "switch", p.name).Drop(now, trace.DropMalformed)
+		s.ledger().release(raw)
 		return // runt frame: discard
 	}
 	span := tc.Start(now, "switch", p.name)
@@ -181,6 +190,7 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 				s.arpSuppressed.Inc()
 				s.net.emit(now, telemetry.CatNet, "arp-suppressed", p.name, int64(len(raw)))
 				span.Drop(now, trace.DropARPSuppressed)
+				s.ledger().release(raw)
 				return
 			}
 			dst = owner
@@ -193,6 +203,7 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 					s.partitionDrops.Inc()
 					s.net.emit(now, telemetry.CatNet, "partition-drop", p.name, int64(len(raw)))
 					span.Drop(now, trace.DropPartition)
+					s.ledger().release(raw)
 					return
 				}
 				s.forwarded.Inc()
@@ -202,17 +213,30 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 			}
 			// Destination hangs off the ingress port: nothing to relay.
 			span.FinishTag(now, "same-port")
+			s.ledger().release(raw)
 			return
 		}
 	}
-	// Broadcast or unknown unicast: flood all other ports in the group.
+	// Broadcast or unknown unicast: flood all other ports in the group, in
+	// port order. Each port is sent to once the next one is found, so the
+	// last takes the frame itself and every other one a copy.
 	s.flooded.Inc()
 	span.Finish(now)
+	var prev *switchPort
 	for _, out := range s.ports {
 		if out != p && out.group == p.group {
-			out.send(raw, span)
+			if prev != nil {
+				s.ledger().copies++
+				prev.send(packet.CloneFrame(raw), span)
+			}
+			prev = out
 		}
 	}
+	if prev == nil {
+		s.ledger().release(raw)
+		return
+	}
+	prev.send(raw, span)
 }
 
 // arpQuestion reports the address a well-formed ARP request asks about.

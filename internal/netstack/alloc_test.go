@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector makes sync.Pool (netsim's delivery events) drop what is
-// put back, so allocation counts mean nothing under it.
+// The race detector makes sync.Pool (netsim's delivery events, the frame
+// buffers) drop what is put back, so allocation counts mean nothing under it.
 
 package netstack
 
@@ -12,9 +12,10 @@ import (
 )
 
 // TestTCPDataPathAllocs pins what a bulk transfer on an established
-// connection allocates: the frames — one per data segment, one per ACK — and
-// nothing else. No builder closure per segment, no send-buffer growth (the
-// buffer comes back from the host's list), no timer method value.
+// connection allocates: nothing. The frames — one per data segment, one per
+// ACK — are built into recycled buffers, which the receiving NIC releases;
+// there is no builder closure per segment, no send-buffer growth (the buffer
+// comes back from the host's list), no timer method value.
 func TestTCPDataPathAllocs(t *testing.T) {
 	s, hosts := lan(t, 2, netsim.LinkConfig{})
 	client, server := hosts[0], hosts[1]
@@ -51,8 +52,8 @@ func TestTCPDataPathAllocs(t *testing.T) {
 	if perRun < sendWindow/MSS+1 {
 		t.Fatalf("%.1f frames per burst: no ACKs counted", perRun)
 	}
-	if allocs > perRun {
-		t.Fatalf("%.1f allocations per %d-segment burst, want at most its %.1f frames", allocs, sendWindow/MSS, perRun)
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per %d-segment burst of %.1f frames, want 0", allocs, sendWindow/MSS, perRun)
 	}
 
 	if n := testing.AllocsPerRun(100, c.armRetransmit); n != 0 {

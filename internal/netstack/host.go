@@ -414,10 +414,12 @@ func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
 // SendRawCtx transmits a pre-built frame verbatim, carrying a trace context
 // opened by the caller: the raw-socket analog the Mirai attack engines use
 // (they originate spans themselves, since their spoofed flows never pass
-// through sendIP). Nil and runt frames are dropped.
+// through sendIP). Nil and runt frames are dropped. The frame is the
+// network's from here on, as with netsim.NIC.SendCtx.
 func (h *Host) SendRawCtx(frame []byte, tc trace.Context) {
 	if len(frame) < packet.EthernetHeaderLen {
 		tc.Drop(h.sched.Now(), trace.DropMalformed)
+		packet.ReleaseFrame(frame)
 		return
 	}
 	h.nic.SendCtx(frame, tc)

@@ -36,7 +36,7 @@ func TestARPResolutionAndUDPDelivery(t *testing.T) {
 	var got []byte
 	var from packet.Addr
 	if _, err := b.ListenUDP(9000, func(src packet.Addr, srcPort uint16, data []byte) {
-		from, got = src, data
+		from, got = src, bytes.Clone(data) // data is valid only during the call
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestUDPBidirectional(t *testing.T) {
 		bsock2.SendTo(src, srcPort, data)
 	}
 	asock, err := a.ListenUDP(0, func(src packet.Addr, srcPort uint16, data []byte) {
-		reply = data
+		reply = bytes.Clone(data)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,9 @@ type Conn struct {
 	rto     time.Duration
 	retries int
 
-	// Lifecycle callbacks.
+	// Lifecycle callbacks. OnData's data lies in the received frame and is
+	// valid only until OnData returns: the frame's buffer is then recycled,
+	// so an application that keeps any of it copies it.
 	OnConnect func()
 	OnData    func(data []byte)
 	OnClose   func(err error)

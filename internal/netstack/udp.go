@@ -7,7 +7,9 @@ import (
 	"ddoshield/internal/telemetry/trace"
 )
 
-// UDPHandler receives inbound datagrams on a bound socket.
+// UDPHandler receives inbound datagrams on a bound socket. data lies in the
+// received frame and is valid only until the handler returns: the frame's
+// buffer is then recycled, so a handler that keeps any of it copies it.
 type UDPHandler func(src packet.Addr, srcPort uint16, data []byte)
 
 // UDPSocket is a bound UDP port.

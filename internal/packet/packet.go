@@ -45,7 +45,9 @@ type Packet struct {
 //
 // Decode allocates a fresh Packet per frame; hot capture taps that do not
 // retain the packet past the callback should use DecodeInto with a pooled
-// Packet from Acquire instead.
+// Packet from Acquire instead. Either way the Packet's Raw and Payload alias
+// raw: a frame handed to a tap or handler is recycled after the call, so a
+// Packet kept past it must be decoded from a copy.
 func Decode(t sim.Time, raw []byte) (*Packet, error) {
 	p := &Packet{}
 	if err := DecodeInto(p, t, raw); err != nil {
@@ -212,24 +214,27 @@ func AppendARP(b []byte, srcMAC, dstMAC MAC, a ARP) []byte {
 	return a.Marshal(eth.Marshal(b))
 }
 
-// BuildTCP assembles a complete Ethernet+IPv4+TCP frame in one exactly-sized
-// allocation. It is the low-level builder used by the netstack and, directly,
-// by the Mirai flood engines (which forge headers without a connection,
-// exactly as the real malware's raw-socket attacks do).
+// BuildTCP assembles a complete Ethernet+IPv4+TCP frame in a recycled
+// frame buffer (see FrameCap). It is the low-level builder used by the
+// netstack and, directly, by the Mirai flood engines (which forge headers
+// without a connection, exactly as the real malware's raw-socket attacks
+// do). The caller owns the frame until it hands it on: sending it through a
+// netsim NIC passes ownership to the network, which releases it where the
+// frame's life ends (ReleaseFrame).
 func BuildTCP(srcMAC, dstMAC MAC, ip IPv4, tcp TCP, payload []byte) []byte {
-	b := make([]byte, 0, EthernetHeaderLen+IPv4HeaderLen+TCPHeaderLen+len(payload))
+	b := newFrame(EthernetHeaderLen + IPv4HeaderLen + TCPHeaderLen + len(payload))
 	return AppendTCP(b, srcMAC, dstMAC, ip, tcp, payload)
 }
 
-// BuildUDP assembles a complete Ethernet+IPv4+UDP frame in one exactly-sized
-// allocation.
+// BuildUDP assembles a complete Ethernet+IPv4+UDP frame in a recycled frame
+// buffer; ownership as for BuildTCP.
 func BuildUDP(srcMAC, dstMAC MAC, ip IPv4, udp UDP, payload []byte) []byte {
-	b := make([]byte, 0, EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
+	b := newFrame(EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen + len(payload))
 	return AppendUDP(b, srcMAC, dstMAC, ip, udp, payload)
 }
 
-// BuildARP assembles a complete Ethernet+ARP frame in one exactly-sized
-// allocation.
+// BuildARP assembles a complete Ethernet+ARP frame in a recycled frame
+// buffer; ownership as for BuildTCP.
 func BuildARP(srcMAC, dstMAC MAC, a ARP) []byte {
-	return AppendARP(make([]byte, 0, EthernetHeaderLen+ARPLen), srcMAC, dstMAC, a)
+	return AppendARP(newFrame(EthernetHeaderLen+ARPLen), srcMAC, dstMAC, a)
 }

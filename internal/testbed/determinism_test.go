@@ -8,23 +8,26 @@ import (
 	"testing"
 	"time"
 
+	"ddoshield/internal/netsim"
 	"ddoshield/internal/telemetry"
 	"ddoshield/internal/telemetry/prof"
 	"ddoshield/internal/telemetry/trace"
 )
 
 // runArtifacts is every deterministic artifact of one finished run — the
-// strings the determinism tests byte-compare — plus the testbed they came
-// from, for checks on what the run did.
+// strings the determinism tests byte-compare and the network's frame
+// account — plus the testbed they came from, for checks on what the run did.
 type runArtifacts struct {
 	summary, prom, spans, virtual string
+	frames                        netsim.FrameLedger
 	tb                            *Testbed
 }
 
 // artifacts builds cfg, hands the testbed to drive (which starts it, arms
 // the campaign and runs it) and renders Summary, the Prometheus snapshot
 // of the main registry, the canonical span JSONL (empty without a tracer)
-// and the virtual-load attribution at the default reference layout.
+// and the virtual-load attribution at the default reference layout. Every
+// run's frames must be conserved (requireFramesConserved).
 func artifacts(t *testing.T, cfg Config, drive func(*testing.T, *Testbed)) runArtifacts {
 	t.Helper()
 	tb, err := New(cfg)
@@ -32,6 +35,7 @@ func artifacts(t *testing.T, cfg Config, drive func(*testing.T, *Testbed)) runAr
 		t.Fatal(err)
 	}
 	drive(t, tb)
+	frames := requireFramesConserved(t, tb)
 	// Eviction order is a finish-order artifact: a ring that overflowed
 	// cannot be compared across execution modes.
 	if n := tb.Tracer().Evicted(); n != 0 {
@@ -48,13 +52,43 @@ func artifacts(t *testing.T, cfg Config, drive func(*testing.T, *Testbed)) runAr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runArtifacts{summary: tb.Summary(), prom: pb.String(), spans: sb.String(), virtual: string(vj), tb: tb}
+	return runArtifacts{summary: tb.Summary(), prom: pb.String(), spans: sb.String(), virtual: string(vj), frames: frames, tb: tb}
+}
+
+// requireFramesConserved checks a finished run's frame account: every frame
+// that entered the network was released exactly once or is still in
+// flight, and on every link direction every frame offered (or duplicated)
+// was delivered, dropped by a named cause, or is still queued or in the
+// air. It returns the network's ledger.
+func requireFramesConserved(t *testing.T, tb *Testbed) netsim.FrameLedger {
+	t.Helper()
+	n := tb.Network()
+	for _, l := range n.Links() {
+		for side := 0; side < 2; side++ {
+			lg := l.LedgerSide(side)
+			out := lg.Delivered + lg.QueueDrops + lg.LossDrops + lg.CutDrops + lg.InFlight()
+			if lg.Offered+lg.Duplicated != out {
+				t.Fatalf("link %s side %d: %+v: %d frames offered or duplicated, %d accounted for",
+					l, side, lg, lg.Offered+lg.Duplicated, out)
+			}
+		}
+	}
+	lg := n.Ledger()
+	if lg.Sent == 0 {
+		t.Fatal("no frame entered the network")
+	}
+	if lg.Sent+lg.Copies-lg.Released != lg.InFlight {
+		t.Fatalf("ledger %+v: %d entered, %d released, %d in flight",
+			lg, lg.Sent+lg.Copies, lg.Released, lg.InFlight)
+	}
+	return lg
 }
 
 // requireSameAcrossModes runs the same campaign under every configuration
 // in cfgs — one simulation in different execution modes: Domains, workers,
-// staged or sequential build — and fails unless each
-// run's artifacts are byte-identical to those of cfgs[0], the reference.
+// staged or sequential build — and fails unless each run conserves its
+// frames and its artifacts, frame account included, are byte-identical to
+// those of cfgs[0], the reference.
 // It returns every run's artifacts, reference first.
 func requireSameAcrossModes(t *testing.T, cfgs []Config, drive func(*testing.T, *Testbed)) []runArtifacts {
 	t.Helper()
@@ -74,6 +108,9 @@ func requireSameAcrossModes(t *testing.T, cfgs []Config, drive func(*testing.T, 
 		}
 		if got.spans != want.spans {
 			t.Fatalf("%s: canonical span output diverged (%d vs %d bytes)", mode, len(want.spans), len(got.spans))
+		}
+		if got.frames != want.frames {
+			t.Fatalf("%s: frame ledger %+v, reference %+v", mode, got.frames, want.frames)
 		}
 		if got.virtual != want.virtual {
 			t.Fatalf("%s: virtual profile diverged\n--- reference ---\n%s--- got ---\n%s", mode, want.virtual, got.virtual)
