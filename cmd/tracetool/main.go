@@ -1,5 +1,6 @@
 // Command tracetool analyzes causal-trace span files produced by a traced
-// testbed run (ddoshield -trace-sample ... -span-out spans.jsonl).
+// testbed run: the spans.jsonl that ddoshield -artifacts writes for a
+// scenario with a traceSampleRate.
 //
 // The default report is the per-hop latency breakdown plus trace-level
 // aggregates. Options add the top-N slowest flows, the critical path of one
@@ -29,7 +30,7 @@ func main() {
 
 func run() error {
 	var (
-		in        = flag.String("in", "", "span JSONL file from ddoshield -span-out (required)")
+		in        = flag.String("in", "", "span JSONL file from ddoshield -artifacts (spans.jsonl; required)")
 		top       = flag.Int("top", 0, "also list the N slowest flows")
 		mitigated = flag.Bool("mitigated", false, "list only the flows cut by the mitigation verdict cache (drop cause \"mitigated\")")
 		traceID   = flag.Uint64("trace", 0, "print the critical path of this trace ID")

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -12,13 +11,16 @@ import (
 // user hands the testbed as a file. No input may panic: a definition Load
 // accepts converts to a testbed configuration, and one with at most 64
 // devices is built, started and run for one simulated second, where Apply
-// returns either an error or a testbed.
+// returns either an error or a testbed. Every committed scenario seeds the
+// corpus.
 func FuzzLoad(f *testing.F) {
-	example, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "example.json"))
-	if err != nil {
-		f.Fatal(err)
+	for _, path := range committedScenarios(f) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(example)
 	f.Add([]byte(sample))
 	for _, variant := range []string{
 		// Lossy access links.
@@ -33,6 +35,10 @@ func FuzzLoad(f *testing.F) {
 		`{"name": "http-flood", "seed": 9, "devices": 4, "durationSec": 10, "scanIntervalMillis": 20,
 		  "attacks": [{"atSec": 0, "type": "http", "port": 80, "durationSec": 1, "pps": 50}],
 		  "windowMillis": 100}`,
+		// The detection loop closed, on a traced, grouped, faulted fleet.
+		`{"name": "defended", "seed": 11, "devices": 6, "groups": 2, "durationSec": 4,
+		  "traceSampleRate": 0.5, "chaos": 1, "ids": true, "mitigate": true, "windowMillis": 200,
+		  "attacks": [{"atSec": 0.5, "type": "ack", "port": 80, "durationSec": 2, "pps": 300}]}`,
 	} {
 		f.Add([]byte(variant))
 	}
@@ -45,15 +51,15 @@ func FuzzLoad(f *testing.F) {
 		if d.Devices > 64 {
 			return
 		}
-		tb, err := d.Apply()
+		r, err := d.Apply(1)
 		if err != nil {
 			return
 		}
-		if tb == nil {
+		if r == nil || r.Testbed == nil {
 			t.Fatal("Apply returned neither a testbed nor an error")
 		}
-		tb.Start()
-		if err := tb.Run(time.Second); err != nil {
+		r.Testbed.Start()
+		if err := r.Testbed.Run(time.Second); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	})

@@ -1,18 +1,24 @@
 // Package scenario loads experiment descriptions from JSON, the
 // customization surface the paper advertises ("a customizable environment
 // ... allowing researchers to modify and extend the framework"): fleet
-// size and profiles, benign intensity, churn, link properties and the
-// attack plan are all declared in one reviewable document instead of code.
+// size and shape, benign intensity, churn, link properties, the attack
+// plan, fault injection, tracing and the detection loop are all declared in
+// one reviewable document instead of code. A definition is the whole of
+// what a run simulates; how the run executes (its PDES domain count) and
+// what it writes are the caller's.
 package scenario
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"ddoshield/internal/botnet"
-	"ddoshield/internal/netsim"
+	"ddoshield/internal/faults"
+	"ddoshield/internal/ids"
+	"ddoshield/internal/mitigation"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/testbed"
 )
@@ -38,6 +44,9 @@ type Definition struct {
 	Seed int64 `json:"seed"`
 	// Devices is the fleet size.
 	Devices int `json:"devices"`
+	// Groups splits the fleet across this many edge switches (0 or 1 keeps
+	// one flat switch).
+	Groups int `json:"groups"`
 	// DurationSec is the run length.
 	DurationSec float64 `json:"durationSec"`
 	// MeanThinkSec paces benign clients.
@@ -61,6 +70,34 @@ type Definition struct {
 	Attacks []Attack `json:"attacks"`
 	// WindowMillis sets the IDS aggregation window (default 1000).
 	WindowMillis int `json:"windowMillis"`
+	// TraceSampleRate is the causal-tracing flow sample rate in [0, 1]
+	// (0 disables; 1 traces every flow).
+	TraceSampleRate float64 `json:"traceSampleRate"`
+	// Chaos is the fault-injection intensity in [0, 1]: a random plan of
+	// link flaps, impairment windows and crash loops across the fleet,
+	// seeded by Seed+7 and placed from half the benign lead before the first
+	// attack to the end of the run (0 disables).
+	Chaos float64 `json:"chaos"`
+	// IDS attaches an inline threshold-rule detection unit at the TServer
+	// uplink; Mitigate closes the loop with the verdict-cache firewall at
+	// the TServer ingress, fed by the unit's alerts (requires IDS).
+	IDS      bool `json:"ids"`
+	Mitigate bool `json:"mitigate"`
+}
+
+// Default is the run without a scenario file: ten devices for two
+// simulated minutes on seed 42 and, after a 30 s benign lead, the paper's
+// three flood vectors (SYN and ACK on :80, then UDP) in waves that repeat
+// every 48 s, each vector 12 s long at 400 packets/s per bot, 3 s apart.
+func Default() *Definition {
+	d := &Definition{Name: "default", Seed: 42, Devices: 10, DurationSec: 120}
+	for _, start := range []float64{30, 78} {
+		d.Attacks = append(d.Attacks,
+			Attack{AtSec: start, Type: "syn", Port: 80, DurationSec: 12, PPS: 400},
+			Attack{AtSec: start + 15, Type: "ack", Port: 80, DurationSec: 12, PPS: 400},
+			Attack{AtSec: start + 30, Type: "udp", DurationSec: 12, PPS: 400})
+	}
+	return d
 }
 
 // Load parses a JSON scenario.
@@ -75,6 +112,16 @@ func Load(r io.Reader) (*Definition, error) {
 		return nil, err
 	}
 	return &d, nil
+}
+
+// LoadFile parses the JSON scenario at path.
+func LoadFile(path string) (*Definition, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 // Bounds on a definition's numbers. Every accepted value converts to a
@@ -111,10 +158,16 @@ func (d *Definition) Validate() error {
 		{"link.queueKB", float64(d.Link.QueueKB), 1, maxQueueKB},
 		{"link.lossProb", d.Link.LossProb, 0, 1},
 		{"windowMillis", float64(d.WindowMillis), 1, maxSeconds * 1e3},
+		{"groups", float64(d.Groups), 0, float64(d.Devices)},
+		{"traceSampleRate", d.TraceSampleRate, 0, 1},
+		{"chaos", d.Chaos, 0, 1},
 	} {
 		if f.v != 0 && (f.v < f.lo || f.v > f.hi) {
 			return fmt.Errorf("scenario %q: %s must be 0 or in [%g, %g]", d.Name, f.name, f.lo, f.hi)
 		}
+	}
+	if d.Mitigate && !d.IDS {
+		return fmt.Errorf("scenario %q: mitigate requires ids (the firewall is driven by IDS window alerts)", d.Name)
 	}
 	for i, a := range d.Attacks {
 		if _, err := botnet.ParseAttackType(a.Type); err != nil {
@@ -130,9 +183,14 @@ func (d *Definition) Validate() error {
 	return nil
 }
 
+// seconds converts a definition's seconds to a duration.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second))
+}
+
 // Duration returns the run length.
 func (d *Definition) Duration() time.Duration {
-	return time.Duration(d.DurationSec * float64(time.Second))
+	return seconds(d.DurationSec)
 }
 
 // Window returns the IDS window (default 1 s).
@@ -146,19 +204,21 @@ func (d *Definition) Window() time.Duration {
 // TestbedConfig converts the definition into a testbed configuration.
 func (d *Definition) TestbedConfig() testbed.Config {
 	cfg := testbed.Config{
-		Seed:       d.Seed,
-		NumDevices: d.Devices,
+		Seed:            d.Seed,
+		NumDevices:      d.Devices,
+		DeviceGroups:    d.Groups,
+		TraceSampleRate: d.TraceSampleRate,
+		Churn: testbed.ChurnConfig{
+			Enabled:  d.Churn.Enabled,
+			MeanUp:   seconds(d.Churn.MeanUpSec),
+			MeanDown: seconds(d.Churn.MeanDownSec),
+		},
 	}
 	if d.MeanThinkSec > 0 {
-		cfg.MeanThink = time.Duration(d.MeanThinkSec * float64(time.Second))
+		cfg.MeanThink = seconds(d.MeanThinkSec)
 	}
 	if d.ScanIntervalMillis > 0 {
 		cfg.ScanInterval = time.Duration(d.ScanIntervalMillis) * time.Millisecond
-	}
-	cfg.Churn = testbed.ChurnConfig{
-		Enabled:  d.Churn.Enabled,
-		MeanUp:   time.Duration(d.Churn.MeanUpSec * float64(time.Second)),
-		MeanDown: time.Duration(d.Churn.MeanDownSec * float64(time.Second)),
 	}
 	if d.Link.RateMbps > 0 {
 		cfg.Link.RateBps = int64(d.Link.RateMbps * 1e6)
@@ -175,27 +235,63 @@ func (d *Definition) TestbedConfig() testbed.Config {
 	return cfg
 }
 
-// Apply builds the testbed and schedules the attack plan.
-func (d *Definition) Apply() (*testbed.Testbed, error) {
-	tb, err := testbed.New(d.TestbedConfig())
+// A Run is an applied definition: its testbed, with the chaos plan and the
+// attacks armed, and the detection loop the definition asks for.
+type Run struct {
+	Testbed  *testbed.Testbed
+	IDS      *ids.Unit            // nil unless the definition sets ids
+	Firewall *mitigation.Firewall // nil unless it sets mitigate
+}
+
+// Apply builds the testbed on the given number of PDES domains (<= 1 runs
+// serially; the results are the same bytes either way) and arms what the
+// definition plans: the chaos faults, the attacks, then the detection loop.
+func (d *Definition) Apply(domains int) (*Run, error) {
+	cfg := d.TestbedConfig()
+	cfg.Domains = domains
+	tb, err := testbed.New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if d.Chaos > 0 {
+		var lead float64 // the benign lead before the first attack
+		for i, a := range d.Attacks {
+			if i == 0 || a.AtSec < lead {
+				lead = a.AtSec
+			}
+		}
+		tb.Injector().Schedule(faults.Random(faults.RandomConfig{
+			Seed:      d.Seed + 7,
+			Start:     seconds(lead) / 2,
+			Window:    d.Duration(),
+			Intensity: d.Chaos,
+		}))
 	}
 	for _, a := range d.Attacks {
 		at, err := botnet.ParseAttackType(a.Type)
 		if err != nil {
 			return nil, err
 		}
-		cmd := botnet.Command{
+		tb.ScheduleAttack(seconds(a.AtSec), botnet.Command{
 			Type:     at,
 			Target:   tb.TServerAddr(),
 			Port:     a.Port,
-			Duration: time.Duration(a.DurationSec * float64(time.Second)),
+			Duration: seconds(a.DurationSec),
 			PPS:      a.PPS,
-		}
-		tb.ScheduleAttack(time.Duration(a.AtSec*float64(time.Second)), cmd)
+		})
 	}
-	return tb, nil
+	r := &Run{Testbed: tb}
+	if d.IDS {
+		r.IDS = ids.New(ids.Config{
+			Model:    ids.NewThresholdRule(),
+			Window:   d.Window(),
+			Labeler:  tb.Labeler(),
+			Registry: tb.Registry(),
+		})
+		tb.AttachIDS(r.IDS)
+		if d.Mitigate {
+			r.Firewall = tb.AttachMitigation(r.IDS, testbed.MitigationConfig{})
+		}
+	}
+	return r, nil
 }
-
-var _ = netsim.LinkConfig{} // the definition maps onto this type

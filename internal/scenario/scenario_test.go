@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,9 @@ const sample = `{
     {"atSec": 60, "type": "syn", "port": 80, "durationSec": 10, "pps": 300},
     {"atSec": 80, "type": "udp", "durationSec": 10, "pps": 300}
   ],
-  "windowMillis": 500
+  "windowMillis": 500,
+  "groups": 2,
+  "traceSampleRate": 0.25
 }`
 
 func TestLoadValid(t *testing.T) {
@@ -41,7 +44,7 @@ func TestLoadValid(t *testing.T) {
 		t.Fatalf("Window = %v", d.Window())
 	}
 	cfg := d.TestbedConfig()
-	if cfg.Seed != 7 || cfg.NumDevices != 6 {
+	if cfg.Seed != 7 || cfg.NumDevices != 6 || cfg.DeviceGroups != 2 || cfg.TraceSampleRate != 0.25 {
 		t.Fatalf("config: %+v", cfg)
 	}
 	if cfg.Link.RateBps != 50_000_000 || cfg.Link.QueueBytes != 64<<10 {
@@ -58,10 +61,11 @@ func TestLoadValid(t *testing.T) {
 	if cfg.Link.LossProb != 0.01 {
 		t.Fatalf("loss: %+v", cfg.Link)
 	}
-	tb, err := d.Apply()
+	r, err := d.Apply(1)
 	if err != nil {
 		t.Fatalf("lossy scenario rejected: %v", err)
 	}
+	tb := r.Testbed
 	tb.Start()
 	if err := tb.Run(time.Second); err != nil {
 		t.Fatalf("lossy scenario failed to run: %v", err)
@@ -84,6 +88,12 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		"delay overflow":   `{"durationSec": 10, "link": {"delayMs": 1e300}}`,
 		"flood overflow":   `{"durationSec": 10, "attacks":[{"atSec":1,"type":"udp","durationSec":1,"pps":9007199254740991}]}`,
 		"not json":         `nope`,
+		"negative groups":  `{"durationSec": 10, "devices": 4, "groups": -1}`,
+		"groups > devices": `{"durationSec": 10, "devices": 4, "groups": 5}`,
+		"trace rate > 1":   `{"durationSec": 10, "traceSampleRate": 1.5}`,
+		"negative chaos":   `{"durationSec": 10, "chaos": -0.1}`,
+		"chaos above one":  `{"durationSec": 10, "chaos": 2}`,
+		"mitigate, no ids": `{"durationSec": 10, "mitigate": true}`,
 	}
 	for name, body := range cases {
 		if _, err := Load(strings.NewReader(body)); err == nil {
@@ -97,10 +107,11 @@ func TestApplyRunsScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := d.Apply()
+	r, err := d.Apply(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := r.Testbed
 	// Count spoofed SYNs at the TServer to prove the scheduled attack ran.
 	syns := 0
 	tb.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
@@ -118,5 +129,49 @@ func TestApplyRunsScenario(t *testing.T) {
 	}
 	if syns == 0 {
 		t.Fatal("scheduled SYN flood never fired")
+	}
+}
+
+// committedScenarios lists the scenario files shipped with the repository.
+func committedScenarios(tb testing.TB) []string {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no committed scenarios (%v)", err)
+	}
+	return paths
+}
+
+// TestCommittedScenariosValidate loads every scenario file in the
+// repository, and validates the built-in default.
+func TestCommittedScenariosValidate(t *testing.T) {
+	for _, path := range committedScenarios(t) {
+		if _, err := LoadFile(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	if err := Default().Validate(); err != nil {
+		t.Errorf("default: %v", err)
+	}
+}
+
+// TestApplyArmsDetectionLoop checks that ids and mitigate attach a unit and
+// a firewall, and that a definition without them attaches neither.
+func TestApplyArmsDetectionLoop(t *testing.T) {
+	for _, body := range []string{
+		`{"durationSec": 10, "devices": 4}`,
+		`{"durationSec": 10, "devices": 4, "ids": true}`,
+		`{"durationSec": 10, "devices": 4, "ids": true, "mitigate": true}`,
+	} {
+		d, err := Load(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := d.Apply(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (r.IDS != nil) != d.IDS || (r.Firewall != nil) != d.Mitigate {
+			t.Errorf("%s: IDS %v, firewall %v", body, r.IDS != nil, r.Firewall != nil)
+		}
 	}
 }
