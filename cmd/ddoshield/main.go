@@ -23,6 +23,7 @@ import (
 
 	"ddoshield/internal/pcap"
 	"ddoshield/internal/scenario"
+	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry"
 	"ddoshield/internal/telemetry/prof"
 	"ddoshield/internal/telemetry/trace"
@@ -84,13 +85,14 @@ func run() error {
 
 	ts := tb.NewThroughputSampler(time.Second)
 
-	// Live observability endpoint: the sim thread refreshes rendered
-	// snapshots once per simulated second; HTTP handlers only ever serve
-	// those cached bytes, so no handler touches simulation state.
+	// Live observability endpoint: the run refreshes rendered snapshots once
+	// per simulated second, between events in every domain (Observe); HTTP
+	// handlers only ever serve those cached bytes, so no handler touches
+	// simulation state.
 	if *listen != "" {
 		live := telemetry.NewLiveServerOptions(telemetry.LiveServerOptions{EnablePprof: *pprofFlag})
-		tb.Scheduler().Every(time.Second, func() {
-			live.Update(tb.Scheduler().Now(), tb.Registry(), tb.Recorder())
+		tb.Observe(time.Second, func(now sim.Time) {
+			live.Update(now, tb.Registry(), tb.Recorder())
 			if fw != nil {
 				if data, err := tb.MitigationScoreboard().JSON(); err == nil {
 					live.UpdateMitigation(data)
@@ -99,7 +101,7 @@ func run() error {
 		})
 		// The profile walks the whole topology, so refresh it at a coarser
 		// cadence than the per-second metrics tick.
-		tb.Scheduler().Every(5*time.Second, func() {
+		tb.Observe(5*time.Second, func(sim.Time) {
 			if data, err := tb.Profile(0).JSON(); err == nil {
 				live.UpdateProfile(data)
 			}

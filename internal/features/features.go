@@ -9,6 +9,7 @@ package features
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"ddoshield/internal/packet"
@@ -109,6 +110,7 @@ type statsScratch struct {
 	srcs       map[packet.Addr]int
 	flows      map[packet.FlowKey]int
 	synTriples map[packet.FlowKey]int
+	counts     []int // a histogram's counts, sorted, for entropy
 }
 
 func (sc *statsScratch) reset() {
@@ -177,8 +179,8 @@ func (sc *statsScratch) compute(pkts []Basic) Stats {
 		}
 	}
 	st.MeanPacketLen = float64(st.ByteCount) / float64(len(pkts))
-	st.DstPortEntropy = entropy(dstPorts, len(pkts))
-	st.SrcAddrEntropy = entropy(srcs, len(pkts))
+	st.DstPortEntropy = entropy(dstPorts, len(pkts), &sc.counts)
+	st.SrcAddrEntropy = entropy(srcs, len(pkts), &sc.counts)
 	st.UniqueDstPorts = len(dstPorts)
 	st.UniqueSrcs = len(srcs)
 	st.SynNoAckRatio = float64(st.SynCount) / float64(st.SynAckCount+1)
@@ -204,16 +206,23 @@ func (sc *statsScratch) compute(pkts []Basic) Stats {
 	return st
 }
 
-// entropy computes Shannon entropy in bits over a count histogram.
-func entropy[K comparable](hist map[K]int, total int) float64 {
+// entropy computes Shannon entropy in bits over a count histogram. It sums
+// the terms in ascending count order, sorting the counts in *counts, so the
+// result does not depend on the map's iteration order, down to the last bit.
+func entropy[K comparable](hist map[K]int, total int, counts *[]int) float64 {
 	if total == 0 {
 		return 0
 	}
-	var h float64
+	c := (*counts)[:0]
 	for _, n := range hist {
-		if n == 0 {
-			continue
+		if n > 0 {
+			c = append(c, n)
 		}
+	}
+	slices.Sort(c)
+	*counts = c
+	var h float64
+	for _, n := range c {
 		p := float64(n) / float64(total)
 		h -= p * math.Log2(p)
 	}

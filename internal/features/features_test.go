@@ -139,15 +139,15 @@ func TestStatsUDPFloodSignature(t *testing.T) {
 
 func TestEntropyKnownValues(t *testing.T) {
 	// Uniform over 4 symbols: 2 bits.
-	h := entropy(map[int]int{1: 5, 2: 5, 3: 5, 4: 5}, 20)
+	h := entropy(map[int]int{1: 5, 2: 5, 3: 5, 4: 5}, 20, new([]int))
 	if math.Abs(h-2) > 1e-12 {
 		t.Fatalf("entropy = %v, want 2", h)
 	}
 	// Single symbol: 0 bits.
-	if got := entropy(map[int]int{1: 9}, 9); got != 0 {
+	if got := entropy(map[int]int{1: 9}, 9, new([]int)); got != 0 {
 		t.Fatalf("entropy = %v, want 0", got)
 	}
-	if got := entropy(map[int]int{}, 0); got != 0 {
+	if got := entropy(map[int]int{}, 0, new([]int)); got != 0 {
 		t.Fatalf("empty entropy = %v", got)
 	}
 }

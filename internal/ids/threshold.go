@@ -9,9 +9,9 @@ import (
 // vector: a packet is malicious when its window's SYN-without-ACK ratio or
 // UDP fraction crosses a threshold — the flood signatures of the paper's
 // three attack vectors. It implements ml.Classifier, so it plugs in where
-// a trained model would; the mitigation sweep and the ddoshield -ids flag
-// use it because it needs no training data and behaves identically on
-// every host.
+// a trained model would; the mitigation sweep and a scenario file's "ids"
+// unit (scenario.Definition.IDS, which ddoshield runs) use it because it
+// needs no training data and behaves identically on every host.
 type ThresholdRule struct {
 	synIdx, udpIdx int
 	// SynNoAck flags windows whose win_syn_noack_ratio exceeds it

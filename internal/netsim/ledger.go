@@ -6,8 +6,8 @@ import (
 )
 
 // frameLedger is one PDES domain's share of the network's frame account.
-// Every count moves only on its own domain's goroutine, so none needs a
-// lock or an atomic; the shares only mean something summed, because a frame
+// Every count moves only in its own domain's events, which never run on two
+// goroutines at once, so none needs a lock or an atomic; the shares only mean something summed, because a frame
 // can enter the network in one domain and be released in another.
 type frameLedger struct {
 	sent     uint64 // frames handed to a NIC

@@ -1,8 +1,10 @@
 // Conservative parallel discrete-event engine (PDES).
 //
 // The Engine partitions a simulation into K Domains, each owning a private
-// Scheduler that advances on its own goroutine. Synchronization uses the
-// classic conservative-lookahead rule executed as synchronous epochs: with T
+// Scheduler, and runs them on a fixed crew of worker goroutines — the
+// caller's and workers−1 helpers — that claim each epoch's domain windows
+// one at a time. Synchronization uses the classic conservative-lookahead
+// rule executed as synchronous epochs: with T
 // the global minimum next-event time and L the lookahead (the minimum
 // latency of any cross-domain interaction), every event in [T, T+L) is
 // causally independent of events outside its own domain, so all domains may
@@ -17,7 +19,8 @@
 // results for any worker count, because each domain's events execute
 // sequentially in (time, ord) order and the merge order is a pure function
 // of what each domain sent. The worker count only decides how many windows
-// run at once, never what a window computes.
+// run at once, and which goroutine runs which, never what a window
+// computes.
 //
 // The engine keeps its own accounting on every run, in two planes kept
 // apart by their accessors: deterministic counters (Domain.Stats,
@@ -28,10 +31,15 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// maxDomains is the most domains an Engine may have: a claim word holds a
+// domain index in 16 bits.
+const maxDomains = 1<<16 - 1
 
 // maxLookahead bounds the lookahead so window arithmetic (T + lookahead)
 // can never overflow Time.
@@ -67,12 +75,17 @@ type DomainStats struct {
 	HorizonLag Time
 }
 
-// DomainWall is one domain's wall-clock accounting: the time it spent
-// executing its windows and the time it then waited at the barrier for the
-// epoch's slowest domain. It depends on the host and the worker count, so
-// it has an accessor of its own (Domain.Wall) and never enters DomainStats.
+// DomainWall is one domain's wall-clock accounting. It depends on the host
+// and the worker count, so it has an accessor of its own (Domain.Wall) and
+// never enters DomainStats.
 type DomainWall struct {
+	// ExecNs is the time the domain spent executing its windows.
 	ExecNs int64
+	// WaitNs sums, over the epochs, the time from the end of the domain's
+	// window to the epoch's barrier. Domains share workers, so this is how
+	// early the domain finished, not how long a core idled: the worker that
+	// ran the window may have spent that time running later domains'
+	// windows of the same epoch.
 	WaitNs int64
 }
 
@@ -98,14 +111,14 @@ type Domain struct {
 	maxLag       Time
 	maxWinEvents uint64
 
-	// Wall clock, written by the domain's goroutine as a window ends and
-	// read by the coordinator after the barrier (the WaitGroup orders the
-	// two): doneAt is when the last window finished.
+	// Wall clock, written by the worker that ran the window as it ends and
+	// read by the coordinator after the barrier (the epoch's countdown
+	// orders the two): doneAt is when the last window finished.
 	execNs int64
 	waitNs int64
 	doneAt time.Time
 
-	err error // window panic captured by the worker goroutine
+	err error // window panic captured by the worker that ran the window
 }
 
 // Index reports the domain's stable index in [0, K).
@@ -195,7 +208,7 @@ func (d *Domain) runWindow(end Time) {
 	d.waits++
 }
 
-// runTimed is runWindow as the domain's goroutine runs it: it counts the
+// runTimed is runWindow as a worker runs it: it counts the
 // window's events, reads the clock before and after, and captures a panic
 // (a model bug such as a lookahead violation) as the domain's error.
 func (d *Domain) runTimed(end Time) {
@@ -212,22 +225,6 @@ func (d *Domain) runTimed(end Time) {
 		}
 	}()
 	d.runWindow(end)
-}
-
-// serve runs the windows the coordinator sends on win, one at a time, each
-// holding one of the engine's execution slots, until done closes.
-func (d *Domain) serve(win <-chan Time, done <-chan struct{}, slots chan struct{}, wg *sync.WaitGroup) {
-	for {
-		select {
-		case <-done:
-			return
-		case w := <-win:
-			slots <- struct{}{}
-			d.runTimed(w)
-			<-slots
-			wg.Done()
-		}
-	}
 }
 
 // WindowStats summarizes the widths of the epoch windows run so far, in
@@ -250,12 +247,25 @@ type Engine struct {
 	msgs               []uint64 // msgs[from*K+to]: messages merged from domain from into to
 
 	mergeNs int64 // wall clock spent between barriers (merge + next window)
+
+	observers []observer
 }
 
-// NewEngine builds an engine with k domains (k >= 1) and the given
-// lookahead. A lookahead of 0 is allowed at construction (topology builders
-// derive it from link delays afterwards) but must be set before Run.
+// observer is one Observe registration: fn is due at next, then every
+// period after.
+type observer struct {
+	period, next Time
+	fn           func(at Time)
+}
+
+// NewEngine builds an engine with k domains (1 <= k <= 65535) and
+// the given lookahead. A lookahead of 0 is allowed at construction
+// (topology builders derive it from link delays afterwards) but must be set
+// before Run.
 func NewEngine(k int, lookahead Time) *Engine {
+	if k > maxDomains {
+		panic(fmt.Sprintf("sim: %d domains exceed the engine's %d", k, maxDomains))
+	}
 	if k < 1 {
 		k = 1
 	}
@@ -312,6 +322,34 @@ func (e *Engine) MergeNs() int64 { return e.mergeNs }
 // goroutine (e.g. a domain event deciding to end the run).
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
+// Observe registers fn to run on the coordinator between epochs, once per
+// period of simulated time, first one period past the reference clock. The
+// call for instant at comes at the first barrier by which every event at or
+// before at has fired in every domain; the epoch window that crossed at may
+// have fired later events too, less than one lookahead past at. What fn
+// reads there is the same for every worker count, and no domain runs an
+// event meanwhile, so fn may read the state of every domain; it receives
+// at. Several due instants fire back to back when one epoch gap spans them,
+// and those up to the horizon fire before Run returns. Observing schedules
+// no event, so a simulation fn only reads is the same with or without it.
+// Call before Run, not from an event.
+func (e *Engine) Observe(period Time, fn func(at Time)) {
+	period = max(period, 1)
+	e.observers = append(e.observers, observer{period: period, next: e.Now() + period, fn: fn})
+}
+
+// observe runs every observation due before frontier, the time before
+// which every event has fired and at or after which none has.
+func (e *Engine) observe(frontier Time) {
+	for i := range e.observers {
+		o := &e.observers[i]
+		for o.next < frontier {
+			o.fn(o.next)
+			o.next += o.period
+		}
+	}
+}
+
 // Now reports the reference clock: domain 0's current time. Between Run
 // calls every domain clock agrees (all are advanced to the horizon).
 func (e *Engine) Now() Time { return e.domains[0].sched.Now() }
@@ -366,10 +404,11 @@ func (e *Engine) minNextEvent() (Time, bool) {
 
 // Run executes events until every domain's clock passes horizon (events at
 // exactly the horizon still fire), the queues drain, or Stop is called.
-// Every domain runs its windows on a goroutine of its own; workers, clamped
-// to [1, K], bounds how many execute at once. The results are identical for
-// every workers value; only wall-clock time differs. A panic inside a
-// window ends the run with an error naming the domain, whatever workers is.
+// workers, clamped to [1, K], is how many goroutines execute windows: the
+// caller's and workers−1 helpers that live for this call. The results are
+// identical for every workers value; only wall-clock time differs. A panic
+// inside a window ends the run with an error naming the domain, whatever
+// workers is.
 func (e *Engine) Run(horizon Time, workers int) error {
 	if e.lookahead <= 0 {
 		return errors.New("sim: engine lookahead must be positive (derive it from cross-domain link delays)")
@@ -402,27 +441,13 @@ func (e *Engine) nextWindow(horizon Time) (start, end Time, ok bool) {
 }
 
 // runEpochs is the epoch loop: merge the previous epoch's outboxes, derive
-// the next window, hand it to every domain's goroutine, wait at the
+// the next window, run every domain's window on the crew, wait at the
 // barrier. The clock is read twice per domain window (in runTimed) and
 // twice per epoch here: at the barrier, which ends every domain's wait and
 // starts the merge, and once the next window is known.
 func (e *Engine) runEpochs(horizon Time, workers int) error {
-	k := len(e.domains)
-	var wg, running sync.WaitGroup
-	windowCh := make([]chan Time, k)
-	done := make(chan struct{})
-	slots := make(chan struct{}, workers)
-	running.Add(k)
-	for i, d := range e.domains {
-		windowCh[i] = make(chan Time, 1)
-		go func() {
-			defer running.Done()
-			d.serve(windowCh[i], done, slots, &wg)
-		}()
-	}
-	// Run returns only once every domain goroutine has exited.
-	defer running.Wait()
-	defer close(done)
+	c := newCrew(e, workers)
+	defer c.disband()
 	barrier := time.Now()
 	for {
 		if e.stopped.Load() {
@@ -432,13 +457,11 @@ func (e *Engine) runEpochs(horizon Time, workers int) error {
 		t, w, ok := e.nextWindow(horizon)
 		e.mergeNs += time.Since(barrier).Nanoseconds()
 		if !ok {
+			e.observe(horizon + 1)
 			return nil
 		}
-		wg.Add(k)
-		for _, ch := range windowCh {
-			ch <- w
-		}
-		wg.Wait()
+		e.observe(t)
+		c.runEpoch(w)
 		barrier = time.Now()
 		var err error
 		for _, d := range e.domains {
@@ -459,6 +482,134 @@ func (e *Engine) runEpochs(horizon Time, workers int) error {
 		e.widthSum += uint64(width)
 		e.epochs++
 	}
+}
+
+// spinPolls bounds how long an idle worker polls for its next hand-off — a
+// helper for the next epoch, the coordinator for the end of this one —
+// before it parks. Every 64th poll yields the processor, so a poller on an
+// oversubscribed host lets the worker it waits for run.
+const spinPolls = 1 << 13
+
+// crew is the worker set of one Run: the coordinator (Run's caller) and
+// workers−1 helpers. Each epoch the coordinator publishes the window end
+// and then one claim word in a single store: the epoch number in bits
+// 32–63 and the unclaimed domains [lo, hi) in bits 16–31 and 0–15. A
+// worker claims a window by a CAS on that word — the coordinator the lowest
+// unclaimed index, helpers the highest — so a claim made with a finished
+// epoch's word fails instead of running a domain of the next epoch against
+// the old window end. Claiming from the two ends keeps most domains on the
+// same worker from one epoch to the next, their state in that core's
+// cache: the coordinator's run starts at domain 0, the core, which is
+// usually the busiest domain and the one the merge it has just run fed
+// most. The worker that finishes the epoch's last window counts pending
+// down to zero and wakes the coordinator.
+type crew struct {
+	domains []*Domain
+	claim   atomic.Uint64
+	pending atomic.Int64 // windows of the current epoch not yet finished
+	end     Time         // the current window end; written only between epochs
+	epoch   uint32       // the coordinator's epoch number
+	quit    atomic.Bool
+
+	mu        sync.Mutex
+	nextEpoch *sync.Cond // helpers park here between epochs
+	epochDone *sync.Cond // the coordinator parks here until pending is zero
+	helpers   sync.WaitGroup
+}
+
+// newCrew starts workers−1 helpers for e's domains.
+func newCrew(e *Engine, workers int) *crew {
+	c := &crew{domains: e.domains}
+	c.nextEpoch = sync.NewCond(&c.mu)
+	c.epochDone = sync.NewCond(&c.mu)
+	c.helpers.Add(workers - 1)
+	for range workers - 1 {
+		go c.help()
+	}
+	return c
+}
+
+// runEpoch runs every domain's window [.., end) on the crew and returns
+// once all have finished.
+func (c *crew) runEpoch(end Time) {
+	c.epoch++
+	c.end = end
+	c.pending.Store(int64(len(c.domains)))
+	c.claim.Store(uint64(c.epoch)<<32 | uint64(len(c.domains)))
+	c.wake(c.nextEpoch)
+	c.work(c.epoch, false)
+	c.await(func() bool { return c.pending.Load() == 0 }, c.epochDone)
+}
+
+// disband stops the helpers and waits for them to exit.
+func (c *crew) disband() {
+	c.quit.Store(true)
+	c.wake(c.nextEpoch)
+	c.helpers.Wait()
+}
+
+// help is a helper's loop: wait for an epoch it has not worked in, claim
+// windows in it, repeat until the crew disbands.
+func (c *crew) help() {
+	defer c.helpers.Done()
+	var seen uint32
+	for {
+		c.await(func() bool { return c.quit.Load() || uint32(c.claim.Load()>>32) != seen }, c.nextEpoch)
+		if c.quit.Load() {
+			return
+		}
+		seen = uint32(c.claim.Load() >> 32)
+		c.work(seen, true)
+	}
+}
+
+// work claims and runs windows of epoch, from the top end of the unclaimed
+// range or the bottom, until none is left unclaimed or the epoch is over.
+func (c *crew) work(epoch uint32, top bool) {
+	for {
+		w := c.claim.Load()
+		lo, hi := int(uint16(w>>16)), int(uint16(w))
+		if uint32(w>>32) != epoch || lo == hi {
+			return
+		}
+		i, next := lo, w+1<<16
+		if top {
+			i, next = hi-1, w-1
+		}
+		if !c.claim.CompareAndSwap(w, next) {
+			continue
+		}
+		c.domains[i].runTimed(c.end)
+		if c.pending.Add(-1) == 0 {
+			c.wake(c.epochDone)
+		}
+	}
+}
+
+// await returns once ready reports true: it polls up to spinPolls times,
+// then parks on cond. Whoever makes ready true calls wake(cond) after.
+func (c *crew) await(ready func() bool, cond *sync.Cond) {
+	for i := 1; i <= spinPolls; i++ {
+		if ready() {
+			return
+		}
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	c.mu.Lock()
+	for !ready() {
+		cond.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// wake wakes every worker parked on cond. Taking the lock orders it after
+// a parker's last check of its condition, so no wake-up is lost.
+func (c *crew) wake(cond *sync.Cond) {
+	c.mu.Lock()
+	cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // RunFor executes events for d of simulated time past the reference clock.

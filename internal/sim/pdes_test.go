@@ -4,21 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// buildPDESModel assembles a synthetic K-domain workload: every domain runs
-// a self-rescheduling local event stream off its own RNG substream and
-// periodically posts work into the next domain (ring topology), always at
-// least lookahead ahead. Each domain appends to its own log, so the
-// concatenated logs capture exactly what executed, when, and in what order.
-func buildPDESModel(k int, lookahead Time, horizon Time) (*Engine, [][]int64) {
+// buildPDESModel assembles a synthetic K-domain workload: domain i runs
+// streams(i) self-rescheduling local event streams off its own RNG
+// substream and periodically posts work into the next domain (ring
+// topology), always at least lookahead ahead. Each domain appends to its
+// own log, so the concatenated logs capture exactly what executed, when,
+// and in what order.
+func buildPDESModel(k int, lookahead Time, horizon Time, streams func(i int) int) (*Engine, [][]int64) {
 	e := NewEngine(k, lookahead)
 	logs := make([][]int64, k)
 	for i := 0; i < k; i++ {
-		i := i
 		d := e.Domain(i)
 		next := e.Domain((i + 1) % k)
 		rng := Substream(1234, fmt.Sprintf("pdes-test/%d", i))
@@ -38,51 +40,99 @@ func buildPDESModel(k int, lookahead Time, horizon Time) (*Engine, [][]int64) {
 				d.Scheduler().At(again, tick)
 			}
 		}
-		d.Scheduler().At(Time(i), tick)
+		for s := 0; s < streams(i); s++ {
+			d.Scheduler().At(Time(i+s), tick)
+		}
 	}
 	return e, logs
 }
 
+// engineRun is everything deterministic a finished engine run reports.
+type engineRun struct {
+	logs   [][]int64
+	fired  []uint64
+	stats  []DomainStats
+	epochs uint64
+	msgs   []uint64
+}
+
+// TestEngineDeterministicAcrossWorkers runs each model on 1, 2, 3, K and
+// K+3 workers, and once more on 4 workers with one processor (the
+// workers' bounded spin must give way, so the run finishes), and requires
+// the same logs, fired counts, domain statistics, epochs and message
+// matrix every time. The uneven model has more domains than workers, most
+// of its load in the last domain (which a helper claims first, so a helper
+// often finishes an epoch) and thousands of short epochs: a worker that
+// carried a claim across the barrier would run a domain of the next epoch
+// against the previous window end, which shows in the domain statistics
+// if not in the logs.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	const (
-		k        = 4
-		la       = Time(50)
-		horizon  = Time(20_000)
-		baseline = 1
-	)
-	run := func(workers int) ([][]int64, []uint64, uint64) {
-		e, logs := buildPDESModel(k, la, horizon)
-		if err := e.Run(horizon, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		fired := make([]uint64, k)
-		for i := range fired {
-			fired[i] = e.Domain(i).Scheduler().Fired()
-			if got := e.Domain(i).Scheduler().Now(); got != horizon {
-				t.Fatalf("workers=%d domain %d clock = %v, want %v", workers, i, got, horizon)
+	cases := []struct {
+		name        string
+		k           int
+		la, horizon Time
+		streams     func(i int) int
+	}{
+		{"ring", 4, 50, 20_000, func(int) int { return 1 }},
+		{"uneven", 7, 10, 100_000, func(i int) int {
+			if i == 6 {
+				return 12
 			}
-		}
-		return logs, fired, e.Epochs()
+			return 1 + i%2
+		}},
 	}
-	wantLogs, wantFired, wantEpochs := run(baseline)
-	for _, w := range []int{2, 4, 8} {
-		logs, fired, epochs := run(w)
-		if !reflect.DeepEqual(logs, wantLogs) {
-			t.Fatalf("workers=%d: execution log diverged from serial", w)
-		}
-		if !reflect.DeepEqual(fired, wantFired) {
-			t.Fatalf("workers=%d: fired counts %v, want %v", w, fired, wantFired)
-		}
-		if epochs != wantEpochs {
-			t.Fatalf("workers=%d: epochs %d, want %d", w, epochs, wantEpochs)
-		}
-	}
-	var total int
-	for _, l := range wantLogs {
-		total += len(l)
-	}
-	if total < 1000 {
-		t.Fatalf("model too small to be meaningful: %d events", total)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) engineRun {
+				e, logs := buildPDESModel(tc.k, tc.la, tc.horizon, tc.streams)
+				if err := e.Run(tc.horizon, workers); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				r := engineRun{logs: logs, epochs: e.Epochs()}
+				for i := 0; i < tc.k; i++ {
+					d := e.Domain(i)
+					if got := d.Scheduler().Now(); got != tc.horizon {
+						t.Fatalf("workers=%d domain %d clock = %v, want %v", workers, i, got, tc.horizon)
+					}
+					r.fired = append(r.fired, d.Scheduler().Fired())
+					r.stats = append(r.stats, d.Stats())
+					for j := 0; j < tc.k; j++ {
+						r.msgs = append(r.msgs, e.Messages(i, j))
+					}
+				}
+				return r
+			}
+			want := run(1)
+			check := func(mode string, got engineRun) {
+				t.Helper()
+				switch {
+				case !reflect.DeepEqual(got.logs, want.logs):
+					t.Fatalf("%s: execution log diverged from serial", mode)
+				case !reflect.DeepEqual(got.fired, want.fired):
+					t.Fatalf("%s: fired counts %v, want %v", mode, got.fired, want.fired)
+				case !reflect.DeepEqual(got.stats, want.stats):
+					t.Fatalf("%s: domain stats %+v, want %+v", mode, got.stats, want.stats)
+				case got.epochs != want.epochs:
+					t.Fatalf("%s: epochs %d, want %d", mode, got.epochs, want.epochs)
+				case !reflect.DeepEqual(got.msgs, want.msgs):
+					t.Fatalf("%s: message matrix %v, want %v", mode, got.msgs, want.msgs)
+				}
+			}
+			for _, w := range []int{2, 3, tc.k, tc.k + 3} {
+				check(fmt.Sprintf("workers=%d", w), run(w))
+			}
+			prev := runtime.GOMAXPROCS(1)
+			got := run(4)
+			runtime.GOMAXPROCS(prev)
+			check("workers=4 at GOMAXPROCS(1)", got)
+			var total int
+			for _, l := range want.logs {
+				total += len(l)
+			}
+			if total < 1000 || want.epochs < 200 {
+				t.Fatalf("model too small to be meaningful: %d events in %d epochs", total, want.epochs)
+			}
+		})
 	}
 }
 
@@ -108,15 +158,37 @@ func TestEngineMergeOrder(t *testing.T) {
 	}
 }
 
+// rendezvous makes the other domain of a two-domain engine hold its window
+// open from instant at until the event that calls the returned function
+// has started, so that with two workers the two domains' windows run on
+// different goroutines: the caller's and the helper's. Which of the two
+// claims domain 0 is up to the Go scheduler, so a test that needs the
+// helper to run a given domain's window runs both arrangements.
+func rendezvous(e *Engine, other int, at Time) (arrived func()) {
+	var flag atomic.Bool
+	e.Domain(other).Scheduler().At(at, func() {
+		for !flag.Load() {
+			runtime.Gosched()
+		}
+	})
+	return func() { flag.Store(true) }
+}
+
 // checkWindowFault arms a fault on a fresh two-domain engine and requires
 // that it ends the run the same way on any worker count — Run returns an
 // error naming the domain the fault happened in — and leaves no error
-// behind for the next Run.
-func checkWindowFault(t *testing.T, domain int, arm func(e *Engine)) {
+// behind for the next Run. With two workers the other domain's window is
+// held open until the fault's event starts (rendezvous), so the fault
+// happens on whichever goroutine did not claim the other domain.
+func checkWindowFault(t *testing.T, domain int, arm func(e *Engine, arrived func())) {
 	t.Helper()
 	for _, workers := range []int{1, 2} {
 		e := NewEngine(2, 100)
-		arm(e)
+		arrived := func() {}
+		if workers > 1 {
+			arrived = rendezvous(e, 1-domain, 0)
+		}
+		arm(e, arrived)
 		err := e.Run(1000, workers)
 		want := fmt.Sprintf("domain %d window panic", domain)
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -131,30 +203,55 @@ func checkWindowFault(t *testing.T, domain int, arm func(e *Engine)) {
 // TestEnginePostViolationPanics: a Post closer than the lookahead panics,
 // and Run reports that panic as an error of the posting domain.
 func TestEnginePostViolationPanics(t *testing.T) {
-	checkWindowFault(t, 0, func(e *Engine) {
+	checkWindowFault(t, 0, func(e *Engine, arrived func()) {
 		e.Domain(0).Scheduler().At(0, func() {
+			arrived()
 			e.Domain(0).Post(e.Domain(1), 10, func() {}) // < window end
 		})
 	})
 }
 
 // TestEngineParallelWindowPanicReported: a panicking model event is
-// reported as an error of its domain.
+// reported as an error of its domain. The panic is raised in each domain in
+// turn while the other holds its window open, so in one of the two the
+// window that panics runs on the helper, not on Run's caller.
 func TestEngineParallelWindowPanicReported(t *testing.T) {
-	checkWindowFault(t, 1, func(e *Engine) {
-		e.Domain(1).Scheduler().At(5, func() { panic("boom") })
-	})
+	for _, domain := range []int{1, 0} {
+		checkWindowFault(t, domain, func(e *Engine, arrived func()) {
+			e.Domain(domain).Scheduler().At(5, func() {
+				arrived()
+				panic("boom")
+			})
+		})
+	}
 }
 
+// TestEngineStop: Stop from an event ends the run at the next barrier with
+// ErrStopped. With two workers the stopping domain's window runs beside
+// the other's, each domain in turn, so a helper calls Stop in one of them.
 func TestEngineStop(t *testing.T) {
-	e := NewEngine(2, 10)
-	d := e.Domain(0)
-	var tick Handler
-	tick = func() { d.Scheduler().After(time.Nanosecond, tick) }
-	d.Scheduler().At(0, tick)
-	d.Scheduler().At(500, func() { e.Stop() })
-	if err := e.Run(1_000_000, 1); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	for _, workers := range []int{1, 2} {
+		for _, stopper := range []int{0, 1} {
+			e := NewEngine(2, 10)
+			d := e.Domain(0)
+			var tick Handler
+			tick = func() { d.Scheduler().After(time.Nanosecond, tick) }
+			d.Scheduler().At(0, tick)
+			arrived := func() {}
+			if workers > 1 {
+				arrived = rendezvous(e, 1-stopper, 500)
+			}
+			e.Domain(stopper).Scheduler().At(500, func() {
+				arrived()
+				e.Stop()
+			})
+			if err := e.Run(1_000_000, workers); !errors.Is(err, ErrStopped) {
+				t.Fatalf("workers=%d, stop from domain %d: err = %v, want ErrStopped", workers, stopper, err)
+			}
+			if now := e.Now(); now >= 1000 {
+				t.Fatalf("workers=%d, stop from domain %d: ran on to %v", workers, stopper, now)
+			}
+		}
 	}
 }
 
@@ -248,9 +345,8 @@ func TestEnginePostKeyedMergesInKeyOrder(t *testing.T) {
 // TestEngineCrossDomainMessageAllocFree guards the steady-state
 // cross-domain fast path — Post (pooled message, reused outbox), barrier
 // merge (pooled scheduler nodes), delivery — and the engine's own timing
-// and counters: a Run allocates only its goroutines and channels, so a
-// RunFor carrying 100x the ping-pong traffic makes the same number of
-// allocations. The counters must have seen every epoch, message and event.
+// and counters: a Run allocates only its worker crew, so a RunFor carrying
+// 100x the ping-pong traffic makes the same number of allocations. The counters must have seen every epoch, message and event.
 func TestEngineCrossDomainMessageAllocFree(t *testing.T) {
 	e := NewEngine(2, 25)
 	var ping, pong Handler
@@ -345,6 +441,45 @@ func TestEngineIdleDomains(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if now := e.Domain(i).Scheduler().Now(); now != 100 {
 			t.Fatalf("domain %d clock %v, want 100", i, now)
+		}
+	}
+}
+
+// TestEngineObserve: an observer runs once per period, up to and including
+// the horizon, over several Runs, and sees every event at or before its
+// instant fired in every domain, and none a lookahead or more after it.
+func TestEngineObserve(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		e := NewEngine(2, 10)
+		var fired [2]atomic.Int64
+		for i := range 2 {
+			s := e.Domain(i).Scheduler()
+			var tick Handler
+			tick = func() {
+				fired[i].Add(1)
+				s.After(7, tick)
+			}
+			s.At(0, tick)
+		}
+		var seen []Time
+		e.Observe(100, func(at Time) {
+			seen = append(seen, at)
+			for i := range fired {
+				// Ticks fire at 0, 7, 14, ...: at/7+1 of them at or before
+				// at, (at+9)/7+1 before at plus the 10 ns lookahead.
+				if n := fired[i].Load(); n < int64(at/7+1) || n > int64((at+9)/7+1) {
+					t.Fatalf("workers=%d: at %v domain %d fired %d events", workers, at, i, n)
+				}
+			}
+		})
+		if err := e.Run(1000, workers); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(1250, workers); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 12 || seen[0] != 100 || seen[11] != 1200 {
+			t.Fatalf("workers=%d: observed at %v, want every 100 from 100 to 1200", workers, seen)
 		}
 	}
 }

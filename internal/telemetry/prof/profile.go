@@ -247,8 +247,11 @@ type PhaseWall struct {
 }
 
 // DomainWall is one domain's wall-clock epoch-phase split. WaitShare is
-// wait/(exec+wait): the fraction of the domain's epoch wall clock spent
-// blocked at barriers — the straggler indicator.
+// wait/(exec+wait): the fraction of the domain's epoch wall clock between
+// the end of its window and the barrier — the straggler indicator. Domains
+// share the engine's workers, so a domain's wait is not a core's idle
+// time: the worker that ran its window may have spent it running later
+// windows of the same epoch (sim.DomainWall).
 type DomainWall struct {
 	Domain    int     `json:"domain"`
 	ExecMS    float64 `json:"exec_ms"`

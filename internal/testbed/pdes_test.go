@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,6 +10,8 @@ import (
 
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
+	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry"
 	"ddoshield/internal/telemetry/prof"
 )
 
@@ -301,5 +305,49 @@ func TestPDESEngineTelemetry(t *testing.T) {
 	// is still in its outbox.
 	if in == 0 || in > out {
 		t.Fatalf("%d messages received, %d sent", in, out)
+	}
+}
+
+// TestObserveBetweenEpochs samples the registry once per simulated second
+// of a Domains=3 campaign through Observe — between epochs, where no domain
+// runs an event; CI runs it under -race. The samples are the same on one
+// worker and on three, there is one per second up to and including the
+// horizon, and the run's Summary and Prometheus output are those of the
+// same run unobserved.
+func TestObserveBetweenEpochs(t *testing.T) {
+	cfg := Config{Seed: 9, NumDevices: 6, DeviceGroups: 3, Domains: 3}
+	drive := waves(4*time.Second, time.Second, 2*time.Second, 100, 10*time.Second)
+	observed := func(workers int) ([]string, runArtifacts) {
+		var samples []string
+		var last sim.Time
+		c := cfg
+		c.PDESWorkers = workers
+		run := artifacts(t, c, func(t *testing.T, tb *Testbed) {
+			tb.Observe(time.Second, func(now sim.Time) {
+				if now != last+sim.Second {
+					t.Errorf("observation at %v follows %v", now, last)
+				}
+				last = now
+				var b bytes.Buffer
+				if err := telemetry.WritePrometheus(&b, tb.Registry()); err != nil {
+					t.Error(err)
+				}
+				samples = append(samples, b.String())
+			})
+			drive(t, tb)
+		})
+		return samples, run
+	}
+	one, _ := observed(1)
+	three, run := observed(3)
+	if len(one) != 10 || one[0] == one[9] {
+		t.Fatalf("%d samples over 10 s, first and last equal: %v", len(one), len(one) > 0 && one[0] == one[len(one)-1])
+	}
+	if !reflect.DeepEqual(one, three) {
+		t.Fatal("registry samples differ between one worker and three")
+	}
+	plain := artifacts(t, cfg, drive)
+	if run.summary != plain.summary || run.prom != plain.prom {
+		t.Fatalf("observing changed the run\n--- unobserved ---\n%s--- observed ---\n%s", plain.summary, run.summary)
 	}
 }

@@ -191,9 +191,11 @@ type Config struct {
 	// direction) and every fault mutates state only from its owning
 	// domain's scheduler, so degraded campaigns replay exactly.
 	Domains int
-	// PDESWorkers bounds how many domains execute concurrently. 0 picks
-	// min(Domains, GOMAXPROCS): more workers than cores only adds barrier
-	// hand-offs. Ignored when Domains <= 1; never changes the results.
+	// PDESWorkers is how many goroutines run the domains' epoch windows:
+	// Run's caller and PDESWorkers−1 helpers, each claiming the next unrun
+	// window of the epoch, so it is also how many windows run at once.
+	// 0 picks min(Domains, GOMAXPROCS): a worker beyond the cores only
+	// polls and parks. Ignored when Domains <= 1; never changes the results.
 	PDESWorkers int
 	// Profile has no effect: every testbed keeps its profile (see
 	// Testbed.Profile and Testbed.Profiler).
@@ -927,6 +929,21 @@ func (tb *Testbed) Run(d time.Duration) error {
 		f.Join()
 	}
 	return err
+}
+
+// Observe calls fn once per period of simulated time, first one period from
+// now, at a point where no event is running in any domain, so fn may read
+// any of the testbed's state (the registry, the recorder, a profile). fn
+// receives the instant its call stands for. Serially it is a ticker on the
+// scheduler. Partitioned, the engine calls it between epochs once every
+// event up to that instant has fired (sim.Engine.Observe: events less than
+// one lookahead later may have fired too), and it schedules no event.
+func (tb *Testbed) Observe(period time.Duration, fn func(now sim.Time)) {
+	if tb.engine != nil {
+		tb.engine.Observe(sim.FromDuration(period), fn)
+		return
+	}
+	tb.sched.Every(period, func() { fn(tb.sched.Now()) })
 }
 
 // Workers reports the effective parallel worker count: Config.PDESWorkers
