@@ -74,7 +74,9 @@ func hash16(s string) string {
 // built-in default) simulate to the runs the command's old flag form made:
 // the default run, the CI chaos run (-duration 45s -devices 12 -seed 42
 // -churn -chaos 0.5 -warmup 10s -attack 5s -gap 5s) serial and on four
-// domains, the same with -ids -mitigate, and example.json. The hashes are
+// domains, the same with -ids -mitigate, and example.json; and
+// defended12.json (groups, lossy links, chaos, full tracing, ids and
+// mitigation) serial and on three domains. The hashes are
 // of the Summary and of the Prometheus snapshot without the
 // ids_window_cpu_us histogram, which measures host CPU time.
 func TestScenariosReproduceFlagRuns(t *testing.T) {
@@ -90,6 +92,8 @@ func TestScenariosReproduceFlagRuns(t *testing.T) {
 		{"chaos12 on 4 domains", []string{"-config", "../../scenarios/chaos12.json", "-domains", "4"}, "6caa14ea2d455cb9", "905252a475cbd361"},
 		{"chaos12 defended", []string{"-config", scenarioFile(t, defended)}, "eeb69de36d1da42f", "b8e5583212d96e54"},
 		{"example", []string{"-config", "../../scenarios/example.json"}, "f193ba66f68c18e0", "c894fe708794be67"},
+		{"defended12", []string{"-config", "../../scenarios/defended12.json"}, "303c493c823d3711", "afcfb1df64a64f38"},
+		{"defended12 on 3 domains", []string{"-config", "../../scenarios/defended12.json", "-domains", "3"}, "303c493c823d3711", "afcfb1df64a64f38"},
 	} {
 		dir := runArtifacts(t, c.args...)
 		var metrics strings.Builder
