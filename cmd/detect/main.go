@@ -47,6 +47,9 @@ func run(args []string, stdout io.Writer) error {
 	if *modelPath == "" || *pcapPath == "" {
 		return fmt.Errorf("-model and -pcap are required")
 	}
+	if *window <= 0 {
+		return fmt.Errorf("-window must be positive (got %v)", *window)
+	}
 
 	var units []*ids.Unit
 	for _, path := range strings.Split(*modelPath, ",") {

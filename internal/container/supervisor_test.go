@@ -27,10 +27,7 @@ func sched(rt *Runtime) func(d time.Duration) {
 }
 
 func TestSupervisorRestartsCrash(t *testing.T) {
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{
-		Policy:  RestartOnFailure,
-		Backoff: time.Second,
-	})
+	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartOnFailure})
 	run := sched(rt)
 	c.Start()
 	c.Kill()
@@ -76,8 +73,8 @@ func TestSupervisorManualStopNotRestarted(t *testing.T) {
 
 func TestSupervisorManualStopCancelsPendingRestart(t *testing.T) {
 	rt, c, _ := supervisedContainer(t, SupervisorConfig{
-		Policy:  RestartAlways,
-		Backoff: 5 * time.Second,
+		Policy: RestartAlways,
+		Delay:  func(int) time.Duration { return 5 * time.Second },
 	})
 	run := sched(rt)
 	c.Start()
@@ -98,67 +95,26 @@ func TestSupervisorManualStopCancelsPendingRestart(t *testing.T) {
 }
 
 func TestSupervisorExponentialBackoffAndCap(t *testing.T) {
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{
-		Policy:        RestartOnFailure,
-		Backoff:       time.Second,
-		BackoffFactor: 2,
-		MaxBackoff:    4 * time.Second,
-		ResetAfter:    time.Hour, // never reset during this test
-		MaxRestarts:   3,
-	})
+	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartOnFailure})
 	run := sched(rt)
-	s := rt.Network().Scheduler()
 	c.Start()
 
-	// Crash-loop: each restart is immediately followed by another crash.
-	// Ladder: 1s, 2s, 4s (cap) — then the 4th crash exhausts MaxRestarts.
-	var upAt []time.Duration
-	for i := 0; i < 4; i++ {
+	// Crash-loop: each restart is immediately followed by another crash, so
+	// every downtime is one rung up the ladder until the 30 s cap.
+	ladder := []time.Duration{
+		500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second,
+		8 * time.Second, 16 * time.Second, 30 * time.Second, 30 * time.Second,
+	}
+	for i, down := range ladder {
 		c.Kill()
-		before := sup.Restarts()
-		run(10 * time.Second)
-		if sup.Restarts() > before {
-			upAt = append(upAt, time.Duration(s.Now()))
+		run(down - time.Millisecond)
+		if c.State() != StateStopped {
+			t.Fatalf("restart %d came before its %v downtime", i+1, down)
 		}
-	}
-	if len(upAt) != 3 {
-		t.Fatalf("supervised restarts = %d, want 3", len(upAt))
-	}
-	if !sup.GaveUp() {
-		t.Fatal("supervisor did not give up after MaxRestarts")
-	}
-	if c.State() != StateStopped {
-		t.Fatal("container running after supervisor gave up")
-	}
-}
-
-func TestSupervisorHealthProbeTriggersRestart(t *testing.T) {
-	healthy := true
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{
-		Policy:         RestartOnFailure,
-		Backoff:        time.Second,
-		Probe:          func(*Container) bool { return healthy },
-		ProbeInterval:  time.Second,
-		UnhealthyAfter: 3,
-	})
-	run := sched(rt)
-	c.Start()
-	run(10 * time.Second)
-	if sup.UnhealthyEvents() != 0 {
-		t.Fatal("healthy container marked unhealthy")
-	}
-	healthy = false
-	run(3 * time.Second) // three consecutive failures
-	if sup.UnhealthyEvents() != 1 {
-		t.Fatalf("UnhealthyEvents = %d, want 1", sup.UnhealthyEvents())
-	}
-	if c.Crashes() == 0 {
-		t.Fatal("unhealthy container was not killed")
-	}
-	healthy = true
-	run(5 * time.Second)
-	if c.State() != StateRunning || sup.Unhealthy() {
-		t.Fatalf("unhealthy restart failed: state=%v unhealthy=%v", c.State(), sup.Unhealthy())
+		run(time.Millisecond)
+		if c.State() != StateRunning || sup.Restarts() != i+1 {
+			t.Fatalf("restart %d: state=%v restarts=%d after %v down", i+1, c.State(), sup.Restarts(), down)
+		}
 	}
 }
 

@@ -63,9 +63,6 @@ func (t *Template) Profile() Profile { return t.profile }
 // TServer reports the benign target address instances aim at.
 func (t *Template) TServer() packet.Addr { return t.tserver }
 
-// Think reports the profile-scaled base think time.
-func (t *Template) Think() time.Duration { return t.think }
-
 // Instantiate returns an unstarted flyweight device backed by this
 // template. name identifies the device (bot ID, container name) and seed
 // drives its private randomness; everything class-level is shared.

@@ -112,15 +112,13 @@ type RandomConfig struct {
 	// Intensity in [0, 1] scales both event counts and impairment
 	// probabilities; 0 yields an empty plan.
 	Intensity float64
-	// Targets are the candidate victims (default: the "dev*" glob).
-	Targets []string
-	// Kinds enables fault types (default: LinkFlap, LinkImpair, CrashLoop).
-	Kinds []Kind
 }
 
-// Random builds a reproducible plan whose expected fault counts scale with
-// Intensity: at full intensity roughly four flaps, three impairment
-// windows, three crash loops and one partition per window.
+// Random builds a reproducible plan of link flaps, impairment windows and
+// crash loops against the devices, whose expected fault counts scale with
+// Intensity: at full intensity four flaps, three impairment windows and
+// three crash loops per window. (Crashes and partitions are for
+// hand-written plans.)
 func Random(cfg RandomConfig) Plan {
 	var p Plan
 	if cfg.Intensity <= 0 || cfg.Window <= 0 {
@@ -128,12 +126,6 @@ func Random(cfg RandomConfig) Plan {
 	}
 	if cfg.Intensity > 1 {
 		cfg.Intensity = 1
-	}
-	if len(cfg.Targets) == 0 {
-		cfg.Targets = []string{"dev*"}
-	}
-	if len(cfg.Kinds) == 0 {
-		cfg.Kinds = []Kind{LinkFlap, LinkImpair, CrashLoop}
 	}
 	rng := sim.Substream(cfg.Seed, "faults/random-plan")
 	span := time.Duration(float64(cfg.Window) * 0.8)
@@ -146,52 +138,30 @@ func Random(cfg RandomConfig) Plan {
 	count := func(base float64) int {
 		return int(math.Ceil(base * cfg.Intensity))
 	}
-	pick := func() []string { return []string{sim.Pick(rng, cfg.Targets)} }
-	for _, k := range cfg.Kinds {
-		switch k {
-		case LinkFlap:
-			for i := 0; i < count(4); i++ {
-				p.Add(Event{Kind: LinkFlap, At: place(), Duration: hold(time.Second, 5*time.Second), Targets: pick()})
-			}
-		case LinkImpair:
-			for i := 0; i < count(3); i++ {
-				p.Add(Event{
-					Kind: LinkImpair, At: place(), Duration: hold(5*time.Second, 15*time.Second),
-					Targets: pick(),
-					Impair: netsim.Impairments{
-						LossProb:    0.02 * cfg.Intensity,
-						CorruptProb: 0.05 * cfg.Intensity,
-						DupProb:     0.02 * cfg.Intensity,
-						ReorderProb: 0.05 * cfg.Intensity,
-					},
-				})
-			}
-		case CrashLoop:
-			for i := 0; i < count(3); i++ {
-				p.Add(Event{
-					Kind: CrashLoop, At: place(), Duration: hold(5*time.Second, 10*time.Second),
-					Every: time.Second, Targets: pick(),
-				})
-			}
-		case Crash:
-			for i := 0; i < count(3); i++ {
-				p.Add(Event{Kind: Crash, At: place(), Targets: pick()})
-			}
-		case Partition:
-			for i := 0; i < count(1); i++ {
-				// Split the candidate set into two deterministic halves.
-				names := append([]string(nil), cfg.Targets...)
-				rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
-				half := (len(names) + 1) / 2
-				p.Add(Event{
-					Kind: Partition, At: place(), Duration: hold(5*time.Second, 10*time.Second),
-					Groups: [][]string{names[:half], names[half:]},
-				})
-			}
-		}
+	devices := []string{"dev*"} // the victims: every device
+	pick := func() []string { return []string{sim.Pick(rng, devices)} }
+	for i := 0; i < count(4); i++ {
+		p.Add(Event{Kind: LinkFlap, At: place(), Duration: hold(time.Second, 5*time.Second), Targets: pick()})
 	}
-	// Timeline order (stable on ties) keeps plan dumps readable and the
-	// injection sequence independent of the Kinds order above.
+	for i := 0; i < count(3); i++ {
+		p.Add(Event{
+			Kind: LinkImpair, At: place(), Duration: hold(5*time.Second, 15*time.Second),
+			Targets: pick(),
+			Impair: netsim.Impairments{
+				LossProb:    0.02 * cfg.Intensity,
+				CorruptProb: 0.05 * cfg.Intensity,
+				DupProb:     0.02 * cfg.Intensity,
+				ReorderProb: 0.05 * cfg.Intensity,
+			},
+		})
+	}
+	for i := 0; i < count(3); i++ {
+		p.Add(Event{
+			Kind: CrashLoop, At: place(), Duration: hold(5*time.Second, 10*time.Second),
+			Every: time.Second, Targets: pick(),
+		})
+	}
+	// Timeline order (stable on ties) keeps plan dumps readable.
 	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
 	return p
 }

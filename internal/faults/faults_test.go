@@ -49,6 +49,11 @@ func newRig(t *testing.T, n int) *rig {
 
 func name(i int) string { return "dev0" + string(rune('0'+i)) }
 
+// linkUp reports whether c's access link passes traffic both ways.
+func linkUp(c *container.Container) bool {
+	return c.Link().UpSide(0) && c.Link().UpSide(1)
+}
+
 func (r *rig) run(d time.Duration) {
 	if err := r.sched.RunFor(d); err != nil {
 		panic(err)
@@ -61,14 +66,14 @@ func TestInjectorLinkFlap(t *testing.T) {
 	p.Add(Event{Kind: LinkFlap, At: time.Second, Duration: 3 * time.Second, Targets: []string{"dev00"}})
 	r.in.Schedule(p)
 	r.run(2 * time.Second)
-	if r.cs[0].Link().Up() {
+	if linkUp(r.cs[0]) {
 		t.Fatal("link not cut at flap start")
 	}
-	if r.cs[1].Link().Up() == false {
+	if !linkUp(r.cs[1]) {
 		t.Fatal("flap hit an untargeted link")
 	}
 	r.run(3 * time.Second)
-	if !r.cs[0].Link().Up() {
+	if !linkUp(r.cs[0]) {
 		t.Fatal("link not restored after flap duration")
 	}
 	if cs := r.in.CounterMap(); cs[string(LinkFlap)] != 1 {
@@ -84,7 +89,7 @@ func TestInjectorFlapDoesNotRecableStoppedContainer(t *testing.T) {
 	r.run(2 * time.Second)
 	r.cs[0].Stop() // operator stops the container mid-flap
 	r.run(5 * time.Second)
-	if r.cs[0].Link().Up() {
+	if linkUp(r.cs[0]) {
 		t.Fatal("flap restore re-cabled a stopped container")
 	}
 }
@@ -99,7 +104,7 @@ func TestInjectorImpairAppliesAndRestores(t *testing.T) {
 	})
 	r.in.Schedule(p)
 	r.run(2 * time.Second)
-	im := r.cs[0].Link().Impairments()
+	im := r.cs[0].Link().ImpairmentsSide(0)
 	if im.CorruptProb != 0.5 {
 		t.Fatalf("impairment not applied: %+v", im)
 	}
@@ -107,7 +112,7 @@ func TestInjectorImpairAppliesAndRestores(t *testing.T) {
 		t.Fatal("injector did not fill the impairment RNG")
 	}
 	r.run(4 * time.Second)
-	if r.cs[0].Link().Impairments().Active() {
+	if r.cs[0].Link().ImpairmentsSide(0).Active() {
 		t.Fatal("impairment not restored after window")
 	}
 }
@@ -131,11 +136,9 @@ func TestInjectorCrashAndGlob(t *testing.T) {
 func TestInjectorCrashLoopFightsSupervisor(t *testing.T) {
 	r := newRig(t, 1)
 	sup := r.rt.Supervise(r.cs[0], container.SupervisorConfig{
-		Policy:  container.RestartAlways,
-		Backoff: 500 * time.Millisecond,
-		// Keep the ladder flat so the loop gets several rounds in.
-		BackoffFactor: 1,
-		ResetAfter:    time.Hour,
+		Policy: container.RestartAlways,
+		// A flat 500 ms downtime lets the loop get several rounds in.
+		Delay: func(int) time.Duration { return 500 * time.Millisecond },
 	})
 	var p Plan
 	p.Add(Event{Kind: CrashLoop, At: time.Second, Duration: 6 * time.Second, Every: time.Second, Targets: []string{"dev00"}})
@@ -177,10 +180,7 @@ func TestInjectorPartitionHeals(t *testing.T) {
 }
 
 func TestRandomPlanDeterministicAndScaled(t *testing.T) {
-	cfg := RandomConfig{
-		Seed: 42, Window: time.Minute, Intensity: 1,
-		Kinds: []Kind{LinkFlap, LinkImpair, CrashLoop, Partition},
-	}
+	cfg := RandomConfig{Seed: 42, Window: time.Minute, Intensity: 1}
 	a, b := Random(cfg), Random(cfg)
 	if a.String() != b.String() {
 		t.Fatalf("same seed produced different plans:\n%s\nvs\n%s", a, b)
@@ -188,8 +188,8 @@ func TestRandomPlanDeterministicAndScaled(t *testing.T) {
 	if len(a.Events) == 0 {
 		t.Fatal("full-intensity plan is empty")
 	}
-	if got := len(a.Kinds()); got != 4 {
-		t.Fatalf("plan uses %d kinds, want 4", got)
+	if got := len(a.Kinds()); got != 3 {
+		t.Fatalf("plan uses %d kinds, want 3 (flaps, impairments, crash loops)", got)
 	}
 	cfg.Intensity = 0
 	if !Random(cfg).Empty() {

@@ -22,7 +22,9 @@ type envelope struct {
 	Kind string
 }
 
-// Save serializes a trained classifier.
+// Save serializes a trained classifier alone: what SizeBytes measures. A
+// model file on disk is a Bundle (SaveBundleFile), which carries the scaler
+// too.
 func Save(w io.Writer, c ml.Classifier) error {
 	enc := gob.NewEncoder(w)
 	return save(enc, c)
@@ -56,11 +58,6 @@ func save(enc *gob.Encoder, c ml.Classifier) error {
 		return fmt.Errorf("modelio: encode %s: %w", c.Name(), err)
 	}
 	return nil
-}
-
-// Load deserializes a classifier written by Save.
-func Load(r io.Reader) (ml.Classifier, error) {
-	return load(gob.NewDecoder(r))
 }
 
 func load(dec *gob.Decoder) (ml.Classifier, error) {
@@ -322,29 +319,6 @@ func LoadBundleFile(path string) (Bundle, error) {
 	}
 	defer f.Close()
 	return LoadBundle(f)
-}
-
-// SaveFile writes the model to path.
-func SaveFile(path string, c ml.Classifier) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("modelio: %w", err)
-	}
-	defer f.Close()
-	if err := Save(f, c); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (ml.Classifier, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("modelio: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // countingWriter tallies bytes without storing them.

@@ -35,13 +35,14 @@ func TestRoundTripAllModels(t *testing.T) {
 		Name() string
 	}{rf, km, net} {
 		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
+		if err := SaveBundle(&buf, Bundle{Model: m}); err != nil {
 			t.Fatalf("save %s: %v", m.Name(), err)
 		}
-		got, err := Load(&buf)
+		b, err := LoadBundle(&buf)
 		if err != nil {
 			t.Fatalf("load %s: %v", m.Name(), err)
 		}
+		got := b.Model
 		if got.Name() != m.Name() {
 			t.Fatalf("kind changed: %s -> %s", m.Name(), got.Name())
 		}
@@ -86,27 +87,8 @@ func TestModelSizeOrdering(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	xs, ys := mltest.Blobs(100, 8, 3, 3)
-	km, err := kmeans.Train(kmeans.Config{Seed: 3}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "kmeans.gob")
-	if err := SaveFile(path, km); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "kmeans" {
-		t.Fatal("wrong kind from file")
-	}
-}
-
 func TestLoadRejectsJunk(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := LoadBundle(bytes.NewReader([]byte("not a gob stream"))); err == nil {
 		t.Fatal("accepted junk")
 	}
 }
@@ -158,13 +140,14 @@ func TestOffsetViewRoundTrip(t *testing.T) {
 	}
 	v := ml.OffsetView{Inner: rf, Offset: 6}
 	var buf bytes.Buffer
-	if err := Save(&buf, v); err != nil {
+	if err := SaveBundle(&buf, Bundle{Model: v}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	b, err := LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := b.Model
 	gv, ok := got.(ml.OffsetView)
 	if !ok || gv.Offset != 6 {
 		t.Fatalf("got %T %+v", got, got)

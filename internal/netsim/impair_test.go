@@ -16,7 +16,7 @@ func TestLinkDownCutsInFlightFrames(t *testing.T) {
 	delivered := 0
 	b.SetHandler(func(raw []byte) { delivered++ })
 	a.Send(frame(a.MAC(), b.MAC(), 1000-packet.EthernetHeaderLen))
-	s.At(10*sim.Millisecond, func() { a.link.SetUp(false) })
+	s.At(10*sim.Millisecond, func() { setLinkUp(a.link, false) })
 	s.Drain()
 	if delivered != 0 {
 		t.Fatal("in-flight frame survived a link cut")
@@ -42,8 +42,8 @@ func TestLinkDownThenUpDoesNotResurrectFrames(t *testing.T) {
 	delivered := 0
 	b.SetHandler(func(raw []byte) { delivered++ })
 	a.Send(frame(a.MAC(), b.MAC(), 1000-packet.EthernetHeaderLen))
-	s.At(9*sim.Millisecond, func() { a.link.SetUp(false) })
-	s.At(20*sim.Millisecond, func() { a.link.SetUp(true) })
+	s.At(9*sim.Millisecond, func() { setLinkUp(a.link, false) })
+	s.At(20*sim.Millisecond, func() { setLinkUp(a.link, true) })
 	s.Drain()
 	// Arrival at 18ms hits a down link; restore at 20ms must not replay it.
 	if delivered != 0 {
@@ -56,7 +56,7 @@ func TestLinkDownThenUpDoesNotResurrectFrames(t *testing.T) {
 
 func TestImpairmentCorruption(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
-	a.link.SetImpairments(Impairments{CorruptProb: 1, RNG: sim.NewRNG(7)})
+	impairBoth(a.link, Impairments{CorruptProb: 1, RNG: sim.NewRNG(7)})
 	var got []byte
 	b.SetHandler(func(raw []byte) { got = bytes.Clone(raw) }) // raw is valid only during the call
 	sent := frame(a.MAC(), b.MAC(), 64)
@@ -86,7 +86,7 @@ func TestImpairmentCorruption(t *testing.T) {
 
 func TestImpairmentDuplication(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
-	a.link.SetImpairments(Impairments{DupProb: 1, RNG: sim.NewRNG(3)})
+	impairBoth(a.link, Impairments{DupProb: 1, RNG: sim.NewRNG(3)})
 	delivered := 0
 	b.SetHandler(func(raw []byte) { delivered++ })
 	a.Send(frame(a.MAC(), b.MAC(), 64))
@@ -102,7 +102,7 @@ func TestImpairmentDuplication(t *testing.T) {
 
 func TestImpairmentLoss(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
-	a.link.SetImpairments(Impairments{LossProb: 1, RNG: sim.NewRNG(5)})
+	impairBoth(a.link, Impairments{LossProb: 1, RNG: sim.NewRNG(5)})
 	delivered := 0
 	b.SetHandler(func(raw []byte) { delivered++ })
 	a.Send(frame(a.MAC(), b.MAC(), 64))
@@ -130,9 +130,9 @@ func TestImpairmentReorder(t *testing.T) {
 		f[len(f)-1] = tag
 		return f
 	}
-	a.link.SetImpairments(Impairments{ReorderProb: 1, ReorderDelay: 50 * sim.Millisecond, RNG: sim.NewRNG(9)})
+	impairBoth(a.link, Impairments{ReorderProb: 1, ReorderDelay: 50 * sim.Millisecond, RNG: sim.NewRNG(9)})
 	a.Send(mk(1)) // transmits immediately: reordered, held 50 ms extra
-	a.link.SetImpairments(Impairments{})
+	impairBoth(a.link, Impairments{})
 	a.Send(mk(2)) // queued; transmits after frame 1's serialization, unimpaired
 	s.Drain()
 	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
@@ -147,7 +147,7 @@ func TestImpairmentConservation(t *testing.T) {
 	// With loss+dup+corrupt active, every transmitted frame is delivered
 	// (possibly twice), lost, or dropped — the counters must balance.
 	s, a, b := twoNodes(t, LinkConfig{RateBps: 100_000_000, QueueBytes: 1 << 20})
-	a.link.SetImpairments(Impairments{
+	impairBoth(a.link, Impairments{
 		LossProb:    0.2,
 		CorruptProb: 0.1,
 		DupProb:     0.15,

@@ -546,10 +546,6 @@ func (c *NIC) SetIngressFilterCtx(fn func(raw []byte, tc trace.Context) bool) { 
 // IngressDropped reports frames discarded by the ingress filter.
 func (c *NIC) IngressDropped() uint64 { return c.ingressDropped.Value() }
 
-// Side reports which end of the attached link this NIC terminates (0 when
-// unattached, by convention).
-func (c *NIC) Side() int { return c.side }
-
 // SetLinkUp plugs or unplugs this NIC's side of its link. Only the NIC's
 // own side changes, so the operation is domain-local: a halting container
 // can always unplug itself even when the far end (a switch port) lives in
@@ -658,10 +654,8 @@ func (s *LinkStats) Add(o LinkStats) {
 //
 // Up/down state and impairments are held per SIDE: side i is owned by the
 // domain of ends[i], and every mutation of side i's state executes on that
-// side's scheduler. Whole-link operations (SetUp, SetImpairments) write
-// both sides and are safe whenever both sides share a scheduler or no
-// events are running; callers in a partitioned run route per-side
-// operations (SetUpSide, SetImpairmentsSide) to the owning schedulers.
+// side's scheduler: callers route SetUpSide and SetImpairmentsSide to the
+// owning scheduler of the side they change.
 type Link struct {
 	net *Network
 	cfg LinkConfig
@@ -811,13 +805,6 @@ func wireLink(n *Network, a, b Port, cfg LinkConfig, idx int) *Link {
 // streams so they cannot collide with other KeyedStream users.
 const lossStreamKey = 0x6c696e6b2d6c6f73 // "link-los"
 
-// crossDomain reports whether the link's endpoints execute in different
-// PDES domains.
-func (l *Link) crossDomain() bool {
-	d := &l.dirs[0]
-	return d.fromDom != nil && d.fromDom != d.toDom
-}
-
 func bindPort(p Port, l *Link, side int) {
 	switch v := p.(type) {
 	case *NIC:
@@ -833,52 +820,24 @@ func bindPort(p Port, l *Link, side int) {
 // delivers (in either direction).
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 
-// SetUp raises or cuts both sides of the link. A side being down drops
-// frames sent from it at the queue, and drops frames arriving into it at
-// their arrival instant (a cut cable loses what's on the wire, counted in
-// LinkStats.InFlightDrops). In a partitioned run, call mid-simulation only
-// when both ends share a domain; otherwise cut each side from its owning
-// scheduler with SetUpSide.
-func (l *Link) SetUp(up bool) { l.up[0], l.up[1] = up, up }
-
 // SetUpSide raises or cuts one side of the link — the end attached at
-// ends[side]. Side state is owned by that end's domain: a container halt
-// unplugs its own NIC's side, and the fault injector cuts a cross-domain
-// link with one sub-event per side, each on the owning scheduler.
+// ends[side]. A side being down drops frames sent from it at the queue, and
+// drops frames arriving into it at their arrival instant (a cut cable loses
+// what's on the wire, counted in LinkStats.InFlightDrops). Side state is
+// owned by that end's domain: a container halt unplugs its own NIC's side,
+// and the fault injector cuts a link with one sub-event per side, each on
+// the owning scheduler.
 func (l *Link) SetUpSide(side int, up bool) { l.up[side] = up }
-
-// Up reports whether the link is passing traffic in both directions.
-func (l *Link) Up() bool { return l.up[0] && l.up[1] }
 
 // UpSide reports whether ends[side]'s cable is plugged in.
 func (l *Link) UpSide(side int) bool { return l.up[side] }
 
-// SetImpairments installs (or, with the zero value, clears) runtime
-// impairments on both directions. Takes effect for frames transmitted
-// after the call. Each direction draws from its own stream: when im.RNG is
-// set, two per-direction seeds are split off it here, so the caller's RNG
-// never couples the two directions (or two domains) together. In a
-// partitioned run, call mid-simulation only when both ends share a domain;
-// otherwise install each side from its owning scheduler with
-// SetImpairmentsSide.
-func (l *Link) SetImpairments(im Impairments) {
-	for side := range l.dirs {
-		sideIm := im
-		if im.RNG != nil {
-			sideIm.RNG = sim.NewRNG(im.RNG.Int63())
-		}
-		l.SetImpairmentsSide(side, sideIm)
-	}
-}
-
-// SetImpairmentsSide installs impairments on the single direction that
-// sends FROM ends[side]. The spec's RNG is used as-is; callers routing
-// per-side events across domains must supply per-side streams.
+// SetImpairmentsSide installs (or, with the zero value, clears) runtime
+// impairments on the single direction that sends FROM ends[side]. Takes
+// effect for frames transmitted after the call. The spec's RNG is used
+// as-is, so each direction needs a stream of its own: one shared between
+// the directions would couple them (and, across domains, race).
 func (l *Link) SetImpairmentsSide(side int, im Impairments) { l.dirs[side].imp = im }
-
-// Impairments returns the impairment set sending from ends[0] — the
-// whole-link view for callers that installed via SetImpairments.
-func (l *Link) Impairments() Impairments { return l.dirs[0].imp }
 
 // ImpairmentsSide returns the impairment set sending from ends[side],
 // including its private RNG, so a fault window can save and restore it.

@@ -27,6 +27,24 @@ func twoNodes(t *testing.T, cfg LinkConfig) (*sim.Scheduler, *NIC, *NIC) {
 	return s, a, b
 }
 
+// setLinkUp raises or cuts both sides of l, as a cable pulled at both ends.
+func setLinkUp(l *Link, up bool) {
+	l.SetUpSide(0, up)
+	l.SetUpSide(1, up)
+}
+
+// impairBoth installs im on both directions of l, each drawing from a
+// stream of its own split off im.RNG (when set).
+func impairBoth(l *Link, im Impairments) {
+	for side := range l.dirs {
+		sideIm := im
+		if im.RNG != nil {
+			sideIm.RNG = sim.NewRNG(im.RNG.Int63())
+		}
+		l.SetImpairmentsSide(side, sideIm)
+	}
+}
+
 func TestLinkDeliversFrame(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
 	var got []byte
@@ -113,13 +131,13 @@ func TestLinkDownDropsTraffic(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
 	delivered := 0
 	b.SetHandler(func(raw []byte) { delivered++ })
-	a.link.SetUp(false)
+	setLinkUp(a.link, false)
 	a.Send(frame(a.MAC(), b.MAC(), 64))
 	s.Drain()
 	if delivered != 0 {
 		t.Fatal("frame delivered over a down link")
 	}
-	a.link.SetUp(true)
+	setLinkUp(a.link, true)
 	a.Send(frame(a.MAC(), b.MAC(), 64))
 	s.Drain()
 	if delivered != 1 {

@@ -65,7 +65,7 @@ func runPDESStarCfg(t *testing.T, leaves, domains, workers int, cfg LinkConfig, 
 		nics[i] = node.AddNIC()
 		l := net.Connect(nics[i], sw.NewPort(), cfg)
 		if im.Active() {
-			l.SetImpairments(im)
+			impairBoth(l, im)
 		}
 		nics[i].SetHandler(func(raw []byte) {
 			res.deliveries[i] = append(res.deliveries[i],

@@ -102,7 +102,7 @@ func TestFloodHandsEachPortItsOwnFrame(t *testing.T) {
 // buffers.
 func TestDuplicateIsACopy(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
-	a.link.SetImpairments(Impairments{DupProb: 1, RNG: sim.NewRNG(3)})
+	impairBoth(a.link, Impairments{DupProb: 1, RNG: sim.NewRNG(3)})
 	f := pooled(a.MAC(), b.MAC(), 300)
 	r := newReceiver(t, f)
 	b.SetHandler(r.handle)
@@ -118,7 +118,7 @@ func TestDuplicateIsACopy(t *testing.T) {
 // flipped; the original is released at the link.
 func TestCorruptionReleasesTheOriginal(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{})
-	a.link.SetImpairments(Impairments{CorruptProb: 1, DupProb: 1, RNG: sim.NewRNG(7)})
+	impairBoth(a.link, Impairments{CorruptProb: 1, DupProb: 1, RNG: sim.NewRNG(7)})
 	f := pooled(a.MAC(), b.MAC(), 100)
 	r := newReceiver(t, f)
 	r.flips = 1
@@ -167,7 +167,7 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 	cases := map[string]func(t *testing.T) setup{
 		"link-down": func(t *testing.T) setup {
 			s, a, b := pair(t, LinkConfig{})
-			a.link.SetUp(false)
+			setLinkUp(a.link, false)
 			return setup{a.node.net, s, func() { a.Send(pooled(a.MAC(), b.MAC(), 64)) },
 				0, func() uint64 { return a.link.Counters().QueueDrops }}
 		},
@@ -187,7 +187,7 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 		},
 		"impairment-loss": func(t *testing.T) setup {
 			s, a, b := pair(t, LinkConfig{})
-			a.link.SetImpairments(Impairments{LossProb: 1, RNG: sim.NewRNG(1)})
+			impairBoth(a.link, Impairments{LossProb: 1, RNG: sim.NewRNG(1)})
 			return setup{a.node.net, s, func() { a.Send(pooled(a.MAC(), b.MAC(), 64)) },
 				0, func() uint64 { return a.link.Counters().LossFrames }}
 		},
@@ -195,15 +195,15 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 			s, a, b := pair(t, LinkConfig{Delay: 10 * sim.Millisecond})
 			return setup{a.node.net, s, func() {
 				a.Send(pooled(a.MAC(), b.MAC(), 64))
-				s.At(sim.Millisecond, func() { a.link.SetUp(false) })
+				s.At(sim.Millisecond, func() { setLinkUp(a.link, false) })
 			}, 0, func() uint64 { return a.link.Counters().InFlightDrops }}
 		},
 		"corrupted-then-cut": func(t *testing.T) setup {
 			s, a, b := pair(t, LinkConfig{Delay: 10 * sim.Millisecond})
-			a.link.SetImpairments(Impairments{CorruptProb: 1, DupProb: 1, RNG: sim.NewRNG(1)})
+			impairBoth(a.link, Impairments{CorruptProb: 1, DupProb: 1, RNG: sim.NewRNG(1)})
 			return setup{a.node.net, s, func() {
 				a.Send(pooled(a.MAC(), b.MAC(), 64))
-				s.At(sim.Millisecond, func() { a.link.SetUp(false) })
+				s.At(sim.Millisecond, func() { setLinkUp(a.link, false) })
 			}, 2, func() uint64 { return a.link.Counters().InFlightDrops }}
 		},
 		"unattached": func(t *testing.T) setup {
@@ -295,7 +295,7 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 func TestLinkLedgerBalances(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{RateBps: 10_000_000, Delay: 5 * sim.Millisecond,
 		QueueBytes: 4000, LossProb: 0.1, RNG: sim.NewRNG(5)})
-	a.link.SetImpairments(Impairments{CorruptProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, LossProb: 0.05, RNG: sim.NewRNG(9)})
+	impairBoth(a.link, Impairments{CorruptProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, LossProb: 0.05, RNG: sim.NewRNG(9)})
 	b.SetHandler(func([]byte) {})
 	a.SetHandler(func([]byte) {})
 	for i := 0; i < 400; i++ {

@@ -204,7 +204,7 @@ func TestTransmitterStateTable(t *testing.T) {
 			script: func(p *txScript) sim.Time {
 				p.send(0, 986, 1)
 				p.s.At(20*ms, func() {
-					p.a.link.SetImpairments(Impairments{LossProb: 1, RNG: sim.NewRNG(5)})
+					impairBoth(p.a.link, Impairments{LossProb: 1, RNG: sim.NewRNG(5)})
 				})
 				p.send(21*ms, 986, 1)
 				return 0
@@ -215,7 +215,7 @@ func TestTransmitterStateTable(t *testing.T) {
 		{name: "loss, corruption, duplication and reordering draws",
 			cfg: LinkConfig{RateBps: 1_000_000, Delay: 2 * ms, QueueBytes: 6000, LossProb: 0.15, RNG: sim.NewRNG(11)},
 			script: func(p *txScript) sim.Time {
-				p.a.link.SetImpairments(Impairments{
+				impairBoth(p.a.link, Impairments{
 					LossProb: 0.1, CorruptProb: 0.2, DupProb: 0.2, ReorderProb: 0.2, RNG: sim.NewRNG(5),
 				})
 				for i := 0; i < 12; i++ {

@@ -126,10 +126,9 @@ type Conn struct {
 	// while the local side is still open.
 	OnRemoteClose func()
 
-	connected   bool
-	closeFired  bool
-	acceptedBy  *Listener
-	established sim.Time
+	connected  bool
+	closeFired bool
+	acceptedBy *Listener
 
 	bytesSent   uint64
 	bytesRcvd   uint64
@@ -152,9 +151,6 @@ func (c *Conn) Host() *Host { return c.host }
 func (c *Conn) Stats() (sent, rcvd, retransmits uint64) {
 	return c.bytesSent, c.bytesRcvd, c.retransmits
 }
-
-// EstablishedAt reports when the connection reached ESTABLISHED.
-func (c *Conn) EstablishedAt() sim.Time { return c.established }
 
 // Listener accepts inbound TCP connections on a port.
 type Listener struct {
@@ -632,7 +628,6 @@ func (c *Conn) handleSegment(tcp packet.TCP, data []byte) {
 			c.rto = baseRTO
 			c.disarmRetransmit()
 			c.state = StateEstablished
-			c.established = c.host.sched.Now()
 			c.sendSegment(c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
 			c.connected = true
 			if c.OnConnect != nil {
@@ -648,7 +643,6 @@ func (c *Conn) handleSegment(tcp packet.TCP, data []byte) {
 			c.rto = baseRTO
 			c.disarmRetransmit()
 			c.state = StateEstablished
-			c.established = c.host.sched.Now()
 			if l := c.acceptedBy; l != nil {
 				delete(l.halfDM, c.key)
 				l.accepted++

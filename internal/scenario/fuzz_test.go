@@ -39,6 +39,8 @@ func FuzzLoad(f *testing.F) {
 		`{"name": "defended", "seed": 11, "devices": 6, "groups": 2, "durationSec": 4,
 		  "traceSampleRate": 0.5, "chaos": 1, "ids": true, "mitigate": true, "windowMillis": 200,
 		  "attacks": [{"atSec": 0.5, "type": "ack", "port": 80, "durationSec": 2, "pps": 300}]}`,
+		// Groups on the testbed's default fleet.
+		`{"durationSec": 5, "groups": 2}`,
 	} {
 		f.Add([]byte(variant))
 	}

@@ -145,6 +145,10 @@ func (d *Definition) Validate() error {
 	if d.Devices < 0 || d.Devices > testbed.MaxDevices {
 		return fmt.Errorf("scenario %q: devices out of range", d.Name)
 	}
+	devices := d.Devices // the fleet the run will have
+	if devices == 0 {
+		devices = testbed.DefaultDevices
+	}
 	for _, f := range []struct {
 		name      string
 		v, lo, hi float64
@@ -158,7 +162,7 @@ func (d *Definition) Validate() error {
 		{"link.queueKB", float64(d.Link.QueueKB), 1, maxQueueKB},
 		{"link.lossProb", d.Link.LossProb, 0, 1},
 		{"windowMillis", float64(d.WindowMillis), 1, maxSeconds * 1e3},
-		{"groups", float64(d.Groups), 0, float64(d.Devices)},
+		{"groups", float64(d.Groups), 0, float64(devices)},
 		{"traceSampleRate", d.TraceSampleRate, 0, 1},
 		{"chaos", d.Chaos, 0, 1},
 	} {

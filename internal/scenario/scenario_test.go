@@ -56,6 +56,11 @@ func TestLoadValid(t *testing.T) {
 	if !cfg.Churn.Enabled || cfg.Churn.MeanUp != time.Minute {
 		t.Fatalf("churn: %+v", cfg.Churn)
 	}
+	// Groups are bounded by the fleet the run gets, the testbed's default
+	// one when devices is omitted.
+	if _, err := Load(strings.NewReader(`{"durationSec": 5, "groups": 2}`)); err != nil {
+		t.Fatalf("groups without devices rejected: %v", err)
+	}
 	// Loss draws from the per-link streams keyed by the scenario seed: the
 	// lossy definition builds and runs.
 	if cfg.Link.LossProb != 0.01 {
@@ -90,6 +95,7 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		"not json":         `nope`,
 		"negative groups":  `{"durationSec": 10, "devices": 4, "groups": -1}`,
 		"groups > devices": `{"durationSec": 10, "devices": 4, "groups": 5}`,
+		"groups > default": `{"durationSec": 10, "groups": 11}`,
 		"trace rate > 1":   `{"durationSec": 10, "traceSampleRate": 1.5}`,
 		"negative chaos":   `{"durationSec": 10, "chaos": -0.1}`,
 		"chaos above one":  `{"durationSec": 10, "chaos": 2}`,

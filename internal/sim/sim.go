@@ -423,9 +423,6 @@ func (t *Ticker) Stop() {
 // Ticks reports how many times the ticker has fired.
 func (t *Ticker) Ticks() uint64 { return t.ticks }
 
-// Interval reports the tick interval.
-func (t *Ticker) Interval() time.Duration { return t.interval }
-
 // String summarizes scheduler state, for debugging.
 func (s *Scheduler) String() string {
 	return fmt.Sprintf("sim.Scheduler{now=%s pending=%d fired=%d}", s.now, len(s.queue), s.fired)

@@ -54,6 +54,9 @@ var (
 	addrAttacker = packet.AddrFrom4(10, 0, 0, 3)
 )
 
+// DefaultDevices is the fleet size of a Config that sets no NumDevices.
+const DefaultDevices = 10
+
 // MaxDevices bounds the fleet size a Config may request: the classic
 // 10.0.2.x plane plus the 10.4.0.0+ extension plane comfortably hold it,
 // and it is the scale the 100k-device campaigns target with headroom.
@@ -132,7 +135,8 @@ type ChurnConfig struct {
 type Config struct {
 	// Seed drives every stochastic component.
 	Seed int64
-	// NumDevices is the Dev fleet size (default 10, max MaxDevices).
+	// NumDevices is the Dev fleet size (default DefaultDevices, max
+	// MaxDevices).
 	NumDevices int
 	// Profiles cycles device classes (default devices.DefaultFleet).
 	Profiles []devices.Profile
@@ -239,7 +243,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.NumDevices <= 0 {
-		c.NumDevices = 10
+		c.NumDevices = DefaultDevices
 	}
 	if len(c.Profiles) == 0 {
 		c.Profiles = devices.DefaultFleet
@@ -1158,8 +1162,9 @@ func (tb *Testbed) detectionLatency(alert sim.Time, alerted bool) (time.Duration
 }
 
 // ScheduleAttack broadcasts one C2 command at the given offset from
-// simulation start. Unlike C2.ScheduleAttack it is safe to call before
-// Start (it runs on the testbed's scheduler).
+// simulation start. It is safe to call before Start (it runs on the
+// testbed's scheduler); bots that join between scheduling and firing are
+// included, since the broadcast reads the population at fire time.
 func (tb *Testbed) ScheduleAttack(at time.Duration, cmd botnet.Command) {
 	tb.sched.At(sim.FromDuration(at), func() { tb.c2.Broadcast(cmd) })
 }
