@@ -166,14 +166,14 @@ func runThroughputSeries(sc experiments.Scenario) error {
 	if err != nil {
 		return err
 	}
-	ts := tb.NewThroughputSampler(time.Second)
+	ts := tb.NewThroughputSampler()
 	tb.Start()
 	if err := tb.Run(90 * time.Second); err != nil {
 		return err
 	}
 	tb.C2().Broadcast(botnet.Command{
 		Type: botnet.AttackSYN, Target: tb.TServerAddr(), Port: 80,
-		Duration: 30 * time.Second, PPS: sc.TrainPPS,
+		Duration: 30 * time.Second, PPS: experiments.TrainPPS,
 	})
 	if err := tb.Run(60 * time.Second); err != nil {
 		return err

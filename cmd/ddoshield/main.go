@@ -83,7 +83,7 @@ func run() error {
 		tb.AddTap(pw.Tap())
 	}
 
-	ts := tb.NewThroughputSampler(time.Second)
+	ts := tb.NewThroughputSampler()
 
 	// Live observability endpoint: the run refreshes rendered snapshots once
 	// per simulated second, between events in every domain (Observe); HTTP
@@ -102,7 +102,7 @@ func run() error {
 		// The profile walks the whole topology, so refresh it at a coarser
 		// cadence than the per-second metrics tick.
 		tb.Observe(5*time.Second, func(sim.Time) {
-			if data, err := tb.Profile(0).JSON(); err == nil {
+			if data, err := tb.Profile().JSON(); err == nil {
 				live.UpdateProfile(data)
 			}
 		})
@@ -230,7 +230,7 @@ func writeArtifacts(dir string, r *scenario.Run) error {
 	// artifacts' rendering time.
 	files = append(files, artifact{"profile.json", func(w io.Writer) error {
 		tb.Profiler().EndPhase(prof.PhaseTeardown)
-		return tb.Profile(0).WriteJSON(w)
+		return tb.Profile().WriteJSON(w)
 	}})
 	for _, a := range files {
 		if err := writeFile(filepath.Join(dir, a.name), a.render); err != nil {
@@ -238,7 +238,7 @@ func writeArtifacts(dir string, r *scenario.Run) error {
 		}
 	}
 	fmt.Printf("artifacts written to %s\n", dir)
-	fmt.Fprint(os.Stderr, tb.BottleneckReport(0).String())
+	fmt.Fprint(os.Stderr, tb.BottleneckReport().String())
 	return nil
 }
 

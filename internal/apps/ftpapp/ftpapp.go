@@ -24,8 +24,6 @@ const DefaultPort = 21
 
 // ServerConfig tunes the FTP server.
 type ServerConfig struct {
-	// Port is the control port (default 21).
-	Port uint16
 	// MeanFileBytes is the mean RETR transfer size (default 64 KiB),
 	// drawn from a bounded Pareto.
 	MeanFileBytes int
@@ -52,9 +50,6 @@ type Server struct {
 
 // NewServer returns an unstarted FTP server.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
 	if cfg.MeanFileBytes <= 0 {
 		cfg.MeanFileBytes = 64 << 10
 	}
@@ -64,7 +59,7 @@ func NewServer(cfg ServerConfig) *Server {
 // Attach binds the server to a host and starts listening on the control port.
 func (s *Server) Attach(h *netstack.Host) error {
 	s.host = h
-	l, err := h.ListenTCP(s.cfg.Port, 0, s.accept)
+	l, err := h.ListenTCP(DefaultPort, 0, s.accept)
 	if err != nil {
 		return fmt.Errorf("ftpapp: %w", err)
 	}
@@ -232,7 +227,6 @@ func (ss *session) openPassive() {
 type Client struct {
 	host      *netstack.Host
 	server    packet.Addr
-	port      uint16
 	user      string
 	pass      string
 	meanThink time.Duration
@@ -246,16 +240,12 @@ type Client struct {
 }
 
 // NewClient returns an unstarted FTP client workload.
-func NewClient(server packet.Addr, port uint16, user, pass string, meanThink time.Duration, seed int64) *Client {
-	if port == 0 {
-		port = DefaultPort
-	}
+func NewClient(server packet.Addr, user, pass string, meanThink time.Duration, seed int64) *Client {
 	if meanThink <= 0 {
 		meanThink = 10 * time.Second
 	}
 	return &Client{
 		server:    server,
-		port:      port,
 		user:      user,
 		pass:      pass,
 		meanThink: meanThink,
@@ -286,7 +276,7 @@ func (c *Client) Stats() (sessions, completed, failed, bytesIn uint64) {
 
 func (c *Client) session() {
 	c.sessions++
-	ctrl := c.host.DialTCP(c.server, c.port)
+	ctrl := c.host.DialTCP(c.server, DefaultPort)
 	done := false
 	fail := func() {
 		if !done {

@@ -32,7 +32,7 @@ func TestFullSessionTransfers(t *testing.T) {
 	if err := srv.Attach(sh); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(sh.Addr(), 0, "iot", "iot", 5*time.Second, 3)
+	cl := NewClient(sh.Addr(), "iot", "iot", 5*time.Second, 3)
 	cl.Attach(ch)
 	if err := s.Run(120 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestAuthRejectsWrongPassword(t *testing.T) {
 	if err := srv.Attach(sh); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(sh.Addr(), 0, "iot", "wrong", 2*time.Second, 5)
+	cl := NewClient(sh.Addr(), "iot", "wrong", 2*time.Second, 5)
 	cl.Attach(ch)
 	if err := s.Run(30 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestAnonymousAcceptedWhenNoUsers(t *testing.T) {
 	if err := srv.Attach(sh); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(sh.Addr(), 0, "anonymous", "x@y", 2*time.Second, 8)
+	cl := NewClient(sh.Addr(), "anonymous", "x@y", 2*time.Second, 8)
 	cl.Attach(ch)
 	if err := s.Run(30 * sim.Second); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestFTPTransferWireIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := apptest.Capture(t, sh)
-	cl := NewClient(sh.Addr(), 0, "iot", "iot", 5*time.Second, 3)
+	cl := NewClient(sh.Addr(), "iot", "iot", 5*time.Second, 3)
 	cl.Attach(ch)
 	for done := uint64(0); done == 0; _, done, _, _ = cl.Stats() {
 		if s.Now() > 120*sim.Second {

@@ -22,8 +22,6 @@ const DefaultPort = 80
 
 // ServerConfig tunes the HTTP server.
 type ServerConfig struct {
-	// Port to listen on (default 80).
-	Port uint16
 	// MeanObjectBytes is the mean response body size (default 8 KiB);
 	// actual sizes are drawn from a bounded Pareto (heavy-tailed, like
 	// real web objects).
@@ -44,9 +42,6 @@ type Server struct {
 
 // NewServer returns an unstarted HTTP server.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
 	if cfg.MeanObjectBytes <= 0 {
 		cfg.MeanObjectBytes = 8 << 10
 	}
@@ -55,7 +50,7 @@ func NewServer(cfg ServerConfig) *Server {
 
 // Attach binds the server to a host's stack and starts listening.
 func (s *Server) Attach(h *netstack.Host) error {
-	l, err := h.ListenTCP(s.cfg.Port, 0, s.accept)
+	l, err := h.ListenTCP(DefaultPort, 0, s.accept)
 	if err != nil {
 		return fmt.Errorf("httpapp: %w", err)
 	}

@@ -21,14 +21,13 @@ import (
 // DefaultPort is the RTMP port.
 const DefaultPort = 1935
 
+// chunkBytes is the granularity a stream is pushed at.
+const chunkBytes = 4 << 10
+
 // ServerConfig tunes the streaming server.
 type ServerConfig struct {
-	// Port to listen on (default 1935).
-	Port uint16
 	// BitrateBps is the media bitrate (default 2 Mb/s).
 	BitrateBps int64
-	// ChunkBytes is the push granularity (default 4 KiB).
-	ChunkBytes int
 	// MeanStreamDur is the mean stream length (default 30 s), exponential.
 	MeanStreamDur time.Duration
 	// Seed drives stream durations.
@@ -36,14 +35,8 @@ type ServerConfig struct {
 }
 
 func (cfg ServerConfig) withDefaults() ServerConfig {
-	if cfg.Port == 0 {
-		cfg.Port = DefaultPort
-	}
 	if cfg.BitrateBps <= 0 {
 		cfg.BitrateBps = 2_000_000
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 4 << 10
 	}
 	if cfg.MeanStreamDur <= 0 {
 		cfg.MeanStreamDur = 30 * time.Second
@@ -71,7 +64,7 @@ func NewServer(cfg ServerConfig) *Server {
 // Attach binds the server to a host and starts listening.
 func (s *Server) Attach(h *netstack.Host) error {
 	s.host = h
-	l, err := h.ListenTCP(s.cfg.Port, 0, s.accept)
+	l, err := h.ListenTCP(DefaultPort, 0, s.accept)
 	if err != nil {
 		return fmt.Errorf("rtmpapp: %w", err)
 	}
@@ -112,9 +105,9 @@ func (s *Server) startStream(c *netstack.Conn) {
 		dur = time.Second
 	}
 	total := int(s.cfg.BitrateBps / 8 * int64(dur) / int64(time.Second))
-	interval := time.Duration(int64(s.cfg.ChunkBytes) * 8 * int64(time.Second) / s.cfg.BitrateBps)
+	interval := time.Duration(int64(chunkBytes) * 8 * int64(time.Second) / s.cfg.BitrateBps)
 	workload.SendNumbered(c, "OK stream bytes=", total, "\r\n")
-	ck := workload.NewChunker(s.host.Scheduler(), c, total, s.cfg.ChunkBytes, interval)
+	ck := workload.NewChunker(s.host.Scheduler(), c, total, chunkBytes, interval)
 	sent := total
 	ck.OnDone = func() {
 		s.active--
@@ -129,7 +122,6 @@ func (s *Server) startStream(c *netstack.Conn) {
 type Client struct {
 	host      *netstack.Host
 	server    packet.Addr
-	port      uint16
 	meanThink time.Duration
 	proc      *workload.Process
 	rng       *sim.RNG
@@ -142,16 +134,12 @@ type Client struct {
 
 // NewClient returns an unstarted viewer workload. meanThink is the pause
 // between streams (default 5 s).
-func NewClient(server packet.Addr, port uint16, meanThink time.Duration, seed int64) *Client {
-	if port == 0 {
-		port = DefaultPort
-	}
+func NewClient(server packet.Addr, meanThink time.Duration, seed int64) *Client {
 	if meanThink <= 0 {
 		meanThink = 5 * time.Second
 	}
 	return &Client{
 		server:    server,
-		port:      port,
 		meanThink: meanThink,
 		rng:       sim.Substream(seed, "rtmpapp/client"),
 	}
@@ -183,7 +171,7 @@ func (c *Client) play() {
 	}
 	c.watching = true
 	c.plays++
-	conn := c.host.DialTCP(c.server, c.port)
+	conn := c.host.DialTCP(c.server, DefaultPort)
 	conn.OnConnect = func() {
 		workload.SendNumbered(conn, "PLAY stream", c.rng.Intn(50), "\r\n")
 	}

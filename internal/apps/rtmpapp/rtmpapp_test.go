@@ -36,7 +36,7 @@ func TestStreamingDeliversAtBitrate(t *testing.T) {
 	if err := srv.Attach(sh); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(sh.Addr(), 0, 3*time.Second, 2)
+	cl := NewClient(sh.Addr(), 3*time.Second, 2)
 	cl.Attach(ch)
 	if err := s.Run(120 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestOneStreamPerViewer(t *testing.T) {
 	if err := srv.Attach(sh); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(sh.Addr(), 0, time.Second, 5) // eager viewer
+	cl := NewClient(sh.Addr(), time.Second, 5) // eager viewer
 	cl.Attach(ch)
 	if err := s.Run(30 * sim.Second); err != nil {
 		t.Fatal(err)

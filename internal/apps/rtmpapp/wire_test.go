@@ -29,7 +29,7 @@ func TestRTMPStreamWireIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := apptest.Capture(t, sh)
-	cl := NewClient(sh.Addr(), 0, 3*time.Second, 2)
+	cl := NewClient(sh.Addr(), 3*time.Second, 2)
 	cl.Attach(ch)
 	for finished := uint64(0); finished == 0; _, finished, _ = cl.Stats() {
 		if s.Now() > 120*sim.Second {

@@ -15,6 +15,10 @@ import (
 // TelnetPort is the service the scanner probes and the loader infects over.
 const TelnetPort = 23
 
+// credsPerConnection bounds login attempts per telnet session, matching the
+// device's retry allowance. The scanner walks DefaultDictionary.
+const credsPerConnection = 3
+
 // ScanRange is one contiguous extra address block the scanner probes in
 // addition to TargetRange. Fleet-scale extension planes are contiguous but
 // not prefix-aligned, hence a base+count pair rather than a CIDR prefix.
@@ -34,16 +38,11 @@ type AttackerConfig struct {
 	// uniformly over TargetRange plus every extra range; with no extras,
 	// target selection is bit-for-bit the classic single-range draw.
 	ExtraRanges []ScanRange
-	// C2Addr/C2Port are handed to infected devices in the INSTALL command.
+	// C2Addr is handed to infected devices in the INSTALL command, with
+	// DefaultC2Port.
 	C2Addr packet.Addr
-	C2Port uint16
 	// MeanProbeInterval paces the scanner (default 500 ms between probes).
 	MeanProbeInterval time.Duration
-	// Dictionary is the credential list (default DefaultDictionary).
-	Dictionary []Credential
-	// CredsPerConnection bounds login attempts per telnet session
-	// (default 3, matching the device's retry allowance).
-	CredsPerConnection int
 	// ReinfectCooldown is how long the loader leaves a freshly infected
 	// target alone before probing it again (default 10 min). A rebooted
 	// device is therefore re-conscripted on the next sweep after its
@@ -57,17 +56,8 @@ func (cfg AttackerConfig) withDefaults() AttackerConfig {
 	if cfg.MeanProbeInterval <= 0 {
 		cfg.MeanProbeInterval = 500 * time.Millisecond
 	}
-	if len(cfg.Dictionary) == 0 {
-		cfg.Dictionary = DefaultDictionary
-	}
-	if cfg.CredsPerConnection <= 0 {
-		cfg.CredsPerConnection = 3
-	}
 	if cfg.ReinfectCooldown <= 0 {
 		cfg.ReinfectCooldown = 10 * time.Minute
-	}
-	if cfg.C2Port == 0 {
-		cfg.C2Port = DefaultC2Port
 	}
 	return cfg
 }
@@ -176,12 +166,12 @@ func (a *Attacker) probe() {
 		return
 	}
 	start := a.nextCred[target]
-	if start >= len(a.cfg.Dictionary) {
+	if start >= len(DefaultDictionary) {
 		return // dictionary exhausted against this host
 	}
 	a.probes++
 	a.inflight[target] = true
-	creds := a.cfg.Dictionary[start:min(start+a.cfg.CredsPerConnection, len(a.cfg.Dictionary))]
+	creds := DefaultDictionary[start:min(start+credsPerConnection, len(DefaultDictionary))]
 	sess := &telnetSession{
 		host:      a.host,
 		creds:     creds,
@@ -204,7 +194,7 @@ func (a *Attacker) probe() {
 
 // infect logs back into a cracked device and plants the bot.
 func (a *Attacker) infect(target packet.Addr, cred Credential) {
-	install := fmt.Sprintf("INSTALL %s %d", a.cfg.C2Addr, a.cfg.C2Port)
+	install := fmt.Sprintf("INSTALL %s %d", a.cfg.C2Addr, DefaultC2Port)
 	sess := &telnetSession{
 		host:  a.host,
 		creds: []Credential{cred},

@@ -117,7 +117,7 @@ func TestFloodStopMidAttack(t *testing.T) {
 func TestC2DuplicateRegistrationReplacesSession(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}

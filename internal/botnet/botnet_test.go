@@ -179,7 +179,7 @@ func TestACKFloodFlags(t *testing.T) {
 func TestC2RegistrationAndBroadcast(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestC2RegistrationAndBroadcast(t *testing.T) {
 func TestBotDetachDropsFromC2(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBotDetachDropsFromC2(t *testing.T) {
 func TestBotReconnectsAfterC2Restart(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestCommandOnWireRoundsUp(t *testing.T) {
 func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ const DefaultC2Port = 5555
 // population over time (the "number of connected bots" metric DDoSim
 // reports).
 type C2 struct {
-	port      uint16
 	host      *netstack.Host
 	listener  *netstack.Listener
 	bots      map[string]*botSession
@@ -42,21 +41,15 @@ type botSession struct {
 	conn *netstack.Conn
 }
 
-// NewC2 returns an unstarted C2 on the given port (0 = DefaultC2Port).
-func NewC2(port uint16) *C2 {
-	if port == 0 {
-		port = DefaultC2Port
-	}
-	return &C2{port: port, bots: make(map[string]*botSession)}
+// NewC2 returns an unstarted C2 on DefaultC2Port.
+func NewC2() *C2 {
+	return &C2{bots: make(map[string]*botSession)}
 }
-
-// Port reports the C2 listen port.
-func (c *C2) Port() uint16 { return c.port }
 
 // Attach binds the C2 to a host and starts listening.
 func (c *C2) Attach(h *netstack.Host) error {
 	c.host = h
-	l, err := h.ListenTCP(c.port, 0, c.accept)
+	l, err := h.ListenTCP(DefaultC2Port, 0, c.accept)
 	if err != nil {
 		return fmt.Errorf("c2: %w", err)
 	}

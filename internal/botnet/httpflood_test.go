@@ -81,7 +81,7 @@ func TestHTTPFloodDefaultsPort80(t *testing.T) {
 func TestBotExecutesHTTPCommand(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := NewC2(0)
+	c2 := NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}

@@ -208,11 +208,11 @@ func (d *Device) StartOn(h *netstack.Host) {
 		d.http.Attach(h)
 	}
 	if t.profile.Video {
-		d.video = rtmpapp.NewClient(t.tserver, 0, 2*t.think, d.seed+2)
+		d.video = rtmpapp.NewClient(t.tserver, 2*t.think, d.seed+2)
 		d.video.Attach(h)
 	}
 	if t.profile.FTP {
-		d.ftp = ftpapp.NewClient(t.tserver, 0, "anonymous", "iot@dev", 3*t.think, d.seed+3)
+		d.ftp = ftpapp.NewClient(t.tserver, "anonymous", "iot@dev", 3*t.think, d.seed+3)
 		d.ftp.Attach(h)
 	}
 }

@@ -190,7 +190,7 @@ func TestEndToEndInfectionChain(t *testing.T) {
 
 	// C2.
 	c2Host := r.host(2)
-	c2 := botnet.NewC2(0)
+	c2 := botnet.NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestEndToEndInfectionChain(t *testing.T) {
 func TestDeviceReinfectionAfterReboot(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
-	c2 := botnet.NewC2(0)
+	c2 := botnet.NewC2()
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}

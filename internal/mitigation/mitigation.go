@@ -30,14 +30,15 @@ const (
 	ruleFlow
 )
 
+// flowTTL bounds how long any cached verdict lives before the flow is
+// re-evaluated against the rule tables.
+const flowTTL = 5 * time.Second
+
 // FirewallConfig tunes the inline stage. The zero value is usable.
 type FirewallConfig struct {
 	// CacheSize is the verdict-cache capacity, rounded up to a power of
 	// two (default 1024).
 	CacheSize int
-	// FlowTTL bounds how long any cached verdict lives before the flow is
-	// re-evaluated against the rule tables (default 5 s).
-	FlowTTL time.Duration
 	// SweepInterval is the deterministic aging cadence: every interval the
 	// owning scheduler retires expired cache entries so table occupancy
 	// and the age histogram do not depend on packet arrivals (default 1 s;
@@ -60,9 +61,6 @@ type FirewallConfig struct {
 func (c FirewallConfig) withDefaults() FirewallConfig {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 1024
-	}
-	if c.FlowTTL <= 0 {
-		c.FlowTTL = 5 * time.Second
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
@@ -264,10 +262,10 @@ func flowOfKey(k flowKey) trace.Flow {
 	}
 }
 
-// capExpiry bounds a cached verdict's lifetime by FlowTTL so the cache
+// capExpiry bounds a cached verdict's lifetime by flowTTL so the cache
 // ages even under long-lived rules.
 func (fw *Firewall) capExpiry(ruleExp, now sim.Time) sim.Time {
-	bound := now.Add(fw.cfg.FlowTTL)
+	bound := now.Add(flowTTL)
 	if ruleExp < bound {
 		return ruleExp
 	}
@@ -445,7 +443,7 @@ func (fw *Firewall) evalRules(k flowKey, now sim.Time) (Verdict, uint32, uint8, 
 		}
 		i++
 	}
-	return VerdictAllow, 0, ruleNone, now.Add(fw.cfg.FlowTTL)
+	return VerdictAllow, 0, ruleNone, now.Add(flowTTL)
 }
 
 // recordDrop books one dropped frame: total and rate-limit counters,
@@ -484,6 +482,13 @@ func (fw *Firewall) recordDrop(e *entry, k flowKey, now sim.Time, tc trace.Conte
 	}
 }
 
+// One alert window installs at most maxAddrRules single-address rules and
+// maxFlowRules per-flow drop verdicts.
+const (
+	maxAddrRules = 64
+	maxFlowRules = 256
+)
+
 // ResponderConfig tunes the IDS-driven response policy.
 type ResponderConfig struct {
 	// BlockTTL is how long rules last (default 30 s).
@@ -492,19 +497,11 @@ type ResponderConfig struct {
 	// at least this many flagged sources share the /24 (default 8) — the
 	// defense against spoofed-source floods.
 	AggregateThreshold int
-	// MaxAddrRules caps individual address rules per window (default 64).
-	MaxAddrRules int
-	// MaxFlowRules caps per-flow verdicts per window (default 256).
-	MaxFlowRules int
 	// ReactionDelay models the control-plane lag between an IDS alert and
 	// the rules actually landing at the firewall (default 0: same-instant
 	// install). The delayed install runs on the firewall's scheduler, so
 	// it is deterministic under any Domains setting.
 	ReactionDelay time.Duration
-	// RateLimitKeep, when > 1, installs rate-limit verdicts passing one
-	// frame in every RateLimitKeep for flagged flows instead of hard
-	// drops (0 or 1 = drop).
-	RateLimitKeep int
 	// Protected lists addresses never to block (the infrastructure).
 	Protected []packet.Addr
 	// Registry, when set, exports the responder's counters under
@@ -520,12 +517,6 @@ func (c ResponderConfig) withDefaults() ResponderConfig {
 	}
 	if c.AggregateThreshold <= 0 {
 		c.AggregateThreshold = 8
-	}
-	if c.MaxAddrRules <= 0 {
-		c.MaxAddrRules = 64
-	}
-	if c.MaxFlowRules <= 0 {
-		c.MaxFlowRules = 256
 	}
 	if c.Name == "" {
 		c.Name = "responder"
@@ -614,7 +605,7 @@ func (r *Responder) install(srcs []packet.Addr, flows []trace.Flow) {
 			}
 			continue
 		}
-		if installed >= r.cfg.MaxAddrRules {
+		if installed >= maxAddrRules {
 			continue
 		}
 		r.fw.BlockAddr(src, r.cfg.BlockTTL)
@@ -624,13 +615,9 @@ func (r *Responder) install(srcs []packet.Addr, flows []trace.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	verdict, keep := VerdictDrop, uint32(0)
-	if r.cfg.RateLimitKeep > 1 {
-		verdict, keep = VerdictRateLimit, uint32(r.cfg.RateLimitKeep)
-	}
-	batch := make([]trace.Flow, 0, min(len(flows), r.cfg.MaxFlowRules))
+	batch := make([]trace.Flow, 0, min(len(flows), maxFlowRules))
 	for _, f := range flows {
-		if len(batch) >= r.cfg.MaxFlowRules {
+		if len(batch) >= maxFlowRules {
 			break
 		}
 		if r.protected(packet.AddrFromUint32(f.Src)) {
@@ -638,7 +625,7 @@ func (r *Responder) install(srcs []packet.Addr, flows []trace.Flow) {
 		}
 		batch = append(batch, f)
 	}
-	r.fw.InstallFlowVerdicts(batch, verdict, keep, r.cfg.BlockTTL)
+	r.fw.InstallFlowVerdicts(batch, VerdictDrop, 0, r.cfg.BlockTTL)
 	r.flowRules.Add(uint64(len(batch)))
 }
 

@@ -10,7 +10,6 @@ package netstack
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"time"
 
@@ -25,18 +24,15 @@ import (
 type HostConfig struct {
 	// Addr is the host's IPv4 address.
 	Addr packet.Addr
-	// Gateway is the default next hop for off-subnet destinations; zero
-	// means off-subnet traffic is unroutable. (It sits next to Addr so the
-	// two four-byte addresses share a word: Host is one of these per
-	// simulated device.)
-	Gateway packet.Addr
-	// Subnet is the directly connected prefix.
+	// Subnet is the directly connected prefix. A host has no gateway:
+	// off-subnet traffic is unroutable.
 	Subnet packet.Prefix
 	// Seed drives the stack's RNG (ISNs, ephemeral ports, IP IDs).
 	Seed int64
-	// TTL is the initial TTL for generated packets (default 64).
-	TTL uint8
 }
+
+// ipTTL is the initial TTL of every packet a host generates.
+const ipTTL = 64
 
 type pendingFrame struct {
 	build func(dstMAC packet.MAC) []byte
@@ -90,9 +86,6 @@ type Host struct {
 // Tables, RNG and name are materialized on first use, not here — at fleet
 // scale most hosts never touch them.
 func NewHost(nic *netsim.NIC, cfg HostConfig) *Host {
-	if cfg.TTL == 0 {
-		cfg.TTL = 64
-	}
 	h := &Host{
 		nic:       nic,
 		sched:     nic.Node().Scheduler(),
@@ -280,16 +273,11 @@ func (h *Host) nextEphemeralPort() uint16 {
 	return 0
 }
 
-// nextHop returns the IP the frame must be L2-addressed to: the destination
-// itself when on-subnet, otherwise the default gateway.
-func (h *Host) nextHop(dst packet.Addr) (packet.Addr, error) {
-	if h.cfg.Subnet.Contains(dst) || dst == (packet.Addr{255, 255, 255, 255}) {
-		return dst, nil
-	}
-	if h.cfg.Gateway.IsZero() {
-		return packet.Addr{}, fmt.Errorf("netstack %s: no route to %s", h.cfg.Addr, dst)
-	}
-	return h.cfg.Gateway, nil
+// routable reports whether dst is on the directly connected subnet (or is
+// the limited broadcast address): the only destinations a host reaches,
+// each L2-addressed to itself.
+func (h *Host) routable(dst packet.Addr) bool {
+	return h.cfg.Subnet.Contains(dst) || dst == (packet.Addr{255, 255, 255, 255})
 }
 
 const (
@@ -306,13 +294,12 @@ func (h *Host) sendIP(dst packet.Addr, build func(dstMAC packet.MAC) []byte) {
 // sendIPCtx is sendIP carrying the packet's origin span: the span closes at
 // NIC hand-off (so it covers any ARP wait) or terminates as DropNoRoute.
 func (h *Host) sendIPCtx(dst packet.Addr, tc trace.Context, build func(dstMAC packet.MAC) []byte) {
-	hop, err := h.nextHop(dst)
-	if err != nil {
+	if !h.routable(dst) {
 		// Unroutable: silently dropped, as a real stack would.
 		tc.Drop(h.sched.Now(), trace.DropNoRoute)
 		return
 	}
-	h.sendIPVia(hop, tc, build)
+	h.sendIPVia(dst, tc, build)
 }
 
 // sendTCP transmits one TCP segment. With the next hop's MAC in the ARP
@@ -321,24 +308,23 @@ func (h *Host) sendIPCtx(dst packet.Addr, tc trace.Context, build func(dstMAC pa
 // for a builder closure, and for a private copy of its payload: the bytes
 // may sit in a send buffer that is recycled before ARP answers.
 func (h *Host) sendTCP(ip packet.IPv4, tcp packet.TCP, payload []byte, tc trace.Context) {
-	hop, err := h.nextHop(ip.Dst)
-	if err != nil {
+	if !h.routable(ip.Dst) {
 		tc.Drop(h.sched.Now(), trace.DropNoRoute)
 		return
 	}
-	if e := h.arp[hop]; e != nil && e.mac != (packet.MAC{}) {
+	if e := h.arp[ip.Dst]; e != nil && e.mac != (packet.MAC{}) {
 		h.txIPv4++
 		h.nic.SendCtx(packet.BuildTCP(h.MAC(), e.mac, ip, tcp, payload), tc)
 		tc.Finish(h.sched.Now())
 		return
 	}
 	held := bytes.Clone(payload)
-	h.sendIPVia(hop, tc, func(dstMAC packet.MAC) []byte {
+	h.sendIPVia(ip.Dst, tc, func(dstMAC packet.MAC) []byte {
 		return packet.BuildTCP(h.MAC(), dstMAC, ip, tcp, held)
 	})
 }
 
-// sendIPVia transmits via an explicit next-hop address on this segment.
+// sendIPVia transmits to an on-subnet next hop.
 func (h *Host) sendIPVia(hop packet.Addr, tc trace.Context, build func(dstMAC packet.MAC) []byte) {
 	e := h.arp[hop]
 	if e != nil && e.mac != (packet.MAC{}) {
@@ -388,12 +374,11 @@ func (h *Host) sendARPRequest(target packet.Addr, e *arpEntry) {
 // ResolveMAC performs ARP resolution for ip and invokes cb with the result.
 // The flood engines use it once per target, then forge frames directly.
 func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
-	hop, err := h.nextHop(ip)
-	if err != nil {
+	if !h.routable(ip) {
 		cb(packet.MAC{}, false)
 		return
 	}
-	if e := h.arp[hop]; e != nil && e.mac != (packet.MAC{}) {
+	if e := h.arp[ip]; e != nil && e.mac != (packet.MAC{}) {
 		cb(e.mac, true)
 		return
 	}
@@ -405,7 +390,7 @@ func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
 	})
 	// Failure notification after the retries would have elapsed.
 	h.sched.After(time.Duration(arpMaxTries+1)*arpRetryInterval, func() {
-		if e := h.arp[hop]; e == nil || e.mac == (packet.MAC{}) {
+		if e := h.arp[ip]; e == nil || e.mac == (packet.MAC{}) {
 			cb(packet.MAC{}, false)
 		}
 	})

@@ -352,7 +352,7 @@ func (c *Conn) sendSegment(seq, ack uint32, flags uint8, payload []byte) {
 // retransmissions trace as "tcp-retransmit" rather than "tcp-tx".
 func (c *Conn) sendSegmentTraced(origin string, seq, ack uint32, flags uint8, payload []byte) {
 	h := c.host
-	ip := packet.IPv4{TTL: h.cfg.TTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: c.key.remote}
+	ip := packet.IPv4{TTL: ipTTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: c.key.remote}
 	tcp := packet.TCP{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
@@ -548,7 +548,7 @@ func (h *Host) handleTCP(ip packet.IPv4, payload []byte, tc trace.Context) {
 }
 
 func (h *Host) sendRST(dst packet.Addr, in packet.TCP) {
-	ip := packet.IPv4{TTL: h.cfg.TTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: dst}
+	ip := packet.IPv4{TTL: ipTTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: dst}
 	seq := in.Ack
 	ack := in.Seq + 1
 	flags := packet.FlagRST | packet.FlagACK

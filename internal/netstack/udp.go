@@ -65,7 +65,7 @@ func (s *UDPSocket) Stats() (rxDgrams, rxBytes, txDgrams uint64) {
 
 // sendUDP builds and routes one datagram.
 func (h *Host) sendUDP(srcPort uint16, dst packet.Addr, dstPort uint16, data []byte) {
-	ip := packet.IPv4{TTL: h.cfg.TTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: dst}
+	ip := packet.IPv4{TTL: ipTTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: dst}
 	udp := packet.UDP{SrcPort: srcPort, DstPort: dstPort}
 	payload := make([]byte, len(data))
 	copy(payload, data)

@@ -65,36 +65,31 @@ func (dc *DatasetCollector) Dataset() *dataset.Dataset {
 	return dc.ds
 }
 
-// ThroughputSample is one point of a per-interval byte-rate timeline.
+// ThroughputSample is one point of a per-second byte-rate timeline.
 type ThroughputSample struct {
 	Time sim.Time
-	// RxBytes is bytes received by the observed NIC during the interval.
+	// RxBytes is bytes received by the observed NIC during the second.
 	RxBytes uint64
-	// TxBytes is bytes sent by the observed NIC during the interval.
+	// TxBytes is bytes sent by the observed NIC during the second.
 	TxBytes uint64
 }
 
-// ThroughputSampler records a NIC's per-interval receive/send volume —
+// ThroughputSampler records a NIC's per-second receive/send volume —
 // the "alterations in the target server's throughput" measurement DDoSim
 // reports during attacks.
 type ThroughputSampler struct {
-	nic      *netsim.NIC
-	ticker   *sim.Ticker
-	interval time.Duration
-	lastRx   uint64
-	lastTx   uint64
-	samples  []ThroughputSample
+	nic     *netsim.NIC
+	ticker  *sim.Ticker
+	lastRx  uint64
+	lastTx  uint64
+	samples []ThroughputSample
 }
 
-// NewThroughputSampler starts sampling the TServer's NIC every interval
-// (default 1 s).
-func (tb *Testbed) NewThroughputSampler(interval time.Duration) *ThroughputSampler {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ts := &ThroughputSampler{nic: tb.tserver.Host().NIC(), interval: interval}
+// NewThroughputSampler starts sampling the TServer's NIC every second.
+func (tb *Testbed) NewThroughputSampler() *ThroughputSampler {
+	ts := &ThroughputSampler{nic: tb.tserver.Host().NIC()}
 	_, ts.lastRx, _, ts.lastTx = ts.nic.Stats()
-	ts.ticker = tb.sched.Every(interval, func() {
+	ts.ticker = tb.sched.Every(time.Second, func() {
 		_, rx, _, tx := ts.nic.Stats()
 		ts.samples = append(ts.samples, ThroughputSample{
 			Time:    tb.sched.Now(),
@@ -134,5 +129,5 @@ func (ts *ThroughputSampler) MeanRxBps(from, to sim.Time) float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(bytes) * 8 / (float64(n) * ts.interval.Seconds())
+	return float64(bytes) * 8 / float64(n)
 }

@@ -15,15 +15,11 @@ import (
 // feeds it from one IDS unit's window verdicts. The zero value is usable.
 type MitigationConfig struct {
 	// Responder is the response policy (TTLs, aggregation, reaction
-	// delay, rate limiting). Protected always additionally includes the
-	// testbed's own infrastructure addresses.
+	// delay). Protected always additionally includes the testbed's own
+	// infrastructure addresses.
 	Responder mitigation.ResponderConfig
 	// CacheSize is the verdict-cache capacity (default 1024).
 	CacheSize int
-	// FlowTTL bounds cached verdict lifetimes (default 5 s).
-	FlowTTL time.Duration
-	// SweepInterval is the deterministic cache-aging cadence (default 1 s).
-	SweepInterval time.Duration
 }
 
 // mitigationHandle ties one IDS unit to its firewall and responder for
@@ -46,12 +42,10 @@ type mitigationHandle struct {
 func (tb *Testbed) AttachMitigation(u *ids.Unit, cfg MitigationConfig) *mitigation.Firewall {
 	fw := mitigation.NewFirewallConfig(tb.tserver.Scheduler(), tb.tserver.Host().NIC(),
 		mitigation.FirewallConfig{
-			CacheSize:     cfg.CacheSize,
-			FlowTTL:       cfg.FlowTTL,
-			SweepInterval: cfg.SweepInterval,
-			Classify:      classifyFlow,
-			Registry:      tb.reg,
-			Name:          u.Name(),
+			CacheSize: cfg.CacheSize,
+			Classify:  classifyFlow,
+			Registry:  tb.reg,
+			Name:      u.Name(),
 		})
 	rcfg := cfg.Responder
 	rcfg.Protected = append(tb.protectedAddrs(), rcfg.Protected...)

@@ -63,7 +63,7 @@ func TestPDESDeterminism(t *testing.T) {
 	}
 	engines := make([]string, len(runs))
 	for i, run := range runs {
-		p := run.tb.Profile(0)
+		p := run.tb.Profile()
 		domains := cfgs[i].Domains
 		if len(p.Wall.Phases) == 0 {
 			t.Fatalf("domains=%d: profile has no wall-clock phases", domains)

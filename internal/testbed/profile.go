@@ -7,7 +7,7 @@ import (
 )
 
 // Virtual-load attribution. VirtualProfile re-evaluates the deterministic
-// partitioner at a caller-chosen reference domain count and reads every
+// partitioner at a reference domain count of DeviceGroups+1 and reads every
 // link's two endpoints off that placement (core subtree, device group
 // subtree, or individual device), so the attribution describes the
 // topology's intrinsic load shape — it is a pure function of (config,
@@ -19,13 +19,11 @@ import (
 func (tb *Testbed) Profiler() *prof.Profiler { return tb.prof }
 
 // VirtualProfile builds the deterministic virtual-load attribution at the
-// given reference domain count (<= 0 picks DeviceGroups+1, the maximal
-// one-domain-per-group partitioning). It reads only simulation counters,
-// so it is the same on a serial and a partitioned testbed.
-func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
-	if evalDomains <= 0 {
-		evalDomains = tb.cfg.DeviceGroups + 1
-	}
+// reference domain count DeviceGroups+1, the maximal one-domain-per-group
+// partitioning. It reads only simulation counters, so it is the same on a
+// serial and a partitioned testbed.
+func (tb *Testbed) VirtualProfile() *prof.VirtualProfile {
+	evalDomains := tb.cfg.DeviceGroups + 1
 	pl := tb.cfg.layoutDomains(evalDomains)
 
 	nicEvents := func(c *container.Container) uint64 {
@@ -111,8 +109,8 @@ func (tb *Testbed) VirtualProfile(evalDomains int) *prof.VirtualProfile {
 // Profile assembles the combined three-section document: the deterministic
 // virtual plane, the engine plane (partitioned runs) and the wall-clock
 // plane. See the prof package for the contract separating the planes.
-func (tb *Testbed) Profile(evalDomains int) *prof.Profile {
-	p := &prof.Profile{Virtual: tb.VirtualProfile(evalDomains), Wall: tb.prof.WallProfile()}
+func (tb *Testbed) Profile() *prof.Profile {
+	p := &prof.Profile{Virtual: tb.VirtualProfile(), Wall: tb.prof.WallProfile()}
 	if tb.engine != nil {
 		p.Engine = prof.BuildEngine(tb.engine)
 	}
@@ -121,6 +119,6 @@ func (tb *Testbed) Profile(evalDomains int) *prof.Profile {
 
 // BottleneckReport digests the profile into the straggler/bottleneck
 // findings (see prof.BuildReport).
-func (tb *Testbed) BottleneckReport(evalDomains int) *prof.Report {
-	return prof.BuildReport(tb.Profile(evalDomains))
+func (tb *Testbed) BottleneckReport() *prof.Report {
+	return prof.BuildReport(tb.Profile())
 }

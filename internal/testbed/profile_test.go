@@ -21,7 +21,7 @@ func TestVirtualProfileShape(t *testing.T) {
 	if err := tb.Run(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	vp := tb.VirtualProfile(0)
+	vp := tb.VirtualProfile()
 	if vp.EvalDomains != 3 {
 		t.Fatalf("eval domains = %d, want DeviceGroups+1 = 3", vp.EvalDomains)
 	}

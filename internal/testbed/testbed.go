@@ -499,7 +499,7 @@ func New(cfg Config) (*Testbed, error) {
 	}
 
 	// C2 container.
-	tb.c2 = botnet.NewC2(0)
+	tb.c2 = botnet.NewC2()
 	c2App := container.AppFuncs{
 		OnStart: func(c *container.Container) { _ = tb.c2.Attach(c.Host()) },
 		OnStop:  func() { tb.c2.Detach() },
@@ -526,7 +526,6 @@ func New(cfg Config) (*Testbed, error) {
 		TargetRange:       packet.Prefix{Addr: packet.AddrFrom4(10, 0, 2, 0), Bits: 24},
 		ExtraRanges:       extraRanges,
 		C2Addr:            addrC2,
-		C2Port:            tb.c2.Port(),
 		MeanProbeInterval: cfg.ScanInterval,
 		ReinfectCooldown:  cfg.ReinfectCooldown,
 		Seed:              cfg.Seed + 301,

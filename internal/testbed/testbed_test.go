@@ -213,7 +213,7 @@ func TestThroughputDegradesUnderAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := tb.NewThroughputSampler(time.Second)
+	ts := tb.NewThroughputSampler()
 	tb.Start()
 	if err := tb.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
