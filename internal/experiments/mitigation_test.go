@@ -70,6 +70,10 @@ func TestMitigationSweepSmoke(t *testing.T) {
 	if pt.AttackDrops == 0 {
 		t.Fatal("no attack frames dropped")
 	}
+	// Three 20/3 s vectors, each 7 s on the wire.
+	if want := float64(pt.AttackPassed) / 21; pt.ResidualAttackPPS != want {
+		t.Fatalf("residual %v pps, want %d passed / 21 s = %v", pt.ResidualAttackPPS, pt.AttackPassed, want)
+	}
 	if pt.Evaluated == 0 || pt.Dropped == 0 {
 		t.Fatalf("firewall counters empty: evaluated=%d dropped=%d", pt.Evaluated, pt.Dropped)
 	}
