@@ -9,7 +9,8 @@
 # list) and compared with UNREACHED.txt, where every entry carries a reason:
 #
 #   - an unreached function missing from UNREACHED.txt fails the gate;
-#   - an entry the runs now reach is printed as stale (delete it).
+#   - a stale entry, one the runs now reach or whose function is gone,
+#     fails it too: delete the line.
 #
 # Usage, from anywhere in the repository (about 2 minutes on 2 cores):
 #
@@ -102,8 +103,9 @@ awk '!/^#/ && NF >= 3 { print $1, $2, $3 }' UNREACHED.txt | sort >"$work/listed"
 comm -23 "$work/unreached" "$work/listed" >"$work/new"
 comm -13 "$work/unreached" "$work/listed" >"$work/stale"
 if [ -s "$work/stale" ]; then
-	echo "stale UNREACHED.txt entries (now reached, or gone; delete them):"
-	sed 's/^/  /' "$work/stale"
+	echo "stale UNREACHED.txt entries (now reached, or gone; delete them):" >&2
+	sed 's/^/  /' "$work/stale" >&2
+	fail=1
 fi
 if [ -s "$work/new" ]; then
 	echo "functions no product run reaches and UNREACHED.txt does not list:" >&2
