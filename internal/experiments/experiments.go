@@ -232,8 +232,21 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 	// The three fits are independent (each seeds its own substream) and
 	// evaluate against the read-only test split, so they run on one worker
 	// per CPU; each writes only its own TrainedModel slot and error slot,
-	// so the results are byte-identical at any CPU count.
+	// so the results are byte-identical at any CPU count. They are handed
+	// out longest first — CNN, RF, K-Means — so that with fewer workers than
+	// fits the CNN never waits for a shorter one.
 	fits := []func() error{
+		func() error {
+			net, _, err := cnn.Train(cnn.Config{
+				Conv1Filters: 8, Conv2Filters: 16, Hidden: 48,
+				Epochs: 6, BatchSize: 64, LearningRate: 0.01, Seed: sc.Seed + 13,
+			}, sxs, sys)
+			if err != nil {
+				return fmt.Errorf("train cnn: %w", err)
+			}
+			res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler, test)}
+			return nil
+		},
 		func() error {
 			rfInner, err := forest.Train(forest.Config{
 				Trees: 60, MaxDepth: 18, MinSamplesLeaf: 1, Seed: sc.Seed + 11,
@@ -253,17 +266,6 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 				return fmt.Errorf("train kmeans: %w", err)
 			}
 			res.KMeans = TrainedModel{Model: km, Scaler: scaler, TrainReport: evaluate(km, scaler, test)}
-			return nil
-		},
-		func() error {
-			net, _, err := cnn.Train(cnn.Config{
-				Conv1Filters: 8, Conv2Filters: 16, Hidden: 48,
-				Epochs: 6, BatchSize: 64, LearningRate: 0.01, Seed: sc.Seed + 13,
-			}, sxs, sys)
-			if err != nil {
-				return fmt.Errorf("train cnn: %w", err)
-			}
-			res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler, test)}
 			return nil
 		},
 	}

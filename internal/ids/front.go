@@ -3,6 +3,7 @@ package ids
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ddoshield/internal/features"
@@ -13,16 +14,20 @@ import (
 
 // Front is the capture front end of one or more units: one tap, one pooled
 // decode per frame, one features.Extractor, one snapshot per closed window,
-// shared read-only, and one goroutine per window that runs the units'
-// models back to back, in subscription order. The paper's §III places one
-// capture point in front of several IDS containers; a front is that point,
-// and a unit on its own (New) is a front with one subscriber.
+// shared read-only, and one goroutine per window that sorts it into distinct
+// rows and classifies them for every unit with a model. The paper's §III
+// places one capture point in front of several IDS containers; a front is
+// that point, and a unit on its own (New) is a front with one subscriber.
 //
 // A front belongs to one goroutine, its owner, like its units: the
-// Tap/Feed/Flush/Join of any unit on it are the front's. Units fold in
-// subscription order at the points a lone unit folds (see Unit.Join); when
-// any of them has a Config.OnWindow or AddWindowHook consumer, all of them
-// fold as soon as the window is dispatched.
+// Tap/Feed/Flush/Join of any unit on it are the front's. A window's
+// classification is cut into chunks of distinct rows, one set per unit with
+// a model, which the window's goroutine and a joining owner claim from one
+// counter, in subscription order and then chunk order: an owner that has to
+// wait for a window helps classify it instead. Units fold in subscription
+// order at the points a lone unit folds (see Unit.Join); when any of them
+// has a Config.OnWindow or AddWindowHook consumer, all of them fold as soon
+// as the window is dispatched.
 //
 // Cost is paid once and attributed to every unit: CPUTime and MemBytes of a
 // unit include the front's share, as a container per IDS would pay it, while
@@ -41,6 +46,13 @@ type Front struct {
 	// most one: the next window is not snapshotted before this one is folded.
 	inflight *window
 
+	// work holds the two scratch sets a chunk runs in: work[0] is the
+	// window goroutine's, work[1] the owner's, whatever the number of units.
+	work [2]scratch
+	// ownerChunks counts the chunks the owner has classified, so a test can
+	// tell that it helped.
+	ownerChunks int
+
 	cpu time.Duration
 	// joinWall is the wall time Join took inside the Tap, Feed or Flush call
 	// now being timed. Join accounts for the compute in it itself; the rest
@@ -51,9 +63,9 @@ type Front struct {
 
 // window is one closed window on its way through the pipeline. The owner
 // fills the snapshot and starts the window's goroutine; until done is
-// released the distinct rows, the jobs' results and the units' chunk
-// buffers are that goroutine's, everything else the owner's; after it, all
-// of it is the owner's again.
+// released the jobs' results and the claim state are written by that
+// goroutine and by the chunks the owner claims, as their comments say,
+// everything else is the owner's; after it, all of it is the owner's again.
 type window struct {
 	// The snapshot: the window's packets and statistics, copied out of the
 	// extractor's storage (which the next window reuses). Allocated per
@@ -67,21 +79,39 @@ type window struct {
 	// jobs are the units' shares of the window, in subscription order.
 	jobs []job
 
-	// Written by the window's goroutine, read after done: distinctRows of the
-	// snapshot (nil while no unit with a model has run) and what it cost.
-	first   []int32
+	// Written by the window's goroutine, read after done: what sorting the
+	// snapshot into distinct rows cost.
 	rowsCPU time.Duration
 	done    sync.WaitGroup
+
+	// The claim state. The window's goroutine sets distinct, chunks and
+	// claims, then releases published. distinct are the snapshot's distinct
+	// rows: the index of the first packet with each row, in first-occurrence
+	// order. chunks is how many chunks of them each unit with a model
+	// classifies, and claims that times the units with a model: claim c is
+	// chunk c%chunks of the (c/chunks)-th unit with a model. Claims are taken
+	// from next, and whoever finishes the last one brings left to zero and
+	// releases finished.
+	published, finished sync.WaitGroup
+	distinct            []int32
+	chunks, claims      int
+	next, left          atomic.Int64
 }
 
 // job is one unit's share of a window: the spans that wait for its verdict
-// and, written by the window's goroutine, the verdicts themselves.
+// and, written by whichever goroutine classified each chunk, the verdicts
+// themselves.
 type job struct {
 	unit  *Unit
 	spans []trace.Context
 
 	verdicts []uint8 // the model's class per packet; nil without a model
-	cpu      time.Duration
+	// cpu is the compute of the job's chunks and verdict copies, on either
+	// goroutine.
+	cpu atomic.Int64
+	// failed is set by the first chunk that panicked, which alone writes
+	// panicked; the job's later chunks are skipped.
+	failed   atomic.Bool
 	panicked error
 }
 
@@ -159,15 +189,22 @@ func (f *Front) flush() {
 	f.stopTimer(start)
 }
 
+// epoch is where the package's timers count from: since(epoch) is one read
+// of the monotonic clock, where time.Now also reads the wall clock.
+var epoch = time.Now()
+
+// now is the monotonic time since epoch.
+func now() time.Duration { return time.Since(epoch) }
+
 // startTimer and stopTimer bracket one Tap, Feed or Flush call and charge
 // the front the caller's compute in it: the wall clock less the joins inside.
-func (f *Front) startTimer() time.Time {
+func (f *Front) startTimer() time.Duration {
 	f.joinWall = 0
-	return time.Now()
+	return now()
 }
 
-func (f *Front) stopTimer(start time.Time) {
-	f.addCPU(time.Since(start) - f.joinWall)
+func (f *Front) stopTimer(start time.Duration) {
+	f.addCPU(now() - start - f.joinWall)
 }
 
 func (f *Front) addCPU(d time.Duration) {
@@ -183,7 +220,7 @@ func (f *Front) addCPU(d time.Duration) {
 // verdicts here.
 func (f *Front) dispatch(cw *features.Window) {
 	f.Join()
-	start := time.Now()
+	start := now()
 	n := len(cw.Packets)
 	w := &window{
 		start: cw.Start,
@@ -191,8 +228,9 @@ func (f *Front) dispatch(cw *features.Window) {
 		stats: cw.Stats,
 		jobs:  make([]job, len(f.units)),
 	}
-	// Track the high-water marks for the memory reports; the units' chunk
-	// buffers are read before the window's goroutine may grow them.
+	// Track the high-water marks for the memory reports; the front's
+	// classification buffers are read before this window's chunks may grow
+	// them.
 	shared := f.liveMem(n)
 	f.peakMem = max(f.peakMem, shared)
 	fold := false
@@ -203,44 +241,111 @@ func (f *Front) dispatch(cw *features.Window) {
 		fold = fold || u.cfg.OnWindow != nil || len(u.hooks) > 0
 	}
 	f.inflight = w
-	w.snapCPU = time.Since(start)
+	w.snapCPU = now() - start
 	w.done.Add(1)
-	go classifyWindow(w)
+	w.published.Add(1)
+	go f.classifyWindow(w)
 	if fold {
 		f.Join()
 	}
 }
 
-// classifyWindow is the window's own goroutine: it sorts the snapshot into
-// distinct rows once, for the first unit with a model, and runs every unit's
-// classification over them in subscription order. It touches the window and
-// what Unit.classify touches, nothing else.
-func classifyWindow(w *window) {
+// classifyWindow is the window's own goroutine. It sorts the snapshot into
+// distinct rows once, publishes them with one claim per chunk of them per
+// unit with a model, and classifies the chunks it claims in work[0]. When
+// the last chunk is done, on either goroutine, it copies each unit's
+// verdicts from distinct rows to the packets that repeat them. It touches
+// the window, work[0] and the rows' verdicts, nothing else.
+func (f *Front) classifyWindow(w *window) {
 	defer w.done.Done()
+	models := 0
+	for i := range w.jobs {
+		if j := &w.jobs[i]; j.unit.cfg.Model != nil {
+			models++
+			start := now()
+			j.verdicts = make([]uint8, len(w.pkts))
+			j.cpu.Store(int64(now() - start))
+		}
+	}
+	if models == 0 {
+		w.published.Done()
+		return
+	}
+	start := now()
+	first, distinct := distinctRows(w.pkts)
+	w.rowsCPU = now() - start
+	w.distinct = distinct
+	w.chunks = (len(distinct) + chunk - 1) / chunk
+	// The extractor emits no empty window, so there is a claim to finish
+	// and release finished.
+	w.claims = models * w.chunks
+	w.left.Store(int64(w.claims))
+	w.finished.Add(1)
+	w.published.Done()
+	f.classifyChunks(w, &f.work[0])
+	w.finished.Wait()
 	for i := range w.jobs {
 		j := &w.jobs[i]
-		if j.unit.cfg.Model == nil {
+		if j.verdicts == nil || j.failed.Load() {
 			continue
 		}
-		if w.first == nil {
-			start := time.Now()
-			w.first = distinctRows(w.pkts)
-			w.rowsCPU = time.Since(start)
+		start := now()
+		for p, r := range first {
+			j.verdicts[p] = j.verdicts[r]
 		}
-		j.unit.classify(w, j)
+		j.cpu.Add(int64(now() - start))
 	}
 }
 
-// Join folds the window in flight, if there is one: it waits for the
-// window's goroutine and applies every unit's verdicts, in subscription
-// order. A unit whose model panicked re-raises the panic here, on the
-// owner's goroutine, after the units before it have folded.
+// classifyChunks claims chunks of w until none is left, classifies each in
+// s, and reports how many it classified. The claim that finishes w's last
+// chunk releases w.finished.
+func (f *Front) classifyChunks(w *window, s *scratch) int {
+	n := 0
+	for {
+		c := int(w.next.Add(1) - 1)
+		if c >= w.claims {
+			return n
+		}
+		j := w.modelJob(c / w.chunks)
+		k := c % w.chunks * chunk
+		j.classify(w, s, w.distinct[k:min(k+chunk, len(w.distinct))])
+		n++
+		if w.left.Add(-1) == 0 {
+			w.finished.Done()
+		}
+	}
+}
+
+// modelJob is the job of the m-th unit with a model, counting from 0 in
+// subscription order.
+func (w *window) modelJob(m int) *job {
+	for i := range w.jobs {
+		if w.jobs[i].unit.cfg.Model == nil {
+			continue
+		}
+		if m == 0 {
+			return &w.jobs[i]
+		}
+		m--
+	}
+	panic("ids: no such unit with a model")
+}
+
+// Join folds the window in flight, if there is one: it helps classify the
+// window, claiming chunks with its own scratch set until none is left, then
+// waits for the window's goroutine and applies every unit's verdicts, in
+// subscription order. A unit whose model panicked, in a chunk either
+// goroutine ran, re-raises the panic here, on the owner's goroutine, after
+// the units before it have folded.
 func (f *Front) Join() {
 	w := f.inflight
 	if w == nil {
 		return
 	}
-	start := time.Now()
+	start := now()
+	w.published.Wait()
+	f.ownerChunks += f.classifyChunks(w, &f.work[1])
 	w.done.Wait()
 	f.inflight = nil
 	f.addCPU(w.rowsCPU)
@@ -249,25 +354,31 @@ func (f *Front) Join() {
 		if j.panicked != nil {
 			panic(j.panicked)
 		}
-		foldStart := time.Now()
+		foldStart := now()
 		j.unit.fold(w, j)
-		j.unit.addCPU(j.cpu + time.Since(foldStart))
+		j.unit.addCPU(time.Duration(j.cpu.Load()) + now() - foldStart)
 	}
-	f.joinWall += time.Since(start)
+	f.joinWall += now() - start
 }
 
 // liveMem estimates the memory the front holds as a window of n packets is
 // dispatched: the extractor's window buffer, the window's snapshot beside it
-// until the fold, and the window's distinct-row buffers (distinctRows'
-// table and per-packet index).
+// until the fold, the window's distinct-row buffers (distinctRows' table,
+// which then holds the list of distinct rows, and per-packet index) and the
+// two scratch sets chunks run in.
 func (f *Front) liveMem(n int) int64 {
-	return int64(n)*40 + // features.Basic footprint
+	mem := int64(n)*40 + // features.Basic footprint
 		int64(n)*40 + // snapshot
 		int64(n)*4 + 4<<tableBits(n) // distinct rows
+	for i := range f.work {
+		mem += f.work[i].memBytes()
+	}
+	return mem
 }
 
 // CPUTime is what the front itself cost — decode, windowing, snapshots and
-// distinct rows — once, however many units it serves. It implements
+// distinct rows — once, however many units it serves. Chunks are their
+// units' cost, whichever goroutine ran them. It implements
 // sysmon.Metered.
 func (f *Front) CPUTime() time.Duration {
 	f.Join()

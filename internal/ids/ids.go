@@ -13,12 +13,14 @@
 // through three stages. The goroutine that feeds the front (its owner: the
 // scheduler's in a live run, the reader's in a replay) takes a snapshot of
 // the window out of the extractor's reused storage; a goroutine started for
-// that window classifies the snapshot for every unit, which is all the
-// arithmetic and touches nothing else; and the owner folds each unit's
-// verdicts back — scoring, alerting, tracing, hooks: every effect — at a
-// point the input alone fixes (see Unit.Join). The paper runs its IDS in a
-// container of its own beside NS-3; this is that container's independent
-// execution.
+// that window sorts the snapshot into distinct rows and classifies them for
+// every unit, chunk by chunk, and an owner that reaches the window's fold
+// point before the goroutine is done claims chunks too instead of waiting —
+// all the arithmetic, touching only the snapshot, the models and the
+// front's classification buffers; and the owner folds each unit's verdicts
+// back — scoring, alerting, tracing, hooks: every effect — at a point the
+// input alone fixes (see Unit.Join). The paper runs its IDS in a container
+// of its own beside NS-3; this is that container's independent execution.
 package ids
 
 import (
@@ -52,7 +54,10 @@ type Meter interface {
 // Config assembles a detection unit.
 type Config struct {
 	// Model is the trained classifier (required for detection; a nil
-	// model records windows without predictions).
+	// model records windows without predictions). Two chunks of a window
+	// may be in it at once, one on the window's goroutine and one on the
+	// front's owner, so its Predict and PredictBatch must be safe for
+	// concurrent use, as every model in internal/ml is.
 	Model ml.Classifier
 	// Scaler, when set, standardizes vectors before prediction with the
 	// training-time statistics.
@@ -101,8 +106,9 @@ type WindowResult struct {
 	// verdicts an inline mitigation stage installs.
 	FlaggedFlows []trace.Flow
 	// CPU is the compute time spent on this window — snapshot, distinct
-	// rows, classification and scoring, on whichever goroutine each ran —
-	// and none of the time one goroutine waited for the other. The
+	// rows, the unit's chunks and verdict copies and its scoring — summed
+	// over both goroutines, since the owner may classify some of the chunks
+	// itself, and none of the time one goroutine waited for the other. The
 	// snapshot and distinct rows are the front's, counted for every unit.
 	CPU time.Duration
 }
@@ -126,14 +132,6 @@ type Unit struct {
 	cpu time.Duration
 	// peakMem is the largest front share plus own footprint at a dispatch.
 	peakMem int64
-	// One chunk of distinct rows in flight through the model: the packet
-	// each row came from, the vectors, their row headers and the verdicts.
-	// Nothing here scales with the window. The window's goroutine uses them
-	// while it runs, the owner never.
-	idx    [chunk]int32
-	vecBuf []float64
-	rows   [chunk][]float64
-	preds  [chunk]int
 
 	// Advanced at the fold and atomic, so a registry snapshot reads them
 	// from any goroutine without folding, blocking or racing.
@@ -236,68 +234,63 @@ func (u *Unit) addCPU(d time.Duration) {
 }
 
 // chunk is how many distinct rows of a closed window are vectorized and
-// classified per ml.PredictBatch call: large enough that a batch kernel's
-// per-call cost and the first row's full computation amortize, small enough
-// that the unit's buffers (chunk × vector length) stay in L1 and do not
-// grow with the window.
+// classified per ml.PredictBatch call, and the unit of work the window's
+// goroutine and the owner claim: large enough that a batch kernel's
+// per-call cost, the first row's full computation and the claim amortize,
+// small enough that a scratch set (chunk × vector length) stays in L1 and
+// does not grow with the window.
 const chunk = 64
 
-// classify runs on the window's goroutine: it runs vectors, scaling and
-// prediction over the window's distinct rows only, chunk by chunk in
-// first-occurrence order, and copies each row's verdict to every packet
-// that has it. It reads the snapshot and the (immutable) model and scaler,
-// writes j's result fields and the unit's chunk buffers, and touches
-// nothing else of the unit. A panicking model is caught here, where nothing
-// could recover it, and re-raised by Join on the owner's goroutine.
-func (u *Unit) classify(w *window, j *job) {
+// scratch is one chunk of distinct rows in flight through a model: the
+// vectors, their row headers and the verdicts. Nothing here scales with the
+// window. A front has two, one per goroutine that claims chunks, whatever
+// the number of units.
+type scratch struct {
+	vecBuf []float64
+	rows   [chunk][]float64
+	preds  [chunk]int
+}
+
+// memBytes is the scratch set's footprint: vectors, row headers, verdicts.
+func (s *scratch) memBytes() int64 { return int64(cap(s.vecBuf))*8 + chunk*(24+8) }
+
+// classify vectorizes, scales and classifies one claimed chunk of j's
+// unit — the distinct rows at idx — in s, and writes each row's verdict,
+// which no other chunk writes. It reads the snapshot and the (immutable)
+// model and scaler. Its compute is charged to j, whichever goroutine ran
+// it. A panicking model is caught here — on the window's goroutine nothing
+// could recover it — and kept in j, the first one only, for Join to
+// re-raise on the owner's goroutine; the job's later chunks are skipped.
+func (j *job) classify(w *window, s *scratch, idx []int32) {
+	if j.failed.Load() {
+		return
+	}
+	u := j.unit
+	start := now()
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && j.failed.CompareAndSwap(false, true) {
 			j.panicked = fmt.Errorf("ids: unit %s: classifying the window at %v: panic: %v\n%s",
 				u.cfg.Name, w.start, r, debug.Stack())
 		}
+		j.cpu.Add(int64(now() - start))
 	}()
-	start := time.Now()
-	j.verdicts = make([]uint8, len(w.pkts))
-	first := w.first
-	idx := u.idx[:0]
-	for i, f := range first {
-		if int(f) != i {
-			continue
-		}
-		if idx = append(idx, int32(i)); len(idx) == chunk {
-			u.predict(w, j, idx)
-			idx = idx[:0]
-		}
-	}
-	if len(idx) > 0 {
-		u.predict(w, j, idx)
-	}
-	for i, f := range first {
-		j.verdicts[i] = j.verdicts[f]
-	}
-	j.cpu = time.Since(start)
-}
-
-// predict vectorizes, scales and classifies one chunk of a window's distinct
-// rows — the packets at idx — and writes each one's verdict.
-func (u *Unit) predict(w *window, j *job, idx []int32) {
-	buf := u.vecBuf[:0]
+	buf := s.vecBuf[:0]
 	for _, i := range idx {
 		buf = features.AppendVector(buf, &w.pkts[i], &w.stats)
 	}
-	u.vecBuf = buf
+	s.vecBuf = buf
 	// Rows are cut after the fill: growing buf on first use moves it.
 	nf := len(buf) / len(idx)
-	rows := u.rows[:len(idx)]
+	rows := s.rows[:len(idx)]
 	for k := range rows {
 		rows[k] = buf[k*nf : (k+1)*nf : (k+1)*nf]
 		if u.cfg.Scaler != nil {
 			u.cfg.Scaler.Transform(rows[k])
 		}
 	}
-	ml.PredictBatch(u.cfg.Model, rows, u.preds[:])
+	ml.PredictBatch(u.cfg.Model, rows, s.preds[:])
 	for k, i := range idx {
-		j.verdicts[i] = uint8(u.preds[k])
+		j.verdicts[i] = uint8(s.preds[k])
 	}
 }
 
@@ -306,14 +299,15 @@ func (u *Unit) predict(w *window, j *job, idx []int32) {
 func tableBits(n int) int { return bits.Len(uint(max(n, 1)-1)) + 1 }
 
 // distinctRows maps every packet of a window to the first packet with the
-// same row: first[i] ≤ i, and first[i] == i marks a distinct row. Packets
-// share the window's statistics, so equal features.RowKeys mean equal
-// vectors and, every model and the scaler being a function of the row alone,
-// equal verdicts; a packet without a key is a row of its own. The table is
-// open addressing with linear probing over first-packet indexes, sized by
-// tableBits so that it stays at most half full, and dies with the call.
-func distinctRows(pkts []features.Basic) []int32 {
-	first := make([]int32, len(pkts))
+// same row: first[i] ≤ i, and first[i] == i marks a distinct row; distinct
+// lists those i in order. Packets share the window's statistics, so equal
+// features.RowKeys mean equal vectors and, every model and the scaler being
+// a function of the row alone, equal verdicts; a packet without a key is a
+// row of its own. The table is open addressing with linear probing over
+// first-packet indexes, sized by tableBits so that it stays at most half
+// full; once probing is done it holds distinct, which dies with the window.
+func distinctRows(pkts []features.Basic) (first, distinct []int32) {
+	first = make([]int32, len(pkts))
 	b := tableBits(len(pkts))
 	table := make([]int32, 1<<b) // first packet's index + 1; 0 is empty
 	mask := len(table) - 1
@@ -336,12 +330,20 @@ func distinctRows(pkts []features.Basic) []int32 {
 			}
 		}
 	}
-	return first
+	// The table has room for 2n entries, so distinct never grows it.
+	distinct = table[:0]
+	for i, r := range first {
+		if int(r) == i {
+			distinct = append(distinct, r)
+		}
+	}
+	return first, distinct
 }
 
 // Join folds the window in flight on the unit's front, if there is one: it
-// waits for the window's goroutine and applies the verdicts of every unit
-// on the front, in subscription order (Front.Join). Every fold happens
+// classifies the chunks of the window that are still unclaimed, waits for
+// the window's goroutine and applies the verdicts of every unit on the
+// front, in subscription order (Front.Join). Every fold happens
 // here, on the owner's goroutine, and Join is called at points the input
 // alone fixes, so a run's results do not depend on how the goroutines were
 // scheduled: before the next window is snapshotted; in Flush; in every
@@ -355,7 +357,7 @@ func (u *Unit) Join() { u.front.Join() }
 // detection, in the order a unit that classified inline would have had
 // them.
 func (u *Unit) fold(w *window, j *job) {
-	start := time.Now()
+	start := now()
 	res := WindowResult{Start: w.start, Packets: len(w.pkts)}
 	u.packets.Add(uint64(len(w.pkts)))
 	var flagged map[packet.Addr]bool
@@ -411,7 +413,7 @@ func (u *Unit) fold(w *window, j *job) {
 	// The window's compute on both goroutines; the front's Join and timers
 	// charge the unit the same terms, so the per-window figures sum to no
 	// more than its CPUTime.
-	res.CPU = w.snapCPU + w.rowsCPU + j.cpu + time.Since(start)
+	res.CPU = w.snapCPU + w.rowsCPU + time.Duration(j.cpu.Load()) + now() - start
 	u.winCPU.Observe(float64(res.CPU) / float64(time.Microsecond))
 	verdict := "clear"
 	if res.Alert {
@@ -440,8 +442,8 @@ func (u *Unit) fold(w *window, j *job) {
 }
 
 // ownMem estimates the memory the unit holds beside its front's as a window
-// of n packets is dispatched: the model, the scaler, one verdict byte per
-// packet and the chunk buffers.
+// of n packets is dispatched: the model, the scaler and one verdict byte
+// per packet. The scratch sets its chunks run in are the front's.
 func (u *Unit) ownMem(n int) int64 {
 	var mem int64
 	if mr, ok := u.cfg.Model.(interface{ MemoryBytes() int64 }); ok {
@@ -450,8 +452,7 @@ func (u *Unit) ownMem(n int) int64 {
 	if u.cfg.Scaler != nil {
 		mem += int64(len(u.cfg.Scaler.Mean)+len(u.cfg.Scaler.Std)) * 8
 	}
-	mem += int64(n)                                // verdicts
-	mem += int64(cap(u.vecBuf))*8 + chunk*(4+24+8) // indexes, vectors, row headers, verdicts
+	mem += int64(n) // verdicts
 	return mem
 }
 
@@ -506,9 +507,9 @@ func (u *Unit) PacketsSeen() uint64 {
 }
 
 // CPUTime implements sysmon.Metered: cumulative processing time — what the
-// owner spent in Tap, Feed, Flush and the folds plus what the windows'
-// goroutines spent classifying, and none of the time one waited for the
-// other. It includes all of the front's (Front.CPUTime), which a unit on
+// owner spent in Tap, Feed, Flush and the folds plus what the unit's chunks
+// cost on whichever goroutine claimed them, and none of the time one
+// goroutine waited for the other. It includes all of the front's (Front.CPUTime), which a unit on
 // its own would have paid.
 func (u *Unit) CPUTime() time.Duration {
 	u.Join()
