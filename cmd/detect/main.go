@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"ddoshield/internal/features"
 	"ddoshield/internal/ids"
 	"ddoshield/internal/ml/modelio"
 	"ddoshield/internal/packet"
@@ -56,6 +57,11 @@ func run(args []string, stdout io.Writer) error {
 		bundle, err := modelio.LoadBundleFile(path)
 		if err != nil {
 			return err
+		}
+		// A wider model would index past the vector, a narrower one read
+		// the wrong columns.
+		if w := modelio.Width(bundle.Model); w != features.NumFeatures() {
+			return fmt.Errorf("%s: the model reads %d features, the IDS extracts %d", path, w, features.NumFeatures())
 		}
 		u := ids.New(ids.Config{Model: bundle.Model, Scaler: bundle.Scaler, Window: *window, Name: bundle.Model.Name()})
 		if len(units) > 0 {

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -20,6 +23,16 @@ import (
 	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry/trace"
 )
+
+// TestMain lets TestWideModelIsAnError run the real command: re-executed
+// with DETECT_RUN_MAIN set, the test binary is detect.
+func TestMain(m *testing.M) {
+	if os.Getenv("DETECT_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // capture is a short recording: a quiet second, a second of spoofed SYNs,
 // a quiet second.
@@ -201,5 +214,41 @@ func TestModelListMatchesSingleRuns(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-model", kmPath + ",missing.model", "-pcap", pcapPath}, &out); err == nil {
 		t.Fatal("a list with a missing model file succeeded")
+	}
+}
+
+// TestWideModelIsAnError: a forest whose one split reads the column past the
+// feature vector loads — its file declares that width — but detect refuses
+// it before replaying a frame: exit status 1 and one "detect:" line, not a
+// panic out of the first window.
+func TestWideModelIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	_, pcapPath, _, _, _ := savedCapture(t, dir)
+	n := features.NumFeatures()
+	wide := &forest.Forest{
+		Cfg:      forest.Config{Classes: 2},
+		Features: n + 1,
+		TreeList: []*forest.Tree{{Nodes: []forest.Node{
+			{Feature: int32(n), Left: 1, Right: 2},
+			{Feature: -1, Class: 0},
+			{Feature: -1, Class: 1},
+		}}},
+	}
+	path := filepath.Join(dir, "wide.model")
+	if err := modelio.SaveBundleFile(path, modelio.Bundle{Model: wide}); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-model", path, "-pcap", pcapPath)
+	cmd.Env = append(os.Environ(), "DETECT_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v, want exit status 1\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "detect: ") || !strings.Contains(lines[0], fmt.Sprintf("reads %d features", n+1)) || stdout.Len() != 0 {
+		t.Fatalf("stdout %q, stderr %q: want one detect: line naming the width and nothing printed", stdout.String(), stderr.String())
 	}
 }

@@ -38,6 +38,9 @@ func run() error {
 	if *dataPath == "" {
 		return fmt.Errorf("-data is required")
 	}
+	if *maxN < 1 {
+		return fmt.Errorf("-maxsamples must be at least 1 (got %d)", *maxN)
+	}
 
 	f, err := os.Open(*dataPath)
 	if err != nil {

@@ -237,7 +237,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses the WriteCSV format.
+// ReadCSV parses the WriteCSV format. A label other than Benign or
+// Malicious is an error naming its line.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	br := bufio.NewScanner(r)
 	br.Buffer(make([]byte, 1<<20), 1<<20)
@@ -271,6 +272,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		y, err := strconv.Atoi(fields[len(fields)-1])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: read csv line %d: %w", line, err)
+		}
+		if y != Benign && y != Malicious {
+			return nil, fmt.Errorf("dataset: read csv line %d: label %d, want %d (benign) or %d (malicious)", line, y, Benign, Malicious)
 		}
 		d.Add(x, y)
 	}

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ddoshield/internal/botnet"
@@ -192,8 +193,13 @@ func evaluate(m ml.Classifier, scaler *dataset.StandardScaler, test *dataset.Dat
 }
 
 // TrainModels fits RF, K-Means and CNN on the corpus with an 80/20
-// train/test split, mirroring §IV-D's offline training phase.
+// train/test split, mirroring §IV-D's offline training phase. The corpus's
+// columns must be features.Names(), the vector the IDS classifies.
 func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
+	if !slices.Equal(ds.Names, features.Names()) {
+		return nil, fmt.Errorf("train: the corpus has %d columns %v, want the %d of features.Names()",
+			len(ds.Names), ds.Names, features.NumFeatures())
+	}
 	rng := sim.Substream(sc.Seed, "experiments/train")
 	work := ds.Subsample(sc.MaxTrainSamples, rng)
 	work.Shuffle(rng)

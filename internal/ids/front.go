@@ -13,9 +13,9 @@ import (
 )
 
 // Front is the capture front end of one or more units: one tap, one pooled
-// decode per frame, one features.Extractor, one snapshot per closed window,
-// shared read-only, and one goroutine per window that sorts it into distinct
-// rows and classifies them for every unit with a model. The paper's §III
+// decode per frame, one features.Extractor, one snapshot per closed window
+// sorted into distinct rows, shared read-only, and one goroutine per window
+// that classifies them for every unit with a model. The paper's §III
 // places one capture point in front of several IDS containers; a front is
 // that point, and a unit on its own (New) is a front with one subscriber.
 //
@@ -62,10 +62,10 @@ type Front struct {
 }
 
 // window is one closed window on its way through the pipeline. The owner
-// fills the snapshot and starts the window's goroutine; until done is
-// released the jobs' results and the claim state are written by that
-// goroutine and by the chunks the owner claims, as their comments say,
-// everything else is the owner's; after it, all of it is the owner's again.
+// fills all of it but the verdicts, the claim counter and the jobs' cpu and
+// panic fields before it starts the window's goroutine; until done is
+// released those are written by that goroutine and by the chunks the owner
+// claims, as their comments say; after it, all of it is the owner's again.
 type window struct {
 	// The snapshot: the window's packets and statistics, copied out of the
 	// extractor's storage (which the next window reuses). Allocated per
@@ -74,28 +74,23 @@ type window struct {
 	start sim.Time
 	pkts  []features.Basic
 	stats features.Stats
-	// snapCPU is what taking the snapshot cost the owner.
-	snapCPU time.Duration
+	// dispatchCPU is what the dispatch cost the owner: the snapshot, the
+	// distinct rows and the verdict bytes.
+	dispatchCPU time.Duration
 	// jobs are the units' shares of the window, in subscription order.
 	jobs []job
 
-	// Written by the window's goroutine, read after done: what sorting the
-	// snapshot into distinct rows cost.
-	rowsCPU time.Duration
-	done    sync.WaitGroup
-
-	// The claim state. The window's goroutine sets distinct, chunks and
-	// claims, then releases published. distinct are the snapshot's distinct
-	// rows: the index of the first packet with each row, in first-occurrence
-	// order. chunks is how many chunks of them each unit with a model
-	// classifies, and claims that times the units with a model: claim c is
-	// chunk c%chunks of the (c/chunks)-th unit with a model. Claims are taken
-	// from next, and whoever finishes the last one brings left to zero and
-	// releases finished.
-	published, finished sync.WaitGroup
-	distinct            []int32
-	chunks, claims      int
-	next, left          atomic.Int64
+	// first and distinct are the snapshot's distinct rows (distinctRows),
+	// set only when a unit has a model. chunks is how many chunks of them
+	// a job classifies, and claims that times the jobs: claim c is chunk
+	// c%chunks of jobs[c/chunks], skipped when that unit has no model.
+	// Claims are taken from next.
+	first, distinct []int32
+	chunks, claims  int
+	next            atomic.Int64
+	// done is released by the window's goroutine when it finds no claim
+	// left; a window without claims starts no goroutine.
+	done sync.WaitGroup
 }
 
 // job is one unit's share of a window: the spans that wait for its verdict
@@ -105,9 +100,10 @@ type job struct {
 	unit  *Unit
 	spans []trace.Context
 
-	verdicts []uint8 // the model's class per packet; nil without a model
-	// cpu is the compute of the job's chunks and verdict copies, on either
-	// goroutine.
+	// verdicts is the model's class of each distinct row, at the index of
+	// its first packet (window.first); nil without a model.
+	verdicts []uint8
+	// cpu is the compute of the job's chunks, on either goroutine.
 	cpu atomic.Int64
 	// failed is set by the first chunk that panicked, which alone writes
 	// panicked; the job's later chunks are skipped.
@@ -215,9 +211,10 @@ func (f *Front) addCPU(d time.Duration) {
 }
 
 // dispatch takes one closed window from the extractor: it folds the window
-// before it, snapshots this one once for every unit and starts its
-// goroutine. Only a front with a consumer among its units waits for the
-// verdicts here.
+// before it, snapshots this one once for every unit, sorts it into distinct
+// rows when a unit has a model, and starts the window's goroutine when there
+// is a chunk to classify. Only a front with a consumer among its units waits
+// for the verdicts here.
 func (f *Front) dispatch(cw *features.Window) {
 	f.Join()
 	start := now()
@@ -233,73 +230,45 @@ func (f *Front) dispatch(cw *features.Window) {
 	// them.
 	shared := f.liveMem(n)
 	f.peakMem = max(f.peakMem, shared)
-	fold := false
+	fold, models := false, false
 	for i, u := range f.units {
 		w.jobs[i] = job{unit: u, spans: u.pending}
 		u.pending = nil
 		u.peakMem = max(u.peakMem, shared+u.ownMem(n))
 		fold = fold || u.cfg.OnWindow != nil || len(u.hooks) > 0
+		if u.cfg.Model != nil {
+			w.jobs[i].verdicts = make([]uint8, n)
+			models = true
+		}
+	}
+	if models {
+		w.first, w.distinct = distinctRows(w.pkts)
+		w.chunks = (len(w.distinct) + chunk - 1) / chunk
+		w.claims = len(w.jobs) * w.chunks
 	}
 	f.inflight = w
-	w.snapCPU = now() - start
-	w.done.Add(1)
-	w.published.Add(1)
-	go f.classifyWindow(w)
+	w.dispatchCPU = now() - start
+	if w.claims > 0 {
+		w.done.Add(1)
+		go f.classifyWindow(w)
+	}
 	if fold {
 		f.Join()
 	}
 }
 
-// classifyWindow is the window's own goroutine. It sorts the snapshot into
-// distinct rows once, publishes them with one claim per chunk of them per
-// unit with a model, and classifies the chunks it claims in work[0]. When
-// the last chunk is done, on either goroutine, it copies each unit's
-// verdicts from distinct rows to the packets that repeat them. It touches
-// the window, work[0] and the rows' verdicts, nothing else.
+// classifyWindow is the window's own goroutine: it classifies the chunks it
+// claims in work[0] and releases done when none is left. It touches the
+// window's claim counter, work[0] and the verdicts and fields of the jobs
+// whose chunks it claimed, nothing else.
 func (f *Front) classifyWindow(w *window) {
 	defer w.done.Done()
-	models := 0
-	for i := range w.jobs {
-		if j := &w.jobs[i]; j.unit.cfg.Model != nil {
-			models++
-			start := now()
-			j.verdicts = make([]uint8, len(w.pkts))
-			j.cpu.Store(int64(now() - start))
-		}
-	}
-	if models == 0 {
-		w.published.Done()
-		return
-	}
-	start := now()
-	first, distinct := distinctRows(w.pkts)
-	w.rowsCPU = now() - start
-	w.distinct = distinct
-	w.chunks = (len(distinct) + chunk - 1) / chunk
-	// The extractor emits no empty window, so there is a claim to finish
-	// and release finished.
-	w.claims = models * w.chunks
-	w.left.Store(int64(w.claims))
-	w.finished.Add(1)
-	w.published.Done()
 	f.classifyChunks(w, &f.work[0])
-	w.finished.Wait()
-	for i := range w.jobs {
-		j := &w.jobs[i]
-		if j.verdicts == nil || j.failed.Load() {
-			continue
-		}
-		start := now()
-		for p, r := range first {
-			j.verdicts[p] = j.verdicts[r]
-		}
-		j.cpu.Add(int64(now() - start))
-	}
 }
 
 // classifyChunks claims chunks of w until none is left, classifies each in
-// s, and reports how many it classified. The claim that finishes w's last
-// chunk releases w.finished.
+// s, and reports how many it classified. A claim on a unit without a model
+// is skipped.
 func (f *Front) classifyChunks(w *window, s *scratch) int {
 	n := 0
 	for {
@@ -307,29 +276,14 @@ func (f *Front) classifyChunks(w *window, s *scratch) int {
 		if c >= w.claims {
 			return n
 		}
-		j := w.modelJob(c / w.chunks)
+		j := &w.jobs[c/w.chunks]
+		if j.verdicts == nil {
+			continue
+		}
 		k := c % w.chunks * chunk
 		j.classify(w, s, w.distinct[k:min(k+chunk, len(w.distinct))])
 		n++
-		if w.left.Add(-1) == 0 {
-			w.finished.Done()
-		}
 	}
-}
-
-// modelJob is the job of the m-th unit with a model, counting from 0 in
-// subscription order.
-func (w *window) modelJob(m int) *job {
-	for i := range w.jobs {
-		if w.jobs[i].unit.cfg.Model == nil {
-			continue
-		}
-		if m == 0 {
-			return &w.jobs[i]
-		}
-		m--
-	}
-	panic("ids: no such unit with a model")
 }
 
 // Join folds the window in flight, if there is one: it helps classify the
@@ -344,11 +298,9 @@ func (f *Front) Join() {
 		return
 	}
 	start := now()
-	w.published.Wait()
 	f.ownerChunks += f.classifyChunks(w, &f.work[1])
 	w.done.Wait()
 	f.inflight = nil
-	f.addCPU(w.rowsCPU)
 	for i := range w.jobs {
 		j := &w.jobs[i]
 		if j.panicked != nil {
@@ -376,10 +328,10 @@ func (f *Front) liveMem(n int) int64 {
 	return mem
 }
 
-// CPUTime is what the front itself cost — decode, windowing, snapshots and
-// distinct rows — once, however many units it serves. Chunks are their
-// units' cost, whichever goroutine ran them. It implements
-// sysmon.Metered.
+// CPUTime is what the front itself cost — decode, windowing and the
+// dispatches: snapshots, distinct rows and verdict bytes — once, however
+// many units it serves. Chunks are their units' cost, whichever goroutine
+// ran them. It implements sysmon.Metered.
 func (f *Front) CPUTime() time.Duration {
 	f.Join()
 	return f.cpu

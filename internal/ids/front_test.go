@@ -97,45 +97,61 @@ func runDetectors(t *testing.T, cfgs []Config, frames []*packet.Packet, shared b
 // so the front folds all of them at dispatch — score what three units on
 // fronts of their own score from the same frames: the same timelines,
 // confusion matrices, recorder events, finished "ids-window" spans and
-// registry text, and the hook sees the same windows.
+// registry text, and the hook sees the same windows. In the second set the
+// hooked unit has no model: its claims are skipped, and its windows still
+// fold with their truth counts.
 func TestFrontMatchesLoneUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sizes := []int{300, 40, 700, 1, 250, 500}
 	detectors := trainedDetectors(t, windowsOf(rng, append(sizes, sizes...)))
-	var cfgs []Config
-	for _, name := range []string{"rf", "kmeans", "cnn"} {
-		cfg := detectors[name]
-		cfg.Name = name
-		cfgs = append(cfgs, cfg)
-	}
 	frames := append(windowsOf(rng, sizes), rowWindows(6*sim.Second)...)
-	lone, front := runDetectors(t, cfgs, frames, false), runDetectors(t, cfgs, frames, true)
+	for _, names := range [][]string{{"rf", "kmeans", "cnn"}, {"rf", "none", "cnn"}} {
+		var cfgs []Config
+		for _, name := range names {
+			cfg := detectors[name]
+			cfg.Name = name
+			cfgs = append(cfgs, cfg)
+		}
+		lone, front := runDetectors(t, cfgs, frames, false), runDetectors(t, cfgs, frames, true)
 
-	if len(lone.results[0]) != len(sizes)+3 || len(lone.hooked) != len(sizes)+3 {
-		t.Fatalf("lone units saw %d windows, the hook %d; want %d", len(lone.results[0]), len(lone.hooked), len(sizes)+3)
-	}
-	if !strings.Contains(lone.spans, "alert") || !strings.Contains(lone.spans, "clear") {
-		t.Fatal("the reference spans carry no verdicts")
-	}
-	for i := range cfgs {
-		if !reflect.DeepEqual(front.results[i], lone.results[i]) {
-			t.Errorf("%s: timelines differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.results[i], lone.results[i])
+		if len(lone.results[0]) != len(sizes)+3 || len(lone.hooked) != len(sizes)+3 {
+			t.Fatalf("%v: lone units saw %d windows, the hook %d; want %d", names, len(lone.results[0]), len(lone.hooked), len(sizes)+3)
 		}
-		if front.confusion[i] != lone.confusion[i] {
-			t.Errorf("%s: confusion %+v on the front, %+v alone", cfgs[i].Name, front.confusion[i], lone.confusion[i])
+		if !strings.Contains(lone.spans, "alert") || !strings.Contains(lone.spans, "clear") {
+			t.Fatalf("%v: the reference spans carry no verdicts", names)
 		}
-		if !reflect.DeepEqual(front.events[i], lone.events[i]) {
-			t.Errorf("%s: recorder events differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.events[i], lone.events[i])
+		for i := range cfgs {
+			if !reflect.DeepEqual(front.results[i], lone.results[i]) {
+				t.Errorf("%s: timelines differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.results[i], lone.results[i])
+			}
+			if front.confusion[i] != lone.confusion[i] {
+				t.Errorf("%s: confusion %+v on the front, %+v alone", cfgs[i].Name, front.confusion[i], lone.confusion[i])
+			}
+			if !reflect.DeepEqual(front.events[i], lone.events[i]) {
+				t.Errorf("%s: recorder events differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.events[i], lone.events[i])
+			}
+			if cfgs[i].Model != nil {
+				continue
+			}
+			truth, flagged := 0, 0
+			for _, r := range front.results[i] {
+				truth += r.TruthMalicious
+				flagged += r.PredMalicious
+			}
+			if len(front.results[i]) != len(sizes)+3 || truth == 0 || flagged != 0 {
+				t.Errorf("%s: %d windows, %d malicious packets, %d flagged; want %d windows, some malicious, none flagged",
+					cfgs[i].Name, len(front.results[i]), truth, flagged, len(sizes)+3)
+			}
 		}
-	}
-	if !reflect.DeepEqual(front.hooked, lone.hooked) {
-		t.Errorf("the hook saw\n%+v\non the front and\n%+v\nalone", front.hooked, lone.hooked)
-	}
-	if front.spans != lone.spans {
-		t.Errorf("ids-window spans differ (%d vs %d bytes)", len(front.spans), len(lone.spans))
-	}
-	if front.prom != lone.prom {
-		t.Errorf("registry text differs:\n--- front ---\n%s--- lone ---\n%s", front.prom, lone.prom)
+		if !reflect.DeepEqual(front.hooked, lone.hooked) {
+			t.Errorf("%v: the hook saw\n%+v\non the front and\n%+v\nalone", names, front.hooked, lone.hooked)
+		}
+		if front.spans != lone.spans {
+			t.Errorf("%v: ids-window spans differ (%d vs %d bytes)", names, len(front.spans), len(lone.spans))
+		}
+		if front.prom != lone.prom {
+			t.Errorf("%v: registry text differs:\n--- front ---\n%s--- lone ---\n%s", names, front.prom, lone.prom)
+		}
 	}
 }
 

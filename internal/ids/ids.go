@@ -12,11 +12,11 @@
 // serves (a unit from New has a front of its own). A closed window goes
 // through three stages. The goroutine that feeds the front (its owner: the
 // scheduler's in a live run, the reader's in a replay) takes a snapshot of
-// the window out of the extractor's reused storage; a goroutine started for
-// that window sorts the snapshot into distinct rows and classifies them for
+// the window out of the extractor's reused storage and sorts it into
+// distinct rows; a goroutine started for that window classifies them for
 // every unit, chunk by chunk, and an owner that reaches the window's fold
 // point before the goroutine is done claims chunks too instead of waiting —
-// all the arithmetic, touching only the snapshot, the models and the
+// the models' arithmetic, touching only the snapshot, the models and the
 // front's classification buffers; and the owner folds each unit's verdicts
 // back — scoring, alerting, tracing, hooks: every effect — at a point the
 // input alone fixes (see Unit.Join). The paper runs its IDS in a container
@@ -105,11 +105,11 @@ type WindowResult struct {
 	// classified malicious, capped at maxFlaggedFlows — the per-flow
 	// verdicts an inline mitigation stage installs.
 	FlaggedFlows []trace.Flow
-	// CPU is the compute time spent on this window — snapshot, distinct
-	// rows, the unit's chunks and verdict copies and its scoring — summed
-	// over both goroutines, since the owner may classify some of the chunks
-	// itself, and none of the time one goroutine waited for the other. The
-	// snapshot and distinct rows are the front's, counted for every unit.
+	// CPU is the compute time spent on this window — the owner's dispatch
+	// (snapshot, distinct rows, verdict bytes), the unit's chunks and its
+	// scoring — summed over both goroutines, since the owner may classify
+	// some of the chunks itself, and none of the time one goroutine waited
+	// for the other. The dispatch is the front's, counted for every unit.
 	CPU time.Duration
 }
 
@@ -342,8 +342,9 @@ func distinctRows(pkts []features.Basic) (first, distinct []int32) {
 
 // Join folds the window in flight on the unit's front, if there is one: it
 // classifies the chunks of the window that are still unclaimed, waits for
-// the window's goroutine and applies the verdicts of every unit on the
-// front, in subscription order (Front.Join). Every fold happens
+// the window's goroutine, if the window started one, and applies the
+// verdicts of every unit on the front, in subscription order (Front.Join).
+// Every fold happens
 // here, on the owner's goroutine, and Join is called at points the input
 // alone fixes, so a run's results do not depend on how the goroutines were
 // scheduled: before the next window is snapshotted; in Flush; in every
@@ -374,7 +375,7 @@ func (u *Unit) fold(w *window, j *job) {
 		if j.verdicts == nil {
 			continue
 		}
-		pred := int(j.verdicts[i])
+		pred := int(j.verdicts[w.first[i]])
 		if pred == dataset.Malicious {
 			res.PredMalicious++
 			if flagged == nil {
@@ -413,7 +414,7 @@ func (u *Unit) fold(w *window, j *job) {
 	// The window's compute on both goroutines; the front's Join and timers
 	// charge the unit the same terms, so the per-window figures sum to no
 	// more than its CPUTime.
-	res.CPU = w.snapCPU + w.rowsCPU + time.Duration(j.cpu.Load()) + now() - start
+	res.CPU = w.dispatchCPU + time.Duration(j.cpu.Load()) + now() - start
 	u.winCPU.Observe(float64(res.CPU) / float64(time.Microsecond))
 	verdict := "clear"
 	if res.Alert {

@@ -63,14 +63,14 @@ func (m *gatedModel) PredictBatch(xs [][]float64, out []int) {
 // panickyModel panics on its n-th batch (counting from 1).
 type panickyModel struct {
 	inner ml.Classifier
-	n     int
-	calls int
+	n     int64
+	calls atomic.Int64
 }
 
 func (m *panickyModel) Predict(x []float64) int { return m.inner.Predict(x) }
 func (m *panickyModel) Name() string            { return m.inner.Name() }
 func (m *panickyModel) PredictBatch(xs [][]float64, out []int) {
-	if m.calls++; m.calls == m.n {
+	if m.calls.Add(1) == m.n {
 		panic("model blew up")
 	}
 	ml.PredictBatch(m.inner, xs, out)
@@ -145,7 +145,7 @@ func TestClassifierPanicFailsTheRun(t *testing.T) {
 	const per = 40 // below chunk: one batch per window
 	frames := windowsOf(rand.New(rand.NewSource(3)), []int{per, per, per, per, per})
 	newUnit := func(n int) *Unit {
-		return New(Config{Model: &panickyModel{inner: NewThresholdRule(), n: n}, Labeler: spoofLabeler})
+		return New(Config{Model: &panickyModel{inner: NewThresholdRule(), n: int64(n)}, Labeler: spoofLabeler})
 	}
 	check := func(name string, u *Unit, at, wantAt int, msg string, folded int) {
 		t.Helper()

@@ -52,7 +52,7 @@ func FuzzLoadBundle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		x := make([]float64, width(b.Model))
+		x := make([]float64, Width(b.Model))
 		if b.Scaler != nil {
 			b.Scaler.Transform(x)
 		}

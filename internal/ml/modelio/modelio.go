@@ -220,12 +220,12 @@ func checkCNN(m *cnn.Network) error {
 	return nil
 }
 
-// width is the length of the feature vector c reads, as its file declares
-// it.
-func width(c ml.Classifier) int {
+// Width is the length of the feature vector c reads, as its file declares
+// it; 0 for a classifier this package does not save.
+func Width(c ml.Classifier) int {
 	switch m := c.(type) {
 	case ml.OffsetView:
-		return m.Offset + width(m.Inner)
+		return m.Offset + Width(m.Inner)
 	case *forest.Forest:
 		return m.Features
 	case *kmeans.Model:
@@ -290,9 +290,9 @@ func LoadBundle(r io.Reader) (Bundle, error) {
 	if err != nil {
 		return Bundle{}, err
 	}
-	if b.Scaler != nil && (len(b.Scaler.Mean) != width(m) || len(b.Scaler.Std) != width(m)) {
+	if b.Scaler != nil && (len(b.Scaler.Mean) != Width(m) || len(b.Scaler.Std) != Width(m)) {
 		return Bundle{}, fmt.Errorf("modelio: scaler of width %d/%d before a model of width %d",
-			len(b.Scaler.Mean), len(b.Scaler.Std), width(m))
+			len(b.Scaler.Mean), len(b.Scaler.Std), Width(m))
 	}
 	b.Model = m
 	return b, nil

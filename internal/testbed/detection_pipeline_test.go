@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,11 +177,14 @@ func TestDetectionPipelineDeterminism(t *testing.T) {
 }
 
 // explodingModel panics on its n-th prediction.
-type explodingModel struct{ n, calls int }
+type explodingModel struct {
+	n     int64
+	calls atomic.Int64
+}
 
 func (m *explodingModel) Name() string { return "exploding" }
 func (m *explodingModel) Predict([]float64) int {
-	if m.calls++; m.calls == m.n {
+	if m.calls.Add(1) == m.n {
 		panic("model blew up")
 	}
 	return dataset.Benign
