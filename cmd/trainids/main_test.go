@@ -23,8 +23,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestMalformedInputIsAnError: a corpus whose columns are not the IDS's
-// features, a label that is neither class and a subsample cap below one
-// each end the command with exit status 1 and one "trainids:" line, not a
+// features, a label that is neither class, a row of NaN features and a
+// subsample cap below one each end the command with exit status 1 and one "trainids:" line, not a
 // panic.
 func TestMalformedInputIsAnError(t *testing.T) {
 	dir := t.TempDir()
@@ -37,6 +37,7 @@ func TestMalformedInputIsAnError(t *testing.T) {
 	}
 	header := strings.Join(features.Names(), ",") + ",label\n"
 	row := strings.TrimSuffix(strings.Repeat("1,", features.NumFeatures()), ",")
+	nanRow := strings.TrimSuffix(strings.Repeat("NaN,", features.NumFeatures()), ",")
 	good := csv("good.csv", header+row+",0\n"+row+",1\n")
 	for _, c := range []struct {
 		name string
@@ -45,6 +46,7 @@ func TestMalformedInputIsAnError(t *testing.T) {
 	}{
 		{"foreign columns", []string{"-data", csv("columns.csv", "a,label\n1,0\n2,1\n")}, "columns"},
 		{"label 5", []string{"-data", csv("label.csv", header+row+",0\n"+row+",5\n")}, "line 3: label 5"},
+		{"NaN features", []string{"-data", csv("nan.csv", header+nanRow+",0\n"+strings.Repeat(row+",1\n", 4))}, "line 2: feature"},
 		{"-maxsamples -1", []string{"-data", good, "-maxsamples", "-1"}, "-maxsamples"},
 	} {
 		cmd := exec.Command(os.Args[0], append(c.args, "-outdir", dir)...)

@@ -214,9 +214,8 @@ type Container struct {
 	stopped  sim.Time
 	restarts int
 
-	exitCrash bool // last exit was a crash (Kill), not a clean Stop
-	crashes   uint64
-	sup       *Supervisor
+	crashes uint64
+	sup     *Supervisor
 }
 
 // Name returns the container name.
@@ -244,14 +243,6 @@ func (c *Container) State() State { return c.state }
 // Restarts reports how many times the container has been restarted.
 func (c *Container) Restarts() int { return c.restarts }
 
-// Running reports whether the container is currently up (sysmon samples it
-// for availability accounting).
-func (c *Container) Running() bool { return c.state == StateRunning }
-
-// Crashed reports whether the container's most recent exit was abnormal
-// (Kill), as opposed to a clean Stop.
-func (c *Container) Crashed() bool { return c.state == StateStopped && c.exitCrash }
-
 // Crashes reports the total number of abnormal exits.
 func (c *Container) Crashes() uint64 { return c.crashes }
 
@@ -270,8 +261,7 @@ func (c *Container) emit(event string, value int64) {
 // node's domain scheduler in a partitioned network).
 func (c *Container) Scheduler() *sim.Scheduler { return c.node.Scheduler() }
 
-// Start runs the hosted app. Starting a running container is a no-op. A
-// manual Start re-enables a supervisor that a manual Stop suspended.
+// Start runs the hosted app. Starting a running container is a no-op.
 func (c *Container) Start() {
 	if c.state == StateRunning {
 		return
@@ -281,7 +271,6 @@ func (c *Container) Start() {
 	}
 	c.state = StateRunning
 	c.started = c.node.Scheduler().Now()
-	c.exitCrash = false
 	c.emit("start", int64(c.restarts))
 	// Plug in our own side only: side state is owned by the NIC's domain,
 	// so a restart never reaches across a domain boundary. The far (switch)
@@ -290,49 +279,19 @@ func (c *Container) Start() {
 	if c.app != nil {
 		c.app.Start(c)
 	}
-	if c.sup != nil && !c.sup.restarting {
-		c.sup.noteManualStart()
-	}
 }
 
-// Stop halts the hosted app and cuts the uplink (the container disappears
-// from the network, as `docker stop` makes it do). A manual stop also
-// suspends any supervisor — like `docker stop` on a restart=always
-// container, the operator's intent to keep it down wins over the restart
-// policy, and any already-pending supervised restart is cancelled.
-func (c *Container) Stop() {
-	if c.sup != nil {
-		c.sup.noteManualStop()
-	}
-	if c.state != StateRunning {
-		return
-	}
-	c.halt(false)
-}
-
-// Kill terminates the container abnormally — the crash/OOM analog. Unlike
-// Stop, a kill counts as a failure exit, so a supervisor with an on-failure
-// or always policy will schedule a restart.
+// Kill terminates the container abnormally — the crash/OOM analog, and the
+// only way a container exits: it stops the hosted app and cuts the uplink
+// (the container disappears from the network), and a supervisor with the
+// always policy schedules a restart.
 func (c *Container) Kill() {
 	if c.state != StateRunning {
 		return
 	}
-	c.halt(true)
-	c.crashes++
-	if c.sup != nil {
-		c.sup.noteExit()
-	}
-}
-
-func (c *Container) halt(crash bool) {
 	c.state = StateStopped
 	c.stopped = c.node.Scheduler().Now()
-	c.exitCrash = crash
-	if crash {
-		c.emit("crash", int64(c.crashes+1))
-	} else {
-		c.emit("stop", 0)
-	}
+	c.emit("crash", int64(c.crashes+1))
 	if c.app != nil {
 		c.app.Stop()
 	}
@@ -342,6 +301,10 @@ func (c *Container) halt(crash bool) {
 	// With the app stopped its sockets are gone; hand any now-empty stack
 	// tables back to the shared pools until the next start needs them.
 	c.host.ReleaseIdle()
+	c.crashes++
+	if c.sup != nil {
+		c.sup.noteExit()
+	}
 }
 
 // --- resource accounting (the `docker stats` analog) ---

@@ -80,10 +80,10 @@ func TestAppLifecycle(t *testing.T) {
 	if started != 1 || c.State() != StateRunning {
 		t.Fatalf("started=%d state=%v", started, c.State())
 	}
-	c.Stop()
-	c.Stop() // idempotent
-	if stopped != 1 || c.State() != StateStopped {
-		t.Fatalf("stopped=%d state=%v", stopped, c.State())
+	c.Kill()
+	c.Kill() // idempotent
+	if stopped != 1 || c.State() != StateStopped || c.Crashes() != 1 {
+		t.Fatalf("stopped=%d state=%v crashes=%d", stopped, c.State(), c.Crashes())
 	}
 	c.Start()
 	if c.Restarts() != 1 {
@@ -91,6 +91,8 @@ func TestAppLifecycle(t *testing.T) {
 	}
 }
 
+// TestStopCutsNetwork: a stopped (killed) container drops off the network
+// until it starts again.
 func TestStopCutsNetwork(t *testing.T) {
 	s, rt, sw := testRuntime(t)
 	a, err := rt.Create(spec("a", 1), sw, netsim.LinkConfig{})
@@ -116,7 +118,7 @@ func TestStopCutsNetwork(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("pre-stop delivery = %d", got)
 	}
-	b.Stop()
+	b.Kill()
 	sock.SendTo(b.Addr(), 9, []byte("2"))
 	s.Drain()
 	if got != 1 {

@@ -16,11 +16,7 @@ type RestartPolicy int
 const (
 	// RestartNever leaves exited containers down.
 	RestartNever RestartPolicy = iota
-	// RestartOnFailure restarts containers that crashed (Kill), but not
-	// cleanly stopped ones.
-	RestartOnFailure
-	// RestartAlways restarts any supervised exit. Like Docker's `always`,
-	// a manual Stop still suspends restarts until the next manual Start.
+	// RestartAlways restarts every exit (every exit is a crash, Kill).
 	RestartAlways
 )
 
@@ -29,8 +25,6 @@ func (p RestartPolicy) String() string {
 	switch p {
 	case RestartNever:
 		return "never"
-	case RestartOnFailure:
-		return "on-failure"
 	case RestartAlways:
 		return "always"
 	}
@@ -70,19 +64,13 @@ type Supervisor struct {
 	c     *Container
 	cfg   SupervisorConfig
 
-	attempt    int  // consecutive-failure streak (backoff ladder rung)
-	restarts   int  // total supervised restarts performed
-	suspended  bool // manual Stop suspends supervision until manual Start
-	restarting bool // true while the supervisor itself calls Start
-	pending    sim.Event
+	attempt  int // consecutive-failure streak (backoff ladder rung)
+	restarts int // total supervised restarts performed
+	pending  sim.Event
 }
 
-// Supervise attaches a supervisor to a container, replacing any previous
-// one.
+// Supervise attaches a supervisor to a container that has none.
 func (r *Runtime) Supervise(c *Container, cfg SupervisorConfig) *Supervisor {
-	if c.sup != nil {
-		c.sup.Detach()
-	}
 	s := &Supervisor{sched: c.node.Scheduler(), c: c, cfg: cfg}
 	c.sup = s
 	return s
@@ -100,19 +88,6 @@ func (s *Supervisor) Restarts() int { return s.restarts }
 // RestartPending reports whether a supervised restart is scheduled.
 func (s *Supervisor) RestartPending() bool { return s.pending.Pending() }
 
-// Detach cancels any pending restart, leaving the container unsupervised.
-func (s *Supervisor) Detach() {
-	s.cancelPending()
-	if s.c.sup == s {
-		s.c.sup = nil
-	}
-}
-
-func (s *Supervisor) cancelPending() {
-	s.pending.Cancel()
-	s.pending = sim.Event{}
-}
-
 // emit records a supervision trace event in the network's flight recorder,
 // stamped with the supervised container's domain clock.
 func (s *Supervisor) emit(event string, value int64) {
@@ -122,7 +97,7 @@ func (s *Supervisor) emit(event string, value int64) {
 
 // noteExit handles a crash exit (Kill).
 func (s *Supervisor) noteExit() {
-	if s.suspended || s.cfg.Policy == RestartNever {
+	if s.cfg.Policy == RestartNever {
 		return
 	}
 	// A long healthy run resets the backoff ladder.
@@ -130,21 +105,6 @@ func (s *Supervisor) noteExit() {
 		s.attempt = 0
 	}
 	s.scheduleRestart()
-}
-
-// noteManualStop records operator intent to keep the container down: any
-// pending supervised restart is cancelled and supervision suspends until
-// the next manual Start. This is the guard that keeps a churn or fault
-// callback from silently resurrecting a deliberately stopped container.
-func (s *Supervisor) noteManualStop() {
-	s.suspended = true
-	s.cancelPending()
-}
-
-// noteManualStart re-arms supervision with a fresh backoff ladder.
-func (s *Supervisor) noteManualStart() {
-	s.suspended = false
-	s.attempt = 0
 }
 
 func (s *Supervisor) scheduleRestart() {
@@ -167,12 +127,10 @@ func (s *Supervisor) scheduleRestart() {
 	}
 	s.pending = s.sched.After(delay, func() {
 		s.pending = sim.Event{}
-		if s.suspended || s.c.State() == StateRunning {
+		if s.c.State() == StateRunning {
 			return
 		}
-		s.restarting = true
 		s.c.Start()
-		s.restarting = false
 		s.restarts++
 		s.emit("restart", int64(s.restarts))
 		if s.cfg.OnRestart != nil {

@@ -27,12 +27,12 @@ func sched(rt *Runtime) func(d time.Duration) {
 }
 
 func TestSupervisorRestartsCrash(t *testing.T) {
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartOnFailure})
+	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartAlways})
 	run := sched(rt)
 	c.Start()
 	c.Kill()
-	if c.State() != StateStopped || !c.Crashed() {
-		t.Fatalf("after Kill: state=%v crashed=%v", c.State(), c.Crashed())
+	if c.State() != StateStopped || c.Crashes() != 1 {
+		t.Fatalf("after Kill: state=%v crashes=%d", c.State(), c.Crashes())
 	}
 	if !sup.RestartPending() {
 		t.Fatal("no restart scheduled after crash")
@@ -57,45 +57,8 @@ func TestSupervisorNeverPolicy(t *testing.T) {
 	}
 }
 
-func TestSupervisorManualStopNotRestarted(t *testing.T) {
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartAlways})
-	run := sched(rt)
-	c.Start()
-	c.Stop() // clean operator stop: must stay down even under "always"
-	run(time.Minute)
-	if c.State() != StateStopped {
-		t.Fatal("manually stopped container was resurrected")
-	}
-	if sup.Restarts() != 0 {
-		t.Fatalf("Restarts() = %d, want 0", sup.Restarts())
-	}
-}
-
-func TestSupervisorManualStopCancelsPendingRestart(t *testing.T) {
-	rt, c, _ := supervisedContainer(t, SupervisorConfig{
-		Policy: RestartAlways,
-		Delay:  func(int) time.Duration { return 5 * time.Second },
-	})
-	run := sched(rt)
-	c.Start()
-	c.Kill() // restart pending at +5s
-	run(time.Second)
-	c.Stop() // operator confirms: keep it down
-	run(time.Minute)
-	if c.State() != StateStopped {
-		t.Fatal("pending restart resurrected a manually stopped container")
-	}
-	// A manual start re-arms supervision.
-	c.Start()
-	c.Kill()
-	run(time.Minute)
-	if c.State() != StateRunning {
-		t.Fatal("supervision not re-armed after manual restart")
-	}
-}
-
 func TestSupervisorExponentialBackoffAndCap(t *testing.T) {
-	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartOnFailure})
+	rt, c, sup := supervisedContainer(t, SupervisorConfig{Policy: RestartAlways})
 	run := sched(rt)
 	c.Start()
 

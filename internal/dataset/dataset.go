@@ -238,7 +238,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses the WriteCSV format. A label other than Benign or
-// Malicious is an error naming its line.
+// Malicious, or a feature that is NaN or infinite, is an error naming its
+// line.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	br := bufio.NewScanner(r)
 	br.Buffer(make([]byte, 1<<20), 1<<20)
@@ -266,6 +267,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 			v, err := strconv.ParseFloat(fields[j], 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: read csv line %d: %w", line, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: read csv line %d: feature %q is %v, want a finite value", line, header[j], v)
 			}
 			x[j] = v
 		}

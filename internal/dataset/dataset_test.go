@@ -177,6 +177,8 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		"a,label\n1,2,3\n",      // too many fields
 		"a,label\nxx,1\n",       // bad float
 		"a,label\n1.5,benign\n", // bad label
+		"a,label\nNaN,0\n",      // non-finite feature
+		"a,label\n-Inf,1\n",     // non-finite feature
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(bytes.NewReader([]byte(c))); err == nil {

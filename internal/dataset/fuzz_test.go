@@ -17,11 +17,13 @@ const ddoshieldRows = `proto_tcp,proto_udp,src_port,dst_port,pkt_len,flag_syn,fl
 
 // FuzzReadCSV: a dataset CSV is user input (cmd/trainids reads whatever it
 // is given). Whatever the bytes, ReadCSV returns an error or a dataset with
-// labels of the two classes only, which WriteCSV and ReadCSV bring back with
-// the same names, the same labels and the same float bits.
+// finite features and labels of the two classes only, which WriteCSV and
+// ReadCSV bring back with the same names, the same labels and the same
+// float bits.
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(ddoshieldRows))
-	f.Add([]byte("a,b,label\n1,-0,1\nNaN,+Inf,0\n\n0x1p-3,1e-320,1\n"))
+	f.Add([]byte("a,b,label\n1,-0,1\n\n0x1p-3,1e-320,1\n"))
+	f.Add([]byte("a,b,label\n1,-0,1\nNaN,+Inf,0\n"))
 	f.Add([]byte("a,label\n1,5\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A rewritten row can be longer than its input ("1e9" is written
@@ -36,6 +38,11 @@ func FuzzReadCSV(f *testing.F) {
 		for i, s := range d.Samples {
 			if s.Y != Benign && s.Y != Malicious {
 				t.Fatalf("sample %d: label %d accepted", i, s.Y)
+			}
+			for j, v := range s.X {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("sample %d: feature %d is %v, accepted", i, j, v)
+				}
 			}
 		}
 		var buf bytes.Buffer

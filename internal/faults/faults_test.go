@@ -81,16 +81,22 @@ func TestInjectorLinkFlap(t *testing.T) {
 	}
 }
 
+// TestInjectorFlapDoesNotRecableStoppedContainer: a container that crashes
+// mid-flap stays cut when the flap ends; its next Start raises its side.
 func TestInjectorFlapDoesNotRecableStoppedContainer(t *testing.T) {
 	r := newRig(t, 1)
 	var p Plan
 	p.Add(Event{Kind: LinkFlap, At: time.Second, Duration: 2 * time.Second, Targets: []string{"dev00"}})
 	r.in.Schedule(p)
 	r.run(2 * time.Second)
-	r.cs[0].Stop() // operator stops the container mid-flap
+	r.cs[0].Kill() // the container crashes mid-flap
 	r.run(5 * time.Second)
 	if linkUp(r.cs[0]) {
-		t.Fatal("flap restore re-cabled a stopped container")
+		t.Fatal("flap restore re-cabled a crashed container")
+	}
+	r.cs[0].Start()
+	if !linkUp(r.cs[0]) {
+		t.Fatal("restart did not re-cable the container")
 	}
 }
 
@@ -124,7 +130,7 @@ func TestInjectorCrashAndGlob(t *testing.T) {
 	r.in.Schedule(p)
 	r.run(2 * time.Second)
 	for i, c := range r.cs {
-		if c.State() != container.StateStopped || !c.Crashed() {
+		if c.State() != container.StateStopped || c.Crashes() != 1 {
 			t.Fatalf("container %d not crashed: %v", i, c.State())
 		}
 	}

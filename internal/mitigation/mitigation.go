@@ -95,12 +95,10 @@ type prefixRule struct {
 // bumps a revision that invalidates all memoized verdicts at once.
 type Firewall struct {
 	sched *sim.Scheduler
-	nic   *netsim.NIC
 	cfg   FirewallConfig
 
-	cache  *verdictCache
-	rev    uint32
-	ticker *sim.Ticker
+	cache *verdictCache
+	rev   uint32
 
 	addrs    map[packet.Addr]sim.Time // addr → expiry
 	prefixes []prefixRule             // sorted by (addr, bits)
@@ -143,7 +141,6 @@ func NewFirewallConfig(sched *sim.Scheduler, nic *netsim.NIC, cfg FirewallConfig
 	cfg = cfg.withDefaults()
 	fw := &Firewall{
 		sched: sched,
-		nic:   nic,
 		cfg:   cfg,
 		addrs: make(map[packet.Addr]sim.Time),
 		flows: make(map[flowKey]flowRule),
@@ -169,21 +166,12 @@ func NewFirewallConfig(sched *sim.Scheduler, nic *netsim.NIC, cfg FirewallConfig
 		return float64(fw.cache.size(fw.sched.Now(), fw.rev))
 	}, "mitigation_cache_entries", l)
 	if cfg.SweepInterval > 0 {
-		fw.ticker = sched.Every(cfg.SweepInterval, func() {
+		sched.Every(cfg.SweepInterval, func() {
 			fw.cache.sweep(fw.sched.Now(), fw.rev)
 		})
 	}
 	nic.SetIngressFilterCtx(fw.admit)
 	return fw
-}
-
-// Detach removes the firewall from the NIC and stops its aging sweep.
-func (fw *Firewall) Detach() {
-	fw.nic.SetIngressFilterCtx(nil)
-	if fw.ticker != nil {
-		fw.ticker.Stop()
-		fw.ticker = nil
-	}
 }
 
 // bumpRev invalidates every memoized verdict: the cached decisions were

@@ -92,26 +92,6 @@ func TestFirewallBlocksPrefixButPassesARP(t *testing.T) {
 	}
 }
 
-func TestFirewallDetach(t *testing.T) {
-	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
-	fw.BlockAddr(client.Addr(), time.Minute)
-	fw.Detach()
-	got := 0
-	if _, err := server.ListenUDP(9, func(packet.Addr, uint16, []byte) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	sock, err := client.ListenUDP(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock.SendTo(server.Addr(), 9, []byte("x"))
-	s.RunFor(time.Second)
-	if got != 1 {
-		t.Fatal("detached firewall still filtering")
-	}
-}
-
 // alertModel flags everything from the spoof range.
 type alertModel struct{}
 

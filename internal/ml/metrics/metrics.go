@@ -5,10 +5,7 @@
 // Report type mirrors that by exposing Defined flags alongside values.
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Confusion is a binary confusion matrix with the malicious class as
 // positive.
@@ -31,21 +28,6 @@ func (c *Confusion) Add(truth, pred int) {
 	default:
 		c.FN++
 	}
-}
-
-// AddBatch accumulates parallel truth/prediction slices.
-func (c *Confusion) AddBatch(truth, pred []int) {
-	for i := range truth {
-		c.Add(truth[i], pred[i])
-	}
-}
-
-// Merge folds another confusion matrix into c.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.TN += o.TN
-	c.FP += o.FP
-	c.FN += o.FN
 }
 
 // Total reports the number of accumulated predictions.
@@ -109,13 +91,6 @@ func NewReport(c Confusion) Report {
 	return r
 }
 
-// Evaluate builds a report from parallel truth/prediction slices.
-func Evaluate(truth, pred []int) Report {
-	var c Confusion
-	c.AddBatch(truth, pred)
-	return NewReport(c)
-}
-
 // String renders a one-line summary with percentages.
 func (r Report) String() string {
 	fmtPct := func(v float64, def bool) string {
@@ -142,15 +117,4 @@ func Mean(vals []float64) float64 {
 		s += v
 	}
 	return s / float64(len(vals))
-}
-
-// Min returns the smallest value, or +Inf on empty input.
-func Min(vals []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range vals {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }

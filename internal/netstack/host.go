@@ -102,7 +102,6 @@ func NewHost(nic *netsim.NIC, cfg HostConfig) *Host {
 // per device.
 var (
 	arpMapPool      = sync.Pool{New: func() any { return make(map[packet.Addr]*arpEntry) }}
-	udpMapPool      = sync.Pool{New: func() any { return make(map[uint16]*UDPSocket) }}
 	listenerMapPool = sync.Pool{New: func() any { return make(map[uint16]*Listener) }}
 	connMapPool     = sync.Pool{New: func() any { return make(map[connKey]*Conn) }}
 )
@@ -114,13 +113,6 @@ func (h *Host) arpMap() map[packet.Addr]*arpEntry {
 		h.arp = arpMapPool.Get().(map[packet.Addr]*arpEntry)
 	}
 	return h.arp
-}
-
-func (h *Host) udpMap() map[uint16]*UDPSocket {
-	if h.udpSocks == nil {
-		h.udpSocks = udpMapPool.Get().(map[uint16]*UDPSocket)
-	}
-	return h.udpSocks
 }
 
 func (h *Host) listenerMap() map[uint16]*Listener {
@@ -155,10 +147,6 @@ func (h *Host) ReleaseIdle() {
 	if h.arp != nil && len(h.arp) == 0 {
 		arpMapPool.Put(h.arp)
 		h.arp = nil
-	}
-	if h.udpSocks != nil && len(h.udpSocks) == 0 {
-		udpMapPool.Put(h.udpSocks)
-		h.udpSocks = nil
 	}
 	if h.listeners != nil && len(h.listeners) == 0 {
 		listenerMapPool.Put(h.listeners)

@@ -89,25 +89,6 @@ func TestUDPPortConflict(t *testing.T) {
 	}
 }
 
-func TestUDPSocketClose(t *testing.T) {
-	s, hosts := lan(t, 2, netsim.LinkConfig{})
-	a, b := hosts[0], hosts[1]
-	n := 0
-	sockB, err := b.ListenUDP(5000, func(packet.Addr, uint16, []byte) { n++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sockA, _ := a.ListenUDP(0, nil)
-	sockA.SendTo(b.Addr(), 5000, []byte("1"))
-	s.Drain()
-	sockB.Close()
-	sockA.SendTo(b.Addr(), 5000, []byte("2"))
-	s.Drain()
-	if n != 1 {
-		t.Fatalf("delivered %d, want 1 (socket closed)", n)
-	}
-}
-
 func TestTCPHandshakeAndData(t *testing.T) {
 	s, hosts := lan(t, 2, netsim.LinkConfig{})
 	client, server := hosts[0], hosts[1]

@@ -17,7 +17,6 @@ type UDPSocket struct {
 	host    *Host
 	port    uint16
 	handler UDPHandler
-	closed  bool
 
 	rxDgrams uint64
 	rxBytes  uint64
@@ -33,7 +32,10 @@ func (h *Host) ListenUDP(port uint16, handler UDPHandler) (*UDPSocket, error) {
 		return nil, fmt.Errorf("udp port %d already bound on %s", port, h.cfg.Addr)
 	}
 	s := &UDPSocket{host: h, port: port, handler: handler}
-	h.udpMap()[port] = s
+	if h.udpSocks == nil {
+		h.udpSocks = make(map[uint16]*UDPSocket)
+	}
+	h.udpSocks[port] = s
 	return s, nil
 }
 
@@ -42,20 +44,8 @@ func (s *UDPSocket) Port() uint16 { return s.port }
 
 // SendTo transmits a datagram from the socket's port.
 func (s *UDPSocket) SendTo(dst packet.Addr, dstPort uint16, data []byte) {
-	if s.closed {
-		return
-	}
 	s.txDgrams++
 	s.host.sendUDP(s.port, dst, dstPort, data)
-}
-
-// Close releases the port.
-func (s *UDPSocket) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	delete(s.host.udpSocks, s.port)
 }
 
 // Stats reports datagrams/bytes received and datagrams sent.

@@ -239,7 +239,6 @@ type Engine struct {
 	domains   []*Domain
 	lookahead Time
 	epochs    uint64
-	stopped   atomic.Bool
 
 	// Deterministic window and message accounting.
 	widthMin, widthMax Time
@@ -317,10 +316,6 @@ func (e *Engine) Messages(from, to int) uint64 { return e.msgs[from*len(e.domain
 // barriers: merging outboxes and deriving the next window. Like
 // Domain.Wall it is host-dependent.
 func (e *Engine) MergeNs() int64 { return e.mergeNs }
-
-// Stop halts a running engine at the next barrier. Safe to call from any
-// goroutine (e.g. a domain event deciding to end the run).
-func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Observe registers fn to run on the coordinator between epochs, once per
 // period of simulated time, first one period past the reference clock. The
@@ -403,7 +398,7 @@ func (e *Engine) minNextEvent() (Time, bool) {
 }
 
 // Run executes events until every domain's clock passes horizon (events at
-// exactly the horizon still fire), the queues drain, or Stop is called.
+// exactly the horizon still fire) or the queues drain.
 // workers, clamped to [1, K], is how many goroutines execute windows: the
 // caller's and workers−1 helpers that live for this call. The results are
 // identical for every workers value; only wall-clock time differs. A panic
@@ -414,7 +409,6 @@ func (e *Engine) Run(horizon Time, workers int) error {
 		return errors.New("sim: engine lookahead must be positive (derive it from cross-domain link delays)")
 	}
 	workers = min(max(workers, 1), len(e.domains))
-	e.stopped.Store(false)
 	if err := e.runEpochs(horizon, workers); err != nil {
 		return err
 	}
@@ -450,9 +444,6 @@ func (e *Engine) runEpochs(horizon Time, workers int) error {
 	defer c.disband()
 	barrier := time.Now()
 	for {
-		if e.stopped.Load() {
-			return ErrStopped
-		}
 		e.mergeOutboxes()
 		t, w, ok := e.nextWindow(horizon)
 		e.mergeNs += time.Since(barrier).Nanoseconds()

@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // buildPDESModel assembles a synthetic K-domain workload: domain i runs
@@ -223,35 +221,6 @@ func TestEngineParallelWindowPanicReported(t *testing.T) {
 				panic("boom")
 			})
 		})
-	}
-}
-
-// TestEngineStop: Stop from an event ends the run at the next barrier with
-// ErrStopped. With two workers the stopping domain's window runs beside
-// the other's, each domain in turn, so a helper calls Stop in one of them.
-func TestEngineStop(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, stopper := range []int{0, 1} {
-			e := NewEngine(2, 10)
-			d := e.Domain(0)
-			var tick Handler
-			tick = func() { d.Scheduler().After(time.Nanosecond, tick) }
-			d.Scheduler().At(0, tick)
-			arrived := func() {}
-			if workers > 1 {
-				arrived = rendezvous(e, 1-stopper, 500)
-			}
-			e.Domain(stopper).Scheduler().At(500, func() {
-				arrived()
-				e.Stop()
-			})
-			if err := e.Run(1_000_000, workers); !errors.Is(err, ErrStopped) {
-				t.Fatalf("workers=%d, stop from domain %d: err = %v, want ErrStopped", workers, stopper, err)
-			}
-			if now := e.Now(); now >= 1000 {
-				t.Fatalf("workers=%d, stop from domain %d: ran on to %v", workers, stopper, now)
-			}
-		}
 	}
 }
 

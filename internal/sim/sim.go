@@ -111,10 +111,6 @@ func (e *Event) Cancel() {
 	e.n.s.removeNode(e.n)
 }
 
-// ErrStopped is returned by Run when the simulation was halted with Stop
-// before reaching its horizon.
-var ErrStopped = errors.New("simulation stopped")
-
 // Scheduler is the simulation kernel: it owns the virtual clock and the
 // event queue — an intrusive, index-tracked binary min-heap over pooled
 // event nodes, so steady-state schedule/fire cycles allocate nothing. A
@@ -127,7 +123,6 @@ type Scheduler struct {
 	seq     uint64
 	tail    bool // the event running (or last fired) at now is keyed or late
 	running bool
-	stopped bool
 	fired   uint64
 }
 
@@ -228,10 +223,6 @@ func (s *Scheduler) Every(interval time.Duration, fn Handler) *Ticker {
 	return t
 }
 
-// Stop halts the simulation: Run returns ErrStopped after the current event
-// finishes.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Step fires the single earliest pending event and advances the clock to
 // its instant. It reports false when no events remain.
 func (s *Scheduler) Step() bool {
@@ -248,23 +239,15 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events in order until the clock passes horizon, the queue
-// drains, or Stop is called. Events scheduled exactly at the horizon still
-// fire. It returns ErrStopped if halted early, nil otherwise.
+// Run executes events in order until the clock passes horizon or the queue
+// drains. Events scheduled exactly at the horizon still fire.
 func (s *Scheduler) Run(horizon Time) error {
 	if s.running {
 		return errors.New("scheduler already running")
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.queue[0].at > horizon {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= horizon {
 		s.Step()
 	}
 	// The horizon was reached (or the queue drained): advance the clock so

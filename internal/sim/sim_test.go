@@ -201,23 +201,6 @@ func TestEventCancel(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	fired := 0
-	s.At(1*Second, func() {
-		fired++
-		s.Stop()
-	})
-	s.At(2*Second, func() { fired++ })
-	err := s.Run(10 * Second)
-	if err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
 func TestSchedulerAfterUsesCurrentInstant(t *testing.T) {
 	s := NewScheduler()
 	var secondAt Time

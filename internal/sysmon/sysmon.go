@@ -27,13 +27,6 @@ type Metered interface {
 	MemBytes() int64
 }
 
-// Runnable is optionally implemented by metered components with an up/down
-// state (containers). Monitors record it per sample, and Report turns it
-// into the availability percentage the fault-injection experiments track.
-type Runnable interface {
-	Running() bool
-}
-
 // Sample is one per-interval measurement.
 type Sample struct {
 	// Time is the sampling instant.
@@ -42,9 +35,6 @@ type Sample struct {
 	CPU time.Duration
 	// MemBytes is the memory held at the sampling instant.
 	MemBytes int64
-	// Running records the target's up/down state at the sampling instant
-	// (always true for targets without one).
-	Running bool
 }
 
 // Monitor periodically samples a Metered component.
@@ -71,14 +61,12 @@ func (m *Monitor) Start(sched *sim.Scheduler) {
 		return
 	}
 	m.lastCPU = m.target.CPUTime()
-	run, hasRun := m.target.(Runnable)
 	m.ticker = sched.Every(m.interval, func() {
 		cpu := m.target.CPUTime()
 		m.samples = append(m.samples, Sample{
 			Time:     sched.Now(),
 			CPU:      cpu - m.lastCPU,
 			MemBytes: m.target.MemBytes(),
-			Running:  !hasRun || run.Running(),
 		})
 		m.lastCPU = cpu
 	})
@@ -101,9 +89,9 @@ func (m *Monitor) Samples() []Sample {
 
 // Publish registers the monitor's Table II aggregates as live registry
 // gauges (sysmon_cpu_percent, sysmon_mem_kb, sysmon_mem_peak_kb,
-// sysmon_availability_pct, sysmon_intervals), labeled target=name. The
-// gauges are evaluated at export time straight through Report(), so a
-// registry snapshot and a Report(speedFactor) call can never disagree.
+// sysmon_intervals), labeled target=name. The gauges are evaluated at
+// export time straight through Report(), so a registry snapshot and a
+// Report(speedFactor) call can never disagree.
 func (m *Monitor) Publish(reg *telemetry.Registry, name string, speedFactor float64) {
 	target := telemetry.L("target", name)
 	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).CPUPercent },
@@ -112,8 +100,6 @@ func (m *Monitor) Publish(reg *telemetry.Registry, name string, speedFactor floa
 		"sysmon_mem_kb", target)
 	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).PeakMemKb },
 		"sysmon_mem_peak_kb", target)
-	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).AvailabilityPct },
-		"sysmon_availability_pct", target)
 	reg.RegisterGaugeFunc(func() float64 { return float64(len(m.samples)) },
 		"sysmon_intervals", target)
 }
@@ -125,9 +111,6 @@ type Report struct {
 	// MeanMemKb and PeakMemKb are memory in the paper's Kb units.
 	MeanMemKb float64
 	PeakMemKb float64
-	// AvailabilityPct is the share of sampling instants the target was up —
-	// the uptime metric the fault-injection experiments degrade.
-	AvailabilityPct float64
 	// Intervals is the number of samples aggregated.
 	Intervals int
 }
@@ -145,7 +128,6 @@ func (m *Monitor) Report(speedFactor float64) Report {
 	}
 	cpuShares := make([]float64, 0, len(m.samples))
 	var memSum float64
-	up := 0
 	for _, s := range m.samples {
 		share := float64(s.CPU) / float64(m.interval) * speedFactor * 100
 		if share > 100 {
@@ -157,12 +139,8 @@ func (m *Monitor) Report(speedFactor float64) Report {
 		if mem > r.PeakMemKb {
 			r.PeakMemKb = mem
 		}
-		if s.Running {
-			up++
-		}
 	}
 	r.CPUPercent = metrics.Mean(cpuShares)
 	r.MeanMemKb = memSum / float64(len(m.samples))
-	r.AvailabilityPct = float64(up) / float64(len(m.samples)) * 100
 	return r
 }

@@ -113,56 +113,12 @@ func TestMonitorIdempotentStartStop(t *testing.T) {
 	}
 }
 
-// flakyTarget adds an up/down state to fakeTarget.
-type flakyTarget struct {
-	fakeTarget
-	up bool
-}
-
-func (f *flakyTarget) Running() bool { return f.up }
-
-func TestReportAvailability(t *testing.T) {
-	s := sim.NewScheduler()
-	target := &flakyTarget{up: true}
-	m := NewMonitor(target, time.Second)
-	m.Start(s)
-	if err := s.Run(6 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	target.up = false
-	if err := s.Run(8 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	m.Stop()
-	// 6 of 8 samples up.
-	if r := m.Report(1); r.AvailabilityPct != 75 {
-		t.Fatalf("AvailabilityPct = %v, want 75", r.AvailabilityPct)
-	}
-	// A target without an up/down state is always available.
-	m2 := NewMonitor(&fakeTarget{}, time.Second)
-	m2.Start(s)
-	if err := s.Run(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if r := m2.Report(1); r.AvailabilityPct != 100 {
-		t.Fatalf("stateless AvailabilityPct = %v, want 100", r.AvailabilityPct)
-	}
-}
-
-// upDownTarget is a fakeTarget with an up/down state.
-type upDownTarget struct {
-	fakeTarget
-	up bool
-}
-
-func (u *upDownTarget) Running() bool { return u.up }
-
 // TestPublishAgreesWithReport is the satellite guard: the registry gauges
 // Publish installs must report float-for-float exactly what Report()
-// computes from the same samples, including the availability column.
+// computes from the same samples.
 func TestPublishAgreesWithReport(t *testing.T) {
 	s := sim.NewScheduler()
-	target := &upDownTarget{up: true}
+	target := &fakeTarget{}
 	m := NewMonitor(target, time.Second)
 	tk := s.Every(time.Second, func() {
 		target.cpu += 137 * time.Millisecond // awkward share: exercises float math
@@ -173,10 +129,6 @@ func TestPublishAgreesWithReport(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	const speedFactor = 7.5
 	m.Publish(reg, "ids-lr", speedFactor)
-	if err := s.Run(6 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	target.up = false
 	if err := s.Run(9 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +148,6 @@ func TestPublishAgreesWithReport(t *testing.T) {
 		{"sysmon_cpu_percent", want.CPUPercent},
 		{"sysmon_mem_kb", want.MeanMemKb},
 		{"sysmon_mem_peak_kb", want.PeakMemKb},
-		{"sysmon_availability_pct", want.AvailabilityPct},
 		{"sysmon_intervals", float64(want.Intervals)},
 	}
 	for _, c := range checks {
@@ -207,9 +158,6 @@ func TestPublishAgreesWithReport(t *testing.T) {
 		if v != c.want {
 			t.Errorf("%s = %v, Report says %v", c.metric, v, c.want)
 		}
-	}
-	if want.AvailabilityPct == 100 || want.AvailabilityPct == 0 {
-		t.Fatalf("scenario should mix up and down samples, got %v%%", want.AvailabilityPct)
 	}
 	if want.CPUPercent == 0 {
 		t.Fatal("scenario should burn CPU")

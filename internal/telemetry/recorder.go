@@ -134,19 +134,6 @@ func (r *Recorder) Dropped() *Counter {
 	return &r.dropped
 }
 
-// Evicted reports how many events were pushed out of the ring.
-func (r *Recorder) Evicted() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next <= uint64(cap(r.buf)) {
-		return 0
-	}
-	return r.next - uint64(cap(r.buf))
-}
-
 // Len reports how many events the ring currently holds.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -30,8 +30,8 @@ func TestRecorderWraparound(t *testing.T) {
 	if r.Emitted() != emitted {
 		t.Fatalf("emitted = %d, want %d", r.Emitted(), emitted)
 	}
-	if r.Evicted() != emitted-capacity {
-		t.Fatalf("evicted = %d, want %d", r.Evicted(), emitted-capacity)
+	if r.Dropped().Value() != emitted-capacity {
+		t.Fatalf("dropped = %d, want %d", r.Dropped().Value(), emitted-capacity)
 	}
 	ev := r.Events()
 	if len(ev) != capacity {
@@ -53,7 +53,7 @@ func TestRecorderWraparound(t *testing.T) {
 
 // TestRecorderDroppedCounter pins the wraparound counter against capacity:
 // every emit past the ring size increments telemetry_recorder_dropped_total
-// by exactly one, and the counter tracks Evicted.
+// by exactly one.
 func TestRecorderDroppedCounter(t *testing.T) {
 	const capacity, emitted = 8, 27
 	r := NewRecorder(capacity)
@@ -69,9 +69,6 @@ func TestRecorderDroppedCounter(t *testing.T) {
 	}
 	if r.Dropped().Value() != emitted-capacity {
 		t.Fatalf("dropped = %d, want %d", r.Dropped().Value(), emitted-capacity)
-	}
-	if r.Dropped().Value() != r.Evicted() {
-		t.Fatalf("dropped %d != evicted %d", r.Dropped().Value(), r.Evicted())
 	}
 	reg := NewRegistry()
 	reg.RegisterCounter(r.Dropped(), "telemetry_recorder_dropped_total")
@@ -92,8 +89,8 @@ func TestRecorderExactlyFull(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		r.Emit(sim.Time(i), CatIDS, "verdict", "u", int64(i))
 	}
-	if r.Evicted() != 0 {
-		t.Fatalf("evicted = %d, want 0 at exact capacity", r.Evicted())
+	if r.Dropped().Value() != 0 {
+		t.Fatalf("dropped = %d, want 0 at exact capacity", r.Dropped().Value())
 	}
 	ev := r.Events()
 	for i := range ev {
@@ -106,7 +103,7 @@ func TestRecorderExactlyFull(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(0, CatNet, "x", "y", 0)
-	if r.Events() != nil || r.Len() != 0 || r.Emitted() != 0 || r.Evicted() != 0 || r.Capacity() != 0 {
+	if r.Events() != nil || r.Len() != 0 || r.Emitted() != 0 || r.Dropped() != nil || r.Capacity() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}
 }

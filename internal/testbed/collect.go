@@ -18,7 +18,6 @@ type DatasetCollector struct {
 	extractor *features.Extractor
 	labeler   func(b *features.Basic) int
 	ds        *dataset.Dataset
-	detached  bool
 }
 
 // NewDatasetCollector builds a collector over the given window size
@@ -43,9 +42,6 @@ func (dc *DatasetCollector) onWindow(w *features.Window) {
 // Tap returns the capture tap to install with Testbed.AddTap.
 func (dc *DatasetCollector) Tap() netsim.Tap {
 	return func(t sim.Time, raw []byte, _ trace.Context) {
-		if dc.detached {
-			return
-		}
 		// Pooled decode: AddPacket copies the Basic features out by value,
 		// so the Packet never outlives the tap callback.
 		p := packet.Acquire()
@@ -55,9 +51,6 @@ func (dc *DatasetCollector) Tap() netsim.Tap {
 		p.Release()
 	}
 }
-
-// Detach stops consuming traffic (the tap cannot be physically removed).
-func (dc *DatasetCollector) Detach() { dc.detached = true }
 
 // Dataset closes the trailing window and returns the corpus.
 func (dc *DatasetCollector) Dataset() *dataset.Dataset {
@@ -79,7 +72,6 @@ type ThroughputSample struct {
 // reports during attacks.
 type ThroughputSampler struct {
 	nic     *netsim.NIC
-	ticker  *sim.Ticker
 	lastRx  uint64
 	lastTx  uint64
 	samples []ThroughputSample
@@ -89,7 +81,7 @@ type ThroughputSampler struct {
 func (tb *Testbed) NewThroughputSampler() *ThroughputSampler {
 	ts := &ThroughputSampler{nic: tb.tserver.Host().NIC()}
 	_, ts.lastRx, _, ts.lastTx = ts.nic.Stats()
-	ts.ticker = tb.sched.Every(time.Second, func() {
+	tb.sched.Every(time.Second, func() {
 		_, rx, _, tx := ts.nic.Stats()
 		ts.samples = append(ts.samples, ThroughputSample{
 			Time:    tb.sched.Now(),
@@ -99,14 +91,6 @@ func (tb *Testbed) NewThroughputSampler() *ThroughputSampler {
 		ts.lastRx, ts.lastTx = rx, tx
 	})
 	return ts
-}
-
-// Stop halts sampling.
-func (ts *ThroughputSampler) Stop() {
-	if ts.ticker != nil {
-		ts.ticker.Stop()
-		ts.ticker = nil
-	}
 }
 
 // Samples returns the timeline.

@@ -8,6 +8,7 @@ import (
 	"ddoshield/internal/container"
 	"ddoshield/internal/faults"
 	"ddoshield/internal/netsim"
+	"ddoshield/internal/sim"
 )
 
 // fourKindPlan hits the fleet with four fault kinds: a flap, a fleet-wide
@@ -91,47 +92,49 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnDoesNotResurrectStoppedDevice pins the supervisor-routed churn
-// fix: a device stopped by an operator mid-churn stays down instead of
-// being revived by a stale reboot callback.
-func TestChurnDoesNotResurrectStoppedDevice(t *testing.T) {
-	tb, err := New(Config{
-		Seed:         7,
-		NumDevices:   4,
-		ScanInterval: 100 * time.Millisecond,
-		Churn: ChurnConfig{
-			Enabled:  true,
-			MeanUp:   10 * time.Second,
-			MeanDown: time.Second,
-		},
-	})
+// TestChurnTimerDoesNotKillRestartedDevice pins the churn generation
+// counter: a fault-plan crash lands before a device's first reboot timer,
+// the supervisor restarts the device and arms a new timer, and the old one
+// must then fire without killing the restarted device. The device's churn
+// draws are replayed from its stream to place the crash and the horizon.
+func TestChurnTimerDoesNotKillRestartedDevice(t *testing.T) {
+	cfg := Config{
+		Seed:       7,
+		NumDevices: 2,
+		Churn:      ChurnConfig{Enabled: true, MeanUp: time.Minute, MeanDown: time.Second},
+	}
+	rng := sim.KeyedStream(cfg.Seed, churnStreamKey, 0)
+	up0 := time.Duration(rng.Exp(float64(cfg.Churn.MeanUp)))    // the first timer, armed at Start
+	down := time.Duration(rng.Exp(float64(cfg.Churn.MeanDown))) // the outage after the crash
+	up1 := time.Duration(rng.Exp(float64(cfg.Churn.MeanUp)))    // the timer armed at the restart
+	crashAt := up0 / 2
+	horizon := up0 + time.Second
+	if crashAt+down >= up0 || crashAt+down+up1 <= horizon {
+		t.Fatalf("seed %d does not set the scene: up0=%v down=%v up1=%v", cfg.Seed, up0, down, up1)
+	}
+	tb, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb.Start()
-	if err := tb.Run(time.Second); err != nil {
+	var p faults.Plan
+	p.Add(faults.Event{Kind: faults.Crash, At: crashAt, Targets: []string{"dev00*"}})
+	tb.Injector().Schedule(p)
+	if err := tb.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
-	victim := tb.Devices()[0].Container
-	victim.Stop()
-	if err := tb.Run(3 * time.Minute); err != nil {
-		t.Fatal(err)
+	c := tb.Devices()[0].Container
+	if c.Crashes() != 1 || c.State() != container.StateRunning {
+		t.Fatalf("crashes=%d state=%v, want the fault's one crash and a running device",
+			c.Crashes(), c.State())
 	}
-	if victim.State() != container.StateStopped {
-		t.Fatalf("stopped device was resurrected: %v", victim.State())
-	}
-	// The rest of the fleet kept churning.
-	restarts := 0
-	for _, s := range tb.DeviceSupervisors() {
-		restarts += s.Restarts()
-	}
-	if restarts == 0 {
-		t.Fatal("churn produced no supervised reboots")
+	if sup := tb.DeviceSupervisors()[0]; sup.Restarts() != 1 {
+		t.Fatalf("supervised restarts = %d, want 1", sup.Restarts())
 	}
 }
 
 // TestFaultCrashedDeviceIsRevivedBySupervisor checks the default (no-churn)
-// supervision: a fault-plan crash comes back via RestartOnFailure.
+// supervision: a fault-plan crash comes back via RestartAlways.
 func TestFaultCrashedDeviceIsRevivedBySupervisor(t *testing.T) {
 	var p faults.Plan
 	p.Add(faults.Event{Kind: faults.Crash, At: 5 * time.Second, Targets: []string{"dev00*"}})

@@ -119,9 +119,9 @@ func edgeServerAddr(g int) packet.Addr {
 
 // ChurnConfig models device reboots: exponential up-times and down-times.
 // A rebooted device loses its infection (Mirai is memory-resident). Churn
-// reboots are crash exits routed through each device's supervisor, so a
-// container stopped by an operator or a fault plan mid-churn stays down
-// instead of being resurrected by a stale restart callback.
+// reboots are crash exits routed through each device's supervisor, which
+// also brings back a device a fault plan crashed; a reboot timer armed
+// before such a restart is retired and never kills the restarted device.
 type ChurnConfig struct {
 	// Enabled turns churn on.
 	Enabled bool
@@ -878,7 +878,7 @@ func (tb *Testbed) Start() {
 // in either execution mode.
 func (tb *Testbed) deviceSupervision(c *container.Container) container.SupervisorConfig {
 	if !tb.cfg.Churn.Enabled {
-		return container.SupervisorConfig{Policy: container.RestartOnFailure}
+		return container.SupervisorConfig{Policy: container.RestartAlways}
 	}
 	st := tb.churn[c]
 	return container.SupervisorConfig{
@@ -896,9 +896,8 @@ func (tb *Testbed) deviceSupervision(c *container.Container) container.Superviso
 // device's supervisor brings it back after the churn outage draw and
 // re-arms the next cycle via OnRestart. A generation counter retires the
 // pending timer when the supervisor restarts the device for another reason
-// first, and the running-state guard keeps a stale timer from touching a
-// container a fault plan or operator took down — nothing silently
-// resurrects a deliberately stopped device anymore.
+// first (a fault-plan crash), and the running-state guard keeps a stale
+// timer from killing a device that is already down.
 func (tb *Testbed) scheduleChurn(c *container.Container) {
 	st := tb.churn[c]
 	st.gen++
