@@ -59,10 +59,11 @@ func capture() *pcap.Buffer {
 
 // savedCapture writes capture() to a pcap file in dir, and next to it a
 // tiny K-Means bundle and a tiny random forest trained on the capture's own
-// vectors. It returns the capture, the paths and the K-Means bundle.
-func savedCapture(t *testing.T, dir string) (buf *pcap.Buffer, pcapPath, kmPath, rfPath string, km modelio.Bundle) {
+// vectors. It returns the capture's records as read back from the file, the
+// paths and the K-Means bundle.
+func savedCapture(t *testing.T, dir string) (recs []pcap.Record, pcapPath, kmPath, rfPath string, km modelio.Bundle) {
 	t.Helper()
-	buf = capture()
+	buf := capture()
 	pcapPath, kmPath, rfPath = filepath.Join(dir, "run.pcap"), filepath.Join(dir, "kmeans.model"), filepath.Join(dir, "rf.model")
 	f, err := os.Create(pcapPath)
 	if err != nil {
@@ -86,9 +87,21 @@ func savedCapture(t *testing.T, dir string) (buf *pcap.Buffer, pcapPath, kmPath,
 			ds.Add(x, label)
 		}
 	})
+	f, err = os.Open(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := pcap.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = r.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
 	p := packet.Acquire()
 	defer p.Release()
-	for _, rec := range buf.Records() {
+	for _, rec := range recs {
 		if err := packet.DecodeInto(p, rec.Time, rec.Data); err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +127,14 @@ func savedCapture(t *testing.T, dir string) (buf *pcap.Buffer, pcapPath, kmPath,
 	if err := modelio.SaveBundleFile(kmPath, km); err != nil {
 		t.Fatal(err)
 	}
-	return buf, pcapPath, kmPath, rfPath, km
+	return recs, pcapPath, kmPath, rfPath, km
 }
 
 // TestReplayMatchesLiveUnit drives the command over a capture and a saved
 // model, and a live unit over the same frames through its tap: the offline
 // half of the detection path prints the windows the online half scores.
 func TestReplayMatchesLiveUnit(t *testing.T) {
-	buf, pcapPath, modelPath, _, km := savedCapture(t, t.TempDir())
+	recs, pcapPath, modelPath, _, km := savedCapture(t, t.TempDir())
 	var out bytes.Buffer
 	if err := run([]string{"-model", modelPath, "-pcap", pcapPath, "-v"}, &out); err != nil {
 		t.Fatal(err)
@@ -129,7 +142,7 @@ func TestReplayMatchesLiveUnit(t *testing.T) {
 
 	live := ids.New(ids.Config{Model: km.Model, Scaler: km.Scaler, Window: time.Second})
 	tap := live.Tap()
-	for _, rec := range buf.Records() {
+	for _, rec := range recs {
 		tap(rec.Time, rec.Data, trace.Context{})
 	}
 	live.Flush()

@@ -2,12 +2,14 @@
 package apptest
 
 import (
+	"bytes"
 	"hash/fnv"
 	"testing"
 
 	"ddoshield/internal/netstack"
 	"ddoshield/internal/packet"
-	"ddoshield/internal/pcap"
+	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry/trace"
 )
 
 // Segment is one TCP segment a host put on the wire.
@@ -22,17 +24,17 @@ type Segment struct {
 // all feed it, so two commits that agree on it sent the same thing.
 func Capture(t *testing.T, h *netstack.Host) func() ([]Segment, uint64) {
 	t.Helper()
-	capture := pcap.NewBuffer(0)
+	var frames [][]byte
 	for _, l := range h.NIC().Node().Network().Links() {
 		if l.SideOf(h.NIC()) >= 0 {
-			l.AddTap(capture.Tap())
+			l.AddTap(func(_ sim.Time, raw []byte, _ trace.Context) { frames = append(frames, bytes.Clone(raw)) })
 		}
 	}
 	return func() ([]Segment, uint64) {
 		var segs []Segment
 		sum := fnv.New64a()
-		for _, rec := range capture.Records() {
-			eth, rest, err := packet.UnmarshalEthernet(rec.Data)
+		for _, frame := range frames {
+			eth, rest, err := packet.UnmarshalEthernet(frame)
 			if err != nil || eth.Src != h.MAC() || eth.Type != packet.EtherTypeIPv4 {
 				continue
 			}
@@ -45,7 +47,7 @@ func Capture(t *testing.T, h *netstack.Host) func() ([]Segment, uint64) {
 				t.Fatal(err)
 			}
 			segs = append(segs, Segment{tcp, payload})
-			sum.Write(rec.Data)
+			sum.Write(frame)
 		}
 		return segs, sum.Sum64()
 	}

@@ -15,7 +15,7 @@ func pair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
 	sw := net.NewSwitch("sw")
-	subnet := packet.MustParsePrefix("10.0.0.0/24")
+	subnet := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}
 	mk := func(i int) *netstack.Host {
 		nic := net.NewNode("h").AddNIC()
 		net.Connect(nic, sw.NewPort(), netsim.LinkConfig{})

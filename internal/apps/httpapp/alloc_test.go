@@ -35,8 +35,8 @@ func TestHTTPTransactionAllocs(t *testing.T) {
 		cycle() // warm the free lists, the pools and the connection tables
 	}
 	frames := func() uint64 {
-		_, _, _, ctx, _ := ch.Stats()
-		_, _, _, stx, _ := sh.Stats()
+		_, _, ctx, _ := ch.NIC().Stats()
+		_, _, stx, _ := sh.NIC().Stats()
 		return ctx + stx
 	}
 	const runs = 200

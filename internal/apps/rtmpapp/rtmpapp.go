@@ -53,7 +53,6 @@ type Server struct {
 
 	streams  uint64
 	bytesOut uint64
-	active   int
 }
 
 // NewServer returns an unstarted streaming server.
@@ -83,9 +82,6 @@ func (s *Server) Detach() {
 // Stats reports streams served and media bytes pushed.
 func (s *Server) Stats() (streams, bytesOut uint64) { return s.streams, s.bytesOut }
 
-// Active reports streams currently playing.
-func (s *Server) Active() int { return s.active }
-
 func (s *Server) accept(c *netstack.Conn) {
 	workload.AttachLines(c, func(line string) {
 		if !strings.HasPrefix(strings.ToUpper(line), "PLAY") {
@@ -99,7 +95,6 @@ func (s *Server) accept(c *netstack.Conn) {
 
 func (s *Server) startStream(c *netstack.Conn) {
 	s.streams++
-	s.active++
 	dur := time.Duration(s.rng.Exp(float64(s.cfg.MeanStreamDur)))
 	if dur < time.Second {
 		dur = time.Second
@@ -110,7 +105,6 @@ func (s *Server) startStream(c *netstack.Conn) {
 	ck := workload.NewChunker(s.host.Scheduler(), c, total, chunkBytes, interval)
 	sent := total
 	ck.OnDone = func() {
-		s.active--
 		s.bytesOut += uint64(sent - ck.Remaining())
 		c.Close()
 	}

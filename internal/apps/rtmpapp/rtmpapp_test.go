@@ -15,7 +15,7 @@ func pair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
 	sw := net.NewSwitch("sw")
-	subnet := packet.MustParsePrefix("10.0.0.0/24")
+	subnet := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}
 	mk := func(i int) *netstack.Host {
 		nic := net.NewNode("h").AddNIC()
 		net.Connect(nic, sw.NewPort(), netsim.LinkConfig{})
@@ -65,8 +65,9 @@ func TestStreamingDeliversAtBitrate(t *testing.T) {
 	if err := s.RunFor((600 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Active() != 0 {
-		t.Fatalf("Active() = %d after drain", srv.Active())
+	streams, _ = srv.Stats()
+	if _, finished, _ = cl.Stats(); finished != streams {
+		t.Fatalf("%d of %d streams finished after drain", finished, streams)
 	}
 }
 
@@ -103,7 +104,8 @@ func TestOneStreamPerViewer(t *testing.T) {
 	if err := s.Run(30 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Active() > 1 {
-		t.Fatalf("Active() = %d, viewer opened concurrent streams", srv.Active())
+	streams, _ := srv.Stats()
+	if _, finished, _ := cl.Stats(); streams > finished+1 {
+		t.Fatalf("%d streams started, %d finished: viewer opened concurrent streams", streams, finished)
 	}
 }

@@ -24,7 +24,6 @@ type Process struct {
 	action  func()
 	pending sim.Event
 	stopped bool
-	fired   uint64
 }
 
 // NewPoisson returns a Poisson process: exponential inter-arrivals with the
@@ -51,7 +50,6 @@ func (p *Process) schedule() {
 		if p.stopped {
 			return
 		}
-		p.fired++
 		p.action()
 		if !p.stopped {
 			p.schedule()
@@ -65,9 +63,6 @@ func (p *Process) Stop() {
 	p.pending.Cancel()
 	p.pending = sim.Event{}
 }
-
-// Fired reports the number of arrivals so far.
-func (p *Process) Fired() uint64 { return p.fired }
 
 // LineReader accumulates stream bytes and emits complete CRLF- or
 // LF-terminated lines, the framing used by the FTP/telnet-style control

@@ -22,9 +22,6 @@ func TestPoissonProcessRate(t *testing.T) {
 	if n < 900 || n > 1100 {
 		t.Fatalf("arrivals over 1000s at mean 1s = %d", n)
 	}
-	if p.Fired() != uint64(n) {
-		t.Fatalf("Fired() = %d, want %d", p.Fired(), n)
-	}
 }
 
 func TestProcessStop(t *testing.T) {
@@ -147,7 +144,7 @@ func chunkerRig(t *testing.T) (*sim.Scheduler, *netstack.Conn, *int) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
 	sw := net.NewSwitch("sw")
-	subnet := packet.MustParsePrefix("10.0.0.0/24")
+	subnet := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}
 	mk := func(n uint32) *netstack.Host {
 		nic := net.NewNode("h").AddNIC()
 		net.Connect(nic, sw.NewPort(), netsim.LinkConfig{})

@@ -49,9 +49,6 @@ func NewBot(id string, c2Addr packet.Addr, c2Port uint16, spoof packet.Prefix, s
 	}
 }
 
-// ID reports the bot identifier used at registration.
-func (b *Bot) ID() string { return b.id }
-
 // Attach starts the bot on a host: it dials the C2 and awaits commands.
 func (b *Bot) Attach(h *netstack.Host) {
 	b.host = h

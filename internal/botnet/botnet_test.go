@@ -24,7 +24,7 @@ func newRig() *rig {
 	return &rig{sched: s, net: net, sw: net.NewSwitch("sw")}
 }
 
-var subnet = packet.MustParsePrefix("10.0.0.0/16")
+var subnet = packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 16}
 
 func (r *rig) host(lastOctets uint32) *netstack.Host {
 	nic := r.net.NewNode("h").AddNIC()
@@ -52,7 +52,7 @@ func TestAttackTypeRoundTrip(t *testing.T) {
 func TestCommandRoundTrip(t *testing.T) {
 	cmd := Command{
 		Type:     AttackSYN,
-		Target:   packet.MustParseAddr("10.0.1.1"),
+		Target:   packet.AddrFrom4(10, 0, 1, 1),
 		Port:     80,
 		Duration: 60 * time.Second,
 		PPS:      500,
@@ -76,11 +76,11 @@ func TestSYNFloodEmitsSpoofedSYNs(t *testing.T) {
 	r := newRig()
 	bot := r.host(10)
 	target := r.host(0x0100 + 1) // 10.0.1.1
-	spoof := packet.MustParsePrefix("10.0.200.0/24")
+	spoof := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24}
 	var syns, others int
 	srcs := map[packet.Addr]bool{}
 	ports := map[uint16]bool{}
-	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
+	r.tapHost(target, decodeTap(func(p *packet.Packet) {
 		if p.HasTCP && p.IPv4.Dst == target.Addr() && p.TCP.DstPort == 80 {
 			if p.TCP.Flags == packet.FlagSYN {
 				syns++
@@ -128,7 +128,7 @@ func TestUDPFloodUsesOwnAddressAndPayload(t *testing.T) {
 	var udps int
 	var payloadLen int
 	dstPorts := map[uint16]bool{}
-	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
+	r.tapHost(target, decodeTap(func(p *packet.Packet) {
 		if p.HasUDP && p.IPv4.Dst == target.Addr() {
 			udps++
 			payloadLen = len(p.Payload)
@@ -139,7 +139,7 @@ func TestUDPFloodUsesOwnAddressAndPayload(t *testing.T) {
 		}
 	}))
 	cmd := Command{Type: AttackUDP, Target: target.Addr(), Duration: time.Second, PPS: 200}
-	f := NewFlood(bot, sim.NewRNG(2), cmd, packet.MustParsePrefix("10.0.200.0/24"))
+	f := NewFlood(bot, sim.NewRNG(2), cmd, packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24})
 	f.Start()
 	if err := r.sched.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -160,13 +160,13 @@ func TestACKFloodFlags(t *testing.T) {
 	bot := r.host(12)
 	target := r.host(0x0100 + 1)
 	acks := 0
-	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
+	r.tapHost(target, decodeTap(func(p *packet.Packet) {
 		if p.HasTCP && p.IPv4.Dst == target.Addr() && p.TCP.DstPort == 80 && p.TCP.Flags == packet.FlagACK {
 			acks++
 		}
 	}))
 	cmd := Command{Type: AttackACK, Target: target.Addr(), Port: 80, Duration: time.Second, PPS: 100}
-	f := NewFlood(bot, sim.NewRNG(3), cmd, packet.MustParsePrefix("10.0.200.0/24"))
+	f := NewFlood(bot, sim.NewRNG(3), cmd, packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24})
 	f.Start()
 	if err := r.sched.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestC2RegistrationAndBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := r.host(0x0100 + 1)
-	spoof := packet.MustParsePrefix("10.0.200.0/24")
+	spoof := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24}
 	bots := make([]*Bot, 3)
 	for i := range bots {
 		bots[i] = NewBot("bot"+string(rune('a'+i)), c2Host.Addr(), 0, spoof, int64(i))
@@ -291,7 +291,7 @@ func TestCommandOnWireRoundsUp(t *testing.T) {
 		{2500 * time.Millisecond, 3 * time.Second},
 		{60 * time.Second, 60 * time.Second},
 	} {
-		cmd := Command{Type: AttackUDP, Target: packet.MustParseAddr("10.0.1.1"), Port: 80, Duration: tc.in, PPS: 500}
+		cmd := Command{Type: AttackUDP, Target: packet.AddrFrom4(10, 0, 1, 1), Port: 80, Duration: tc.in, PPS: 500}
 		if got := cmd.OnWire().Duration; got != tc.want {
 			t.Errorf("OnWire(%v).Duration = %v, want %v", tc.in, got, tc.want)
 		}
@@ -303,7 +303,7 @@ func TestCommandOnWireRoundsUp(t *testing.T) {
 			t.Errorf("Duration %v: bots parse %+v, want %+v", tc.in, parsed, cmd.OnWire())
 		}
 	}
-	whole := Command{Type: AttackSYN, Target: packet.MustParseAddr("10.0.1.1"), Port: 80, Duration: 60 * time.Second, PPS: 500}
+	whole := Command{Type: AttackSYN, Target: packet.AddrFrom4(10, 0, 1, 1), Port: 80, Duration: 60 * time.Second, PPS: 500}
 	if got, want := whole.String(), "ATK syn 10.0.1.1 80 60 500"; got != want {
 		t.Fatalf("whole-second wire form moved: %q, want %q", got, want)
 	}
@@ -321,12 +321,12 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := r.host(0x0100 + 1)
-	b := NewBot("bot1", c2Host.Addr(), 0, packet.MustParsePrefix("10.0.200.0/24"), 1)
+	b := NewBot("bot1", c2Host.Addr(), 0, packet.Prefix{Addr: packet.AddrFrom4(10, 0, 200, 0), Bits: 24}, 1)
 	b.Attach(r.host(20))
 
 	var first, last sim.Time
 	frames := 0
-	r.sw.AddTap(decodeTap(func(p *packet.Packet) {
+	r.tapHost(target, decodeTap(func(p *packet.Packet) {
 		if !p.HasUDP || p.IPv4.Dst != target.Addr() {
 			return
 		}
@@ -387,11 +387,20 @@ func TestSubSecondWaveFloodsLabelledInterval(t *testing.T) {
 	}
 }
 
+// tapHost observes every frame on h's access link, both directions.
+func (r *rig) tapHost(h *netstack.Host, tap netsim.Tap) {
+	for _, l := range r.net.Links() {
+		if l.SideOf(h.NIC()) >= 0 {
+			l.AddTap(tap)
+		}
+	}
+}
+
 // decodeTap adapts a packet-level observer to a netsim.Tap, skipping frames
 // that fail to decode.
 func decodeTap(fn func(p *packet.Packet)) netsim.Tap {
 	return func(at sim.Time, raw []byte, _ trace.Context) {
-		if p, err := packet.Decode(at, raw); err == nil {
+		if p := new(packet.Packet); packet.DecodeInto(p, at, raw) == nil {
 			fn(p)
 		}
 	}

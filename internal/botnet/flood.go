@@ -181,9 +181,6 @@ func (f *Flood) Stop() {
 	}
 }
 
-// Running reports whether the flood is currently emitting.
-func (f *Flood) Running() bool { return f.ticker != nil }
-
 func (f *Flood) spoofedSource() packet.Addr {
 	if f.spoof.Bits == 0 {
 		return f.host.Addr()

@@ -26,8 +26,6 @@ type Engine interface {
 	Start()
 	// Stop halts it immediately.
 	Stop()
-	// Running reports whether the attack is in progress.
-	Running() bool
 	// Sent reports attack units emitted (packets or requests).
 	Sent() uint64
 	// SetOnDone installs the completion callback.
@@ -53,8 +51,7 @@ type HTTPFlood struct {
 	ends   sim.Time
 	onDone func()
 
-	requests  uint64
-	completed uint64
+	requests uint64
 }
 
 // NewHTTPFlood prepares (but does not start) an HTTP GET flood. cmd.PPS is
@@ -68,12 +65,6 @@ func NewHTTPFlood(host *netstack.Host, rng *sim.RNG, cmd Command) *HTTPFlood {
 
 // Sent reports requests issued so far.
 func (h *HTTPFlood) Sent() uint64 { return h.requests }
-
-// Completed reports requests that received any response bytes.
-func (h *HTTPFlood) Completed() uint64 { return h.completed }
-
-// Running reports whether the flood is active.
-func (h *HTTPFlood) Running() bool { return h.ticker != nil }
 
 // SetOnDone implements Engine.
 func (h *HTTPFlood) SetOnDone(fn func()) { h.onDone = fn }
@@ -121,7 +112,6 @@ func (h *HTTPFlood) request() {
 	conn.OnData = func(d []byte) {
 		if !responded {
 			responded = true
-			h.completed++
 			// A GET flood doesn't wait for the body: sever immediately to
 			// free the local port and maximize server-side churn.
 			conn.Abort()

@@ -14,7 +14,6 @@ import (
 
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/netstack"
-	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/telemetry"
 )
@@ -74,18 +73,14 @@ var _ App = AppFuncs{}
 
 // Runtime creates and tracks containers, the way a Docker daemon does.
 type Runtime struct {
-	net        *netsim.Network
-	containers []*Container
-	byName     map[string]*Container
+	net    *netsim.Network
+	byName map[string]*Container
 }
 
 // NewRuntime returns a runtime attached to the simulated network.
 func NewRuntime(net *netsim.Network) *Runtime {
 	return &Runtime{net: net, byName: make(map[string]*Container)}
 }
-
-// Network returns the simulated network the runtime attaches containers to.
-func (r *Runtime) Network() *netsim.Network { return r.net }
 
 // Spec describes a container to create.
 type Spec struct {
@@ -124,7 +119,6 @@ func (r *Runtime) Create(spec Spec, sw *netsim.Switch, link netsim.LinkConfig) (
 		app:     spec.App,
 		state:   StateCreated,
 	}
-	r.containers = append(r.containers, c)
 	r.byName[spec.Name] = c
 	return c, nil
 }
@@ -154,46 +148,29 @@ func (r *Runtime) CreateStaged(st *netsim.Stage, spec Spec, sw *netsim.Switch, l
 	}
 }
 
-// Adopt registers staged containers into the runtime's tracking structures
-// in argument order — the canonical creation order a sequential build would
-// have produced. Call after netsim.Network.Merge.
+// Adopt registers staged containers' names with the runtime, rejecting a
+// name already taken. Call after netsim.Network.Merge.
 func (r *Runtime) Adopt(cs ...*Container) error {
 	for _, c := range cs {
 		if _, dup := r.byName[c.name]; dup {
 			return fmt.Errorf("container %q already exists", c.name)
 		}
-		r.containers = append(r.containers, c)
 		r.byName[c.name] = c
 	}
 	return nil
 }
 
-// Grow pre-sizes the runtime's container tracking for a build of known
-// size (negative or zero hints are ignored).
+// Grow pre-sizes the runtime's name index for a build of known size
+// (negative or zero hints are ignored).
 func (r *Runtime) Grow(n int) {
 	if n <= 0 {
 		return
-	}
-	if cap(r.containers)-len(r.containers) < n {
-		grown := make([]*Container, len(r.containers), len(r.containers)+n)
-		copy(grown, r.containers)
-		r.containers = grown
 	}
 	bigger := make(map[string]*Container, len(r.byName)+n)
 	for k, v := range r.byName {
 		bigger[k] = v
 	}
 	r.byName = bigger
-}
-
-// Get returns the named container, or nil.
-func (r *Runtime) Get(name string) *Container { return r.byName[name] }
-
-// Containers lists containers in creation order.
-func (r *Runtime) Containers() []*Container {
-	out := make([]*Container, len(r.containers))
-	copy(out, r.containers)
-	return out
 }
 
 // Container is one isolated workload with its own network identity and
@@ -221,14 +198,8 @@ type Container struct {
 // Name returns the container name.
 func (c *Container) Name() string { return c.name }
 
-// Image returns the image label.
-func (c *Container) Image() string { return c.image }
-
 // Host returns the container's network stack.
 func (c *Container) Host() *netstack.Host { return c.host }
-
-// Addr returns the container's IPv4 address.
-func (c *Container) Addr() packet.Addr { return c.host.Addr() }
 
 // Link returns the container's uplink; churn models cut and restore it.
 func (c *Container) Link() *netsim.Link { return c.link }
@@ -245,9 +216,6 @@ func (c *Container) Restarts() int { return c.restarts }
 
 // Crashes reports the total number of abnormal exits.
 func (c *Container) Crashes() uint64 { return c.crashes }
-
-// Supervisor returns the attached supervisor, or nil when unsupervised.
-func (c *Container) Supervisor() *Supervisor { return c.sup }
 
 // emit records a lifecycle trace event in the network's flight recorder
 // (a no-op when none is attached). The timestamp is the container's own

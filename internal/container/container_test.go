@@ -23,7 +23,7 @@ func spec(name string, hostByte byte) Spec {
 		Image: "test:latest",
 		Host: netstack.HostConfig{
 			Addr:   packet.AddrFrom4(10, 0, 0, hostByte),
-			Subnet: packet.MustParsePrefix("10.0.0.0/24"),
+			Subnet: packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24},
 			Seed:   int64(hostByte),
 		},
 	}
@@ -35,20 +35,11 @@ func TestCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Get("dev1") != c {
-		t.Fatal("Get lookup failed")
-	}
-	if rt.Get("missing") != nil {
-		t.Fatal("Get returned phantom container")
-	}
-	if len(rt.Containers()) != 1 {
-		t.Fatal("Containers() length")
-	}
 	if c.State() != StateCreated {
 		t.Fatalf("initial state = %v", c.State())
 	}
-	if c.Addr() != packet.AddrFrom4(10, 0, 0, 10) {
-		t.Fatalf("Addr = %v", c.Addr())
+	if c.Host().Addr() != packet.AddrFrom4(10, 0, 0, 10) {
+		t.Fatalf("Addr = %v", c.Host().Addr())
 	}
 }
 
@@ -113,19 +104,19 @@ func TestStopCutsNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock.SendTo(b.Addr(), 9, []byte("1"))
+	sock.SendTo(b.Host().Addr(), 9, []byte("1"))
 	s.Drain()
 	if got != 1 {
 		t.Fatalf("pre-stop delivery = %d", got)
 	}
 	b.Kill()
-	sock.SendTo(b.Addr(), 9, []byte("2"))
+	sock.SendTo(b.Host().Addr(), 9, []byte("2"))
 	s.Drain()
 	if got != 1 {
 		t.Fatal("stopped container still received traffic")
 	}
 	b.Start()
-	sock.SendTo(b.Addr(), 9, []byte("3"))
+	sock.SendTo(b.Host().Addr(), 9, []byte("3"))
 	s.Drain()
 	if got != 2 {
 		t.Fatal("restarted container unreachable")

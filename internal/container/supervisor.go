@@ -76,17 +76,8 @@ func (r *Runtime) Supervise(c *Container, cfg SupervisorConfig) *Supervisor {
 	return s
 }
 
-// Container returns the supervised container.
-func (s *Supervisor) Container() *Container { return s.c }
-
-// Policy reports the configured restart policy.
-func (s *Supervisor) Policy() RestartPolicy { return s.cfg.Policy }
-
 // Restarts reports supervised restarts performed so far.
 func (s *Supervisor) Restarts() int { return s.restarts }
-
-// RestartPending reports whether a supervised restart is scheduled.
-func (s *Supervisor) RestartPending() bool { return s.pending.Pending() }
 
 // emit records a supervision trace event in the network's flight recorder,
 // stamped with the supervised container's domain clock.

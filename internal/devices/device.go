@@ -163,8 +163,7 @@ type Device struct {
 	bot    *botnet.Bot
 	host   *netstack.Host
 
-	infections uint64
-	running    bool
+	running bool
 }
 
 var _ container.App = (*Device)(nil)
@@ -257,7 +256,6 @@ func (d *Device) install(c2 packet.Addr, port uint16) {
 	if d.bot != nil {
 		d.bot.Detach()
 	}
-	d.infections++
 	d.bot = botnet.NewBot(d.name, c2, port, d.tmpl.spoof, d.seed+9)
 	d.bot.Attach(d.host)
 }
@@ -268,21 +266,9 @@ func (d *Device) Infected() bool { return d.bot != nil }
 // Bot exposes the implant for inspection (nil when clean).
 func (d *Device) Bot() *botnet.Bot { return d.bot }
 
-// Infections reports how many times the device has been (re)infected.
-func (d *Device) Infections() uint64 { return d.infections }
-
 // Telnet exposes the telnet service (nil before the first start; retained,
 // detached, while stopped).
 func (d *Device) Telnet() *TelnetService { return d.telnet }
-
-// Profile reports the device's profile.
-func (d *Device) Profile() Profile { return d.tmpl.profile }
-
-// Template reports the shared class template backing this device.
-func (d *Device) Template() *Template { return d.tmpl }
-
-// Vulnerable reports whether the profile carries a factory credential.
-func (d *Device) Vulnerable() bool { return d.tmpl.profile.Cred.User != "" }
 
 // BenignStats aggregates the benign clients' request/transfer counters.
 func (d *Device) BenignStats() (started, completed uint64) {

@@ -29,11 +29,7 @@ type TelnetService struct {
 	// "INSTALL <c2-addr> <c2-port>" — the loader planting the bot.
 	OnInstall func(c2 packet.Addr, port uint16)
 	listener  *netstack.Listener
-
-	logins   uint64
-	failures uint64
-	installs uint64
-	hardened bool
+	hardened  bool
 }
 
 // NewTelnetService returns a service guarding a shell with one credential
@@ -60,11 +56,6 @@ func (t *TelnetService) Detach() {
 	}
 }
 
-// Stats reports successful logins, failed attempts and INSTALLs executed.
-func (t *TelnetService) Stats() (logins, failures, installs uint64) {
-	return t.logins, t.failures, t.installs
-}
-
 func (t *TelnetService) accept(c *netstack.Conn) {
 	attempts := 0
 	var user string
@@ -78,11 +69,9 @@ func (t *TelnetService) accept(c *netstack.Conn) {
 		case 1:
 			if !t.hardened && user == t.user && line == t.pass {
 				phase = 2
-				t.logins++
 				c.Send([]byte("$ "))
 				return
 			}
-			t.failures++
 			attempts++
 			if attempts >= maxLoginAttempts {
 				c.Send([]byte("Login incorrect\r\n"))
@@ -121,7 +110,6 @@ func (t *TelnetService) shell(c *netstack.Conn, line string) {
 			c.Send([]byte("bad port\r\n$ "))
 			return
 		}
-		t.installs++
 		if t.OnInstall != nil {
 			t.OnInstall(addr, uint16(port))
 		}

@@ -57,12 +57,6 @@ func NewTemplate(cfg TemplateConfig) *Template {
 	}
 }
 
-// Profile reports the class profile the template instantiates.
-func (t *Template) Profile() Profile { return t.profile }
-
-// TServer reports the benign target address instances aim at.
-func (t *Template) TServer() packet.Addr { return t.tserver }
-
 // Instantiate returns an unstarted flyweight device backed by this
 // template. name identifies the device (bot ID, container name) and seed
 // drives its private randomness; everything class-level is shared.
@@ -88,5 +82,4 @@ func (t *TelnetService) rearm(user, pass string, onInstall func(c2 packet.Addr, 
 	t.hardened = user == ""
 	t.OnInstall = onInstall
 	t.listener = nil
-	t.logins, t.failures, t.installs = 0, 0, 0
 }

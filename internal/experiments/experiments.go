@@ -21,7 +21,6 @@ import (
 	"ddoshield/internal/ml/kmeans"
 	"ddoshield/internal/ml/metrics"
 	"ddoshield/internal/ml/modelio"
-	"ddoshield/internal/parallel"
 	"ddoshield/internal/sim"
 	"ddoshield/internal/sysmon"
 	"ddoshield/internal/testbed"
@@ -236,48 +235,45 @@ func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
 	sxs, sys := scaledTrain.XY()
 
 	// The three fits are independent (each seeds its own substream) and
-	// evaluate against the read-only test split, so they run on one worker
-	// per CPU; each writes only its own TrainedModel slot and error slot,
-	// so the results are byte-identical at any CPU count. They are handed
-	// out longest first — CNN, RF, K-Means — so that with fewer workers than
-	// fits the CNN never waits for a shorter one.
-	fits := []func() error{
-		func() error {
-			net, _, err := cnn.Train(cnn.Config{
-				Conv1Filters: 8, Conv2Filters: 16, Hidden: 48,
-				Epochs: 6, BatchSize: 64, LearningRate: 0.01, Seed: sc.Seed + 13,
-			}, sxs, sys)
-			if err != nil {
-				return fmt.Errorf("train cnn: %w", err)
-			}
-			res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler, test)}
-			return nil
-		},
-		func() error {
-			rfInner, err := forest.Train(forest.Config{
-				Trees: 60, MaxDepth: 18, MinSamplesLeaf: 1, Seed: sc.Seed + 11,
-			}, sxsOnly, ys)
-			if err != nil {
-				return fmt.Errorf("train rf: %w", err)
-			}
-			rf := ml.OffsetView{Inner: rfInner, Offset: off}
-			res.RF = TrainedModel{Model: rf, TrainReport: evaluate(rf, nil, test)}
-			return nil
-		},
-		func() error {
-			km, err := kmeans.Train(kmeans.Config{
-				InitClusters: 24, Gamma: 1.5, Seed: sc.Seed + 12,
-			}, sxs, sys)
-			if err != nil {
-				return fmt.Errorf("train kmeans: %w", err)
-			}
-			res.KMeans = TrainedModel{Model: km, Scaler: scaler, TrainReport: evaluate(km, scaler, test)}
-			return nil
-		},
-	}
-	errs := make([]error, len(fits))
-	parallel.For(len(fits), 0, func(i int) { errs[i] = fits[i]() })
-	for _, err := range errs {
+	// evaluate against the read-only test split. The CNN, the longest,
+	// trains on its own goroutine while the caller fits the RF and then
+	// K-Means; each writes only its own TrainedModel slot, so the results
+	// are byte-identical whichever finishes first.
+	cnnErr := make(chan error, 1)
+	go func() {
+		net, _, err := cnn.Train(cnn.Config{
+			Conv1Filters: 8, Conv2Filters: 16, Hidden: 48,
+			Epochs: 6, BatchSize: 64, LearningRate: 0.01, Seed: sc.Seed + 13,
+		}, sxs, sys)
+		if err != nil {
+			cnnErr <- fmt.Errorf("train cnn: %w", err)
+			return
+		}
+		res.CNN = TrainedModel{Model: net, Scaler: scaler, TrainReport: evaluate(net, scaler, test)}
+		cnnErr <- nil
+	}()
+	rfErr := func() error {
+		rfInner, err := forest.Train(forest.Config{
+			Trees: 60, MaxDepth: 18, MinSamplesLeaf: 1, Seed: sc.Seed + 11,
+		}, sxsOnly, ys)
+		if err != nil {
+			return fmt.Errorf("train rf: %w", err)
+		}
+		rf := ml.OffsetView{Inner: rfInner, Offset: off}
+		res.RF = TrainedModel{Model: rf, TrainReport: evaluate(rf, nil, test)}
+		return nil
+	}()
+	kmErr := func() error {
+		km, err := kmeans.Train(kmeans.Config{
+			InitClusters: 24, Gamma: 1.5, Seed: sc.Seed + 12,
+		}, sxs, sys)
+		if err != nil {
+			return fmt.Errorf("train kmeans: %w", err)
+		}
+		res.KMeans = TrainedModel{Model: km, Scaler: scaler, TrainReport: evaluate(km, scaler, test)}
+		return nil
+	}()
+	for _, err := range []error{<-cnnErr, rfErr, kmErr} {
 		if err != nil {
 			return nil, err
 		}

@@ -87,20 +87,6 @@ func (p *Plan) Add(e Event) *Plan {
 // Empty reports whether the plan schedules nothing.
 func (p Plan) Empty() bool { return len(p.Events) == 0 }
 
-// Kinds returns the distinct fault kinds the plan uses, sorted.
-func (p Plan) Kinds() []Kind {
-	seen := map[Kind]bool{}
-	for _, e := range p.Events {
-		seen[e.Kind] = true
-	}
-	out := make([]Kind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // RandomConfig parameterizes Random plan generation.
 type RandomConfig struct {
 	// Seed drives every placement and sizing draw.

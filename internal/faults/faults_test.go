@@ -76,8 +76,8 @@ func TestInjectorLinkFlap(t *testing.T) {
 	if !linkUp(r.cs[0]) {
 		t.Fatal("link not restored after flap duration")
 	}
-	if cs := r.in.CounterMap(); cs[string(LinkFlap)] != 1 {
-		t.Fatalf("counters = %v", cs)
+	if got := r.in.String(); got != "link-flap=1" {
+		t.Fatalf("counters = %s", got)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestInjectorCrashAndGlob(t *testing.T) {
 			t.Fatalf("container %d not crashed: %v", i, c.State())
 		}
 	}
-	if cs := r.in.CounterMap(); cs[string(Crash)] != 3 {
-		t.Fatalf("counters = %v", cs)
+	if got := r.in.String(); got != "crash=3" {
+		t.Fatalf("counters = %s", got)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestInjectorCrashLoopFightsSupervisor(t *testing.T) {
 	p.Add(Event{Kind: CrashLoop, At: time.Second, Duration: 6 * time.Second, Every: time.Second, Targets: []string{"dev00"}})
 	r.in.Schedule(p)
 	r.run(20 * time.Second)
-	kills := r.in.CounterMap()[string(Crash)]
+	kills := r.cs[0].Crashes()
 	if kills < 3 {
 		t.Fatalf("crash loop killed only %d times", kills)
 	}
@@ -171,17 +171,17 @@ func TestInjectorPartitionHeals(t *testing.T) {
 	})
 	r.in.Schedule(p)
 	r.run(2 * time.Second)
-	g0 := r.sw.GroupOf(r.cs[0].Link().Ends()[1])
-	g2 := r.sw.GroupOf(r.cs[2].Link().Ends()[1])
+	g0 := r.sw.GroupOf(r.cs[0].SwitchPort())
+	g2 := r.sw.GroupOf(r.cs[2].SwitchPort())
 	if g0 == g2 || g0 == 0 || g2 == 0 {
 		t.Fatalf("partition groups not applied: %d vs %d", g0, g2)
 	}
 	r.run(5 * time.Second)
-	if r.sw.GroupOf(r.cs[0].Link().Ends()[1]) != 0 {
+	if r.sw.GroupOf(r.cs[0].SwitchPort()) != 0 {
 		t.Fatal("partition did not heal")
 	}
-	if cs := r.in.CounterMap(); cs[string(Partition)] != 1 {
-		t.Fatalf("counters = %v", cs)
+	if got := r.in.String(); got != "partition=1" {
+		t.Fatalf("counters = %s", got)
 	}
 }
 
@@ -194,8 +194,12 @@ func TestRandomPlanDeterministicAndScaled(t *testing.T) {
 	if len(a.Events) == 0 {
 		t.Fatal("full-intensity plan is empty")
 	}
-	if got := len(a.Kinds()); got != 3 {
-		t.Fatalf("plan uses %d kinds, want 3 (flaps, impairments, crash loops)", got)
+	kinds := map[Kind]bool{}
+	for _, e := range a.Events {
+		kinds[e.Kind] = true
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("plan uses %d kinds, want 3 (flaps, impairments, crash loops)", len(kinds))
 	}
 	cfg.Intensity = 0
 	if !Random(cfg).Empty() {

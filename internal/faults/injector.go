@@ -65,18 +65,11 @@ func (in *Injector) RegisterContainer(c *container.Container) {
 	in.Register(Target{Name: c.Name(), Container: c, Link: c.Link()})
 }
 
-// Targets lists registered targets in registration order.
-func (in *Injector) Targets() []Target {
-	out := make([]Target, len(in.targets))
-	copy(out, in.targets)
-	return out
-}
-
 // resolve expands a name list (exact, trailing-* glob, or empty for all)
 // into targets, in registration order, without duplicates.
 func (in *Injector) resolve(names []string) []Target {
 	if len(names) == 0 {
-		return in.Targets()
+		return in.targets
 	}
 	picked := make([]bool, len(in.targets))
 	for _, name := range names {
@@ -359,17 +352,6 @@ func (in *Injector) Counters() []Counter {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
-
-// CounterMap returns the nonzero counts keyed by kind string (a fresh copy).
-func (in *Injector) CounterMap() map[string]uint64 {
-	out := make(map[string]uint64)
-	for i, k := range Kinds() {
-		if v := in.counts[i].Value(); v > 0 {
-			out[string(k)] = v
-		}
-	}
 	return out
 }
 

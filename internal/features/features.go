@@ -365,9 +365,6 @@ type Extractor struct {
 	// OnWindow receives each closed, non-empty window. See the type comment
 	// for the window's lifetime contract.
 	OnWindow func(w *Window)
-
-	emitted uint64
-	packets uint64
 }
 
 // NewExtractor returns an extractor with the given window length
@@ -391,7 +388,6 @@ func (e *Extractor) Add(b Basic) {
 		e.curIdx = idx
 	}
 	e.cur = append(e.cur, b)
-	e.packets++
 }
 
 // AddPacket dissects and feeds a captured frame; non-feature-bearing frames
@@ -414,7 +410,6 @@ func (e *Extractor) Flush() {
 		Packets: e.cur,
 		Stats:   e.scratch.compute(e.cur),
 	}
-	e.emitted++
 	if e.OnWindow != nil {
 		e.OnWindow(&e.win)
 	}
@@ -423,6 +418,3 @@ func (e *Extractor) Flush() {
 	e.cur = e.cur[:0]
 	e.win.Packets = nil
 }
-
-// Stats reports windows emitted and packets consumed.
-func (e *Extractor) Counts() (windows, packets uint64) { return e.emitted, e.packets }

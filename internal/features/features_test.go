@@ -26,11 +26,11 @@ func udpBasic(t sim.Time, src byte, dstPort uint16) Basic {
 
 func TestFromPacket(t *testing.T) {
 	raw := packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2),
-		packet.IPv4{TTL: 64, Src: packet.MustParseAddr("10.0.0.5"), Dst: packet.MustParseAddr("10.0.1.1")},
+		packet.IPv4{TTL: 64, Src: packet.AddrFrom4(10, 0, 0, 5), Dst: packet.AddrFrom4(10, 0, 1, 1)},
 		packet.TCP{SrcPort: 40000, DstPort: 80, Seq: 777, Flags: packet.FlagSYN, Window: 512},
 		nil)
-	p, err := packet.Decode(2*sim.Second, raw)
-	if err != nil {
+	p := new(packet.Packet)
+	if err := packet.DecodeInto(p, 2*sim.Second, raw); err != nil {
 		t.Fatal(err)
 	}
 	b, ok := FromPacket(p)
@@ -42,8 +42,8 @@ func TestFromPacket(t *testing.T) {
 	}
 	// ARP is not feature-bearing.
 	arpRaw := packet.BuildARP(packet.MACFromUint64(1), packet.BroadcastMAC, packet.ARP{Op: packet.ARPRequest})
-	ap, err := packet.Decode(0, arpRaw)
-	if err != nil {
+	ap := new(packet.Packet)
+	if err := packet.DecodeInto(ap, 0, arpRaw); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := FromPacket(ap); ok {
@@ -247,10 +247,6 @@ func TestExtractorWindowing(t *testing.T) {
 	}
 	if windows[0].Start != 0 || windows[1].Start != 2*sim.Second {
 		t.Fatalf("window starts = %v/%v", windows[0].Start, windows[1].Start)
-	}
-	wins, pkts := e.Counts()
-	if wins != 2 || pkts != 5 {
-		t.Fatalf("counts = %d/%d", wins, pkts)
 	}
 }
 

@@ -69,8 +69,8 @@ func (m *rowSetModel) PredictBatch(xs [][]float64, out []int) {
 	ml.PredictBatch(m.inner, xs, out)
 }
 
-// perPacketConfusion is the confusion matrix per-packet Predict scores,
-// from its windows' counts: TP+TN = Correct, TP+FN = TruthMalicious,
+// perPacketConfusion is a timeline's packet-level confusion matrix, from
+// its windows' counts: TP+TN = Correct, TP+FN = TruthMalicious,
 // TP+FP = PredMalicious, and all four sum to Packets.
 func perPacketConfusion(rs []WindowResult) metrics.Confusion {
 	var c metrics.Confusion
@@ -123,9 +123,9 @@ func (m *ownerPanicModel) PredictBatch(xs [][]float64, out []int) {
 // every dispatch, one unit having an OnWindow consumer — claims chunks of it
 // with its own scratch set, and nothing a run produces shows it. On fronts
 // of one and three units and windows of 1, 64, 65 and 500 distinct rows,
-// the timelines and confusion matrices equal a GOMAXPROCS=1 run's and
-// per-packet Predict's; each unit's model sees every distinct row of every
-// window exactly once; and the owner did classify chunks. A model that
+// the timelines equal a GOMAXPROCS=1 run's and per-packet Predict's; each
+// unit's model sees every distinct row of every window exactly once; and
+// the owner did classify chunks. A model that
 // panics in a chunk the owner claimed fails the Feed that closed the
 // window, naming the unit, after the units before it have folded.
 func TestOwnerHelpsClassify(t *testing.T) {
@@ -134,11 +134,7 @@ func TestOwnerHelpsClassify(t *testing.T) {
 	frames := distinctWindows(append(rows, rows...))
 	sumRows := 2 * (1 + chunk + chunk + 1 + 500)
 
-	type unitRun struct {
-		results   []WindowResult
-		confusion metrics.Confusion
-	}
-	run := func(names []string) ([]unitRun, *Front) {
+	run := func(names []string) ([][]WindowResult, *Front) {
 		var us []*Unit
 		var recs []*rowSetModel
 		for i, name := range names {
@@ -159,9 +155,9 @@ func TestOwnerHelpsClassify(t *testing.T) {
 			us[0].Feed(p)
 		}
 		us[0].Flush()
-		out := make([]unitRun, len(us))
+		out := make([][]WindowResult, len(us))
 		for i, u := range us {
-			out[i] = unitRun{withoutCPU(u.Results()), u.Confusion()}
+			out[i] = withoutCPU(u.Results())
 			if recs[i].rows != sumRows || len(recs[i].seen) != sumRows {
 				t.Errorf("%v: %s's model classified %d rows, %d of them distinct; the windows have %d distinct rows",
 					names, names[i], recs[i].rows, len(recs[i].seen), sumRows)
@@ -183,11 +179,8 @@ func TestOwnerHelpsClassify(t *testing.T) {
 		for i, name := range names {
 			cfg := detectors[name]
 			want := perPacket(cfg.Model, cfg.Scaler, frames)
-			if !reflect.DeepEqual(got[i].results, want) {
-				t.Errorf("%v: %s's timeline differs from per-packet Predict:\n%+v\n%+v", names, name, got[i].results, want)
-			}
-			if c := perPacketConfusion(want); got[i].confusion != c {
-				t.Errorf("%v: %s's confusion %+v, per-packet Predict's %+v", names, name, got[i].confusion, c)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%v: %s's timeline differs from per-packet Predict:\n%+v\n%+v", names, name, got[i], want)
 			}
 			if !reflect.DeepEqual(one[i], got[i]) {
 				t.Errorf("%v: %s's GOMAXPROCS=1 run differs:\n%+v\n%+v", names, name, one[i], got[i])

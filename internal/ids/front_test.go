@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ddoshield/internal/ml/metrics"
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
@@ -16,12 +15,11 @@ import (
 
 // frontRun is what one detection set-up leaves behind, per unit and shared.
 type frontRun struct {
-	results   [][]WindowResult
-	confusion []metrics.Confusion
-	events    [][]telemetry.TraceEvent
-	hooked    []WindowResult
-	spans     string
-	prom      string
+	results [][]WindowResult
+	events  [][]telemetry.TraceEvent
+	hooked  []WindowResult
+	spans   string
+	prom    string
 }
 
 // runDetectors taps frames into units built from cfgs — the second one with
@@ -65,7 +63,6 @@ func runDetectors(t *testing.T, cfgs []Config, frames []*packet.Packet, shared b
 	for _, u := range units {
 		u.Flush()
 		out.results = append(out.results, withoutCPU(u.Results()))
-		out.confusion = append(out.confusion, u.Confusion())
 	}
 	for _, r := range recs {
 		out.events = append(out.events, r.Events())
@@ -96,8 +93,8 @@ func runDetectors(t *testing.T, cfgs []Config, frames []*packet.Packet, shared b
 // TestFrontMatchesLoneUnits: three units on one front — one of them hooked,
 // so the front folds all of them at dispatch — score what three units on
 // fronts of their own score from the same frames: the same timelines,
-// confusion matrices, recorder events, finished "ids-window" spans and
-// registry text, and the hook sees the same windows. In the second set the
+// recorder events, finished "ids-window" spans and registry text, and the
+// hook sees the same windows. In the second set the
 // hooked unit has no model: its claims are skipped, and its windows still
 // fold with their truth counts.
 func TestFrontMatchesLoneUnits(t *testing.T) {
@@ -123,9 +120,6 @@ func TestFrontMatchesLoneUnits(t *testing.T) {
 		for i := range cfgs {
 			if !reflect.DeepEqual(front.results[i], lone.results[i]) {
 				t.Errorf("%s: timelines differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.results[i], lone.results[i])
-			}
-			if front.confusion[i] != lone.confusion[i] {
-				t.Errorf("%s: confusion %+v on the front, %+v alone", cfgs[i].Name, front.confusion[i], lone.confusion[i])
 			}
 			if !reflect.DeepEqual(front.events[i], lone.events[i]) {
 				t.Errorf("%s: recorder events differ:\nfront %+v\nlone  %+v", cfgs[i].Name, front.events[i], lone.events[i])

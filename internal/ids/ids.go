@@ -33,7 +33,6 @@ import (
 	"ddoshield/internal/dataset"
 	"ddoshield/internal/features"
 	"ddoshield/internal/ml"
-	"ddoshield/internal/ml/metrics"
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
@@ -118,10 +117,9 @@ type WindowResult struct {
 // owner's to call, except FirstCorrectAlertFolded and whatever a
 // Config.Registry snapshot reads, which are safe from anywhere.
 type Unit struct {
-	cfg       Config
-	front     *Front
-	results   []WindowResult
-	confusion metrics.Confusion
+	cfg     Config
+	front   *Front
+	results []WindowResult
 	// hooks are additional OnWindow consumers registered after New (the
 	// testbed attaches mitigation responders here); they run after
 	// cfg.OnWindow, in registration order.
@@ -404,7 +402,6 @@ func (u *Unit) fold(w *window, j *job) {
 			if pred == truth {
 				res.Correct++
 			}
-			u.confusion.Add(truth, pred)
 		}
 	}
 	if res.Packets > 0 {
@@ -493,12 +490,6 @@ func (u *Unit) MinAccuracy() float64 {
 		}
 	}
 	return m
-}
-
-// Confusion returns the packet-level confusion matrix across all windows.
-func (u *Unit) Confusion() metrics.Confusion {
-	u.Join()
-	return u.confusion
 }
 
 // PacketsSeen reports total classified packets.

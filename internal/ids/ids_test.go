@@ -46,8 +46,8 @@ func synFrame(t sim.Time, srcOctet byte, seq uint32) *packet.Packet {
 		packet.IPv4{TTL: 64, Src: packet.AddrFrom4(10, 0, 200, srcOctet), Dst: packet.AddrFrom4(10, 0, 1, 1)},
 		packet.TCP{SrcPort: uint16(1024 + seq%60000), DstPort: 80, Seq: seq, Flags: packet.FlagSYN, Window: 512},
 		nil)
-	p, err := packet.Decode(t, raw)
-	if err != nil {
+	p := new(packet.Packet)
+	if err := packet.DecodeInto(p, t, raw); err != nil {
 		panic(err)
 	}
 	return p
@@ -58,8 +58,8 @@ func benignFrame(t sim.Time, seq uint32) *packet.Packet {
 		packet.IPv4{TTL: 64, Src: packet.AddrFrom4(10, 0, 0, 5), Dst: packet.AddrFrom4(10, 0, 1, 1)},
 		packet.TCP{SrcPort: 40000, DstPort: 80, Seq: seq, Flags: packet.FlagACK | packet.FlagPSH, Window: 512},
 		[]byte("data"))
-	p, err := packet.Decode(t, raw)
-	if err != nil {
+	p := new(packet.Packet)
+	if err := packet.DecodeInto(p, t, raw); err != nil {
 		panic(err)
 	}
 	return p
@@ -109,7 +109,7 @@ func TestUnitDetectsFloodWindows(t *testing.T) {
 	if u.PacketsSeen() != 140 {
 		t.Fatalf("PacketsSeen = %d", u.PacketsSeen())
 	}
-	c := u.Confusion()
+	c := perPacketConfusion(res)
 	if c.TP != 100 || c.TN != 40 || c.FP != 0 || c.FN != 0 {
 		t.Fatalf("confusion = %+v", c)
 	}

@@ -342,9 +342,6 @@ func (fw *Firewall) FirstMitigatedDrop() (sim.Time, bool) {
 	return fw.firstMitigated, fw.haveFirstMitigated
 }
 
-// Name reports the firewall's telemetry label.
-func (fw *Firewall) Name() string { return fw.cfg.Name }
-
 // setRule stores the rule-kind attribution in a cache entry; split out so
 // InstallFlowVerdicts and the miss path stay in sync.
 func setRule(e *entry, kind uint8) { e.rule = kind }

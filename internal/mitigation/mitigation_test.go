@@ -19,7 +19,7 @@ func pair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
 	sw := net.NewSwitch("sw")
-	subnet := packet.MustParsePrefix("10.0.0.0/16")
+	subnet := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 16}
 	mk := func(n uint32) *netstack.Host {
 		nic := net.NewNode("h").AddNIC()
 		net.Connect(nic, sw.NewPort(), netsim.LinkConfig{})
@@ -68,7 +68,7 @@ func TestFirewallBlocksAddr(t *testing.T) {
 func TestFirewallBlocksPrefixButPassesARP(t *testing.T) {
 	s, client, server := pair(t)
 	fw := NewFirewall(s, server.NIC())
-	fw.BlockPrefix(packet.MustParsePrefix("10.0.0.0/24"), time.Minute)
+	fw.BlockPrefix(packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}, time.Minute)
 	got := 0
 	if _, err := server.ListenUDP(9, func(packet.Addr, uint16, []byte) { got++ }); err != nil {
 		t.Fatal(err)

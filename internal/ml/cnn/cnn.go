@@ -404,12 +404,3 @@ func changedPrefix(prev, x []float64) int {
 	}
 	return i
 }
-
-// Prob returns the class probability vector for x.
-func (n *Network) Prob(x []float64) []float64 {
-	var a activations
-	n.forward(x, &a, n.Cfg.Inputs)
-	out := make([]float64, len(a.prob))
-	copy(out, a.prob)
-	return out
-}

@@ -40,9 +40,10 @@ func TestProbSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := n.Prob(xs[0])
+	var a activations
+	n.forward(xs[0], &a, n.Cfg.Inputs)
 	var sum float64
-	for _, v := range p {
+	for _, v := range a.prob {
 		if v < 0 || v > 1 {
 			t.Fatalf("probability %v out of range", v)
 		}

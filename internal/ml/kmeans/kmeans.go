@@ -65,10 +65,6 @@ type Model struct {
 // Name implements ml.Classifier.
 func (m *Model) Name() string { return "kmeans" }
 
-// ClusterCount reports how many clusters survived pruning — the paper's
-// "optimal number of clusters" determined dynamically.
-func (m *Model) ClusterCount() int { return len(m.Centroids) }
-
 // Predict assigns x to the nearest centroid and returns its label.
 func (m *Model) Predict(x []float64) int {
 	best, bestD := 0, math.Inf(1)

@@ -26,10 +26,10 @@ func TestEntropyPenaltyPrunesClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ClusterCount() >= 16 {
-		t.Fatalf("no pruning: %d clusters survive", m.ClusterCount())
+	if len(m.Centroids) >= 16 {
+		t.Fatalf("no pruning: %d clusters survive", len(m.Centroids))
 	}
-	if m.ClusterCount() < 1 {
+	if len(m.Centroids) < 1 {
 		t.Fatal("all clusters pruned")
 	}
 	if m.Iters <= 0 {
@@ -74,7 +74,7 @@ func TestKMeansDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.ClusterCount() != m2.ClusterCount() {
+	if len(m1.Centroids) != len(m2.Centroids) {
 		t.Fatal("same-seed models differ")
 	}
 }

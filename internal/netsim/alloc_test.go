@@ -149,7 +149,7 @@ func TestHopPathEvents(t *testing.T) {
 	}
 
 	// A lost frame schedules its completion and nothing else.
-	ls, la, _ := twoNodes(t, LinkConfig{LossProb: 1, RNG: sim.NewRNG(1)})
+	ls, la, _ := twoNodes(t, LinkConfig{LossProb: 1})
 	if n := fired(ls, func() { la.Send(f); ls.Drain() }); n != 1 {
 		t.Fatalf("one lost frame over an idle link: %d events, want 1 (completion)", n)
 	}

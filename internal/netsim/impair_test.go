@@ -28,10 +28,8 @@ func TestLinkDownCutsInFlightFrames(t *testing.T) {
 	if st.TxFrames != 1 {
 		t.Fatalf("TxFrames = %d, want 1 (transmitter already finished)", st.TxFrames)
 	}
-	// The legacy three-value Stats must also account for the cut frame.
-	_, _, drops := a.link.Stats()
-	if drops != 1 {
-		t.Fatalf("Stats drops = %d, want 1", drops)
+	if drops := st.Drops(); drops != 1 {
+		t.Fatalf("Drops = %d, want 1", drops)
 	}
 }
 
@@ -114,8 +112,8 @@ func TestImpairmentLoss(t *testing.T) {
 	if st.LossFrames != 1 {
 		t.Fatalf("LossFrames = %d, want 1", st.LossFrames)
 	}
-	if _, _, drops := a.link.Stats(); drops != 1 {
-		t.Fatalf("Stats drops = %d, want 1", drops)
+	if drops := st.Drops(); drops != 1 {
+		t.Fatalf("Drops = %d, want 1", drops)
 	}
 }
 

@@ -23,7 +23,8 @@ func promText(t *testing.T, reg *telemetry.Registry) string {
 // order: the switch, then each node's NIC and access link) publish metric
 // series; later entities stay out of the snapshot entirely.
 func TestMetricEntityCapCutoff(t *testing.T) {
-	net := New(sim.NewScheduler())
+	s := sim.NewScheduler()
+	net := New(s)
 	net.SetMetricEntityLimit(3)
 	reg := telemetry.NewRegistry()
 	net.SetTelemetry(reg, nil)
@@ -63,7 +64,8 @@ func TestMetricEntityCapCutoff(t *testing.T) {
 // forwarded count) include the capped entities' traffic — only the
 // per-entity snapshot series are suppressed.
 func TestMetricEntityCapStillAggregates(t *testing.T) {
-	net := New(sim.NewScheduler())
+	s := sim.NewScheduler()
+	net := New(s)
 	net.SetMetricEntityLimit(3)
 	reg := telemetry.NewRegistry()
 	net.SetTelemetry(reg, nil)
@@ -81,7 +83,7 @@ func TestMetricEntityCapStillAggregates(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		na.Send(frame(na.MAC(), nb.MAC(), 100))
 		nb.Send(frame(nb.MAC(), na.MAC(), 100))
-		net.Scheduler().Drain()
+		s.Drain()
 	}
 
 	// The capped NIC and link still count.

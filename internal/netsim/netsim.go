@@ -77,8 +77,7 @@ type Network struct {
 	arpDir map[packet.Addr]packet.MAC
 
 	// seed roots the per-entity RNG streams (per-link, per-direction loss
-	// draws) derived at Connect time for configs that do not supply their
-	// own RNG. See SetSeed.
+	// draws) derived at Connect time. See SetSeed.
 	seed int64
 
 	// metricLimit caps how many entities (NICs, links, switches) register
@@ -106,25 +105,12 @@ func NewPartitioned(e *sim.Engine) *Network {
 		ledgers: make([]frameLedger, e.NumDomains())}
 }
 
-// Engine exposes the PDES engine driving a partitioned network (nil for
-// serial networks built with New).
-func (n *Network) Engine() *sim.Engine { return n.engine }
-
 // SetSeed roots the network's derived RNG streams. Links created after the
-// call whose LinkConfig enables random loss without supplying an RNG draw
-// from streams keyed by (seed, link index, direction) — independent of
+// call whose LinkConfig enables random loss draw from streams keyed by
+// (seed, link index, direction) — independent of
 // global event interleaving, so the same topology produces the same loss
 // pattern under the serial scheduler and the partitioned engine alike.
 func (n *Network) SetSeed(seed int64) { n.seed = seed }
-
-// Scheduler exposes the simulation scheduler driving this network. In a
-// partitioned network this is domain 0's scheduler (the reference clock);
-// per-object scheduling must use the owning node's or switch's scheduler.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
-// Now reports the current simulated time (domain 0's clock when
-// partitioned).
-func (n *Network) Now() sim.Time { return n.sched.Now() }
 
 // domainFor maps a domain index to the engine's domain, clamping out-of-
 // range indices; serial networks always yield (nil, n.sched).
@@ -183,9 +169,6 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder)
 // Recorder exposes the attached flight recorder (nil when unattached);
 // higher layers (netstack, container) emit through it.
 func (n *Network) Recorder() *telemetry.Recorder { return n.rec }
-
-// Registry exposes the attached metrics registry (nil when unattached).
-func (n *Network) Registry() *telemetry.Registry { return n.reg }
 
 // SetTracer attaches (or, with nil, detaches) the causal packet tracer.
 // Origin points — the netstack send paths and the botnet flood engines —
@@ -371,9 +354,6 @@ type Node struct {
 	stage *Stage
 }
 
-// Name returns the node's unique name.
-func (nd *Node) Name() string { return nd.name }
-
 // Network returns the owning network.
 func (nd *Node) Network() *Network { return nd.net }
 
@@ -381,9 +361,6 @@ func (nd *Node) Network() *Network { return nd.net }
 // PDES domain scheduler in a partitioned network, the global one otherwise.
 // Host stacks and applications on the node must schedule here.
 func (nd *Node) Scheduler() *sim.Scheduler { return nd.sched }
-
-// Domain reports the node's PDES domain (nil in serial networks).
-func (nd *Node) Domain() *sim.Domain { return nd.dom }
 
 // AddNIC attaches a new NIC to the node.
 func (nd *Node) AddNIC() *NIC {
@@ -395,14 +372,6 @@ func (nd *Node) AddNIC() *NIC {
 	nd.nics = append(nd.nics, nic)
 	nd.net.registerNIC(nic)
 	return nic
-}
-
-// NIC returns the i-th NIC, or nil when absent.
-func (nd *Node) NIC(i int) *NIC {
-	if i < 0 || i >= len(nd.nics) {
-		return nil
-	}
-	return nd.nics[i]
 }
 
 // NICs returns all NICs in attachment order.
@@ -450,9 +419,6 @@ func (c *NIC) MAC() packet.MAC { return c.mac }
 
 // Node reports the owning node.
 func (c *NIC) Node() *Node { return c.node }
-
-// Attached reports whether the NIC is wired to a link.
-func (c *NIC) Attached() bool { return c.link != nil }
 
 // SetHandlerCtx installs the receive callback (the host network stack),
 // which also receives each frame's trace context. raw is valid only until
@@ -568,15 +534,10 @@ type LinkConfig struct {
 	// QueueBytes caps each direction's drop-tail queue (default 128 KiB).
 	QueueBytes int
 	// LossProb drops each frame independently with this probability.
-	// Zero disables random loss.
+	// Zero disables random loss. Each direction draws from its own stream,
+	// keyed by the network seed (SetSeed), the link index and the
+	// direction.
 	LossProb float64
-	// RNG seeds the loss draws. Connect splits it into one independent
-	// stream per link direction (drawing two seeds per link, in creation
-	// order), so a single RNG may be shared across many links without
-	// coupling their loss patterns to global event interleaving. When nil,
-	// per-direction streams are derived from the network seed (SetSeed)
-	// keyed by (seed, link index, direction).
-	RNG *sim.RNG
 }
 
 func (cfg LinkConfig) withDefaults() LinkConfig {
@@ -751,7 +712,7 @@ type direction struct {
 // link whose endpoints live in different domains becomes a cross-domain
 // channel; its propagation delay bounds the engine lookahead. Random loss
 // is supported on cross-domain links: each direction draws from its own
-// RNG stream (split off cfg.RNG here, or keyed from the network seed), and
+// RNG stream keyed from the network seed, and
 // the draw happens in the sender's domain before the frame crosses the
 // epoch barrier, so partitioned runs stay byte-identical to serial ones.
 func (n *Network) Connect(a, b Port, cfg LinkConfig) *Link {
@@ -784,16 +745,10 @@ func wireLink(n *Network, a, b Port, cfg LinkConfig, idx int) *Link {
 		d.doneFn = d.txDone
 	}
 	if l.cfg.LossProb > 0 {
-		// Per-direction loss streams, fixed at construction: two seed draws
-		// per link when the caller shares an RNG (single-threaded builds
-		// only), or structural keying from the network seed otherwise.
+		// Per-direction loss streams, fixed at construction and keyed from
+		// the network seed, so concurrent stages need not share one.
 		for i := range l.dirs {
-			d := &l.dirs[i]
-			if l.cfg.RNG != nil {
-				d.lossRNG = sim.NewRNG(l.cfg.RNG.Int63())
-			} else {
-				d.lossRNG = sim.KeyedStream(n.seed, lossStreamKey, uint64(l.idx), uint64(i))
-			}
+			l.dirs[i].lossRNG = sim.KeyedStream(n.seed, lossStreamKey, uint64(l.idx), uint64(i))
 		}
 	}
 	bindPort(a, l, 0)
@@ -863,13 +818,6 @@ func (l *Link) SideOf(p Port) int {
 // execute on in a partitioned run. In a serial network both sides report
 // the global scheduler.
 func (l *Link) SideScheduler(side int) *sim.Scheduler { return l.ends[side].scheduler() }
-
-// Stats aggregates both directions' counters (legacy three-value form;
-// drops totals queue, loss and in-flight discards).
-func (l *Link) Stats() (txFrames, txBytes, drops uint64) {
-	s := l.Counters()
-	return s.TxFrames, s.TxBytes, s.Drops()
-}
 
 // Counters aggregates both directions' full counter set. The values come
 // from the same shared telemetry counters the registry exports, so the

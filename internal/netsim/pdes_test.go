@@ -39,12 +39,14 @@ func runPDESStarCfg(t *testing.T, leaves, domains, workers int, cfg LinkConfig, 
 	var (
 		net    *Network
 		engine *sim.Engine
+		sched  *sim.Scheduler
 	)
 	if domains > 1 {
 		engine = sim.NewEngine(domains, 0)
 		net = NewPartitioned(engine)
 	} else {
-		net = New(sim.NewScheduler())
+		sched = sim.NewScheduler()
+		net = New(sched)
 	}
 	domainOf := func(leaf int) int {
 		if domains <= 1 {
@@ -99,7 +101,7 @@ func runPDESStarCfg(t *testing.T, leaves, domains, workers int, cfg LinkConfig, 
 			t.Fatal(err)
 		}
 	} else {
-		net.Scheduler().Run(horizon)
+		sched.Run(horizon)
 	}
 	res.forwarded, res.flooded = sw.Stats()
 	return res

@@ -181,7 +181,7 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 			}, 0, func() uint64 { return a.link.Counters().QueueDrops }}
 		},
 		"loss": func(t *testing.T) setup {
-			s, a, b := pair(t, LinkConfig{LossProb: 1, RNG: sim.NewRNG(1)})
+			s, a, b := pair(t, LinkConfig{LossProb: 1})
 			return setup{a.node.net, s, func() { a.Send(pooled(a.MAC(), b.MAC(), 64)) },
 				0, func() uint64 { return a.link.Counters().LossFrames }}
 		},
@@ -294,7 +294,7 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 // impaired link, read mid-run while frames are still queued and in the air.
 func TestLinkLedgerBalances(t *testing.T) {
 	s, a, b := twoNodes(t, LinkConfig{RateBps: 10_000_000, Delay: 5 * sim.Millisecond,
-		QueueBytes: 4000, LossProb: 0.1, RNG: sim.NewRNG(5)})
+		QueueBytes: 4000, LossProb: 0.1})
 	impairBoth(a.link, Impairments{CorruptProb: 0.1, DupProb: 0.1, ReorderProb: 0.1, LossProb: 0.05, RNG: sim.NewRNG(9)})
 	b.SetHandler(func([]byte) {})
 	a.SetHandler(func([]byte) {})

@@ -60,9 +60,6 @@ func (n *Network) NewStage(nics, links int) *Stage {
 	return st
 }
 
-// Network returns the network the stage builds into.
-func (st *Stage) Network() *Network { return st.net }
-
 func (st *Stage) nextMAC() uint64 {
 	if st.macNext >= st.macEnd {
 		panic("netsim: stage exceeded its reserved MAC range")
@@ -96,12 +93,8 @@ func (st *Stage) NewNodeInDomain(name string, domain int) *Node {
 // creation index comes from the stage's reserved range and registration is
 // deferred to Merge. Both ports must be stage-local or otherwise untouched
 // by concurrent stages (a switch created before the fan-out and owned by
-// this stage's group qualifies). Sharing cfg.RNG across concurrently built
-// links is not supported — loss streams must key off the network seed.
+// this stage's group qualifies).
 func (st *Stage) Connect(a, b Port, cfg LinkConfig) *Link {
-	if cfg.LossProb > 0 && cfg.RNG != nil {
-		panic("netsim: staged Connect cannot split a shared loss RNG; leave cfg.RNG nil")
-	}
 	l := wireLink(st.net, a, b, cfg, st.nextLinkIdx())
 	st.links = append(st.links, l)
 	st.regOrder = append(st.regOrder, stagedReg{link: l})

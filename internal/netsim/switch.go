@@ -19,7 +19,6 @@ type Switch struct {
 	name  string
 	ports []*switchPort
 	table map[packet.MAC]*switchPort
-	taps  []Tap
 	dom   *sim.Domain // nil in serial networks
 	sched *sim.Scheduler
 
@@ -56,9 +55,6 @@ func (s *Switch) Name() string { return s.name }
 // scheduler in a partitioned network, the global one otherwise).
 func (s *Switch) Scheduler() *sim.Scheduler { return s.sched }
 
-// Domain reports the switch's PDES domain (nil in serial networks).
-func (s *Switch) Domain() *sim.Domain { return s.dom }
-
 // NewPort adds a port to the switch; wire it with Network.Connect.
 func (s *Switch) NewPort() Port {
 	p := &switchPort{sw: s, index: len(s.ports)}
@@ -67,18 +63,10 @@ func (s *Switch) NewPort() Port {
 	return p
 }
 
-// AddTap registers a passive observer invoked for every frame the switch
-// relays (once per ingress frame, regardless of fan-out). Tapping the switch
-// is the testbed's span-port analog: the IDS sees all segment traffic.
-func (s *Switch) AddTap(t Tap) { s.taps = append(s.taps, t) }
-
 // Stats reports frames forwarded to a learned port and frames flooded.
 func (s *Switch) Stats() (forwarded, flooded uint64) {
 	return s.forwarded.Value(), s.flooded.Value()
 }
-
-// Forget clears the MAC learning table (e.g. after heavy churn).
-func (s *Switch) Forget() { s.table = make(map[packet.MAC]*switchPort) }
 
 // Learn pre-seeds the MAC table, binding mac to p exactly as if a frame
 // from mac had already arrived on that port. Fleet-scale topologies prime
@@ -171,9 +159,6 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 		return // runt frame: discard
 	}
 	span := tc.Start(now, "switch", p.name)
-	for _, tap := range s.taps {
-		tap(now, raw, span)
-	}
 	if !eth.Src.IsBroadcast() {
 		s.table[eth.Src] = p
 	}

@@ -38,8 +38,8 @@ func TestTCPDataPathAllocs(t *testing.T) {
 	transfer() // warm the host's free list and the scheduler's pools
 
 	frames := func() uint64 {
-		_, _, _, ctx, _ := client.Stats()
-		_, _, _, stx, _ := server.Stats()
+		_, _, ctx, _ := client.NIC().Stats()
+		_, _, stx, _ := server.NIC().Stats()
 		return ctx + stx
 	}
 	const runs = 50

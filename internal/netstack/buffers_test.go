@@ -169,8 +169,8 @@ func TestSendQueueGrowthAmortized(t *testing.T) {
 			c.Send(chunk)
 		}
 	})
-	if c.Buffered() != 2*chunks*len(chunk) { // AllocsPerRun runs the function twice
-		t.Fatalf("%d bytes queued, want %d", c.Buffered(), 2*chunks*len(chunk))
+	if got := len(c.queued()); got != 2*chunks*len(chunk) { // AllocsPerRun runs the function twice
+		t.Fatalf("%d bytes queued, want %d", got, 2*chunks*len(chunk))
 	}
 	if allocs > 32 {
 		t.Fatalf("queueing %d chunks allocated %.0f buffers, want one per doubling", chunks, allocs)

@@ -73,13 +73,6 @@ type Host struct {
 
 	// bufs holds the send buffers connections have returned: see buffers.go.
 	bufs *bufferList
-
-	// Counters for diagnostics and tests.
-	rxIPv4    uint64
-	rxARP     uint64
-	rxBadDst  uint64
-	txIPv4    uint64
-	arpFailed uint64
 }
 
 // NewHost binds a stack to nic. The NIC's receive handler is taken over.
@@ -178,7 +171,6 @@ func (h *Host) AddStaticARP(ip packet.Addr, mac packet.MAC) {
 		pending := e.pending
 		e.pending = nil
 		for _, p := range pending {
-			h.txIPv4++
 			h.nic.SendCtx(p.build(mac), p.tc)
 			p.tc.Finish(h.sched.Now())
 		}
@@ -301,7 +293,6 @@ func (h *Host) sendTCP(ip packet.IPv4, tcp packet.TCP, payload []byte, tc trace.
 		return
 	}
 	if e := h.arp[ip.Dst]; e != nil && e.mac != (packet.MAC{}) {
-		h.txIPv4++
 		h.nic.SendCtx(packet.BuildTCP(h.MAC(), e.mac, ip, tcp, payload), tc)
 		tc.Finish(h.sched.Now())
 		return
@@ -316,7 +307,6 @@ func (h *Host) sendTCP(ip packet.IPv4, tcp packet.TCP, payload []byte, tc trace.
 func (h *Host) sendIPVia(hop packet.Addr, tc trace.Context, build func(dstMAC packet.MAC) []byte) {
 	e := h.arp[hop]
 	if e != nil && e.mac != (packet.MAC{}) {
-		h.txIPv4++
 		h.nic.SendCtx(build(e.mac), tc)
 		tc.Finish(h.sched.Now())
 		return
@@ -348,7 +338,6 @@ func (h *Host) sendARPRequest(target packet.Addr, e *arpEntry) {
 		}
 		if e.tries >= arpMaxTries {
 			e.waiting = false
-			h.arpFailed += uint64(len(e.pending))
 			for _, p := range e.pending {
 				p.tc.Drop(h.sched.Now(), trace.DropNoRoute)
 			}
@@ -410,13 +399,11 @@ func (h *Host) receive(raw []byte, tc trace.Context) {
 		return
 	}
 	if eth.Dst != h.MAC() && !eth.Dst.IsBroadcast() {
-		h.rxBadDst++
 		span.Drop(now, trace.DropBadDst)
 		return
 	}
 	switch eth.Type {
 	case packet.EtherTypeARP:
-		h.rxARP++
 		span.Finish(now)
 		h.handleARP(rest)
 	case packet.EtherTypeIPv4:
@@ -453,7 +440,6 @@ func (h *Host) handleARP(b []byte) {
 				e.pending = nil
 				for _, p := range pending {
 					if f := p.build(e.mac); f != nil {
-						h.txIPv4++
 						h.nic.SendCtx(f, p.tc)
 					}
 					p.tc.Finish(h.sched.Now())
@@ -481,11 +467,9 @@ func (h *Host) handleIPv4(b []byte, tc trace.Context) {
 		return
 	}
 	if ip.Dst != h.cfg.Addr && ip.Dst != (packet.Addr{255, 255, 255, 255}) {
-		h.rxBadDst++
 		tc.Drop(now, trace.DropBadDst)
 		return
 	}
-	h.rxIPv4++
 	switch ip.Proto {
 	case packet.ProtoTCP:
 		h.handleTCP(ip, payload, tc)
@@ -494,11 +478,4 @@ func (h *Host) handleIPv4(b []byte, tc trace.Context) {
 	default:
 		tc.Drop(now, trace.DropNoSocket)
 	}
-}
-
-// Stats reports receive-path counters: IPv4 packets accepted, ARP packets
-// seen, frames addressed elsewhere, IPv4 packets sent, and IP packets whose
-// ARP resolution failed.
-func (h *Host) Stats() (rxIPv4, rxARP, rxBadDst, txIPv4, arpFailed uint64) {
-	return h.rxIPv4, h.rxARP, h.rxBadDst, h.txIPv4, h.arpFailed
 }

@@ -7,6 +7,7 @@ import (
 	"ddoshield/internal/netsim"
 	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
+	"ddoshield/internal/telemetry"
 	"ddoshield/internal/telemetry/trace"
 )
 
@@ -15,8 +16,9 @@ func lan(t *testing.T, n int, cfg netsim.LinkConfig) (*sim.Scheduler, []*Host) {
 	t.Helper()
 	s := sim.NewScheduler()
 	net := netsim.New(s)
+	net.SetSeed(3) // roots the loss streams of a lossy cfg
 	sw := net.NewSwitch("sw0")
-	subnet := packet.MustParsePrefix("10.0.0.0/24")
+	subnet := packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}
 	hosts := make([]*Host, n)
 	for i := 0; i < n; i++ {
 		nic := net.NewNode("h").AddNIC()
@@ -135,6 +137,8 @@ func TestTCPLargeTransferSegmentsAndWindow(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	rec := telemetry.NewRecorder(0)
+	client.NIC().Node().Network().SetTelemetry(nil, rec)
 	c := client.DialTCP(server.Addr(), 80)
 	c.OnConnect = func() { c.Send(payload) }
 	s.Drain()
@@ -144,17 +148,13 @@ func TestTCPLargeTransferSegmentsAndWindow(t *testing.T) {
 	if !bytes.Equal(rcvd, payload) {
 		t.Fatal("payload corrupted in transfer")
 	}
-	sent, _, retrans := c.Stats()
-	if sent != total {
-		t.Fatalf("Stats sent = %d", sent)
-	}
-	if retrans != 0 {
+	if retrans := retransmits(rec); retrans != 0 {
 		t.Fatalf("unexpected retransmits on loss-free link: %d", retrans)
 	}
 }
 
 func TestTCPRetransmissionRecoversFromLoss(t *testing.T) {
-	s, hosts := lan(t, 2, netsim.LinkConfig{LossProb: 0.05, RNG: sim.NewRNG(3)})
+	s, hosts := lan(t, 2, netsim.LinkConfig{LossProb: 0.05})
 	client, server := hosts[0], hosts[1]
 	const total = 100_000
 	payload := make([]byte, total)
@@ -164,6 +164,8 @@ func TestTCPRetransmissionRecoversFromLoss(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	rec := telemetry.NewRecorder(0)
+	client.NIC().Node().Network().SetTelemetry(nil, rec)
 	c := client.DialTCP(server.Addr(), 80)
 	c.OnConnect = func() { c.Send(payload) }
 	if err := s.Run(60 * sim.Second); err != nil {
@@ -172,8 +174,7 @@ func TestTCPRetransmissionRecoversFromLoss(t *testing.T) {
 	if len(rcvd) != total {
 		t.Fatalf("received %d/%d bytes over lossy link", len(rcvd), total)
 	}
-	_, _, retrans := c.Stats()
-	if retrans == 0 {
+	if retransmits(rec) == 0 {
 		t.Fatal("expected retransmissions over 5% lossy link")
 	}
 }
@@ -236,7 +237,7 @@ func TestTCPConnectionRefused(t *testing.T) {
 
 func TestTCPDialUnreachableTimesOut(t *testing.T) {
 	s, hosts := lan(t, 1, netsim.LinkConfig{})
-	c := hosts[0].DialTCP(packet.MustParseAddr("10.0.0.99"), 80) // no such host
+	c := hosts[0].DialTCP(packet.AddrFrom4(10, 0, 0, 99), 80) // no such host
 	var gotErr error
 	c.OnClose = func(err error) { gotErr = err }
 	if err := s.Run(60 * sim.Second); err != nil {
@@ -285,7 +286,7 @@ func TestListenerBacklogDropsSYNFlood(t *testing.T) {
 		flooder.SendRawCtx(raw, trace.Context{})
 	}
 	s.RunFor(sim.Second.Duration())
-	if got := l.HalfOpen(); got != 8 {
+	if got := len(l.halfDM); got != 8 {
 		t.Fatalf("half-open = %d, want backlog cap 8", got)
 	}
 	_, synDropped, _ := l.Stats()
@@ -296,7 +297,7 @@ func TestListenerBacklogDropsSYNFlood(t *testing.T) {
 	if err := s.Run(20 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.HalfOpen(); got != 0 {
+	if got := len(l.halfDM); got != 0 {
 		t.Fatalf("half-open after expiry = %d, want 0", got)
 	}
 	_, _, halfExpired := l.Stats()
@@ -325,8 +326,8 @@ func TestBacklogPressureBlocksLegitimateClients(t *testing.T) {
 			packet.TCP{SrcPort: 1000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1024}, nil), trace.Context{})
 	}
 	s.RunFor((100 * sim.Millisecond).Duration())
-	if l.HalfOpen() != 4 {
-		t.Fatalf("backlog not saturated: %d", l.HalfOpen())
+	if len(l.halfDM) != 4 {
+		t.Fatalf("backlog not saturated: %d", len(l.halfDM))
 	}
 	c := client.DialTCP(server.Addr(), 80)
 	connected := false
@@ -371,10 +372,10 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 	seen := map[uint16]bool{}
 	for i := 0; i < 100; i++ {
 		c := a.DialTCP(hosts[1].Addr(), 80)
-		if seen[c.LocalPort()] {
-			t.Fatalf("ephemeral port %d reused", c.LocalPort())
+		if seen[c.key.localPort] {
+			t.Fatalf("ephemeral port %d reused", c.key.localPort)
 		}
-		seen[c.LocalPort()] = true
+		seen[c.key.localPort] = true
 	}
 }
 
@@ -407,32 +408,14 @@ func TestOffSubnetWithoutGatewayUnroutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock.SendTo(packet.MustParseAddr("192.168.9.9"), 53, []byte("x")) // must not panic
+	sock.SendTo(packet.AddrFrom4(192, 168, 9, 9), 53, []byte("x")) // must not panic
 	s.Drain()
-}
-
-func TestHostStatsCount(t *testing.T) {
-	s, hosts := lan(t, 2, netsim.LinkConfig{})
-	a, b := hosts[0], hosts[1]
-	if _, err := b.ListenUDP(1234, func(packet.Addr, uint16, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	sock, _ := a.ListenUDP(0, nil)
-	sock.SendTo(b.Addr(), 1234, []byte("hello"))
-	s.Drain()
-	rxIPv4, rxARP, _, _, _ := b.Stats()
-	if rxIPv4 != 1 {
-		t.Fatalf("b rxIPv4 = %d, want 1", rxIPv4)
-	}
-	if rxARP == 0 {
-		t.Fatal("b saw no ARP despite resolution")
-	}
 }
 
 func TestResolveMACFailure(t *testing.T) {
 	s, hosts := lan(t, 1, netsim.LinkConfig{})
 	var ok *bool
-	hosts[0].ResolveMAC(packet.MustParseAddr("10.0.0.200"), func(mac packet.MAC, o bool) {
+	hosts[0].ResolveMAC(packet.AddrFrom4(10, 0, 0, 200), func(mac packet.MAC, o bool) {
 		if ok == nil { // take the first (failure) report
 			ok = &o
 		}
@@ -452,4 +435,15 @@ func TestConnStateString(t *testing.T) {
 	if ConnState(99).String() == "" {
 		t.Fatal("unknown state renders empty")
 	}
+}
+
+// retransmits counts the "retransmit" events in rec.
+func retransmits(rec *telemetry.Recorder) int {
+	n := 0
+	for _, e := range rec.Events() {
+		if e.Name == "retransmit" {
+			n++
+		}
+	}
+	return n
 }

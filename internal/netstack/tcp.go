@@ -129,10 +129,6 @@ type Conn struct {
 	connected  bool
 	closeFired bool
 	acceptedBy *Listener
-
-	bytesSent   uint64
-	bytesRcvd   uint64
-	retransmits uint64
 }
 
 // State reports the connection's current TCP state.
@@ -140,17 +136,6 @@ func (c *Conn) State() ConnState { return c.state }
 
 // RemoteAddr reports the peer's address and port.
 func (c *Conn) RemoteAddr() (packet.Addr, uint16) { return c.key.remote, c.key.remotePort }
-
-// LocalPort reports the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// Host returns the owning stack.
-func (c *Conn) Host() *Host { return c.host }
-
-// Stats reports payload bytes sent, received, and retransmitted segments.
-func (c *Conn) Stats() (sent, rcvd, retransmits uint64) {
-	return c.bytesSent, c.bytesRcvd, c.retransmits
-}
 
 // Listener accepts inbound TCP connections on a port.
 type Listener struct {
@@ -183,9 +168,6 @@ func (h *Host) ListenTCP(port uint16, backlog int, accept func(*Conn)) (*Listene
 	return l, nil
 }
 
-// Port reports the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
 // SetAccept replaces the accept callback (e.g. a data-channel listener
 // created before its handler is known).
 func (l *Listener) SetAccept(accept func(*Conn)) { l.accept = accept }
@@ -205,9 +187,6 @@ func (l *Listener) Close() {
 func (l *Listener) Stats() (accepted, synDropped, halfExpired uint64) {
 	return l.accepted, l.synDropped, l.halfExpired
 }
-
-// HalfOpen reports the number of half-open connections currently held.
-func (l *Listener) HalfOpen() int { return len(l.halfDM) }
 
 // DialTCP opens a connection to dst:port. Callbacks on the returned Conn
 // should be installed immediately (the SYN is already in flight, but no
@@ -321,9 +300,6 @@ func (c *Conn) releaseSendBuf() {
 	}
 }
 
-// Buffered reports bytes queued but not yet acknowledged.
-func (c *Conn) Buffered() int { return len(c.queued()) }
-
 // Close performs an orderly shutdown: buffered data is sent, then FIN.
 func (c *Conn) Close() {
 	if c.finQ || c.state == StateClosed {
@@ -396,7 +372,6 @@ func (c *Conn) pump() {
 		}
 		c.sendSegment(c.sndNxt, c.rcvNxt, flags, seg)
 		c.sndNxt += n
-		c.bytesSent += uint64(n)
 		sentAny = true
 	}
 	if c.finQ && !c.finSent && c.dataInFlight() == uint32(len(q)) {
@@ -463,7 +438,6 @@ func (c *Conn) onRetransmitTimeout() {
 		}
 		return
 	}
-	c.retransmits++
 	c.host.emitTCP("retransmit", int64(c.retries))
 	c.rto *= 2
 	switch c.state {
@@ -714,7 +688,6 @@ func (c *Conn) handleSegment(tcp packet.TCP, data []byte) {
 		case StateEstablished, StateFinWait1, StateFinWait2:
 			if tcp.Seq == c.rcvNxt {
 				c.rcvNxt += uint32(len(data))
-				c.bytesRcvd += uint64(len(data))
 				c.sendSegment(c.sndNxt, c.rcvNxt, packet.FlagACK, nil)
 				if c.OnData != nil {
 					c.OnData(data)

@@ -17,10 +17,6 @@ type UDPSocket struct {
 	host    *Host
 	port    uint16
 	handler UDPHandler
-
-	rxDgrams uint64
-	rxBytes  uint64
-	txDgrams uint64
 }
 
 // ListenUDP binds port and delivers inbound datagrams to handler.
@@ -39,18 +35,9 @@ func (h *Host) ListenUDP(port uint16, handler UDPHandler) (*UDPSocket, error) {
 	return s, nil
 }
 
-// Port reports the bound local port.
-func (s *UDPSocket) Port() uint16 { return s.port }
-
 // SendTo transmits a datagram from the socket's port.
 func (s *UDPSocket) SendTo(dst packet.Addr, dstPort uint16, data []byte) {
-	s.txDgrams++
 	s.host.sendUDP(s.port, dst, dstPort, data)
-}
-
-// Stats reports datagrams/bytes received and datagrams sent.
-func (s *UDPSocket) Stats() (rxDgrams, rxBytes, txDgrams uint64) {
-	return s.rxDgrams, s.rxBytes, s.txDgrams
 }
 
 // sendUDP builds and routes one datagram.
@@ -79,8 +66,6 @@ func (h *Host) handleUDP(ip packet.IPv4, payload []byte, tc trace.Context) {
 		return
 	}
 	tc.FinishTerminal(now)
-	s.rxDgrams++
-	s.rxBytes += uint64(len(data))
 	if s.handler != nil {
 		s.handler(ip.Src, udp.SrcPort, data)
 	}

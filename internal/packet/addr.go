@@ -70,18 +70,6 @@ func ParseAddr(s string) (Addr, error) {
 	return a, nil
 }
 
-// MustParseAddr is ParseAddr for constant literals in tests; it panics on
-// malformed input. Production code must use ParseAddr (for external input)
-// or AddrFrom4 (for known octets) — no non-test code path may reach this
-// panic.
-func MustParseAddr(s string) Addr {
-	a, err := ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Uint32 returns the address as a 32-bit big-endian value.
 func (a Addr) Uint32() uint32 { return binary.BigEndian.Uint32(a[:]) }
 
@@ -97,34 +85,6 @@ func (a Addr) String() string {
 type Prefix struct {
 	Addr Addr
 	Bits int
-}
-
-// ParsePrefix parses CIDR notation ("10.0.0.0/24").
-func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("parse prefix %q: missing '/'", s)
-	}
-	a, err := ParseAddr(s[:slash])
-	if err != nil {
-		return Prefix{}, err
-	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return Prefix{}, fmt.Errorf("parse prefix %q: bad length", s)
-	}
-	return Prefix{Addr: a, Bits: bits}, nil
-}
-
-// MustParsePrefix is ParsePrefix for constant literals in tests; it panics
-// on malformed input. Production code must use ParsePrefix or build the
-// Prefix struct directly — no non-test code path may reach this panic.
-func MustParsePrefix(s string) Prefix {
-	p, err := ParsePrefix(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 func (p Prefix) mask() uint32 {

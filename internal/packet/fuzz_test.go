@@ -11,7 +11,7 @@ import (
 // feature extraction after it: neither may panic, whatever a flood tool or
 // a corrupted capture puts on the wire.
 func FuzzDecodeInto(f *testing.F) {
-	src, dst := packet.MustParseAddr("10.0.0.5"), packet.MustParseAddr("10.0.1.1")
+	src, dst := packet.AddrFrom4(10, 0, 0, 5), packet.AddrFrom4(10, 0, 1, 1)
 	seeds := [][]byte{
 		packet.BuildTCP(packet.MACFromUint64(1), packet.MACFromUint64(2),
 			packet.IPv4{TTL: 64, ID: 7, Src: src, Dst: dst},

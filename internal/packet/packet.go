@@ -39,27 +39,15 @@ type Packet struct {
 	Trace trace.Context
 }
 
-// Decode dissects a raw frame captured at time t. Dissection is best-effort:
-// a frame whose inner layers fail to parse is still returned with the layers
-// that did parse, because a flood tool may emit malformed packets on purpose.
-//
-// Decode allocates a fresh Packet per frame; hot capture taps that do not
-// retain the packet past the callback should use DecodeInto with a pooled
-// Packet from Acquire instead. Either way the Packet's Raw and Payload alias
-// raw: a frame handed to a tap or handler is recycled after the call, so a
-// Packet kept past it must be decoded from a copy.
-func Decode(t sim.Time, raw []byte) (*Packet, error) {
-	p := &Packet{}
-	if err := DecodeInto(p, t, raw); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // DecodeInto dissects a raw frame captured at time t into p, overwriting all
-// of p's fields. p may come from Acquire (see the pooling contract there) or
-// be any caller-owned Packet being reused across frames. The error cases
-// match Decode; on error p is left fully reset except for Time and Raw.
+// of p's fields. Dissection is best-effort: a frame whose inner layers fail
+// to parse keeps the layers that did parse, because a flood tool may emit
+// malformed packets on purpose; only a frame too short for its Ethernet
+// header is an error, and then p is left fully reset except for Time and
+// Raw. p may come from Acquire (see the pooling contract there) or be any
+// caller-owned Packet being reused across frames. The Packet's Raw and
+// Payload alias raw: a frame handed to a tap or handler is recycled after
+// the call, so a Packet kept past it must be decoded from a copy.
 func DecodeInto(p *Packet, t sim.Time, raw []byte) error {
 	*p = Packet{Time: t, Raw: raw}
 	eth, rest, err := UnmarshalEthernet(raw)
@@ -106,14 +94,6 @@ func DecodeInto(p *Packet, t sim.Time, raw []byte) error {
 // Len reports the on-wire frame length in bytes.
 func (p *Packet) Len() int { return len(p.Raw) }
 
-// Proto reports the IP protocol number, or 0 for non-IP frames.
-func (p *Packet) Proto() uint8 {
-	if !p.HasIPv4 {
-		return 0
-	}
-	return p.IPv4.Proto
-}
-
 // SrcPort reports the transport source port, or 0 when not applicable.
 func (p *Packet) SrcPort() uint16 {
 	switch {
@@ -143,21 +123,6 @@ type FlowKey struct {
 	Proto   uint8
 	SrcPort uint16
 	DstPort uint16
-}
-
-// Flow returns the packet's unidirectional flow key (zero ports for non-TCP/UDP).
-func (p *Packet) Flow() FlowKey {
-	k := FlowKey{Proto: p.Proto(), SrcPort: p.SrcPort(), DstPort: p.DstPort()}
-	if p.HasIPv4 {
-		k.Src = p.IPv4.Src
-		k.Dst = p.IPv4.Dst
-	}
-	return k
-}
-
-// Reverse returns the flow key of the opposite direction.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Src: k.Dst, Dst: k.Src, Proto: k.Proto, SrcPort: k.DstPort, DstPort: k.SrcPort}
 }
 
 // String renders a tcpdump-style one-line summary.

@@ -56,7 +56,6 @@ type Record struct {
 type Writer struct {
 	w       io.Writer
 	snapLen uint32
-	wrote   uint64
 	err     error
 }
 
@@ -102,12 +101,8 @@ func (w *Writer) WriteFrame(t sim.Time, frame []byte) error {
 		w.err = fmt.Errorf("pcap: write record data: %w", err)
 		return w.err
 	}
-	w.wrote++
 	return nil
 }
-
-// Count reports records written so far.
-func (w *Writer) Count() uint64 { return w.wrote }
 
 // Tap returns a netsim.Tap that captures every observed frame into the
 // writer. Write errors are sticky and silently stop the capture.
@@ -236,14 +231,8 @@ func (b *Buffer) Tap() netsim.Tap {
 	}
 }
 
-// Records returns the captured records (not a copy; treat as read-only).
-func (b *Buffer) Records() []Record { return b.records }
-
 // Len reports the number of captured records.
 func (b *Buffer) Len() int { return len(b.records) }
-
-// Reset discards all captured records.
-func (b *Buffer) Reset() { b.records = nil }
 
 // WriteTo dumps the buffer as a pcap stream.
 func (b *Buffer) WriteTo(w io.Writer) (int64, error) {

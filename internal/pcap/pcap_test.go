@@ -38,9 +38,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d", w.Count())
-	}
 
 	r, err := NewReader(&buf)
 	if err != nil {
@@ -172,12 +169,8 @@ func TestBufferTapCapturesLiveTraffic(t *testing.T) {
 	if cap.Len() != 2 {
 		t.Fatalf("captured %d frames", cap.Len())
 	}
-	if cap.Records()[0].Time <= 0 {
+	if cap.records[0].Time <= 0 {
 		t.Fatal("capture timestamp missing")
-	}
-	cap.Reset()
-	if cap.Len() != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -235,9 +228,6 @@ func TestWriterStickyError(t *testing.T) {
 	}
 	if err := w.WriteFrame(0, sampleFrame(100)); err == nil {
 		t.Fatal("sticky error not preserved")
-	}
-	if w.Count() != 0 {
-		t.Fatal("failed writes counted")
 	}
 }
 

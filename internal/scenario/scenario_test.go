@@ -121,8 +121,8 @@ func TestApplyRunsScenario(t *testing.T) {
 	// Count spoofed SYNs at the TServer to prove the scheduled attack ran.
 	syns := 0
 	tb.AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
-		p, err := packet.Decode(at, raw)
-		if err == nil && p.HasTCP && p.TCP.Flags == packet.FlagSYN && p.IPv4.Src[2] >= 200 {
+		p := new(packet.Packet)
+		if packet.DecodeInto(p, at, raw) == nil && p.HasTCP && p.TCP.Flags == packet.FlagSYN && p.IPv4.Src[2] >= 200 {
 			syns++
 		}
 	})

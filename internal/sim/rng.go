@@ -119,12 +119,6 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 // Uint32 returns a uniform uint32.
 func (g *RNG) Uint32() uint32 { return g.r.Uint32() }
 
-// Uint64 returns a uniform uint64.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
-
-// Float64 returns a uniform float64 in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // NormFloat64 returns a standard-normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
@@ -147,16 +141,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 		return lo
 	}
 	return lo + g.r.Float64()*(hi-lo)
-}
-
-// Normal returns a normal variate with the given mean and standard
-// deviation, truncated below at lo (useful for strictly positive sizes).
-func (g *RNG) Normal(mean, stddev, lo float64) float64 {
-	v := mean + g.r.NormFloat64()*stddev
-	if v < lo {
-		return lo
-	}
-	return v
 }
 
 // Pareto returns a bounded Pareto variate with shape alpha and scale xm.

@@ -34,8 +34,8 @@ func TestRNGBytesMatchesMathRandRead(t *testing.T) {
 					t.Fatalf("Int63 after %d bytes: %d vs %d", n, a, b)
 				}
 			case 1:
-				if a, b := g.Float64(), want.Float64(); a != b {
-					t.Fatalf("Float64 after %d bytes: %v vs %v", n, a, b)
+				if a, b := g.Uniform(0, 1), want.Float64(); a != b {
+					t.Fatalf("Uniform after %d bytes: %v vs %v", n, a, b)
 				}
 			case 2:
 				if a, b := g.Intn(1000), want.Intn(1000); a != b {

@@ -79,14 +79,9 @@ const (
 // fire in scheduling order (FIFO), keyed events (AtKeyed) after them in key
 // order, which keeps the simulation deterministic.
 type Event struct {
-	n         *node
-	id        uint64
-	at        Time
-	cancelled bool
+	n  *node
+	id uint64
 }
-
-// At reports the instant the event was scheduled to fire.
-func (e *Event) At() Time { return e.at }
 
 // IsZero reports whether the handle is the zero Event (never scheduled).
 func (e *Event) IsZero() bool { return e.n == nil }
@@ -95,19 +90,14 @@ func (e *Event) IsZero() bool { return e.n == nil }
 // scheduled, has not fired, and was not cancelled.
 func (e *Event) Pending() bool { return e.n != nil && e.n.id == e.id }
 
-// Cancelled reports whether Cancel was called through this handle before the
-// event fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
 // Cancel prevents a pending event from firing and removes it from the event
 // queue immediately (no tombstone is left behind — long-lived tickers and
 // supervisor timers no longer bloat the queue). Cancelling an event that has
 // already fired (or was already cancelled) is a no-op.
 func (e *Event) Cancel() {
-	if e.n == nil || e.cancelled || e.n.id != e.id {
+	if e.n == nil || e.n.id != e.id {
 		return
 	}
-	e.cancelled = true
 	e.n.s.removeNode(e.n)
 }
 
@@ -133,10 +123,6 @@ func NewScheduler() *Scheduler {
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// Len reports the number of pending (not yet fired, not cancelled) events.
-// Cancelled events are removed from the queue eagerly, so this is O(1).
-func (s *Scheduler) Len() int { return len(s.queue) }
 
 // Fired reports the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -201,7 +187,7 @@ func (s *Scheduler) insert(t Time, ord uint64, fn Handler) Event {
 	nd.ord = ord
 	nd.fn = fn
 	s.push(nd)
-	return Event{n: nd, id: nd.id, at: t}
+	return Event{n: nd, id: nd.id}
 }
 
 // After schedules fn to run d of simulated time from now.
@@ -378,7 +364,6 @@ type Ticker struct {
 	tick     Handler // cached self-rescheduling closure (one alloc per ticker)
 	pending  Event
 	stopped  bool
-	ticks    uint64
 }
 
 func (t *Ticker) schedule() {
@@ -387,7 +372,6 @@ func (t *Ticker) schedule() {
 			if t.stopped {
 				return
 			}
-			t.ticks++
 			t.fn()
 			if !t.stopped {
 				t.schedule()
@@ -402,9 +386,6 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.pending.Cancel()
 }
-
-// Ticks reports how many times the ticker has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }
 
 // String summarizes scheduler state, for debugging.
 func (s *Scheduler) String() string {

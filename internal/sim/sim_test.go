@@ -115,10 +115,11 @@ func TestSchedulerKeyedPastClampsAndCancels(t *testing.T) {
 	s := NewScheduler()
 	fired := false
 	s.At(2*Second, func() {
-		ev := s.AtKeyed(Second, 0, func() {})
-		if ev.At() != 2*Second {
-			t.Errorf("past keyed event scheduled at %v, want clamp to now (2s)", ev.At())
-		}
+		s.AtKeyed(Second, 0, func() {
+			if s.Now() != 2*Second {
+				t.Errorf("past keyed event fired at %v, want clamp to now (2s)", s.Now())
+			}
+		})
 	})
 	ev := s.AtKeyed(3*Second, 0, func() { fired = true })
 	ev.Cancel()
@@ -148,10 +149,11 @@ func TestSchedulerClockAdvancesToEventTime(t *testing.T) {
 func TestSchedulerPastSchedulingClamps(t *testing.T) {
 	s := NewScheduler()
 	s.At(2*Second, func() {
-		ev := s.At(1*Second, func() {})
-		if ev.At() != 2*Second {
-			t.Errorf("past event scheduled at %v, want clamp to now (2s)", ev.At())
-		}
+		s.At(1*Second, func() {
+			if s.Now() != 2*Second {
+				t.Errorf("past event fired at %v, want clamp to now (2s)", s.Now())
+			}
+		})
 	})
 	s.Drain()
 }
@@ -170,8 +172,10 @@ func TestSchedulerHorizonStopsBeforeLaterEvents(t *testing.T) {
 	if s.Now() != 5*Second {
 		t.Fatalf("Now() = %v, want horizon 5s", s.Now())
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1 pending", s.Len())
+	// The event past the horizon stays queued for a later run.
+	s.Drain()
+	if fired != 2 || s.Now() != 10*Second {
+		t.Fatalf("after Drain: fired = %d at %v, want 2 at 10s", fired, s.Now())
 	}
 }
 
@@ -196,8 +200,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if ev.Pending() {
+		t.Fatal("Pending() = true after Cancel")
 	}
 }
 
@@ -216,7 +220,7 @@ func TestSchedulerAfterUsesCurrentInstant(t *testing.T) {
 func TestTickerFiresAtInterval(t *testing.T) {
 	s := NewScheduler()
 	var times []Time
-	tk := s.Every(time.Second, func() { times = append(times, s.Now()) })
+	s.Every(time.Second, func() { times = append(times, s.Now()) })
 	if err := s.Run(5 * Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -227,9 +231,6 @@ func TestTickerFiresAtInterval(t *testing.T) {
 		if want := Time(i+1) * Second; at != want {
 			t.Fatalf("tick %d at %v, want %v", i, at, want)
 		}
-	}
-	if tk.Ticks() != 5 {
-		t.Fatalf("Ticks() = %d, want 5", tk.Ticks())
 	}
 }
 
@@ -280,7 +281,7 @@ func TestTimeConversions(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Int63() != b.Int63() {
 			t.Fatal("same-seed streams diverged")
 		}
 	}
@@ -291,7 +292,7 @@ func TestSubstreamIndependence(t *testing.T) {
 	b := Substream(1, "payload")
 	same := 0
 	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.Int63() == b.Int63() {
 			same++
 		}
 	}
@@ -331,15 +332,6 @@ func TestRNGUniformRange(t *testing.T) {
 		return v >= l && v < h
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRNGNormalTruncation(t *testing.T) {
-	g := NewRNG(13)
-	for i := 0; i < 1000; i++ {
-		if v := g.Normal(0, 10, 1); v < 1 {
-			t.Fatalf("Normal truncation violated: %v", v)
-		}
 	}
 }
 

@@ -80,13 +80,6 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Samples returns the recorded timeline.
-func (m *Monitor) Samples() []Sample {
-	out := make([]Sample, len(m.samples))
-	copy(out, m.samples)
-	return out
-}
-
 // Publish registers the monitor's Table II aggregates as live registry
 // gauges (sysmon_cpu_percent, sysmon_mem_kb, sysmon_mem_peak_kb,
 // sysmon_intervals), labeled target=name. The gauges are evaluated at

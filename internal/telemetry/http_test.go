@@ -31,7 +31,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 // TestLiveServerEmptySnapshots pins the before-first-Update contract: every
 // endpoint answers 204 No Content with its content type already set.
 func TestLiveServerEmptySnapshots(t *testing.T) {
-	s := NewLiveServer()
+	s := NewLiveServerOptions(LiveServerOptions{})
 	h := s.Handler()
 	cases := []struct {
 		path, contentType string
@@ -52,9 +52,6 @@ func TestLiveServerEmptySnapshots(t *testing.T) {
 			t.Errorf("%s: unexpected body %q", c.path, body)
 		}
 	}
-	if s.Updates() != 0 {
-		t.Fatalf("updates = %d before any Update", s.Updates())
-	}
 }
 
 // TestLiveServerServesSnapshots publishes a snapshot and checks each
@@ -66,11 +63,8 @@ func TestLiveServerServesSnapshots(t *testing.T) {
 	rec := NewRecorder(16)
 	rec.Emit(sim.Second, CatIDS, "alert", "ids", 7)
 
-	s := NewLiveServer()
+	s := NewLiveServerOptions(LiveServerOptions{})
 	s.Update(2*sim.Second, reg, rec)
-	if s.Updates() != 1 {
-		t.Fatalf("updates = %d, want 1", s.Updates())
-	}
 	h := s.Handler()
 
 	status, ct, body := get(t, h, "/metrics")
@@ -104,7 +98,7 @@ func TestLiveServerServesSnapshots(t *testing.T) {
 // TestLiveServerProfileEndpoint checks /profile.json serves exactly the
 // bytes published by UpdateProfile (204 before the first publish).
 func TestLiveServerProfileEndpoint(t *testing.T) {
-	s := NewLiveServer()
+	s := NewLiveServerOptions(LiveServerOptions{})
 	h := s.Handler()
 	status, _, _ := get(t, h, "/profile.json")
 	if status != http.StatusNoContent {
@@ -125,7 +119,7 @@ func TestLiveServerProfileEndpoint(t *testing.T) {
 // the bytes published by UpdateMitigation (204 before the first publish),
 // the defense-scoreboard analogue of the profile endpoint.
 func TestLiveServerMitigationEndpoint(t *testing.T) {
-	s := NewLiveServer()
+	s := NewLiveServerOptions(LiveServerOptions{})
 	h := s.Handler()
 	status, ct, _ := get(t, h, "/mitigation.json")
 	if status != http.StatusNoContent {
@@ -154,7 +148,7 @@ func TestLiveServerMitigationEndpoint(t *testing.T) {
 // profiler endpoints exist only when LiveServerOptions.EnablePprof is set;
 // the default handler keeps them 404.
 func TestLiveServerPprofOptIn(t *testing.T) {
-	status, _, _ := get(t, NewLiveServer().Handler(), "/debug/pprof/")
+	status, _, _ := get(t, NewLiveServerOptions(LiveServerOptions{}).Handler(), "/debug/pprof/")
 	if status != http.StatusNotFound {
 		t.Fatalf("default handler serves pprof: status=%d, want 404", status)
 	}
@@ -177,7 +171,7 @@ func TestLiveServerPprofOptIn(t *testing.T) {
 func TestLiveServerUpdateRefreshesCache(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("ticks_total")
-	s := NewLiveServer()
+	s := NewLiveServerOptions(LiveServerOptions{})
 
 	c.Inc()
 	s.Update(sim.Second, reg, nil)
@@ -194,9 +188,6 @@ func TestLiveServerUpdateRefreshesCache(t *testing.T) {
 	}
 
 	s.Update(2*sim.Second, reg, nil)
-	if s.Updates() != 2 {
-		t.Fatalf("updates = %d, want 2", s.Updates())
-	}
 	_, _, body = get(t, h, "/metrics")
 	if !strings.Contains(body, "ticks_total 10") {
 		t.Fatalf("second snapshot not served:\n%s", body)

@@ -115,16 +115,6 @@ func (r *Recorder) Emit(t sim.Time, cat Category, name, actor string, value int6
 	r.mu.Unlock()
 }
 
-// Emitted reports the total number of events ever emitted.
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
 // Dropped returns the counter of events evicted by ring wraparound, for
 // registration as telemetry_recorder_dropped_total. Nil on a nil recorder.
 func (r *Recorder) Dropped() *Counter {
@@ -132,24 +122,6 @@ func (r *Recorder) Dropped() *Counter {
 		return nil
 	}
 	return &r.dropped
-}
-
-// Len reports how many events the ring currently holds.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Capacity reports the ring size.
-func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return cap(r.buf)
 }
 
 // Events returns the retained events oldest-first (ascending Seq, and

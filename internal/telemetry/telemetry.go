@@ -46,12 +46,10 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down: CPU share, live memory,
-// connected bots. The zero value is ready to use and reads 0.
+// Gauge is a float64 that can go up and down, updated atomically: a
+// histogram's running sum. The registry exports gauge metrics through
+// RegisterGaugeFunc. The zero value is ready to use and reads 0.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add offsets the gauge by d.
 func (g *Gauge) Add(d float64) {
@@ -154,7 +152,6 @@ type metric struct {
 	labelStr  string // rendered {k="v",...} form, "" when unlabeled
 	kind      Kind
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -262,18 +259,6 @@ func (r *Registry) RegisterCounterFunc(fn func() uint64, name string, labels ...
 	r.add(metric{name: name, labelStr: renderLabels(labels), kind: KindCounter, counterFn: fn})
 }
 
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(g, name, labels...)
-	return g
-}
-
-// RegisterGauge registers an externally owned gauge.
-func (r *Registry) RegisterGauge(g *Gauge, name string, labels ...Label) {
-	r.add(metric{name: name, labelStr: renderLabels(labels), kind: KindGauge, gauge: g})
-}
-
 // RegisterGaugeFunc registers a gauge computed at export time. The
 // function runs on whatever goroutine exports, so it must only read
 // state that is safe to read there (the testbed exports from the
@@ -322,8 +307,6 @@ func (r *Registry) Snapshot() []Snapshot {
 			s.Value = float64(m.counter.Value())
 		case m.counterFn != nil:
 			s.Value = float64(m.counterFn())
-		case m.gauge != nil:
-			s.Value = m.gauge.Value()
 		case m.gaugeFn != nil:
 			s.Value = m.gaugeFn()
 		case m.hist != nil:
@@ -340,14 +323,4 @@ func (r *Registry) Snapshot() []Snapshot {
 		return out[i].Labels < out[j].Labels
 	})
 	return out
-}
-
-// Len reports how many metrics are registered.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.metrics)
 }

@@ -9,7 +9,7 @@ import "testing"
 func TestUnsampledTraceAllocFree(t *testing.T) {
 	tr := New(Config{Seed: 1, SampleRate: 1e-18}) // nonzero rate, ~never samples
 	f := Flow{Src: 0x0a000003, Dst: 0x0a000101, SrcPort: 40000, DstPort: 80, Proto: 6}
-	if tr.Sampled(f) {
+	if tr.sampleFlow(f) {
 		t.Skip("flow unexpectedly sampled at 1e-18; pick another tuple")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -159,14 +159,6 @@ func (tr *Tracer) sampleFlow(f Flow) bool {
 	return flowHash(f, tr.seed) < tr.threshold
 }
 
-// Sampled reports whether flow f would be traced, without starting a trace.
-func (tr *Tracer) Sampled(f Flow) bool {
-	if tr == nil {
-		return false
-	}
-	return tr.sampleFlow(f)
-}
-
 // Origin starts a new trace for f when sampling selects it, classifying
 // the flow via Config.Classify. The returned context is the origin span;
 // unsampled flows get the zero Context (all methods no-ops, 0 allocs).

@@ -19,10 +19,10 @@ func TestSamplingDeterministicAndRateBounded(t *testing.T) {
 	const n = 4096
 	for i := uint32(0); i < n; i++ {
 		f := flowN(i)
-		if a.Sampled(f) != b.Sampled(f) {
+		if a.sampleFlow(f) != b.sampleFlow(f) {
 			t.Fatalf("flow %d: same seed disagrees", i)
 		}
-		if a.Sampled(f) {
+		if a.sampleFlow(f) {
 			sampled++
 		}
 	}
@@ -30,10 +30,10 @@ func TestSamplingDeterministicAndRateBounded(t *testing.T) {
 	if sampled < n/16 || sampled > n/4 {
 		t.Fatalf("sampled %d of %d flows at rate 1/8", sampled, n)
 	}
-	if New(Config{Seed: 99, SampleRate: 1}).Sampled(flowN(1)) != true {
+	if New(Config{Seed: 99, SampleRate: 1}).sampleFlow(flowN(1)) != true {
 		t.Fatal("rate 1 must sample everything")
 	}
-	if New(Config{Seed: 99}).Sampled(flowN(1)) {
+	if New(Config{Seed: 99}).sampleFlow(flowN(1)) {
 		t.Fatal("rate 0 must sample nothing")
 	}
 }

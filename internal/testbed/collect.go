@@ -99,19 +99,3 @@ func (ts *ThroughputSampler) Samples() []ThroughputSample {
 	copy(out, ts.samples)
 	return out
 }
-
-// MeanRxBps averages receive throughput (bits/s) over a time range.
-func (ts *ThroughputSampler) MeanRxBps(from, to sim.Time) float64 {
-	var bytes uint64
-	n := 0
-	for _, s := range ts.samples {
-		if s.Time > from && s.Time <= to {
-			bytes += s.RxBytes
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / float64(n)
-}

@@ -297,9 +297,6 @@ func (c Config) validate() error {
 	if c.ScannableDevices < 0 {
 		return fmt.Errorf("testbed: ScannableDevices must be >= 0 (got %d)", c.ScannableDevices)
 	}
-	if c.Link.RNG != nil || c.TrunkLink.RNG != nil {
-		return fmt.Errorf("testbed: Link.RNG and TrunkLink.RNG must be nil; loss draws from per-link streams keyed by Seed")
-	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"ddoshield/internal/botnet"
 	"ddoshield/internal/dataset"
+	"ddoshield/internal/devices"
 	"ddoshield/internal/features"
 	"ddoshield/internal/ids"
 	"ddoshield/internal/netsim"
@@ -60,8 +61,9 @@ func TestTestbedEndToEnd(t *testing.T) {
 	if tb.C2().Bots() != 3 {
 		t.Fatalf("C2 bots = %d", tb.C2().Bots())
 	}
-	for _, dh := range tb.Devices() {
-		if !dh.Device.Vulnerable() && dh.Device.Infected() {
+	for i, dh := range tb.Devices() {
+		hardened := devices.DefaultFleet[i%len(devices.DefaultFleet)].Cred.User == ""
+		if hardened && dh.Device.Infected() {
 			t.Fatalf("hardened device %s infected", dh.Container.Name())
 		}
 	}
@@ -109,8 +111,8 @@ func TestLabelerGroundTruth(t *testing.T) {
 		{"scan", features.Basic{Src: addrAttacker, Dst: deviceAddr(1), Proto: packet.ProtoTCP, DstPort: 23}, dataset.Malicious},
 		{"scan reply", features.Basic{Src: deviceAddr(1), Dst: addrAttacker, Proto: packet.ProtoTCP, SrcPort: 23}, dataset.Malicious},
 		{"c2 keepalive", features.Basic{Src: deviceAddr(0), Dst: addrC2, Proto: packet.ProtoTCP, DstPort: 5555}, dataset.Malicious},
-		{"spoofed syn", features.Basic{Src: packet.MustParseAddr("10.0.201.7"), Dst: addrTServer, Proto: packet.ProtoTCP, DstPort: 80}, dataset.Malicious},
-		{"backscatter synack", features.Basic{Src: addrTServer, Dst: packet.MustParseAddr("10.0.202.9"), Proto: packet.ProtoTCP, SrcPort: 80}, dataset.Malicious},
+		{"spoofed syn", features.Basic{Src: packet.AddrFrom4(10, 0, 201, 7), Dst: addrTServer, Proto: packet.ProtoTCP, DstPort: 80}, dataset.Malicious},
+		{"backscatter synack", features.Basic{Src: addrTServer, Dst: packet.AddrFrom4(10, 0, 202, 9), Proto: packet.ProtoTCP, SrcPort: 80}, dataset.Malicious},
 		{"udp flood", features.Basic{Src: deviceAddr(0), Dst: addrTServer, Proto: packet.ProtoUDP, DstPort: 9999}, dataset.Malicious},
 		{"benign ftp data", features.Basic{Src: addrTServer, Dst: deviceAddr(2), Proto: packet.ProtoTCP, SrcPort: 20001}, dataset.Benign},
 	}
@@ -213,7 +215,6 @@ func TestThroughputDegradesUnderAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := tb.NewThroughputSampler()
 	tb.Start()
 	if err := tb.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -221,24 +222,28 @@ func TestThroughputDegradesUnderAttack(t *testing.T) {
 	if tb.C2().Bots() == 0 {
 		t.Fatal("no bots for the attack")
 	}
+	nic := tb.TServer().Host().NIC()
+	_, rxBefore, _, _ := nic.Stats()
 	// Attack at high PPS: 3 bots * 2000 pps * ~60B SYNs + backscatter.
 	tb.C2().Broadcast(botnet.Command{
 		Type: botnet.AttackSYN, Target: tb.TServerAddr(), Port: 80,
 		Duration: 30 * time.Second, PPS: 3000,
 	})
-	if err := tb.Run(40 * time.Second); err != nil {
+	if err := tb.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	now := tb.Scheduler().Now()
-	attackStart := now - 40*sim.Second
+	_, rxAfter, _, _ := nic.Stats()
+	if err := tb.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	// The TServer's listener should have felt backlog pressure.
 	_, synDropped, halfExpired := tb.HTTPServer().Listener().Stats()
 	if synDropped == 0 && halfExpired == 0 {
 		t.Fatal("SYN flood exerted no backlog pressure on the TServer")
 	}
 	// And its uplink saw elevated load during the attack.
-	during := ts.MeanRxBps(attackStart, attackStart+30*sim.Second)
-	before := ts.MeanRxBps(0, attackStart)
+	during := float64(rxAfter-rxBefore) * 8 / 30
+	before := float64(rxBefore) * 8 / 120
 	if during <= before {
 		t.Fatalf("rx bps during attack (%0.f) not above baseline (%0.f)", during, before)
 	}
@@ -285,7 +290,7 @@ func TestConfigValidation(t *testing.T) {
 	// Addresses must be unique across both planes.
 	seen := map[string]int{}
 	for i, dh := range tb.Devices() {
-		a := dh.Container.Addr().String()
+		a := dh.Container.Host().Addr().String()
 		if j, dup := seen[a]; dup {
 			t.Fatalf("address collision: devices %d and %d both at %s", j, i, a)
 		}
@@ -302,22 +307,13 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("DeviceGroups %d > NumDevices 4 not rejected", groups)
 		}
 	}
-	// Loss draws come only from the per-link streams keyed by Seed.
-	for name, cfg := range map[string]Config{
-		"Link.RNG":      {Seed: 9, NumDevices: 4, Link: netsim.LinkConfig{LossProb: 0.1, RNG: sim.NewRNG(1)}},
-		"TrunkLink.RNG": {Seed: 9, NumDevices: 4, DeviceGroups: 2, TrunkLink: netsim.LinkConfig{RNG: sim.NewRNG(1)}},
-	} {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s set: not rejected", name)
-		}
-	}
 }
 
 // decodeTap adapts a packet-level observer to a netsim.Tap, skipping frames
 // that fail to decode.
 func decodeTap(fn func(p *packet.Packet)) netsim.Tap {
 	return func(at sim.Time, raw []byte, _ trace.Context) {
-		if p, err := packet.Decode(at, raw); err == nil {
+		if p := new(packet.Packet); packet.DecodeInto(p, at, raw) == nil {
 			fn(p)
 		}
 	}

@@ -56,6 +56,9 @@ for s in chaos12 example grouped12; do
 	step "ddoshield-$s" "$bin/ddoshield" -config "scenarios/$s.json" -artifacts "$out/$s"
 done
 step ddoshield-defended12 "$bin/ddoshield" -config scenarios/defended12.json -domains 3 -artifacts "$out/defended12"
+# The live server: it binds a free loopback port and refreshes its snapshots
+# every simulated second; no client connects.
+step ddoshield-live "$bin/ddoshield" -config scenarios/defended12.json -domains 3 -listen 127.0.0.1:0 -pprof -artifacts "$out/live"
 
 step trainids "$bin/trainids" -data "$out/data.csv" -outdir "$out/models"
 step detect "$bin/detect" -model "$out/models/rf.model,$out/models/kmeans.model,$out/models/cnn.model" -pcap "$out/run.pcap"
