@@ -39,7 +39,6 @@ type Server struct {
 	cfg      ServerConfig
 	rng      *sim.RNG
 	host     *netstack.Host
-	listener *netstack.Listener
 	dataPort uint16
 
 	logins    uint64
@@ -59,20 +58,10 @@ func NewServer(cfg ServerConfig) *Server {
 // Attach binds the server to a host and starts listening on the control port.
 func (s *Server) Attach(h *netstack.Host) error {
 	s.host = h
-	l, err := h.ListenTCP(DefaultPort, 0, s.accept)
-	if err != nil {
+	if _, err := h.ListenTCP(DefaultPort, 0, s.accept); err != nil {
 		return fmt.Errorf("ftpapp: %w", err)
 	}
-	s.listener = l
 	return nil
-}
-
-// Detach stops accepting control connections.
-func (s *Server) Detach() {
-	if s.listener != nil {
-		s.listener.Close()
-		s.listener = nil
-	}
 }
 
 // Stats reports successful logins, completed transfers, payload bytes sent

@@ -58,14 +58,6 @@ func (s *Server) Attach(h *netstack.Host) error {
 	return nil
 }
 
-// Detach stops accepting connections.
-func (s *Server) Detach() {
-	if s.listener != nil {
-		s.listener.Close()
-		s.listener = nil
-	}
-}
-
 // Stats reports requests served and body bytes sent.
 func (s *Server) Stats() (requests, bytesOut uint64) { return s.requests, s.bytesOut }
 

@@ -58,7 +58,6 @@ func TestClientFetchesObjects(t *testing.T) {
 		t.Fatalf("server stats: %d req / %d bytes", requests, bytesOut)
 	}
 	cl.Detach()
-	srv.Detach()
 }
 
 func TestServerRejectsNonGET(t *testing.T) {

@@ -46,10 +46,9 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 
 // Server is the Nginx-RTMP analog.
 type Server struct {
-	cfg      ServerConfig
-	rng      *sim.RNG
-	host     *netstack.Host
-	listener *netstack.Listener
+	cfg  ServerConfig
+	rng  *sim.RNG
+	host *netstack.Host
 
 	streams  uint64
 	bytesOut uint64
@@ -63,20 +62,10 @@ func NewServer(cfg ServerConfig) *Server {
 // Attach binds the server to a host and starts listening.
 func (s *Server) Attach(h *netstack.Host) error {
 	s.host = h
-	l, err := h.ListenTCP(DefaultPort, 0, s.accept)
-	if err != nil {
+	if _, err := h.ListenTCP(DefaultPort, 0, s.accept); err != nil {
 		return fmt.Errorf("rtmpapp: %w", err)
 	}
-	s.listener = l
 	return nil
-}
-
-// Detach stops accepting streams.
-func (s *Server) Detach() {
-	if s.listener != nil {
-		s.listener.Close()
-		s.listener = nil
-	}
 }
 
 // Stats reports streams served and media bytes pushed.

@@ -69,7 +69,6 @@ type Attacker struct {
 	cfg  AttackerConfig
 	host *netstack.Host
 	rng  *sim.RNG
-	proc *workload.Process
 	// nextCred remembers the dictionary position per target so successive
 	// probes continue where the last connection left off.
 	nextCred map[packet.Addr]int
@@ -101,16 +100,7 @@ func NewAttacker(cfg AttackerConfig) *Attacker {
 // Attach starts scanning from the given host.
 func (a *Attacker) Attach(h *netstack.Host) {
 	a.host = h
-	a.proc = workload.NewPoisson(h.Scheduler(), a.rng, a.cfg.MeanProbeInterval, a.probe)
-	a.proc.Start()
-}
-
-// Detach stops the scanner (sessions in flight finish naturally).
-func (a *Attacker) Detach() {
-	if a.proc != nil {
-		a.proc.Stop()
-		a.proc = nil
-	}
+	workload.NewPoisson(h.Scheduler(), a.rng, a.cfg.MeanProbeInterval, a.probe).Start()
 }
 
 // Stats reports probes launched, telnet connects, credentials cracked and

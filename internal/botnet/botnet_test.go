@@ -243,33 +243,31 @@ func TestBotDetachDropsFromC2(t *testing.T) {
 	}
 }
 
+// TestBotReconnectsAfterC2Restart: a bot redials until its C2 is up, and
+// redials again when the C2 drops its session, as a restarted C2 would.
 func TestBotReconnectsAfterC2Restart(t *testing.T) {
 	r := newRig()
 	c2Host := r.host(2)
 	c2 := NewC2()
-	if err := c2.Attach(c2Host); err != nil {
-		t.Fatal(err)
-	}
 	b := NewBot("bot1", c2Host.Addr(), 0, packet.Prefix{}, 1)
 	b.Attach(r.host(20))
-	if err := r.sched.RunFor(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Bots() != 1 {
-		t.Fatal("bot not registered")
-	}
-	// C2 goes down: bot's session dies; C2 comes back; bot re-registers.
-	c2.Detach()
-	for _, sess := range c2.bots {
-		sess.conn.Abort()
-	}
-	c2.bots = map[string]*botSession{}
 	if err := r.sched.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.Attach(c2Host); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.sched.RunFor(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c2.Bots() != 1 {
+		t.Fatalf("bot never registered with a late C2: %d", c2.Bots())
+	}
+	// The C2 drops every session: the bot's dies, and it registers anew.
+	for _, sess := range c2.bots {
+		sess.conn.Abort()
+	}
+	c2.bots = map[string]*botSession{}
 	if err := r.sched.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ const DefaultC2Port = 5555
 // reports).
 type C2 struct {
 	host      *netstack.Host
-	listener  *netstack.Listener
 	bots      map[string]*botSession
 	history   []PopulationSample
 	intervals []AttackInterval
@@ -49,20 +48,10 @@ func NewC2() *C2 {
 // Attach binds the C2 to a host and starts listening.
 func (c *C2) Attach(h *netstack.Host) error {
 	c.host = h
-	l, err := h.ListenTCP(DefaultC2Port, 0, c.accept)
-	if err != nil {
+	if _, err := h.ListenTCP(DefaultC2Port, 0, c.accept); err != nil {
 		return fmt.Errorf("c2: %w", err)
 	}
-	c.listener = l
 	return nil
-}
-
-// Detach stops the C2.
-func (c *C2) Detach() {
-	if c.listener != nil {
-		c.listener.Close()
-		c.listener = nil
-	}
 }
 
 // Bots reports the currently connected bot count.

@@ -13,7 +13,8 @@ import (
 
 // AttackType enumerates the implemented Mirai flood vectors. The paper
 // evaluates SYN, ACK and UDP floods and deliberately excludes
-// application-level attacks (HTTP/DNS floods).
+// application-level attacks (HTTP/DNS floods); AttackHTTP (httpflood.go)
+// is the one extension.
 type AttackType int
 
 // Flood vectors.
@@ -32,9 +33,8 @@ func (a AttackType) String() string {
 		return "ack"
 	case AttackUDP:
 		return "udp"
-	}
-	if name, ok := attackTypeName(a); ok {
-		return name
+	case AttackHTTP:
+		return "http"
 	}
 	return fmt.Sprintf("AttackType(%d)", int(a))
 }
@@ -48,9 +48,8 @@ func ParseAttackType(s string) (AttackType, error) {
 		return AttackACK, nil
 	case "udp":
 		return AttackUDP, nil
-	}
-	if at, ok := parseExtendedAttackType(s); ok {
-		return at, nil
+	case "http":
+		return AttackHTTP, nil
 	}
 	return 0, fmt.Errorf("botnet: unknown attack type %q", s)
 }

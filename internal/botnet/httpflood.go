@@ -2,7 +2,6 @@ package botnet
 
 import (
 	"fmt"
-	"strings"
 
 	"ddoshield/internal/netstack"
 	"ddoshield/internal/packet"
@@ -118,26 +117,6 @@ func (h *HTTPFlood) request() {
 		}
 	}
 	conn.OnRemoteClose = func() { conn.Close() }
-}
-
-// httpTypeName is the wire token of the extended vector.
-const httpTypeName = "http"
-
-// attackTypeName resolves extended names (keeps the original switch
-// untouched for the three paper vectors).
-func attackTypeName(a AttackType) (string, bool) {
-	if a == AttackHTTP {
-		return httpTypeName, true
-	}
-	return "", false
-}
-
-// parseExtendedAttackType resolves extended names.
-func parseExtendedAttackType(s string) (AttackType, bool) {
-	if strings.EqualFold(s, httpTypeName) {
-		return AttackHTTP, true
-	}
-	return 0, false
 }
 
 // BotAddrs exposes the connected bots' remote addresses (used by the

@@ -49,28 +49,6 @@ type App interface {
 	Stop()
 }
 
-// AppFuncs adapts a pair of functions to the App interface.
-type AppFuncs struct {
-	OnStart func(c *Container)
-	OnStop  func()
-}
-
-// Start implements App.
-func (a AppFuncs) Start(c *Container) {
-	if a.OnStart != nil {
-		a.OnStart(c)
-	}
-}
-
-// Stop implements App.
-func (a AppFuncs) Stop() {
-	if a.OnStop != nil {
-		a.OnStop()
-	}
-}
-
-var _ App = AppFuncs{}
-
 // Runtime creates and tracks containers, the way a Docker daemon does.
 type Runtime struct {
 	net    *netsim.Network

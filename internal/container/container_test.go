@@ -53,13 +53,15 @@ func TestDuplicateNameRejected(t *testing.T) {
 	}
 }
 
+// countingApp counts its starts and stops.
+type countingApp struct{ started, stopped int }
+
+func (a *countingApp) Start(*Container) { a.started++ }
+func (a *countingApp) Stop()            { a.stopped++ }
+
 func TestAppLifecycle(t *testing.T) {
 	_, rt, sw := testRuntime(t)
-	started, stopped := 0, 0
-	app := AppFuncs{
-		OnStart: func(c *Container) { started++ },
-		OnStop:  func() { stopped++ },
-	}
+	app := &countingApp{}
 	sp := spec("app", 3)
 	sp.App = app
 	c, err := rt.Create(sp, sw, netsim.LinkConfig{})
@@ -68,13 +70,13 @@ func TestAppLifecycle(t *testing.T) {
 	}
 	c.Start()
 	c.Start() // idempotent
-	if started != 1 || c.State() != StateRunning {
-		t.Fatalf("started=%d state=%v", started, c.State())
+	if app.started != 1 || c.State() != StateRunning {
+		t.Fatalf("started=%d state=%v", app.started, c.State())
 	}
 	c.Kill()
 	c.Kill() // idempotent
-	if stopped != 1 || c.State() != StateStopped || c.Crashes() != 1 {
-		t.Fatalf("stopped=%d state=%v crashes=%d", stopped, c.State(), c.Crashes())
+	if app.stopped != 1 || c.State() != StateStopped || c.Crashes() != 1 {
+		t.Fatalf("stopped=%d state=%v crashes=%d", app.stopped, c.State(), c.Crashes())
 	}
 	c.Start()
 	if c.Restarts() != 1 {

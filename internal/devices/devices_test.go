@@ -263,9 +263,8 @@ func TestEndToEndInfectionChain(t *testing.T) {
 		t.Fatalf("flood SYNs at target = %d", syns)
 	}
 
-	// Stop the scanner, then reboot the device: infection is lost and,
-	// with no scanner running, stays lost.
-	atk.Detach()
+	// Reboot the device: infection is lost and, inside the loader's
+	// reinfect cooldown (10 min by default), stays lost.
 	dev.Stop()
 	dev.StartOn(devHost)
 	if dev.Infected() {

@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection engine of the
 // testbed: a Plan is a clock-aligned timeline of fault events (link flaps,
-// link impairments, switch partitions, container crashes and crash loops)
-// and an Injector applies them on the simulation scheduler. Every random
-// draw comes from seeded sim.RNG substreams, so a run with the same seed
-// and the same plan reproduces bit-for-bit — the property the resilience
-// experiments and the determinism regression tests rely on.
+// link impairment windows and crash loops) that Random generates, and an
+// Injector applies it to the device fleet on the simulation scheduler.
+// Every random draw comes from seeded sim.RNG substreams, so a run with the
+// same seed and the same plan reproduces bit-for-bit — the property the
+// determinism regression tests rely on.
 //
 // The design follows the reproducible failure-scenario discipline of the
 // Gotham testbed and the stress-condition methodology of lean IoT-cloud
@@ -33,28 +33,18 @@ const (
 	// LinkImpair applies Impair to each target's uplink for Duration
 	// (0 = until the end of the run), then restores what was there before.
 	LinkImpair Kind = "link-impair"
-	// Partition splits the switch into isolated groups for Duration.
-	Partition Kind = "partition"
-	// Crash kills each target container once; its restart policy decides
-	// what happens next.
-	Crash Kind = "crash"
 	// CrashLoop kills each target container at Every intervals for
 	// Duration, crashing it again as soon as its supervisor revives it.
+	// Each kill counts as one "crash" injection.
 	CrashLoop Kind = "crash-loop"
 )
-
-// Kinds lists every fault kind, in a fixed order, for exhaustive
-// enumeration (e.g. registering one injection counter per kind).
-func Kinds() []Kind {
-	return []Kind{LinkFlap, LinkImpair, Partition, Crash, CrashLoop}
-}
 
 // Event is one timeline entry of a fault plan.
 type Event struct {
 	// At is the injection instant, relative to Injector.Schedule.
 	At time.Duration
-	// Duration bounds reversible faults (flap outage, impairment window,
-	// partition window, crash-loop window).
+	// Duration bounds the fault (flap outage, impairment window, crash-loop
+	// window).
 	Duration time.Duration
 	// Every paces CrashLoop re-kills (default 1 s).
 	Every time.Duration
@@ -67,10 +57,6 @@ type Event struct {
 	// with a per-link substream by the injector, keeping runs reproducible
 	// without the plan author threading RNGs around.
 	Impair netsim.Impairments
-	// Groups carries the Partition layout: each element is one side of
-	// the partition (same name syntax as Targets). Targets not named in
-	// any group keep full connectivity with group 0.
-	Groups [][]string
 }
 
 // Plan is a clock-aligned timeline of fault events.
@@ -103,8 +89,7 @@ type RandomConfig struct {
 // Random builds a reproducible plan of link flaps, impairment windows and
 // crash loops against the devices, whose expected fault counts scale with
 // Intensity: at full intensity four flaps, three impairment windows and
-// three crash loops per window. (Crashes and partitions are for
-// hand-written plans.)
+// three crash loops per window.
 func Random(cfg RandomConfig) Plan {
 	var p Plan
 	if cfg.Intensity <= 0 || cfg.Window <= 0 {
@@ -156,11 +141,7 @@ func Random(cfg RandomConfig) Plan {
 func (p Plan) String() string {
 	var b strings.Builder
 	for _, e := range p.Events {
-		fmt.Fprintf(&b, "%8s %-11s dur=%-6s targets=%v", e.At, e.Kind, e.Duration, e.Targets)
-		if e.Kind == Partition {
-			fmt.Fprintf(&b, " groups=%v", e.Groups)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%8s %-11s dur=%-6s targets=%v\n", e.At, e.Kind, e.Duration, e.Targets)
 	}
 	return b.String()
 }

@@ -16,7 +16,6 @@ type rig struct {
 	sched *sim.Scheduler
 	net   *netsim.Network
 	rt    *container.Runtime
-	sw    *netsim.Switch
 	cs    []*container.Container
 	in    *Injector
 }
@@ -27,7 +26,7 @@ func newRig(t *testing.T, n int) *rig {
 	net := netsim.New(s)
 	rt := container.NewRuntime(net)
 	sw := net.NewSwitch("sw0")
-	r := &rig{sched: s, net: net, rt: rt, sw: sw, in: NewInjector(s, 1, sw)}
+	r := &rig{sched: s, net: net, rt: rt, in: NewInjector(s, 1)}
 	for i := 0; i < n; i++ {
 		c, err := rt.Create(container.Spec{
 			Name: name(i), Image: "test",
@@ -42,7 +41,7 @@ func newRig(t *testing.T, n int) *rig {
 		}
 		c.Start()
 		r.cs = append(r.cs, c)
-		r.in.RegisterContainer(c)
+		r.in.Register(c)
 	}
 	return r
 }
@@ -123,22 +122,6 @@ func TestInjectorImpairAppliesAndRestores(t *testing.T) {
 	}
 }
 
-func TestInjectorCrashAndGlob(t *testing.T) {
-	r := newRig(t, 3)
-	var p Plan
-	p.Add(Event{Kind: Crash, At: time.Second, Targets: []string{"dev*"}})
-	r.in.Schedule(p)
-	r.run(2 * time.Second)
-	for i, c := range r.cs {
-		if c.State() != container.StateStopped || c.Crashes() != 1 {
-			t.Fatalf("container %d not crashed: %v", i, c.State())
-		}
-	}
-	if got := r.in.String(); got != "crash=3" {
-		t.Fatalf("counters = %s", got)
-	}
-}
-
 func TestInjectorCrashLoopFightsSupervisor(t *testing.T) {
 	r := newRig(t, 1)
 	sup := r.rt.Supervise(r.cs[0], container.SupervisorConfig{
@@ -159,29 +142,6 @@ func TestInjectorCrashLoopFightsSupervisor(t *testing.T) {
 	}
 	if r.cs[0].State() != container.StateRunning {
 		t.Fatal("container not revived once the crash loop ended")
-	}
-}
-
-func TestInjectorPartitionHeals(t *testing.T) {
-	r := newRig(t, 4)
-	var p Plan
-	p.Add(Event{
-		Kind: Partition, At: time.Second, Duration: 5 * time.Second,
-		Groups: [][]string{{"dev00", "dev01"}, {"dev02", "dev03"}},
-	})
-	r.in.Schedule(p)
-	r.run(2 * time.Second)
-	g0 := r.sw.GroupOf(r.cs[0].SwitchPort())
-	g2 := r.sw.GroupOf(r.cs[2].SwitchPort())
-	if g0 == g2 || g0 == 0 || g2 == 0 {
-		t.Fatalf("partition groups not applied: %d vs %d", g0, g2)
-	}
-	r.run(5 * time.Second)
-	if r.sw.GroupOf(r.cs[0].SwitchPort()) != 0 {
-		t.Fatal("partition did not heal")
-	}
-	if got := r.in.String(); got != "partition=1" {
-		t.Fatalf("counters = %s", got)
 	}
 }
 
@@ -217,15 +177,33 @@ func TestRandomPlanDeterministicAndScaled(t *testing.T) {
 	}
 }
 
+// TestInjectorCrashAndGlob: a crash loop on a glob kills every matching
+// target, and each kill counts as one "crash".
+func TestInjectorCrashAndGlob(t *testing.T) {
+	r := newRig(t, 3)
+	var p Plan
+	p.Add(Event{Kind: CrashLoop, At: time.Second, Duration: time.Second, Every: 2 * time.Second, Targets: []string{"dev*"}})
+	r.in.Schedule(p)
+	r.run(2 * time.Second)
+	for i, c := range r.cs {
+		if c.State() != container.StateStopped || c.Crashes() != 1 {
+			t.Fatalf("container %d not crashed: %v", i, c.State())
+		}
+	}
+	if got := r.in.String(); got != "crash=3" {
+		t.Fatalf("counters = %s", got)
+	}
+}
+
 func TestInjectorCountersSorted(t *testing.T) {
 	r := newRig(t, 2)
 	var p Plan
-	p.Add(Event{Kind: Crash, At: time.Second, Targets: []string{"dev00"}})
+	p.Add(Event{Kind: CrashLoop, At: time.Second, Duration: time.Second, Every: 2 * time.Second, Targets: []string{"dev00"}})
 	p.Add(Event{Kind: LinkFlap, At: time.Second, Duration: time.Second, Targets: []string{"dev01"}})
 	r.in.Schedule(p)
 	r.run(3 * time.Second)
 	cs := r.in.Counters()
-	if len(cs) != 2 || cs[0].Kind != Crash || cs[1].Kind != LinkFlap {
+	if len(cs) != 2 || cs[0].Kind != "crash" || cs[1].Kind != LinkFlap {
 		t.Fatalf("counters not sorted: %v", cs)
 	}
 	if s := r.in.String(); s != "crash=1 link-flap=1" {

@@ -233,3 +233,49 @@ func TestOwnerHelpsClassify(t *testing.T) {
 		}
 	}
 }
+
+// TestMemBytesIndependentOfOwnerClaims: the front's memory report counts its
+// two scratch sets at their full-chunk size, so it reads the same whether
+// the owner claimed chunks (a unit with an OnWindow consumer joins every
+// window at dispatch) or not (the window's goroutine classifies each window
+// whole before the next frame is fed).
+func TestMemBytesIndependentOfOwnerClaims(t *testing.T) {
+	rows := []int{1, chunk, chunk + 1, 500}
+	detectors := trainedDetectors(t, windowsOf(rand.New(rand.NewSource(41)), []int{300, 300}))
+	frames := distinctWindows(append(rows, rows...))
+
+	run := func(ownerJoins bool) *Front {
+		var us []*Unit
+		for i, name := range []string{"rf", "kmeans", "cnn"} {
+			cfg := detectors[name]
+			cfg.Name, cfg.Labeler = name, spoofLabeler
+			cfg.Model = &slowModel{inner: cfg.Model, delay: 200 * time.Microsecond}
+			if ownerJoins && i == 1 {
+				cfg.OnWindow = func(*WindowResult) {}
+			}
+			u := New(cfg)
+			if i > 0 && !us[0].Front().Subscribe(u) {
+				t.Fatalf("unit %d refused by a fresh front", i)
+			}
+			us = append(us, u)
+		}
+		// No Flush: it would join the last window at once. The windows
+		// dispatched are the same in both runs, the 500-row one among them.
+		f := us[0].Front()
+		for _, p := range frames {
+			us[0].Feed(p)
+			if w := f.inflight; !ownerJoins && w != nil {
+				w.done.Wait()
+			}
+		}
+		return f
+	}
+	helped, alone := run(true), run(false)
+	a, b := helped.MemBytes(), alone.MemBytes()
+	if helped.ownerChunks == 0 || alone.ownerChunks != 0 {
+		t.Fatalf("the owner classified %d and %d chunks, want some and none", helped.ownerChunks, alone.ownerChunks)
+	}
+	if a != b {
+		t.Fatalf("Front.MemBytes is %d B when the owner claimed chunks and %d B when it did not", a, b)
+	}
+}

@@ -225,9 +225,7 @@ func (f *Front) dispatch(cw *features.Window) {
 		stats: cw.Stats,
 		jobs:  make([]job, len(f.units)),
 	}
-	// Track the high-water marks for the memory reports; the front's
-	// classification buffers are read before this window's chunks may grow
-	// them.
+	// Track the high-water marks for the memory reports.
 	shared := f.liveMem(n)
 	f.peakMem = max(f.peakMem, shared)
 	fold, models := false, false
@@ -322,10 +320,7 @@ func (f *Front) liveMem(n int) int64 {
 	mem := int64(n)*40 + // features.Basic footprint
 		int64(n)*40 + // snapshot
 		int64(n)*4 + 4<<tableBits(n) // distinct rows
-	for i := range f.work {
-		mem += f.work[i].memBytes()
-	}
-	return mem
+	return mem + int64(len(f.work))*scratchBytes()
 }
 
 // CPUTime is what the front itself cost — decode, windowing and the

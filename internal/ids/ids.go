@@ -249,8 +249,11 @@ type scratch struct {
 	preds  [chunk]int
 }
 
-// memBytes is the scratch set's footprint: vectors, row headers, verdicts.
-func (s *scratch) memBytes() int64 { return int64(cap(s.vecBuf))*8 + chunk*(24+8) }
+// scratchBytes is a scratch set's footprint at a full chunk: vectors, row
+// headers, verdicts. It is a constant of the design, counted whether or not
+// the set has classified a chunk yet, so no memory report depends on which
+// goroutine happened to claim one.
+func scratchBytes() int64 { return chunk * (int64(features.NumFeatures())*8 + 24 + 8) }
 
 // classify vectorizes, scales and classifies one claimed chunk of j's
 // unit — the distinct rows at idx — in s, and writes each row's verdict,

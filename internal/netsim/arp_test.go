@@ -41,12 +41,10 @@ func TestDirectedARP(t *testing.T) {
 		name     string
 		unprimed bool                     // no directory on the network
 		learn    []int                    // hosts whose MAC the switch has learned (behindPort0 always is)
-		groups   []int                    // partition group per port; nil leaves all in group 0
 		frame    func(nics []*NIC) []byte // sent by host 0
 		rx       [4]int                   // frames each host receives
 		fwd, fld uint64                   // switch forwarded / flooded
 		supp     uint64                   // arp-suppressed
-		pdrops   uint64                   // partition drops
 	}{
 		{name: "owner known, MAC learned: one egress port",
 			learn: []int{2}, frame: request(starAddr(2)), rx: [4]int{0, 0, 1, 0}, fwd: 1},
@@ -83,12 +81,6 @@ func TestDirectedARP(t *testing.T) {
 			unprimed: true, frame: request(unowned), rx: [4]int{0, 1, 1, 1}, fld: 1},
 		{name: "un-primed network, learned owner: flood",
 			unprimed: true, learn: []int{2}, frame: request(starAddr(2)), rx: [4]int{0, 1, 1, 1}, fld: 1},
-		{name: "owner learned across a partition: partition drop",
-			learn: []int{2}, groups: []int{1, 1, 2, 2}, frame: request(starAddr(2)), pdrops: 1},
-		{name: "owner not learned, partitioned: flood stays in the group",
-			groups: []int{1, 1, 2, 2}, frame: request(starAddr(2)), rx: [4]int{0, 1, 0, 0}, fld: 1},
-		{name: "no owner, partitioned: suppressed",
-			groups: []int{1, 1, 2, 2}, frame: request(unowned), supp: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, sw, nics := buildStar(t)
@@ -99,12 +91,9 @@ func TestDirectedARP(t *testing.T) {
 				}
 				sw.net.SetARPDirectory(owners)
 			}
-			sw.Learn(behindPort0MAC, nics[0].link.Ends()[1])
+			sw.Learn(behindPort0MAC, nics[0].link.ends[1])
 			for _, i := range tc.learn {
-				sw.Learn(nics[i].MAC(), nics[i].link.Ends()[1])
-			}
-			for i, g := range tc.groups {
-				sw.SetGroup(nics[i].link.Ends()[1], g)
+				sw.Learn(nics[i].MAC(), nics[i].link.ends[1])
 			}
 			var rx [4]int
 			for i, nic := range nics {
@@ -113,9 +102,9 @@ func TestDirectedARP(t *testing.T) {
 			nics[0].Send(tc.frame(nics))
 			s.Drain()
 			fwd, fld := sw.Stats()
-			if rx != tc.rx || fwd != tc.fwd || fld != tc.fld || sw.ARPSuppressed() != tc.supp || sw.PartitionDrops() != tc.pdrops {
-				t.Fatalf("rx=%v forwarded=%d flooded=%d arp-suppressed=%d partition-drops=%d,\nwant rx=%v forwarded=%d flooded=%d arp-suppressed=%d partition-drops=%d",
-					rx, fwd, fld, sw.ARPSuppressed(), sw.PartitionDrops(), tc.rx, tc.fwd, tc.fld, tc.supp, tc.pdrops)
+			if rx != tc.rx || fwd != tc.fwd || fld != tc.fld || sw.ARPSuppressed() != tc.supp {
+				t.Fatalf("rx=%v forwarded=%d flooded=%d arp-suppressed=%d,\nwant rx=%v forwarded=%d flooded=%d arp-suppressed=%d",
+					rx, fwd, fld, sw.ARPSuppressed(), tc.rx, tc.fwd, tc.fld, tc.supp)
 			}
 		})
 	}
@@ -141,7 +130,7 @@ func TestDirectedARPAcrossSwitches(t *testing.T) {
 		leaves[i].SetHandler(func([]byte) { rx[i]++ })
 		owners[starAddr(i)] = leaves[i].MAC()
 		core.Learn(leaves[i].MAC(), corePort)
-		edge.Learn(leaves[i].MAC(), leaves[i].link.Ends()[1])
+		edge.Learn(leaves[i].MAC(), leaves[i].link.ends[1])
 	}
 	net.SetARPDirectory(owners)
 

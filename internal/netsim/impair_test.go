@@ -170,66 +170,3 @@ func TestImpairmentConservation(t *testing.T) {
 		t.Fatalf("expected all impairment counters non-zero: %+v", st)
 	}
 }
-
-func TestSwitchPartition(t *testing.T) {
-	s, sw, nics := buildStar(t)
-	counts := make([]int, len(nics))
-	for i, nic := range nics {
-		i := i
-		nic.SetHandler(func(raw []byte) { counts[i]++ })
-	}
-	// Teach the switch where everyone lives.
-	for _, nic := range nics {
-		nic.Send(frame(nic.MAC(), packet.BroadcastMAC, 64))
-	}
-	s.Drain()
-	base := append([]int(nil), counts...)
-
-	// Partition {0,1} | {2,3}.
-	for i, nic := range nics {
-		if !sw.SetGroup(nic.link.Ends()[1], i/2+1) {
-			t.Fatalf("SetGroup failed for port %d", i)
-		}
-	}
-	nics[0].Send(frame(nics[0].MAC(), nics[1].MAC(), 64)) // same side: delivered
-	nics[0].Send(frame(nics[0].MAC(), nics[2].MAC(), 64)) // across: dropped
-	s.Drain()
-	if counts[1] != base[1]+1 {
-		t.Fatal("intra-partition frame not delivered")
-	}
-	if counts[2] != base[2] {
-		t.Fatal("frame crossed the partition")
-	}
-	if sw.PartitionDrops() != 1 {
-		t.Fatalf("PartitionDrops = %d, want 1", sw.PartitionDrops())
-	}
-	// Broadcast floods only the sender's side.
-	nics[3].Send(frame(nics[3].MAC(), packet.BroadcastMAC, 64))
-	s.Drain()
-	if counts[2] != base[2]+1 || counts[0] != base[0] || counts[1] != base[1]+1 {
-		t.Fatalf("partitioned broadcast counts = %v (base %v)", counts, base)
-	}
-
-	// Healing restores full connectivity.
-	sw.ClearGroups()
-	nics[0].Send(frame(nics[0].MAC(), nics[2].MAC(), 64))
-	s.Drain()
-	if counts[2] != base[2]+2 {
-		t.Fatal("partition heal did not restore forwarding")
-	}
-}
-
-func TestSetGroupRejectsForeignPort(t *testing.T) {
-	s := sim.NewScheduler()
-	net := New(s)
-	sw := net.NewSwitch("sw0")
-	other := net.NewSwitch("sw1")
-	p := other.NewPort()
-	if sw.SetGroup(p, 1) {
-		t.Fatal("SetGroup accepted another switch's port")
-	}
-	nic := net.NewNode("n").AddNIC()
-	if sw.SetGroup(nic, 1) {
-		t.Fatal("SetGroup accepted a NIC")
-	}
-}

@@ -301,7 +301,6 @@ func (n *Network) registerSwitch(s *Switch) {
 	ls := telemetry.RenderLabels(telemetry.L("switch", s.name))
 	n.reg.RegisterCounterRendered(&s.forwarded, "netsim_switch_forwarded_total", ls)
 	n.reg.RegisterCounterRendered(&s.flooded, "netsim_switch_flooded_total", ls)
-	n.reg.RegisterCounterRendered(&s.partitionDrops, "netsim_switch_partition_drops_total", ls)
 }
 
 // emit records a flight-recorder event. The caller supplies the instant
@@ -797,9 +796,6 @@ func (l *Link) SetImpairmentsSide(side int, im Impairments) { l.dirs[side].imp =
 // ImpairmentsSide returns the impairment set sending from ends[side],
 // including its private RNG, so a fault window can save and restore it.
 func (l *Link) ImpairmentsSide(side int) Impairments { return l.dirs[side].imp }
-
-// Ends returns the two ports the link connects, in Connect order.
-func (l *Link) Ends() [2]Port { return l.ends }
 
 // SideOf reports which end of the link p terminates, or -1 when p is not
 // one of the link's ports.

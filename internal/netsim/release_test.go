@@ -164,6 +164,19 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 		noHandler(t, nics...)
 		return s, sw, nics
 	}
+	// lone is a switch whose one wired port is the sender's, plus one port
+	// never connected when unwired is set.
+	lone := func(unwired bool) (*sim.Scheduler, *Switch, *NIC) {
+		s := sim.NewScheduler()
+		net := New(s)
+		sw := net.NewSwitch("sw0")
+		nic := net.NewNode("host").AddNIC()
+		net.Connect(nic, sw.NewPort(), LinkConfig{})
+		if unwired {
+			sw.NewPort()
+		}
+		return s, sw, nic
+	}
 	cases := map[string]func(t *testing.T) setup{
 		"link-down": func(t *testing.T) setup {
 			s, a, b := pair(t, LinkConfig{})
@@ -238,34 +251,21 @@ func TestEveryDropReleasesTheFrame(t *testing.T) {
 			})
 			return setup{sw.net, s, func() { nics[0].Send(req) }, 0, sw.ARPSuppressed}
 		},
-		"partition": func(t *testing.T) setup {
-			s, sw, nics := star(t)
-			sw.SetGroup(nics[1].link.Ends()[1], 1)
-			return setup{sw.net, s, func() { nics[0].Send(pooled(nics[0].MAC(), nics[1].MAC(), 64)) },
-				0, sw.PartitionDrops}
-		},
 		"same-port": func(t *testing.T) setup {
 			s, sw, nics := star(t)
 			behind := packet.MACFromUint64(1000)
-			sw.Learn(behind, nics[0].link.Ends()[1])
+			sw.Learn(behind, nics[0].link.ends[1])
 			return setup{sw.net, s, func() { nics[0].Send(pooled(nics[0].MAC(), behind, 64)) },
 				0, func() uint64 { return sw.ledger().released }}
 		},
 		"lone-port-flood": func(t *testing.T) setup {
-			s, sw, nics := star(t)
-			for i := 1; i < len(nics); i++ {
-				sw.SetGroup(nics[i].link.Ends()[1], 1)
-			}
-			return setup{sw.net, s, func() { nics[0].Send(pooled(nics[0].MAC(), packet.BroadcastMAC, 64)) },
+			s, sw, nic := lone(false)
+			return setup{sw.net, s, func() { nic.Send(pooled(nic.MAC(), packet.BroadcastMAC, 64)) },
 				0, func() uint64 { return sw.ledger().released }}
 		},
 		"unwired-port": func(t *testing.T) setup {
-			s, sw, nics := star(t)
-			for i := 1; i < len(nics); i++ {
-				sw.SetGroup(nics[i].link.Ends()[1], 1)
-			}
-			sw.NewPort() // in nics[0]'s group, never connected
-			return setup{sw.net, s, func() { nics[0].Send(pooled(nics[0].MAC(), packet.BroadcastMAC, 64)) },
+			s, sw, nic := lone(true)
+			return setup{sw.net, s, func() { nic.Send(pooled(nic.MAC(), packet.BroadcastMAC, 64)) },
 				0, func() uint64 { return sw.ledger().released }}
 		},
 	}

@@ -22,12 +22,10 @@ type Switch struct {
 	dom   *sim.Domain // nil in serial networks
 	sched *sim.Scheduler
 
-	// Shared telemetry counters; Stats()/PartitionDrops()/ARPSuppressed()
-	// are adapters.
-	forwarded      telemetry.Counter
-	flooded        telemetry.Counter
-	partitionDrops telemetry.Counter
-	arpSuppressed  telemetry.Counter
+	// Shared telemetry counters; Stats()/ARPSuppressed() are adapters.
+	forwarded     telemetry.Counter
+	flooded       telemetry.Counter
+	arpSuppressed telemetry.Counter
 	// exported is false when the network has no registry or its
 	// metric-entity cap left this switch out of it.
 	exported bool
@@ -50,10 +48,6 @@ func (n *Network) NewSwitchInDomain(name string, domain int) *Switch {
 
 // Name returns the switch name.
 func (s *Switch) Name() string { return s.name }
-
-// Scheduler is the event queue the switch relays frames on (its domain
-// scheduler in a partitioned network, the global one otherwise).
-func (s *Switch) Scheduler() *sim.Scheduler { return s.sched }
 
 // NewPort adds a port to the switch; wire it with Network.Connect.
 func (s *Switch) NewPort() Port {
@@ -84,36 +78,10 @@ func (s *Switch) Learn(mac packet.MAC, p Port) bool {
 	return true
 }
 
-// SetGroup assigns a port to a partition group. Ports only exchange frames
-// within their group; frames crossing a group boundary are silently
-// discarded (and counted), modeling a switch-level network partition. All
-// ports start in group 0. Returns false when p is not a port of this switch.
-func (s *Switch) SetGroup(p Port, group int) bool {
-	sp, ok := p.(*switchPort)
-	if !ok || sp.sw != s {
-		return false
-	}
-	sp.group = group
-	return true
-}
-
-// GroupOf reports a port's partition group (0 for foreign ports).
-func (s *Switch) GroupOf(p Port) int {
-	if sp, ok := p.(*switchPort); ok && sp.sw == s {
-		return sp.group
-	}
-	return 0
-}
-
-// ClearGroups heals all partitions, returning every port to group 0.
-func (s *Switch) ClearGroups() {
-	for _, p := range s.ports {
-		p.group = 0
-	}
-}
-
-// PartitionDrops reports frames discarded at a partition boundary.
-func (s *Switch) PartitionDrops() uint64 { return s.partitionDrops.Value() }
+// PartitionDrops returns 0: a switch no longer partitions its ports.
+//
+// Deprecated: kept only for the benchmark's tally, which still adds it.
+func (s *Switch) PartitionDrops() uint64 { return 0 }
 
 // ARPSuppressed reports broadcast ARP requests discarded here because the
 // network's ARP directory lists no owner for the address asked about.
@@ -125,7 +93,6 @@ type switchPort struct {
 	name  string // "switch/portN", precomputed
 	link  *Link
 	side  int
-	group int
 }
 
 var _ Port = (*switchPort)(nil)
@@ -184,13 +151,6 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	if !dst.IsBroadcast() {
 		if out, ok := s.table[dst]; ok {
 			if out != p {
-				if out.group != p.group {
-					s.partitionDrops.Inc()
-					s.net.emit(now, telemetry.CatNet, "partition-drop", p.name, int64(len(raw)))
-					span.Drop(now, trace.DropPartition)
-					s.ledger().release(raw)
-					return
-				}
 				s.forwarded.Inc()
 				span.Finish(now)
 				out.send(raw, span)
@@ -202,14 +162,14 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 			return
 		}
 	}
-	// Broadcast or unknown unicast: flood all other ports in the group, in
-	// port order. Each port is sent to once the next one is found, so the
-	// last takes the frame itself and every other one a copy.
+	// Broadcast or unknown unicast: flood all other ports, in port order.
+	// Each port is sent to once the next one is found, so the last takes
+	// the frame itself and every other one a copy.
 	s.flooded.Inc()
 	span.Finish(now)
 	var prev *switchPort
 	for _, out := range s.ports {
-		if out != p && out.group == p.group {
+		if out != p {
 			if prev != nil {
 				s.ledger().copies++
 				prev.send(packet.CloneFrame(raw), span)

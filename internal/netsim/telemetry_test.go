@@ -62,7 +62,7 @@ func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Re
 		fmt.Fprintf(&out, "link%d: tx=%d txb=%d drops=%d full=%+v\n", i, c.TxFrames, c.TxBytes, c.Drops(), c)
 	}
 	fwd, fld := sw.Stats()
-	fmt.Fprintf(&out, "switch: fwd=%d fld=%d pdrops=%d\n", fwd, fld, sw.PartitionDrops())
+	fmt.Fprintf(&out, "switch: fwd=%d fld=%d\n", fwd, fld)
 	var agg LinkStats
 	agg.Add(la.Counters())
 	agg.Add(lb.Counters())

@@ -65,7 +65,6 @@ const (
 	DropQueueFull               // drop-tail queue overflow
 	DropLoss                    // random or impairment loss
 	DropInFlightCut             // on the wire when the link went down
-	DropPartition               // crossed a switch partition boundary
 	DropIngressFilter           // rejected by a NIC ingress filter (firewall)
 	DropUnattached              // sent on a NIC with no link (churn)
 	DropMalformed               // failed Ethernet/IP/TCP/UDP dissection
@@ -76,11 +75,11 @@ const (
 	DropMitigated               // cut by the inline mitigation verdict cache
 	DropARPSuppressed           // ARP request for an address the network's directory says nobody owns
 
-	numDropCauses = 15
+	numDropCauses = 14
 )
 
 var dropNames = [numDropCauses]string{
-	"", "link-down", "queue-full", "loss", "inflight-cut", "partition",
+	"", "link-down", "queue-full", "loss", "inflight-cut",
 	"ingress-filter", "unattached", "malformed", "bad-dst", "syn-backlog",
 	"no-route", "no-socket", "mitigated", "arp-suppressed",
 }

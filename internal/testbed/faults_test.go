@@ -11,9 +11,9 @@ import (
 	"ddoshield/internal/sim"
 )
 
-// fourKindPlan hits the fleet with four fault kinds: a flap, a fleet-wide
-// impairment window, a crash and a partition.
-func fourKindPlan() faults.Plan {
+// threeKindPlan hits the fleet with every fault kind: a flap, a fleet-wide
+// impairment window and a crash loop.
+func threeKindPlan() faults.Plan {
 	var p faults.Plan
 	p.Add(faults.Event{
 		Kind: faults.LinkFlap, At: 20 * time.Second, Duration: 4 * time.Second,
@@ -25,11 +25,8 @@ func fourKindPlan() faults.Plan {
 		Impair:  netsim.Impairments{LossProb: 0.05, CorruptProb: 0.05, DupProb: 0.02},
 	})
 	p.Add(faults.Event{
-		Kind: faults.Crash, At: 45 * time.Second, Targets: []string{"dev01*"},
-	})
-	p.Add(faults.Event{
-		Kind: faults.Partition, At: 60 * time.Second, Duration: 10 * time.Second,
-		Groups: [][]string{{"dev00*", "dev01*"}, {"dev02*", "dev03*", "dev04*"}},
+		Kind: faults.CrashLoop, At: 45 * time.Second, Duration: 10 * time.Second,
+		Every: 2 * time.Second, Targets: []string{"dev01*", "dev03*"},
 	})
 	return p
 }
@@ -54,7 +51,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		tb.Start()
-		tb.Injector().Schedule(fourKindPlan())
+		tb.Injector().Schedule(threeKindPlan())
 		tb.ScheduleAttackWave(40*time.Second, 3*time.Second,
 			tb.DefaultAttackWave(10*time.Second, 200))
 		if err := tb.Run(2 * time.Minute); err != nil {
@@ -68,9 +65,9 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("same-seed faulted runs diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", s1, s2)
 	}
 
-	// The run must have actually injected all four kinds.
+	// The run must have actually injected all three kinds.
 	counters := tb1.FaultCounters()
-	if len(counters) < 3 {
+	if len(counters) != 3 {
 		t.Fatalf("only %d fault kinds injected: %v", len(counters), counters)
 	}
 	for _, c := range counters {
@@ -93,7 +90,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 }
 
 // TestChurnTimerDoesNotKillRestartedDevice pins the churn generation
-// counter: a fault-plan crash lands before a device's first reboot timer,
+// counter: a crash lands before a device's first reboot timer,
 // the supervisor restarts the device and arms a new timer, and the old one
 // must then fire without killing the restarted device. The device's churn
 // draws are replayed from its stream to place the crash and the horizon.
@@ -117,15 +114,13 @@ func TestChurnTimerDoesNotKillRestartedDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.Start()
-	var p faults.Plan
-	p.Add(faults.Event{Kind: faults.Crash, At: crashAt, Targets: []string{"dev00*"}})
-	tb.Injector().Schedule(p)
+	c := tb.Devices()[0].Container
+	c.Scheduler().At(sim.FromDuration(crashAt), c.Kill)
 	if err := tb.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
-	c := tb.Devices()[0].Container
 	if c.Crashes() != 1 || c.State() != container.StateRunning {
-		t.Fatalf("crashes=%d state=%v, want the fault's one crash and a running device",
+		t.Fatalf("crashes=%d state=%v, want the one crash and a running device",
 			c.Crashes(), c.State())
 	}
 	if sup := tb.DeviceSupervisors()[0]; sup.Restarts() != 1 {
@@ -134,10 +129,13 @@ func TestChurnTimerDoesNotKillRestartedDevice(t *testing.T) {
 }
 
 // TestFaultCrashedDeviceIsRevivedBySupervisor checks the default (no-churn)
-// supervision: a fault-plan crash comes back via RestartAlways.
+// supervision: a device a crash loop kills comes back via RestartAlways once
+// the loop ends. The loop's window ends before its second tick, so it kills
+// once.
 func TestFaultCrashedDeviceIsRevivedBySupervisor(t *testing.T) {
 	var p faults.Plan
-	p.Add(faults.Event{Kind: faults.Crash, At: 5 * time.Second, Targets: []string{"dev00*"}})
+	p.Add(faults.Event{Kind: faults.CrashLoop, At: 5 * time.Second, Duration: time.Second,
+		Every: time.Minute, Targets: []string{"dev00*"}})
 	tb, err := New(Config{Seed: 3, NumDevices: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +152,38 @@ func TestFaultCrashedDeviceIsRevivedBySupervisor(t *testing.T) {
 	if c.State() != container.StateRunning {
 		t.Fatalf("crashed device not revived: %v", c.State())
 	}
-	if got := tb.FaultCounters(); len(got) != 1 || got[0].Kind != faults.Crash || got[0].Count != 1 {
+	if got := tb.FaultCounters(); len(got) != 1 || got[0].Kind != "crash" || got[0].Count != 1 {
 		t.Fatalf("fault counters = %v", got)
+	}
+}
+
+// TestEveryFaultCounterCounts: a full-intensity faults.Random campaign on a
+// small fleet moves every faults_injections_total series the registry
+// exports. A series no plan can move (a kind the injector never counts)
+// fails here.
+func TestEveryFaultCounterCounts(t *testing.T) {
+	tb, err := New(Config{Seed: 5, NumDevices: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Start()
+	tb.Injector().Schedule(faults.Random(faults.RandomConfig{
+		Seed: 5, Start: time.Second, Window: 30 * time.Second, Intensity: 1,
+	}))
+	if err := tb.Run(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	series := 0
+	for _, s := range tb.Registry().Snapshot() {
+		if s.Name != "faults_injections_total" {
+			continue
+		}
+		series++
+		if s.Value == 0 {
+			t.Errorf("faults_injections_total%s stayed 0 under a full-intensity campaign", s.Labels)
+		}
+	}
+	if series == 0 {
+		t.Fatal("the registry exports no faults_injections_total series")
 	}
 }

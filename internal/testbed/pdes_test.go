@@ -200,12 +200,10 @@ func TestPDESConfigValidation(t *testing.T) {
 	}
 }
 
-// chaosPlan is the five-kind fault plan of the faulted determinism
-// campaign, sized for a 25 s run: a flap and an impairment window on
-// devices (per-side sub-events in their owning domains), a crash, a crash
-// loop, and a core-switch partition that cuts the attacker off the LAN —
-// the partition targets core containers because in a grouped topology only
-// their uplinks terminate on lan0.
+// chaosPlan is the fault plan of the faulted determinism campaign, sized
+// for a 25 s run: a flap and an impairment window on devices (per-side
+// sub-events in their owning domains), a crash loop whose window holds one
+// kill, and one that fights the device's supervisor.
 func chaosPlan() faults.Plan {
 	var p faults.Plan
 	p.Add(faults.Event{
@@ -217,19 +215,18 @@ func chaosPlan() faults.Plan {
 		Targets: []string{"dev*"},
 		Impair:  netsim.Impairments{LossProb: 0.05, CorruptProb: 0.05, DupProb: 0.02},
 	})
-	p.Add(faults.Event{Kind: faults.Crash, At: 14 * time.Second, Targets: []string{"dev02*"}})
+	p.Add(faults.Event{
+		Kind: faults.CrashLoop, At: 14 * time.Second, Duration: time.Second,
+		Every: time.Minute, Targets: []string{"dev02*"},
+	})
 	p.Add(faults.Event{
 		Kind: faults.CrashLoop, At: 15 * time.Second, Duration: 4 * time.Second,
 		Every: time.Second, Targets: []string{"dev03*"},
 	})
-	p.Add(faults.Event{
-		Kind: faults.Partition, At: 17 * time.Second, Duration: 3 * time.Second,
-		Groups: [][]string{{"attacker"}, {"tserver", "ids", "c2"}},
-	})
 	return p
 }
 
-// withChaos arms the five-kind fault plan right after Start and hands the
+// withChaos arms the chaos fault plan right after Start and hands the
 // testbed on to drive (whose own Start is then a no-op).
 func withChaos(drive func(*testing.T, *Testbed)) func(*testing.T, *Testbed) {
 	return func(t *testing.T, tb *Testbed) {
@@ -253,9 +250,10 @@ func faultedCampaign(meanUp time.Duration) Config {
 }
 
 // TestPDESFaultedCampaignDeterminism is the acceptance regression test for
-// fault injection under the parallel engine: a campaign with a five-kind
-// fault plan, device churn, and lossy access + trunk links must produce
-// byte-identical artifacts across Domains ∈ {1, 2, NumCPU}. Run under
+// fault injection under the parallel engine: a campaign with a fault plan
+// of flaps, impairments and crash loops, device churn, and lossy access +
+// trunk links must produce byte-identical artifacts across Domains ∈
+// {1, 2, NumCPU}. Run under
 // -race in CI, it also proves every fault sub-event executes in its owning
 // domain.
 func TestPDESFaultedCampaignDeterminism(t *testing.T) {
@@ -264,8 +262,10 @@ func TestPDESFaultedCampaignDeterminism(t *testing.T) {
 	}
 	runs := requireSameAcrossModes(t, modes(faultedCampaign(8*time.Second),
 		[2]int{1, 1}, [2]int{2, 0}, [2]int{manyDomains(), 0}), withChaos(tracedWaves))
-	if !strings.Contains(runs[0].summary, "faults") {
-		t.Fatalf("faulted baseline injected nothing:\n%s", runs[0].summary)
+	for _, kind := range []string{" crash=", " link-flap=", " link-impair="} {
+		if !strings.Contains(runs[0].summary, kind) {
+			t.Fatalf("faulted baseline injected no%s:\n%s", strings.TrimSuffix(kind, "="), runs[0].summary)
+		}
 	}
 	if runs[0].spans == "" {
 		t.Fatal("faulted baseline produced no trace spans")

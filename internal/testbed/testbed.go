@@ -460,27 +460,10 @@ func New(cfg Config) (*Testbed, error) {
 	tb.httpSrv = httpapp.NewServer(httpapp.ServerConfig{Seed: cfg.Seed + 101})
 	tb.rtmpSrv = rtmpapp.NewServer(rtmpapp.ServerConfig{Seed: cfg.Seed + 102})
 	tb.ftpSrv = ftpapp.NewServer(ftpapp.ServerConfig{Seed: cfg.Seed + 103})
-	tserverApp := container.AppFuncs{
-		OnStart: func(c *container.Container) {
-			// Ports are fresh at each container start.
-			if err := tb.httpSrv.Attach(c.Host()); err != nil {
-				return
-			}
-			if err := tb.rtmpSrv.Attach(c.Host()); err != nil {
-				return
-			}
-			_ = tb.ftpSrv.Attach(c.Host())
-		},
-		OnStop: func() {
-			tb.httpSrv.Detach()
-			tb.rtmpSrv.Detach()
-			tb.ftpSrv.Detach()
-		},
-	}
 	var err error
 	tb.tserver, err = tb.runtime.Create(container.Spec{
 		Name: "tserver", Image: "tserver:apache-nginx-ftp",
-		Host: hostCfg(addrTServer), App: tserverApp,
+		Host: hostCfg(addrTServer),
 	}, tb.sw, cfg.Link)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -497,13 +480,9 @@ func New(cfg Config) (*Testbed, error) {
 
 	// C2 container.
 	tb.c2 = botnet.NewC2()
-	c2App := container.AppFuncs{
-		OnStart: func(c *container.Container) { _ = tb.c2.Attach(c.Host()) },
-		OnStop:  func() { tb.c2.Detach() },
-	}
 	tb.c2C, err = tb.runtime.Create(container.Spec{
 		Name: "c2", Image: "mirai:cnc",
-		Host: hostCfg(addrC2), App: c2App,
+		Host: hostCfg(addrC2),
 	}, tb.sw, cfg.Link)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -527,13 +506,9 @@ func New(cfg Config) (*Testbed, error) {
 		ReinfectCooldown:  cfg.ReinfectCooldown,
 		Seed:              cfg.Seed + 301,
 	})
-	atkApp := container.AppFuncs{
-		OnStart: func(c *container.Container) { tb.attacker.Attach(c.Host()) },
-		OnStop:  func() { tb.attacker.Detach() },
-	}
 	tb.attackerC, err = tb.runtime.Create(container.Spec{
 		Name: "attacker", Image: "mirai:loader",
-		Host: hostCfg(addrAttacker), App: atkApp,
+		Host: hostCfg(addrAttacker),
 	}, tb.sw, cfg.Link)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -572,11 +547,12 @@ func New(cfg Config) (*Testbed, error) {
 		return nil, err
 	}
 
-	// Fault injection: register every container in creation order so glob
-	// resolution (and thus injection order) is deterministic.
-	tb.injector = faults.NewInjector(tb.sched, cfg.Seed, tb.sw)
-	for _, c := range tb.allContainers() {
-		tb.injector.RegisterContainer(c)
+	// Fault injection: the device fleet is what a plan can hit. Devices
+	// register in creation order so glob resolution (and thus injection
+	// order) is deterministic.
+	tb.injector = faults.NewInjector(tb.sched, cfg.Seed)
+	for i := range tb.devs {
+		tb.injector.Register(tb.devs[i].Container)
 	}
 	tb.injector.SetTelemetry(tb.reg, tb.rec)
 	tb.registerCampaignMetrics()
@@ -646,13 +622,9 @@ func (tb *Testbed) buildAccessLayer(pl placement, trunkCorePorts []netsim.Port, 
 		if cfg.EdgeServers {
 			target = edgeServerAddr(g)
 			srv := httpapp.NewServer(httpapp.ServerConfig{Seed: cfg.Seed + 2000 + int64(g)})
-			srvApp := container.AppFuncs{
-				OnStart: func(c *container.Container) { _ = srv.Attach(c.Host()) },
-				OnStop:  srv.Detach,
-			}
 			srvC := tb.runtime.CreateStaged(st, container.Spec{
 				Name: fmt.Sprintf("edge%02d-srv", g), Image: "edge:http",
-				Host: hostCfg(edgeServerAddr(g)), App: srvApp, Domain: dom,
+				Host: hostCfg(edgeServerAddr(g)), Domain: dom,
 			}, asw, cfg.Link)
 			tb.edgeSrvs[g], tb.edgeCs[g] = srv, srvC
 			cs = append(cs, srvC)
@@ -849,12 +821,20 @@ func (tb *Testbed) Start() {
 	tb.started = true
 	tb.prof.StartPhase(prof.PhaseStart)
 	defer tb.prof.EndPhase(prof.PhaseStart)
+	// The infrastructure containers are never stopped: each starts its
+	// servers once, right after it starts.
 	tb.tserver.Start()
+	if h := tb.tserver.Host(); tb.httpSrv.Attach(h) == nil && tb.rtmpSrv.Attach(h) == nil {
+		_ = tb.ftpSrv.Attach(h)
+	}
 	tb.idsC.Start()
 	tb.c2C.Start()
+	_ = tb.c2.Attach(tb.c2C.Host())
 	tb.attackerC.Start()
-	for _, c := range tb.edgeCs {
+	tb.attacker.Attach(tb.attackerC.Host())
+	for g, c := range tb.edgeCs {
 		c.Start()
+		_ = tb.edgeSrvs[g].Attach(c.Host())
 	}
 	for i := range tb.devs {
 		c := tb.devs[i].Container
@@ -1026,8 +1006,7 @@ func (tb *Testbed) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clock        %s\n", tb.sched.Now().Duration())
 	fwd, fld := tb.sw.Stats()
-	fmt.Fprintf(&b, "switch       forwarded=%d flooded=%d partition-drops=%d\n",
-		fwd, fld, tb.sw.PartitionDrops())
+	fmt.Fprintf(&b, "switch       forwarded=%d flooded=%d\n", fwd, fld)
 	if tb.cfg.PrimeARP {
 		suppressed := tb.sw.ARPSuppressed()
 		for _, esw := range tb.edgeSws {
