@@ -27,7 +27,7 @@ type Bot struct {
 
 	conn      *netstack.Conn
 	keepalive *sim.Ticker
-	engine    Engine
+	flood     *Flood
 	stopped   bool
 
 	attacksRun uint64
@@ -60,10 +60,10 @@ func (b *Bot) Attach(h *netstack.Host) {
 // stops (a rebooted device loses Mirai, which lives only in memory).
 func (b *Bot) Detach() {
 	b.stopped = true
-	if b.engine != nil {
-		b.pktsSent += b.engine.Sent()
-		b.engine.Stop()
-		b.engine = nil
+	if b.flood != nil {
+		b.pktsSent += b.flood.Sent()
+		b.flood.Stop()
+		b.flood = nil
 	}
 	if b.keepalive != nil {
 		b.keepalive.Stop()
@@ -78,8 +78,8 @@ func (b *Bot) Detach() {
 // Stats reports attacks executed and flood packets sent.
 func (b *Bot) Stats() (attacksRun, pktsSent uint64) {
 	sent := b.pktsSent
-	if b.engine != nil {
-		sent += b.engine.Sent()
+	if b.flood != nil {
+		sent += b.flood.Sent()
 	}
 	return b.attacksRun, sent
 }
@@ -122,26 +122,21 @@ func (b *Bot) dialC2() {
 }
 
 func (b *Bot) execute(cmd Command) {
-	if b.engine != nil {
-		b.pktsSent += b.engine.Sent()
-		b.engine.Stop() // new order supersedes the old one
+	if b.flood != nil {
+		b.pktsSent += b.flood.Sent()
+		b.flood.Stop() // new order supersedes the old one
 	}
 	b.attacksRun++
-	var eng Engine
-	if cmd.Type == AttackHTTP {
-		eng = NewHTTPFlood(b.host, b.rng, cmd)
-	} else {
-		eng = NewFlood(b.host, b.rng, cmd, b.spoof)
-	}
-	eng.SetOnDone(func() {
-		if b.engine == eng {
-			b.pktsSent += eng.Sent()
-			b.engine = nil
+	f := NewFlood(b.host, b.rng, cmd, b.spoof)
+	f.OnDone = func() {
+		if b.flood == f {
+			b.pktsSent += f.Sent()
+			b.flood = nil
 		}
 		if b.conn != nil {
 			b.conn.Send([]byte("DONE\r\n"))
 		}
-	})
-	b.engine = eng
-	eng.Start()
+	}
+	b.flood = f
+	f.Start()
 }

@@ -7,6 +7,7 @@ import (
 
 	"ddoshield/internal/apps/workload"
 	"ddoshield/internal/netstack"
+	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 )
 
@@ -33,6 +34,17 @@ type C2 struct {
 type PopulationSample struct {
 	Time sim.Time
 	Bots int
+}
+
+// AttackInterval records one broadcast attack: its command, time span and
+// the bots that received it. No labeler reads it: the testbed's ground
+// truth goes by address and protocol alone, so an HTTP flood, sent over
+// TCP from the bots' own addresses, is labeled benign.
+type AttackInterval struct {
+	Cmd   Command
+	Start sim.Time
+	End   sim.Time
+	Bots  []packet.Addr
 }
 
 type botSession struct {
@@ -67,6 +79,23 @@ func (c *C2) History() []PopulationSample {
 // Stats reports total registrations and commands sent.
 func (c *C2) Stats() (registered, commandsSent uint64) {
 	return c.registered, c.commandsSent
+}
+
+// Intervals returns the recorded attack history.
+func (c *C2) Intervals() []AttackInterval {
+	out := make([]AttackInterval, len(c.intervals))
+	copy(out, c.intervals)
+	return out
+}
+
+// BotAddrs returns the connected bots' remote addresses, ordered by bot id.
+func (c *C2) BotAddrs() []packet.Addr {
+	out := make([]packet.Addr, 0, len(c.bots))
+	for _, s := range c.sessions() {
+		addr, _ := s.conn.RemoteAddr()
+		out = append(out, addr)
+	}
+	return out
 }
 
 func (c *C2) samplePopulation() {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ddoshield/internal/netstack"
+	"ddoshield/internal/packet"
 	"ddoshield/internal/sim"
 )
 
@@ -52,12 +53,12 @@ func TestHTTPFloodIssuesRequests(t *testing.T) {
 	bot := r.host(10)
 	target := r.host(0x0100 + 1)
 	answered := miniHTTPServer(t, target)
-	f := NewHTTPFlood(bot, sim.NewRNG(1), Command{
+	f := NewFlood(bot, sim.NewRNG(1), Command{
 		Type: AttackHTTP, Target: target.Addr(), Port: 80,
 		Duration: 3 * time.Second, PPS: 50,
-	})
+	}, packet.Prefix{})
 	done := false
-	f.SetOnDone(func() { done = true })
+	f.OnDone = func() { done = true }
 	f.Start()
 	if err := r.sched.RunFor(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestHTTPFloodIssuesRequests(t *testing.T) {
 
 func TestHTTPFloodDefaultsPort80(t *testing.T) {
 	r := newRig()
-	f := NewHTTPFlood(r.host(11), sim.NewRNG(2), Command{Type: AttackHTTP, Duration: time.Second, PPS: 1})
+	f := NewFlood(r.host(11), sim.NewRNG(2), Command{Type: AttackHTTP, Duration: time.Second, PPS: 1}, packet.Prefix{})
 	if f.cmd.Port != 80 {
 		t.Fatalf("default port = %d", f.cmd.Port)
 	}
