@@ -10,7 +10,8 @@ import (
 	"ddoshield/internal/telemetry/trace"
 )
 
-// Property: every representable command survives the C2 wire round trip.
+// Property: every representable command survives the C2 wire round trip
+// as the bots execute it (Command.OnWire: whole seconds, one at least).
 func TestCommandWireProperty(t *testing.T) {
 	f := func(typ uint8, target uint32, port uint16, durS uint16, pps uint16) bool {
 		cmd := Command{
@@ -24,7 +25,7 @@ func TestCommandWireProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got == cmd
+		return got == cmd.OnWire()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
