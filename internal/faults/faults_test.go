@@ -145,6 +145,33 @@ func TestInjectorCrashLoopFightsSupervisor(t *testing.T) {
 	}
 }
 
+// TestInjectorCrashLoopStopsAtWindow: a crash loop kills only at ticks
+// before At+Duration, so a supervised device that is running again when a
+// tick lands on or after the window's end is left alone.
+func TestInjectorCrashLoopStopsAtWindow(t *testing.T) {
+	for _, tc := range []struct {
+		every, dur time.Duration
+		want       uint64
+	}{
+		{every: 3 * time.Second, dur: time.Second, want: 1},         // next tick at 4 s, past the end at 2 s
+		{every: time.Second, dur: 2 * time.Second, want: 2},         // ticks at 1 s and 2 s; 3 s is the end
+		{every: time.Second, dur: 2500 * time.Millisecond, want: 3}, // 3 s is inside [1 s, 3.5 s)
+	} {
+		r := newRig(t, 1)
+		r.rt.Supervise(r.cs[0], container.SupervisorConfig{
+			Policy: container.RestartAlways,
+			Delay:  func(int) time.Duration { return 500 * time.Millisecond },
+		})
+		var p Plan
+		p.Add(Event{Kind: CrashLoop, At: time.Second, Duration: tc.dur, Every: tc.every, Targets: []string{"dev00"}})
+		r.in.Schedule(p)
+		r.run(10 * time.Second)
+		if got := r.cs[0].Crashes(); got != tc.want {
+			t.Errorf("Every %v, Duration %v: %d crashes, want %d", tc.every, tc.dur, got, tc.want)
+		}
+	}
+}
+
 func TestRandomPlanDeterministicAndScaled(t *testing.T) {
 	cfg := RandomConfig{Seed: 42, Window: time.Minute, Intensity: 1}
 	a, b := Random(cfg), Random(cfg)

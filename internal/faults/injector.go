@@ -211,7 +211,8 @@ func (in *Injector) scheduleLinkImpair(at sim.Time, e Event) {
 }
 
 // scheduleCrashLoop arms one self-rescheduling kill loop per target, each
-// on its own container's scheduler, pacing at Every for Duration.
+// on its own container's scheduler, killing at At, At+Every, ... while the
+// kill falls before At+Duration.
 func (in *Injector) scheduleCrashLoop(at sim.Time, e Event) {
 	every := e.Every
 	if every <= 0 {
@@ -227,8 +228,8 @@ func (in *Injector) scheduleCrashLoop(at sim.Time, e Event) {
 		var tick func()
 		tick = func() {
 			in.kill(c)
-			if sched.Now() < deadline {
-				sched.After(every, tick)
+			if next := sched.Now().Add(every); next < deadline {
+				sched.At(next, tick)
 			}
 		}
 		sched.At(at, tick)
