@@ -390,7 +390,6 @@ func (sc Scenario) RunRealTimeModels(models []TrainedModel) (*RealTimeResult, er
 	for i, u := range units {
 		mons[i] = sysmon.NewMonitor(u, window)
 		mons[i].Start(tb.Scheduler())
-		mons[i].Publish(tb.Registry(), u.Name(), speedFactor)
 		paid[i] = sysmon.NewMonitor(ownCost{u}, window)
 		paid[i].Start(tb.Scheduler())
 	}

@@ -17,7 +17,6 @@ import (
 
 	"ddoshield/internal/ml/metrics"
 	"ddoshield/internal/sim"
-	"ddoshield/internal/telemetry"
 )
 
 // Metered is anything whose cumulative compute time and current memory can
@@ -80,32 +79,13 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Publish registers the monitor's Table II aggregates as live registry
-// gauges (sysmon_cpu_percent, sysmon_mem_kb, sysmon_mem_peak_kb,
-// sysmon_intervals), labeled target=name. The gauges are evaluated at
-// export time straight through Report(), so a registry snapshot and a
-// Report(speedFactor) call can never disagree.
-func (m *Monitor) Publish(reg *telemetry.Registry, name string, speedFactor float64) {
-	target := telemetry.L("target", name)
-	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).CPUPercent },
-		"sysmon_cpu_percent", target)
-	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).MeanMemKb },
-		"sysmon_mem_kb", target)
-	reg.RegisterGaugeFunc(func() float64 { return m.Report(speedFactor).PeakMemKb },
-		"sysmon_mem_peak_kb", target)
-	reg.RegisterGaugeFunc(func() float64 { return float64(len(m.samples)) },
-		"sysmon_intervals", target)
-}
-
-// Report aggregates a monitor's samples into Table II's three columns.
+// Report aggregates a monitor's samples into Table II's CPU and memory
+// columns.
 type Report struct {
 	// CPUPercent is the mean per-interval CPU share, scaled by SpeedFactor.
 	CPUPercent float64
-	// MeanMemKb and PeakMemKb are memory in the paper's Kb units.
-	MeanMemKb float64
+	// PeakMemKb is the largest memory sample in the paper's Kb units.
 	PeakMemKb float64
-	// Intervals is the number of samples aggregated.
-	Intervals int
 }
 
 // Report aggregates the samples. speedFactor is the assumed slowdown of
@@ -115,12 +95,10 @@ func (m *Monitor) Report(speedFactor float64) Report {
 		speedFactor = 1
 	}
 	var r Report
-	r.Intervals = len(m.samples)
-	if r.Intervals == 0 {
+	if len(m.samples) == 0 {
 		return r
 	}
 	cpuShares := make([]float64, 0, len(m.samples))
-	var memSum float64
 	for _, s := range m.samples {
 		share := float64(s.CPU) / float64(m.interval) * speedFactor * 100
 		if share > 100 {
@@ -128,12 +106,10 @@ func (m *Monitor) Report(speedFactor float64) Report {
 		}
 		cpuShares = append(cpuShares, share)
 		mem := float64(s.MemBytes) / 1024
-		memSum += mem
 		if mem > r.PeakMemKb {
 			r.PeakMemKb = mem
 		}
 	}
 	r.CPUPercent = metrics.Mean(cpuShares)
-	r.MeanMemKb = memSum / float64(len(m.samples))
 	return r
 }
