@@ -49,7 +49,8 @@ type Scenario struct {
 	// so the botnet is established when the 5-minute-style evaluation
 	// begins (as it was in the paper's real-time runs).
 	InfectionLead time.Duration
-	// MaxTrainSamples caps the training set via stratified subsampling.
+	// MaxTrainSamples caps the training set: above it, training draws that
+	// many rows uniformly, without replacement.
 	MaxTrainSamples int
 }
 
@@ -128,7 +129,7 @@ func (sc Scenario) scheduleAttacks(tb *testbed.Testbed, warmup, total time.Durat
 
 // GenerateDataset runs the training-phase testbed and returns the labeled
 // corpus — the §IV-D data-generation experiment.
-func (sc Scenario) GenerateDataset() (*dataset.Dataset, error) {
+func (sc Scenario) GenerateDataset() (*dataset.Corpus, error) {
 	tb, err := sc.buildTestbed(sc.Seed, false)
 	if err != nil {
 		return nil, err
@@ -194,13 +195,13 @@ func evaluate(m ml.Classifier, scaler *dataset.StandardScaler, test *dataset.Dat
 // TrainModels fits RF, K-Means and CNN on the corpus with an 80/20
 // train/test split, mirroring §IV-D's offline training phase. The corpus's
 // columns must be features.Names(), the vector the IDS classifies.
-func (sc Scenario) TrainModels(ds *dataset.Dataset) (*TrainingResult, error) {
-	if !slices.Equal(ds.Names, features.Names()) {
-		return nil, fmt.Errorf("train: the corpus has %d columns %v, want the %d of features.Names()",
-			len(ds.Names), ds.Names, features.NumFeatures())
-	}
+func (sc Scenario) TrainModels(ds dataset.Source) (*TrainingResult, error) {
 	rng := sim.Substream(sc.Seed, "experiments/train")
 	work := ds.Subsample(sc.MaxTrainSamples, rng)
+	if !slices.Equal(work.Names, features.Names()) {
+		return nil, fmt.Errorf("train: the corpus has %d columns %v, want the %d of features.Names()",
+			len(work.Names), work.Names, features.NumFeatures())
+	}
 	work.Shuffle(rng)
 	train, test := work.Split(0.8)
 

@@ -11,32 +11,23 @@ import (
 	"ddoshield/internal/telemetry/trace"
 )
 
-// DatasetCollector turns tapped traffic into a labeled dataset, the
+// DatasetCollector turns tapped traffic into a labeled corpus, the
 // testbed's replacement for the paper's capture-then-preprocess pipeline:
-// every packet of every closed window becomes one labeled feature vector.
+// every packet of every closed window becomes one labeled row.
 type DatasetCollector struct {
 	extractor *features.Extractor
 	labeler   func(b *features.Basic) int
-	ds        *dataset.Dataset
+	corpus    dataset.Corpus
 }
 
 // NewDatasetCollector builds a collector over the given window size
 // labeled by the testbed's ground-truth oracle.
 func (tb *Testbed) NewDatasetCollector(window time.Duration) *DatasetCollector {
-	dc := &DatasetCollector{
-		labeler: tb.Labeler(),
-		ds:      dataset.New(features.Names()),
-	}
-	dc.extractor = features.NewExtractor(window, dc.onWindow)
+	dc := &DatasetCollector{labeler: tb.Labeler()}
+	dc.extractor = features.NewExtractor(window, func(w *features.Window) {
+		dc.corpus.AddWindow(w, dc.labeler)
+	})
 	return dc
-}
-
-func (dc *DatasetCollector) onWindow(w *features.Window) {
-	for i := range w.Packets {
-		b := &w.Packets[i]
-		x := features.AppendVector(make([]float64, 0, features.NumFeatures()), b, &w.Stats)
-		dc.ds.Add(x, dc.labeler(b))
-	}
 }
 
 // Tap returns the capture tap to install with Testbed.AddTap.
@@ -53,9 +44,9 @@ func (dc *DatasetCollector) Tap() netsim.Tap {
 }
 
 // Dataset closes the trailing window and returns the corpus.
-func (dc *DatasetCollector) Dataset() *dataset.Dataset {
+func (dc *DatasetCollector) Dataset() *dataset.Corpus {
 	dc.extractor.Flush()
-	return dc.ds
+	return &dc.corpus
 }
 
 // ThroughputSample is one point of a per-second byte-rate timeline.

@@ -32,11 +32,11 @@ func paperDetectors(t *testing.T, cfg Config, drive func(*testing.T, *Testbed)) 
 	dc := tb.NewDatasetCollector(time.Second)
 	tb.AddTap(dc.Tap())
 	drive(t, tb)
-	ds := dc.Dataset()
-	if sum := ds.Summarize(); sum.Benign == 0 || sum.Malicious == 0 {
+	corpus := dc.Dataset()
+	if sum := corpus.Summarize(); sum.Benign == 0 || sum.Malicious == 0 {
 		t.Fatalf("training capture misses a class: %v", sum)
 	}
-	ds = ds.Subsample(4000, sim.NewRNG(1))
+	ds := corpus.Subsample(4000, sim.NewRNG(1))
 	raw, ys := ds.XY()
 	off := features.NumBasic()
 	stats := make([][]float64, len(raw))
