@@ -179,9 +179,11 @@ type activations struct {
 	out   []float64 // logits
 	prob  []float64 // softmax
 
-	// win is one conv column's receptive field gathered in weight order
-	// [channels*kernel]; pre is that column's pre-activations [filters].
-	win, pre []float64
+	// win1 and win2 hold each conv column's receptive field gathered in
+	// weight order, [len1][kernel] and [len2][f1*kernel] flattened; the
+	// training reads them for the conv weights' gradients. pre is one
+	// column's pre-activations [filters].
+	win1, win2, pre []float64
 }
 
 func relu(v float64) float64 {
@@ -219,20 +221,23 @@ func dot4(w0, w1, w2, w3, x []float64, s0, s1, s2, s3 float64) (float64, float64
 }
 
 // conv writes out[f][i] = relu(b[f] + Σ_ch Σ_k w[f][ch·kernel+k]·in[ch][i+k])
-// for the first cols columns. A column's receptive field is gathered once,
-// in weight order, and every filter reads it through affine.
-func (a *activations) conv(w [][]float64, b []float64, kernel, cols int, out [][]float64, in ...[]float64) {
-	a.win = growv(a.win, len(in)*kernel)
+// for the first cols columns. Column i's receptive field is gathered once,
+// in weight order, into (*win)[i·width:(i+1)·width], and every filter reads
+// it through affine; columns from cols on keep the fields they held.
+func (a *activations) conv(w [][]float64, b []float64, kernel, cols int, out [][]float64, win *[]float64, in ...[]float64) {
+	width := len(in) * kernel
+	*win = growv(*win, len(out[0])*width)
 	a.pre = growv(a.pre, len(w))
 	for i := 0; i < cols; i++ {
+		field := (*win)[i*width : (i+1)*width]
 		wi := 0
 		for _, row := range in {
 			for _, v := range row[i : i+kernel] {
-				a.win[wi] = v
+				field[wi] = v
 				wi++
 			}
 		}
-		affine(w, b, a.win, a.pre)
+		affine(w, b, field, a.pre)
 		for f, s := range a.pre {
 			out[f][i] = relu(s)
 		}
@@ -260,10 +265,10 @@ func (n *Network) forward(x []float64, a *activations, changed int) {
 	pcols2 := min((cols2+1)/2, n.pool2)
 	// Both conv blocks, one output column (all filters) at a time.
 	a.conv1 = grow2(a.conv1, c.Conv1Filters, n.len1)
-	a.conv(n.W1, n.B1, c.Kernel, cols1, a.conv1, x)
+	a.conv(n.W1, n.B1, c.Kernel, cols1, a.conv1, &a.win1, x)
 	a.pool1, a.arg1 = maxpool(a.conv1, a.pool1, a.arg1, n.pool1, pcols1)
 	a.conv2 = grow2(a.conv2, c.Conv2Filters, n.len2)
-	a.conv(n.W2, n.B2, c.Kernel, cols2, a.conv2, a.pool1...)
+	a.conv(n.W2, n.B2, c.Kernel, cols2, a.conv2, &a.win2, a.pool1...)
 	a.pool2, a.arg2 = maxpool(a.conv2, a.pool2, a.arg2, n.pool2, pcols2)
 	// flatten.
 	a.flat = growv(a.flat, n.flat)

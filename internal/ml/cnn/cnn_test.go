@@ -9,12 +9,12 @@ import (
 
 func TestCNNLearnsBlobs(t *testing.T) {
 	xs, ys := mltest.Blobs(600, 16, 2, 1)
-	n, res, err := Train(Config{Epochs: 8, Seed: 1}, xs, ys)
+	n, _, err := Train(Config{Epochs: 8, Seed: 1}, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalAccuracy < 0.95 {
-		t.Fatalf("train accuracy = %.3f", res.FinalAccuracy)
+	if acc := mltest.Accuracy(n.Predict, xs, ys); acc < 0.95 {
+		t.Fatalf("train accuracy = %.3f", acc)
 	}
 	testX, testY := mltest.Blobs(200, 16, 2, 2)
 	if acc := mltest.Accuracy(n.Predict, testX, testY); acc < 0.93 {
@@ -68,53 +68,60 @@ func TestCNNRejectsBadInput(t *testing.T) {
 }
 
 func TestGradientCheck(t *testing.T) {
-	// Numerical gradient check on a tiny network: backprop must match
-	// finite differences.
+	// Numerical gradient check on a tiny network: the batched gradient,
+	// the loss summed over the batch's rows, must match finite differences.
 	cfg := Config{Inputs: 12, Conv1Filters: 2, Conv2Filters: 2, Hidden: 4, Seed: 5}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
-	}
-	y := 1
-	loss := func() float64 {
-		var a activations
-		n.forward(x, &a, cfg.Inputs)
-		return -math.Log(a.prob[y] + 1e-12)
-	}
-	g := newGrads(n)
-	var a activations
-	var scratch bwScratch
-	n.forward(x, &a, cfg.Inputs)
-	n.backward(&a, y, g, &scratch)
-
-	check := func(w [][]float64, gw [][]float64, name string) {
-		const eps = 1e-6
-		// Probe a few entries per tensor.
-		for _, probe := range [][2]int{{0, 0}, {1, 0}} {
-			i, j := probe[0], probe[1]
-			if i >= len(w) || j >= len(w[i]) {
-				continue
-			}
-			orig := w[i][j]
-			w[i][j] = orig + eps
-			lp := loss()
-			w[i][j] = orig - eps
-			lm := loss()
-			w[i][j] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-gw[i][j]) > 1e-4*(1+math.Abs(num)) {
-				t.Errorf("%s[%d][%d]: numerical %v vs backprop %v", name, i, j, num, gw[i][j])
-			}
+	xs := make([][]float64, 3)
+	for r := range xs {
+		xs[r] = make([]float64, 12)
+		for i := range xs[r] {
+			xs[r][i] = math.Sin(float64(i + 5*r))
 		}
 	}
-	check(n.W1, g.w1, "W1")
-	check(n.W2, g.w2, "W2")
-	check(n.W3, g.w3, "W3")
-	check(n.W4, g.w4, "W4")
+	ys := []int{1, 0, 1}
+	for _, batch := range [][]int{{0}, {2, 0, 1}} {
+		loss := func() float64 {
+			var a activations
+			var sum float64
+			for _, r := range batch {
+				n.forward(xs[r], &a, cfg.Inputs)
+				sum += -math.Log(a.prob[ys[r]] + 1e-12)
+			}
+			return sum
+		}
+		m := newMinibatch(n, len(batch))
+		m.gradient(xs, ys, batch)
+		g := m.g
+		check := func(w [][]float64, gw [][]float64, name string) {
+			const eps = 1e-6
+			// Probe a few entries per tensor.
+			for _, probe := range [][2]int{{0, 0}, {1, 0}, {1, 1}} {
+				i, j := probe[0], probe[1]
+				if i >= len(w) || j >= len(w[i]) {
+					continue
+				}
+				orig := w[i][j]
+				w[i][j] = orig + eps
+				lp := loss()
+				w[i][j] = orig - eps
+				lm := loss()
+				w[i][j] = orig
+				num := (lp - lm) / (2 * eps)
+				if math.Abs(num-gw[i][j]) > 1e-4*(1+math.Abs(num)) {
+					t.Errorf("%d-row batch: %s[%d][%d]: numerical %v vs backprop %v", len(batch), name, i, j, num, gw[i][j])
+				}
+			}
+		}
+		check(n.W1, g.w1, "W1")
+		check(n.W2, g.w2, "W2")
+		check(n.W3, g.w3, "W3")
+		check(n.W4, g.w4, "W4")
+		check([][]float64{n.B1, n.B2, n.B3, n.B4}, [][]float64{g.b1, g.b2, g.b3, g.b4}, "B")
+	}
 }
 
 func TestNumParamsAndMemory(t *testing.T) {
@@ -143,7 +150,5 @@ func TestDeterministicTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n1.W3[0][0] != n2.W3[0][0] {
-		t.Fatal("same-seed training diverged")
-	}
+	sameWeights(t, n1, n2)
 }

@@ -9,7 +9,9 @@
 package kmeans
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 
 	"ddoshield/internal/sim"
@@ -126,17 +128,29 @@ func Train(cfg Config, xs [][]float64, ys []int) (*Model, error) {
 	}
 
 	assign := make([]int, n)
+	first := firstOccurrence(xs)
 	iters := 0
 	for ; iters < cfg.MaxIter; iters++ {
-		// Assignment step with entropy-penalized distance.
+		// Assignment step with entropy-penalized distance. A row repeating
+		// an earlier row bit for bit takes that row's cluster, already
+		// assigned in this pass: it would compute the same distances.
 		changed := 0
 		counts := make([]int, len(centroids))
+		lg := make([]float64, len(centroids))
+		for c := range lg {
+			lg[c] = math.Log(alpha[c] + 1e-300)
+		}
 		for i, x := range xs {
-			best, bestD := 0, math.Inf(1)
-			for c := range centroids {
-				pd := sqDist(x, centroids[c]) - cfg.Gamma*math.Log(alpha[c]+1e-300)
-				if pd < bestD {
-					best, bestD = c, pd
+			best := 0
+			if f := first[i]; f < i {
+				best = assign[f]
+			} else {
+				bestD := math.Inf(1)
+				for c := range centroids {
+					pd := sqDist(x, centroids[c]) - cfg.Gamma*lg[c]
+					if pd < bestD {
+						best, bestD = c, pd
+					}
 				}
 			}
 			if assign[i] != best {
@@ -226,6 +240,44 @@ func Train(cfg Config, xs [][]float64, ys []int) (*Model, error) {
 		labels[c] = int32(argmax(votes[c]))
 	}
 	return &Model{Cfg: cfg, Centroids: centroids, Alpha: alpha, Labels: labels, Iters: iters + 1}, nil
+}
+
+// firstOccurrence maps each row to the first row with the same bits. A
+// row whose hash collides with a different earlier row's maps to itself,
+// which costs only the saving.
+func firstOccurrence(xs [][]float64) []int {
+	first := make([]int, len(xs))
+	seen := make(map[uint64]int)
+	seed := maphash.MakeSeed()
+	var buf []byte
+	for i, x := range xs {
+		first[i] = i
+		buf = buf[:0]
+		for _, v := range x {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		h := maphash.Bytes(seed, buf)
+		f, ok := seen[h]
+		switch {
+		case !ok:
+			seen[h] = i
+		case sameBits(xs[f], x):
+			first[i] = f
+		}
+	}
+	return first
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 func argmax(vals []int) int {
