@@ -237,9 +237,10 @@ func (sc Scenario) TrainModels(ds dataset.Source) (*TrainingResult, error) {
 
 	// The three fits are independent (each seeds its own substream) and
 	// evaluate against the read-only test split. The CNN, the longest,
-	// trains on its own goroutine while the caller fits the RF and then
-	// K-Means; each writes only its own TrainedModel slot, so the results
-	// are byte-identical whichever finishes first.
+	// starts first on a goroutine of its own, and cnn.Train splits each
+	// minibatch across up to GOMAXPROCS goroutines; meanwhile the caller
+	// fits the RF and then K-Means. Each writes only its own TrainedModel
+	// slot, so the results are byte-identical whichever finishes first.
 	cnnErr := make(chan error, 1)
 	go func() {
 		net, _, err := cnn.Train(cnn.Config{
