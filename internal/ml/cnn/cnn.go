@@ -1,8 +1,8 @@
 // Package cnn implements the paper's third detector: a one-dimensional
 // convolutional neural network over the aggregated feature vector, with
 // convolution, ReLU, max-pooling, dense layers and a softmax head, trained
-// by mini-batch SGD with momentum on cross-entropy loss — the pure-Go
-// stand-in for the TensorFlow model of §III-B.
+// by mini-batch SGD on cross-entropy loss, with momentum when the Config
+// asks for it — the pure-Go stand-in for the TensorFlow model of §III-B.
 package cnn
 
 import (
@@ -26,8 +26,10 @@ type Config struct {
 	Hidden int
 	// Classes is the output width (default 2).
 	Classes int
-	// Epochs, BatchSize, LearningRate, Momentum drive SGD
-	// (defaults 10, 64, 0.01, 0.9).
+	// Epochs, BatchSize, LearningRate drive SGD (defaults 10, 64, 0.01).
+	// Momentum is the velocity's decay per step. Zero, the zero Config's
+	// value, trains by plain SGD; only a value outside [0, 1) is replaced,
+	// by 0.9.
 	Epochs       int
 	BatchSize    int
 	LearningRate float64

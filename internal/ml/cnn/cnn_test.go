@@ -152,3 +152,24 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 	sameWeights(t, n1, n2)
 }
+
+// TestMomentumDefault pins what the Config comment says: a zero Momentum
+// stays zero, so a Config that sets none trains by plain SGD, as every
+// product fit does; only a value outside [0, 1) becomes 0.9.
+func TestMomentumDefault(t *testing.T) {
+	for _, c := range []struct{ set, want float64 }{
+		{0, 0}, {0.5, 0.5}, {-0.1, 0.9}, {1, 0.9},
+	} {
+		if got := (Config{Inputs: 8, Momentum: c.set}).withDefaults().Momentum; got != c.want {
+			t.Errorf("Momentum %v becomes %v, want %v", c.set, got, c.want)
+		}
+	}
+	xs, ys := mltest.Blobs(40, 16, 2, 6)
+	n, _, err := Train(Config{Epochs: 1, Seed: 8}, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Cfg.Momentum != 0 {
+		t.Fatalf("a fit with no Momentum set trained with %v", n.Cfg.Momentum)
+	}
+}

@@ -44,7 +44,8 @@ type TrainResult struct {
 }
 
 // Train fits the network on rows xs with labels ys using mini-batch SGD
-// with momentum, and returns the per-epoch loss curve.
+// (with momentum when cfg.Momentum is set), and returns the per-epoch loss
+// curve.
 func Train(cfg Config, xs [][]float64, ys []int) (*Network, TrainResult, error) {
 	if len(xs) == 0 {
 		return nil, TrainResult{}, fmt.Errorf("cnn: empty training set")
@@ -341,7 +342,8 @@ func sumTerms(ts []term, out []float64) (dsum float64) {
 	return dsum
 }
 
-// step applies one momentum-SGD update from accumulated gradients.
+// step applies one SGD update from accumulated gradients, with momentum
+// unless Momentum is zero.
 func (n *Network) step(g, vel *grads, batch float64) {
 	lr, mu := n.Cfg.LearningRate, n.Cfg.Momentum
 	upd2 := func(w, gw, vw [][]float64) {

@@ -113,6 +113,31 @@ func TestHopPathAllocFree(t *testing.T) {
 			t.Fatalf("%d flooded frames delivered, want %d", delivered, want)
 		}
 	}
+
+	// A flooded ARP request whose receivers answer SetARPInert: the copies
+	// gather into a batch the switch reuses, and the two receivers that
+	// would change (host 1, which holds the batch's key, and host 3, which
+	// does not) still take delivery, inline and by an arrival event.
+	s, _, nics = buildStar(t)
+	heard := 0
+	for i, nic := range nics {
+		nic.SetHandler(func([]byte) { heard++ })
+		nic.SetARPInert(func(packet.ARP) bool { return i%2 == 0 })
+	}
+	req := arpFrame(nics[0], starAddr(0), packet.ARPRequest, starAddr(9), packet.BroadcastMAC)
+	nics[0].Send(packet.CloneFrame(req))
+	s.Drain()
+	heard = 0
+	allocs = testing.AllocsPerRun(200, func() {
+		nics[0].Send(packet.CloneFrame(req))
+		s.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("a batched ARP flood allocates %.1f times per request, want 0", allocs)
+	}
+	if rx, _, _, _ := nics[2].Stats(); heard != 2*201 || rx != 202 {
+		t.Fatalf("%d requests heard and %d counted at an inert host, want 402 and 202", heard, rx)
+	}
 }
 
 // TestHopPathEvents pins what a hop costs the scheduler: the arrival event
@@ -166,5 +191,15 @@ func TestHopPathEvents(t *testing.T) {
 	ports := len(nics) - 1
 	if n := fired(star, func() { nics[0].Send(bc); star.Drain() }); n != uint64(1+ports) || delivered != ports {
 		t.Fatalf("%d-port flood: %d events, %d delivered; want %d events and no completions", ports, n, delivered, 1+ports)
+	}
+
+	// The same flood of an ARP request whose receivers answer that it
+	// changes nothing: the ingress hop's arrival and one batch.
+	for _, nic := range nics {
+		nic.SetARPInert(func(packet.ARP) bool { return true })
+	}
+	req := arpFrame(nics[0], starAddr(0), packet.ARPRequest, starAddr(9), packet.BroadcastMAC)
+	if n := fired(star, func() { nics[0].Send(req); star.Drain() }); n != 2 {
+		t.Fatalf("%d-port ARP flood to inert hosts: %d events, want 2", ports, n)
 	}
 }

@@ -384,13 +384,16 @@ func (nd *Node) NICs() []*NIC {
 type NIC struct {
 	node  *Node
 	mac   packet.MAC
+	side  uint8 // 0 or 1: which end of the link this NIC terminates
 	index int
 	name  string // "node/ethN", precomputed for alloc-free diagnostics
 	link  *Link
-	side  int // 0 or 1: which end of the link this NIC terminates
 	// handler receives every frame the NIC accepts, with its trace context
 	// (the host network stack).
 	handler func(raw []byte, tc trace.Context)
+	// arpInert, when set, is the handler's owner telling whether a broadcast
+	// ARP request would leave it exactly as it was: see SetARPInert.
+	arpInert func(req packet.ARP) bool
 	// ingress, when set, vets every arriving frame before the handler;
 	// returning false drops it (the firewall hook). The filter terminates
 	// sampled chains itself (the inline mitigation stage records its own
@@ -422,14 +425,26 @@ func (c *NIC) Node() *Node { return c.node }
 // SetHandlerCtx installs the receive callback (the host network stack),
 // which also receives each frame's trace context. raw is valid only until
 // the handler returns: the NIC then releases the frame's buffer for reuse,
-// so a handler that keeps any of the bytes copies them.
-func (c *NIC) SetHandlerCtx(fn func(raw []byte, tc trace.Context)) { c.handler = fn }
+// so a handler that keeps any of the bytes copies them. It clears what
+// SetARPInert installed, which spoke for the handler it replaces.
+func (c *NIC) SetHandlerCtx(fn func(raw []byte, tc trace.Context)) {
+	c.handler, c.arpInert = fn, nil
+}
 
 // SetHandler installs a receive callback that does not look at trace
 // contexts. raw is valid only until it returns, as for SetHandlerCtx.
 func (c *NIC) SetHandler(fn func(raw []byte)) {
-	c.handler = func(raw []byte, _ trace.Context) { fn(raw) }
+	c.SetHandlerCtx(func(raw []byte, _ trace.Context) { fn(raw) })
 }
+
+// SetARPInert installs (or clears, with nil) the handler's answer to one
+// question: would this broadcast ARP request, delivered unsampled, change
+// nothing at all — no reply, no neighbour entry written, no waiting frame
+// released? inert must read the owner's state and change none of it; it is
+// asked at the request's arrival instant, in the NIC's domain. A NIC that
+// answers lets a switch flooding the request count the copy it receives
+// without running the handler: see arpBatch. Install it after the handler.
+func (c *NIC) SetARPInert(inert func(req packet.ARP) bool) { c.arpInert = inert }
 
 // Send transmits a raw frame out of the NIC. Frames sent on an unattached
 // NIC are silently dropped, like a cable that was unplugged (device churn).
@@ -464,7 +479,7 @@ func (c *NIC) SendCtx(raw []byte, tc trace.Context) {
 		hop.Finish(now)
 		tc = hop
 	}
-	c.link.send(c.side, raw, tc)
+	c.link.send(int(c.side), raw, tc, nil)
 }
 
 // Stats reports cumulative frame/byte counters (rx then tx).
@@ -517,7 +532,7 @@ func (c *NIC) IngressDropped() uint64 { return c.ingressDropped.Value() }
 // another PDES domain. No-op on an unattached NIC.
 func (c *NIC) SetLinkUp(up bool) {
 	if c.link != nil {
-		c.link.SetUpSide(c.side, up)
+		c.link.SetUpSide(int(c.side), up)
 	}
 }
 
@@ -656,9 +671,11 @@ type direction struct {
 	// that must start then, or a lost frame, whose arrival would otherwise
 	// have carried the clock past the end of its serialization.
 	busyUntil sim.Time
-	curLen    int
 	doneFn    sim.Handler
-	armed     bool
+	// curLen shares a word with armed: a link is allocated with a header, so
+	// one more word would put it in the next size class.
+	curLen int32
+	armed  bool
 
 	// sched is the sending port's scheduler: queueing, serialization and
 	// loss draws execute in the sender's domain. fromDom/toDom/toSched
@@ -675,6 +692,10 @@ type direction struct {
 	// the low arrSeqBits. See scheduleArrival.
 	arrKey uint64
 	arrSeq uint64
+	// lastArrive is the latest instant any frame sent so far lands at, in
+	// the sender's domain: a flood copy landing after it is the first of
+	// the direction's frames to land at its instant (see arpBatch.join).
+	lastArrive sim.Time
 
 	// lossRNG drives this direction's random-loss draws, and imp its
 	// impairment draws. Both are direction-private streams consumed only
@@ -763,7 +784,7 @@ func bindPort(p Port, l *Link, side int) {
 	switch v := p.(type) {
 	case *NIC:
 		v.link = l
-		v.side = side
+		v.side = uint8(side)
 	case *switchPort:
 		v.link = l
 		v.side = side
@@ -853,7 +874,10 @@ func (l *Link) serializationTime(n int) sim.Time {
 	return sim.Time(int64(n) * 8 * int64(sim.Second) / l.cfg.RateBps)
 }
 
-func (l *Link) send(from int, raw []byte, tc trace.Context) {
+// send offers a frame to the direction sending from ends[from]. b, when not
+// nil, is the flood batch the frame may join once its arrival is known (see
+// arpBatch.join); a frame that queues, or is dropped, never does.
+func (l *Link) send(from int, raw []byte, tc trace.Context, b *arpBatch) {
 	d := &l.dirs[from]
 	now := d.sched.Now()
 	d.offered++
@@ -878,10 +902,10 @@ func (l *Link) send(from int, raw []byte, tc trace.Context) {
 		d.enqueue(queuedFrame{raw: raw, tc: span})
 		return
 	}
-	d.transmit(raw, span)
+	d.transmit(raw, span, b)
 }
 
-func (d *direction) transmit(raw []byte, tc trace.Context) {
+func (d *direction) transmit(raw []byte, tc trace.Context, b *arpBatch) {
 	l := d.link
 	ser := l.serializationTime(len(raw))
 	sched := d.sched
@@ -891,7 +915,7 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 	// counted yet.
 	d.txFrames.Inc()
 	d.txBytes.Add(uint64(len(raw)))
-	d.curLen = len(raw)
+	d.curLen = int32(len(raw))
 	d.busyUntil = sched.Now() + ser
 	lg := d.txLedger()
 	if l.cfg.LossProb > 0 && d.lossRNG != nil && d.lossRNG.Bool(l.cfg.LossProb) {
@@ -918,6 +942,7 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 			lg.copies++
 			lg.release(raw)
 			raw = bad
+			b = nil // no longer the request the switch read
 			d.corruptFrames.Inc()
 			l.net.emit(sched.Now(), telemetry.CatNet, "corrupt", d.name, int64(len(raw)))
 		}
@@ -947,6 +972,9 @@ func (d *direction) transmit(raw []byte, tc trace.Context) {
 		d.scheduleArrival(arrive+ser, second, tc)
 		return
 	}
+	if b != nil && b.join(d, arrive, raw) {
+		return
+	}
 	d.scheduleArrival(arrive, raw, tc)
 }
 
@@ -974,7 +1002,7 @@ func (d *direction) txDone() {
 		d.queue, d.qhead = d.queue[:0], 0
 	}
 	d.queued -= len(next.raw)
-	d.transmit(next.raw, next.tc)
+	d.transmit(next.raw, next.tc, nil)
 	if len(d.queue) > 0 {
 		d.arm()
 	}
@@ -1037,8 +1065,18 @@ const (
 // Per-domain heaps hold the same order as the serial one because a delivery
 // only touches receiver-local state.
 func (d *direction) scheduleArrival(at sim.Time, raw []byte, tc trace.Context) {
+	d.lastArrive = max(d.lastArrive, at)
+	d.post(at, d.nextKey(), raw, tc)
+}
+
+// nextKey uses up the direction's next delivery key.
+func (d *direction) nextKey() uint64 {
 	d.arrSeq++
-	key := d.arrKey | d.arrSeq&(1<<arrSeqBits-1)
+	return d.arrKey | d.arrSeq&(1<<arrSeqBits-1)
+}
+
+// post schedules the delivery of raw at (at, key) in the receiver's domain.
+func (d *direction) post(at sim.Time, key uint64, raw []byte, tc trace.Context) {
 	e := arrivalEventPool.Get().(*arrivalEvent)
 	e.dir, e.raw, e.tc = d, raw, tc
 	if d.fromDom != nil && d.fromDom != d.toDom {

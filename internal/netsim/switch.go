@@ -29,6 +29,9 @@ type Switch struct {
 	// exported is false when the network has no registry or its
 	// metric-entity cap left this switch out of it.
 	exported bool
+
+	// spare holds flood batches that have fired, for the next floods.
+	spare []*arpBatch
 }
 
 // NewSwitch adds a named learning switch to the network (domain 0).
@@ -102,9 +105,11 @@ func (p *switchPort) String() string { return p.name }
 func (p *switchPort) scheduler() *sim.Scheduler { return p.sw.sched }
 func (p *switchPort) domain() *sim.Domain       { return p.sw.dom }
 
-func (p *switchPort) send(raw []byte, tc trace.Context) {
+// send relays a frame out of the port; b is the flood batch the frame may
+// join, or nil.
+func (p *switchPort) send(raw []byte, tc trace.Context, b *arpBatch) {
 	if p.link != nil {
-		p.link.send(p.side, raw, tc)
+		p.link.send(p.side, raw, tc, b)
 		return
 	}
 	p.sw.ledger().release(raw)
@@ -153,7 +158,7 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 			if out != p {
 				s.forwarded.Inc()
 				span.Finish(now)
-				out.send(raw, span)
+				out.send(raw, span, nil)
 				return
 			}
 			// Destination hangs off the ingress port: nothing to relay.
@@ -164,24 +169,35 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	}
 	// Broadcast or unknown unicast: flood all other ports, in port order.
 	// Each port is sent to once the next one is found, so the last takes
-	// the frame itself and every other one a copy.
+	// the frame itself and every other one a copy. The copies of an
+	// unsampled broadcast ARP request that reach hosts at one instant may
+	// gather into one batch event (see arpBatch).
 	s.flooded.Inc()
 	span.Finish(now)
+	var b *arpBatch
+	if batchARPFloods && !span.Sampled() && eth.Type == packet.EtherTypeARP && eth.Dst.IsBroadcast() {
+		if req, err := packet.UnmarshalARP(rest); err == nil && req.Op == packet.ARPRequest {
+			b = s.newBatch(req)
+		}
+	}
 	var prev *switchPort
 	for _, out := range s.ports {
 		if out != p {
 			if prev != nil {
 				s.ledger().copies++
-				prev.send(packet.CloneFrame(raw), span)
+				prev.send(packet.CloneFrame(raw), span, b)
 			}
 			prev = out
 		}
 	}
 	if prev == nil {
 		s.ledger().release(raw)
-		return
+	} else {
+		prev.send(raw, span, b)
 	}
-	prev.send(raw, span)
+	if b != nil {
+		s.launch(b)
+	}
 }
 
 // arpQuestion reports the address a well-formed ARP request asks about.

@@ -86,6 +86,7 @@ func NewHost(nic *netsim.NIC, cfg HostConfig) *Host {
 		ephemeral: 32768,
 	}
 	nic.SetHandlerCtx(h.receive)
+	nic.SetARPInert(h.arpInert)
 	return h
 }
 
@@ -457,6 +458,18 @@ func (h *Host) handleARP(b []byte) {
 		}
 		h.nic.Send(packet.BuildARP(h.MAC(), a.SenderMAC, reply))
 	}
+}
+
+// arpInert reports whether handleARP, given the broadcast request a, would
+// change nothing: the request asks for another address, and the host holds
+// no entry for the sender, or one already bound to the sender's MAC with no
+// frame waiting on it.
+func (h *Host) arpInert(a packet.ARP) bool {
+	if a.TargetIP == h.cfg.Addr {
+		return false
+	}
+	e := h.arp[a.SenderIP]
+	return e == nil || e.mac == a.SenderMAC && !e.waiting
 }
 
 func (h *Host) handleIPv4(b []byte, tc trace.Context) {
