@@ -9,7 +9,12 @@ import (
 	"testing"
 
 	"ddoshield/internal/netsim"
+	"ddoshield/internal/packet"
 )
+
+// releasePoisons: outside the race build a released frame keeps its bytes
+// (see race_test.go).
+const releasePoisons = false
 
 // TestTCPDataPathAllocs pins what a bulk transfer on an established
 // connection allocates: nothing. The frames — one per data segment, one per
@@ -60,4 +65,33 @@ func TestTCPDataPathAllocs(t *testing.T) {
 		t.Fatalf("re-arming the retransmit timer allocates %.1f times", n)
 	}
 	c.disarmRetransmit()
+}
+
+// TestParkedSegmentAllocs pins what a TCP segment that waits for ARP
+// allocates: nothing. It is built once, into a recycled frame buffer, and
+// parked as that frame; there is no builder closure and no private copy of
+// its payload, whose send buffer may be recycled before ARP answers. The
+// parked frames are taken off the entry between runs, so the queue's
+// backing array is reused too.
+func TestParkedSegmentAllocs(t *testing.T) {
+	_, hosts := lan(t, 1, netsim.LinkConfig{})
+	h := hosts[0]
+	absent := packet.AddrFrom4(10, 0, 0, 200)
+	c := &Conn{host: h, key: connKey{remote: absent, remotePort: 80, localPort: 40000}}
+	payload := make([]byte, MSS)
+	c.sendSegment(1, 1, packet.FlagACK|packet.FlagPSH, payload) // starts ARP
+	e := h.arp[absent]
+	park := func() {
+		c.sendSegment(1, 1, packet.FlagACK|packet.FlagPSH, payload)
+		for _, p := range e.pending {
+			packet.ReleaseFrame(p.frame)
+		}
+		e.pending = e.pending[:0]
+	}
+	if n := testing.AllocsPerRun(100, park); n != 0 {
+		t.Fatalf("parking a %d-byte segment allocates %.1f times, want 0", MSS, n)
+	}
+	if !e.waiting || e.tries != 1 {
+		t.Fatalf("entry waiting=%v after %d requests: parking restarted ARP", e.waiting, e.tries)
+	}
 }

@@ -9,7 +9,6 @@
 package netstack
 
 import (
-	"bytes"
 	"sync"
 	"time"
 
@@ -34,16 +33,19 @@ type HostConfig struct {
 // ipTTL is the initial TTL of every packet a host generates.
 const ipTTL = 64
 
-type pendingFrame struct {
-	build func(dstMAC packet.MAC) []byte
-	// tc is the queued packet's origin span; it stays open across the ARP
-	// wait so the trace charges resolution delay to the origin hop.
-	tc trace.Context
+// parked is what waits on a neighbour entry for its MAC: a frame built with
+// a blank Ethernet destination, or a ResolveMAC caller (cb). A frame's tc is
+// its origin span; it stays open across the ARP wait so the trace charges
+// resolution delay to the origin hop.
+type parked struct {
+	frame []byte
+	tc    trace.Context
+	cb    func(mac packet.MAC, ok bool)
 }
 
 type arpEntry struct {
 	mac     packet.MAC
-	pending []pendingFrame
+	pending []parked
 	tries   int
 	waiting bool
 }
@@ -167,15 +169,7 @@ func (h *Host) AddStaticARP(ip packet.Addr, mac packet.MAC) {
 		h.arpMap()[ip] = e
 	}
 	e.mac = mac
-	if e.waiting {
-		e.waiting = false
-		pending := e.pending
-		e.pending = nil
-		for _, p := range pending {
-			h.nic.SendCtx(p.build(mac), p.tc)
-			p.tc.Finish(h.sched.Now())
-		}
-	}
+	h.settle(e)
 }
 
 // emitTCP records a transport-layer trace event in the network's flight
@@ -266,61 +260,72 @@ const (
 	arpMaxTries      = 3
 )
 
-// sendIP resolves the next hop's MAC (via ARP, queueing the frame while
-// resolution is in flight) and transmits the frame built by build.
-func (h *Host) sendIP(dst packet.Addr, build func(dstMAC packet.MAC) []byte) {
-	h.sendIPCtx(dst, trace.Context{}, build)
-}
-
-// sendIPCtx is sendIP carrying the packet's origin span: the span closes at
-// NIC hand-off (so it covers any ARP wait) or terminates as DropNoRoute.
-func (h *Host) sendIPCtx(dst packet.Addr, tc trace.Context, build func(dstMAC packet.MAC) []byte) {
-	if !h.routable(dst) {
-		// Unroutable: silently dropped, as a real stack would.
+// SendFrame is the one IPv4 way out of the host. frame is built with a
+// blank Ethernet destination; SendFrame writes the next hop's MAC into it
+// and hands it to the NIC, parking it on the neighbour entry while ARP
+// resolves that MAC. tc is the packet's origin span: it closes at NIC
+// hand-off, so it covers any ARP wait, or as DropNoRoute, the frame
+// released, when hop is off-subnet or ARP gives up. The frame is the
+// host's from the call on.
+func (h *Host) SendFrame(hop packet.Addr, frame []byte, tc trace.Context) {
+	if !h.routable(hop) {
+		packet.ReleaseFrame(frame)
 		tc.Drop(h.sched.Now(), trace.DropNoRoute)
 		return
 	}
-	h.sendIPVia(dst, tc, build)
-}
-
-// sendTCP transmits one TCP segment. With the next hop's MAC in the ARP
-// cache — every segment but a flow's first — the frame is built and handed
-// to the NIC right here. Only a segment that has to wait for resolution pays
-// for a builder closure, and for a private copy of its payload: the bytes
-// may sit in a send buffer that is recycled before ARP answers.
-func (h *Host) sendTCP(ip packet.IPv4, tcp packet.TCP, payload []byte, tc trace.Context) {
-	if !h.routable(ip.Dst) {
-		tc.Drop(h.sched.Now(), trace.DropNoRoute)
+	if e := h.arp[hop]; e != nil && e.mac != (packet.MAC{}) {
+		h.transmit(e.mac, frame, tc)
 		return
 	}
-	if e := h.arp[ip.Dst]; e != nil && e.mac != (packet.MAC{}) {
-		h.nic.SendCtx(packet.BuildTCP(h.MAC(), e.mac, ip, tcp, payload), tc)
-		tc.Finish(h.sched.Now())
-		return
-	}
-	held := bytes.Clone(payload)
-	h.sendIPVia(ip.Dst, tc, func(dstMAC packet.MAC) []byte {
-		return packet.BuildTCP(h.MAC(), dstMAC, ip, tcp, held)
-	})
+	h.park(hop, parked{frame: frame, tc: tc})
 }
 
-// sendIPVia transmits to an on-subnet next hop.
-func (h *Host) sendIPVia(hop packet.Addr, tc trace.Context, build func(dstMAC packet.MAC) []byte) {
+// transmit addresses frame to mac and hands it to the NIC.
+func (h *Host) transmit(mac packet.MAC, frame []byte, tc trace.Context) {
+	copy(frame, mac[:])
+	h.nic.SendCtx(frame, tc)
+	tc.Finish(h.sched.Now())
+}
+
+// park queues p on hop's neighbour entry and starts ARP unless a
+// resolution is already in flight.
+func (h *Host) park(hop packet.Addr, p parked) {
 	e := h.arp[hop]
-	if e != nil && e.mac != (packet.MAC{}) {
-		h.nic.SendCtx(build(e.mac), tc)
-		tc.Finish(h.sched.Now())
-		return
-	}
 	if e == nil {
 		e = &arpEntry{}
 		h.arpMap()[hop] = e
 	}
-	e.pending = append(e.pending, pendingFrame{build: build, tc: tc})
+	e.pending = append(e.pending, p)
 	if !e.waiting {
 		e.waiting = true
 		e.tries = 0
 		h.sendARPRequest(hop, e)
+	}
+}
+
+// settle ends a neighbour entry's wait: resolved when e.mac is set, given
+// up otherwise. It hands what was parked over in arrival order: a resolved
+// entry sends each frame with its MAC, one that gave up releases each as
+// DropNoRoute, and every ResolveMAC caller hears the outcome once. An entry
+// that is not waiting has nothing parked.
+func (h *Host) settle(e *arpEntry) {
+	if !e.waiting {
+		return
+	}
+	e.waiting = false
+	pending := e.pending
+	e.pending = nil
+	ok := e.mac != (packet.MAC{})
+	for _, p := range pending {
+		switch {
+		case p.cb != nil:
+			p.cb(e.mac, ok)
+		case ok:
+			h.transmit(e.mac, p.frame, p.tc)
+		default:
+			packet.ReleaseFrame(p.frame)
+			p.tc.Drop(h.sched.Now(), trace.DropNoRoute)
+		}
 	}
 }
 
@@ -334,23 +339,20 @@ func (h *Host) sendARPRequest(target packet.Addr, e *arpEntry) {
 	}
 	h.nic.Send(packet.BuildARP(h.MAC(), packet.BroadcastMAC, req))
 	h.sched.After(arpRetryInterval, func() {
-		if e.mac != (packet.MAC{}) || !e.waiting {
-			return
+		switch {
+		case !e.waiting:
+		case e.tries >= arpMaxTries:
+			h.settle(e)
+		default:
+			h.sendARPRequest(target, e)
 		}
-		if e.tries >= arpMaxTries {
-			e.waiting = false
-			for _, p := range e.pending {
-				p.tc.Drop(h.sched.Now(), trace.DropNoRoute)
-			}
-			e.pending = nil
-			return
-		}
-		h.sendARPRequest(target, e)
 	})
 }
 
-// ResolveMAC performs ARP resolution for ip and invokes cb with the result.
-// The flood engines use it once per target, then forge frames directly.
+// ResolveMAC reports ip's MAC to cb: at once when it is known or ip is
+// off-subnet (ok false), otherwise when ARP settles ip's entry, in turn
+// with the frames parked on it. The flood engines use it once per target
+// to set their pacing phase.
 func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
 	if !h.routable(ip) {
 		cb(packet.MAC{}, false)
@@ -360,32 +362,7 @@ func (h *Host) ResolveMAC(ip packet.Addr, cb func(mac packet.MAC, ok bool)) {
 		cb(e.mac, true)
 		return
 	}
-	// Piggyback on the pending-frame machinery with a zero-length frame
-	// builder that just reports the resolution.
-	h.sendIP(ip, func(mac packet.MAC) []byte {
-		cb(mac, true)
-		return nil
-	})
-	// Failure notification after the retries would have elapsed.
-	h.sched.After(time.Duration(arpMaxTries+1)*arpRetryInterval, func() {
-		if e := h.arp[ip]; e == nil || e.mac == (packet.MAC{}) {
-			cb(packet.MAC{}, false)
-		}
-	})
-}
-
-// SendRawCtx transmits a pre-built frame verbatim, carrying a trace context
-// opened by the caller: the raw-socket analog the Mirai attack engines use
-// (they originate spans themselves, since their spoofed flows never pass
-// through sendIP). Nil and runt frames are dropped. The frame is the
-// network's from here on, as with netsim.NIC.SendCtx.
-func (h *Host) SendRawCtx(frame []byte, tc trace.Context) {
-	if len(frame) < packet.EthernetHeaderLen {
-		tc.Drop(h.sched.Now(), trace.DropMalformed)
-		packet.ReleaseFrame(frame)
-		return
-	}
-	h.nic.SendCtx(frame, tc)
+	h.park(ip, parked{cb: cb})
 }
 
 // receive is the NIC ingress path. A sampled frame's chain continues in a
@@ -435,17 +412,7 @@ func (h *Host) handleARP(b []byte) {
 		}
 		if e != nil {
 			e.mac = a.SenderMAC
-			if e.waiting {
-				e.waiting = false
-				pending := e.pending
-				e.pending = nil
-				for _, p := range pending {
-					if f := p.build(e.mac); f != nil {
-						h.nic.SendCtx(f, p.tc)
-					}
-					p.tc.Finish(h.sched.Now())
-				}
-			}
+			h.settle(e)
 		}
 	}
 	if a.Op == packet.ARPRequest && a.TargetIP == h.cfg.Addr {

@@ -274,16 +274,13 @@ func TestListenerBacklogDropsSYNFlood(t *testing.T) {
 	}
 	// Forge 50 SYNs from distinct spoofed on-subnet sources so no RST comes
 	// back (no host answers the SYN-ACK's ARP).
-	var serverMAC packet.MAC
-	flooder.ResolveMAC(server.Addr(), func(mac packet.MAC, ok bool) { serverMAC = mac })
-	s.RunFor(sim.Second.Duration())
 	for i := 0; i < 50; i++ {
 		src := packet.AddrFrom4(10, 0, 0, byte(100+i))
-		raw := packet.BuildTCP(flooder.MAC(), serverMAC,
+		raw := packet.BuildTCP(flooder.MAC(), packet.MAC{},
 			packet.IPv4{TTL: 64, ID: uint16(i), Src: src, Dst: server.Addr()},
 			packet.TCP{SrcPort: uint16(40000 + i), DstPort: 80, Seq: uint32(i), Flags: packet.FlagSYN, Window: 1024},
 			nil)
-		flooder.SendRawCtx(raw, trace.Context{})
+		flooder.SendFrame(server.Addr(), raw, trace.Context{})
 	}
 	s.RunFor(sim.Second.Duration())
 	if got := len(l.halfDM); got != 8 {
@@ -316,12 +313,9 @@ func TestBacklogPressureBlocksLegitimateClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serverMAC packet.MAC
-	flooder.ResolveMAC(server.Addr(), func(mac packet.MAC, ok bool) { serverMAC = mac })
-	s.RunFor(sim.Second.Duration())
 	for i := 0; i < 4; i++ {
 		src := packet.AddrFrom4(10, 0, 0, byte(200+i))
-		flooder.SendRawCtx(packet.BuildTCP(flooder.MAC(), serverMAC,
+		flooder.SendFrame(server.Addr(), packet.BuildTCP(flooder.MAC(), packet.MAC{},
 			packet.IPv4{TTL: 64, Src: src, Dst: server.Addr()},
 			packet.TCP{SrcPort: 1000, DstPort: 80, Seq: 1, Flags: packet.FlagSYN, Window: 1024}, nil), trace.Context{})
 	}
@@ -412,19 +406,22 @@ func TestOffSubnetWithoutGatewayUnroutable(t *testing.T) {
 	s.Drain()
 }
 
+// TestResolveMACFailure: a caller waiting on an absent neighbour hears
+// once, false, when ARP gives up after its third unanswered request.
 func TestResolveMACFailure(t *testing.T) {
 	s, hosts := lan(t, 1, netsim.LinkConfig{})
-	var ok *bool
-	hosts[0].ResolveMAC(packet.AddrFrom4(10, 0, 0, 200), func(mac packet.MAC, o bool) {
-		if ok == nil { // take the first (failure) report
-			ok = &o
+	var reports []sim.Time
+	hosts[0].ResolveMAC(packet.AddrFrom4(10, 0, 0, 200), func(mac packet.MAC, ok bool) {
+		if ok || mac != (packet.MAC{}) {
+			t.Errorf("resolved an absent host to %v", mac)
 		}
+		reports = append(reports, s.Now())
 	})
 	if err := s.Run(10 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if ok == nil || *ok {
-		t.Fatal("ResolveMAC to absent host should fail")
+	if want := sim.Time(arpMaxTries * arpRetryInterval); len(reports) != 1 || reports[0] != want {
+		t.Fatalf("failure reported at %v, want once at %v", reports, want)
 	}
 }
 

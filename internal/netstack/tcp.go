@@ -337,7 +337,8 @@ func (c *Conn) sendSegmentTraced(origin string, seq, ack uint32, flags uint8, pa
 		Flags:   flags,
 		Window:  advertisedWindow,
 	}
-	h.sendTCP(ip, tcp, payload, h.traceOrigin(origin, c.key.remote, c.key.localPort, c.key.remotePort, packet.ProtoTCP))
+	oc := h.traceOrigin(origin, c.key.remote, c.key.localPort, c.key.remotePort, packet.ProtoTCP)
+	h.SendFrame(c.key.remote, packet.BuildTCP(h.MAC(), packet.MAC{}, ip, tcp, payload), oc)
 }
 
 // outstanding reports unacknowledged bytes in flight.
@@ -530,7 +531,8 @@ func (h *Host) sendRST(dst packet.Addr, in packet.TCP) {
 		SrcPort: in.DstPort, DstPort: in.SrcPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: 0,
 	}
-	h.sendTCP(ip, tcp, nil, h.traceOrigin("tcp-rst", dst, in.DstPort, in.SrcPort, packet.ProtoTCP))
+	oc := h.traceOrigin("tcp-rst", dst, in.DstPort, in.SrcPort, packet.ProtoTCP)
+	h.SendFrame(dst, packet.BuildTCP(h.MAC(), packet.MAC{}, ip, tcp, nil), oc)
 }
 
 func (l *Listener) handleSYN(key connKey, tcp packet.TCP, tc trace.Context) {

@@ -35,21 +35,14 @@ func (h *Host) ListenUDP(port uint16, handler UDPHandler) (*UDPSocket, error) {
 	return s, nil
 }
 
-// SendTo transmits a datagram from the socket's port.
+// SendTo transmits a datagram from the socket's port. The caller keeps
+// data: it is copied into the frame.
 func (s *UDPSocket) SendTo(dst packet.Addr, dstPort uint16, data []byte) {
-	s.host.sendUDP(s.port, dst, dstPort, data)
-}
-
-// sendUDP builds and routes one datagram.
-func (h *Host) sendUDP(srcPort uint16, dst packet.Addr, dstPort uint16, data []byte) {
+	h := s.host
 	ip := packet.IPv4{TTL: ipTTL, ID: h.nextIPID(), Src: h.cfg.Addr, Dst: dst}
-	udp := packet.UDP{SrcPort: srcPort, DstPort: dstPort}
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	oc := h.traceOrigin("udp-tx", dst, srcPort, dstPort, packet.ProtoUDP)
-	h.sendIPCtx(dst, oc, func(dstMAC packet.MAC) []byte {
-		return packet.BuildUDP(h.MAC(), dstMAC, ip, udp, payload)
-	})
+	udp := packet.UDP{SrcPort: s.port, DstPort: dstPort}
+	oc := h.traceOrigin("udp-tx", dst, s.port, dstPort, packet.ProtoUDP)
+	h.SendFrame(dst, packet.BuildUDP(h.MAC(), packet.MAC{}, ip, udp, data), oc)
 }
 
 func (h *Host) handleUDP(ip packet.IPv4, payload []byte, tc trace.Context) {
