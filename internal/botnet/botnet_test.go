@@ -403,3 +403,55 @@ func decodeTap(fn func(p *packet.Packet)) netsim.Tap {
 		}
 	}
 }
+
+// TestFloodStoppedBeforeARPNeverStarts: a raw-vector flood stopped while
+// its target's ARP is still unanswered sends nothing when the reply lands,
+// and a bot whose order is superseded in that gap counts every packet it
+// put on the wire.
+func TestFloodStoppedBeforeARPNeverStarts(t *testing.T) {
+	udp := Command{Type: AttackUDP, Port: 9, Duration: 2 * time.Second, PPS: 500}
+	t.Run("flood", func(t *testing.T) {
+		r := newRig()
+		bot, target := r.host(10), r.host(0x0100+1)
+		var floods int
+		r.tapHost(target, decodeTap(func(p *packet.Packet) {
+			if p.HasUDP && p.IPv4.Dst == target.Addr() {
+				floods++
+			}
+		}))
+		cmd := udp
+		cmd.Target = target.Addr()
+		f := NewFlood(bot, sim.NewRNG(1), cmd, packet.Prefix{})
+		f.Start()
+		f.Stop()
+		if err := r.sched.RunFor(3 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if f.Sent() != 0 || floods != 0 {
+			t.Fatalf("stopped flood sent %d packets, %d reached the target; want 0", f.Sent(), floods)
+		}
+	})
+	t.Run("superseded bot", func(t *testing.T) {
+		r := newRig()
+		h, target := r.host(10), r.host(0x0100+1)
+		var floods uint64
+		r.tapHost(target, decodeTap(func(p *packet.Packet) {
+			if p.HasUDP && p.IPv4.Dst == target.Addr() {
+				floods++
+			}
+		}))
+		b := NewBot("b", target.Addr(), 0, packet.Prefix{}, 1)
+		b.host = h
+		cmd := udp
+		cmd.Target = target.Addr()
+		b.execute(cmd)
+		b.execute(cmd) // before the target's ARP reply
+		if err := r.sched.RunFor(4 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		attacks, sent := b.Stats()
+		if attacks != 2 || sent == 0 || sent != floods {
+			t.Fatalf("bot ran %d attacks and counts %d packets; %d reached the target", attacks, sent, floods)
+		}
+	})
+}
