@@ -23,10 +23,13 @@ type Injector struct {
 	seed    int64
 	targets []*container.Container // each with its uplink
 	byName  map[string]int
-	// counts holds one atomic counter per counted entry; sub-events bump
-	// them from their own domains, so they must be race-safe.
-	counts [len(counted)]telemetry.Counter
-	rec    *telemetry.Recorder
+	// tally holds each scheduled target's own count of each kind. resolve
+	// makes a target's row, single-threaded; from then on only the target's
+	// domain writes it, so the count a fault event carries into the flight
+	// recorder does not depend on how domains interleave. The totals are
+	// summed when read, which is while no domain runs (export, Summary).
+	tally map[*container.Container]*[len(counted)]uint64
+	rec   *telemetry.Recorder
 }
 
 // What the injector counts, one counter each, in name order: a crash loop's
@@ -45,6 +48,7 @@ func NewInjector(sched *sim.Scheduler, seed int64) *Injector {
 		sched:  sched,
 		seed:   seed,
 		byName: make(map[string]int),
+		tally:  make(map[*container.Container]*[len(counted)]uint64),
 	}
 }
 
@@ -58,29 +62,35 @@ func (in *Injector) Register(c *container.Container) {
 }
 
 // resolve expands a name list (exact, trailing-* glob, or empty for all)
-// into targets, in registration order, without duplicates.
+// into targets, in registration order, without duplicates, and gives each
+// its tally row.
 func (in *Injector) resolve(names []string) []*container.Container {
-	if len(names) == 0 {
-		return in.targets
-	}
-	picked := make([]bool, len(in.targets))
-	for _, name := range names {
-		if prefix, ok := strings.CutSuffix(name, "*"); ok {
-			for i := range in.targets {
-				if strings.HasPrefix(in.targets[i].Name(), prefix) {
-					picked[i] = true
+	out := in.targets
+	if len(names) > 0 {
+		picked := make([]bool, len(in.targets))
+		for _, name := range names {
+			if prefix, ok := strings.CutSuffix(name, "*"); ok {
+				for i := range in.targets {
+					if strings.HasPrefix(in.targets[i].Name(), prefix) {
+						picked[i] = true
+					}
 				}
+				continue
 			}
-			continue
+			if i, ok := in.byName[name]; ok {
+				picked[i] = true
+			}
 		}
-		if i, ok := in.byName[name]; ok {
-			picked[i] = true
+		out = nil
+		for i, p := range picked {
+			if p {
+				out = append(out, in.targets[i])
+			}
 		}
 	}
-	var out []*container.Container
-	for i, p := range picked {
-		if p {
-			out = append(out, in.targets[i])
+	for _, c := range out {
+		if in.tally[c] == nil {
+			in.tally[c] = new([len(counted)]uint64)
 		}
 	}
 	return out
@@ -114,19 +124,19 @@ func (in *Injector) Schedule(p Plan) {
 func (in *Injector) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	in.rec = rec
 	for i, k := range counted {
-		c := &in.counts[i]
-		reg.RegisterCounterFunc(c.Value, "faults_injections_total", telemetry.L("kind", string(k)))
+		reg.RegisterCounterFunc(func() uint64 { return in.total(i) }, "faults_injections_total", telemetry.L("kind", string(k)))
 	}
 }
 
-// count tallies one injection (a counted index) against actor and mirrors it
-// into the flight recorder. now must be the clock of the scheduler the
-// firing sub-event runs on — in a partitioned run there is no other "now"
-// the event may observe.
-func (in *Injector) count(i int, actor string, now sim.Time) {
-	c := &in.counts[i]
-	c.Inc()
-	in.rec.Emit(now, telemetry.CatFault, string(counted[i]), actor, int64(c.Value()))
+// count tallies one injection (a counted index) against target c and
+// mirrors it into the flight recorder, valued with c's own count of the
+// kind. now must be the clock of the scheduler the firing sub-event runs on,
+// the target's domain — in a partitioned run there is no other "now" the
+// event may observe.
+func (in *Injector) count(i int, c *container.Container, now sim.Time) {
+	row := in.tally[c]
+	row[i]++
+	in.rec.Emit(now, telemetry.CatFault, string(counted[i]), c.Name(), int64(row[i]))
 }
 
 // containerSide reports which side of its uplink the container terminates.
@@ -147,7 +157,7 @@ func (in *Injector) scheduleLinkFlap(at sim.Time, e Event) {
 		d = 5 * time.Second
 	}
 	for _, c := range in.resolve(e.Targets) {
-		link, name := c.Link(), c.Name()
+		link := c.Link()
 		ownSide := containerSide(c)
 		for side := 0; side < 2; side++ {
 			side := side
@@ -159,7 +169,7 @@ func (in *Injector) scheduleLinkFlap(at sim.Time, e Event) {
 				}
 				link.SetUpSide(side, false)
 				if counting {
-					in.count(flapped, name, sched.Now())
+					in.count(flapped, c, sched.Now())
 				}
 				sched.After(d, func() {
 					// Do not re-cable a container that stopped in the
@@ -200,7 +210,7 @@ func (in *Injector) scheduleLinkImpair(at sim.Time, e Event) {
 				prev := link.ImpairmentsSide(side)
 				link.SetImpairmentsSide(side, imp)
 				if counting {
-					in.count(impaired, name, sched.Now())
+					in.count(impaired, c, sched.Now())
 				}
 				if e.Duration > 0 {
 					sched.After(e.Duration, func() { link.SetImpairmentsSide(side, prev) })
@@ -244,7 +254,16 @@ func (in *Injector) kill(c *container.Container) {
 		return
 	}
 	c.Kill()
-	in.count(crashed, c.Name(), c.Scheduler().Now())
+	in.count(crashed, c, c.Scheduler().Now())
+}
+
+// total sums every target's count of counted index i.
+func (in *Injector) total(i int) uint64 {
+	var n uint64
+	for _, row := range in.tally {
+		n += row[i]
+	}
+	return n
 }
 
 // Counter is one per-kind injection count.
@@ -259,7 +278,7 @@ type Counter struct {
 func (in *Injector) Counters() []Counter {
 	var out []Counter
 	for i, k := range counted {
-		if v := in.counts[i].Value(); v > 0 {
+		if v := in.total(i); v > 0 {
 			out = append(out, Counter{Kind: k, Count: v})
 		}
 	}

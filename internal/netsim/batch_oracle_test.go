@@ -121,8 +121,7 @@ func TestARPFloodBatchMatchesUnbatched(t *testing.T) {
 		for _, domains := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/domains=%d", c.name, domains), func(t *testing.T) {
 				// One worker runs the domains' windows in turn: with more,
-				// the flight recorder's order and the fault counts it
-				// carries follow the goroutines.
+				// the flight recorder's order follows the goroutines.
 				cfg := c.cfg
 				cfg.Domains, cfg.PDESWorkers = domains, 1
 				netsim.SetARPFloodBatching(false)
