@@ -123,7 +123,7 @@ func run() error {
 	}
 	if len(rt.Detection) > 0 {
 		fmt.Println()
-		fmt.Println("DETECTION LATENCY — first attack packet origin → first correct alert")
+		fmt.Println("DETECTION LATENCY — the C2's first attack order → first correct alert")
 		fmt.Println(experiments.FormatDetection(rt.Detection))
 	}
 	return nil

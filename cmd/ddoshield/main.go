@@ -215,7 +215,11 @@ func writeArtifacts(dir string, r *scenario.Run) error {
 		{"flight.json", func(w io.Writer) error { return telemetry.WriteChromeTrace(w, tb.Recorder()) }},
 	}
 	if tb.Tracer() != nil {
-		files = append(files, artifact{"spans.jsonl", func(w io.Writer) error { return trace.WriteSpans(w, tb.Tracer().Spans()) }})
+		// Canonical form: span IDs and finish order follow the domains'
+		// goroutines, the causal structure does not.
+		files = append(files, artifact{"spans.jsonl", func(w io.Writer) error {
+			return trace.WriteSpans(w, trace.CanonicalSpans(tb.Tracer().Spans()))
+		}})
 	}
 	if r.Firewall != nil {
 		files = append(files, artifact{"mitigation.json", func(w io.Writer) error {

@@ -84,7 +84,10 @@ func hash16(s string) string {
 // always-zero series, and nothing else. The chaos12 and defended12 pins
 // were re-recorded once more when a crash loop stopped killing at ticks
 // on or past its window's end: the shared chaos plan's loops kill 53
-// times instead of 55.
+// times instead of 55. The defended12 pins were re-recorded again when
+// detection latency and time-to-mitigate began to count from the C2's
+// first attack order instead of the first traced attack origin: 26.885s
+// became 1s in the detection line and both gauges.
 func TestScenariosReproduceFlagRuns(t *testing.T) {
 	defended := strings.Replace(readFile(t, filepath.Join("..", "..", "scenarios", "chaos12.json")),
 		`"chaos": 0.5,`, `"chaos": 0.5, "ids": true, "mitigate": true,`, 1)
@@ -98,8 +101,8 @@ func TestScenariosReproduceFlagRuns(t *testing.T) {
 		{"chaos12 on 4 domains", []string{"-config", "../../scenarios/chaos12.json", "-domains", "4"}, "f22dc93721d2f646", "1072cfad8a3efca4"},
 		{"chaos12 defended", []string{"-config", scenarioFile(t, defended)}, "6017cc6c7a97a9c6", "17d03c6ff3498ff7"},
 		{"example", []string{"-config", "../../scenarios/example.json"}, "ab2d40ad54e8304c", "3491ac8c4d77218b"},
-		{"defended12", []string{"-config", "../../scenarios/defended12.json"}, "760e303b3fe50d6f", "e3b612ec073b0074"},
-		{"defended12 on 3 domains", []string{"-config", "../../scenarios/defended12.json", "-domains", "3"}, "760e303b3fe50d6f", "e3b612ec073b0074"},
+		{"defended12", []string{"-config", "../../scenarios/defended12.json"}, "8dab2d3daf30934d", "848fbc7c7b691fcf"},
+		{"defended12 on 3 domains", []string{"-config", "../../scenarios/defended12.json", "-domains", "3"}, "8dab2d3daf30934d", "848fbc7c7b691fcf"},
 	} {
 		dir := runArtifacts(t, c.args...)
 		var metrics strings.Builder
@@ -143,6 +146,22 @@ func TestScenarioTracingWritesSpans(t *testing.T) {
 	dir := runArtifacts(t, "-config", path)
 	if spans := readFile(t, filepath.Join(dir, "spans.jsonl")); spans == "" {
 		t.Fatal("spans.jsonl is empty")
+	}
+}
+
+// TestSpanFileSameAcrossDomains runs defended12 (full tracing) serially and
+// on three domains: the two span files must be byte-equal. Span IDs and
+// finish order follow the domains' goroutines, so the command writes the
+// canonical form (trace.CanonicalSpans).
+func TestSpanFileSameAcrossDomains(t *testing.T) {
+	spans := func(domains string) string {
+		dir := runArtifacts(t, "-config", "../../scenarios/defended12.json", "-domains", domains)
+		return readFile(t, filepath.Join(dir, "spans.jsonl"))
+	}
+	serial, partitioned := spans("1"), spans("3")
+	if serial == "" || serial != partitioned {
+		t.Fatalf("spans.jsonl differs: %d bytes at -domains 1, %d at -domains 3 (hashes %s, %s)",
+			len(serial), len(partitioned), hash16(serial), hash16(partitioned))
 	}
 }
 

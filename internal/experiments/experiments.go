@@ -68,9 +68,6 @@ const (
 	// speedFactor converts measured compute to IoT-class CPU% (see the
 	// sysmon package doc).
 	speedFactor = 200
-	// traceSampleRate is the fraction of flows every testbed traces:
-	// tracing anchors the detection-latency measurement.
-	traceSampleRate = 1.0 / 64
 )
 
 // Quick is the CI-scale preset: ~90 s of simulated training traffic and
@@ -113,7 +110,6 @@ func (sc Scenario) buildTestbed(seed int64, churn bool) (*testbed.Testbed, error
 			Enabled: churn,
 			MeanUp:  90 * time.Second,
 		},
-		TraceSampleRate: traceSampleRate,
 	})
 }
 
@@ -329,8 +325,8 @@ func (o ownCost) CPUTime() time.Duration { return o.u.CPUTime() - o.u.Front().CP
 func (o ownCost) MemBytes() int64        { return o.u.MemBytes() - o.u.Front().MemBytes() }
 
 // DetectionRow is one model's detection-latency measurement: the gap
-// between the first attack packet leaving its origin and the model's first
-// alert on a window that truly contained attack traffic.
+// between the C2's first attack order and the model's first alert on a
+// window that truly contained attack traffic.
 type DetectionRow struct {
 	Model   string
 	Latency time.Duration

@@ -114,7 +114,7 @@ type WindowResult struct {
 
 // Unit is the real-time detection pipeline: one model behind a Front. It
 // belongs to one goroutine at a time, its front's owner: every method is the
-// owner's to call, except FirstCorrectAlertFolded and whatever a
+// owner's to call, except FirstCorrectAlert and whatever a
 // Config.Registry snapshot reads, which are safe from anywhere.
 type Unit struct {
 	cfg     Config
@@ -203,16 +203,11 @@ func (u *Unit) Tap() netsim.Tap { return u.front.tap }
 
 // FirstCorrectAlert reports when the unit first raised an alert on a
 // window that truly contained attack traffic (the per-scenario detection
-// latency's end anchor), and whether that has happened.
+// latency's end anchor), and whether that has happened, over the windows
+// folded so far: read it after Flush, or after a testbed Run, which folds
+// the window in flight. It neither joins nor blocks and is safe from any
+// goroutine, which is what a gauge evaluated by a registry snapshot needs.
 func (u *Unit) FirstCorrectAlert() (sim.Time, bool) {
-	u.Join()
-	return u.FirstCorrectAlertFolded()
-}
-
-// FirstCorrectAlertFolded is FirstCorrectAlert over the windows folded so
-// far: it neither joins nor blocks and is safe from any goroutine, which
-// is what a gauge evaluated by a registry snapshot needs.
-func (u *Unit) FirstCorrectAlertFolded() (sim.Time, bool) {
 	t := u.firstCorrectAlert.Load()
 	return sim.Time(t), t != 0
 }

@@ -206,7 +206,7 @@ func TestRegistrySnapshotNeitherFoldsNorRaces(t *testing.T) {
 	gate := newGatedModel(NewThresholdRule())
 	u := New(Config{Model: gate, Labeler: spoofLabeler, Registry: reg, Name: "gated"})
 	reg.RegisterGaugeFunc(func() float64 {
-		at, ok := u.FirstCorrectAlertFolded()
+		at, ok := u.FirstCorrectAlert()
 		if !ok {
 			return -1
 		}

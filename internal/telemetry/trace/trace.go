@@ -67,9 +67,6 @@ type Tracer struct {
 	ring      []Span
 	finished  uint64 // total spans ever finished; ring index = finished % cap
 
-	firstAttack     sim.Time
-	haveFirstAttack bool
-
 	spans  telemetry.Counter
 	traces [numKinds]telemetry.Counter
 	drops  [numDropCauses]telemetry.Counter
@@ -190,13 +187,6 @@ func (tr *Tracer) origin(t sim.Time, f Flow, kind Kind, name, actor string) Cont
 	sp := tr.acquire()
 	*sp = Span{Trace: id, ID: tr.newSpanID(), Name: name, Actor: actor, Kind: kind, Flow: f, Start: t}
 	tr.active[sp.ID] = sp
-	// Track the MINIMUM origin time, not the first seen: in partitioned
-	// runs domains execute their windows in arbitrary goroutine order, so
-	// the first attack origin observed here need not be the earliest.
-	if kind == KindAttack && (!tr.haveFirstAttack || t < tr.firstAttack) {
-		tr.haveFirstAttack = true
-		tr.firstAttack = t
-	}
 	sid := sp.ID
 	tr.mu.Unlock()
 	tr.traces[kind%numKinds].Inc()
@@ -272,17 +262,6 @@ func (tr *Tracer) finish(c Context, t sim.Time, tag string, cause DropCause, ter
 	} else if terminal {
 		tr.e2e[c.Kind%numKinds].Observe(float64((t - c.Root) / 1e3))
 	}
-}
-
-// FirstAttackOrigin reports the sim time of the first KindAttack origin
-// span, the start anchor for the detection-latency metric.
-func (tr *Tracer) FirstAttackOrigin() (sim.Time, bool) {
-	if tr == nil {
-		return 0, false
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.firstAttack, tr.haveFirstAttack
 }
 
 // Spans returns the finished spans in finish order, oldest first. The

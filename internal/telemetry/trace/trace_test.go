@@ -71,9 +71,6 @@ func TestSpanLifecycle(t *testing.T) {
 	if got := spans[3].Latency(); got != 50 {
 		t.Fatalf("deliver latency = %v, want 50", got)
 	}
-	if at, ok := tr.FirstAttackOrigin(); !ok || at != 100 {
-		t.Fatalf("FirstAttackOrigin = %v,%v want 100,true", at, ok)
-	}
 	if tr.Active() != 0 {
 		t.Fatalf("%d spans still active", tr.Active())
 	}
@@ -191,8 +188,5 @@ func TestNilTracerSafe(t *testing.T) {
 	oc.FinishTerminal(1)
 	if tr.Spans() != nil || tr.Active() != 0 || tr.Evicted() != 0 {
 		t.Fatal("nil tracer accessors not zero")
-	}
-	if _, ok := tr.FirstAttackOrigin(); ok {
-		t.Fatal("nil tracer reported an attack origin")
 	}
 }

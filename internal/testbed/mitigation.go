@@ -36,7 +36,7 @@ type mitigationHandle struct {
 // deterministic under any Domains setting), wires a responder to the
 // unit's window verdicts, and registers
 // mitigation_time_to_mitigate_seconds{unit=...} — the gap between the
-// first attack packet's origin and the first mitigated attack drop, the
+// C2's first attack order and the first mitigated attack drop, the
 // defense-side sibling of ids_detection_latency_seconds. The unit also
 // gains mitigation lines in Summary and a panel in MitigationScoreboard.
 func (tb *Testbed) AttachMitigation(u *ids.Unit, cfg MitigationConfig) *mitigation.Firewall {
@@ -79,10 +79,10 @@ func (tb *Testbed) protectedAddrs() []packet.Addr {
 }
 
 // TimeToMitigate reports the closed-loop reaction latency for one attached
-// firewall: first attack packet origin → the firewall's first drop of an
+// firewall: the C2's first attack order → the firewall's first drop of an
 // attack-classified frame. False until both anchors exist.
 func (tb *Testbed) TimeToMitigate(fw *mitigation.Firewall) (time.Duration, bool) {
-	start, ok := tb.FirstAttackAt()
+	start, ok := tb.firstAttackAt()
 	if !ok {
 		return 0, false
 	}

@@ -1080,7 +1080,7 @@ func (tb *Testbed) AddTap(tap netsim.Tap) { tb.tserver.Link().AddTap(tap) }
 
 // AttachIDS wires a detection unit into the testbed's observation point and
 // registers ids_detection_latency_seconds{unit=...}: the gap between the
-// first attack packet's origin and the unit's first correct alert (-1 until
+// C2's first attack order and the unit's first correct alert (-1 until
 // both anchors exist). Units share one capture front end, and with it one
 // tap, one decode per frame and one snapshot per window (ids.Front); a unit
 // whose window size differs, or that arrives after the front has seen a
@@ -1095,9 +1095,8 @@ func (tb *Testbed) AttachIDS(u *ids.Unit) {
 		tb.fronts = append(tb.fronts, u.Front())
 		tb.AddTap(u.Tap())
 	}
-	// A registry snapshot may not fold: it reads the windows folded so far.
 	tb.reg.RegisterGaugeFunc(func() float64 {
-		d, ok := tb.detectionLatency(u.FirstCorrectAlertFolded())
+		d, ok := tb.DetectionLatency(u)
 		if !ok {
 			return -1
 		}
@@ -1105,13 +1104,11 @@ func (tb *Testbed) AttachIDS(u *ids.Unit) {
 	}, "ids_detection_latency_seconds", telemetry.L("unit", u.Name()))
 }
 
-// FirstAttackAt reports when the first attack packet left its origin: the
-// tracer's first KindAttack origin span when tracing is on, else the first
-// C2 attack interval's start. The second return is false before any attack.
-func (tb *Testbed) FirstAttackAt() (sim.Time, bool) {
-	if t, ok := tb.tracer.FirstAttackOrigin(); ok {
-		return t, true
-	}
+// firstAttackAt reports the C2's first attack order: the start of its first
+// recorded attack interval (the C2 records an order once a bot received
+// it), the one start anchor of detection latency and time-to-mitigate. The
+// second return is false before any attack.
+func (tb *Testbed) firstAttackAt() (sim.Time, bool) {
 	iv := tb.c2.Intervals()
 	if len(iv) == 0 {
 		return 0, false
@@ -1120,15 +1117,13 @@ func (tb *Testbed) FirstAttackAt() (sim.Time, bool) {
 }
 
 // DetectionLatency reports the per-scenario detection latency for one
-// attached unit: first attack packet origin → the unit's first alert on a
-// window that truly contained attack traffic. False until both exist.
+// attached unit: the C2's first attack order → the unit's first alert on a
+// window that truly contained attack traffic, over the windows folded so
+// far (Run folds every window in flight before it returns). False until
+// both exist.
 func (tb *Testbed) DetectionLatency(u *ids.Unit) (time.Duration, bool) {
-	return tb.detectionLatency(u.FirstCorrectAlert())
-}
-
-// detectionLatency is DetectionLatency given the unit's end anchor.
-func (tb *Testbed) detectionLatency(alert sim.Time, alerted bool) (time.Duration, bool) {
-	start, ok := tb.FirstAttackAt()
+	start, ok := tb.firstAttackAt()
+	alert, alerted := u.FirstCorrectAlert()
 	if !ok || !alerted || alert < start {
 		return 0, false
 	}

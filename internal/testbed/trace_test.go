@@ -119,9 +119,6 @@ func TestTraceEndToEndSpans(t *testing.T) {
 		t.Error("no ids-window spans carrying a verdict tag")
 	}
 
-	if _, ok := tb.Tracer().FirstAttackOrigin(); !ok {
-		t.Fatal("no first-attack-origin anchor recorded")
-	}
 	d, ok := tb.DetectionLatency(unit)
 	if !ok {
 		t.Fatal("detection latency not measurable despite alerts")
