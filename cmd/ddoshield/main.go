@@ -152,9 +152,9 @@ func run() error {
 				ttm = d.Round(time.Millisecond).String()
 			}
 			fmt.Printf("defense: detection latency %s, time-to-mitigate %s\n", det, ttm)
-			evaluated, dropped := fw.Stats()
+			r := tb.MitigationScoreboard().Units[0]
 			fmt.Printf("mitigation: %d frames evaluated, %d dropped (%d attack, %d collateral), %d attack frames passed\n",
-				evaluated, dropped, fw.AttackDrops(), fw.CollateralDrops(), fw.AttackPassed())
+				r.Evaluated, r.Dropped, r.AttackDrops, r.CollateralDrops, r.AttackPassed)
 		} else {
 			fmt.Printf("defense: detection latency %s\n", det)
 		}

@@ -22,22 +22,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The shield: firewall at the TServer ingress + IDS-driven responder.
-	fw := mitigation.NewFirewall(tb.Scheduler(), tb.TServer().Host().NIC())
-	resp := mitigation.NewResponder(fw, mitigation.ResponderConfig{
-		BlockTTL:           45 * time.Second,
-		AggregateThreshold: 8,
-	})
 	// The detector is the hand-written SYN-ratio / UDP-fraction rule; any
 	// ml.Classifier — a trained model from cmd/trainids, or a type of your
 	// own with Predict and Name — plugs in identically.
 	unit := ids.New(ids.Config{
-		Model:    ids.NewThresholdRule(),
-		Window:   time.Second,
-		Labeler:  tb.Labeler(),
-		OnWindow: resp.HandleWindow,
+		Model:   ids.NewThresholdRule(),
+		Window:  time.Second,
+		Labeler: tb.Labeler(),
 	})
-	tb.AddTap(unit.Tap())
+	tb.AttachIDS(unit)
+	// The shield: a firewall at the TServer ingress, fed rules by a
+	// responder that acts on the unit's alert windows.
+	tb.AttachMitigation(unit, testbed.MitigationConfig{
+		Responder: mitigation.ResponderConfig{
+			BlockTTL:           45 * time.Second,
+			AggregateThreshold: 8,
+		},
+	})
 
 	tb.Start()
 	fmt.Println("=== phase 1: infection (90 s) ===")
@@ -56,12 +57,11 @@ func main() {
 	}
 	unit.Flush()
 
-	alerts, addrRules, prefixRules := resp.Stats()
-	evaluated, dropped := fw.Stats()
-	fmt.Printf("IDS alerts handled: %d\n", alerts)
+	r := tb.MitigationScoreboard().Units[0]
+	fmt.Printf("IDS alerts handled: %d\n", r.Alerts)
 	fmt.Printf("firewall rules: %d address, %d prefix (spoof-range aggregation)\n",
-		addrRules, prefixRules)
-	fmt.Printf("firewall: %d frames evaluated, %d dropped at ingress\n", evaluated, dropped)
+		r.RulesInstalled.Addr, r.RulesInstalled.Prefix)
+	fmt.Printf("firewall: %d frames evaluated, %d dropped at ingress\n", r.Evaluated, r.Dropped)
 	_, synDropped, halfExpired := tb.HTTPServer().Listener().Stats()
 	fmt.Printf("TServer listener: %d SYNs dropped at backlog, %d half-open expired\n",
 		synDropped, halfExpired)

@@ -56,28 +56,18 @@ func (c MitigationSweepConfig) withDefaults() MitigationSweepConfig {
 	return c
 }
 
-// MitigationPoint is one grid point's measurements.
+// MitigationPoint is one grid point's measurements: its settings, the
+// loop's scoreboard panel at the end of the run (latencies are -1 when an
+// anchor never happened, e.g. the flood was never detected) and the
+// residual attack rate.
 type MitigationPoint struct {
 	Threshold       int     `json:"aggregate_threshold"`
 	CacheSize       int     `json:"cache_size"`
 	ReactionDelayMS float64 `json:"reaction_delay_ms"`
-	// DetectionLatencyS and TimeToMitigateS are -1 when the anchor never
-	// happened (e.g. the flood was never detected).
-	DetectionLatencyS float64 `json:"detection_latency_s"`
-	TimeToMitigateS   float64 `json:"time_to_mitigate_s"`
-	// CollateralDrops counts benign frames wrongly dropped; AttackDrops
-	// counts attack frames the defense cut; AttackPassed is the residual
-	// that still reached the stack.
-	CollateralDrops uint64 `json:"collateral_drops"`
-	AttackDrops     uint64 `json:"attack_drops"`
-	AttackPassed    uint64 `json:"attack_passed"`
+	testbed.MitigationUnitBoard
 	// ResidualAttackPPS is AttackPassed amortized over the wave's on-wire
 	// span, the sum of its commands' OnWire durations.
 	ResidualAttackPPS float64 `json:"residual_attack_pps"`
-	Evaluated         uint64  `json:"frames_evaluated"`
-	Dropped           uint64  `json:"frames_dropped"`
-	CacheInserts      uint64  `json:"cache_inserts"`
-	CacheEvictions    uint64  `json:"cache_evictions"`
 }
 
 // testbedConfig is the topology every grid point runs on.
@@ -89,11 +79,9 @@ func (c MitigationSweepConfig) testbedConfig() testbed.Config {
 // from testbedConfig, and measures it.
 func (c MitigationSweepConfig) runPoint(tb *testbed.Testbed, threshold, cacheSize int, delay time.Duration) (MitigationPoint, error) {
 	pt := MitigationPoint{
-		Threshold:         threshold,
-		CacheSize:         cacheSize,
-		ReactionDelayMS:   float64(delay) / float64(time.Millisecond),
-		DetectionLatencyS: -1,
-		TimeToMitigateS:   -1,
+		Threshold:       threshold,
+		CacheSize:       cacheSize,
+		ReactionDelayMS: float64(delay) / float64(time.Millisecond),
 	}
 	// The unit registers no metrics of its own: ids_window_cpu_us is a
 	// wall-clock histogram, and the smoke test byte-diffs Prometheus output
@@ -104,7 +92,7 @@ func (c MitigationSweepConfig) runPoint(tb *testbed.Testbed, threshold, cacheSiz
 		Labeler: tb.Labeler(),
 	})
 	tb.AttachIDS(unit)
-	fw := tb.AttachMitigation(unit, testbed.MitigationConfig{
+	tb.AttachMitigation(unit, testbed.MitigationConfig{
 		CacheSize: cacheSize,
 		Responder: mitigation.ResponderConfig{
 			AggregateThreshold: threshold,
@@ -118,23 +106,12 @@ func (c MitigationSweepConfig) runPoint(tb *testbed.Testbed, threshold, cacheSiz
 		return pt, err
 	}
 	unit.Flush()
-	if d, ok := tb.DetectionLatency(unit); ok {
-		pt.DetectionLatencyS = d.Seconds()
-	}
-	if d, ok := tb.TimeToMitigate(fw); ok {
-		pt.TimeToMitigateS = d.Seconds()
-	}
-	pt.CollateralDrops = fw.CollateralDrops()
-	pt.AttackDrops = fw.AttackDrops()
-	pt.AttackPassed = fw.AttackPassed()
+	pt.MitigationUnitBoard = tb.MitigationScoreboard().Units[0]
 	var onWire time.Duration
 	for _, cmd := range wave {
 		onWire += cmd.OnWire().Duration
 	}
 	pt.ResidualAttackPPS = float64(pt.AttackPassed) / onWire.Seconds()
-	pt.Evaluated, pt.Dropped = fw.Stats()
-	cs := fw.CacheStats()
-	pt.CacheInserts, pt.CacheEvictions = cs.Inserts, cs.Evictions
 	return pt, nil
 }
 
@@ -180,7 +157,7 @@ func FormatMitigationSweep(points []MitigationPoint) string {
 			fmt.Sprintf("%d", pt.CollateralDrops),
 			fmt.Sprintf("%d", pt.AttackDrops),
 			fmt.Sprintf("%.1f", pt.ResidualAttackPPS),
-			fmt.Sprintf("%d", pt.CacheEvictions),
+			fmt.Sprintf("%d", pt.Cache.Evictions),
 		})
 	}
 	return report.Table(headers, rows)

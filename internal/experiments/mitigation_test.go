@@ -77,7 +77,7 @@ func TestMitigationSweepSmoke(t *testing.T) {
 	if pt.Evaluated == 0 || pt.Dropped == 0 {
 		t.Fatalf("firewall counters empty: evaluated=%d dropped=%d", pt.Evaluated, pt.Dropped)
 	}
-	if pt.CacheInserts == 0 {
+	if pt.Cache.Inserts == 0 {
 		t.Fatal("verdict cache never populated")
 	}
 	if s := FormatMitigationSweep(pts); s == "" {

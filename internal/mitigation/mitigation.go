@@ -71,14 +71,6 @@ func (c FirewallConfig) withDefaults() FirewallConfig {
 	return c
 }
 
-// flowRule is one authoritative per-flow verdict installed by the
-// Responder; the cache memoizes it like any other rule.
-type flowRule struct {
-	verdict Verdict
-	keep    uint32
-	expiry  sim.Time
-}
-
 // prefixRule is one aggregated source-prefix block. Rules live in a slice
 // kept sorted by (address, bits): evaluation order — and therefore which
 // rule a cached verdict's expiry derives from — never depends on map
@@ -102,14 +94,13 @@ type Firewall struct {
 
 	addrs    map[packet.Addr]sim.Time // addr → expiry
 	prefixes []prefixRule             // sorted by (addr, bits)
-	flows    map[flowKey]flowRule
+	flows    map[flowKey]sim.Time     // 5-tuple → expiry
 
-	// Shared telemetry counters (the PR 3 pattern): the registry exports
-	// these same instances and Stats() is a thin value adapter, so there
-	// is exactly one source of truth per count.
-	evaluated   telemetry.Counter
-	dropped     telemetry.Counter
-	rateLimited telemetry.Counter
+	// Shared telemetry counters: the registry exports these same instances
+	// and Stats() and Report() are thin value adapters, so there is exactly
+	// one source of truth per count.
+	evaluated telemetry.Counter
+	dropped   telemetry.Counter
 	// Classify-attributed accounting: benign frames wrongly dropped
 	// (collateral damage), attack frames dropped (the defense working) and
 	// attack frames still admitted (residual attack throughput).
@@ -127,12 +118,6 @@ type Firewall struct {
 	haveFirstMitigated bool
 }
 
-// NewFirewall installs a firewall with default configuration on nic's
-// ingress path. sched must be the scheduler of nic's owning domain.
-func NewFirewall(sched *sim.Scheduler, nic *netsim.NIC) *Firewall {
-	return NewFirewallConfig(sched, nic, FirewallConfig{})
-}
-
 // NewFirewallConfig installs a configured firewall on nic's ingress path.
 // sched must be the scheduler of nic's owning domain: rule installs,
 // packet evaluation and the aging sweep all mutate state there, which is
@@ -143,14 +128,13 @@ func NewFirewallConfig(sched *sim.Scheduler, nic *netsim.NIC, cfg FirewallConfig
 		sched: sched,
 		cfg:   cfg,
 		addrs: make(map[packet.Addr]sim.Time),
-		flows: make(map[flowKey]flowRule),
+		flows: make(map[flowKey]sim.Time),
 	}
 	l := telemetry.L("fw", cfg.Name)
 	reg := cfg.Registry
 	fw.cache = newVerdictCache(cfg.CacheSize, reg.NewHistogram("mitigation_cache_age_us", cacheAgeBounds, l))
 	reg.RegisterCounter(&fw.evaluated, "mitigation_frames_evaluated_total", l)
 	reg.RegisterCounter(&fw.dropped, "mitigation_frames_dropped_total", l)
-	reg.RegisterCounter(&fw.rateLimited, "mitigation_frames_rate_limited_total", l)
 	reg.RegisterCounter(&fw.collateralDrops, "mitigation_collateral_drops_total", l)
 	reg.RegisterCounter(&fw.attackDrops, "mitigation_attack_drops_total", l)
 	reg.RegisterCounter(&fw.attackPassed, "mitigation_attack_passed_total", l)
@@ -209,23 +193,21 @@ func (fw *Firewall) BlockPrefix(p packet.Prefix, ttl time.Duration) {
 	fw.bumpRev()
 }
 
-// InstallFlowVerdicts installs one verdict for every given 5-tuple under a
-// single rule revision and pre-warms the verdict cache with them — the
-// Responder's direct population path. keep is the rate-limit pass modulus
-// (ignored unless v is VerdictRateLimit).
-func (fw *Firewall) InstallFlowVerdicts(flows []trace.Flow, v Verdict, keep uint32, ttl time.Duration) {
+// InstallFlowVerdicts installs a drop verdict for every given 5-tuple for
+// ttl under a single rule revision and pre-warms the verdict cache with
+// them — the Responder's direct population path.
+func (fw *Firewall) InstallFlowVerdicts(flows []trace.Flow, ttl time.Duration) {
 	if len(flows) == 0 {
 		return
 	}
 	now := fw.sched.Now()
 	exp := now.Add(ttl)
 	for _, f := range flows {
-		fw.flows[keyOfFlow(f)] = flowRule{verdict: v, keep: keep, expiry: exp}
+		fw.flows[keyOfFlow(f)] = exp
 	}
 	fw.bumpRev()
 	for _, f := range flows {
-		e := fw.cache.insert(keyOfFlow(f), v, keep, fw.rev, now, fw.capExpiry(exp, now))
-		setRule(e, ruleFlow)
+		fw.cache.insert(keyOfFlow(f), VerdictDrop, ruleFlow, fw.rev, now, fw.capExpiry(exp, now))
 	}
 }
 
@@ -260,36 +242,22 @@ func (fw *Firewall) capExpiry(ruleExp, now sim.Time) sim.Time {
 	return bound
 }
 
-// BlockedAddrs reports currently active single-address rules.
-func (fw *Firewall) BlockedAddrs() int {
-	n := 0
-	now := fw.sched.Now()
-	for _, exp := range fw.addrs {
-		if exp > now {
-			n++
-		}
-	}
-	return n
-}
-
-// BlockedPrefixes reports currently active prefix rules.
-func (fw *Firewall) BlockedPrefixes() int {
-	n := 0
-	now := fw.sched.Now()
+// activeRules counts the rules of each kind still in force at now.
+func (fw *Firewall) activeRules(now sim.Time) RuleCounts {
+	rc := RuleCounts{Addr: countLive(fw.addrs, now), Flow: countLive(fw.flows, now)}
 	for _, pr := range fw.prefixes {
 		if pr.expiry > now {
-			n++
+			rc.Prefix++
 		}
 	}
-	return n
+	return rc
 }
 
-// BlockedFlows reports currently active per-flow verdicts.
-func (fw *Firewall) BlockedFlows() int {
-	n := 0
-	now := fw.sched.Now()
-	for _, fr := range fw.flows {
-		if fr.expiry > now {
+// countLive counts the rules of an expiry map that outlive now.
+func countLive[K comparable](rules map[K]sim.Time, now sim.Time) uint64 {
+	n := uint64(0)
+	for _, exp := range rules {
+		if exp > now {
 			n++
 		}
 	}
@@ -300,26 +268,6 @@ func (fw *Firewall) BlockedFlows() int {
 // shared telemetry counters the registry exports.
 func (fw *Firewall) Stats() (evaluated, dropped uint64) {
 	return fw.evaluated.Value(), fw.dropped.Value()
-}
-
-// CollateralDrops reports benign frames wrongly dropped (0 without a
-// classifier).
-func (fw *Firewall) CollateralDrops() uint64 { return fw.collateralDrops.Value() }
-
-// AttackDrops reports attack-classified frames dropped.
-func (fw *Firewall) AttackDrops() uint64 { return fw.attackDrops.Value() }
-
-// AttackPassed reports attack-classified frames the firewall admitted —
-// the residual attack throughput's numerator.
-func (fw *Firewall) AttackPassed() uint64 { return fw.attackPassed.Value() }
-
-// RateLimited reports frames dropped by rate-limit verdicts (a subset of
-// Stats' dropped count).
-func (fw *Firewall) RateLimited() uint64 { return fw.rateLimited.Value() }
-
-// RuleHits reports cumulative drops attributed to each rule kind.
-func (fw *Firewall) RuleHits() (addr, prefix, flow uint64) {
-	return fw.ruleHitsAddr.Value(), fw.ruleHitsPrefix.Value(), fw.ruleHitsFlow.Value()
 }
 
 // CacheStats snapshots the verdict cache.
@@ -341,10 +289,6 @@ func (fw *Firewall) CacheStats() CacheStats {
 func (fw *Firewall) FirstMitigatedDrop() (sim.Time, bool) {
 	return fw.firstMitigated, fw.haveFirstMitigated
 }
-
-// setRule stores the rule-kind attribution in a cache entry; split out so
-// InstallFlowVerdicts and the miss path stay in sync.
-func setRule(e *entry, kind uint8) { e.rule = kind }
 
 // admit is the ingress hot path: parse the 5-tuple at fixed offsets,
 // consult the verdict cache, fall back to the rule tables on a miss and
@@ -374,20 +318,11 @@ func (fw *Firewall) admit(raw []byte, tc trace.Context) bool {
 	now := fw.sched.Now()
 	e := fw.cache.lookup(k, now, fw.rev)
 	if e == nil {
-		v, keep, kind, exp := fw.evalRules(k, now)
-		e = fw.cache.insert(k, v, keep, fw.rev, now, exp)
-		setRule(e, kind)
+		v, kind, exp := fw.evalRules(k, now)
+		e = fw.cache.insert(k, v, kind, fw.rev, now, exp)
 	}
-	switch e.verdict {
-	case VerdictDrop:
-		fw.recordDrop(e, k, now, tc, false)
-		return false
-	case VerdictRateLimit:
-		e.count++
-		if e.keep > 1 && e.count%e.keep == 1 {
-			break // pass one frame in every keep
-		}
-		fw.recordDrop(e, k, now, tc, true)
+	if e.verdict == VerdictDrop {
+		fw.recordDrop(e, k, now, tc)
 		return false
 	}
 	if fw.cfg.Classify != nil && fw.cfg.Classify(flowOfKey(k)) == trace.KindAttack {
@@ -399,12 +334,11 @@ func (fw *Firewall) admit(raw []byte, tc trace.Context) bool {
 // evalRules is the cache-miss slow path: flow verdicts first (most
 // specific), then address rules, then the sorted prefix rules. Expired
 // rules encountered on the way are removed. Returns the verdict, the
-// rate-limit modulus, the attributing rule kind and the cached entry's
-// expiry.
-func (fw *Firewall) evalRules(k flowKey, now sim.Time) (Verdict, uint32, uint8, sim.Time) {
-	if fr, ok := fw.flows[k]; ok {
-		if fr.expiry > now {
-			return fr.verdict, fr.keep, ruleFlow, fw.capExpiry(fr.expiry, now)
+// attributing rule kind and the cached entry's expiry.
+func (fw *Firewall) evalRules(k flowKey, now sim.Time) (Verdict, uint8, sim.Time) {
+	if exp, ok := fw.flows[k]; ok {
+		if exp > now {
+			return VerdictDrop, ruleFlow, fw.capExpiry(exp, now)
 		}
 		delete(fw.flows, k)
 	}
@@ -412,7 +346,7 @@ func (fw *Firewall) evalRules(k flowKey, now sim.Time) (Verdict, uint32, uint8, 
 	src[0], src[1], src[2], src[3] = byte(k.src>>24), byte(k.src>>16), byte(k.src>>8), byte(k.src)
 	if exp, ok := fw.addrs[src]; ok {
 		if exp > now {
-			return VerdictDrop, 0, ruleAddr, fw.capExpiry(exp, now)
+			return VerdictDrop, ruleAddr, fw.capExpiry(exp, now)
 		}
 		delete(fw.addrs, src)
 	}
@@ -424,22 +358,19 @@ func (fw *Firewall) evalRules(k flowKey, now sim.Time) (Verdict, uint32, uint8, 
 			continue
 		}
 		if pr.prefix.Contains(src) {
-			return VerdictDrop, 0, rulePrefix, fw.capExpiry(pr.expiry, now)
+			return VerdictDrop, rulePrefix, fw.capExpiry(pr.expiry, now)
 		}
 		i++
 	}
-	return VerdictAllow, 0, ruleNone, now.Add(flowTTL)
+	return VerdictAllow, ruleNone, now.Add(flowTTL)
 }
 
-// recordDrop books one dropped frame: total and rate-limit counters,
-// per-rule attribution, collateral vs attack classification, the
+// recordDrop books one dropped frame: the total counter, per-rule
+// attribution, collateral vs attack classification, the
 // time-to-mitigate anchor, and — for sampled flows — the "mitigation" hop
 // span terminating the causal chain with DropMitigated.
-func (fw *Firewall) recordDrop(e *entry, k flowKey, now sim.Time, tc trace.Context, limited bool) {
+func (fw *Firewall) recordDrop(e *entry, k flowKey, now sim.Time, tc trace.Context) {
 	fw.dropped.Inc()
-	if limited {
-		fw.rateLimited.Inc()
-	}
 	switch e.rule {
 	case ruleAddr:
 		fw.ruleHitsAddr.Inc()
@@ -509,8 +440,8 @@ func (c ResponderConfig) withDefaults() ResponderConfig {
 	return c
 }
 
-// Responder converts IDS window verdicts into firewall rules. Wire it via
-// ids.Config.OnWindow or ids.Unit.AddWindowHook.
+// Responder converts IDS window verdicts into firewall rules. A testbed
+// wires one to an IDS unit's window hook with AttachMitigation.
 type Responder struct {
 	cfg ResponderConfig
 	fw  *Firewall
@@ -533,14 +464,51 @@ func NewResponder(fw *Firewall, cfg ResponderConfig) *Responder {
 	return r
 }
 
-// Stats reports alerts acted on and rules installed — thin adapters over
-// the shared telemetry counters.
-func (r *Responder) Stats() (alerts, addrRules, prefixRules uint64) {
-	return r.alertsHandled.Value(), r.addrRules.Value(), r.prefixRules.Value()
+// RuleCounts is one count per rule kind.
+type RuleCounts struct {
+	Addr   uint64 `json:"addr"`
+	Prefix uint64 `json:"prefix"`
+	Flow   uint64 `json:"flow"`
 }
 
-// FlowRules reports per-flow verdicts installed.
-func (r *Responder) FlowRules() uint64 { return r.flowRules.Value() }
+// Report is one closed loop's state at the current simulated instant:
+// the alerts the responder acted on and the rules it installed, what the
+// firewall evaluated and dropped and which rule kind each drop answers to,
+// the rules still in force and the verdict cache. Every field but
+// ActiveRules and Cache.Capacity is the value of the telemetry instance
+// the registry exports under the matching mitigation_* name.
+type Report struct {
+	Alerts    uint64 `json:"alerts"`
+	Evaluated uint64 `json:"frames_evaluated"`
+	Dropped   uint64 `json:"frames_dropped"`
+	// CollateralDrops counts benign frames wrongly dropped, AttackDrops
+	// attack frames cut and AttackPassed attack frames admitted, the
+	// residual attack throughput's numerator (all 0 without a classifier).
+	CollateralDrops uint64     `json:"collateral_drops"`
+	AttackDrops     uint64     `json:"attack_drops"`
+	AttackPassed    uint64     `json:"attack_passed"`
+	RuleHits        RuleCounts `json:"rule_hits"`
+	ActiveRules     RuleCounts `json:"active_rules"`
+	RulesInstalled  RuleCounts `json:"rules_installed"`
+	Cache           CacheStats `json:"cache"`
+}
+
+// Report reads the responder's and its firewall's counters.
+func (r *Responder) Report() Report {
+	fw := r.fw
+	return Report{
+		Alerts:          r.alertsHandled.Value(),
+		Evaluated:       fw.evaluated.Value(),
+		Dropped:         fw.dropped.Value(),
+		CollateralDrops: fw.collateralDrops.Value(),
+		AttackDrops:     fw.attackDrops.Value(),
+		AttackPassed:    fw.attackPassed.Value(),
+		RuleHits:        RuleCounts{fw.ruleHitsAddr.Value(), fw.ruleHitsPrefix.Value(), fw.ruleHitsFlow.Value()},
+		ActiveRules:     fw.activeRules(fw.sched.Now()),
+		RulesInstalled:  RuleCounts{r.addrRules.Value(), r.prefixRules.Value(), r.flowRules.Value()},
+		Cache:           fw.CacheStats(),
+	}
+}
 
 // HandleWindow implements the ids window-hook contract: on an alert window
 // it blocks the flagged sources (aggregating dense /24s into prefix
@@ -610,7 +578,7 @@ func (r *Responder) install(srcs []packet.Addr, flows []trace.Flow) {
 		}
 		batch = append(batch, f)
 	}
-	r.fw.InstallFlowVerdicts(batch, VerdictDrop, 0, r.cfg.BlockTTL)
+	r.fw.InstallFlowVerdicts(batch, r.cfg.BlockTTL)
 	r.flowRules.Add(uint64(len(batch)))
 }
 

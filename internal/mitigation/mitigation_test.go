@@ -32,7 +32,7 @@ func pair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 
 func TestFirewallBlocksAddr(t *testing.T) {
 	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	got := 0
 	if _, err := server.ListenUDP(9, func(packet.Addr, uint16, []byte) { got++ }); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFirewallBlocksAddr(t *testing.T) {
 
 func TestFirewallBlocksPrefixButPassesARP(t *testing.T) {
 	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	fw.BlockPrefix(packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Bits: 24}, time.Minute)
 	got := 0
 	if _, err := server.ListenUDP(9, func(packet.Addr, uint16, []byte) { got++ }); err != nil {
@@ -87,8 +87,8 @@ func TestFirewallBlocksPrefixButPassesARP(t *testing.T) {
 	if server.NIC().IngressDropped() == 0 {
 		t.Fatal("no ingress drops recorded")
 	}
-	if fw.BlockedPrefixes() != 1 {
-		t.Fatalf("BlockedPrefixes = %d", fw.BlockedPrefixes())
+	if n := NewResponder(fw, ResponderConfig{}).Report().ActiveRules.Prefix; n != 1 {
+		t.Fatalf("active prefix rules = %d", n)
 	}
 }
 
@@ -108,7 +108,7 @@ func (alertModel) Name() string { return "stub" }
 
 func TestResponderBlocksSpoofedFloodByPrefix(t *testing.T) {
 	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	resp := NewResponder(fw, ResponderConfig{
 		BlockTTL:           20 * time.Second,
 		AggregateThreshold: 8,
@@ -134,33 +134,29 @@ func TestResponderBlocksSpoofedFloodByPrefix(t *testing.T) {
 		tap(sim.Time(i)*5*sim.Millisecond, raw, trace.Context{})
 	}
 	unit.Flush()
-	alerts, addrRules, prefixRules := resp.Stats()
-	if alerts == 0 {
+	rep := resp.Report()
+	if rep.Alerts == 0 {
 		t.Fatal("no alert handled")
 	}
-	if prefixRules == 0 {
-		t.Fatalf("no prefix rule despite dense /24 (addrRules=%d)", addrRules)
+	if rep.RulesInstalled.Prefix == 0 {
+		t.Fatalf("no prefix rule despite dense /24 (addrRules=%d)", rep.RulesInstalled.Addr)
 	}
-	if fw.BlockedPrefixes() == 0 {
+	if rep.ActiveRules.Prefix == 0 {
 		t.Fatal("firewall has no prefix rule")
 	}
-	// The protected client must not be blocked even if flagged.
-	if fw.BlockedAddrs() > 0 {
-		// Allowed, but never the protected address.
-		fwAddr := client.Addr()
-		if _, ok := fw.addrs[fwAddr]; ok {
-			t.Fatal("protected address blocked")
-		}
+	// The protected client must never be blocked, even if flagged.
+	if _, ok := fw.addrs[client.Addr()]; ok {
+		t.Fatal("protected address blocked")
 	}
 }
 
 func TestResponderIgnoresQuietWindows(t *testing.T) {
 	s, _, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	resp := NewResponder(fw, ResponderConfig{})
 	w := &ids.WindowResult{Alert: false, FlaggedSrcs: []packet.Addr{{1, 2, 3, 4}}}
 	resp.HandleWindow(w)
-	if fw.BlockedAddrs() != 0 || fw.BlockedPrefixes() != 0 {
+	if active := resp.Report().ActiveRules; active != (RuleCounts{}) {
 		t.Fatal("responder acted on a non-alert window")
 	}
 	_ = features.NumFeatures // document the feature-layout dependency

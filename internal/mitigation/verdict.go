@@ -14,13 +14,11 @@ const (
 	VerdictAllow Verdict = iota
 	// VerdictDrop discards the frame.
 	VerdictDrop
-	// VerdictRateLimit passes one frame in every keep, drops the rest.
-	VerdictRateLimit
 )
 
-var verdictNames = [3]string{"allow", "drop", "rate-limit"}
+var verdictNames = [2]string{"allow", "drop"}
 
-// String renders the verdict label used in metrics and the scoreboard.
+// String renders the verdict label.
 func (v Verdict) String() string {
 	if int(v) < len(verdictNames) {
 		return verdictNames[v]
@@ -37,17 +35,15 @@ type flowKey struct {
 	proto    uint8
 }
 
-// entry is one verdict-cache slot. keep/count implement rate limiting
-// (pass when count%keep == 1); rev ties the cached decision to the rule
-// revision it was computed under, so any rule change invalidates every
-// memoized verdict at once without touching the table.
+// entry is one verdict-cache slot (40 bytes on 64-bit platforms). rev ties
+// the cached decision to the rule revision it was computed under, so any
+// rule change invalidates every memoized verdict at once without touching
+// the table.
 type entry struct {
 	key       flowKey
 	verdict   Verdict
 	live      bool
 	rule      uint8 // ruleNone/ruleAddr/rulePrefix/ruleFlow attribution
-	keep      uint32
-	count     uint32
 	rev       uint32
 	installed sim.Time
 	expiry    sim.Time
@@ -137,10 +133,11 @@ func (vc *verdictCache) lookup(k flowKey, now sim.Time, rev uint32) *entry {
 	return nil
 }
 
-// insert stores a verdict for k, reusing the key's slot, then any dead
-// slot in the probe window, then deterministically evicting the
-// earliest-expiring entry. Always succeeds; returns the written entry.
-func (vc *verdictCache) insert(k flowKey, v Verdict, keep uint32, rev uint32, now, expiry sim.Time) *entry {
+// insert stores a verdict for k, attributed to rule kind rule, reusing the
+// key's slot, then any dead slot in the probe window, then
+// deterministically evicting the earliest-expiring entry. Always succeeds;
+// returns the written entry.
+func (vc *verdictCache) insert(k flowKey, v Verdict, rule uint8, rev uint32, now, expiry sim.Time) *entry {
 	idx := vc.hash(k)
 	var victim *entry
 	for i := uint32(0); i < probeWindow; i++ {
@@ -170,7 +167,7 @@ func (vc *verdictCache) insert(k flowKey, v Verdict, keep uint32, rev uint32, no
 		vc.retire(victim, now, &vc.evictions)
 	}
 	vc.inserts.Inc()
-	*victim = entry{key: k, verdict: v, live: true, keep: keep, rev: rev, installed: now, expiry: expiry}
+	*victim = entry{key: k, verdict: v, live: true, rule: rule, rev: rev, installed: now, expiry: expiry}
 	return victim
 }
 

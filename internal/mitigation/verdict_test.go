@@ -3,6 +3,7 @@ package mitigation
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ddoshield/internal/ids"
 	"ddoshield/internal/packet"
@@ -20,7 +21,7 @@ func testHist() *telemetry.Histogram {
 func TestVerdictCacheHitExpireAndRevInvalidation(t *testing.T) {
 	vc := newVerdictCache(64, testHist())
 	k := flowKey{src: 1, dst: 2, ports: 3, proto: packet.ProtoUDP}
-	vc.insert(k, VerdictDrop, 0, 1, 0, 100*sim.Millisecond)
+	vc.insert(k, VerdictDrop, ruleAddr, 1, 0, 100*sim.Millisecond)
 	e := vc.lookup(k, 50*sim.Millisecond, 1)
 	if e == nil || e.verdict != VerdictDrop {
 		t.Fatal("live entry missed")
@@ -37,7 +38,7 @@ func TestVerdictCacheHitExpireAndRevInvalidation(t *testing.T) {
 		t.Fatalf("expirations after rev bump = %d", vc.expirations.Value())
 	}
 	// Reinsert under the new revision, then age it out by time.
-	vc.insert(k, VerdictAllow, 0, 2, 60*sim.Millisecond, 200*sim.Millisecond)
+	vc.insert(k, VerdictAllow, ruleNone, 2, 60*sim.Millisecond, 200*sim.Millisecond)
 	if e := vc.lookup(k, 200*sim.Millisecond, 2); e != nil {
 		t.Fatal("expired entry returned")
 	}
@@ -51,14 +52,14 @@ func TestVerdictCacheEvictsEarliestExpiring(t *testing.T) {
 	// eight distinct keys fill it completely.
 	vc := newVerdictCache(probeWindow, testHist())
 	for i := 0; i < probeWindow; i++ {
-		vc.insert(flowKey{src: uint32(i + 1)}, VerdictAllow, 0, 1, 0, sim.Time(i+1)*sim.Second)
+		vc.insert(flowKey{src: uint32(i + 1)}, VerdictAllow, ruleNone, 1, 0, sim.Time(i+1)*sim.Second)
 	}
 	if vc.evictions.Value() != 0 {
 		t.Fatalf("evictions while table had room = %d", vc.evictions.Value())
 	}
 	// The ninth insert must deterministically evict the earliest-expiring
 	// entry (src=1, expiry 1 s), never an arbitrary one.
-	vc.insert(flowKey{src: 99}, VerdictDrop, 0, 1, 0, 10*sim.Second)
+	vc.insert(flowKey{src: 99}, VerdictDrop, ruleAddr, 1, 0, 10*sim.Second)
 	if vc.evictions.Value() != 1 {
 		t.Fatalf("evictions = %d", vc.evictions.Value())
 	}
@@ -72,8 +73,8 @@ func TestVerdictCacheEvictsEarliestExpiring(t *testing.T) {
 
 func TestVerdictCacheSweepAndSize(t *testing.T) {
 	vc := newVerdictCache(64, testHist())
-	vc.insert(flowKey{src: 1}, VerdictDrop, 0, 1, 0, sim.Second)
-	vc.insert(flowKey{src: 2}, VerdictDrop, 0, 1, 0, 3*sim.Second)
+	vc.insert(flowKey{src: 1}, VerdictDrop, ruleAddr, 1, 0, sim.Second)
+	vc.insert(flowKey{src: 2}, VerdictDrop, ruleAddr, 1, 0, 3*sim.Second)
 	if n := vc.size(0, 1); n != 2 {
 		t.Fatalf("size = %d, want 2", n)
 	}
@@ -91,99 +92,107 @@ func TestVerdictCacheSweepAndSize(t *testing.T) {
 	}
 }
 
-func TestFirewallRateLimitVerdict(t *testing.T) {
-	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
-	got := 0
-	if _, err := server.ListenUDP(9, func(packet.Addr, uint16, []byte) { got++ }); err != nil {
-		t.Fatal(err)
+// TestCacheEntrySize pins the verdict-cache slot at 40 bytes on 64-bit
+// platforms: five slots to a pair of cache lines.
+func TestCacheEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot size is pinned for 64-bit platforms")
 	}
-	sock, err := client.ListenUDP(5000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First datagram resolves ARP and lands normally.
-	sock.SendTo(server.Addr(), 9, []byte("x"))
-	s.RunFor(time.Second)
-	if got != 1 {
-		t.Fatalf("pre-rule delivery = %d", got)
-	}
-	flow := trace.Flow{
-		Src: client.Addr().Uint32(), Dst: server.Addr().Uint32(),
-		SrcPort: 5000, DstPort: 9, Proto: packet.ProtoUDP,
-	}
-	fw.InstallFlowVerdicts([]trace.Flow{flow}, VerdictRateLimit, 4, time.Minute)
-	if fw.BlockedFlows() != 1 {
-		t.Fatalf("BlockedFlows = %d", fw.BlockedFlows())
-	}
-	for i := 0; i < 8; i++ {
-		sock.SendTo(server.Addr(), 9, []byte("y"))
-		s.RunFor(100 * time.Millisecond)
-	}
-	// keep=4 passes counts 1 and 5 of the 8 limited frames.
-	if got != 3 {
-		t.Fatalf("delivered %d datagrams, want 3 (1 pre-rule + 2 kept)", got)
-	}
-	if fw.RateLimited() != 6 {
-		t.Fatalf("RateLimited = %d, want 6", fw.RateLimited())
+	if n := unsafe.Sizeof(entry{}); n != 40 {
+		t.Fatalf("entry is %d bytes, want 40", n)
 	}
 }
 
-// TestStatsMatchRegistryCounters pins the shared-counter contract: Stats()
-// and friends are thin adapters over the same telemetry.Counter instances
-// the registry exports, so the two views can never drift.
+// TestStatsMatchRegistryCounters pins the shared-counter contract: every
+// mitigation_* series the registry exports is the Report() field read from
+// the same telemetry instance, so the two views can never drift. The run
+// drops by an address rule and by a flow rule, and classifies one flow as
+// attack and the other as benign, so no compared count is zero by
+// construction.
 func TestStatsMatchRegistryCounters(t *testing.T) {
 	s, client, server := pair(t)
 	reg := telemetry.NewRegistry()
-	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{Registry: reg, Name: "fw0"})
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{
+		Registry: reg,
+		Name:     "fw0",
+		Classify: func(f trace.Flow) trace.Kind {
+			if f.SrcPort == 5000 {
+				return trace.KindAttack
+			}
+			return trace.KindBenign
+		},
+	})
 	resp := NewResponder(fw, ResponderConfig{Registry: reg, Name: "r0"})
 	if _, err := server.ListenUDP(9, nil); err != nil {
 		t.Fatal(err)
 	}
-	sock, err := client.ListenUDP(5000, nil)
+	attack, err := client.ListenUDP(5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock.SendTo(server.Addr(), 9, []byte("1"))
+	benign, err := client.ListenUDP(6000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attack.SendTo(server.Addr(), 9, []byte("1"))
 	s.RunFor(time.Second)
-	resp.HandleWindow(&ids.WindowResult{Alert: true, FlaggedSrcs: []packet.Addr{client.Addr()}})
+	resp.HandleWindow(&ids.WindowResult{
+		Alert:       true,
+		FlaggedSrcs: []packet.Addr{client.Addr()},
+		FlaggedFlows: []trace.Flow{{
+			Src: client.Addr().Uint32(), Dst: server.Addr().Uint32(),
+			SrcPort: 6000, DstPort: 9, Proto: packet.ProtoUDP,
+		}},
+	})
 	for i := 0; i < 5; i++ {
-		sock.SendTo(server.Addr(), 9, []byte("2"))
+		attack.SendTo(server.Addr(), 9, []byte("2"))
+		benign.SendTo(server.Addr(), 9, []byte("3"))
 		s.RunFor(100 * time.Millisecond)
 	}
-	sums := map[string]float64{}
+	rep := resp.Report()
+	if rep.RuleHits.Addr == 0 || rep.RuleHits.Flow == 0 || rep.CollateralDrops == 0 || rep.AttackPassed == 0 {
+		t.Fatalf("a compared count is zero, the comparison would be vacuous: %+v", rep)
+	}
+	fwL, rL := `{fw="fw0"`, `{responder="r0"`
+	want := map[string]uint64{
+		"mitigation_frames_evaluated_total" + fwL + "}":             rep.Evaluated,
+		"mitigation_frames_dropped_total" + fwL + "}":               rep.Dropped,
+		"mitigation_collateral_drops_total" + fwL + "}":             rep.CollateralDrops,
+		"mitigation_attack_drops_total" + fwL + "}":                 rep.AttackDrops,
+		"mitigation_attack_passed_total" + fwL + "}":                rep.AttackPassed,
+		"mitigation_rule_hits_total" + fwL + `,rule="addr"}`:        rep.RuleHits.Addr,
+		"mitigation_rule_hits_total" + fwL + `,rule="prefix"}`:      rep.RuleHits.Prefix,
+		"mitigation_rule_hits_total" + fwL + `,rule="flow"}`:        rep.RuleHits.Flow,
+		"mitigation_cache_hits_total" + fwL + "}":                   rep.Cache.Hits,
+		"mitigation_cache_misses_total" + fwL + "}":                 rep.Cache.Misses,
+		"mitigation_cache_inserts_total" + fwL + "}":                rep.Cache.Inserts,
+		"mitigation_cache_evictions_total" + fwL + "}":              rep.Cache.Evictions,
+		"mitigation_cache_expired_total" + fwL + "}":                rep.Cache.Expired,
+		"mitigation_cache_entries" + fwL + "}":                      uint64(rep.Cache.Size),
+		"mitigation_cache_age_us" + fwL + "}":                       rep.Cache.Expired + rep.Cache.Evictions,
+		"mitigation_responder_alerts_total" + rL + "}":              rep.Alerts,
+		"mitigation_responder_rules_total" + rL + `,rule="addr"}`:   rep.RulesInstalled.Addr,
+		"mitigation_responder_rules_total" + rL + `,rule="prefix"}`: rep.RulesInstalled.Prefix,
+		"mitigation_responder_rules_total" + rL + `,rule="flow"}`:   rep.RulesInstalled.Flow,
+	}
 	for _, m := range reg.Snapshot() {
-		sums[m.Name] += m.Value
-	}
-	evaluated, dropped := fw.Stats()
-	if dropped == 0 {
-		t.Fatal("no drops recorded; the adapter comparison would be vacuous")
-	}
-	addr, prefix, flowHits := fw.RuleHits()
-	alerts, addrRules, prefixRules := resp.Stats()
-	for _, tc := range []struct {
-		metric string
-		value  uint64
-	}{
-		{"mitigation_frames_evaluated_total", evaluated},
-		{"mitigation_frames_dropped_total", dropped},
-		{"mitigation_frames_rate_limited_total", fw.RateLimited()},
-		{"mitigation_collateral_drops_total", fw.CollateralDrops()},
-		{"mitigation_attack_drops_total", fw.AttackDrops()},
-		{"mitigation_attack_passed_total", fw.AttackPassed()},
-		{"mitigation_rule_hits_total", addr + prefix + flowHits},
-		{"mitigation_cache_hits_total", fw.CacheStats().Hits},
-		{"mitigation_cache_inserts_total", fw.CacheStats().Inserts},
-		{"mitigation_responder_alerts_total", alerts},
-		{"mitigation_responder_rules_total", addrRules + prefixRules + resp.FlowRules()},
-	} {
-		got, ok := sums[tc.metric]
+		series := m.Name + m.Labels
+		w, ok := want[series]
 		if !ok {
-			t.Fatalf("%s not exported by the registry", tc.metric)
+			t.Errorf("%s is exported but has no Report field", series)
+			continue
 		}
-		if got != float64(tc.value) {
-			t.Fatalf("%s: registry = %v, adapter = %d", tc.metric, got, tc.value)
+		delete(want, series)
+		got := m.Value
+		if m.Kind == telemetry.KindHistogram {
+			got = float64(m.Count) // every retired entry observes its age once
 		}
+		if got != float64(w) {
+			t.Errorf("%s: registry = %v, Report = %d", series, got, w)
+		}
+	}
+	for series := range want {
+		t.Errorf("%s is not exported", series)
 	}
 }
 
@@ -192,7 +201,7 @@ func TestStatsMatchRegistryCounters(t *testing.T) {
 // on misses that re-evaluate the rule tables alike.
 func TestMitigationIngressAllocFree(t *testing.T) {
 	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	fw.BlockAddr(client.Addr(), time.Hour)
 	raw := packet.BuildTCP(client.MAC(), server.MAC(),
 		packet.IPv4{TTL: 64, Src: client.Addr(), Dst: server.Addr()},
@@ -213,35 +222,36 @@ func TestMitigationIngressAllocFree(t *testing.T) {
 
 func TestResponderReactionDelay(t *testing.T) {
 	s, client, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	resp := NewResponder(fw, ResponderConfig{ReactionDelay: 2 * time.Second})
 	resp.HandleWindow(&ids.WindowResult{Alert: true, FlaggedSrcs: []packet.Addr{client.Addr()}})
-	if fw.BlockedAddrs() != 0 {
+	if n := resp.Report().ActiveRules.Addr; n != 0 {
 		t.Fatal("rules installed before the reaction delay elapsed")
 	}
 	s.RunFor(time.Second)
-	if fw.BlockedAddrs() != 0 {
+	if n := resp.Report().ActiveRules.Addr; n != 0 {
 		t.Fatal("rules installed mid-delay")
 	}
 	s.RunFor(2 * time.Second)
-	if fw.BlockedAddrs() != 1 {
-		t.Fatalf("BlockedAddrs after delay = %d, want 1", fw.BlockedAddrs())
+	if n := resp.Report().ActiveRules.Addr; n != 1 {
+		t.Fatalf("active address rules after delay = %d, want 1", n)
 	}
 }
 
 func TestResponderFlowRulesSkipProtected(t *testing.T) {
 	s, _, server := pair(t)
-	fw := NewFirewall(s, server.NIC())
+	fw := NewFirewallConfig(s, server.NIC(), FirewallConfig{})
 	protected := packet.AddrFrom4(10, 0, 9, 9)
 	resp := NewResponder(fw, ResponderConfig{Protected: []packet.Addr{protected}})
 	resp.HandleWindow(&ids.WindowResult{Alert: true, FlaggedFlows: []trace.Flow{
 		{Src: packet.AddrFrom4(10, 0, 200, 1).Uint32(), Dst: server.Addr().Uint32(), SrcPort: 1234, DstPort: 80, Proto: packet.ProtoTCP},
 		{Src: protected.Uint32(), Dst: server.Addr().Uint32(), SrcPort: 1235, DstPort: 80, Proto: packet.ProtoTCP},
 	}})
-	if fw.BlockedFlows() != 1 {
-		t.Fatalf("BlockedFlows = %d, want 1 (protected flow filtered)", fw.BlockedFlows())
+	rep := resp.Report()
+	if rep.ActiveRules.Flow != 1 {
+		t.Fatalf("active flow rules = %d, want 1 (protected flow filtered)", rep.ActiveRules.Flow)
 	}
-	if resp.FlowRules() != 1 {
-		t.Fatalf("FlowRules = %d, want 1", resp.FlowRules())
+	if rep.RulesInstalled.Flow != 1 {
+		t.Fatalf("flow rules installed = %d, want 1", rep.RulesInstalled.Flow)
 	}
 }

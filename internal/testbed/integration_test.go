@@ -291,18 +291,16 @@ func TestMitigationShieldsTServer(t *testing.T) {
 	for i, n := range features.Names() {
 		idx[n] = i
 	}
-	fw := mitigation.NewFirewall(tb.Scheduler(), tb.TServer().Host().NIC())
-	resp := mitigation.NewResponder(fw, mitigation.ResponderConfig{
+	unit := ids.New(ids.Config{
+		Model:   mitigationRule{synRatioIdx: idx["win_syn_noack_ratio"], udpIdx: idx["win_udp_fraction"]},
+		Window:  time.Second,
+		Labeler: tb.Labeler(),
+	})
+	tb.AttachIDS(unit) // the TServer uplink: sees traffic before the firewall
+	tb.AttachMitigation(unit, MitigationConfig{Responder: mitigation.ResponderConfig{
 		BlockTTL:           time.Minute,
 		AggregateThreshold: 8,
-	})
-	unit := ids.New(ids.Config{
-		Model:    mitigationRule{synRatioIdx: idx["win_syn_noack_ratio"], udpIdx: idx["win_udp_fraction"]},
-		Window:   time.Second,
-		Labeler:  tb.Labeler(),
-		OnWindow: resp.HandleWindow,
-	})
-	tb.AddTap(unit.Tap()) // span port: sees traffic before the firewall
+	}})
 	tb.Start()
 	if err := tb.Run(90 * time.Second); err != nil { // infection phase
 		t.Fatal(err)
@@ -320,11 +318,11 @@ func TestMitigationShieldsTServer(t *testing.T) {
 	}
 	unit.Flush()
 
-	alerts, _, prefixRules := resp.Stats()
-	if alerts == 0 {
+	r := tb.MitigationScoreboard().Units[0]
+	if r.Alerts == 0 {
 		t.Fatal("IDS raised no alert during the flood")
 	}
-	if prefixRules == 0 {
+	if r.RulesInstalled.Prefix == 0 {
 		t.Fatal("responder installed no prefix rules against the spoofed flood")
 	}
 	drops := tb.TServer().Host().NIC().IngressDropped() - preDrops

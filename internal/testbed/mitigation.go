@@ -103,36 +103,15 @@ type MitigationScoreboard struct {
 	Units []MitigationUnitBoard `json:"units"`
 }
 
-// MitigationUnitBoard is one IDS unit's defense panel.
+// MitigationUnitBoard is one IDS unit's defense panel: its reaction
+// latencies and its loop's mitigation.Report.
 type MitigationUnitBoard struct {
 	Unit string `json:"unit"`
 	// DetectionLatencyS and TimeToMitigateS are -1 until their anchors
 	// exist (mirroring the registry gauges).
 	DetectionLatencyS float64 `json:"detection_latency_s"`
 	TimeToMitigateS   float64 `json:"time_to_mitigate_s"`
-	Alerts            uint64  `json:"alerts"`
-	Evaluated         uint64  `json:"frames_evaluated"`
-	Dropped           uint64  `json:"frames_dropped"`
-	RateLimited       uint64  `json:"frames_rate_limited"`
-	CollateralDrops   uint64  `json:"collateral_drops"`
-	AttackDrops       uint64  `json:"attack_drops"`
-	AttackPassed      uint64  `json:"attack_passed"`
-	RuleHits          struct {
-		Addr   uint64 `json:"addr"`
-		Prefix uint64 `json:"prefix"`
-		Flow   uint64 `json:"flow"`
-	} `json:"rule_hits"`
-	ActiveRules struct {
-		Addr   int `json:"addr"`
-		Prefix int `json:"prefix"`
-		Flow   int `json:"flow"`
-	} `json:"active_rules"`
-	RulesInstalled struct {
-		Addr   uint64 `json:"addr"`
-		Prefix uint64 `json:"prefix"`
-		Flow   uint64 `json:"flow"`
-	} `json:"rules_installed"`
-	Cache mitigation.CacheStats `json:"cache"`
+	mitigation.Report
 }
 
 // MitigationScoreboard snapshots the defense state of every attached
@@ -144,7 +123,7 @@ func (tb *Testbed) MitigationScoreboard() *MitigationScoreboard {
 			Unit:              m.unit.Name(),
 			DetectionLatencyS: -1,
 			TimeToMitigateS:   -1,
-			Cache:             m.fw.CacheStats(),
+			Report:            m.resp.Report(),
 		}
 		if d, ok := tb.DetectionLatency(m.unit); ok {
 			b.DetectionLatencyS = d.Seconds()
@@ -152,20 +131,6 @@ func (tb *Testbed) MitigationScoreboard() *MitigationScoreboard {
 		if d, ok := tb.TimeToMitigate(m.fw); ok {
 			b.TimeToMitigateS = d.Seconds()
 		}
-		b.Evaluated, b.Dropped = m.fw.Stats()
-		b.RateLimited = m.fw.RateLimited()
-		b.CollateralDrops = m.fw.CollateralDrops()
-		b.AttackDrops = m.fw.AttackDrops()
-		b.AttackPassed = m.fw.AttackPassed()
-		b.RuleHits.Addr, b.RuleHits.Prefix, b.RuleHits.Flow = m.fw.RuleHits()
-		b.ActiveRules.Addr = m.fw.BlockedAddrs()
-		b.ActiveRules.Prefix = m.fw.BlockedPrefixes()
-		b.ActiveRules.Flow = m.fw.BlockedFlows()
-		alerts, addr, prefix := m.resp.Stats()
-		b.Alerts = alerts
-		b.RulesInstalled.Addr = addr
-		b.RulesInstalled.Prefix = prefix
-		b.RulesInstalled.Flow = m.resp.FlowRules()
 		sb.Units = append(sb.Units, b)
 	}
 	return sb

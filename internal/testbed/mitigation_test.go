@@ -89,9 +89,6 @@ func TestMitigationScoreboard(t *testing.T) {
 	if ttm < det {
 		t.Fatalf("time-to-mitigate %v precedes detection latency %v", ttm, det)
 	}
-	if fw.AttackDrops() == 0 {
-		t.Fatal("no attack frames dropped")
-	}
 	if !strings.Contains(tb.Summary(), "time-to-mitigate=") {
 		t.Fatalf("Summary misses the mitigate line:\n%s", tb.Summary())
 	}
@@ -108,8 +105,21 @@ func TestMitigationScoreboard(t *testing.T) {
 		t.Fatalf("scoreboard latencies (%v, %v) disagree with accessors (%v, %v)",
 			u.DetectionLatencyS, u.TimeToMitigateS, det.Seconds(), ttm.Seconds())
 	}
-	if u.AttackDrops != fw.AttackDrops() || u.Evaluated == 0 {
+	if u.AttackDrops == 0 {
+		t.Fatal("no attack frames dropped")
+	}
+	if r := tb.mitigations[0].resp.Report(); u.Report != r {
+		t.Fatalf("scoreboard panel %+v is not the loop's report %+v", u.Report, r)
+	}
+	// With the testbed's classifier every drop is collateral or attack.
+	if u.Evaluated == 0 || u.Dropped != u.AttackDrops+u.CollateralDrops {
 		t.Fatalf("scoreboard accounting diverges: %+v", u)
+	}
+	if hits := u.RuleHits; hits.Addr+hits.Prefix+hits.Flow != u.Dropped {
+		t.Fatalf("rule hits %+v do not attribute all %d drops", hits, u.Dropped)
+	}
+	if inst := u.RulesInstalled; inst.Addr+inst.Prefix+inst.Flow == 0 || u.Alerts == 0 {
+		t.Fatalf("no rules installed or no alerts handled: %+v", u)
 	}
 	data, err := sb.JSON()
 	if err != nil {
@@ -119,7 +129,7 @@ func TestMitigationScoreboard(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("scoreboard JSON does not round-trip: %v", err)
 	}
-	if len(back.Units) != 1 || back.Units[0].AttackDrops != u.AttackDrops {
-		t.Fatal("scoreboard JSON lost fields")
+	if len(back.Units) != 1 || back.Units[0] != u {
+		t.Fatalf("scoreboard JSON lost fields: %+v, want %+v", back.Units, u)
 	}
 }

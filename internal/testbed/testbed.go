@@ -1051,14 +1051,13 @@ func (tb *Testbed) Summary() string {
 		}
 	}
 	for _, m := range tb.mitigations {
-		ev, dr := m.fw.Stats()
-		fmt.Fprintf(&b, "mitigation   unit=%s evaluated=%d dropped=%d rate-limited=%d collateral=%d attack-drops=%d attack-passed=%d\n",
-			m.unit.Name(), ev, dr, m.fw.RateLimited(), m.fw.CollateralDrops(),
-			m.fw.AttackDrops(), m.fw.AttackPassed())
-		ha, hp, hf := m.fw.RuleHits()
-		cs := m.fw.CacheStats()
+		r := m.resp.Report()
+		fmt.Fprintf(&b, "mitigation   unit=%s evaluated=%d dropped=%d collateral=%d attack-drops=%d attack-passed=%d\n",
+			m.unit.Name(), r.Evaluated, r.Dropped, r.CollateralDrops, r.AttackDrops, r.AttackPassed)
+		cs := r.Cache
 		fmt.Fprintf(&b, "verdicts     unit=%s rule-hits addr=%d prefix=%d flow=%d cache size=%d inserts=%d evictions=%d expired=%d hits=%d misses=%d\n",
-			m.unit.Name(), ha, hp, hf, cs.Size, cs.Inserts, cs.Evictions, cs.Expired, cs.Hits, cs.Misses)
+			m.unit.Name(), r.RuleHits.Addr, r.RuleHits.Prefix, r.RuleHits.Flow,
+			cs.Size, cs.Inserts, cs.Evictions, cs.Expired, cs.Hits, cs.Misses)
 		if d, ok := tb.TimeToMitigate(m.fw); ok {
 			fmt.Fprintf(&b, "mitigate     unit=%s time-to-mitigate=%s\n", m.unit.Name(), d)
 		} else {
