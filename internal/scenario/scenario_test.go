@@ -181,3 +181,34 @@ func TestApplyArmsDetectionLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestDefendedScenarioOrdersReachBots runs scenarios/defended12.json and
+// checks that each of its attacks reached at least one bot: the C2 records
+// an interval for an order only when some bot received it. A schedule
+// that fires before the botnet forms defends against nothing.
+func TestDefendedScenarioOrdersReachBots(t *testing.T) {
+	d, err := LoadFile(filepath.Join("..", "..", "scenarios", "defended12.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.Apply(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := r.Testbed
+	tb.Start()
+	if err := tb.Run(d.Duration()); err != nil {
+		t.Fatal(err)
+	}
+	reached := map[string]bool{}
+	for _, iv := range tb.C2().Intervals() {
+		if len(iv.Bots) > 0 {
+			reached[iv.Cmd.Type.String()] = true
+		}
+	}
+	for _, a := range d.Attacks {
+		if !reached[a.Type] {
+			t.Errorf("the %s order at %gs reached no bot", a.Type, a.AtSec)
+		}
+	}
+}
