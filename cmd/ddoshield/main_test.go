@@ -96,7 +96,11 @@ func hash16(s string) string {
 // line read "registered=3 commands=2 bots=1" (the SYN and ACK orders
 // reached none) and reads "registered=4 commands=7 bots=2". Its trace
 // sample rate fell from 1 to 0.5 with the move, which keeps the longer
-// run's spans inside the finished-span ring.
+// run's spans inside the finished-span ring. The chaos12, chaos12
+// defended, example and defended12 metrics pins were re-recorded when the
+// network's per-frame drops left the flight recorder: only
+// telemetry_recorder_dropped_total moved (1385 → 0, 1385 → 0,
+// 61510 → 17177, 18148 → 0), and no Summary pin.
 func TestScenariosReproduceFlagRuns(t *testing.T) {
 	defended := strings.Replace(readFile(t, filepath.Join("..", "..", "scenarios", "chaos12.json")),
 		`"chaos": 0.5,`, `"chaos": 0.5, "ids": true, "mitigate": true,`, 1)
@@ -106,12 +110,12 @@ func TestScenariosReproduceFlagRuns(t *testing.T) {
 		summary, metric string
 	}{
 		{"default", nil, "cf0924696b32c1d9", "f3728bcf5d00143b"},
-		{"chaos12", []string{"-config", "../../scenarios/chaos12.json"}, "f22dc93721d2f646", "1072cfad8a3efca4"},
-		{"chaos12 on 4 domains", []string{"-config", "../../scenarios/chaos12.json", "-domains", "4"}, "f22dc93721d2f646", "1072cfad8a3efca4"},
-		{"chaos12 defended", []string{"-config", scenarioFile(t, defended)}, "4a25835993c26023", "a4d8ee4573b153dd"},
-		{"example", []string{"-config", "../../scenarios/example.json"}, "ab2d40ad54e8304c", "3491ac8c4d77218b"},
-		{"defended12", []string{"-config", "../../scenarios/defended12.json"}, "d1905597ec6579ad", "b4761b90f5afe4c2"},
-		{"defended12 on 3 domains", []string{"-config", "../../scenarios/defended12.json", "-domains", "3"}, "d1905597ec6579ad", "b4761b90f5afe4c2"},
+		{"chaos12", []string{"-config", "../../scenarios/chaos12.json"}, "f22dc93721d2f646", "624424af6bde8a90"},
+		{"chaos12 on 4 domains", []string{"-config", "../../scenarios/chaos12.json", "-domains", "4"}, "f22dc93721d2f646", "624424af6bde8a90"},
+		{"chaos12 defended", []string{"-config", scenarioFile(t, defended)}, "4a25835993c26023", "3fb0a11ad9a03fb9"},
+		{"example", []string{"-config", "../../scenarios/example.json"}, "ab2d40ad54e8304c", "2f85843d0425896b"},
+		{"defended12", []string{"-config", "../../scenarios/defended12.json"}, "d1905597ec6579ad", "69bd1015d8317e46"},
+		{"defended12 on 3 domains", []string{"-config", "../../scenarios/defended12.json", "-domains", "3"}, "d1905597ec6579ad", "69bd1015d8317e46"},
 	} {
 		dir := runArtifacts(t, c.args...)
 		var metrics strings.Builder
@@ -175,6 +179,45 @@ func TestSpanFileSameAcrossDomains(t *testing.T) {
 	if serial == "" || serial != partitioned {
 		t.Fatalf("spans.jsonl differs: %d bytes at -domains 1, %d at -domains 3 (hashes %s, %s)",
 			len(serial), len(partitioned), hash16(serial), hash16(partitioned))
+	}
+}
+
+// TestFlightRecorderHoldsDefendedRun runs defended12 and reads its
+// flight.json: the recorder keeps state changes, not per-frame drops, so
+// its ring holds the whole run, the instants before the first attack order
+// included, and evicts nothing.
+func TestFlightRecorderHoldsDefendedRun(t *testing.T) {
+	const file = "../../scenarios/defended12.json"
+	var def struct {
+		Attacks []struct {
+			AtSec float64 `json:"atSec"`
+		} `json:"attacks"`
+	}
+	if err := json.Unmarshal([]byte(readFile(t, file)), &def); err != nil || len(def.Attacks) == 0 {
+		t.Fatalf("%s: %v, %d attacks", file, err, len(def.Attacks))
+	}
+	firstOrder := def.Attacks[0].AtSec
+	for _, a := range def.Attacks {
+		firstOrder = min(firstOrder, a.AtSec)
+	}
+	dir := runArtifacts(t, "-config", file)
+	var events []struct {
+		TS float64 `json:"ts"` // µs
+	}
+	if err := json.Unmarshal([]byte(readFile(t, filepath.Join(dir, "flight.json"))), &events); err != nil {
+		t.Fatal(err)
+	}
+	before := 0
+	for _, e := range events {
+		if e.TS < firstOrder*1e6 {
+			before++
+		}
+	}
+	if before == 0 {
+		t.Fatalf("flight.json holds %d events, none before the first attack order at %gs", len(events), firstOrder)
+	}
+	if !strings.Contains(readFile(t, filepath.Join(dir, "metrics.prom")), "\ntelemetry_recorder_dropped_total 0\n") {
+		t.Fatal("the flight recorder evicted events")
 	}
 }
 

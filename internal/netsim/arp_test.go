@@ -153,9 +153,10 @@ func TestDirectedARPAcrossSwitches(t *testing.T) {
 
 // TestARPSuppressedObservability pins where the discard shows up: the
 // per-switch series and the trace_drops_total cause line (both exported only
-// by a network that has a directory, from the moment it is installed), the
-// flight recorder, and — for a sampled frame — a switch span dropped with
-// cause arp-suppressed.
+// by a network that has a directory, from the moment it is installed), and
+// — for a sampled frame — a switch span dropped with cause arp-suppressed.
+// The flight recorder holds state changes, not per-frame drops: the discard
+// leaves no event there.
 func TestARPSuppressedObservability(t *testing.T) {
 	const series = "netsim_switch_arp_suppressed_total"
 	const cause = `trace_drops_total{cause="arp-suppressed"}`
@@ -210,14 +211,8 @@ func TestARPSuppressedObservability(t *testing.T) {
 	if sw.ARPSuppressed() != 1 {
 		t.Fatalf("ARPSuppressed() = %d, want 1", sw.ARPSuppressed())
 	}
-	recorded := false
-	for _, ev := range rec.Events() {
-		if ev.Name == "arp-suppressed" && ev.Actor == "sw0/port0" {
-			recorded = true
-		}
-	}
-	if !recorded {
-		t.Fatalf("flight recorder holds no arp-suppressed event from sw0/port0: %+v", rec.Events())
+	if evs := rec.Events(); len(evs) != 0 {
+		t.Fatalf("the discard reached the flight recorder: %+v", evs)
 	}
 	dropped := false
 	for _, sp := range tr.Spans() {

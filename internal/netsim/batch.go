@@ -24,21 +24,31 @@ var batchARPFloods = true
 // instead of scheduling its own arrival (join) only when the request is
 // unsampled, the link stays in the switch's domain, the receiver is a NIC
 // whose handler answers SetARPInert, the copy lands at the batch's instant,
-// no impairment corrupted it, and every frame its direction sent before it
-// lands earlier. A duplicate or a reordered frame can land at a later
-// copy's instant or after it; without them a direction's arrivals follow
-// its send order anyway. Every other copy, a busy port's that waits in its
-// queue among them, takes the ordinary path.
+// no impairment corrupted or duplicated it, and every frame its direction
+// sent before it lands earlier. A duplicate or a reordered frame can land
+// at a later copy's instant or after it; without them a direction's
+// arrivals follow its send order anyway. Every other copy, a busy port's
+// that waits in its queue among them, takes the ordinary path.
+//
+// The batch owns one frame buffer, the request the switch received, and
+// every egress port borrows it (Link.send with the batch). A copy takes a
+// buffer of its own only where it leaves the batch: when it waits in a
+// queue, is duplicated, or is delivered or posted at its own key. A borrowed
+// copy dropped at the queue or by loss, or settled in the batch, is only
+// counted as released; the batch releases its buffer once, when it has
+// fired (or at once, when no copy joined it). The frame ledger counts what
+// it counted with one buffer per copy.
 //
 // The batch fires at the smallest of its members' keys, and asks each
-// member again. A member whose side is up, whose link has no taps, whose
-// NIC has no ingress filter and whose owner answers that the request
-// changes nothing is counted exactly as its delivery would count it —
-// delivered on the direction, rx frames and bytes on the NIC, the buffer
-// released — and that is all its delivery would have done. Any other member
-// is delivered at its own key: right away if it holds the batch's key,
-// otherwise by an arrival event at that key, so an in-flight drop, a tap,
-// a filter or the host's reply happens where it always did.
+// member again. A member whose receiving side is down is dropped in flight,
+// as its delivery would drop it. A member whose link has no taps, whose NIC
+// has no ingress filter and whose owner answers that the request changes
+// nothing is counted exactly as its delivery would count it — delivered on
+// the direction, rx frames and bytes on the NIC, the frame released — and
+// that is all its delivery would have done. Any other member is delivered
+// at its own key: right away if it holds the batch's key, otherwise by an
+// arrival event at that key, so a tap, a filter or the host's reply
+// happens where it always did.
 //
 // Asking at the smallest key rather than at each member's own is exact
 // because nothing can change a member's answer in between. Normal events of
@@ -49,22 +59,23 @@ var batchARPFloods = true
 type arpBatch struct {
 	sw      *Switch
 	req     packet.ARP // the request every member carries
+	raw     []byte     // the one buffer every member borrows
 	at      sim.Time   // the members' arrival instant
 	key     uint64     // the smallest member key: where the batch fires
 	members []batchMember
 	fn      sim.Handler // bound once to fire
 }
 
-// batchMember is one copy in a batch: its direction, its own frame buffer
-// and the delivery key its direction gave it.
+// batchMember is one copy in a batch: its direction and the delivery key its
+// direction gave it.
 type batchMember struct {
 	dir *direction
-	raw []byte
 	key uint64
 }
 
-// newBatch returns an empty batch for req, reusing one that has fired.
-func (s *Switch) newBatch(req packet.ARP) *arpBatch {
+// newBatch returns an empty batch owning raw, the request req, reusing a
+// batch that has fired.
+func (s *Switch) newBatch(req packet.ARP, raw []byte) *arpBatch {
 	var b *arpBatch
 	if n := len(s.spare); n > 0 {
 		b = s.spare[n-1]
@@ -74,24 +85,43 @@ func (s *Switch) newBatch(req packet.ARP) *arpBatch {
 		b = &arpBatch{sw: s}
 		b.fn = b.fire
 	}
-	b.req = req
+	b.req, b.raw = req, raw
 	return b
 }
 
-// launch schedules a batch that gathered members and puts back one that
+// launch schedules a batch that gathered members and retires one that
 // gathered none.
 func (s *Switch) launch(b *arpBatch) {
 	if len(b.members) == 0 {
-		s.spare = append(s.spare, b)
+		b.retire()
 		return
 	}
 	s.sched.AtKeyed(b.at, b.key, b.fn)
 }
 
+// retire releases the batch's buffer and returns the batch to its switch
+// for reuse. Every copy has been counted where its life ended, so the
+// release is not counted again.
+func (b *arpBatch) retire() {
+	packet.ReleaseFrame(b.raw)
+	b.raw = nil
+	b.sw.spare = append(b.sw.spare, b)
+}
+
+// own returns a buffer of its own for a copy that leaves batch b: a copy of
+// b's buffer, or raw itself when b is nil and raw is owned already.
+func own(raw []byte, b *arpBatch) []byte {
+	if b != nil {
+		return packet.CloneFrame(raw)
+	}
+	return raw
+}
+
 // join makes the copy d is about to schedule for instant at a member of the
 // batch, using up its delivery key, and reports whether it did; a copy that
-// does not join is scheduled by the caller as usual.
-func (b *arpBatch) join(d *direction, at sim.Time, raw []byte) bool {
+// does not join is given a buffer of its own and scheduled by the caller as
+// usual.
+func (b *arpBatch) join(d *direction, at sim.Time) bool {
 	nic, ok := d.link.ends[1-d.from].(*NIC)
 	switch {
 	case !ok || nic.arpInert == nil || d.fromDom != d.toDom:
@@ -108,32 +138,37 @@ func (b *arpBatch) join(d *direction, at sim.Time, raw []byte) bool {
 	} else if key < b.key {
 		b.key = key
 	}
-	b.members = append(b.members, batchMember{dir: d, raw: raw, key: key})
+	b.members = append(b.members, batchMember{dir: d, key: key})
 	return true
 }
 
-// fire settles every member at the batch's instant, then returns the batch
-// to its switch for reuse.
+// fire settles every member at the batch's instant, then retires the batch.
 func (b *arpBatch) fire() {
 	now := b.sw.sched.Now()
+	settled := uint64(0)
 	for i := range b.members {
 		m := &b.members[i]
 		d, l := m.dir, m.dir.link
 		side := 1 - d.from
 		nic := l.ends[side].(*NIC)
 		switch {
-		case l.up[side] && len(l.taps) == 0 && nic.ingress == nil && nic.arpInert != nil && nic.arpInert(b.req):
+		case !l.up[side]:
+			d.inflightDrops.Inc()
+			settled++
+		case len(l.taps) == 0 && nic.ingress == nil && nic.arpInert != nil && nic.arpInert(b.req):
 			d.delivered++
 			nic.rxFrames.Inc()
-			nic.rxBytes.Add(uint64(len(m.raw)))
-			nic.ledger().release(m.raw)
+			nic.rxBytes.Add(uint64(len(b.raw)))
+			settled++
 		case m.key == b.key:
-			d.deliver(m.raw, trace.Context{})
+			d.deliver(packet.CloneFrame(b.raw), trace.Context{})
 		default:
-			d.post(now, m.key, m.raw, trace.Context{})
+			d.post(now, m.key, packet.CloneFrame(b.raw), trace.Context{})
 		}
 	}
+	// Every member lives in the switch's domain (see join).
+	b.sw.ledger().released += settled
 	clear(b.members)
 	b.members = b.members[:0]
-	b.sw.spare = append(b.sw.spare, b)
+	b.retire()
 }

@@ -20,6 +20,8 @@ import (
 type batchOracleRun struct {
 	summary, prom, events, spans, windows, ledger string
 	fired                                         uint64
+	// unbalanced lists every frame account that does not balance.
+	unbalanced []string
 }
 
 // runBatchOracle builds cfg, attaches one threshold-rule IDS unit (and, with
@@ -65,7 +67,19 @@ func runBatchOracle(t *testing.T, cfg testbed.Config, plan faults.Plan, defended
 		fmt.Fprintf(&win, "%+v\n", w)
 	}
 	r.windows = win.String()
-	r.ledger = fmt.Sprintf("%+v", tb.Network().Ledger())
+	lg := tb.Network().Ledger()
+	r.ledger = fmt.Sprintf("%+v", lg)
+	if lg.Sent+lg.Copies-lg.Released != lg.InFlight {
+		r.unbalanced = append(r.unbalanced, fmt.Sprintf("network %+v", lg))
+	}
+	for _, l := range tb.Network().Links() {
+		for side := 0; side < 2; side++ {
+			d := l.LedgerSide(side)
+			if d.Offered+d.Duplicated != d.Delivered+d.QueueDrops+d.LossDrops+d.CutDrops+d.InFlight() {
+				r.unbalanced = append(r.unbalanced, fmt.Sprintf("%s side %d %+v", l, side, d))
+			}
+		}
+	}
 	if e := tb.Engine(); e != nil {
 		for i := 0; i < e.NumDomains(); i++ {
 			r.fired += e.Domain(i).Scheduler().Fired()
@@ -82,7 +96,8 @@ func runBatchOracle(t *testing.T, cfg testbed.Config, plan faults.Plan, defended
 // ten-device segment with a detector on the TServer's tap. Batching may
 // only save events: the Summary, the Prometheus text, the flight
 // recorder, the canonical spans, the IDS windows and the frame account must
-// not move.
+// not move, and the network's and every link direction's account must
+// balance.
 func TestARPFloodBatchMatchesUnbatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight campaign runs")
@@ -138,6 +153,11 @@ func TestARPFloodBatchMatchesUnbatched(t *testing.T) {
 				} {
 					if part.off != part.on {
 						t.Errorf("batching changed the %s\n--- off ---\n%s\n--- on ---\n%s", part.what, part.off, part.on)
+					}
+				}
+				for _, run := range []batchOracleRun{off, on} {
+					for _, u := range run.unbalanced {
+						t.Errorf("frame account does not balance: %s", u)
 					}
 				}
 				if on.fired >= off.fired {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -132,7 +133,7 @@ func newBatchRig(t *testing.T, crossDomain, sampled bool) *batchRig {
 	r.z = r.net.NewNode("z").AddNIC()
 	r.net.Connect(r.y, r.z, cfg)
 	r.z.SetHandler(func(raw []byte) {
-		r.rec.Emit(r.sched.Now(), telemetry.CatNet, "y-to-z", "z", int64(len(raw)))
+		r.rec.Emit(r.sched.Now(), telemetry.CatExperiment, "y-to-z", "z", int64(len(raw)))
 	})
 	for i := 3; i < 5; i++ {
 		host(i)
@@ -244,13 +245,13 @@ func TestARPFloodBatch(t *testing.T) {
 			setup: func(r *batchRig) { r.owners[4].neigh[starAddr(0)] = fakeEntry{mac: packet.MACFromUint64(0xbad)} }},
 		{name: "a host holding the sender's MAC stays passive", target: -1, saved: 3,
 			setup: func(r *batchRig) { r.owners[3].neigh[starAddr(0)] = fakeEntry{mac: r.nics[0].MAC()} }},
-		{name: "a receiving side cut before arrival drops at its own key", target: -1, saved: 2,
+		{name: "a receiving side cut before arrival drops in the batch", target: -1, saved: 3,
 			setup: func(r *batchRig) { r.at(3, r.arrive-1, func() { r.links[3].SetUpSide(0, false) }) }},
 		{name: "a tap added before arrival sees its copy", target: -1, saved: 2,
 			setup: func(r *batchRig) {
 				r.at(4, r.arrive-1, func() {
 					r.links[4].AddTap(func(at sim.Time, raw []byte, _ trace.Context) {
-						r.rec.Emit(at, telemetry.CatNet, "tap", "host4", int64(len(raw)))
+						r.rec.Emit(at, telemetry.CatExperiment, "tap", "host4", int64(len(raw)))
 					})
 				})
 			}},
@@ -258,7 +259,7 @@ func TestARPFloodBatch(t *testing.T) {
 			setup: func(r *batchRig) {
 				r.at(3, r.arrive-1, func() {
 					r.nics[3].SetIngressFilterCtx(func(raw []byte, _ trace.Context) bool {
-						r.rec.Emit(r.sched.Now(), telemetry.CatNet, "filter", "host3", int64(len(raw)))
+						r.rec.Emit(r.sched.Now(), telemetry.CatExperiment, "filter", "host3", int64(len(raw)))
 						return false
 					})
 				})
@@ -336,5 +337,88 @@ func TestARPFloodBatch(t *testing.T) {
 					fired[1], fired[0], fired[0]-fired[1], tc.saved, transcripts[1])
 			}
 		})
+	}
+}
+
+// checkLedgers requires the network's frame account and every link
+// direction's to balance.
+func checkLedgers(t *testing.T, n *Network, when string) {
+	t.Helper()
+	var inFlight uint64
+	for _, l := range n.links {
+		for side := 0; side < 2; side++ {
+			lg := l.LedgerSide(side)
+			if lg.Offered+lg.Duplicated != lg.Delivered+lg.QueueDrops+lg.LossDrops+lg.CutDrops+lg.InFlight() {
+				t.Errorf("%s: %s side %d: %+v does not balance", when, l, side, lg)
+			}
+			inFlight += lg.InFlight()
+		}
+	}
+	if f := n.Ledger(); f.Sent+f.Copies-f.Released != f.InFlight || f.InFlight != inFlight {
+		t.Errorf("%s: network ledger %+v, links hold %d in flight", when, f, inFlight)
+	}
+}
+
+// TestARPFloodBatchSettlesEveryMember floods one request in a recycled
+// buffer while three of its four copies leave the batch's common path:
+// host 1's side is unplugged before the copies land, host 2's port is busy
+// and queues its copy, and host 3's link duplicates it. Host 4 is settled
+// in the batch. Batching must change nothing but the events: host 1's
+// in-flight drop settles in the batch with host 4, and hosts 2 and 3 get
+// their copies at their own keys, in buffers of their own. The race build
+// poisons a released frame, so a queued copy still borrowing the batch's
+// buffer, which is released once the batch fires, would reach host 2's tap
+// as poison.
+func TestARPFloodBatchSettlesEveryMember(t *testing.T) {
+	defer func() { batchARPFloods = true }()
+	var transcripts [2]string
+	var fired [2]uint64
+	for i, on := range []bool{false, true} {
+		batchARPFloods = on
+		r := newBatchRig(t, false, false)
+		want := r.request(starAddr(9))
+		r.sw.Learn(r.nics[2].MAC(), r.sw.ports[2])
+		r.nics[1].Send(frame(r.nics[1].MAC(), r.nics[2].MAC(), 1000))
+		r.at(1, r.arrive-1, func() { r.links[1].SetUpSide(0, false) })
+		r.links[3].SetImpairmentsSide(1, Impairments{DupProb: 1, RNG: sim.NewRNG(3)})
+		requests := 0
+		r.links[2].AddTap(func(_ sim.Time, raw []byte, _ trace.Context) {
+			if len(raw) == len(want) {
+				requests++
+				if !bytes.Equal(raw, want) {
+					t.Errorf("host 2's copy reads % x, want % x", raw, want)
+				}
+			}
+		})
+		r.at(0, batchSendAt, func() { r.nics[0].Send(packet.CloneFrame(want)) })
+		r.run(r.flood)
+		if q := r.links[2].LedgerSide(1).Queued; q != 1 {
+			t.Fatalf("host 2's port holds %d frames in its queue as the request floods, want 1", q)
+		}
+		checkLedgers(t, r.net, "as the request floods")
+		r.run(r.arrive - 1)
+		checkLedgers(t, r.net, "before the copies land")
+		transcripts[i] = r.transcript()
+		fired[i] = r.fired()
+		checkLedgers(t, r.net, "drained")
+		if requests != 1 {
+			t.Errorf("host 2 received %d copies of the request, want 1", requests)
+		}
+		if got := r.links[1].LedgerSide(1).CutDrops; got != 1 {
+			t.Errorf("host 1's direction cut %d copies in flight, want 1", got)
+		}
+		if got := r.links[3].LedgerSide(1); got.Duplicated != 1 || got.Delivered != 2 {
+			t.Errorf("host 3's direction %+v: want one duplicate and two deliveries", got)
+		}
+		if f := r.net.Ledger(); f.Sent != 2 || f.Copies != 4 {
+			t.Errorf("ledger %+v: want the request and host 1's frame sent, three flood copies and one duplicate", f)
+		}
+	}
+	if transcripts[0] != transcripts[1] {
+		t.Fatalf("batching changed the run:\n--- off\n%s--- on\n%s", transcripts[0], transcripts[1])
+	}
+	// The batch stands for host 1's drop and host 4's delivery.
+	if saved := fired[0] - fired[1]; saved != 1 {
+		t.Fatalf("batching fired %d events, %d without it: saved %d, want 1\n%s", fired[1], fired[0], saved, transcripts[1])
 	}
 }

@@ -24,6 +24,17 @@ func (lg *frameLedger) release(raw []byte) {
 	packet.ReleaseFrame(raw)
 }
 
+// end is release for a frame that may be borrowed from flood batch b: a
+// borrowed frame is only counted, because the batch releases the buffer
+// every copy shares (see arpBatch).
+func (lg *frameLedger) end(raw []byte, b *arpBatch) {
+	if b != nil {
+		lg.released++
+		return
+	}
+	lg.release(raw)
+}
+
 // ledger returns the account share of the domain dom (nil: serial).
 func (n *Network) ledger(dom *sim.Domain) *frameLedger {
 	if dom == nil {

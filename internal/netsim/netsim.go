@@ -63,7 +63,8 @@ type Network struct {
 	nameSet map[string]bool
 
 	// reg/rec are the attached telemetry plane (both may be nil: every
-	// instrument works standalone and Recorder.Emit is nil-safe).
+	// instrument works standalone and Recorder.Emit is nil-safe). rec is
+	// held for the layers above, which emit through Recorder.
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
 	// tracer drives causal packet tracing; nil (or a zero sample rate)
@@ -149,7 +150,9 @@ func (n *Network) MinCrossDomainDelay() (sim.Time, bool) {
 // topology created afterwards registers at creation. The counters are the
 // same ones Stats()/Counters() read — the registry observes them by
 // reference, so exports and the legacy accessors can never disagree.
-// Either argument may be nil.
+// The network itself emits nothing to the recorder: a per-frame drop is a
+// counter by cause, and a sampled frame's span names the cause. Either
+// argument may be nil.
 func (n *Network) SetTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	n.reg = reg
 	n.rec = rec
@@ -303,13 +306,6 @@ func (n *Network) registerSwitch(s *Switch) {
 	n.reg.RegisterCounterRendered(&s.flooded, "netsim_switch_flooded_total", ls)
 }
 
-// emit records a flight-recorder event. The caller supplies the instant
-// because in a partitioned network "now" is the emitting object's domain
-// clock, not the network-wide one.
-func (n *Network) emit(now sim.Time, cat telemetry.Category, name, actor string, value int64) {
-	n.rec.Emit(now, cat, name, actor, value)
-}
-
 // NewNode adds a named host node in domain 0. Names must be unique.
 func (n *Network) NewNode(name string) *Node {
 	return n.NewNodeInDomain(name, 0)
@@ -398,7 +394,7 @@ type NIC struct {
 	// returning false drops it (the firewall hook). The filter terminates
 	// sampled chains itself (the inline mitigation stage records its own
 	// "mitigation" hop and drop cause): on a false return the NIC counts
-	// and emits the drop but records no span of its own.
+	// the drop but records no span of its own.
 	ingress func(raw []byte, tc trace.Context) bool
 
 	// Shared telemetry counters: the registry exports these same
@@ -495,7 +491,6 @@ func (c *NIC) ledger() *frameLedger { return c.node.net.ledger(c.node.dom) }
 func (c *NIC) receive(raw []byte, tc trace.Context) {
 	if c.ingress != nil && !c.ingress(raw, tc) {
 		c.ingressDropped.Inc()
-		c.node.net.emit(c.node.sched.Now(), telemetry.CatNet, "ingress-drop", c.name, int64(len(raw)))
 		c.ledger().release(raw)
 		return
 	}
@@ -875,8 +870,9 @@ func (l *Link) serializationTime(n int) sim.Time {
 }
 
 // send offers a frame to the direction sending from ends[from]. b, when not
-// nil, is the flood batch the frame may join once its arrival is known (see
-// arpBatch.join); a frame that queues, or is dropped, never does.
+// nil, is the flood batch whose buffer raw is, and which the frame may join
+// once its arrival is known (see arpBatch); a frame that queues takes a
+// buffer of its own, and one that is dropped is only counted.
 func (l *Link) send(from int, raw []byte, tc trace.Context, b *arpBatch) {
 	d := &l.dirs[from]
 	now := d.sched.Now()
@@ -886,20 +882,18 @@ func (l *Link) send(from int, raw []byte, tc trace.Context, b *arpBatch) {
 	span := tc.Start(now, "link", d.name)
 	if !l.up[from] {
 		d.dropFrames.Inc()
-		l.net.emit(now, telemetry.CatNet, "queue-drop", d.name, int64(len(raw)))
 		span.Drop(now, trace.DropLinkDown)
-		d.txLedger().release(raw)
+		d.txLedger().end(raw, b)
 		return
 	}
 	if now < d.busyUntil || len(d.queue) > 0 {
 		if d.queued+len(raw) > l.cfg.QueueBytes {
 			d.dropFrames.Inc() // drop-tail: queue full
-			l.net.emit(now, telemetry.CatNet, "queue-drop", d.name, int64(len(raw)))
 			span.Drop(now, trace.DropQueueFull)
-			d.txLedger().release(raw)
+			d.txLedger().end(raw, b)
 			return
 		}
-		d.enqueue(queuedFrame{raw: raw, tc: span})
+		d.enqueue(queuedFrame{raw: own(raw, b), tc: span})
 		return
 	}
 	d.transmit(raw, span, b)
@@ -920,9 +914,8 @@ func (d *direction) transmit(raw []byte, tc trace.Context, b *arpBatch) {
 	lg := d.txLedger()
 	if l.cfg.LossProb > 0 && d.lossRNG != nil && d.lossRNG.Bool(l.cfg.LossProb) {
 		d.lossFrames.Inc()
-		l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 		tc.Drop(sched.Now(), trace.DropLoss)
-		lg.release(raw)
+		lg.end(raw, b)
 		d.arm()
 		return
 	}
@@ -931,25 +924,22 @@ func (d *direction) transmit(raw []byte, tc trace.Context, b *arpBatch) {
 	if im := d.imp; im.RNG != nil && im.Active() {
 		if im.LossProb > 0 && im.RNG.Bool(im.LossProb) {
 			d.lossFrames.Inc()
-			l.net.emit(sched.Now(), telemetry.CatNet, "loss", d.name, int64(len(raw)))
 			tc.Drop(sched.Now(), trace.DropLoss)
-			lg.release(raw)
+			lg.end(raw, b)
 			d.arm()
 			return
 		}
 		if im.CorruptProb > 0 && im.RNG.Bool(im.CorruptProb) {
 			bad := corruptedCopy(raw, im.RNG)
 			lg.copies++
-			lg.release(raw)
+			lg.end(raw, b)
 			raw = bad
-			b = nil // no longer the request the switch read
+			b = nil // no longer the request the switch read, and its own
 			d.corruptFrames.Inc()
-			l.net.emit(sched.Now(), telemetry.CatNet, "corrupt", d.name, int64(len(raw)))
 		}
 		if im.DupProb > 0 && im.RNG.Bool(im.DupProb) {
 			dup = true
 			d.dupFrames.Inc()
-			l.net.emit(sched.Now(), telemetry.CatNet, "dup", d.name, int64(len(raw)))
 		}
 		if im.ReorderProb > 0 && im.RNG.Bool(im.ReorderProb) {
 			extra := im.ReorderDelay
@@ -958,24 +948,25 @@ func (d *direction) transmit(raw []byte, tc trace.Context, b *arpBatch) {
 			}
 			arrive += extra
 			d.reorderFrames.Inc()
-			l.net.emit(sched.Now(), telemetry.CatNet, "reorder", d.name, int64(len(raw)))
 		}
 	}
 	if dup {
-		// The duplicate is a copy of its own, made before the primary's
-		// arrival is scheduled (from then on the primary is the receiver's),
-		// and shares the primary's span: the second Finish is a no-op, and
-		// its downstream hops chain off the same parent.
+		// The duplicate is a copy of its own, as is a primary borrowed from
+		// a flood batch, made before the primary's arrival is scheduled (from
+		// then on the primary is the receiver's). It shares the primary's
+		// span: the second Finish is a no-op, and its downstream hops chain
+		// off the same parent.
+		raw = own(raw, b)
 		second := packet.CloneFrame(raw)
 		lg.copies++
 		d.scheduleArrival(arrive, raw, tc)
 		d.scheduleArrival(arrive+ser, second, tc)
 		return
 	}
-	if b != nil && b.join(d, arrive, raw) {
+	if b != nil && b.join(d, arrive) {
 		return
 	}
-	d.scheduleArrival(arrive, raw, tc)
+	d.scheduleArrival(arrive, own(raw, b), tc)
 }
 
 // arm schedules txDone at busyUntil unless it already is.
@@ -1123,7 +1114,6 @@ func (d *direction) deliver(raw []byte, tc trace.Context) {
 	now := d.toSched.Now()
 	if !l.up[1-d.from] {
 		d.inflightDrops.Inc()
-		l.net.emit(now, telemetry.CatNet, "inflight-drop", d.name, int64(len(raw)))
 		tc.Drop(now, trace.DropInFlightCut)
 		l.net.ledger(d.toDom).release(raw)
 		return

@@ -105,14 +105,14 @@ func (p *switchPort) String() string { return p.name }
 func (p *switchPort) scheduler() *sim.Scheduler { return p.sw.sched }
 func (p *switchPort) domain() *sim.Domain       { return p.sw.dom }
 
-// send relays a frame out of the port; b is the flood batch the frame may
-// join, or nil.
+// send relays a frame out of the port; b, when not nil, is the flood batch
+// whose buffer raw is (see arpBatch).
 func (p *switchPort) send(raw []byte, tc trace.Context, b *arpBatch) {
 	if p.link != nil {
 		p.link.send(p.side, raw, tc, b)
 		return
 	}
-	p.sw.ledger().release(raw)
+	p.sw.ledger().end(raw, b)
 }
 
 // ledger is the frame account of the switch's domain.
@@ -120,7 +120,8 @@ func (s *Switch) ledger() *frameLedger { return s.net.ledger(s.dom) }
 
 // receive relays the frame, or ends its life here: every branch either
 // hands it on to exactly one port or releases it. A flood gives each egress
-// port but the last a copy of its own.
+// port but the last a copy of its own, except that a batched ARP request's
+// ports all borrow the one buffer, which its batch releases.
 func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	s := p.sw
 	now := s.sched.Now()
@@ -145,7 +146,6 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 			owner, owned := dir[target]
 			if !owned {
 				s.arpSuppressed.Inc()
-				s.net.emit(now, telemetry.CatNet, "arp-suppressed", p.name, int64(len(raw)))
 				span.Drop(now, trace.DropARPSuppressed)
 				s.ledger().release(raw)
 				return
@@ -168,24 +168,34 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 		}
 	}
 	// Broadcast or unknown unicast: flood all other ports, in port order.
-	// Each port is sent to once the next one is found, so the last takes
-	// the frame itself and every other one a copy. The copies of an
-	// unsampled broadcast ARP request that reach hosts at one instant may
-	// gather into one batch event (see arpBatch).
 	s.flooded.Inc()
 	span.Finish(now)
-	var b *arpBatch
-	if batchARPFloods && !span.Sampled() && eth.Type == packet.EtherTypeARP && eth.Dst.IsBroadcast() {
+	if batchARPFloods && len(s.ports) > 1 && !span.Sampled() && eth.Type == packet.EtherTypeARP && eth.Dst.IsBroadcast() {
 		if req, err := packet.UnmarshalARP(rest); err == nil && req.Op == packet.ARPRequest {
-			b = s.newBatch(req)
+			// An unsampled broadcast ARP request: every egress port borrows
+			// the one buffer, and the copies that reach hosts at one instant
+			// may gather into one batch event (see arpBatch).
+			// The account counts a copy per egress port but the first, as
+			// when each takes a buffer of its own.
+			b := s.newBatch(req, raw)
+			s.ledger().copies += uint64(len(s.ports) - 2)
+			for _, out := range s.ports {
+				if out != p {
+					out.send(raw, span, b)
+				}
+			}
+			s.launch(b)
+			return
 		}
 	}
+	// Each port is sent to once the next one is found, so the last takes
+	// the frame itself and every other one a copy.
 	var prev *switchPort
 	for _, out := range s.ports {
 		if out != p {
 			if prev != nil {
 				s.ledger().copies++
-				prev.send(packet.CloneFrame(raw), span, b)
+				prev.send(packet.CloneFrame(raw), span, nil)
 			}
 			prev = out
 		}
@@ -193,10 +203,7 @@ func (p *switchPort) receive(raw []byte, tc trace.Context) {
 	if prev == nil {
 		s.ledger().release(raw)
 	} else {
-		prev.send(raw, span, b)
-	}
-	if b != nil {
-		s.launch(b)
+		prev.send(raw, span, nil)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // runTrafficScenario drives a deterministic two-host+switch topology with
 // enough traffic to exercise forwarding, flooding, queue drops, random
 // loss and ingress-filter drops, then returns a rendering of every legacy
-// Stats() accessor.
+// Stats() accessor. With a registry attached, every frame is traced and
+// every drop's span carries its cause into trace_drops_total.
 func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Recorder) (string, *Network, *NIC, *NIC, *Switch) {
 	t.Helper()
 	s := sim.NewScheduler()
@@ -22,6 +23,11 @@ func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Re
 	net.SetSeed(7) // roots lb's loss streams
 	if reg != nil || rec != nil {
 		net.SetTelemetry(reg, rec)
+	}
+	var tr *trace.Tracer
+	if reg != nil {
+		tr = trace.New(trace.Config{SampleRate: 1, Registry: reg})
+		net.SetTracer(tr)
 	}
 	sw := net.NewSwitch("lan0")
 	a := net.NewNode("a").AddNIC()
@@ -32,9 +38,17 @@ func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Re
 		RateBps: 1_000_000, QueueBytes: 2048, Delay: sim.Millisecond,
 		LossProb: 0.2,
 	})
-	// b drops every third frame at ingress.
+	// b drops every third frame at ingress, ending its chain as a filter
+	// must.
 	n := 0
-	b.SetIngressFilterCtx(func([]byte, trace.Context) bool { n++; return n%3 != 0 })
+	b.SetIngressFilterCtx(func(_ []byte, tc trace.Context) bool {
+		n++
+		if n%3 != 0 {
+			return true
+		}
+		tc.Start(s.Now(), "filter", "b").Drop(s.Now(), trace.DropIngressFilter)
+		return false
+	})
 	b.SetHandler(func([]byte) {})
 	a.SetHandler(func([]byte) {})
 
@@ -44,10 +58,15 @@ func runTrafficScenario(t *testing.T, reg *telemetry.Registry, rec *telemetry.Re
 		copy(raw[6:12], src[:])
 		return raw
 	}
+	send := func(from *NIC, raw []byte) {
+		origin := tr.Origin(s.Now(), trace.Flow{}, "tx", from.String())
+		from.SendCtx(raw, origin)
+		origin.Finish(s.Now())
+	}
 	for i := 0; i < 60; i++ {
-		a.Send(frame(a.MAC(), b.MAC(), 200+i))
+		send(a, frame(a.MAC(), b.MAC(), 200+i))
 		if i%4 == 0 {
-			b.Send(frame(b.MAC(), a.MAC(), 150))
+			send(b, frame(b.MAC(), a.MAC(), 150))
 		}
 	}
 	s.Drain()
@@ -90,7 +109,7 @@ func TestStatsByteIdenticalWithTelemetryAttached(t *testing.T) {
 func TestRegistryAgreesWithStatsAdapters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(1024)
-	_, _, a, b, sw := runTrafficScenario(t, reg, rec)
+	_, net, a, b, sw := runTrafficScenario(t, reg, rec)
 
 	vals := map[string]float64{}
 	for _, s := range reg.Snapshot() {
@@ -137,16 +156,31 @@ func TestRegistryAgreesWithStatsAdapters(t *testing.T) {
 	if b.IngressDropped() == 0 {
 		t.Fatal("scenario should have exercised ingress drops")
 	}
-	// Ingress drops also land in the flight recorder.
-	found := false
-	for _, ev := range rec.Events() {
-		if ev.Name == "ingress-drop" && ev.Actor == "b/eth0" {
-			found = true
-			break
+	// Every frame is sampled, so each drop's span names its cause once: the
+	// per-cause span counts equal the drop counters.
+	var links LinkStats
+	for _, l := range net.links {
+		links.Add(l.Counters())
+	}
+	if links.QueueDrops == 0 || links.LossFrames == 0 {
+		t.Fatalf("scenario should have exercised queue drops and loss: %+v", links)
+	}
+	for _, c := range []struct {
+		cause trace.DropCause
+		want  uint64
+	}{
+		{trace.DropIngressFilter, b.IngressDropped()},
+		{trace.DropQueueFull, links.QueueDrops},
+		{trace.DropLoss, links.LossFrames},
+	} {
+		metric := fmt.Sprintf(`trace_drops_total{cause="%s"}`, c.cause)
+		if got := vals[metric]; got != float64(c.want) {
+			t.Errorf("%s = %v, the drop counter says %d", metric, got, c.want)
 		}
 	}
-	if !found {
-		t.Fatal("no ingress-drop trace event recorded")
+	// The flight recorder holds state changes: no drop reaches it.
+	if evs := rec.Events(); len(evs) != 0 {
+		t.Fatalf("per-frame drops reached the flight recorder: %+v", evs)
 	}
 }
 

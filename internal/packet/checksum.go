@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the 16-bit one's-complement Internet checksum (RFC 1071)
 // over data. IPv4 headers, TCP and UDP segments all use it.
@@ -12,21 +15,34 @@ func Checksum(data []byte) uint16 {
 // is congruent to the plain word-by-word sum modulo 0xffff and zero only when
 // that sum is, which is all finish needs; it is not the same integer.
 //
-// Eight bytes go in per step: a big-endian uint64 holds four words, and its
-// two 32-bit halves, added into a uint64, keep every carry (2^31 steps fit).
-// Folding the wide sum to 17 bits before it joins acc leaves acc the headroom
-// the callers count on: pseudo-header plus a 64 KiB segment cannot wrap it.
+// Thirty-two bytes go in per step, as four little-endian uint64 words added
+// with end-around carry. Modulo 0xffff a uint64 is the sum of its four
+// 16-bit words, and a word read little-endian is its big-endian value times
+// 2^8, so the folded total, byte-swapped once, is the big-endian sum (RFC
+// 1071 §2(B)). A carry is added back, never lost, so a total that ever leaves
+// zero stays above it. The folded total is at most 0xffff, which leaves acc
+// the headroom the callers count on: pseudo-header plus a 64 KiB segment
+// cannot wrap it. The last seven bytes or fewer go in as byte pairs.
 func sum(acc uint32, data []byte) uint32 {
-	var wide uint64
+	var wide, c uint64
+	for len(data) >= 32 {
+		wide, c = bits.Add64(wide, binary.LittleEndian.Uint64(data), c)
+		wide, c = bits.Add64(wide, binary.LittleEndian.Uint64(data[8:]), c)
+		wide, c = bits.Add64(wide, binary.LittleEndian.Uint64(data[16:]), c)
+		wide, c = bits.Add64(wide, binary.LittleEndian.Uint64(data[24:]), c)
+		data = data[32:]
+	}
 	for len(data) >= 8 {
-		v := binary.BigEndian.Uint64(data)
-		wide += v>>32 + v&0xffffffff
+		wide, c = bits.Add64(wide, binary.LittleEndian.Uint64(data), c)
 		data = data[8:]
 	}
+	wide, c = bits.Add64(wide, 0, c)
+	wide += c                         // c was 1 only if wide wrapped to 0
 	wide = wide>>32 + wide&0xffffffff // < 2^33
-	wide = wide>>16 + wide&0xffff     // < 2^18
+	wide = wide>>32 + wide&0xffffffff // < 2^32
 	wide = wide>>16 + wide&0xffff     // < 2^17
-	acc += uint32(wide)
+	wide = wide>>16 + wide&0xffff     // <= 0xffff
+	acc += uint32(bits.ReverseBytes16(uint16(wide)))
 	n := len(data)
 	for i := 0; i+1 < n; i += 2 {
 		acc += uint32(data[i])<<8 | uint32(data[i+1])

@@ -22,8 +22,10 @@ func sumBytePairs(acc uint32, data []byte) uint32 {
 // TestSumWideMatchesBytePairOracle compares the checksums the two
 // accumulations finish to (the accumulators themselves are only congruent):
 // every length to 3000 at every alignment of the eight-byte loads, with and
-// without an incoming accumulator, and the largest all-ones segment, the
-// case that comes closest to wrapping the 32-bit accumulator.
+// without an incoming accumulator; all-zero segments, whose sum must stay
+// zero (finish tells a zero sum from one that is only congruent to it); and
+// the largest all-ones segment, the case that comes closest to wrapping the
+// 32-bit accumulator.
 func TestSumWideMatchesBytePairOracle(t *testing.T) {
 	buf := make([]byte, 3008)
 	rand.New(rand.NewSource(1)).Read(buf)
@@ -35,6 +37,13 @@ func TestSumWideMatchesBytePairOracle(t *testing.T) {
 					t.Fatalf("acc %#x, offset %d, %d bytes: checksum %#04x, oracle %#04x", acc, off, n, got, want)
 				}
 			}
+		}
+	}
+
+	zeros := make([]byte, 1480)
+	for n := range zeros {
+		if got, want := finish(sum(0, zeros[:n])), finish(sumBytePairs(0, zeros[:n])); got != want || want != 0xffff {
+			t.Fatalf("%d zero bytes: checksum %#04x, oracle %#04x, want 0xffff", n, got, want)
 		}
 	}
 

@@ -52,15 +52,24 @@ func (x *xoshiroSource) Seed(seed int64) {
 
 // Uint64 implements rand.Source64 (xoshiro256++ next()).
 func (x *xoshiroSource) Uint64() uint64 {
-	r := rotl(x.s[0]+x.s[3], 23) + x.s[0]
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
+	var r uint64
+	r, x.s[0], x.s[1], x.s[2], x.s[3] = xoshiroNext(x.s[0], x.s[1], x.s[2], x.s[3])
 	return r
+}
+
+// xoshiroNext is one xoshiro256++ step: the output for state s0..s3 and the
+// state after it. It takes and returns the words by value, so a loop that
+// draws many keeps them in registers.
+func xoshiroNext(s0, s1, s2, s3 uint64) (r, n0, n1, n2, n3 uint64) {
+	r = rotl(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return r, s0, s1, s2, s3
 }
 
 // Int63 implements rand.Source.
@@ -184,9 +193,16 @@ func (g *RNG) Bytes(b []byte) {
 	}
 	// Each word store writes eight bytes; the eighth (the draw's top bits)
 	// is overwritten by the next draw, and there always is one, because the
-	// loop stops while at least one byte is still to fill.
-	for ; len(b)-i >= 8; i += 7 {
-		binary.LittleEndian.PutUint64(b[i:], uint64(g.src.Int63()))
+	// loop stops while at least one byte is still to fill. The loop steps
+	// the source's state in locals, and writes it back once.
+	if len(b)-i >= 8 {
+		s0, s1, s2, s3 := g.src.s[0], g.src.s[1], g.src.s[2], g.src.s[3]
+		for ; len(b)-i >= 8; i += 7 {
+			var r uint64
+			r, s0, s1, s2, s3 = xoshiroNext(s0, s1, s2, s3)
+			binary.LittleEndian.PutUint64(b[i:], r>>1) // Int63
+		}
+		g.src.s = [4]uint64{s0, s1, s2, s3}
 	}
 	for ; i < len(b); i++ {
 		if pos == 0 {

@@ -26,7 +26,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Fatalf("Histogram.Observe allocates %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		rec.Emit(sim.Second, CatNet, "queue-drop", "dev00/eth0", 64)
+		rec.Emit(sim.Second, CatTCP, "retransmit", "dev00/eth0", 64)
 	}); allocs != 0 {
 		t.Fatalf("Recorder.Emit allocates %.1f objects/op, want 0", allocs)
 	}
@@ -52,7 +52,7 @@ func BenchmarkRecorderEmit(b *testing.B) {
 	r := NewRecorder(DefaultRecorderCapacity)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Emit(sim.Time(i), CatNet, "queue-drop", "dev00/eth0", 64)
+		r.Emit(sim.Time(i), CatTCP, "retransmit", "dev00/eth0", 64)
 	}
 }
 

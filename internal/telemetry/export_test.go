@@ -89,7 +89,7 @@ func TestWriteJSON(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder(16)
-	rec.Emit(1500*sim.Microsecond, CatNet, "queue-drop", "dev00/eth0", 64)
+	rec.Emit(1500*sim.Microsecond, CatTCP, "retransmit", "dev00/eth0", 64)
 	rec.Emit(2*sim.Second, CatContainer, "crash", "dev00-camera", 1)
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, rec); err != nil {
@@ -111,7 +111,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
-	if evs[0].Name != "queue-drop" || evs[0].Cat != "net" || evs[0].Phase != "i" {
+	if evs[0].Name != "retransmit" || evs[0].Cat != "tcp" || evs[0].Phase != "i" {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
 	if evs[0].TS != 1500 { // 1500 µs

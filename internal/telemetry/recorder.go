@@ -9,10 +9,11 @@ import (
 // Category classifies flight-recorder events by emitting subsystem.
 type Category uint8
 
-// Event categories.
+// Event categories. A category's value is its thread id in the Chrome
+// trace (WriteChromeTrace); 1 was the network's per-frame drops, which the
+// registry counts by cause instead.
 const (
-	CatNet Category = iota + 1
-	CatTCP
+	CatTCP Category = iota + 2
 	CatContainer
 	CatSupervisor
 	CatFault
@@ -24,8 +25,6 @@ const (
 // String renders the category (used as the chrome-tracing "cat" field).
 func (c Category) String() string {
 	switch c {
-	case CatNet:
-		return "net"
 	case CatTCP:
 		return "tcp"
 	case CatContainer:
@@ -57,7 +56,7 @@ type TraceEvent struct {
 	Time sim.Time
 	// Cat is the emitting subsystem.
 	Cat Category
-	// Name identifies what happened ("queue-drop", "retransmit", "crash").
+	// Name identifies what happened ("retransmit", "crash", "link-flap").
 	Name string
 	// Actor identifies the subject ("dev03/eth0", "tserver").
 	Actor string

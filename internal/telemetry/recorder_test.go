@@ -11,9 +11,9 @@ func TestRecorderBasics(t *testing.T) {
 	if cap(r.buf) != 4 || len(r.Events()) != 0 {
 		t.Fatalf("fresh recorder: cap=%d len=%d", cap(r.buf), len(r.Events()))
 	}
-	r.Emit(sim.Second, CatNet, "queue-drop", "devA/eth0", 128)
+	r.Emit(sim.Second, CatTCP, "retransmit", "devA/eth0", 128)
 	ev := r.Events()
-	if len(ev) != 1 || ev[0].Name != "queue-drop" || ev[0].Time != sim.Second || ev[0].Value != 128 {
+	if len(ev) != 1 || ev[0].Name != "retransmit" || ev[0].Time != sim.Second || ev[0].Value != 128 {
 		t.Fatalf("events = %+v", ev)
 	}
 }
@@ -55,7 +55,7 @@ func TestRecorderDroppedCounter(t *testing.T) {
 	const capacity, emitted = 8, 27
 	r := NewRecorder(capacity)
 	for i := 0; i < emitted; i++ {
-		r.Emit(sim.Time(i), CatNet, "tick", "c", int64(i))
+		r.Emit(sim.Time(i), CatTCP, "tick", "c", int64(i))
 		want := uint64(0)
 		if i >= capacity {
 			want = uint64(i + 1 - capacity)
@@ -99,7 +99,7 @@ func TestRecorderExactlyFull(t *testing.T) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Emit(0, CatNet, "x", "y", 0)
+	r.Emit(0, CatTCP, "x", "y", 0)
 	if r.Events() != nil || r.Dropped() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
